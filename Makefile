@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check lint vet build test race bench overhead server-smoke crash chaos-repl chaos-cluster bench-wal bench-obs fuzz-smoke bench-prepared
+.PHONY: check lint vet build test race bench-api bench overhead server-smoke crash chaos-repl chaos-cluster bench-wal bench-obs fuzz-smoke bench-prepared
 
-## check: everything CI runs except server-smoke — lint, build, full tests, race, telemetry-overhead smoke
-check: lint build test race overhead
+## check: everything CI runs except server-smoke — lint, build, full tests, race, telemetry-overhead smoke, benchmark-module API check
+check: lint build test race overhead bench-api
 
 ## lint: go vet always; staticcheck when installed (CI pins and installs it; locally it is optional)
 lint: vet
@@ -22,9 +22,13 @@ build:
 test:
 	$(GO) test ./...
 
-## race: the concurrent subsystems — executor, engine, storage, network server, WAL, replication — under the race detector
+## race: the concurrent subsystems — executor, engine, storage, network server and client, WAL, replication, cluster, telemetry, plan cache — under the race detector
 race:
-	$(GO) test -race ./internal/exec/ ./internal/engine/ ./internal/faultinject/ ./internal/storage/ ./internal/server/ ./internal/wal/ ./internal/repl/ ./internal/cluster/ ./internal/retry/
+	$(GO) test -race ./internal/exec/ ./internal/engine/ ./internal/faultinject/ ./internal/storage/ ./internal/server/ ./internal/server/client/ ./internal/wal/ ./internal/repl/ ./internal/cluster/ ./internal/retry/ ./internal/obs/ ./internal/telemetry/ ./internal/plancache/
+
+## bench-api: vet and test the benchmark module (cmd/lambdabench, its own go.mod, outside ./...) so a refactor that breaks a name it imports fails here, not in the benchmark run (~9 s)
+bench-api:
+	cd cmd/lambdabench && $(GO) vet ./... && $(GO) test ./...
 
 ## overhead: assert the disarmed operator-stats path AND the armed histogram path each add <2% to the vectorized filter+agg workload
 overhead:

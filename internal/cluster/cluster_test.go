@@ -186,6 +186,20 @@ func TestRouterRoutesAndReadYourWrites(t *testing.T) {
 		}
 	}
 
+	// EXPLAIN ANALYZE executes its statement: it is a write, goes to the
+	// primary (a replica would refuse it read_only), and moves the
+	// read-your-writes barrier like any other.
+	if _, err := c.Exec("EXPLAIN ANALYZE INSERT INTO kv VALUES (50, 0)"); err != nil {
+		t.Fatalf("explain analyze insert: %v", err)
+	}
+	res, err := c.Exec("WITH n AS (SELECT COUNT(*) AS c FROM kv) SELECT c FROM n")
+	if err != nil {
+		t.Fatalf("count after explain analyze: %v", err)
+	}
+	if got := res.Rows[0][0].AsInt(); got != 51 {
+		t.Fatalf("after explain analyze insert: count = %d, want 51", got)
+	}
+
 	if m.RouterWritesRouted.Load() == 0 || m.RouterReadsRouted.Load() == 0 {
 		t.Fatalf("router counters not populated: writes=%d reads=%d",
 			m.RouterWritesRouted.Load(), m.RouterReadsRouted.Load())
@@ -224,17 +238,20 @@ func TestRouterFailoverFencingAndRejoin(t *testing.T) {
 		t.Fatalf("router_failovers = %d, want 1", m.RouterFailovers.Load())
 	}
 
-	// Reads served continuously, and every acked write survived.
-	res, err := execOn(t, rt.Addr(), "SELECT COUNT(*) FROM kv")
-	if err != nil {
-		t.Fatalf("count after failover: %v", err)
-	}
-	if got := res.Rows[0][0].AsInt(); got != int64(acked) {
-		t.Fatalf("acked-commit loss: count = %d, want %d", got, acked)
-	}
+	// Reads served continuously, and every acked write survived. Each read
+	// is a fresh session (no read-your-writes barrier) and may land on the
+	// survivor still being re-pointed at the new primary, which replicates
+	// to it asynchronously — so it may trail, but must never fail.
+	waitFor(t, 10*time.Second, "every acked write to be readable", func() bool {
+		res, err := execOn(t, rt.Addr(), "SELECT COUNT(*) FROM kv")
+		if err != nil {
+			t.Fatalf("count after failover: %v", err)
+		}
+		return res.Rows[0][0].AsInt() == int64(acked)
+	})
 
 	// The new regime runs under a bumped, durably fenced epoch.
-	res, err = execOn(t, rt.Addr(), "SELECT MAX(epoch) FROM system.replication")
+	res, err := execOn(t, rt.Addr(), "SELECT MAX(epoch) FROM system.replication")
 	if err != nil {
 		t.Fatalf("epoch query: %v", err)
 	}

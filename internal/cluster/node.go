@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"lambdadb/internal/engine"
+	"lambdadb/internal/faultinject"
 	"lambdadb/internal/repl"
 	"lambdadb/internal/server"
 	"lambdadb/internal/server/wire"
@@ -42,10 +43,40 @@ type NodeConfig struct {
 	Logger *slog.Logger
 }
 
+// role is the replication role a Node is playing.
+type role uint8
+
+const (
+	// fenced: read-only with no replication machinery running — a node not
+	// yet started, a demoted primary waiting to learn its successor, a
+	// transition that failed half-way, or a closed node.
+	fenced role = iota
+	// following: read-only, mirroring a primary's log (n.replica runs).
+	following
+	// leading: writable under the WAL's durable epoch, shipping its log to
+	// whoever subscribes (n.primary runs).
+	leading
+)
+
+func (r role) String() string { return [...]string{"fenced", "following", "leading"}[r] }
+
+// legal[from][to] is the set of role transitions. leading → leading is
+// absent on purpose: re-promoting a leader must not burn an epoch, so
+// Promote answers it without a transition.
+var legal = [3][3]bool{
+	fenced:    {fenced: true, following: true, leading: true},
+	following: {fenced: true, following: true, leading: true},
+	leading:   {fenced: true, following: true},
+}
+
 // Node is one cluster member: an engine plus the replication role it is
 // currently playing. It implements engine.ClusterControl (PROMOTE/FOLLOW
 // statements land here) and server.ReplicationHandler (replica streams are
 // forwarded to the current primary machinery, or refused while following).
+//
+// The role lives in three places — the engine's writable flag, the WAL's
+// commit-logger mode, and which replication machinery runs — and transition
+// is the only code that changes any of them.
 type Node struct {
 	db  *engine.DB
 	mgr *wal.Manager
@@ -53,14 +84,18 @@ type Node struct {
 	log *slog.Logger
 
 	mu      sync.Mutex
-	primary *repl.Primary // non-nil while leading
-	replica *repl.Replica // non-nil while following
+	role    role
+	primary *repl.Primary // non-nil exactly while leading
+	replica *repl.Replica // non-nil exactly while following
 	closed  bool
 }
 
 // NewNode wraps db — which must have been opened with a data directory —
 // and starts it in the role it was configured for: following primaryAddr
-// when non-empty (the -replica-of flag), else leading.
+// when non-empty (the -replica-of flag), else leading under the epoch its
+// log already holds. Opening db with engine.WithReadReplica(primaryAddr)
+// fences it from the first statement; NewNode fences it either way before
+// the stream starts.
 func NewNode(db *engine.DB, primaryAddr string, cfg NodeConfig) (*Node, error) {
 	mgr := db.WALManager()
 	if mgr == nil {
@@ -71,28 +106,83 @@ func NewNode(db *engine.DB, primaryAddr string, cfg NodeConfig) (*Node, error) {
 	}
 	n := &Node{db: db, mgr: mgr, cfg: cfg, log: cfg.Logger}
 	db.SetClusterControl(n)
-	if primaryAddr == "" {
-		p, err := n.newPrimary()
-		if err != nil {
-			return nil, err
-		}
-		n.primary = p
-		return n, nil
+	to := leading
+	if primaryAddr != "" {
+		to = following
 	}
-	r, err := repl.StartReplica(db, primaryAddr, cfg.Replica)
-	if err != nil {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if err := n.transition(to, primaryAddr, 0); err != nil {
 		return nil, err
 	}
-	n.replica = r
 	return n, nil
 }
 
-// newPrimary builds the shipping machinery with the Node's self-demotion
-// hook installed.
-func (n *Node) newPrimary() (*repl.Primary, error) {
-	cfg := n.cfg.Primary
-	cfg.OnStaleEpoch = n.staleEpoch
-	return repl.NewPrimary(n.db, cfg)
+// transition moves the node to role `to`, applying the three role flags in
+// one fixed order so no interleaving can leave the engine writable without
+// the machinery and the epoch that justify it:
+//
+//  1. fence the engine (writes are refused from here on, redirecting to
+//     primary when it is known),
+//  2. stop whatever machinery the old role ran,
+//  3. to lead: put the WAL back in primary mode and make the epoch durable
+//     (epoch > 0 bumps it — promotion; 0 keeps the log's own — start-up);
+//     to stay fenced: adopt the newer epoch a peer reported, in memory,
+//  4. start the new role's machinery (a follower's first act is putting
+//     the WAL in mirror mode),
+//  5. to lead: unfence.
+//
+// A failure at any step leaves the node fenced. The caller holds n.mu.
+func (n *Node) transition(to role, primary string, epoch uint64) error {
+	if n.closed {
+		return fmt.Errorf("cluster: node is closed")
+	}
+	if !legal[n.role][to] {
+		return fmt.Errorf("cluster: no %s → %s transition", n.role, to)
+	}
+	n.db.BecomeReplica(primary)
+	if n.primary != nil {
+		// Stop closes replica sockets — possibly including the one whose
+		// goroutine is running this transition (staleEpoch); Stop never
+		// joins those goroutines, so calling it inline cannot deadlock.
+		n.primary.Stop()
+		n.primary = nil
+	}
+	if n.replica != nil {
+		n.replica.Close()
+		n.replica = nil
+	}
+	n.role = fenced
+	switch to {
+	case fenced:
+		n.mgr.AdoptEpoch(epoch)
+	case following:
+		if err := faultinject.Fire("cluster.node.follow"); err != nil {
+			return err
+		}
+		r, err := repl.StartReplica(n.db, primary, n.cfg.Replica)
+		if err != nil {
+			return err
+		}
+		n.replica = r
+	case leading:
+		n.mgr.PrimaryMode()
+		if epoch > 0 {
+			if err := n.mgr.SetEpoch(epoch); err != nil {
+				return fmt.Errorf("cluster: promote: persist epoch %d: %w", epoch, err)
+			}
+		}
+		cfg := n.cfg.Primary
+		cfg.OnStaleEpoch = n.staleEpoch
+		p, err := repl.NewPrimary(n.db, cfg)
+		if err != nil {
+			return err
+		}
+		n.primary = p
+		n.db.BecomePrimary()
+	}
+	n.role = to
+	return nil
 }
 
 // Role reports "primary" or "replica" plus the current fencing epoch.
@@ -104,36 +194,21 @@ func (n *Node) Role() (string, uint64) {
 }
 
 // Promote implements engine.ClusterControl: detach from the old primary,
-// durably bump the cluster epoch, and become the writable primary. The
-// order is load-bearing — the epoch record must be durable before the
-// first write is accepted, so no commit can ever exist under an epoch that
-// was not fenced first. Promoting a node that already leads just returns
-// the current epoch (the router retries promotion on failover; it must be
-// idempotent).
+// durably bump the cluster epoch, and become the writable primary — the
+// epoch record is durable before the first write is accepted, so no commit
+// can ever exist under an epoch that was not fenced first. Promoting a node
+// that already leads just returns the current epoch (the router retries
+// promotion on failover; it must be idempotent).
 func (n *Node) Promote(ctx context.Context) (uint64, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
-		return 0, fmt.Errorf("cluster: node is closed")
-	}
-	if n.primary != nil {
+	if n.role == leading {
 		return n.mgr.Epoch(), nil
 	}
-	if n.replica != nil {
-		n.replica.Close()
-		n.replica = nil
-	}
-	n.mgr.PrimaryMode()
 	epoch := n.mgr.Epoch() + 1
-	if err := n.mgr.SetEpoch(epoch); err != nil {
-		return 0, fmt.Errorf("cluster: promote: persist epoch %d: %w", epoch, err)
-	}
-	p, err := n.newPrimary()
-	if err != nil {
+	if err := n.transition(leading, "", epoch); err != nil {
 		return 0, err
 	}
-	n.primary = p
-	n.db.BecomePrimary()
 	n.log.Info("promoted to primary", "epoch", epoch)
 	return epoch, nil
 }
@@ -146,50 +221,29 @@ func (n *Node) Promote(ctx context.Context) (uint64, error) {
 func (n *Node) Follow(ctx context.Context, addr string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
-		return fmt.Errorf("cluster: node is closed")
-	}
-	// Fence before anything else: from here on no new write is accepted,
-	// even while the old machinery winds down.
-	n.db.BecomeReplica(addr)
-	if n.primary != nil {
-		n.primary.Stop()
-		n.primary = nil
-	}
-	if n.replica != nil {
-		n.replica.Close()
-		n.replica = nil
-	}
-	r, err := repl.StartReplica(n.db, addr, n.cfg.Replica)
-	if err != nil {
+	if err := n.transition(following, addr, 0); err != nil {
 		return err
 	}
-	n.replica = r
 	n.log.Info("following primary", "primary", addr, "epoch", n.mgr.Epoch())
 	return nil
 }
 
 // staleEpoch is the Primary's OnStaleEpoch hook: a replica reported an
 // epoch newer than ours, so another node was promoted and this one must
-// stop writing immediately. It fences the engine and tears the shipping
-// machinery down; it does not start following anyone — the router (or an
-// operator) names our new primary with FOLLOW once one is known.
+// stop writing immediately. It does not start following anyone — the
+// router (or an operator) names our new primary with FOLLOW once one is
+// known.
 func (n *Node) staleEpoch(remoteEpoch uint64, peer string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.primary == nil {
+	if n.role != leading {
 		return // already demoted
 	}
 	n.log.Warn("fencing: peer reported a newer cluster epoch",
 		"peer", peer, "remote_epoch", remoteEpoch, "local_epoch", n.mgr.Epoch())
-	n.db.BecomeReplica("")
-	n.mgr.AdoptEpoch(remoteEpoch)
-	p := n.primary
-	n.primary = nil
-	// Stop closes replica sockets — possibly including the one whose
-	// goroutine invoked this hook; Stop never joins those goroutines, so
-	// calling it inline cannot deadlock.
-	p.Stop()
+	if err := n.transition(fenced, "", remoteEpoch); err != nil {
+		n.log.Warn("fencing stopped half-way; the node stays read-only", "err", err.Error())
+	}
 }
 
 // ServeReplication implements server.ReplicationHandler by forwarding to
@@ -206,19 +260,13 @@ func (n *Node) ServeReplication(ctx context.Context, nc net.Conn, br *bufio.Read
 	p.ServeReplication(ctx, nc, br, start)
 }
 
-// Close stops whatever role machinery is running. The engine itself is the
-// caller's to close.
+// Close stops whatever role machinery is running and leaves the engine
+// fenced. The engine itself is the caller's to close.
 func (n *Node) Close() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.closed = true
-	if n.primary != nil {
-		n.primary.Stop()
-		n.primary = nil
-	}
-	if n.replica != nil {
-		n.replica.Close()
-		n.replica = nil
+	if n.transition(fenced, "", 0) == nil { // else: already closed
+		n.closed = true
 	}
 }
 

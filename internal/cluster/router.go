@@ -6,7 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -69,11 +68,12 @@ func (c *RouterConfig) defaults() {
 
 // Router is the cluster's client-facing front end. It speaks the ordinary
 // wire protocol; clients connect to it exactly as they would to a single
-// lambdaserver. Per request it classifies the statement text: reads fan
-// out over lag-healthy replicas (transparently retried elsewhere on
-// failure — reads are idempotent), writes stick to the current primary and
-// are never replayed (a connection lost mid-write surfaces as a
-// non-retryable error, because the commit may have happened). A background
+// lambdaserver. Per request it parses and classifies the script
+// (routeScript): reads fan out over lag-healthy replicas (transparently
+// retried elsewhere on failure — reads are idempotent), writes stick to
+// the current primary and are never replayed (a connection lost mid-write
+// surfaces as a non-retryable error, because the commit may have
+// happened). A background
 // failure detector probes every node, performs epoch-fenced failover when
 // the primary dies, and re-points survivors and rejoiners at the winner.
 type Router struct {
@@ -236,17 +236,15 @@ func (s *session) closeBackends() {
 // handleQuery routes one Query frame.
 func (s *session) handleQuery(nc net.Conn, payload []byte) error {
 	trace, body := wire.SplitTraced(payload)
-	stmts, err := sql.SplitStatements(string(body))
-	if err != nil || len(stmts) == 0 {
-		// Let the real server produce the parse error so clients see the
-		// same message with or without a router in between.
-		return s.forwardWrite(nc, trace, payload)
-	}
-	if !s.inTxn && allReads(stmts) {
+	read, inTxn := routeScript(string(body), s.inTxn)
+	if read {
 		return s.forwardRead(nc, trace, body, payload)
 	}
-	err = s.forwardWrite(nc, trace, payload)
-	s.trackTxn(stmts)
+	err := s.forwardWrite(nc, trace, payload)
+	// Updated regardless of the outcome: assuming a transaction is still
+	// open when it is not only costs read locality (those reads go to the
+	// primary), never correctness.
+	s.inTxn = inTxn
 	return err
 }
 
@@ -256,48 +254,29 @@ func (s *session) handleSticky(nc net.Conn, typ byte, payload []byte) error {
 	return s.forward(nc, typ, trace, payload)
 }
 
-// trackTxn updates the session's transaction flag from the statements just
-// executed. It runs regardless of the outcome: assuming a transaction is
-// still open when it is not only costs read locality (those reads go to
-// the primary), never correctness.
-func (s *session) trackTxn(stmts []string) {
+// routeScript is the routing decision for one script: read reports whether
+// any replica may serve it — no transaction is open and every statement is
+// sql.Classify'd ReadOnly — and inTxnAfter is the session's transaction
+// state once it ran. A script that does not parse is not a read and leaves
+// the state alone: it goes to the primary verbatim, so clients see the
+// server's own parse error with or without a router in between.
+func routeScript(text string, inTxn bool) (read, inTxnAfter bool) {
+	stmts, err := sql.Parse(text)
+	if err != nil || len(stmts) == 0 {
+		return false, inTxn
+	}
+	read = !inTxn
 	for _, st := range stmts {
-		switch firstKeyword(st) {
-		case "BEGIN":
-			s.inTxn = true
-		case "COMMIT", "ROLLBACK":
-			s.inTxn = false
+		c := sql.Classify(st)
+		read = read && c.ReadOnly
+		if c.BeginsTxn {
+			inTxn = true
+		}
+		if c.EndsTxn {
+			inTxn = false
 		}
 	}
-}
-
-// readKeywords are the statement-leading keywords that never modify state;
-// anything else routes to the primary.
-var readKeywords = map[string]bool{
-	"SELECT": true, "EXPLAIN": true, "ANALYZE": false, "WAIT": true,
-}
-
-func allReads(stmts []string) bool {
-	for _, st := range stmts {
-		if !readKeywords[firstKeyword(st)] {
-			return false
-		}
-	}
-	return true
-}
-
-// firstKeyword extracts the uppercased first word of a statement.
-func firstKeyword(st string) string {
-	st = strings.TrimSpace(st)
-	end := 0
-	for end < len(st) {
-		c := st[end]
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_') {
-			break
-		}
-		end++
-	}
-	return strings.ToUpper(st[:end])
+	return read, inTxn
 }
 
 // forwardWrite sends a request that may modify state to the primary —

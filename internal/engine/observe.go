@@ -10,19 +10,6 @@ import (
 	"lambdadb/internal/telemetry"
 )
 
-// stmtKind classifies a statement for the by-kind latency histograms.
-func stmtKind(st sql.Statement) string {
-	switch st.(type) {
-	case *sql.Select:
-		return telemetry.KindSelect
-	case *sql.Insert, *sql.Update, *sql.Delete, *sql.Copy:
-		return telemetry.KindDML
-	case *sql.CreateTable, *sql.DropTable, *sql.CreateIndex, *sql.DropIndex:
-		return telemetry.KindDDL
-	}
-	return telemetry.KindOther
-}
-
 // execLogged runs one statement and folds its outcome into the engine
 // telemetry: cumulative counters and latency histograms (system.metrics),
 // the recent-statement ring (system.query_log), and — when the statement
@@ -30,7 +17,7 @@ func stmtKind(st sql.Statement) string {
 // carried by ctx (if any) is stamped into the log entries so one ID follows
 // the statement across every surface.
 func (s *Session) execLogged(ctx context.Context, text string, st sql.Statement) (*Result, error) {
-	return s.execLoggedKind(ctx, text, stmtKind(st), func(ctx context.Context) (*Result, error) {
+	return s.execLoggedKind(ctx, text, sql.Classify(st).Kind, func(ctx context.Context) (*Result, error) {
 		return s.execStatement(ctx, st)
 	})
 }
@@ -39,7 +26,7 @@ func (s *Session) execLogged(ctx context.Context, text string, st sql.Statement)
 // it because a cached statement is never re-parsed, so there is no syntax
 // tree to classify — the caller supplies the histogram kind and a closure
 // that does the work.
-func (s *Session) execLoggedKind(ctx context.Context, text, kind string, run func(context.Context) (*Result, error)) (*Result, error) {
+func (s *Session) execLoggedKind(ctx context.Context, text string, kind sql.Kind, run func(context.Context) (*Result, error)) (*Result, error) {
 	s.lastStats, s.lastPeak, s.planNs = nil, 0, 0
 	db := s.db
 	db.metrics.QueriesActive.Add(1)
@@ -60,7 +47,7 @@ func (s *Session) execLoggedKind(ctx context.Context, text, kind string, run fun
 	}
 	db.metrics.RecordStatement(status, returned, affected, dur, s.lastPeak)
 	hist := db.metrics.Hist()
-	hist.RecordStmt(kind, dur.Nanoseconds())
+	hist.RecordStmt(string(kind), dur.Nanoseconds())
 	// Stage split: parse time is attributed by ExecContext (s.parseNs),
 	// plan time by execSelect (s.planNs); what remains is execution.
 	execNs := dur.Nanoseconds() - s.planNs

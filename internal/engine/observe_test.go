@@ -326,6 +326,43 @@ func TestSystemMetricsCounters(t *testing.T) {
 	}
 }
 
+// TestStatementLatencyByKind: sql.Classify's Kind strings are the by-kind
+// histogram labels, so each statement lands in its own histogram — ad hoc,
+// plan-cache hit and prepared alike — and anything else in "other".
+func TestStatementLatencyByKind(t *testing.T) {
+	db := Open()
+	s := db.NewSession()
+	defer s.Close()
+	for _, text := range []string{
+		`CREATE TABLE t (id BIGINT)`,               // ddl
+		`INSERT INTO t VALUES (1)`,                 // dml
+		`SELECT id FROM t`,                         // select (plan-cache miss)
+		`SELECT id FROM t`,                         // select (plan-cache hit)
+		`PREPARE ins AS INSERT INTO t VALUES ($1)`, // other
+		`BEGIN`,            // other (txn)
+		`COMMIT`,           // other (txn)
+		`EXPLAIN SELECT 1`, // other
+	} {
+		if _, err := s.Exec(text); err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+	}
+	if _, err := s.ExecutePrepared(context.Background(), "ins", []types.Value{types.NewInt(2)}); err != nil { // dml
+		t.Fatal(err)
+	}
+	h := db.Metrics().Hist()
+	for name, c := range map[string]struct {
+		hist *telemetry.Histogram
+		want int64
+	}{
+		"select": {&h.StmtSelect, 2}, "dml": {&h.StmtDML, 2}, "ddl": {&h.StmtDDL, 1}, "other": {&h.StmtOther, 4},
+	} {
+		if got := c.hist.Snapshot().Count; got != c.want {
+			t.Errorf("%s statements recorded = %d, want %d", name, got, c.want)
+		}
+	}
+}
+
 // TestSystemMetricsConcurrentReads hammers system.metrics reads while
 // queries run on other goroutines; run under -race this verifies the
 // lock-free counters and the virtual-table snapshotting.

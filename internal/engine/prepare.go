@@ -10,7 +10,6 @@ import (
 	"lambdadb/internal/plan"
 	"lambdadb/internal/plancache"
 	"lambdadb/internal/sql"
-	"lambdadb/internal/telemetry"
 	"lambdadb/internal/types"
 )
 
@@ -18,12 +17,12 @@ import (
 // is immutable after PREPARE (EXECUTE works on copies), so the same prepared
 // statement can be executed any number of times.
 type preparedStmt struct {
-	name     string
-	stmt     sql.Statement // template AST; $N params carry declared types
-	text     string        // inner statement source text (for re-PREPARE, display)
-	key      string        // normalized plan-cache key; "" = uncacheable text
-	nParams  int
-	isSelect bool
+	name    string
+	stmt    sql.Statement // template AST; $N params carry declared types
+	class   sql.Class     // of stmt, decided once at PREPARE
+	text    string        // inner statement source text (for re-PREPARE, display)
+	key     string        // normalized plan-cache key; "" = uncacheable text
+	nParams int
 }
 
 // isSelectPrefix reports whether a normalized statement key can only be a
@@ -74,7 +73,7 @@ func (s *Session) tryCachedSelect(ctx context.Context, text string) (*Result, bo
 		return nil, true, errSessionClosed
 	}
 	s.parseNs = 0
-	res, err := s.execLoggedKind(ctx, strings.TrimSpace(text), telemetry.KindSelect, func(ctx context.Context) (*Result, error) {
+	res, err := s.execLoggedKind(ctx, strings.TrimSpace(text), sql.KindSelect, func(ctx context.Context) (*Result, error) {
 		bound, err := plan.Rebind(entry.Plan, s.snapshot(), nil)
 		if err != nil {
 			return nil, err
@@ -125,12 +124,11 @@ func (s *Session) execPrepare(n *sql.Prepare) (*Result, error) {
 			})
 		})
 	}
-	ps := &preparedStmt{name: n.Name, stmt: n.Stmt, text: n.Text, nParams: nParams}
+	ps := &preparedStmt{name: n.Name, stmt: n.Stmt, class: sql.Classify(n.Stmt), text: n.Text, nParams: nParams}
 	if key, ok := sql.NormalizeStatement(n.Text); ok {
 		ps.key = key
 	}
-	if _, ok := n.Stmt.(*sql.Select); ok {
-		ps.isSelect = true
+	if ps.class.Kind == sql.KindSelect {
 		// Build eagerly: names and parameter types are validated at PREPARE
 		// time (PostgreSQL-style), and the plan template is already cached
 		// when the first EXECUTE arrives.
@@ -210,7 +208,7 @@ func (s *Session) execExecute(ctx context.Context, n *sql.Execute) (*Result, err
 
 // runPrepared executes a prepared statement with bound argument values.
 func (s *Session) runPrepared(ctx context.Context, ps *preparedStmt, args []types.Value) (*Result, error) {
-	if ps.isSelect {
+	if ps.class.Kind == sql.KindSelect {
 		node, err := s.cachedPlan(ps)
 		if err != nil {
 			return nil, err
@@ -284,12 +282,8 @@ func (s *Session) ExecutePrepared(ctx context.Context, name string, args []types
 	if len(args) != ps.nParams {
 		return nil, s.abortOnError(fmt.Errorf("prepared statement %q expects %d argument(s), got %d", name, ps.nParams, len(args)))
 	}
-	kind := telemetry.KindDML
-	if ps.isSelect {
-		kind = telemetry.KindSelect
-	}
 	s.parseNs = 0
-	res, err := s.execLoggedKind(ctx, "EXECUTE "+name, kind, func(ctx context.Context) (*Result, error) {
+	res, err := s.execLoggedKind(ctx, "EXECUTE "+name, ps.class.Kind, func(ctx context.Context) (*Result, error) {
 		return s.runPrepared(ctx, ps, args)
 	})
 	if err != nil {

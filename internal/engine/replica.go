@@ -66,33 +66,10 @@ func (db *DB) rejectOnReplica(st sql.Statement) error {
 	if role.writable {
 		return nil
 	}
-	var kind string
-	switch st.(type) {
-	case *sql.Insert:
-		kind = "INSERT"
-	case *sql.Update:
-		kind = "UPDATE"
-	case *sql.Delete:
-		kind = "DELETE"
-	case *sql.CreateTable:
-		kind = "CREATE TABLE"
-	case *sql.DropTable:
-		kind = "DROP TABLE"
-	case *sql.CreateIndex:
-		kind = "CREATE INDEX"
-	case *sql.DropIndex:
-		kind = "DROP INDEX"
-	case *sql.Copy:
-		kind = "COPY"
-	case *sql.Checkpoint:
-		// The replica's log mirrors the primary's byte for byte; a local
-		// CHECKPOINT would rotate it out of alignment. The replica
-		// checkpoints itself at stream boundaries instead.
-		kind = "CHECKPOINT"
-	default:
-		return nil
+	if c := sql.Classify(st); c.Writes {
+		return &ReadOnlyError{Primary: role.primary, Statement: c.Name}
 	}
-	return &ReadOnlyError{Primary: role.primary, Statement: kind}
+	return nil
 }
 
 // ReplicationRow is one row of system.replication: the local role plus one

@@ -301,10 +301,8 @@ func opLabel(op Operator) string {
 	switch o := op.(type) {
 	case *statsOp:
 		return opLabel(o.inner)
-	case *tableScan:
-		return "scan"
-	case *indexScan:
-		return "index-scan"
+	case *producerScan:
+		return o.label
 	case *workingScan:
 		return "working-scan"
 	case *valuesOp:

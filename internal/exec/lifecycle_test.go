@@ -26,16 +26,6 @@ func lifecycleCtx(workers int) (*Context, context.CancelFunc) {
 	return ctx, cancel
 }
 
-func TestCancelBeforeRun(t *testing.T) {
-	s, tbl := bigTable(t, 100_000, 1000)
-	ctx, cancel := lifecycleCtx(4)
-	cancel()
-	_, err := Run(plan.NewScan(tbl, "", s.Snapshot()), ctx)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-}
-
 // TestCancelDuringParallelOperators cancels mid-flight while the morsel
 // worker pool is running a parallel join, sort, and aggregation, under
 // every worker count the pool distinguishes. The fault hook blocks the
@@ -93,18 +83,6 @@ func TestCancelDuringParallelOperators(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-func TestDeadlineExceededSurfaces(t *testing.T) {
-	s, tbl := bigTable(t, 100_000, 1000)
-	goCtx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	ctx := NewContext()
-	ctx.AttachContext(goCtx)
-	_, err := Run(plan.NewScan(tbl, "", s.Snapshot()), ctx)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
 }
 
@@ -184,22 +162,6 @@ func TestIterateReleasesWorkingTables(t *testing.T) {
 	}
 }
 
-func TestPanicContainedSerial(t *testing.T) {
-	defer faultinject.Reset()
-	s, tbl := bigTable(t, 1000, 10)
-	faultinject.Set("exec.scan.batch", func() error { panic("injected operator panic") })
-	ctx := NewContext()
-	ctx.Workers = 1
-	_, err := Run(plan.NewScan(tbl, "", s.Snapshot()), ctx)
-	var ie *InternalError
-	if !errors.As(err, &ie) {
-		t.Fatalf("want *InternalError, got %v", err)
-	}
-	if ie.Panic != "injected operator panic" || len(ie.Stack) == 0 {
-		t.Fatalf("malformed InternalError: panic=%v stack=%dB", ie.Panic, len(ie.Stack))
-	}
-}
-
 func TestPanicContainedInWorkerPool(t *testing.T) {
 	defer faultinject.Reset()
 	s := storage.NewStore()
@@ -219,23 +181,142 @@ func TestPanicContainedInWorkerPool(t *testing.T) {
 	}
 }
 
-// TestPanicDoesNotPoisonContext: after a contained panic the same Context
-// (fresh one per query, as the engine does) still executes queries.
-func TestPanicThenHealthyQuery(t *testing.T) {
-	defer faultinject.Reset()
-	s, tbl := bigTable(t, 10_000, 10)
-	faultinject.Set("exec.scan.batch", func() error { panic("boom") })
-	ctx := NewContext()
-	if _, err := Run(plan.NewScan(tbl, "", s.Snapshot()), ctx); err == nil {
-		t.Fatal("injected panic must fail the query")
+// TestScanProducerLifecycle runs every way a scan can end early against
+// the one producer operator behind both access paths — a table scan, an
+// index point probe and an index range probe — and asserts they fail
+// identically: cancellation and deadlines surface as the context error
+// (never as a clean end of stream), an injected storage error comes back
+// unchanged, a panic in the producer goroutine becomes an *InternalError
+// naming the operator, and the next query on the same table is healthy.
+func TestScanProducerLifecycle(t *testing.T) {
+	const rows, mod = 100_000, 10
+	s, tbl := indexedBigTable(t, rows, mod)
+	three, two, five := types.NewInt(3), types.NewInt(2), types.NewInt(5)
+	index := func(is plan.IndexScan) plan.Node {
+		is.Rel, is.Snapshot, is.Index, is.Column, is.Kind = tbl, s.Snapshot(), "big_k", "k", "ORDERED"
+		return &is
 	}
-	faultinject.Reset()
-	out, err := Run(plan.NewScan(tbl, "", s.Snapshot()), NewContext())
-	if err != nil {
-		t.Fatalf("query after contained panic: %v", err)
+	producers := []struct {
+		label    string
+		plan     plan.Node
+		wantRows int
+	}{
+		{"scan", plan.NewScan(tbl, "", s.Snapshot()), rows},
+		{"index-scan", index(plan.IndexScan{Eq: &three}), rows / mod},
+		{"index-scan", index(plan.IndexScan{Lo: &two, Hi: &five, LoInc: true}), 3 * rows / mod},
 	}
-	if out.NumRows != 10_000 {
-		t.Fatalf("rows = %d, want 10000", out.NumRows)
+	// Two consumers: the executor's Run (Drain re-checks the context per
+	// batch), and a bare Open/Next loop that trusts the operator alone — so
+	// a producer reporting cancellation as EOF cannot hide behind Drain.
+	consumers := map[string]func(plan.Node, *Context) (int, error){
+		"run": func(p plan.Node, ctx *Context) (int, error) {
+			mat, err := Run(p, ctx)
+			if err != nil {
+				return 0, err
+			}
+			return mat.NumRows, nil
+		},
+		"next": func(p plan.Node, ctx *Context) (n int, err error) {
+			op, err := Build(p)
+			if err != nil {
+				return 0, err
+			}
+			if err := op.Open(ctx); err != nil {
+				return 0, err
+			}
+			defer op.Close()
+			for {
+				b, err := op.Next()
+				if err != nil || b == nil {
+					return n, err
+				}
+				n += b.Len()
+			}
+		},
+	}
+	errInjected := errors.New("injected storage error")
+	faults := []struct {
+		name  string
+		arm   func(t *testing.T, ctx context.Context, cancel context.CancelFunc) context.Context
+		check func(t *testing.T, label string, err error)
+	}{
+		{"cancel-before-open",
+			func(_ *testing.T, ctx context.Context, cancel context.CancelFunc) context.Context {
+				cancel()
+				return ctx
+			},
+			func(t *testing.T, _ string, err error) {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("want context.Canceled, got %v", err)
+				}
+			}},
+		{"cancel-mid-scan",
+			func(_ *testing.T, ctx context.Context, cancel context.CancelFunc) context.Context {
+				faultinject.Set("exec.scan.batch", func() error { cancel(); return nil })
+				return ctx
+			},
+			func(t *testing.T, _ string, err error) {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("want context.Canceled, got %v", err)
+				}
+			}},
+		{"deadline-exceeded",
+			func(t *testing.T, ctx context.Context, _ context.CancelFunc) context.Context {
+				ctx, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+				t.Cleanup(cancel)
+				return ctx
+			},
+			func(t *testing.T, _ string, err error) {
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("want context.DeadlineExceeded, got %v", err)
+				}
+			}},
+		{"injected-error",
+			func(_ *testing.T, ctx context.Context, _ context.CancelFunc) context.Context {
+				faultinject.Set("exec.scan.batch", func() error { return errInjected })
+				return ctx
+			},
+			func(t *testing.T, _ string, err error) {
+				if !errors.Is(err, errInjected) {
+					t.Fatalf("want the injected error, got %v", err)
+				}
+			}},
+		{"panic",
+			func(_ *testing.T, ctx context.Context, _ context.CancelFunc) context.Context {
+				faultinject.Set("exec.scan.batch", func() error { panic("injected operator panic") })
+				return ctx
+			},
+			func(t *testing.T, label string, err error) {
+				var ie *InternalError
+				if !errors.As(err, &ie) {
+					t.Fatalf("want *InternalError, got %v", err)
+				}
+				if ie.Op != label || ie.Panic != "injected operator panic" || len(ie.Stack) == 0 {
+					t.Fatalf("malformed InternalError: op=%q panic=%v stack=%dB", ie.Op, ie.Panic, len(ie.Stack))
+				}
+			}},
+	}
+	for i, pr := range producers {
+		for cname, consume := range consumers {
+			for _, f := range faults {
+				t.Run(fmt.Sprintf("%s#%d/%s/%s", pr.label, i, cname, f.name), func(t *testing.T) {
+					defer faultinject.Reset()
+					goCtx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					ctx := NewContext()
+					ctx.Workers = 1
+					ctx.AttachContext(f.arm(t, goCtx, cancel))
+					_, err := consume(pr.plan, ctx)
+					f.check(t, pr.label, err)
+
+					faultinject.Reset()
+					n, err := consume(pr.plan, NewContext())
+					if err != nil || n != pr.wantRows {
+						t.Fatalf("query after the fault: rows = %d, err = %v; want %d rows", n, err, pr.wantRows)
+					}
+				})
+			}
+		}
 	}
 }
 

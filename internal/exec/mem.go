@@ -137,17 +137,3 @@ func matBytes(m *Materialized) int64 {
 	}
 	return n
 }
-
-// rowsBytes estimates the resident size of value rows (sort runs).
-func rowsBytes(rows [][]types.Value) int64 {
-	var n int64
-	for _, r := range rows {
-		// One Value struct is ~48 bytes (type tag, scalar fields, string
-		// header); count string payloads on top.
-		n += int64(len(r)) * 48
-		for _, v := range r {
-			n += int64(len(v.S))
-		}
-	}
-	return n
-}

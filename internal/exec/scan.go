@@ -9,30 +9,69 @@ import (
 	"lambdadb/internal/types"
 )
 
-// tableScan reads a stored table (optionally a physical row range).
-type tableScan struct {
-	node    *plan.Scan
+// producerScan adapts a push-style storage scan — a table range or an
+// index probe — to the pull-based operator tree. The scan runs in its own
+// goroutine; batches flow through a small channel, and the producer stops
+// at the next batch once the consumer closes the operator or the query is
+// cancelled.
+type producerScan struct {
+	label  string // opLabel and panic-containment name
+	schema types.Schema
+	// push runs the storage scan, handing each batch to yield and stopping
+	// with yield's error.
+	push func(yield func(*types.Batch) error) error
+	// onClose, when set, is called once per Open with the rows delivered.
+	onClose func(ctx *Context, rows int64)
+
 	ctx     *Context
 	batches chan *types.Batch
 	errCh   chan error
 	done    chan struct{}
 	opened  bool
+	rows    int64
 }
 
-func newTableScan(n *plan.Scan) *tableScan { return &tableScan{node: n} }
+// newTableScan reads a stored table (optionally a physical row range).
+func newTableScan(n *plan.Scan) *producerScan {
+	return &producerScan{label: "scan", schema: n.Schema(),
+		push: func(yield func(*types.Batch) error) error {
+			hi := n.Hi
+			if hi < 0 {
+				hi = n.Rel.PhysicalRows()
+			}
+			return n.Rel.ScanRange(n.Snapshot, n.Lo, hi, yield)
+		}}
+}
 
-func (s *tableScan) Schema() types.Schema { return s.node.Schema() }
+// newIndexScan probes a secondary index (point or range), emits the
+// visible matching rows, and reports the probe's row count to the
+// context's OnIndexProbe hook.
+func newIndexScan(n *plan.IndexScan) *producerScan {
+	return &producerScan{label: "index-scan", schema: n.Schema(),
+		push: func(yield func(*types.Batch) error) error {
+			if n.Eq != nil {
+				return n.Rel.IndexLookupEq(n.Index, *n.Eq, n.Snapshot, yield)
+			}
+			return n.Rel.IndexLookupRange(n.Index, n.Lo, n.Hi, n.LoInc, n.HiInc, n.Snapshot, yield)
+		},
+		onClose: func(ctx *Context, rows int64) {
+			if ctx.OnIndexProbe != nil {
+				ctx.OnIndexProbe(rows)
+			}
+		}}
+}
 
-func (s *tableScan) Open(ctx *Context) error {
+func (s *producerScan) Schema() types.Schema { return s.schema }
+
+func (s *producerScan) Open(ctx *Context) error {
 	s.ctx = ctx
+	// Depth 4 lets the producer run a few batches ahead of a consumer that
+	// is busy with the previous one without buffering the whole scan.
 	s.batches = make(chan *types.Batch, 4)
 	s.errCh = make(chan error, 1)
 	s.done = make(chan struct{})
 	s.opened = true
-	lo, hi := s.node.Lo, s.node.Hi
-	if hi < 0 {
-		hi = s.node.Rel.PhysicalRows()
-	}
+	s.rows = 0
 	cancelled := ctx.doneCh()
 	go func() {
 		defer close(s.batches)
@@ -40,8 +79,8 @@ func (s *tableScan) Open(ctx *Context) error {
 		// boundaries, so it carries its own: a panic here becomes an
 		// *InternalError on errCh instead of killing the process.
 		err := func() (err error) {
-			defer containPanic("scan", &err)
-			return s.node.Rel.ScanRange(s.node.Snapshot, lo, hi, func(b *types.Batch) error {
+			defer containPanic(s.label, &err)
+			return s.push(func(b *types.Batch) error {
 				if err := faultinject.Fire("exec.scan.batch"); err != nil {
 					return err
 				}
@@ -62,7 +101,7 @@ func (s *tableScan) Open(ctx *Context) error {
 	return nil
 }
 
-func (s *tableScan) Next() (*types.Batch, error) {
+func (s *producerScan) Next() (*types.Batch, error) {
 	if err := s.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -83,14 +122,18 @@ func (s *tableScan) Next() (*types.Batch, error) {
 			}
 			return nil, nil
 		}
+		s.rows += int64(b.Len())
 		return b, nil
 	}
 }
 
-func (s *tableScan) Close() error {
+func (s *producerScan) Close() error {
 	if s.opened {
 		close(s.done)
 		s.opened = false
+		if s.onClose != nil {
+			s.onClose(s.ctx, s.rows)
+		}
 	}
 	return nil
 }

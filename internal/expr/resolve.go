@@ -24,15 +24,6 @@ func NewResolveCtx(schema types.Schema, qual string) *ResolveCtx {
 	return &ResolveCtx{Schema: schema, Quals: quals}
 }
 
-// Concat appends another context's columns (for join schemas).
-func (rc *ResolveCtx) Concat(o *ResolveCtx) *ResolveCtx {
-	out := &ResolveCtx{
-		Schema: append(append(types.Schema{}, rc.Schema...), o.Schema...),
-		Quals:  append(append([]string{}, rc.Quals...), o.Quals...),
-	}
-	return out
-}
-
 // Lookup finds the column index for a (table, name) reference. It returns
 // an error for unknown or ambiguous references.
 func (rc *ResolveCtx) Lookup(table, name string) (int, error) {

@@ -12,7 +12,7 @@ import (
 	"lambdadb/internal/types"
 )
 
-// image serializes the test store to a v2 logical image in memory.
+// image serializes the test store to a logical image in memory.
 func image(t *testing.T, s *storage.Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer

@@ -37,17 +37,16 @@
 // restored rows at load time (index state is a pure function of the
 // physical rows, see internal/storage).
 //
-// Older images still load: v2 ("LMDB2\n") lacks the index-definition block,
-// legacy v1 ("LMDB1\n") additionally lacks ID/clock/CRC. Any decode
-// failure — bad magic, truncation, checksum mismatch, invalid structure —
-// surfaces as a *CorruptImageError naming the byte offset, never as a raw
-// decode error, so callers can reliably distinguish "damaged image" from
-// "no image" (see LoadFile).
+// v3 is the only version read or written (every writer since indexes were
+// introduced emits it; an "LMDB1\n"/"LMDB2\n" header is rejected by name).
+// Any decode failure — bad magic, unsupported version, truncation, checksum
+// mismatch, invalid structure — surfaces as a *CorruptImageError naming the
+// byte offset, never as a raw decode error, so callers can reliably
+// distinguish "damaged image" from "no image" (see LoadFile).
 package persist
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -63,11 +62,7 @@ import (
 	"lambdadb/internal/types"
 )
 
-var (
-	magicV1 = []byte("LMDB1\n")
-	magicV2 = []byte("LMDB2\n")
-	magicV3 = []byte("LMDB3\n")
-)
+var magicV3 = []byte("LMDB3\n")
 
 const (
 	kindLogical  byte = 1
@@ -419,9 +414,8 @@ func writeColumn(w Writer, c *types.Column, n int) error {
 	return nil
 }
 
-// Load reads a snapshot image into a fresh store. It accepts both v2
-// (CRC-checked, logical or physical) and legacy v1 images; failures are
-// *CorruptImageError.
+// Load reads a snapshot image (logical or physical) into a fresh store;
+// decode failures are *CorruptImageError.
 func Load(r io.Reader) (*storage.Store, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -456,50 +450,39 @@ func loadImage(data []byte, path string) (*storage.Store, error) {
 	if len(data) < len(magicV3) {
 		return nil, corrupt(int64(len(data)), "truncated before magic (%d bytes)", len(data))
 	}
-	var ver int
-	switch {
-	case bytes.Equal(data[:len(magicV1)], magicV1):
-		ver = 1
-	case bytes.Equal(data[:len(magicV2)], magicV2):
-		ver = 2
-	case bytes.Equal(data[:len(magicV3)], magicV3):
-		ver = 3
+	switch head := string(data[:len(magicV3)]); head {
+	case string(magicV3):
+	case "LMDB1\n", "LMDB2\n":
+		return nil, corrupt(0, "image format %s is no longer supported; this build reads LMDB3", head[:5])
 	default:
 		return nil, corrupt(0, "not a database image (bad magic)")
 	}
-	legacy := ver == 1
-
-	body := data[len(magicV2):]
-	kind := kindLogical
-	clock := uint64(0)
-	if !legacy {
-		// Verify the CRC trailer before trusting any structure.
-		if len(data) < len(magicV2)+1+8+4+4 {
-			return nil, corrupt(int64(len(data)), "truncated header")
-		}
-		payload, tail := data[:len(data)-4], data[len(data)-4:]
-		want := binary.LittleEndian.Uint32(tail)
-		if got := crc32.ChecksumIEEE(payload); got != want {
-			return nil, corrupt(int64(len(payload)),
-				"checksum mismatch (stored %08x, computed %08x; truncated or corrupted image)", want, got)
-		}
-		body = payload[len(magicV2):]
-		kind = body[0]
-		if kind != kindLogical && kind != kindPhysical {
-			return nil, corrupt(int64(len(magicV2)), "unknown image kind %d", kind)
-		}
-		clock = binary.LittleEndian.Uint64(body[1:9])
-		body = body[9:]
+	// Verify the CRC trailer before trusting any structure.
+	if len(data) < len(magicV3)+1+8+4+4 {
+		return nil, corrupt(int64(len(data)), "truncated header")
 	}
+	payload, tail := data[:len(data)-4], data[len(data)-4:]
+	want := binary.LittleEndian.Uint32(tail)
+	if got := crc32.ChecksumIEEE(payload); got != want {
+		return nil, corrupt(int64(len(payload)),
+			"checksum mismatch (stored %08x, computed %08x; truncated or corrupted image)", want, got)
+	}
+	body := payload[len(magicV3):]
+	kind := body[0]
+	if kind != kindLogical && kind != kindPhysical {
+		return nil, corrupt(int64(len(magicV3)), "unknown image kind %d", kind)
+	}
+	clock := binary.LittleEndian.Uint64(body[1:9])
+	body = body[9:]
 
-	r := &offsetReader{data: body, base: int64(len(data)) - int64(len(body)) - trailerLen(legacy)}
+	r := &offsetReader{data: body, base: int64(len(payload) - len(body))}
 	store := storage.NewStore()
 	count, err := ReadU32(r)
 	if err != nil {
 		return nil, corrupt(r.offset(), "table count: %v", err)
 	}
 	for t := uint32(0); t < count; t++ {
-		if err := loadTable(r, store, ver, kind); err != nil {
+		if err := loadTable(r, store, kind); err != nil {
 			var ce *CorruptImageError
 			if errors.As(err, &ce) {
 				return nil, err
@@ -514,13 +497,6 @@ func loadImage(data []byte, path string) (*storage.Store, error) {
 		store.RestoreClock(clock)
 	}
 	return store, nil
-}
-
-func trailerLen(legacy bool) int64 {
-	if legacy {
-		return 0
-	}
-	return 4
 }
 
 // offsetReader reads from an in-memory image while tracking the absolute
@@ -552,26 +528,22 @@ func (r *offsetReader) ReadByte() (byte, error) {
 func (r *offsetReader) offset() int64 { return r.base + int64(r.pos) }
 func (r *offsetReader) len() int      { return len(r.data) - r.pos }
 
-func loadTable(r *offsetReader, store *storage.Store, ver int, kind byte) error {
+func loadTable(r *offsetReader, store *storage.Store, kind byte) error {
 	name, err := ReadString(r)
 	if err != nil {
 		return err
 	}
-	id := uint64(0)
-	if ver >= 2 {
-		if id, err = ReadU64(r); err != nil {
-			return err
-		}
+	id, err := ReadU64(r)
+	if err != nil {
+		return err
 	}
 	schema, err := ReadSchema(r)
 	if err != nil {
 		return fmt.Errorf("table %q: %w", name, err)
 	}
-	var defs []storage.IndexDef
-	if ver >= 3 {
-		if defs, err = readIndexDefs(r, name); err != nil {
-			return err
-		}
+	defs, err := readIndexDefs(r, name)
+	if err != nil {
+		return err
 	}
 
 	if kind == kindPhysical {
@@ -641,7 +613,7 @@ func loadTable(r *offsetReader, store *storage.Store, ver int, kind byte) error 
 // maxIndexes bounds the per-table index count during decode.
 const maxIndexes = 1 << 12
 
-// readIndexDefs reads a table's index-definition block (v3 images).
+// readIndexDefs reads a table's index-definition block.
 func readIndexDefs(r *offsetReader, table string) ([]storage.IndexDef, error) {
 	n, err := ReadU32(r)
 	if err != nil {

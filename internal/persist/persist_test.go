@@ -2,6 +2,9 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -150,14 +153,25 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not a database image at all")); err == nil {
 		t.Error("garbage input should fail")
 	}
-	if _, err := Load(strings.NewReader("LMDB1\n")); err == nil {
+	if _, err := Load(strings.NewReader("LMDB3\n")); err == nil {
 		t.Error("truncated input should fail")
 	}
-	// Valid magic, corrupt body.
+	// Images older than v3 are refused by name, not as garbage.
+	for _, old := range []string{"LMDB1", "LMDB2"} {
+		_, err := Load(strings.NewReader(old + "\n\x01\x00\x00\x00"))
+		var ce *CorruptImageError
+		if !errors.As(err, &ce) || !strings.Contains(ce.Reason, old) || !strings.Contains(ce.Reason, "reads LMDB3") {
+			t.Errorf("%s image: got %v, want a *CorruptImageError naming %s and LMDB3", old, err, old)
+		}
+	}
+	// Valid magic and checksum, corrupt body.
 	var buf bytes.Buffer
-	buf.WriteString("LMDB1\n")
+	buf.WriteString("LMDB3\n")
+	buf.WriteByte(kindLogical)
+	buf.Write(make([]byte, 8))            // clock
 	buf.Write([]byte{1, 0, 0, 0})         // one table
 	buf.Write([]byte{255, 255, 255, 255}) // absurd name length
+	buf.Write(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(buf.Bytes())))
 	if _, err := Load(&buf); err == nil {
 		t.Error("corrupt name length should fail")
 	}

@@ -181,6 +181,7 @@ func TestReplicaRejectsWrites(t *testing.T) {
 		"DROP TABLE t",
 		"CREATE INDEX t_id ON t (id)",
 		"CHECKPOINT",
+		"EXPLAIN ANALYZE INSERT INTO t VALUES (1)",
 	} {
 		_, err := r.db.Exec(sql)
 		var roe *engine.ReadOnlyError
@@ -191,9 +192,12 @@ func TestReplicaRejectsWrites(t *testing.T) {
 			t.Errorf("%s error names primary %q, want %q", sql, roe.Primary, p.addr)
 		}
 	}
-	// Reads are unaffected.
+	// Reads are unaffected, and planning a write is a read.
 	if _, err := r.db.Query("SELECT COUNT(*) FROM t"); err != nil {
 		t.Fatalf("SELECT on replica: %v", err)
+	}
+	if _, err := r.db.Exec("EXPLAIN INSERT INTO t VALUES (1)"); err != nil {
+		t.Fatalf("EXPLAIN INSERT on replica: %v", err)
 	}
 }
 

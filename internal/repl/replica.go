@@ -90,7 +90,8 @@ type Replica struct {
 
 // StartReplica puts db's WAL into mirror mode and begins replicating from
 // primaryAddr in the background until Close is called. The caller is
-// responsible for having opened db with WithReadReplica so writes are
+// responsible for having fenced db first (engine.WithReadReplica at open,
+// or cluster.Node, which fences before every role change), so writes are
 // rejected.
 func StartReplica(db *engine.DB, primaryAddr string, cfg ReplicaConfig) (*Replica, error) {
 	mgr := db.WALManager()

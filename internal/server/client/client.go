@@ -51,10 +51,6 @@ func (e *ServerError) Error() string { return e.Msg }
 // or "" when the server did not know one.
 func (e *ServerError) Primary() string { return e.Details["primary"] }
 
-// Retryable reports whether the server classified the failure as safe to
-// retry (elsewhere or later) for idempotent requests.
-func (e *ServerError) Retryable() bool { return e.Code == wire.CodeRetryable }
-
 // Conn is a client connection. It is safe for concurrent use: requests are
 // serialized (the protocol is strictly request/response), and Close may be
 // called at any time — including while a request is in flight, which

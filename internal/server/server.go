@@ -131,14 +131,6 @@ func (s *Server) Addr() net.Addr {
 	return s.lis.Addr()
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe() error {
-	if err := s.Listen(); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
 // Serve accepts connections until Shutdown. It returns nil when the
 // listener was closed by Shutdown, otherwise the accept error.
 func (s *Server) Serve() error {

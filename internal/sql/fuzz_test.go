@@ -28,6 +28,8 @@ var fuzzSeeds = []string{
 	"PREPARE q (INT, TEXT) AS SELECT * FROM t WHERE id = $1 AND s = $2",
 	"EXECUTE q (1, 'x')",
 	"DEALLOCATE ALL",
+	"EXPLAIN INSERT INTO t VALUES (1)",
+	"EXPLAIN ANALYZE DELETE FROM t WHERE id = 3",
 	"SELECT 'it''s', .5e1, 1e+3, 0x, $1 FROM t",
 	// Statement splitting shapes.
 	"SELECT 1; SELECT 2;",
@@ -45,7 +47,8 @@ var fuzzSeeds = []string{
 }
 
 // FuzzParse: Parse must never panic, and whatever it accepts must survive
-// the downstream walkers (NumParams) and the plan-cache normalizer.
+// the downstream walkers (NumParams), the classifier and the plan-cache
+// normalizer.
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -64,6 +67,13 @@ func FuzzParse(f *testing.F) {
 				if !strings.Contains(err.Error(), "missing") {
 					t.Fatalf("NumParams(%q) = %v", src, err)
 				}
+			}
+			c := Classify(st)
+			if c.Name == "" {
+				t.Fatalf("Classify(%q): %T is unclassified", src, st)
+			}
+			if ex, ok := st.(*Explain); ok && !ex.Analyze && c.Writes {
+				t.Fatalf("Classify(%q): EXPLAIN without ANALYZE reports Writes", src)
 			}
 		}
 		// Normalize must not panic either; a parseable statement that is a

@@ -88,6 +88,10 @@ type CommitLogger interface {
 // engine starts serving); passing nil disables logging.
 func (s *Store) SetCommitLogger(l CommitLogger) { s.logger = l }
 
+// CommitLogger returns the installed durability hook, nil when there is
+// none (an in-memory store, or a replica mirroring its primary's log).
+func (s *Store) CommitLogger() CommitLogger { return s.logger }
+
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{tables: make(map[string]*Table)}

@@ -217,14 +217,6 @@ func (l *log) durablePos() Pos {
 	return Pos{Seg: l.seq, Off: l.durableOff}
 }
 
-// appendPos returns the logical end of the log: the position the active
-// segment will reach once every buffered record is flushed.
-func (l *log) appendPos() Pos {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return Pos{Seg: l.seq, Off: l.appendOff}
-}
-
 // subscribe registers a durable-position wakeup channel; cancel removes
 // it. The channel receives a (coalesced, non-blocking) signal whenever the
 // durable position advances and is closed when the log closes or fails.

@@ -22,10 +22,6 @@ func (m *Manager) Dir() string { return m.dir }
 // without racing the appender.
 func (m *Manager) DurablePos() Pos { return m.activeLog().durablePos() }
 
-// AppendPos returns the logical end of the log: the position the active
-// segment reaches once every buffered record is flushed.
-func (m *Manager) AppendPos() Pos { return m.activeLog().appendPos() }
-
 // SubscribeDurable registers a wakeup channel that receives a coalesced,
 // non-blocking signal whenever the durable position advances (including
 // across a rotation) and is closed when the log closes or fails. The
