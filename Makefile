@@ -44,7 +44,7 @@ bench-obs:
 	$(GO) test ./internal/telemetry/ -run xxx -bench 'BenchmarkHistogram' -benchtime 2s
 	$(GO) test ./internal/obs/ -run xxx -bench 'BenchmarkRenderMetrics' -benchtime 2s
 
-## bench: refresh the parallel-operator scaling baseline (see BENCH_exec.json)
+## bench: print the parallel-operator scaling micro-benchmarks; the recorded number is lambdabench's exec.speedup_workers (cmd/lambdabench/BASELINE.json)
 bench:
 	$(GO) test ./internal/exec/ -run xxx -bench 'BenchmarkParallel(Join|Sort|TopK|Agg)Scaling' -benchtime 3x
 
@@ -64,10 +64,12 @@ chaos-cluster:
 bench-wal:
 	LAMBDADB_WAL_BENCH=1 $(GO) test ./internal/wal/ -run TestGroupCommitBench -count=1 -v
 
-## fuzz-smoke: 30s of native Go fuzzing against each SQL front-end target (go test allows one -fuzz per invocation)
+## fuzz-smoke: 30s of native Go fuzzing against each decoder of outside bytes — the SQL front end, the WAL frame reader, the WAL record decoder (go test allows one -fuzz per invocation)
 fuzz-smoke:
 	$(GO) test ./internal/sql/ -run xxx -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/sql/ -run xxx -fuzz FuzzSplitStatements -fuzztime 30s
+	$(GO) test ./internal/wal/ -run xxx -fuzz FuzzSegmentFrames -fuzztime 30s
+	$(GO) test ./internal/wal/ -run xxx -fuzz FuzzDecodeRecord -fuzztime 30s
 
 ## bench-prepared: refresh the prepared-statement baseline (see BENCH_prepared.json); asserts the plan-cached point-query path is >= 2x faster than lex+parse+plan per statement
 bench-prepared:

@@ -138,7 +138,7 @@ func compilePredicate(where expr.Expr, schema types.Schema, table string) (expr.
 	return expr.Compile(pred)
 }
 
-func (s *Session) execDelete(n *sql.Delete) (*Result, error) {
+func (s *Session) execDelete(ctx context.Context, n *sql.Delete) (*Result, error) {
 	tbl, err := s.db.store.Table(n.Table)
 	if err != nil {
 		return nil, err
@@ -148,28 +148,46 @@ func (s *Session) execDelete(n *sql.Delete) (*Result, error) {
 		return nil, err
 	}
 	affected := 0
-	err = s.write(func(tx *storage.Txn) error {
-		return tbl.ScanWithRowIDs(s.snapshot(), func(b *types.Batch, rowIDs []int) error {
-			match, err := matchRows(b, pred)
-			if err != nil {
+	err = s.scanMatching(ctx, tbl, pred, func(tx *storage.Txn, b *types.Batch, rowIDs []int, match []bool) error {
+		for i, m := range match {
+			if !m {
+				continue
+			}
+			if err := tx.Delete(tbl, rowIDs[i]); err != nil {
 				return err
 			}
-			for i, m := range match {
-				if !m {
-					continue
-				}
-				if err := tx.Delete(tbl, rowIDs[i]); err != nil {
-					return err
-				}
-				affected++
-			}
-			return nil
-		})
+			affected++
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Affected: affected}, nil
+}
+
+// scanMatching is the row discovery UPDATE and DELETE share: inside the
+// session's write transaction it scans tbl at the statement snapshot and
+// hands fn each batch with its physical row IDs and the WHERE match vector.
+// It is governed like runPlan — statement timeout applied, ctx checked once
+// per batch — so a timed-out or cancelled DML scan stops, the autocommit
+// transaction rolls back, and an explicit one aborts (abortOnError).
+func (s *Session) scanMatching(ctx context.Context, tbl *storage.Table, pred expr.Evaluator,
+	fn func(tx *storage.Txn, b *types.Batch, rowIDs []int, match []bool) error) error {
+	ctx, cancel := s.withStmtTimeout(ctx)
+	defer cancel()
+	return s.write(func(tx *storage.Txn) error {
+		return tbl.ScanWithRowIDs(s.snapshot(), func(b *types.Batch, rowIDs []int) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			match, err := matchRows(b, pred)
+			if err != nil {
+				return err
+			}
+			return fn(tx, b, rowIDs, match)
+		})
+	})
 }
 
 // matchRows evaluates an optional predicate over a batch.
@@ -192,7 +210,7 @@ func matchRows(b *types.Batch, pred expr.Evaluator) ([]bool, error) {
 	return match, nil
 }
 
-func (s *Session) execUpdate(n *sql.Update) (*Result, error) {
+func (s *Session) execUpdate(ctx context.Context, n *sql.Update) (*Result, error) {
 	tbl, err := s.db.store.Table(n.Table)
 	if err != nil {
 		return nil, err
@@ -231,41 +249,35 @@ func (s *Session) execUpdate(n *sql.Update) (*Result, error) {
 	}
 
 	affected := 0
-	err = s.write(func(tx *storage.Txn) error {
-		return tbl.ScanWithRowIDs(s.snapshot(), func(b *types.Batch, rowIDs []int) error {
-			match, err := matchRows(b, pred)
+	err = s.scanMatching(ctx, tbl, pred, func(tx *storage.Txn, b *types.Batch, rowIDs []int, match []bool) error {
+		// Compute replacement values over the whole batch once.
+		newCols := make([]*types.Column, len(setEvals))
+		for k, ev := range setEvals {
+			c, err := ev(b)
 			if err != nil {
 				return err
 			}
-			// Compute replacement values over the whole batch once.
-			newCols := make([]*types.Column, len(setEvals))
-			for k, ev := range setEvals {
-				c, err := ev(b)
-				if err != nil {
-					return err
-				}
-				newCols[k] = c
+			newCols[k] = c
+		}
+		inserted := types.NewBatch(schema)
+		for i, m := range match {
+			if !m {
+				continue
 			}
-			inserted := types.NewBatch(schema)
-			for i, m := range match {
-				if !m {
-					continue
-				}
-				if err := tx.Delete(tbl, rowIDs[i]); err != nil {
-					return err
-				}
-				row := b.Row(i)
-				for k, ci := range setCols {
-					row[ci] = newCols[k].Value(i)
-				}
-				inserted.AppendRow(row)
-				affected++
+			if err := tx.Delete(tbl, rowIDs[i]); err != nil {
+				return err
 			}
-			if inserted.Len() > 0 {
-				return tx.Insert(tbl, inserted)
+			row := b.Row(i)
+			for k, ci := range setCols {
+				row[ci] = newCols[k].Value(i)
 			}
-			return nil
-		})
+			inserted.AppendRow(row)
+			affected++
+		}
+		if inserted.Len() > 0 {
+			return tx.Insert(tbl, inserted)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -577,9 +577,9 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement) (*Result,
 	case *sql.Insert:
 		return s.execInsert(ctx, n)
 	case *sql.Update:
-		return s.execUpdate(n)
+		return s.execUpdate(ctx, n)
 	case *sql.Delete:
-		return s.execDelete(n)
+		return s.execDelete(ctx, n)
 	case *sql.Select:
 		return s.execSelect(ctx, n)
 	case *sql.Begin:
@@ -760,16 +760,21 @@ func (s *Session) newBuilder() *plan.Builder {
 	return b
 }
 
+// withStmtTimeout bounds ctx by the statement timeout, when one is set.
+func (s *Session) withStmtTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.db.stmtTimeout <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, s.db.stmtTimeout)
+}
+
 // runPlan executes a built plan under the session's execution settings
 // (workers, memory limit, statement timeout). When telemetry is armed it
 // records the per-operator stats tree and peak memory on the session —
 // including for failed statements, so cancelled work is observable too.
 func (s *Session) runPlan(ctx context.Context, node plan.Node) (*exec.Materialized, error) {
-	if s.db.stmtTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.db.stmtTimeout)
-		defer cancel()
-	}
+	ctx, cancel := s.withStmtTimeout(ctx)
+	defer cancel()
 	ectx := exec.NewContext()
 	ectx.Workers = s.db.workers
 	ectx.AttachContext(ctx)

@@ -186,3 +186,74 @@ func TestSessionExecContextSkipsRemainingStatements(t *testing.T) {
 		t.Fatal("statement after the cancelled one still ran")
 	}
 }
+
+// loadWide fills table wide (n BIGINT, v DOUBLE) with batches*512 rows of
+// (i, 1.0) through plain INSERT ... VALUES, which no timeout governs.
+func loadWide(db *DB, batches int) {
+	db.MustExec(`CREATE TABLE wide (n BIGINT, v DOUBLE)`)
+	var sb strings.Builder
+	sb.WriteString(`INSERT INTO wide VALUES (0, 1.0)`)
+	for i := 1; i < 512; i++ {
+		sb.WriteString(`, (` + itoa(i) + `, 1.0)`)
+	}
+	for i := 0; i < batches; i++ {
+		db.MustExec(sb.String())
+	}
+}
+
+// TestStatementTimeoutStopsUpdate: UPDATE is governed like SELECT. The scan
+// outlives a 1 ms budget by two orders of magnitude, so the deadline is seen
+// at a batch boundary, the autocommit transaction rolls back, and the query
+// log records a timeout.
+func TestStatementTimeoutStopsUpdate(t *testing.T) {
+	db := Open(WithStatementTimeout(time.Millisecond))
+	loadWide(db, 200)
+	const upd = `UPDATE wide SET v = v + 1.0 WHERE n >= 0`
+	if _, err := db.Exec(upd); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+	db.stmtTimeout = 0 // let the verification scans run to completion
+	logged := `SELECT count(*) FROM system.query_log WHERE status = 'timeout' AND statement = '` + upd + `'`
+	if got := queryInts(t, db, logged); got[0] != 1 {
+		t.Errorf("system.query_log holds %d timeout rows for the UPDATE, want 1", got[0])
+	}
+	if got := queryInts(t, db, `SELECT count(*) FROM wide WHERE v <> 1.0`); got[0] != 0 {
+		t.Fatalf("timed-out UPDATE changed %d rows", got[0])
+	}
+}
+
+// goneAfter reports Canceled from its nth Err call on: a client that
+// disconnects while the statement is mid-scan, without a timing race.
+type goneAfter struct {
+	context.Context
+	calls, n int
+}
+
+func (c *goneAfter) Err() error {
+	if c.calls++; c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+func TestCancelledDeleteAbortsExplicitTransaction(t *testing.T) {
+	db := Open()
+	loadWide(db, 8)
+	s := db.NewSession()
+	defer s.Close()
+	if _, err := s.Exec(`BEGIN`); err != nil {
+		t.Fatal(err)
+	}
+	// Call 1 is ExecContext's own pre-statement check; calls 2.. are the
+	// scan's per-batch checks, so the DELETE has buffered work when it stops.
+	_, err := s.ExecContext(&goneAfter{Context: context.Background(), n: 4}, `DELETE FROM wide WHERE n >= 0`)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "(open transaction rolled back)") {
+		t.Fatalf("want context.Canceled with the rollback note, got %v", err)
+	}
+	if s.InTransaction() {
+		t.Fatal("the explicit transaction survived a cancelled statement")
+	}
+	if got := queryInts(t, db, `SELECT count(*) FROM wide`); got[0] != 8*512 {
+		t.Fatalf("cancelled DELETE removed rows: %d left", got[0])
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"lambdadb/internal/storage"
@@ -185,5 +186,58 @@ func TestPhysicalRoundTrip(t *testing.T) {
 	}
 	if got := s3.Snapshot(); got != 2 {
 		t.Errorf("clock-2 image clock = %d, want 2", got)
+	}
+}
+
+// allocatedBy returns the bytes fn allocates (freed or not).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodersValidateBeforeAllocating feeds the decoders a few hostile
+// bytes that declare a huge string and a huge null vector: each must be
+// rejected against the bytes actually left, before anything of the declared
+// size is allocated.
+func TestDecodersValidateBeforeAllocating(t *testing.T) {
+	const bound = 64 << 10
+	hugeString := []byte{0xff, 0xff, 0xff, 0x3f, 'x'} // length 1<<30 - 1, one byte follows
+	if got := allocatedBy(func() {
+		if _, err := ReadString(bytes.NewReader(hugeString)); err == nil {
+			t.Error("ReadString accepted a length larger than the remaining bytes")
+		}
+	}); got > bound {
+		t.Errorf("ReadString allocated %d bytes for a 5-byte input", got)
+	}
+
+	schema := types.Schema{{Name: "a", Type: types.Bool}}
+	hugeBatch := []byte{0x00, 0x00, 0x00, 0x01, 1, 0, 0, 0, 0} // 1<<24 rows, null vector present
+	if got := allocatedBy(func() {
+		if _, err := ReadBatch(bytes.NewReader(hugeBatch), schema); err == nil {
+			t.Error("ReadBatch accepted a row count larger than the remaining bytes")
+		}
+	}); got > bound {
+		t.Errorf("ReadBatch allocated %d bytes for a 9-byte input", got)
+	}
+}
+
+// TestBatchRoundTripEdgeCases pins the two places the batch decoder used to
+// be laxer than the encoder: an empty batch is the bare row count, and a
+// boolean byte is 0 or 1.
+func TestBatchRoundTripEdgeCases(t *testing.T) {
+	schema := types.Schema{{Name: "a", Type: types.Bool}, {Name: "b", Type: types.Int64}}
+	var buf bytes.Buffer
+	if err := WriteBatch(&buf, types.NewBatch(schema)); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(buf.Bytes())
+	if b, err := ReadBatch(r, schema); err != nil || b.Len() != 0 || r.Len() != 0 {
+		t.Fatalf("empty batch: %v, %d bytes unread", err, r.Len())
+	}
+	if _, err := ReadBatch(bytes.NewReader([]byte{1, 0, 0, 0, 0, 2}), schema[:1]); err == nil {
+		t.Error("a boolean byte of 2 was accepted")
 	}
 }

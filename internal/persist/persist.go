@@ -47,6 +47,7 @@ package persist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -94,11 +95,14 @@ type Writer interface {
 	io.StringWriter
 }
 
-// Reader is the byte-oriented source the decoders read from.
-// *bufio.Reader and *bytes.Reader both satisfy it.
+// Reader is the byte-oriented source the decoders read from: an in-memory
+// record or image (*bytes.Reader satisfies it). Len is the unread byte
+// count; the decoders reject a declared length larger than it before they
+// allocate anything of that length.
 type Reader interface {
 	io.Reader
 	io.ByteReader
+	Len() int
 }
 
 // Save writes a logical snapshot of every table (rows visible at the
@@ -156,21 +160,22 @@ func saveImage(store *storage.Store, w io.Writer, kind byte, clock uint64) error
 	return err
 }
 
-// SaveFile writes a logical snapshot to a file, crash-safely: the image is
-// written to a temp file which is fsynced before the atomic rename, and the
-// parent directory is fsynced after it so the rename itself is durable. A
-// failure at any point leaves the previous snapshot at path untouched and
-// removes the temp file.
+// SaveFile writes a logical snapshot to a file, crash-safely (see
+// WriteFileAtomic).
 func SaveFile(store *storage.Store, path string) error {
-	return saveFileAtomic(path, func(w io.Writer) error { return Save(store, w) })
+	return WriteFileAtomic(path, func(w io.Writer) error { return Save(store, w) })
 }
 
 // SavePhysicalFile is SaveFile for a physical snapshot as of clock.
 func SavePhysicalFile(store *storage.Store, path string, clock uint64) error {
-	return saveFileAtomic(path, func(w io.Writer) error { return SavePhysical(store, w, clock) })
+	return WriteFileAtomic(path, func(w io.Writer) error { return SavePhysical(store, w, clock) })
 }
 
-func saveFileAtomic(path string, write func(io.Writer) error) error {
+// WriteFileAtomic is the one crash-safe file write: write streams the
+// content into path+".tmp", which is fsynced, renamed over path, and made
+// durable by fsyncing the parent directory. A failure at any point leaves
+// the previous file at path untouched and removes the temp file.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -202,17 +207,19 @@ func saveFileAtomic(path string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	return SyncPath(filepath.Dir(path))
 }
 
-// syncDir fsyncs a directory so a just-committed rename survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+// SyncPath fsyncs the file or directory at path: a directory so that a
+// rename, create or unlink inside it survives a crash, a file so that a
+// truncation does.
+func SyncPath(path string) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	defer d.Close()
-	return d.Sync()
+	defer f.Close()
+	return f.Sync()
 }
 
 func saveTable(w *bufio.Writer, tbl *storage.Table, kind byte, clock uint64) error {
@@ -297,8 +304,8 @@ func ReadSchema(r Reader) (types.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ncols > maxColumns {
-		return nil, fmt.Errorf("schema with %d columns", ncols)
+	if ncols > maxColumns || int64(ncols) > int64(r.Len()) {
+		return nil, fmt.Errorf("schema with %d columns, %d bytes remain", ncols, r.Len())
 	}
 	schema := make(types.Schema, ncols)
 	for i := range schema {
@@ -350,10 +357,13 @@ func ReadBatch(r Reader, schema types.Schema) (*types.Batch, error) {
 }
 
 func readBatchRows(r Reader, schema types.Schema, n uint32) (*types.Batch, error) {
-	if n > maxBatchRows {
-		return nil, fmt.Errorf("batch with %d rows", n)
+	if n > maxBatchRows || (n > 0 && len(schema) == 0) {
+		return nil, fmt.Errorf("batch with %d rows in %d columns", n, len(schema))
 	}
 	b := types.NewBatch(schema)
+	if n == 0 {
+		return b, nil // WriteBatch writes no columns for an empty batch
+	}
 	for j := range schema {
 		if err := readColumn(r, b.Cols[j], int(n)); err != nil {
 			return nil, fmt.Errorf("column %q: %w", schema[j].Name, err)
@@ -475,11 +485,12 @@ func loadImage(data []byte, path string) (*storage.Store, error) {
 	clock := binary.LittleEndian.Uint64(body[1:9])
 	body = body[9:]
 
-	r := &offsetReader{data: body, base: int64(len(payload) - len(body))}
+	r := bytes.NewReader(body)
+	offset := func() int64 { return int64(len(payload) - r.Len()) }
 	store := storage.NewStore()
 	count, err := ReadU32(r)
 	if err != nil {
-		return nil, corrupt(r.offset(), "table count: %v", err)
+		return nil, corrupt(offset(), "table count: %v", err)
 	}
 	for t := uint32(0); t < count; t++ {
 		if err := loadTable(r, store, kind); err != nil {
@@ -487,11 +498,11 @@ func loadImage(data []byte, path string) (*storage.Store, error) {
 			if errors.As(err, &ce) {
 				return nil, err
 			}
-			return nil, corrupt(r.offset(), "table %d/%d: %v", t+1, count, err)
+			return nil, corrupt(offset(), "table %d/%d: %v", t+1, count, err)
 		}
 	}
-	if r.len() != 0 {
-		return nil, corrupt(r.offset(), "%d trailing bytes after last table", r.len())
+	if r.Len() != 0 {
+		return nil, corrupt(offset(), "%d trailing bytes after last table", r.Len())
 	}
 	if kind == kindPhysical {
 		store.RestoreClock(clock)
@@ -499,36 +510,7 @@ func loadImage(data []byte, path string) (*storage.Store, error) {
 	return store, nil
 }
 
-// offsetReader reads from an in-memory image while tracking the absolute
-// byte offset for error reports.
-type offsetReader struct {
-	data []byte
-	pos  int
-	base int64 // offset of data[0] within the original file
-}
-
-func (r *offsetReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.pos:])
-	r.pos += n
-	return n, nil
-}
-
-func (r *offsetReader) ReadByte() (byte, error) {
-	if r.pos >= len(r.data) {
-		return 0, io.EOF
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b, nil
-}
-
-func (r *offsetReader) offset() int64 { return r.base + int64(r.pos) }
-func (r *offsetReader) len() int      { return len(r.data) - r.pos }
-
-func loadTable(r *offsetReader, store *storage.Store, kind byte) error {
+func loadTable(r Reader, store *storage.Store, kind byte) error {
 	name, err := ReadString(r)
 	if err != nil {
 		return err
@@ -614,7 +596,7 @@ func loadTable(r *offsetReader, store *storage.Store, kind byte) error {
 const maxIndexes = 1 << 12
 
 // readIndexDefs reads a table's index-definition block.
-func readIndexDefs(r *offsetReader, table string) ([]storage.IndexDef, error) {
+func readIndexDefs(r Reader, table string) ([]storage.IndexDef, error) {
 	n, err := ReadU32(r)
 	if err != nil {
 		return nil, err
@@ -664,17 +646,20 @@ func readColumn(r Reader, c *types.Column, n int) error {
 	if err != nil {
 		return err
 	}
+	// Every row costs at least one byte in every column, so a row count the
+	// remaining bytes cannot hold is rejected before the vectors are sized.
+	if n > r.Len() {
+		return fmt.Errorf("%d rows but only %d bytes remain", n, r.Len())
+	}
 	var nulls []bool
 	switch hasNulls {
 	case 0:
 	case 1:
 		nulls = make([]bool, n)
 		for i := range nulls {
-			b, err := r.ReadByte()
-			if err != nil {
+			if nulls[i], err = readFlag(r); err != nil {
 				return err
 			}
-			nulls[i] = b == 1
 		}
 	default:
 		return fmt.Errorf("bad null marker %d", hasNulls)
@@ -700,17 +685,26 @@ func readColumn(r Reader, c *types.Column, n int) error {
 			}
 			c.AppendString(s)
 		case types.Bool:
-			b, err := r.ReadByte()
+			v, err := readFlag(r)
 			if err != nil {
 				return err
 			}
-			c.AppendBool(b == 1)
+			c.AppendBool(v)
 		}
 	}
 	if nulls != nil {
 		c.Nulls = nulls
 	}
 	return nil
+}
+
+// readFlag reads a boolean byte; the writers only ever emit 0 or 1.
+func readFlag(r Reader) (bool, error) {
+	b, err := r.ReadByte()
+	if err == nil && b > 1 {
+		err = fmt.Errorf("bad boolean byte %d", b)
+	}
+	return b == 1, err
 }
 
 // ---- primitive encoding ----
@@ -770,8 +764,8 @@ func ReadString(r Reader) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > maxStringLen {
-		return "", fmt.Errorf("corrupt image: string length %d", n)
+	if n > maxStringLen || int64(n) > int64(r.Len()) {
+		return "", fmt.Errorf("string length %d, %d bytes remain", n, r.Len())
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {

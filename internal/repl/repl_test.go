@@ -4,12 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lambdadb/internal/engine"
 	"lambdadb/internal/faultinject"
+	"lambdadb/internal/persist"
 	"lambdadb/internal/server"
 )
 
@@ -254,7 +259,19 @@ func TestReplicaRestartResumesFromLocalLog(t *testing.T) {
 	}
 }
 
+// TestReplicaResyncAfterPrune: a replica whose resume segment was pruned is
+// rebuilt from a shipped snapshot. The fault cases fail the replica's write
+// of that snapshot (ResetForResync goes through persist.WriteFileAtomic, so
+// its fault points apply): the install must fail cleanly — no temp file,
+// either the previous whole image or none — and a restarted replica must
+// resync to convergence.
 func TestReplicaResyncAfterPrune(t *testing.T) {
+	for _, fault := range []string{"", "persist.save.write", "persist.save.rename"} {
+		t.Run("fault="+fault, func(t *testing.T) { testReplicaResyncAfterPrune(t, fault) })
+	}
+}
+
+func testReplicaResyncAfterPrune(t *testing.T, fault string) {
 	p := startPrimary(t, PrimaryConfig{RetainSegments: 1})
 	mustExec(t, p.db, "CREATE TABLE t (id BIGINT)")
 	mustExec(t, p.db, "INSERT INTO t VALUES (1)")
@@ -278,11 +295,41 @@ func TestReplicaResyncAfterPrune(t *testing.T) {
 		}
 	}
 
+	if fault != "" {
+		// Primary and replica share this process's fault points. The first
+		// firing is the primary cutting the image it ships and passes; the
+		// second is the replica installing it; that and every retry on
+		// either side fail, so no install can succeed while armed.
+		defer faultinject.Reset()
+		var fired atomic.Int64
+		faultinject.Set(fault, func() error {
+			if fired.Add(1) == 1 {
+				return nil
+			}
+			return errors.New("injected " + fault)
+		})
+		rf := openReplica(t, dir, p.addr)
+		waitFor(t, "failed snapshot install", func() bool { return fired.Load() >= 2 })
+		rf.rep.Close()
+		if got := metric(rf.db, "repl_resyncs"); got != 0 {
+			t.Errorf("repl_resyncs = %d with %s armed, want 0", got, fault)
+		}
+		if err := rf.db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		faultinject.Reset()
+		if _, err := os.Stat(filepath.Join(dir, "snapshot.db.tmp")); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("failed install left its temp file behind (stat: %v)", err)
+		}
+		if _, err := persist.LoadFile(filepath.Join(dir, "snapshot.db")); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("failed install left a damaged image: %v", err)
+		}
+	}
+
 	r2 := openReplica(t, dir, p.addr)
 	waitFor(t, "resync to 41 rows", func() bool { return countRows(r2.db, "t") == 41 })
-	if got := metric(r2.db, "repl_resyncs"); got <= 0 {
-		t.Error("repl_resyncs = 0, want > 0 (resume window was pruned)")
-	}
+	// The rows become visible inside the install, the counter moves after it.
+	waitFor(t, "repl_resyncs > 0 (resume window was pruned)", func() bool { return metric(r2.db, "repl_resyncs") > 0 })
 	// And the stream keeps flowing after the snapshot.
 	mustExec(t, p.db, "INSERT INTO t VALUES (999)")
 	waitFor(t, "tail after resync", func() bool { return countRows(r2.db, "t") == 42 })

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lambdadb/internal/faultinject"
+	"lambdadb/internal/persist"
 	"lambdadb/internal/telemetry"
 )
 
@@ -120,11 +121,11 @@ func openLog(dir string, seq uint64, metrics *telemetry.Metrics) (*log, error) {
 
 // openSegmentFile opens (or creates) the segment file for appending and
 // writes its header only when the file does not already carry one. A file
-// left behind by an earlier failed attempt (e.g. rotate dying in syncDir
-// after the header write) keeps its header; writing a second one would be
-// parsed as a frame on recovery and read as a mid-segment tear. A partial
-// header (shorter than segHeaderLen) can only come from a failed write and
-// is safely rewritten from the start.
+// left behind by an earlier failed attempt (e.g. rotate dying in the
+// directory sync after the header write) keeps its header; writing a second
+// one would be parsed as a frame on recovery and read as a mid-segment
+// tear. A partial header (shorter than segHeaderLen) can only come from a
+// failed write and is safely rewritten from the start.
 func openSegmentFile(dir string, seq uint64) (*os.File, error) {
 	f, err := os.OpenFile(segmentPath(dir, seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -146,7 +147,7 @@ func openSegmentFile(dir string, seq uint64) (*os.File, error) {
 			f.Close()
 			return nil, err
 		}
-		if err := syncDir(dir); err != nil {
+		if err := persist.SyncPath(dir); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -162,15 +163,6 @@ func writeSegmentHeader(f *os.File, seq uint64) error {
 		return err
 	}
 	return f.Sync()
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // append frames the payload and buffers it, returning the record's LSN to
@@ -472,77 +464,66 @@ func listSegments(dir string) ([]segmentInfo, error) {
 	return segs, nil
 }
 
-// scanResult summarizes one segment scan.
-type scanResult struct {
-	records    int   // records successfully applied
-	goodOffset int64 // end of the last whole record (truncation point)
-	torn       bool  // the segment ended in a torn/invalid record
-	tornReason string
+// removeSegmentsBelow is the one prune loop: it unlinks every segment whose
+// sequence number is below keep, oldest first with the directory fsynced
+// after each unlink, so a crash mid-prune leaves a contiguous run. It
+// returns how many segments it removed.
+func removeSegmentsBelow(dir string, keep uint64) (int, error) {
+	segs, err := listSegments(dir)
+	if err != nil {
+		return 0, err
+	}
+	removed := 0
+	for _, seg := range segs {
+		if seg.seq >= keep {
+			break
+		}
+		if err := os.Remove(seg.path); err != nil {
+			return removed, err
+		}
+		if err := persist.SyncPath(dir); err != nil {
+			return removed, err
+		}
+		removed++
+	}
+	return removed, nil
 }
 
-// scanSegment reads one segment, applying every whole, checksum-valid
-// record in order. A torn record — short frame, implausible length,
-// truncated payload, or CRC mismatch — ends the scan: tolerated (reported
-// in the result) when this is the final segment, since a crash mid-append
-// legitimately tears the tail; fatal as an *AmbiguousStateError anywhere
-// else, because rotated segments were fsynced whole and damage inside one
-// means acknowledged commits may be unreadable.
-func scanSegment(dir string, seg segmentInfo, last bool, apply func(payload []byte) error) (scanResult, error) {
-	data, err := os.ReadFile(seg.path)
+// scanSegment is recovery's use of the frame reader: it checks the segment
+// header, then hands every whole, checksum-valid record to apply in order.
+// It returns the end of the last whole record and, when the bytes past it
+// are not one — short frame, implausible length, truncated payload, CRC
+// mismatch — why (torn != ""). Open tolerates that at the tail of the final
+// segment, since a crash mid-append legitimately tears it, and refuses it
+// anywhere else, because rotated segments were fsynced whole. A wrong magic
+// or sequence number is never a torn tail: the header is the first thing
+// written and fsynced when a segment is created.
+func scanSegment(dir string, seg segmentInfo, apply func(payload []byte, next int64) error) (good int64, torn string, err error) {
+	f, err := os.Open(seg.path)
 	if err != nil {
-		return scanResult{}, err
+		return 0, "", err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, "", err
+	}
+	if st.Size() < segHeaderLen {
+		return 0, fmt.Sprintf("truncated segment header (%d bytes)", st.Size()), nil
+	}
+	var hdr [segHeaderLen]byte
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		return 0, "", err
 	}
 	name := filepath.Base(seg.path)
-	var res scanResult
-
-	torn := func(off int64, reason string) (scanResult, error) {
-		if !last {
-			return scanResult{}, &AmbiguousStateError{Dir: dir, Segment: name, Offset: off, Reason: reason}
-		}
-		res.torn, res.goodOffset, res.tornReason = true, off, reason
-		return res, nil
+	if string(hdr[:len(segMagic)]) != string(segMagic) {
+		return 0, "", &AmbiguousStateError{Dir: dir, Segment: name, Reason: "bad segment magic"}
 	}
-
-	if len(data) < segHeaderLen {
-		return torn(0, fmt.Sprintf("truncated segment header (%d bytes)", len(data)))
-	}
-	if string(data[:len(segMagic)]) != string(segMagic) {
-		// A bad magic is never a torn tail: the header is the first thing
-		// written and fsynced when a segment is created.
-		return scanResult{}, &AmbiguousStateError{Dir: dir, Segment: name, Offset: 0, Reason: "bad segment magic"}
-	}
-	if got := binary.LittleEndian.Uint64(data[6:segHeaderLen]); got != seg.seq {
-		return scanResult{}, &AmbiguousStateError{
-			Dir: dir, Segment: name, Offset: 6,
+	if got := binary.LittleEndian.Uint64(hdr[len(segMagic):]); got != seg.seq {
+		return 0, "", &AmbiguousStateError{
+			Dir: dir, Segment: name, Offset: int64(len(segMagic)),
 			Reason: fmt.Sprintf("segment header claims sequence %d, file name says %d", got, seg.seq),
 		}
 	}
-
-	off := int64(segHeaderLen)
-	res.goodOffset = off
-	for int(off) < len(data) {
-		remaining := int64(len(data)) - off
-		if remaining < frameHeader {
-			return torn(off, fmt.Sprintf("%d trailing bytes, too short for a record header", remaining))
-		}
-		length := int64(binary.LittleEndian.Uint32(data[off:]))
-		want := binary.LittleEndian.Uint32(data[off+4:])
-		if length > maxRecordLen {
-			return torn(off, fmt.Sprintf("implausible record length %d", length))
-		}
-		if remaining-frameHeader < length {
-			return torn(off, fmt.Sprintf("record length %d but only %d bytes remain", length, remaining-frameHeader))
-		}
-		payload := data[off+frameHeader : off+frameHeader+length]
-		if got := crc32.ChecksumIEEE(payload); got != want {
-			return torn(off, fmt.Sprintf("record checksum mismatch (stored %08x, computed %08x)", want, got))
-		}
-		if err := apply(payload); err != nil {
-			return scanResult{}, err
-		}
-		off += frameHeader + length
-		res.goodOffset = off
-		res.records++
-	}
-	return res, nil
+	return readFrames(f, segHeaderLen, st.Size(), apply)
 }

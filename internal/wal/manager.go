@@ -143,25 +143,27 @@ func Open(dir string, opts Options) (*storage.Store, *Manager, error) {
 	summary.Segments = len(segs)
 
 	for i, seg := range segs {
-		last := i == len(segs)-1
-		res, err := scanSegment(dir, seg, last, func(payload []byte) error {
+		good, torn, err := scanSegment(dir, seg, func(payload []byte, _ int64) error {
 			return replayRecord(dir, seg, store, summary.SnapshotClock, &summary, payload)
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		if res.torn {
-			// A crash mid-append legitimately tears the tail of the last
-			// segment: drop the torn record and make the truncation durable
-			// before any new append can land after it.
-			if err := truncateSegment(dir, seg.path, res.goodOffset); err != nil {
-				return nil, nil, err
-			}
-			summary.TornTailTruncated = true
-			summary.TornSegment = filepath.Base(seg.path)
-			summary.TornOffset = res.goodOffset
-			summary.TornReason = res.tornReason
+		if torn == "" {
+			continue
 		}
+		name := filepath.Base(seg.path)
+		if i < len(segs)-1 {
+			return nil, nil, &AmbiguousStateError{Dir: dir, Segment: name, Offset: good, Reason: torn}
+		}
+		// A crash mid-append legitimately tears the tail of the last
+		// segment: drop the torn record and make the truncation durable
+		// before any new append can land after it.
+		if err := truncateSegment(dir, seg.path, good); err != nil {
+			return nil, nil, err
+		}
+		summary.TornTailTruncated, summary.TornSegment = true, name
+		summary.TornOffset, summary.TornReason = good, torn
 	}
 
 	activeSeq := uint64(1)
@@ -312,18 +314,10 @@ func truncateSegment(dir, path string, off int64) error {
 	if err := os.Truncate(path, off); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
+	if err := persist.SyncPath(path); err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return persist.SyncPath(dir)
 }
 
 // Summary returns what recovery found and did.
@@ -458,15 +452,8 @@ func (m *Manager) AdoptEpoch(e uint64) {
 }
 
 // Checkpoint writes a durable physical snapshot and prunes the log behind
-// it:
-//
-//  1. rotate the log under the store's commit lock, capturing the commit
-//     clock C — every record with a timestamp at or below C now sits in a
-//     sealed segment, every later record in the new one,
-//  2. write the physical image as of C (atomic tmp+fsync+rename, so the
-//     previous image survives any failure),
-//  3. prune the sealed segments, oldest first with the directory fsynced
-//     after each removal, so a crash mid-prune leaves a contiguous run.
+// it: cut an image at commit clock C (see cutImage), then remove the sealed
+// segments below the retention floor (see removeSegmentsBelow).
 //
 // A crash between any two steps recovers: the image and the log overlap
 // rather than gap, and replay skips records the image already covers.
@@ -479,62 +466,67 @@ func (m *Manager) Checkpoint() (CheckpointStats, error) {
 	if err := faultinject.Fire("wal.checkpoint"); err != nil {
 		return CheckpointStats{}, err
 	}
-
-	var clock uint64
-	var epochLSN uint64
-	var rerr error
-	m.store.WithCommitLock(func(c uint64) {
-		clock = c
-		if rerr = m.activeLog().rotate(); rerr != nil {
-			return
-		}
-		// Re-announce the fencing epoch at the head of the fresh segment:
-		// the prune below may remove the only segment carrying it, and the
-		// snapshot image does not record epochs.
-		if e := m.epoch.Load(); e > 0 {
-			epochLSN, _, rerr = m.activeLog().append(encodeEpoch(e))
-		}
-	})
-	if rerr != nil {
-		return CheckpointStats{}, fmt.Errorf("wal: rotate log: %w", rerr)
-	}
-	if epochLSN != 0 {
-		// The epoch record must be durable before older segments disappear,
-		// or a crash mid-prune could forget the epoch entirely.
-		if err := m.activeLog().waitDurable(epochLSN); err != nil {
-			return CheckpointStats{}, err
-		}
-	}
-
-	if err := faultinject.Fire("wal.checkpoint.snapshot"); err != nil {
-		return CheckpointStats{}, err
-	}
-	if err := persist.SavePhysicalFile(m.store, filepath.Join(m.dir, snapshotFile), clock); err != nil {
-		return CheckpointStats{}, fmt.Errorf("wal: write checkpoint image: %w", err)
-	}
-
-	if err := faultinject.Fire("wal.checkpoint.prune"); err != nil {
-		return CheckpointStats{}, err
-	}
-	segs, err := listSegments(m.dir)
+	clock, err := m.cutImage("wal.checkpoint.snapshot")
 	if err != nil {
+		return CheckpointStats{}, err
+	}
+	if err := faultinject.Fire("wal.checkpoint.prune"); err != nil {
 		return CheckpointStats{}, err
 	}
 	// A connected replica may still need sealed segments the image now
 	// covers: prune only below the retention floor, never the active one.
-	keep := m.pruneFloor(m.activeLog().activeSeq())
-	removed := 0
-	for _, seg := range segs {
-		if seg.seq >= keep {
-			break
+	return m.pruneBelow(m.pruneFloor(m.activeLog().activeSeq()), clock)
+}
+
+// cutImage is the one checkpoint cut, shared by Checkpoint and ShipState
+// (the caller holds m.mu):
+//
+//  1. rotate the log under the store's commit lock, capturing the commit
+//     clock C — every record with a timestamp at or below C now sits in a
+//     sealed segment, every later record in the new one,
+//  2. re-announce the fencing epoch at the head of the fresh segment and
+//     wait for it to be durable: a prune may remove the only segment
+//     carrying it, a resyncing replica mirrors from the fresh segment, and
+//     the image does not record epochs,
+//  3. write the physical image as of C (atomic tmp+fsync+rename, so the
+//     previous image survives any failure).
+//
+// imageFault names the fault point fired between 2 and 3; ShipState has
+// none and passes "", which no test can arm.
+func (m *Manager) cutImage(imageFault string) (clock uint64, err error) {
+	var epochLSN uint64
+	m.store.WithCommitLock(func(c uint64) {
+		clock = c
+		if err = m.activeLog().rotate(); err != nil {
+			return
 		}
-		if err := os.Remove(seg.path); err != nil {
-			return CheckpointStats{}, err
+		if e := m.epoch.Load(); e > 0 {
+			epochLSN, _, err = m.activeLog().append(encodeEpoch(e))
 		}
-		if err := syncDir(m.dir); err != nil {
-			return CheckpointStats{}, err
+	})
+	if err != nil {
+		return 0, fmt.Errorf("wal: rotate log: %w", err)
+	}
+	if epochLSN != 0 {
+		if err := m.activeLog().waitDurable(epochLSN); err != nil {
+			return 0, err
 		}
-		removed++
+	}
+	if err := faultinject.Fire(imageFault); err != nil {
+		return 0, err
+	}
+	if err := persist.SavePhysicalFile(m.store, filepath.Join(m.dir, snapshotFile), clock); err != nil {
+		return 0, fmt.Errorf("wal: write checkpoint image: %w", err)
+	}
+	return clock, nil
+}
+
+// pruneBelow finishes a checkpoint whose image at clock is durable: it
+// removes the segments below keep and counts the checkpoint.
+func (m *Manager) pruneBelow(keep, clock uint64) (CheckpointStats, error) {
+	removed, err := removeSegmentsBelow(m.dir, keep)
+	if err != nil {
+		return CheckpointStats{}, err
 	}
 	m.metrics.Checkpoints.Add(1)
 	return CheckpointStats{Clock: clock, SegmentsRemoved: removed}, nil

@@ -9,6 +9,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 )
 
 // Pos is a physical position in the write-ahead log: a segment sequence
@@ -44,15 +45,17 @@ var ErrSegmentGone = errors.New("wal: segment has been pruned")
 
 // ReadSegmentRecords reads whole records from segment seq of dir, starting
 // at byte offset from (which must be a record boundary at or past the
-// segment header) and stopping at limit (limit < 0 means the current end
-// of file — only safe for sealed segments; for the active segment pass
-// the durable offset so the scan never races the appender). Each record's
-// payload is handed to fn along with the offset just past it; the payload
-// is only valid during the call.
+// segment header) and stopping at limit. limit < 0 means the current end of
+// file, which is only safe for a segment nothing appends to: a sealed one,
+// or any segment during recovery; for the active segment pass the durable
+// offset so the read never races the appender. Each record's payload is
+// handed to fn along with the offset just past it; the payload is only
+// valid during the call.
 //
 // It returns the offset reached. Damage below the limit — a torn frame or
-// CRC mismatch in bytes that were reported durable — is returned as an
-// *AmbiguousStateError; a missing segment file as ErrSegmentGone.
+// CRC mismatch in bytes that were reported durable, or a file shorter than
+// the limit — is returned as an *AmbiguousStateError naming where and why
+// the read stopped; a missing segment file as ErrSegmentGone.
 func ReadSegmentRecords(dir string, seq uint64, from, limit int64, fn func(payload []byte, next int64) error) (int64, error) {
 	path := segmentPath(dir, seq)
 	f, err := os.Open(path)
@@ -67,16 +70,16 @@ func ReadSegmentRecords(dir string, seq uint64, from, limit int64, fn func(paylo
 	if err != nil {
 		return from, err
 	}
-	if limit < 0 || limit > st.Size() {
-		// The file may legitimately be longer than the caller's limit (the
-		// appender is ahead of the durable offset); it being shorter than
-		// the limit means durable bytes are missing.
-		if limit > st.Size() {
-			return from, &AmbiguousStateError{
-				Dir: dir, Segment: fmt.Sprintf("wal-%08d.log", seq), Offset: st.Size(),
-				Reason: fmt.Sprintf("segment is %d bytes, expected at least %d", st.Size(), limit),
-			}
-		}
+	ambiguous := func(off int64, reason string) error {
+		return &AmbiguousStateError{Dir: dir, Segment: filepath.Base(path), Offset: off, Reason: reason}
+	}
+	// The file may legitimately be longer than the caller's limit (the
+	// appender is ahead of the durable offset); it being shorter than the
+	// limit means durable bytes are missing.
+	if limit > st.Size() {
+		return from, ambiguous(st.Size(), fmt.Sprintf("segment is %d bytes, expected at least %d", st.Size(), limit))
+	}
+	if limit < 0 {
 		limit = st.Size()
 	}
 	if from < segHeaderLen {
@@ -88,61 +91,60 @@ func ReadSegmentRecords(dir string, seq uint64, from, limit int64, fn func(paylo
 	if from == limit {
 		return from, nil
 	}
-
-	// Stream the range rather than slurping it: a sealed segment can be
-	// large, and the shipper calls this per connected replica.
-	name := fmt.Sprintf("wal-%08d.log", seq)
-	if _, err := f.Seek(from, io.SeekStart); err != nil {
-		return from, err
+	off, stop, err := readFrames(f, from, limit, fn)
+	if err == nil && stop != "" {
+		err = ambiguous(off, stop)
 	}
-	br := bufio.NewReaderSize(io.LimitReader(f, limit-from), 256<<10)
-	off := from
+	return off, err
+}
+
+// readFrames is the one parser of the segment frame format (u32 payload
+// length | u32 CRC-32 | payload). It reads r from byte offset from up to
+// limit (the caller has checked segHeaderLen <= from <= limit <= size) and
+// hands each whole, checksum-valid payload to fn with the offset just past
+// it. It returns the record boundary it reached and, when the bytes between
+// there and limit are not a whole record, why it stopped (stop != "");
+// what a stop means is the caller's decision. It streams rather than
+// slurps — a sealed segment can be large, and the shipper calls this per
+// connected replica — and allocates at most one payload, never more than
+// the bytes left below limit.
+func readFrames(r io.ReaderAt, from, limit int64, fn func(payload []byte, next int64) error) (off int64, stop string, err error) {
+	br := bufio.NewReaderSize(io.NewSectionReader(r, from, limit-from), 256<<10)
+	off = from
 	var hdr [frameHeader]byte
 	var payload []byte
 	for off < limit {
 		remaining := limit - off
 		if remaining < frameHeader {
-			return off, &AmbiguousStateError{
-				Dir: dir, Segment: name, Offset: off,
-				Reason: fmt.Sprintf("%d trailing bytes below the durable limit, too short for a record header", remaining),
-			}
+			return off, fmt.Sprintf("%d trailing bytes, too short for a record header", remaining), nil
 		}
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return off, err
+			return off, "", err
 		}
 		length := int64(binary.LittleEndian.Uint32(hdr[0:]))
 		want := binary.LittleEndian.Uint32(hdr[4:])
 		if length > maxRecordLen {
-			return off, &AmbiguousStateError{
-				Dir: dir, Segment: name, Offset: off,
-				Reason: fmt.Sprintf("implausible record length %d", length),
-			}
+			return off, fmt.Sprintf("implausible record length %d", length), nil
 		}
 		if remaining-frameHeader < length {
-			return off, &AmbiguousStateError{
-				Dir: dir, Segment: name, Offset: off,
-				Reason: fmt.Sprintf("record length %d but only %d durable bytes remain", length, remaining-frameHeader),
-			}
+			return off, fmt.Sprintf("record length %d but only %d bytes remain", length, remaining-frameHeader), nil
 		}
 		if int64(cap(payload)) < length {
 			payload = make([]byte, length)
 		}
 		payload = payload[:length]
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return off, err
+			return off, "", err
 		}
 		if got := crc32.ChecksumIEEE(payload); got != want {
-			return off, &AmbiguousStateError{
-				Dir: dir, Segment: name, Offset: off,
-				Reason: fmt.Sprintf("record checksum mismatch (stored %08x, computed %08x)", want, got),
-			}
+			return off, fmt.Sprintf("record checksum mismatch (stored %08x, computed %08x)", want, got), nil
 		}
 		off += frameHeader + length
 		if err := fn(payload, off); err != nil {
-			return off, err
+			return off, "", err
 		}
 	}
-	return off, nil
+	return off, "", nil
 }
 
 // RecordCRC returns the checksum the log frames a payload with; the

@@ -17,6 +17,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"lambdadb/internal/persist"
 	"lambdadb/internal/storage"
@@ -228,8 +229,8 @@ func decodeCommit(r *bytes.Reader) (*storage.CommitData, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ncols > 1<<16 {
-			return nil, fmt.Errorf("insert with %d columns", ncols)
+		if ncols > 1<<16 || int64(ncols) > int64(r.Len()) {
+			return nil, fmt.Errorf("insert with %d columns, %d bytes remain", ncols, r.Len())
 		}
 		schema := make(types.Schema, ncols)
 		for j := range schema {
@@ -265,6 +266,9 @@ func decodeCommit(r *bytes.Reader) (*storage.CommitData, error) {
 		row, err := persist.ReadU64(r)
 		if err != nil {
 			return nil, err
+		}
+		if row > math.MaxInt {
+			return nil, fmt.Errorf("delete of physical row %d does not fit an int", row)
 		}
 		d.Row = int(row)
 		c.Deletes = append(c.Deletes, d)

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"math"
 	"path/filepath"
 
 	"lambdadb/internal/persist"
@@ -98,31 +98,12 @@ func (m *Manager) SnapshotPrune() (CheckpointStats, error) {
 	if err := persist.SavePhysicalFile(m.store, filepath.Join(m.dir, snapshotFile), clock); err != nil {
 		return CheckpointStats{}, fmt.Errorf("wal: write checkpoint image: %w", err)
 	}
-	segs, err := listSegments(m.dir)
-	if err != nil {
-		return CheckpointStats{}, err
-	}
-	active := m.activeLog().activeSeq()
-	removed := 0
-	for _, seg := range segs {
-		if seg.seq >= active {
-			break
-		}
-		if err := os.Remove(seg.path); err != nil {
-			return CheckpointStats{}, err
-		}
-		if err := syncDir(m.dir); err != nil {
-			return CheckpointStats{}, err
-		}
-		removed++
-	}
-	m.metrics.Checkpoints.Add(1)
-	return CheckpointStats{Clock: clock, SegmentsRemoved: removed}, nil
+	return m.pruneBelow(m.activeLog().activeSeq(), clock)
 }
 
 // ResetForResync discards the replica's entire local state and replaces it
 // with a snapshot shipped by the primary: the log is closed, every segment
-// and the old image are removed, the shipped image is written durably and
+// is removed, the shipped image atomically replaces the old one and is
 // loaded, the store's contents are swapped in place (sessions holding the
 // store see the new state; in-flight scans finish against the tables they
 // already resolved), and a fresh mirror log is opened at startSeg.
@@ -136,47 +117,19 @@ func (m *Manager) ResetForResync(snapshot io.Reader, startSeg uint64) error {
 	// contents are about to be deleted.
 	m.activeLog().close()
 
-	segs, err := listSegments(m.dir)
-	if err != nil {
-		return err
-	}
-	for _, seg := range segs {
-		if err := os.Remove(seg.path); err != nil {
-			return err
-		}
-	}
-	if err := syncDir(m.dir); err != nil {
+	if _, err := removeSegmentsBelow(m.dir, math.MaxUint64); err != nil {
 		return err
 	}
 
-	// Write the shipped image via tmp+fsync+rename so a crash mid-resync
-	// leaves either no image (fresh replica, full resync restarts) or a
-	// whole one — never a torn image next to an empty log.
+	// The atomic write means a crash mid-resync leaves either no image
+	// (fresh replica, full resync restarts) or a whole one — never a torn
+	// image next to an empty log.
 	path := filepath.Join(m.dir, snapshotFile)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err := persist.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := io.Copy(w, snapshot)
+		return err
+	})
 	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(f, snapshot); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(m.dir); err != nil {
 		return err
 	}
 

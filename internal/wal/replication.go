@@ -3,8 +3,6 @@ package wal
 import (
 	"fmt"
 	"path/filepath"
-
-	"lambdadb/internal/persist"
 )
 
 // This file is the primary-side surface the replication shipper
@@ -56,8 +54,8 @@ func (m *Manager) pruneFloor(active uint64) uint64 {
 }
 
 // ShipState cuts a fresh checkpoint and hands it to fn for shipping to a
-// replica that is too far behind the retained log: it rotates at a clock
-// boundary, writes the image, and calls fn with the image path, its clock,
+// replica that is too far behind the retained log: it cuts an image at a
+// clock boundary (see cutImage) and calls fn with the image path, its clock,
 // and the segment the replica must mirror from (every record past the
 // image sits in that segment or a later one). The manager lock is held
 // throughout — Checkpoint and other resyncs wait, commits do not — so the
@@ -70,31 +68,9 @@ func (m *Manager) ShipState(fn func(snapshotPath string, clock, startSeg uint64)
 	if m.closed {
 		return fmt.Errorf("wal: manager is closed")
 	}
-	var clock uint64
-	var epochLSN uint64
-	var rerr error
-	m.store.WithCommitLock(func(c uint64) {
-		clock = c
-		if rerr = m.activeLog().rotate(); rerr != nil {
-			return
-		}
-		// Re-announce the fencing epoch so the stream the replica mirrors
-		// from startSeg carries it (the shipped image does not).
-		if e := m.epoch.Load(); e > 0 {
-			epochLSN, _, rerr = m.activeLog().append(encodeEpoch(e))
-		}
-	})
-	if rerr != nil {
-		return fmt.Errorf("wal: rotate log: %w", rerr)
+	clock, err := m.cutImage("")
+	if err != nil {
+		return err
 	}
-	if epochLSN != 0 {
-		if err := m.activeLog().waitDurable(epochLSN); err != nil {
-			return err
-		}
-	}
-	path := filepath.Join(m.dir, snapshotFile)
-	if err := persist.SavePhysicalFile(m.store, path, clock); err != nil {
-		return fmt.Errorf("wal: write resync image: %w", err)
-	}
-	return fn(path, clock, m.activeLog().activeSeq())
+	return fn(filepath.Join(m.dir, snapshotFile), clock, m.activeLog().activeSeq())
 }

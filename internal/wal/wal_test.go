@@ -681,6 +681,10 @@ func TestTornTail(t *testing.T) {
 			if s.TornTailTruncated != c.wantTorn {
 				t.Errorf("TornTailTruncated = %v, want %v (summary %+v)", s.TornTailTruncated, c.wantTorn, s)
 			}
+			if c.wantTorn && (s.TornSegment != filepath.Base(segmentPath(dir, 1)) ||
+				s.TornOffset != boundaries[c.wantRecords] || s.TornReason == "") {
+				t.Errorf("torn tail reported as %+v, want segment 1 cut at byte %d with a reason", s, boundaries[c.wantRecords])
+			}
 			expectPrefix(t, store, c.wantRecords)
 
 			// The directory must be clean after recovery: a second open sees
@@ -758,8 +762,8 @@ func TestDamagedEarlierSegmentIsAmbiguous(t *testing.T) {
 	if !errors.As(err, &amb) {
 		t.Fatalf("Open = %v, want *AmbiguousStateError", err)
 	}
-	if amb.Segment != filepath.Base(segmentPath(dir, 1)) {
-		t.Errorf("ambiguous segment = %q, want the first segment", amb.Segment)
+	if amb.Segment != filepath.Base(segmentPath(dir, 1)) || amb.Offset != segHeaderLen || amb.Reason == "" {
+		t.Errorf("ambiguous state = %+v, want the first segment at its first record with a reason", amb)
 	}
 }
 
