@@ -22,9 +22,9 @@ build:
 test:
 	$(GO) test ./...
 
-## race: the concurrent subsystems — executor, engine, storage, network server and client, WAL, replication, cluster, telemetry, plan cache — under the race detector
+## race: the concurrent subsystems — planner (shared plan-cache templates), executor, analytics kernels, CSV loader, CSR build, engine, storage, network server and client, WAL, replication, cluster, telemetry, plan cache — under the race detector
 race:
-	$(GO) test -race ./internal/exec/ ./internal/engine/ ./internal/faultinject/ ./internal/storage/ ./internal/server/ ./internal/server/client/ ./internal/wal/ ./internal/repl/ ./internal/cluster/ ./internal/retry/ ./internal/obs/ ./internal/telemetry/ ./internal/plancache/
+	$(GO) test -race ./internal/plan/ ./internal/exec/ ./internal/analytics/ ./internal/load/ ./internal/graph/ ./internal/engine/ ./internal/faultinject/ ./internal/storage/ ./internal/server/ ./internal/server/client/ ./internal/wal/ ./internal/repl/ ./internal/cluster/ ./internal/retry/ ./internal/obs/ ./internal/telemetry/ ./internal/plancache/
 
 ## bench-api: vet and test the benchmark module (cmd/lambdabench, its own go.mod, outside ./...) so a refactor that breaks a name it imports fails here, not in the benchmark run (~9 s)
 bench-api:
@@ -39,7 +39,7 @@ overhead:
 server-smoke:
 	LAMBDADB_SERVER_SMOKE=1 $(GO) test ./internal/server/ -run 'TestServerBinarySmoke|TestReplicaReadyzSmoke' -count=1 -v
 
-## bench-obs: refresh the observability cost baseline (see BENCH_obs.json): histogram record/snapshot and a full /metrics render
+## bench-obs: print the observability cost micro-benchmarks (histogram record/snapshot and a full /metrics render); the recorded number is lambdabench's trace.overhead_ratio (cmd/lambdabench/BASELINE.json)
 bench-obs:
 	$(GO) test ./internal/telemetry/ -run xxx -bench 'BenchmarkHistogram' -benchtime 2s
 	$(GO) test ./internal/obs/ -run xxx -bench 'BenchmarkRenderMetrics' -benchtime 2s
@@ -60,7 +60,7 @@ chaos-repl:
 chaos-cluster:
 	LAMBDADB_CHAOS_CLUSTER=1 $(GO) test ./internal/cluster/ -run TestClusterChaos -count=1 -timeout 5m -v
 
-## bench-wal: refresh the group-commit baseline (see BENCH_wal.json); asserts < 1 fsync per commit under concurrency
+## bench-wal: assert < 1 fsync per commit under concurrency and print the group-commit numbers; the recorded number is lambdabench's wal.fsyncs_per_commit (cmd/lambdabench/BASELINE.json)
 bench-wal:
 	LAMBDADB_WAL_BENCH=1 $(GO) test ./internal/wal/ -run TestGroupCommitBench -count=1 -v
 
@@ -71,6 +71,6 @@ fuzz-smoke:
 	$(GO) test ./internal/wal/ -run xxx -fuzz FuzzSegmentFrames -fuzztime 30s
 	$(GO) test ./internal/wal/ -run xxx -fuzz FuzzDecodeRecord -fuzztime 30s
 
-## bench-prepared: refresh the prepared-statement baseline (see BENCH_prepared.json); asserts the plan-cached point-query path is >= 2x faster than lex+parse+plan per statement
+## bench-prepared: assert the plan-cached point-query path is >= 2x faster than lex+parse+plan per statement and print the numbers; the recorded numbers are lambdabench's plancache.adhoc_miss_read_us vs engine.point_read_us (cmd/lambdabench/BASELINE.json)
 bench-prepared:
 	LAMBDADB_PREPARED_BENCH=1 $(GO) test ./internal/engine/ -run TestPreparedBench -count=1 -v

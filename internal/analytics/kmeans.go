@@ -40,8 +40,9 @@ type KMeansOptions struct {
 	// lambda of the paper's Section 7).
 	Distance DistanceFn
 	// OnIteration, if set, is called after every iteration with the 1-based
-	// round number and how many assignments changed (telemetry hook).
-	OnIteration func(round, changed int)
+	// round number and how many assignments changed (telemetry and
+	// cancellation hook); an error stops the run and is returned.
+	OnIteration func(round int, changed float64) error
 }
 
 // KMeans runs Lloyd's algorithm (paper Section 6.1) on n tuples of d
@@ -84,7 +85,9 @@ func KMeans(data []float64, n, d int, centers []float64, k int, opt KMeansOption
 		changed := assignStep(data, n, d, cur, k, opt.Distance, assign, workers)
 		updateStep(data, n, d, cur, k, assign, workers)
 		if opt.OnIteration != nil {
-			opt.OnIteration(iter+1, changed)
+			if err := opt.OnIteration(iter+1, float64(changed)); err != nil {
+				return nil, err
+			}
 		}
 		if changed == 0 {
 			res.Converged = true

@@ -20,8 +20,9 @@ type PageRankOptions struct {
 	// Workers is the parallelism degree; 0 or 1 means serial.
 	Workers int
 	// OnIteration, if set, is called after every iteration with the 1-based
-	// round number and the L1 rank change (telemetry hook).
-	OnIteration func(round int, delta float64)
+	// round number and the L1 rank change (telemetry and cancellation
+	// hook); an error stops the run and is returned.
+	OnIteration func(round int, delta float64) error
 }
 
 // PageRankResult reports ranks by dense vertex id plus run metadata.
@@ -156,7 +157,9 @@ func PageRank(g *graph.CSR, opt PageRankOptions) (*PageRankResult, error) {
 			total += d
 		}
 		if opt.OnIteration != nil {
-			opt.OnIteration(iter+1, total)
+			if err := opt.OnIteration(iter+1, total); err != nil {
+				return nil, err
+			}
 		}
 		if opt.Epsilon > 0 && total <= opt.Epsilon {
 			res.Converged = true

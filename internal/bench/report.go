@@ -8,7 +8,7 @@ import (
 )
 
 // HostInfo records the execution environment of a benchmark run, captured
-// automatically so BENCH_*.json reports are comparable across machines.
+// automatically so benchrunner's JSON reports are comparable across machines.
 type HostInfo struct {
 	GoMaxProcs   int    `json:"gomaxprocs"`
 	VisibleCores int    `json:"visible_cores"`

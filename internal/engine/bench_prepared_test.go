@@ -2,10 +2,8 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -15,8 +13,10 @@ import (
 
 // TestPreparedBench measures the point-query latency win from the prepared
 // statement / plan-cache path versus re-lexing, re-parsing, and re-planning
-// every statement, and writes the numbers to BENCH_prepared.json at the repo
-// root. Three variants over the same indexed point query:
+// every statement, and logs the numbers (the recorded baseline is
+// lambdabench's per-layer plancache.adhoc_miss_read_us vs
+// engine.point_read_us in cmd/lambdabench/BASELINE.json). Three variants over
+// the same indexed point query:
 //
 //   - unprepared: plan cache disabled; every execution pays lex+parse+plan.
 //   - adhoc_cached: plan cache on, identical text re-submitted; the hit path
@@ -137,36 +137,6 @@ func TestPreparedBench(t *testing.T) {
 	if int(adhocHits) < iters {
 		t.Errorf("ad-hoc cache hits = %d, want >= %d", adhocHits, iters)
 	}
-
-	out, err := json.MarshalIndent(map[string]any{
-		"description":        "Point query (indexed, 20k rows): prepared/plan-cached execution vs full lex+parse+plan per statement.",
-		"query":              query,
-		"rows":               rows,
-		"iterations":         iters,
-		"unprepared_ns_op":   round1(unpreparedNs),
-		"adhoc_cached_ns_op": round1(adhocNs),
-		"prepared_ns_op":     round1(preparedNs),
-		"speedup_adhoc":      round2(unpreparedNs / adhocNs),
-		"speedup_prepared":   round2(unpreparedNs / preparedNs),
-		"plan_cache": map[string]any{
-			"adhoc_hits":    adhocHits,
-			"adhoc_misses":  adhocMisses,
-			"prepared_hits": prepHits,
-		},
-		"front_end_share_of_stmt_time": map[string]any{
-			"unprepared":   round3(coldShare),
-			"adhoc_cached": round3(adhocShare),
-		},
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join("..", "..", "BENCH_prepared.json")
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	abs, _ := filepath.Abs(path)
-	t.Logf("wrote %s", abs)
 }
 
 // share returns a/(a+b), 0 when empty.
@@ -176,7 +146,3 @@ func share(a, b int64) float64 {
 	}
 	return float64(a) / float64(a+b)
 }
-
-func round1(v float64) float64 { return float64(int64(v*10)) / 10 }
-func round2(v float64) float64 { return float64(int64(v*100)) / 100 }
-func round3(v float64) float64 { return float64(int64(v*1000)) / 1000 }

@@ -172,6 +172,37 @@ func TestExplainIndexScanGolden(t *testing.T) {
 	}
 }
 
+// TestExplainOptimizesModelApplicationInputs: the subqueries of
+// kmeans_assign go through the same access-path and join-order passes as
+// those of kmeans — every plan walk reaches them through the one
+// child-mapper.
+func TestExplainOptimizesModelApplicationInputs(t *testing.T) {
+	db := newIndexedDB(t)
+	db.MustExec(`CREATE TABLE c (k DOUBLE, v DOUBLE)`)
+	db.MustExec(`INSERT INTO c VALUES (0.0, 0.0), (1000.0, 500.0)`)
+	for _, fn := range []string{"kmeans", "kmeans_assign"} {
+		out := explainText(t, db, `EXPLAIN SELECT * FROM `+fn+
+			`((SELECT k, v FROM items WHERE k = 7), (SELECT k, v FROM c))`)
+		if !strings.Contains(out, "IndexScan items using items_k (k = 7)") || strings.Contains(out, "Filter") {
+			t.Errorf("%s data subquery did not pick the index probe:\n%s", fn, out)
+		}
+	}
+	// Three relations written largest-first: greedy reordering starts from
+	// the two-row table, under kmeans_assign exactly as under kmeans.
+	db.MustExec(`CREATE TABLE tiny (k BIGINT)`)
+	db.MustExec(`INSERT INTO tiny VALUES (1), (2)`)
+	const join = `(SELECT a.k, b.v FROM items a JOIN items b ON a.k = b.k JOIN tiny ON b.k = tiny.k)`
+	plans := map[string]string{}
+	for _, fn := range []string{"kmeans", "kmeans_assign"} {
+		out := explainText(t, db, `EXPLAIN SELECT * FROM `+fn+`(`+join+`, (SELECT k, v FROM c))`)
+		plans[fn] = out[strings.Index(out, "Project a.k"):]
+	}
+	if plans["kmeans"] != plans["kmeans_assign"] || !strings.Contains(plans["kmeans_assign"], "Scan tiny\n") {
+		t.Errorf("join under kmeans_assign is planned differently from the same join under kmeans:\n%s\nvs\n%s",
+			plans["kmeans_assign"], plans["kmeans"])
+	}
+}
+
 func TestExplainAnalyzeShowsEstimates(t *testing.T) {
 	db := newIndexedDB(t)
 	out := explainText(t, db, `EXPLAIN ANALYZE SELECT v FROM items WHERE k = 123`)

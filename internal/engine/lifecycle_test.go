@@ -10,6 +10,7 @@ import (
 
 	"lambdadb/internal/exec"
 	"lambdadb/internal/faultinject"
+	"lambdadb/internal/types"
 )
 
 // slowIterate never reaches its stop condition before the default depth
@@ -255,5 +256,64 @@ func TestCancelledDeleteAbortsExplicitTransaction(t *testing.T) {
 	}
 	if got := queryInts(t, db, `SELECT count(*) FROM wide`); got[0] != 8*512 {
 		t.Fatalf("cancelled DELETE removed rows: %d left", got[0])
+	}
+}
+
+// loadEdges bulk-loads edges (src BIGINT, dst BIGINT) with n rows over
+// 50k vertices, past the executor's morsel-split threshold.
+func loadEdges(t *testing.T, db *DB, n int) {
+	t.Helper()
+	db.MustExec(`CREATE TABLE edges (src BIGINT, dst BIGINT)`)
+	tbl, err := db.Store().Table("edges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := types.NewBatch(tbl.Schema())
+	for i := 0; i < n; i++ {
+		b.Cols[0].AppendInt(int64(i % 50_000))
+		b.Cols[1].AppendInt(int64((i*7 + 1) % 50_000))
+	}
+	tx := db.Store().Begin()
+	if err := tx.Insert(tbl, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAnalyticsOperatorsObeyStatementTimeout: the layer-4 operators are
+// governed like every other operator. PageRank's rounds pass the same
+// per-round check as ITERATE's, and model application checks per input
+// batch, so neither outlives the statement timeout by more than one round or
+// one batch: 100,000 PageRank rounds, or a 2048-center assignment of 200k
+// tuples (seconds of work either way), stop at the 30 ms deadline, are
+// logged as timeouts, and leave the session usable.
+func TestAnalyticsOperatorsObeyStatementTimeout(t *testing.T) {
+	db := Open(WithWorkers(2))
+	loadEdges(t, db, 200_000)
+	for name, q := range map[string]string{
+		"pagerank": `SELECT count(*) FROM pagerank((SELECT src, dst FROM edges), 0.85, 0.0, 100000)`,
+		"kmeans_assign": `SELECT count(*) FROM kmeans_assign((SELECT src, dst FROM edges), ` +
+			`(SELECT src, dst FROM edges WHERE src < 512))`,
+	} {
+		db.stmtTimeout = 30 * time.Millisecond
+		start := time.Now()
+		_, err := db.Exec(q)
+		elapsed := time.Since(start)
+		db.stmtTimeout = 0
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: want context.DeadlineExceeded, got %v after %v", name, err, elapsed)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s: the timeout took %v to take effect", name, elapsed)
+		}
+		logged := `SELECT count(*) FROM system.query_log WHERE status = 'timeout' AND statement = '` + q + `'`
+		if got := queryInts(t, db, logged); got[0] != 1 {
+			t.Errorf("%s: system.query_log holds %d timeout rows, want 1", name, got[0])
+		}
+		if got := queryInts(t, db, `SELECT count(*) FROM edges`); got[0] != 200_000 {
+			t.Fatalf("%s: query after the timeout = %v", name, got)
+		}
 	}
 }

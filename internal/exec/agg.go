@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"unsafe"
 
 	"lambdadb/internal/expr"
 	"lambdadb/internal/plan"
@@ -181,179 +182,130 @@ func (s *aggState) result(spec plan.AggSpec) types.Value {
 	return types.NewNull(spec.Type)
 }
 
-// aggOp is the hash-aggregation operator. When its input pipeline is rooted
-// at a base-table scan it runs morsel-parallel: each worker aggregates a
-// row range into a private hash table, and the tables are merged at the
-// end — the thread-local pattern the paper describes for its analytical
-// operators (Section 6.1).
-type aggOp struct {
-	node   *plan.Aggregate
-	schema types.Schema
-	result *Materialized
-	it     matIterator
-}
-
-func newAggOp(n *plan.Aggregate) (Operator, error) {
-	return &aggOp{node: n, schema: n.Schema()}, nil
-}
-
-func (a *aggOp) Schema() types.Schema { return a.schema }
-
-func (a *aggOp) Open(ctx *Context) error {
-	parts := splitParallel(a.node.Child, ctx.workers(), ctx)
-	var total *aggHash
-	var err error
-	if len(parts) > 1 {
-		total, err = a.aggregateParallel(ctx, parts)
-	} else {
-		total, err = a.aggregateSerial(ctx, a.node.Child)
-	}
-	if err != nil {
-		return err
-	}
-	a.result = a.finalize(total)
-	a.it = matIterator{mat: a.result}
-	return nil
-}
-
-func (a *aggOp) aggregateSerial(ctx *Context, child plan.Node) (*aggHash, error) {
-	op, err := buildFor(child, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return a.consume(ctx, op)
-}
-
-func (a *aggOp) aggregateParallel(ctx *Context, parts []plan.Node) (*aggHash, error) {
-	results := make([]*aggHash, len(parts))
-	err := runParts(ctx, len(parts), func(i int) error {
-		op, err := buildFor(parts[i], ctx)
-		if err != nil {
-			return err
-		}
-		results[i], err = a.consume(ctx, op)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Merge worker tables into the first.
-	total := results[0]
-	for _, part := range results[1:] {
-		for _, g := range part.groups {
-			dst := total.lookup(g.keys)
-			for ai := range dst.states {
-				dst.states[ai].merge(a.node.Aggs[ai].Func, g.states[ai])
-			}
-		}
-	}
-	return total, nil
-}
-
-// consume drains op, updating a fresh hash table.
-func (a *aggOp) consume(ctx *Context, op Operator) (*aggHash, error) {
-	keyEvals := make([]expr.Evaluator, len(a.node.Keys))
-	for i, k := range a.node.Keys {
-		ev, err := expr.Compile(k)
+// newAggOp is the hash-aggregation operator. Each part of its input (one
+// morsel of a splittable pipeline, or the whole input) aggregates into a
+// private hash table, and the tables are merged at the end — the
+// thread-local pattern the paper describes for its analytical operators
+// (Section 6.1). The tables are charged to the query budget while they live
+// and released once the output relation is built.
+func newAggOp(n *plan.Aggregate) *blockingOp {
+	schema := n.Schema()
+	return &blockingOp{label: "aggregate", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
+		sinks, err := drive(ctx, partsOf(n.Child, ctx), "", func(Operator) (*aggSink, error) {
+			return newAggSink(n, ctx)
+		})
 		if err != nil {
 			return nil, err
 		}
-		keyEvals[i] = ev
+		var held int64
+		for _, s := range sinks {
+			held += s.charged
+		}
+		defer ctx.release(held)
+		// Merge worker tables into the first.
+		total := sinks[0].table
+		for _, part := range sinks[1:] {
+			for _, g := range part.table.groups {
+				dst := total.lookup(g.keys)
+				for ai := range dst.states {
+					dst.states[ai].merge(n.Aggs[ai].Func, g.states[ai])
+				}
+			}
+		}
+		// Global aggregation (no keys) over empty input still yields one row.
+		out := &Materialized{Schema: schema}
+		for _, g := range total.groups {
+			row := make([]types.Value, 0, len(schema))
+			row = append(row, g.keys...)
+			for ai, spec := range n.Aggs {
+				row = append(row, g.states[ai].result(spec))
+			}
+			out.AppendRow(row)
+		}
+		return out, nil
+	}}
+}
+
+// aggSink folds one part's batches into a private hash table.
+type aggSink struct {
+	ctx      *Context
+	aggs     []plan.AggSpec
+	keyEvals []expr.Evaluator
+	argEvals []expr.Evaluator // nil entry: count(*)
+	table    *aggHash
+	keyBuf   []types.Value
+	global   *group // the only group when there are no keys
+	perGroup int64  // estimated bytes one group adds to table
+	charged  int64  // bytes booked for table so far
+}
+
+func newAggSink(n *plan.Aggregate, ctx *Context) (*aggSink, error) {
+	s := &aggSink{ctx: ctx, aggs: n.Aggs, table: newAggHash(len(n.Aggs)),
+		keyEvals: make([]expr.Evaluator, len(n.Keys)), argEvals: make([]expr.Evaluator, len(n.Aggs)),
+		keyBuf: make([]types.Value, len(n.Keys)),
+		// The group with its key and state arrays, plus its bucket and
+		// insertion-order entries.
+		perGroup: 112 + int64(len(n.Keys))*int64(unsafe.Sizeof(types.Value{})) +
+			int64(len(n.Aggs))*int64(unsafe.Sizeof(aggState{}))}
+	var err error
+	for i, k := range n.Keys {
+		if s.keyEvals[i], err = expr.Compile(k); err != nil {
+			return nil, err
+		}
 	}
-	argEvals := make([]expr.Evaluator, len(a.node.Aggs))
-	for i, g := range a.node.Aggs {
+	for i, g := range n.Aggs {
 		if g.Arg == nil {
 			continue
 		}
-		ev, err := expr.Compile(g.Arg)
-		if err != nil {
+		if s.argEvals[i], err = expr.Compile(g.Arg); err != nil {
 			return nil, err
 		}
-		argEvals[i] = ev
 	}
-
-	table := newAggHash(len(a.node.Aggs))
-	if err := op.Open(ctx); err != nil {
-		op.Close()
-		return nil, err
+	if len(n.Keys) == 0 {
+		s.global = s.table.lookup(nil)
 	}
-	defer op.Close()
-
-	keyBuf := make([]types.Value, len(keyEvals))
-	var global *group
-	if len(keyEvals) == 0 {
-		global = table.lookup(nil)
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		b, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		keyCols := make([]*types.Column, len(keyEvals))
-		for i, ev := range keyEvals {
-			if keyCols[i], err = ev(b); err != nil {
-				return nil, err
-			}
-		}
-		argCols := make([]*types.Column, len(argEvals))
-		for i, ev := range argEvals {
-			if ev == nil {
-				continue
-			}
-			if argCols[i], err = ev(b); err != nil {
-				return nil, err
-			}
-		}
-		n := b.Len()
-		for r := 0; r < n; r++ {
-			g := global
-			if g == nil {
-				for i, kc := range keyCols {
-					keyBuf[i] = kc.Value(r)
-				}
-				g = table.lookup(keyBuf)
-			}
-			for ai := range a.node.Aggs {
-				var v types.Value
-				if argCols[ai] != nil {
-					v = argCols[ai].Value(r)
-				}
-				g.states[ai].update(a.node.Aggs[ai].Func, v)
-			}
-		}
-	}
-	return table, nil
+	return s, nil
 }
 
-// finalize converts the hash table into output batches. Global aggregation
-// (no keys) over empty input still yields one row.
-func (a *aggOp) finalize(table *aggHash) *Materialized {
-	out := &Materialized{Schema: a.schema}
-	batch := types.NewBatch(a.schema)
-	emit := func(g *group) {
-		row := make([]types.Value, 0, len(a.schema))
-		row = append(row, g.keys...)
-		for ai, spec := range a.node.Aggs {
-			row = append(row, g.states[ai].result(spec))
-		}
-		batch.AppendRow(row)
-		if batch.Len() >= types.BatchSize {
-			out.Append(batch)
-			batch = types.NewBatch(a.schema)
+func (s *aggSink) consume(b *types.Batch) error {
+	var err error
+	keyCols := make([]*types.Column, len(s.keyEvals))
+	for i, ev := range s.keyEvals {
+		if keyCols[i], err = ev(b); err != nil {
+			return err
 		}
 	}
-	for _, g := range table.groups {
-		emit(g)
+	argCols := make([]*types.Column, len(s.argEvals))
+	for i, ev := range s.argEvals {
+		if ev == nil {
+			continue
+		}
+		if argCols[i], err = ev(b); err != nil {
+			return err
+		}
 	}
-	out.Append(batch)
-	return out
+	n := b.Len()
+	for r := 0; r < n; r++ {
+		g := s.global
+		if g == nil {
+			for i, kc := range keyCols {
+				s.keyBuf[i] = kc.Value(r)
+			}
+			g = s.table.lookup(s.keyBuf)
+		}
+		for ai := range s.aggs {
+			var v types.Value
+			if argCols[ai] != nil {
+				v = argCols[ai].Value(r)
+			}
+			g.states[ai].update(s.aggs[ai].Func, v)
+		}
+	}
+	// Book the groups this batch created.
+	grown := int64(len(s.table.groups))*s.perGroup - s.charged
+	if err := s.ctx.charge("aggregate", grown); err != nil {
+		return err
+	}
+	s.charged += grown
+	return nil
 }
-
-func (a *aggOp) Next() (*types.Batch, error) { return a.it.next(), nil }
-func (a *aggOp) Close() error                { return nil }

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"lambdadb/internal/analytics"
 	"lambdadb/internal/expr"
@@ -11,6 +11,23 @@ import (
 	"lambdadb/internal/types"
 )
 
+// appendRowFloats appends the first d columns of row i of b to dst as
+// float64s. NULLs in analytical inputs are rejected.
+func appendRowFloats(dst []float64, b *types.Batch, i, d int) ([]float64, error) {
+	for j := 0; j < d; j++ {
+		col := b.Cols[j]
+		if col.IsNull(i) {
+			return nil, fmt.Errorf("NULL in analytical input column %q", b.Schema[j].Name)
+		}
+		if col.T == types.Int64 {
+			dst = append(dst, float64(col.Ints[i]))
+		} else {
+			dst = append(dst, col.Floats[i])
+		}
+	}
+	return dst, nil
+}
+
 // floatMatrix is a materialized numeric input: n rows of d float64 columns,
 // row-major.
 type floatMatrix struct {
@@ -18,415 +35,319 @@ type floatMatrix struct {
 	n, d int
 }
 
-// drainFloatMatrix materializes a plan into a row-major float matrix,
-// scanning morsel-parallel when the input pipeline allows it. NULLs in
-// analytical inputs are rejected.
-func drainFloatMatrix(p plan.Node, ctx *Context) (*floatMatrix, error) {
+// bytes is what a loaded matrix holds of the query budget; the operator that
+// loaded it releases that when its kernel returns.
+func (m *floatMatrix) bytes() int64 { return 8 * int64(len(m.data)) }
+
+// floatSink loads one part of a numeric input, charged to the operator
+// named by label.
+type floatSink struct {
+	ctx   *Context
+	label string
+	d     int
+	data  []float64
+}
+
+func (s *floatSink) consume(b *types.Batch) (err error) {
+	rows := b.Len()
+	if err := s.ctx.charge(s.label, 8*int64(s.d)*int64(rows)); err != nil {
+		return err
+	}
+	for i := 0; i < rows && err == nil; i++ {
+		s.data, err = appendRowFloats(s.data, b, i, s.d)
+	}
+	return err
+}
+
+// loadFloats materializes a plan into a row-major float matrix on behalf of
+// the operator named by label.
+func loadFloats(p plan.Node, ctx *Context, label string) (*floatMatrix, error) {
 	d := len(p.Schema())
 	for _, c := range p.Schema() {
 		if !c.Type.IsNumeric() {
 			return nil, fmt.Errorf("analytical input column %q is %s, need a numeric type", c.Name, c.Type)
 		}
 	}
-	parts := splitParallel(p, ctx.workers(), ctx)
-	if len(parts) <= 1 {
-		data, n, err := drainFloatsSerial(p, ctx, d)
-		if err != nil {
-			return nil, err
-		}
-		return &floatMatrix{data: data, n: n, d: d}, nil
-	}
-	datas := make([][]float64, len(parts))
-	ns := make([]int, len(parts))
-	err := runParts(ctx, len(parts), func(i int) error {
-		var err error
-		datas[i], ns[i], err = drainFloatsSerial(parts[i], ctx, d)
-		return err
+	sinks, err := drive(ctx, partsOf(p, ctx), "", func(Operator) (*floatSink, error) {
+		return &floatSink{ctx: ctx, label: label, d: d}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for i := range parts {
-		total += ns[i]
+	rest := 0
+	for _, s := range sinks[1:] {
+		rest += len(s.data)
 	}
-	data := make([]float64, 0, total*d)
-	for _, part := range datas {
-		data = append(data, part...)
+	data := slices.Grow(sinks[0].data, rest)
+	for _, s := range sinks[1:] {
+		data = append(data, s.data...)
 	}
-	return &floatMatrix{data: data, n: total, d: d}, nil
+	return &floatMatrix{data: data, n: len(data) / d, d: d}, nil
 }
 
-func drainFloatsSerial(p plan.Node, ctx *Context, d int) ([]float64, int, error) {
-	op, err := buildFor(p, ctx)
+// compileDistance compiles an operator's distance lambda; nil selects the
+// kernels' default squared Euclidean distance.
+func compileDistance(l *expr.Lambda, what string) (analytics.DistanceFn, error) {
+	if l == nil {
+		return nil, nil
+	}
+	fn, err := expr.CompileFloatLambda(l)
 	if err != nil {
-		return nil, 0, err
+		return nil, fmt.Errorf("%s lambda: %w", what, err)
 	}
-	if err := op.Open(ctx); err != nil {
-		op.Close()
-		return nil, 0, err
+	return analytics.DistanceFn(fn), nil
+}
+
+// newKMeansOp is the physical k-Means operator (paper Section 6.1).
+func newKMeansOp(n *plan.KMeans) (*blockingOp, error) {
+	dist, err := compileDistance(n.Lambda, "kmeans")
+	if err != nil {
+		return nil, err
 	}
-	defer op.Close()
-	var data []float64
-	n := 0
-	for {
-		b, err := op.Next()
+	schema := n.Schema()
+	return &blockingOp{label: "kmeans", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
+		data, err := loadFloats(n.Data, ctx, "kmeans")
 		if err != nil {
-			return nil, 0, err
+			return nil, fmt.Errorf("kmeans data: %w", err)
 		}
-		if b == nil {
-			break
+		defer ctx.release(data.bytes())
+		centers, err := loadFloats(n.Centers, ctx, "kmeans")
+		if err != nil {
+			return nil, fmt.Errorf("kmeans centers: %w", err)
 		}
-		rows := b.Len()
-		for i := 0; i < rows; i++ {
-			for j := 0; j < d; j++ {
-				col := b.Cols[j]
-				if col.IsNull(i) {
-					return nil, 0, fmt.Errorf("NULL in analytical input column %q", b.Schema[j].Name)
-				}
-				if col.T == types.Int64 {
-					data = append(data, float64(col.Ints[i]))
-				} else {
-					data = append(data, col.Floats[i])
-				}
+		defer ctx.release(centers.bytes())
+		if centers.n == 0 {
+			return nil, fmt.Errorf("kmeans: no initial centers")
+		}
+		if data.n == 0 {
+			return nil, fmt.Errorf("kmeans: empty data input")
+		}
+		res, err := analytics.KMeans(data.data, data.n, data.d, centers.data, centers.n, analytics.KMeansOptions{
+			MaxIter: n.MaxIter, Workers: ctx.Workers, Distance: dist,
+			OnIteration: ctx.kernelRound(n, func(changed float64) int64 { return int64(changed) }),
+		})
+		if err != nil {
+			return nil, err
+		}
+		out := &Materialized{Schema: schema}
+		for c := 0; c < centers.n; c++ {
+			row := make([]types.Value, 0, data.d+1)
+			row = append(row, types.NewInt(int64(c)))
+			for j := 0; j < data.d; j++ {
+				row = append(row, types.NewFloat(res.Centers[c*data.d+j]))
 			}
+			out.AppendRow(row)
 		}
-		n += rows
-	}
-	return data, n, nil
+		return out, nil
+	}}, nil
 }
 
-// kmeansOp is the physical k-Means operator (paper Section 6.1).
-type kmeansOp struct {
-	node *plan.KMeans
-	dist analytics.DistanceFn
-	it   matIterator
+// applySink is model application: every input row, read as d floats, gets
+// the model's label appended. The output is charged to the operator named by
+// label.
+type applySink struct {
+	ctx     *Context
+	label   string
+	schema  types.Schema
+	d       int
+	predict func(row []float64) int64
+	row     []float64
+	out     []*types.Batch
 }
 
-func newKMeansOp(n *plan.KMeans) (Operator, error) {
-	op := &kmeansOp{node: n}
-	if n.Lambda != nil {
-		fn, err := expr.CompileFloatLambda(n.Lambda)
-		if err != nil {
-			return nil, fmt.Errorf("kmeans lambda: %w", err)
+func (s *applySink) consume(b *types.Batch) (err error) {
+	n := b.Len()
+	labels := types.NewColumn(types.Int64, n)
+	for i := 0; i < n; i++ {
+		if s.row, err = appendRowFloats(s.row[:0], b, i, s.d); err != nil {
+			return err
 		}
-		op.dist = analytics.DistanceFn(fn)
+		labels.AppendInt(s.predict(s.row))
 	}
-	return op, nil
+	nb := &types.Batch{Schema: s.schema, Cols: append(append([]*types.Column{}, b.Cols...), labels)}
+	s.out = append(s.out, nb)
+	return s.ctx.charge(s.label, batchBytes(nb))
 }
 
-func (k *kmeansOp) Schema() types.Schema { return k.node.Schema() }
-
-func (k *kmeansOp) Open(ctx *Context) error {
-	data, err := drainFloatMatrix(k.node.Data, ctx)
+// applyModel drives data through one applySink per part and concatenates
+// the labelled batches in part order. predict must be safe for concurrent
+// use.
+func applyModel(data plan.Node, ctx *Context, label string, schema types.Schema, d int, predict func(row []float64) int64) (*Materialized, error) {
+	sinks, err := drive(ctx, partsOf(data, ctx), "", func(Operator) (*applySink, error) {
+		return &applySink{ctx: ctx, label: label, schema: schema, d: d, predict: predict}, nil
+	})
 	if err != nil {
-		return fmt.Errorf("kmeans data: %w", err)
+		return nil, fmt.Errorf("%s data: %w", label, err)
 	}
-	centers, err := drainFloatMatrix(k.node.Centers, ctx)
-	if err != nil {
-		return fmt.Errorf("kmeans centers: %w", err)
-	}
-	if centers.n == 0 {
-		return fmt.Errorf("kmeans: no initial centers")
-	}
-	if data.n == 0 {
-		return fmt.Errorf("kmeans: empty data input")
-	}
-	opts := analytics.KMeansOptions{MaxIter: k.node.MaxIter, Workers: ctx.Workers, Distance: k.dist}
-	if sc := ctx.statsCollector(); sc != nil {
-		last := time.Now()
-		opts.OnIteration = func(round, changed int) {
-			now := time.Now()
-			sc.AddIteration(k.node, IterationStat{
-				Round: round,
-				Rows:  int64(changed),
-				Delta: float64(changed),
-				Nanos: now.Sub(last).Nanoseconds(),
-			})
-			last = now
-		}
-	}
-	res, err := analytics.KMeans(data.data, data.n, data.d, centers.data, centers.n, opts)
-	if err != nil {
-		return err
-	}
-	schema := k.Schema()
 	out := &Materialized{Schema: schema}
-	b := types.NewBatch(schema)
-	for c := 0; c < centers.n; c++ {
-		row := make([]types.Value, 0, data.d+1)
-		row = append(row, types.NewInt(int64(c)))
-		for j := 0; j < data.d; j++ {
-			row = append(row, types.NewFloat(res.Centers[c*data.d+j]))
+	for _, s := range sinks {
+		for _, b := range s.out {
+			out.Append(b)
 		}
-		b.AppendRow(row)
 	}
-	out.Append(b)
-	k.it = matIterator{mat: out}
-	return nil
+	return out, nil
 }
 
-func (k *kmeansOp) Next() (*types.Batch, error) { return k.it.next(), nil }
-func (k *kmeansOp) Close() error                { return nil }
-
-// kmeansAssignOp applies centers to data rows, appending the nearest
+// newKMeansAssignOp applies centers to data rows, appending the nearest
 // cluster id to every tuple (model application).
-type kmeansAssignOp struct {
-	node   *plan.KMeansAssign
-	dist   analytics.DistanceFn
-	schema types.Schema
-	it     matIterator
-}
-
-func newKMeansAssignOp(n *plan.KMeansAssign) (*kmeansAssignOp, error) {
-	op := &kmeansAssignOp{node: n, schema: n.Schema()}
-	if n.Lambda != nil {
-		fn, err := expr.CompileFloatLambda(n.Lambda)
+func newKMeansAssignOp(n *plan.KMeansAssign) (*blockingOp, error) {
+	dist, err := compileDistance(n.Lambda, "kmeans_assign")
+	if err != nil {
+		return nil, err
+	}
+	schema := n.Schema()
+	return &blockingOp{label: "kmeans_assign", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
+		centers, err := loadFloats(n.Centers, ctx, "kmeans_assign")
 		if err != nil {
-			return nil, fmt.Errorf("kmeans_assign lambda: %w", err)
+			return nil, fmt.Errorf("kmeans_assign centers: %w", err)
 		}
-		op.dist = analytics.DistanceFn(fn)
-	}
-	return op, nil
+		defer ctx.release(centers.bytes())
+		if centers.n == 0 {
+			return nil, fmt.Errorf("kmeans_assign: no centers")
+		}
+		d := centers.d
+		return applyModel(n.Data, ctx, "kmeans_assign", schema, d, func(row []float64) int64 {
+			return int64(analytics.Assign(row, 1, d, centers.data, centers.n, dist, 1)[0])
+		})
+	}}, nil
 }
 
-func (k *kmeansAssignOp) Schema() types.Schema { return k.schema }
-
-func (k *kmeansAssignOp) Open(ctx *Context) error {
-	centers, err := drainFloatMatrix(k.node.Centers, ctx)
-	if err != nil {
-		return fmt.Errorf("kmeans_assign centers: %w", err)
-	}
-	if centers.n == 0 {
-		return fmt.Errorf("kmeans_assign: no centers")
-	}
-	dataMat, err := Run(k.node.Data, ctx)
-	if err != nil {
-		return fmt.Errorf("kmeans_assign data: %w", err)
-	}
-	d := centers.d
-	out := &Materialized{Schema: k.schema}
-	row := make([]float64, d)
-	for _, b := range dataMat.Batches {
-		n := b.Len()
-		clusterCol := types.NewColumn(types.Int64, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < d; j++ {
-				col := b.Cols[j]
-				if col.IsNull(i) {
-					return fmt.Errorf("NULL in analytical input column %q", b.Schema[j].Name)
-				}
-				if col.T == types.Int64 {
-					row[j] = float64(col.Ints[i])
-				} else {
-					row[j] = col.Floats[i]
-				}
-			}
-			best := analytics.Assign(row, 1, d, centers.data, centers.n, k.dist, 1)
-			clusterCol.AppendInt(int64(best[0]))
-		}
-		nb := &types.Batch{Schema: k.schema,
-			Cols: append(append([]*types.Column{}, b.Cols...), clusterCol)}
-		out.Append(nb)
-	}
-	k.it = matIterator{mat: out}
-	return nil
-}
-
-func (k *kmeansAssignOp) Next() (*types.Batch, error) { return k.it.next(), nil }
-func (k *kmeansAssignOp) Close() error                { return nil }
-
-// pageRankOp is the physical PageRank operator (paper Section 6.3): it
+// newPageRankOp is the physical PageRank operator (paper Section 6.3): it
 // builds a temporary CSR index with dense re-labeled vertex ids, runs the
 // ranking iterations, and maps ids back on output. An edge-weight lambda
 // (Section 7) makes the CSR weighted.
-type pageRankOp struct {
-	node   *plan.PageRank
-	weight expr.FloatFn
-	it     matIterator
-}
-
-func newPageRankOp(n *plan.PageRank) (*pageRankOp, error) {
-	op := &pageRankOp{node: n}
+func newPageRankOp(n *plan.PageRank) (*blockingOp, error) {
+	var weight expr.FloatFn
 	if n.Lambda != nil {
 		fn, err := expr.CompileFloatLambda(n.Lambda)
 		if err != nil {
 			return nil, fmt.Errorf("pagerank lambda: %w", err)
 		}
-		op.weight = fn
+		weight = fn
 	}
-	return op, nil
-}
-
-func (p *pageRankOp) Schema() types.Schema { return p.node.Schema() }
-
-func (p *pageRankOp) Open(ctx *Context) error {
-	src, dst, weights, err := drainEdges(p.node.Edges, ctx, p.weight)
-	if err != nil {
-		return fmt.Errorf("pagerank edges: %w", err)
-	}
-	g, err := graph.BuildWeighted(src, dst, weights)
-	if err != nil {
-		return err
-	}
-	opts := analytics.PageRankOptions{
-		Damping: p.node.Damping,
-		Epsilon: p.node.Epsilon,
-		MaxIter: p.node.MaxIter,
-		Workers: ctx.Workers,
-	}
-	if sc := ctx.statsCollector(); sc != nil {
-		nRanks := int64(g.N)
-		last := time.Now()
-		opts.OnIteration = func(round int, delta float64) {
-			now := time.Now()
-			sc.AddIteration(p.node, IterationStat{
-				Round: round,
-				Rows:  nRanks,
-				Delta: delta,
-				Nanos: now.Sub(last).Nanoseconds(),
-			})
-			last = now
-		}
-	}
-	res, err := analytics.PageRank(g, opts)
-	if err != nil {
-		return err
-	}
-	schema := p.Schema()
-	out := &Materialized{Schema: schema}
-	b := types.NewBatch(schema)
-	for v := 0; v < g.N; v++ {
-		// Reverse mapping: dense internal id back to the original id.
-		b.AppendRow([]types.Value{types.NewInt(g.OrigIDs[v]), types.NewFloat(res.Ranks[v])})
-		if b.Len() >= types.BatchSize {
-			out.Append(b)
-			b = types.NewBatch(schema)
-		}
-	}
-	out.Append(b)
-	p.it = matIterator{mat: out}
-	return nil
-}
-
-func (p *pageRankOp) Next() (*types.Batch, error) { return p.it.next(), nil }
-func (p *pageRankOp) Close() error                { return nil }
-
-// drainEdges materializes an edge plan into src/dst slices; with a weight
-// function, each edge tuple (as floats) is passed through it to produce
-// per-edge weights.
-func drainEdges(p plan.Node, ctx *Context, weight expr.FloatFn) (src, dst []int64, weights []float64, err error) {
-	op, err := buildFor(p, ctx)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := op.Open(ctx); err != nil {
-		op.Close()
-		return nil, nil, nil, err
-	}
-	defer op.Close()
-	ncols := len(p.Schema())
-	tuple := make([]float64, ncols)
-	for {
-		b, err := op.Next()
+	schema := n.Schema()
+	return &blockingOp{label: "pagerank", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
+		sinks, err := drive(ctx, partsOf(n.Edges, ctx), "", func(Operator) (*edgeSink, error) {
+			return &edgeSink{ctx: ctx, weight: weight}, nil
+		})
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, fmt.Errorf("pagerank edges: %w", err)
 		}
-		if b == nil {
-			return src, dst, weights, nil
+		edges := sinks[0]
+		for _, s := range sinks[1:] {
+			edges.src = append(edges.src, s.src...)
+			edges.dst = append(edges.dst, s.dst...)
+			edges.weights = append(edges.weights, s.weights...)
 		}
-		sc, dc := b.Cols[0], b.Cols[1]
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			if sc.IsNull(i) || dc.IsNull(i) {
-				return nil, nil, nil, fmt.Errorf("NULL vertex id in edge input")
-			}
+		defer ctx.release(8 * int64(len(edges.src)+len(edges.dst)+len(edges.weights)))
+		g, err := graph.BuildWeighted(edges.src, edges.dst, edges.weights)
+		if err != nil {
+			return nil, err
 		}
-		src = append(src, sc.Ints...)
-		dst = append(dst, dc.Ints...)
-		if weight == nil {
-			continue
+		nRanks := int64(g.N)
+		res, err := analytics.PageRank(g, analytics.PageRankOptions{
+			Damping: n.Damping, Epsilon: n.Epsilon, MaxIter: n.MaxIter, Workers: ctx.Workers,
+			OnIteration: ctx.kernelRound(n, func(float64) int64 { return nRanks }),
+		})
+		if err != nil {
+			return nil, err
 		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < ncols; j++ {
-				col := b.Cols[j]
-				if col.IsNull(i) {
-					return nil, nil, nil, fmt.Errorf("NULL in edge property column %q", b.Schema[j].Name)
-				}
-				if col.T == types.Int64 {
-					tuple[j] = float64(col.Ints[i])
-				} else {
-					tuple[j] = col.Floats[i]
-				}
-			}
-			w := weight(tuple, nil)
-			if w < 0 {
-				return nil, nil, nil, fmt.Errorf("edge-weight lambda produced negative weight %g", w)
-			}
-			weights = append(weights, w)
+		out := &Materialized{Schema: schema}
+		for v := 0; v < g.N; v++ {
+			// Reverse mapping: dense internal id back to the original id.
+			out.AppendRow([]types.Value{types.NewInt(g.OrigIDs[v]), types.NewFloat(res.Ranks[v])})
 		}
-	}
+		return out, nil
+	}}, nil
 }
 
-// nbTrainOp is the Naive Bayes training operator (paper Section 6.2). The
-// last input column is the class label.
-type nbTrainOp struct {
-	node *plan.NaiveBayesTrain
-	it   matIterator
+// edgeSink loads one part of an edge input into src/dst arrays; with a
+// weight function, each edge tuple (as floats) is passed through it to
+// produce per-edge weights. The arrays are charged to the pagerank operator.
+type edgeSink struct {
+	ctx      *Context
+	weight   expr.FloatFn
+	src, dst []int64
+	weights  []float64
+	tuple    []float64
 }
 
-func newNBTrainOp(n *plan.NaiveBayesTrain) *nbTrainOp { return &nbTrainOp{node: n} }
-
-func (t *nbTrainOp) Schema() types.Schema { return plan.NBModelSchema }
-
-func (t *nbTrainOp) Open(ctx *Context) error {
-	m, err := drainFloatMatrix(t.node.Data, ctx)
-	if err != nil {
-		return fmt.Errorf("naive_bayes_train: %w", err)
+func (s *edgeSink) consume(b *types.Batch) (err error) {
+	sc, dc := b.Cols[0], b.Cols[1]
+	n := b.Len()
+	for i := 0; i < n; i++ {
+		if sc.IsNull(i) || dc.IsNull(i) {
+			return fmt.Errorf("NULL vertex id in edge input")
+		}
 	}
-	if m.n == 0 {
-		return fmt.Errorf("naive_bayes_train: empty training set")
+	perEdge := int64(16)
+	if s.weight != nil {
+		perEdge += 8
 	}
-	// Split off the label column.
-	d := m.d - 1
-	feats := make([]float64, m.n*d)
-	labels := make([]int64, m.n)
-	for i := 0; i < m.n; i++ {
-		copy(feats[i*d:], m.data[i*m.d:i*m.d+d])
-		labels[i] = int64(m.data[i*m.d+d])
-	}
-	model, err := analytics.TrainNB(feats, m.n, d, labels, ctx.Workers)
-	if err != nil {
+	if err := s.ctx.charge("pagerank", perEdge*int64(n)); err != nil {
 		return err
 	}
-	t.it = matIterator{mat: modelToRelation(model)}
+	s.src = append(s.src, sc.Ints...)
+	s.dst = append(s.dst, dc.Ints...)
+	if s.weight == nil {
+		return nil
+	}
+	for i := 0; i < n; i++ {
+		if s.tuple, err = appendRowFloats(s.tuple[:0], b, i, len(b.Cols)); err != nil {
+			return err
+		}
+		w := s.weight(s.tuple, nil)
+		if w < 0 {
+			return fmt.Errorf("edge-weight lambda produced negative weight %g", w)
+		}
+		s.weights = append(s.weights, w)
+	}
 	return nil
 }
 
-func (t *nbTrainOp) Next() (*types.Batch, error) { return t.it.next(), nil }
-func (t *nbTrainOp) Close() error                { return nil }
+// newNBTrainOp is the Naive Bayes training operator (paper Section 6.2). The
+// last input column is the class label.
+func newNBTrainOp(n *plan.NaiveBayesTrain) *blockingOp {
+	return &blockingOp{label: "naive_bayes_train", schema: plan.NBModelSchema, compute: func(ctx *Context) (*Materialized, error) {
+		m, err := loadFloats(n.Data, ctx, "naive_bayes_train")
+		if err != nil {
+			return nil, fmt.Errorf("naive_bayes_train: %w", err)
+		}
+		defer ctx.release(m.bytes())
+		if m.n == 0 {
+			return nil, fmt.Errorf("naive_bayes_train: empty training set")
+		}
+		// Split off the label column.
+		d := m.d - 1
+		feats := make([]float64, m.n*d)
+		labels := make([]int64, m.n)
+		for i := 0; i < m.n; i++ {
+			copy(feats[i*d:], m.data[i*m.d:i*m.d+d])
+			labels[i] = int64(m.data[i*m.d+d])
+		}
+		model, err := analytics.TrainNB(feats, m.n, d, labels, ctx.Workers)
+		if err != nil {
+			return nil, err
+		}
+		return modelToRelation(model), nil
+	}}
+}
 
 // modelToRelation encodes an NBModel in the relational model schema: one
 // row per (class, feature).
 func modelToRelation(m *analytics.NBModel) *Materialized {
 	out := &Materialized{Schema: plan.NBModelSchema}
-	b := types.NewBatch(plan.NBModelSchema)
 	for c, label := range m.Labels {
 		for f := range m.Means[c] {
-			b.AppendRow([]types.Value{
+			out.AppendRow([]types.Value{
 				types.NewInt(label),
 				types.NewInt(int64(f)),
 				types.NewFloat(m.Priors[c]),
 				types.NewFloat(m.Means[c][f]),
 				types.NewFloat(m.Stds[c][f]),
 			})
-			if b.Len() >= types.BatchSize {
-				out.Append(b)
-				b = types.NewBatch(plan.NBModelSchema)
-			}
 		}
 	}
-	out.Append(b)
 	return out
 }
 
@@ -489,63 +410,24 @@ func sortInt64s(v []int64) {
 	}
 }
 
-// nbPredictOp applies a trained model to feature rows, appending the
+// newNBPredictOp applies a trained model to feature rows, appending the
 // predicted label.
-type nbPredictOp struct {
-	node   *plan.NaiveBayesPredict
-	schema types.Schema
-	it     matIterator
-}
-
-func newNBPredictOp(n *plan.NaiveBayesPredict) *nbPredictOp {
-	return &nbPredictOp{node: n, schema: n.Schema()}
-}
-
-func (p *nbPredictOp) Schema() types.Schema { return p.schema }
-
-func (p *nbPredictOp) Open(ctx *Context) error {
-	modelMat, err := Run(p.node.Model, ctx)
-	if err != nil {
-		return fmt.Errorf("naive_bayes_predict model: %w", err)
-	}
-	model, err := relationToModel(modelMat)
-	if err != nil {
-		return err
-	}
-	dataMat, err := Run(p.node.Data, ctx)
-	if err != nil {
-		return fmt.Errorf("naive_bayes_predict data: %w", err)
-	}
-	d := len(p.node.Data.Schema())
-	if len(model.Means) > 0 && len(model.Means[0]) != d {
-		return fmt.Errorf("naive_bayes_predict: model has %d features, data has %d",
-			len(model.Means[0]), d)
-	}
-	out := &Materialized{Schema: p.schema}
-	row := make([]float64, d)
-	for _, b := range dataMat.Batches {
-		n := b.Len()
-		labelCol := types.NewColumn(types.Int64, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < d; j++ {
-				col := b.Cols[j]
-				if col.IsNull(i) {
-					return fmt.Errorf("NULL in analytical input column %q", b.Schema[j].Name)
-				}
-				if col.T == types.Int64 {
-					row[j] = float64(col.Ints[i])
-				} else {
-					row[j] = col.Floats[i]
-				}
-			}
-			labelCol.AppendInt(model.Predict(row))
+func newNBPredictOp(n *plan.NaiveBayesPredict) *blockingOp {
+	schema := n.Schema()
+	return &blockingOp{label: "naive_bayes_predict", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
+		modelMat, err := Run(n.Model, ctx)
+		if err != nil {
+			return nil, fmt.Errorf("naive_bayes_predict model: %w", err)
 		}
-		nb := &types.Batch{Schema: p.schema, Cols: append(append([]*types.Column{}, b.Cols...), labelCol)}
-		out.Append(nb)
-	}
-	p.it = matIterator{mat: out}
-	return nil
+		model, err := relationToModel(modelMat)
+		if err != nil {
+			return nil, err
+		}
+		d := len(n.Data.Schema())
+		if len(model.Means) > 0 && len(model.Means[0]) != d {
+			return nil, fmt.Errorf("naive_bayes_predict: model has %d features, data has %d",
+				len(model.Means[0]), d)
+		}
+		return applyModel(n.Data, ctx, "naive_bayes_predict", schema, d, model.Predict)
+	}}
 }
-
-func (p *nbPredictOp) Next() (*types.Batch, error) { return p.it.next(), nil }
-func (p *nbPredictOp) Close() error                { return nil }

@@ -150,6 +150,16 @@ func (m *Materialized) Append(b *types.Batch) {
 	m.NumRows += b.Len()
 }
 
+// AppendRow adds one row to a relation built by AppendRow alone, packing
+// rows into batches of types.BatchSize.
+func (m *Materialized) AppendRow(row []types.Value) {
+	if n := len(m.Batches); n == 0 || m.Batches[n-1].Len() >= types.BatchSize {
+		m.Batches = append(m.Batches, types.NewBatch(m.Schema))
+	}
+	m.Batches[len(m.Batches)-1].AppendRow(row)
+	m.NumRows++
+}
+
 // Rows flattens the result into value rows (client/result use).
 func (m *Materialized) Rows() [][]types.Value {
 	out := make([][]types.Value, 0, m.NumRows)
@@ -251,9 +261,9 @@ func buildWith(p plan.Node, sc *StatsCollector) (Operator, error) {
 	case *plan.Join:
 		op, err = newJoinOp(n)
 	case *plan.Aggregate:
-		op, err = newAggOp(n)
+		op = newAggOp(n)
 	case *plan.Sort:
-		op, err = newSortOp(n)
+		op = newSortOp(n)
 	case *plan.Limit:
 		op, err = newLimitOp(n, sc)
 	case *plan.Distinct:
@@ -286,13 +296,11 @@ func buildWith(p plan.Node, sc *StatsCollector) (Operator, error) {
 	return op, nil
 }
 
-// Run builds, executes, and materializes a plan.
+// Run builds, executes, and materializes a plan as a single part: the
+// top-level pipeline is never split, the blocking operators inside it split
+// their own inputs.
 func Run(p plan.Node, ctx *Context) (*Materialized, error) {
-	op, err := buildFor(p, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return Drain(op, ctx)
+	return materialize([]plan.Node{p}, ctx)
 }
 
 // opLabel names an operator for error reporting (ResourceError.Operator,
@@ -303,72 +311,49 @@ func opLabel(op Operator) string {
 		return opLabel(o.inner)
 	case *producerScan:
 		return o.label
+	case *blockingOp:
+		return o.label
 	case *workingScan:
 		return "working-scan"
 	case *valuesOp:
 		return "values"
-	case *sharedOp:
-		return "shared"
 	case *filterOp:
 		return "filter"
 	case *projectOp:
 		return "project"
 	case *joinOp:
 		return "join"
-	case *aggOp:
-		return "aggregate"
-	case *sortOp:
-		return "sort"
 	case *limitOp:
 		return "limit"
 	case *distinctOp:
 		return "distinct"
 	case *unionOp:
 		return "union"
-	case *iterateOp:
-		return "iterate"
-	case *recursiveOp:
-		return "recursive-cte"
 	}
 	return fmt.Sprintf("%T", op)
 }
 
-// Drain opens an operator, collects all batches, and closes it. It is the
-// serial executor boundary: operator panics are contained into
-// *InternalError, cancellation is checked per batch, and collected batches
-// are charged against the query's memory budget.
-func Drain(op Operator, ctx *Context) (mat *Materialized, err error) {
-	label := opLabel(op)
-	defer containPanic(label, &err)
-	if err := op.Open(ctx); err != nil {
-		op.Close()
-		return nil, err
-	}
-	out := &Materialized{Schema: op.Schema()}
-	for {
-		if err := ctx.Err(); err != nil {
-			op.Close()
-			return nil, err
-		}
-		b, err := op.Next()
-		if err != nil {
-			op.Close()
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if err := ctx.charge(label, batchBytes(b)); err != nil {
-			op.Close()
-			return nil, err
-		}
-		out.Append(b)
-	}
-	if err := op.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
+// blockingOp is the shell of every operator that computes its whole result
+// in Open and replays it from Next: aggregation, sort, the iteration
+// constructs, shared subplans and the analytical operators differ only in
+// their label, schema and compute function.
+type blockingOp struct {
+	label   string
+	schema  types.Schema
+	compute func(ctx *Context) (*Materialized, error)
+	it      matIterator
 }
+
+func (o *blockingOp) Schema() types.Schema { return o.schema }
+
+func (o *blockingOp) Open(ctx *Context) error {
+	mat, err := o.compute(ctx)
+	o.it = matIterator{mat: mat}
+	return err
+}
+
+func (o *blockingOp) Next() (*types.Batch, error) { return o.it.next(), nil }
+func (o *blockingOp) Close() error                { return nil }
 
 // matIterator drains a Materialized as batches (shared by several
 // operators that deliver from a buffered result).

@@ -249,7 +249,7 @@ func TestValuesOperator(t *testing.T) {
 
 func TestDrainClosesOnError(t *testing.T) {
 	// A filter whose predicate errors (modulo by zero) must propagate the
-	// error from Drain.
+	// error from Run.
 	s, tbl := bigTable(t, 100, 3)
 	scan := plan.NewScan(tbl, "", s.Snapshot())
 	pred := &expr.BinOp{Op: expr.OpEq, Typ: types.Bool,

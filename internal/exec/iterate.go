@@ -9,7 +9,78 @@ import (
 	"lambdadb/internal/types"
 )
 
-// iterateOp implements the paper's non-appending iteration (Section 5.1):
+// roundCheck is the gate every iterative construct — ITERATE, recursive CTE,
+// k-Means, PageRank — passes once per round: a cancelled or timed-out query
+// stops before its next round.
+func (c *Context) roundCheck() error {
+	if err := c.Err(); err != nil {
+		return err
+	}
+	return faultinject.Fire("exec.iterate.round")
+}
+
+// recordRound adds one round to node's telemetry; a no-op when stats are
+// disarmed.
+func (c *Context) recordRound(node plan.Node, round int, rows int64, delta float64, start time.Time) {
+	c.stats.AddIteration(node, IterationStat{Round: round, Rows: rows, Delta: delta,
+		Nanos: time.Since(start).Nanoseconds()})
+}
+
+// kernelRound is the per-round hook exec installs in an analytics kernel:
+// it records the round (rows maps the kernel's delta to a working-set size)
+// and passes the kernel through roundCheck.
+func (c *Context) kernelRound(node plan.Node, rows func(delta float64) int64) func(int, float64) error {
+	last := time.Now()
+	return func(round int, delta float64) error {
+		c.recordRound(node, round, rows(delta), delta, last)
+		last = time.Now()
+		return c.roundCheck()
+	}
+}
+
+// runRounds is the round loop of the plan-level iteration constructs. The
+// working table is bound under name for the duration and the previous
+// binding restored on every exit, so a failed or cancelled loop leaves the
+// context reusable. Each round passes roundCheck and the maxDepth bound,
+// advances the epoch (invalidating epoch-scoped Shared subplans) and calls
+// step on the current working table. A non-nil next replaces it and is
+// recorded as the round's result; done ends the loop. what names the
+// construct in the runaway-loop error.
+func (c *Context) runRounds(node plan.Node, name, what string, maxDepth int, working *Materialized,
+	step func(working *Materialized) (next *Materialized, delta float64, done bool, err error)) (*Materialized, error) {
+	saved, had := c.Bindings[name]
+	defer func() {
+		if had {
+			c.Bindings[name] = saved
+		} else {
+			delete(c.Bindings, name)
+		}
+	}()
+	for round := 1; ; round++ {
+		if err := c.roundCheck(); err != nil {
+			return nil, err
+		}
+		if round > maxDepth {
+			return nil, fmt.Errorf("%s: exceeded %d iterations (possible infinite loop)", what, maxDepth)
+		}
+		start := time.Now()
+		c.BumpEpoch()
+		c.Bindings[name] = working
+		next, delta, done, err := step(working)
+		if err != nil {
+			return nil, err
+		}
+		if next != nil {
+			c.recordRound(node, round, int64(next.NumRows), delta, start)
+			working = next
+		}
+		if done {
+			return working, nil
+		}
+	}
+}
+
+// newIterateOp implements the paper's non-appending iteration (Section 5.1):
 //
 //	working := Init
 //	while Stop(working) yields no rows:
@@ -25,173 +96,85 @@ import (
 // Init/Step/Stop execution, and working tables bound here are splittable
 // into row-range morsels (WorkingScan Lo/Hi), so joins, sorts, and
 // aggregates inside the loop body run morsel-parallel each round.
-type iterateOp struct {
-	node *plan.Iterate
-	it   matIterator
-}
-
-func newIterateOp(n *plan.Iterate) *iterateOp { return &iterateOp{node: n} }
-
-func (i *iterateOp) Schema() types.Schema { return i.node.Schema() }
-
-func (i *iterateOp) Open(ctx *Context) error {
-	working, err := Run(i.node.Init, ctx)
-	if err != nil {
-		return fmt.Errorf("iterate init: %w", err)
-	}
-	saved, had := ctx.Bindings["iterate"]
-	defer func() {
-		if had {
-			ctx.Bindings["iterate"] = saved
-		} else {
-			delete(ctx.Bindings, "iterate")
-		}
-	}()
-
-	sc := ctx.statsCollector()
-	for depth := 0; ; depth++ {
-		// One cancellation check per round: a cancelled ITERATE aborts
-		// before starting the next iteration, and the deferred restore above
-		// unbinds the working table so the context stays reusable.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := faultinject.Fire("exec.iterate.round"); err != nil {
-			return err
-		}
-		if depth >= i.node.MaxDepth {
-			return fmt.Errorf("iterate: exceeded %d iterations (possible infinite loop)", i.node.MaxDepth)
-		}
-		roundStart := time.Now()
-		ctx.BumpEpoch()
-		ctx.Bindings["iterate"] = working
-		stop, err := Run(i.node.Stop, ctx)
+func newIterateOp(n *plan.Iterate) *blockingOp {
+	return &blockingOp{label: "iterate", schema: n.Schema(), compute: func(ctx *Context) (*Materialized, error) {
+		init, err := Run(n.Init, ctx)
 		if err != nil {
-			return fmt.Errorf("iterate stop: %w", err)
+			return nil, fmt.Errorf("iterate init: %w", err)
 		}
-		if stop.NumRows > 0 {
-			break
-		}
-		next, err := Run(i.node.Step, ctx)
-		if err != nil {
-			return fmt.Errorf("iterate step: %w", err)
-		}
-		if sc != nil {
-			sc.AddIteration(i.node, IterationStat{
-				Round: depth + 1,
-				Rows:  int64(next.NumRows),
-				Delta: float64(next.NumRows - working.NumRows),
-				Nanos: time.Since(roundStart).Nanoseconds(),
+		return ctx.runRounds(n, "iterate", "iterate", n.MaxDepth, init,
+			func(working *Materialized) (*Materialized, float64, bool, error) {
+				stop, err := Run(n.Stop, ctx)
+				if err != nil {
+					return nil, 0, false, fmt.Errorf("iterate stop: %w", err)
+				}
+				if stop.NumRows > 0 {
+					return nil, 0, true, nil
+				}
+				next, err := Run(n.Step, ctx)
+				if err != nil {
+					return nil, 0, false, fmt.Errorf("iterate step: %w", err)
+				}
+				// Non-appending: the previous working table is dropped here;
+				// at most two iterations' worth of tuples are alive at once.
+				// Return its bytes to the memory budget so long loops with
+				// bounded working sets never trip the limit.
+				ctx.release(matBytes(working))
+				return next, float64(next.NumRows - working.NumRows), false, nil
 			})
-		}
-		// Non-appending: the previous working table is dropped here; at
-		// most two iterations' worth of tuples are alive at once. Return its
-		// bytes to the memory budget so long loops with bounded working sets
-		// never trip the limit.
-		ctx.release(matBytes(working))
-		working = next
-	}
-	i.it = matIterator{mat: working}
-	return nil
+	}}
 }
 
-func (i *iterateOp) Next() (*types.Batch, error) { return i.it.next(), nil }
-func (i *iterateOp) Close() error                { return nil }
-
-// recursiveOp implements SQL:1999 recursive CTEs with appending semantics:
-// the result accumulates every iteration's tuples. UNION (without ALL)
-// deduplicates globally and reaches a fixpoint; UNION ALL stops when the
-// recursive term produces no rows.
-type recursiveOp struct {
-	node *plan.RecursiveCTE
-	it   matIterator
-}
-
-func newRecursiveOp(n *plan.RecursiveCTE) *recursiveOp { return &recursiveOp{node: n} }
-
-func (r *recursiveOp) Schema() types.Schema { return r.node.Schema() }
-
-func (r *recursiveOp) Open(ctx *Context) error {
-	init, err := Run(r.node.Init, ctx)
-	if err != nil {
-		return fmt.Errorf("recursive CTE %s init: %w", r.node.Name, err)
-	}
-
-	acc := &Materialized{Schema: init.Schema}
-	var seen *rowSet
-	if !r.node.All {
-		seen = newRowSet()
-	}
-
-	working := &Materialized{Schema: init.Schema}
-	appendDeduped := func(src *Materialized, dst ...*Materialized) {
-		for _, b := range src.Batches {
-			if seen == nil {
-				for _, d := range dst {
-					d.Append(b)
-				}
-				continue
-			}
-			filtered := types.NewBatch(src.Schema)
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				row := b.Row(i)
-				if seen.add(row) {
-					filtered.AppendRow(row)
-				}
-			}
-			if filtered.Len() > 0 {
-				for _, d := range dst {
-					d.Append(filtered)
-				}
-			}
-		}
-	}
-	appendDeduped(init, acc, working)
-
-	saved, had := ctx.Bindings[r.node.Name]
-	defer func() {
-		if had {
-			ctx.Bindings[r.node.Name] = saved
-		} else {
-			delete(ctx.Bindings, r.node.Name)
-		}
-	}()
-
-	sc := ctx.statsCollector()
-	for depth := 0; working.NumRows > 0; depth++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := faultinject.Fire("exec.iterate.round"); err != nil {
-			return err
-		}
-		if depth >= r.node.MaxDepth {
-			return fmt.Errorf("recursive CTE %s: exceeded %d iterations (possible infinite loop)",
-				r.node.Name, r.node.MaxDepth)
-		}
-		roundStart := time.Now()
-		ctx.BumpEpoch()
-		ctx.Bindings[r.node.Name] = working
-		delta, err := Run(r.node.Rec, ctx)
+// newRecursiveOp implements SQL:1999 recursive CTEs with appending
+// semantics: the result accumulates every iteration's tuples. UNION (without
+// ALL) deduplicates globally and reaches a fixpoint; UNION ALL stops when
+// the recursive term produces no rows.
+func newRecursiveOp(n *plan.RecursiveCTE) *blockingOp {
+	return &blockingOp{label: "recursive-cte", schema: n.Schema(), compute: func(ctx *Context) (*Materialized, error) {
+		what := "recursive CTE " + n.Name
+		init, err := Run(n.Init, ctx)
 		if err != nil {
-			return fmt.Errorf("recursive CTE %s: %w", r.node.Name, err)
+			return nil, fmt.Errorf("%s init: %w", what, err)
 		}
-		next := &Materialized{Schema: acc.Schema}
-		appendDeduped(delta, acc, next)
-		working = next
-		if sc != nil {
-			sc.AddIteration(r.node, IterationStat{
-				Round: depth + 1,
-				Rows:  int64(next.NumRows),
-				Delta: float64(next.NumRows),
-				Nanos: time.Since(roundStart).Nanoseconds(),
-			})
+		acc := &Materialized{Schema: init.Schema}
+		var seen *rowSet
+		if !n.All {
+			seen = newRowSet()
 		}
-	}
-	r.it = matIterator{mat: acc}
-	return nil
+		// fresh appends src's not-yet-seen rows to acc and returns them as
+		// the next working table.
+		fresh := func(src *Materialized) *Materialized {
+			next := &Materialized{Schema: init.Schema}
+			for _, b := range src.Batches {
+				if seen != nil {
+					filtered := types.NewBatch(src.Schema)
+					for i, rows := 0, b.Len(); i < rows; i++ {
+						if row := b.Row(i); seen.add(row) {
+							filtered.AppendRow(row)
+						}
+					}
+					b = filtered
+				}
+				acc.Append(b)
+				next.Append(b)
+			}
+			return next
+		}
+		working := fresh(init)
+		if working.NumRows == 0 {
+			return acc, nil
+		}
+		if _, err := ctx.runRounds(n, n.Name, what, n.MaxDepth, working,
+			func(*Materialized) (*Materialized, float64, bool, error) {
+				delta, err := Run(n.Rec, ctx)
+				if err != nil {
+					return nil, 0, false, fmt.Errorf("%s: %w", what, err)
+				}
+				next := fresh(delta)
+				return next, float64(next.NumRows), next.NumRows == 0, nil
+			}); err != nil {
+			return nil, err
+		}
+		return acc, nil
+	}}
 }
-
-func (r *recursiveOp) Next() (*types.Batch, error) { return r.it.next(), nil }
-func (r *recursiveOp) Close() error                { return nil }

@@ -211,7 +211,7 @@ func (j *joinOp) openHash(ctx *Context) error {
 	if err := faultinject.Fire("exec.join.build"); err != nil {
 		return err
 	}
-	mat, err := drainPipeline(buildPlan, ctx)
+	mat, err := materialize(partsOf(buildPlan, ctx), ctx)
 	if err != nil {
 		return err
 	}
@@ -220,54 +220,17 @@ func (j *joinOp) openHash(ctx *Context) error {
 		return err
 	}
 
-	if parts := splitParallel(probePlan, ctx.workers(), ctx); len(parts) > 1 {
-		outs := make([][]*types.Batch, len(parts))
-		err := runParts(ctx, len(parts), func(i int) error {
+	if parts := partsOf(probePlan, ctx); len(parts) > 1 {
+		sinks, err := drive(ctx, parts, "exec.join.probe", func(Operator) (*probeSink, error) {
 			pr, err := j.newProber()
-			if err != nil {
-				return err
-			}
-			op, err := buildFor(parts[i], ctx)
-			if err != nil {
-				return err
-			}
-			if err := op.Open(ctx); err != nil {
-				op.Close()
-				return err
-			}
-			defer op.Close()
-			for {
-				if err := faultinject.Fire("exec.join.probe"); err != nil {
-					return err
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				pb, err := op.Next()
-				if err != nil {
-					return err
-				}
-				if pb == nil {
-					return nil
-				}
-				bs, err := pr.probeBatch(pb)
-				if err != nil {
-					return err
-				}
-				for _, b := range bs {
-					if err := ctx.charge("join", batchBytes(b)); err != nil {
-						return err
-					}
-				}
-				outs[i] = append(outs[i], bs...)
-			}
+			return &probeSink{pr: pr}, err
 		})
 		if err != nil {
 			return err
 		}
 		res := &Materialized{Schema: j.schema}
-		for _, bs := range outs {
-			for _, b := range bs {
+		for _, s := range sinks {
+			for _, b := range s.out {
 				res.Append(b)
 			}
 		}
@@ -304,7 +267,7 @@ func (j *joinOp) openLoop(ctx *Context) error {
 		}
 		j.onEval = ev
 	}
-	mat, err := drainPipeline(j.node.R, ctx)
+	mat, err := materialize(partsOf(j.node.R, ctx), ctx)
 	if err != nil {
 		return err
 	}
@@ -376,6 +339,28 @@ func (j *joinOp) newProber() (*prober, error) {
 		pr.residual = ev
 	}
 	return pr, nil
+}
+
+// probeSink is one worker of the morsel-parallel probe: it joins its part's
+// batches against the shared table and retains the output, charged to the
+// join.
+type probeSink struct {
+	pr  *prober
+	out []*types.Batch
+}
+
+func (s *probeSink) consume(pb *types.Batch) error {
+	bs, err := s.pr.probeBatch(pb)
+	if err != nil {
+		return err
+	}
+	for _, b := range bs {
+		if err := s.pr.j.ctx.charge("join", batchBytes(b)); err != nil {
+			return err
+		}
+	}
+	s.out = append(s.out, bs...)
+	return nil
 }
 
 // probeBatch joins one probe-side batch against the hash table, returning

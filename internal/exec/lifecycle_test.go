@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,28 +138,73 @@ func TestMemoryLimitUnlimitedByDefault(t *testing.T) {
 
 func TestIterateReleasesWorkingTables(t *testing.T) {
 	// A long non-appending loop whose working table is one small row: with
-	// per-round release of the dropped working table, hundreds of rounds fit
-	// in a 4 KB budget. If rounds accumulated, the budget would trip long
-	// before MaxDepth.
+	// per-round release of the dropped working table — and of the hash table
+	// an aggregating step builds — a thousand rounds fit in a 4 KB budget. If
+	// rounds accumulated, the budget would trip long before MaxDepth.
 	one := &plan.Values{
 		Sch:  types.Schema{{Name: "x", Type: types.Int64}},
 		Rows: [][]types.Value{{types.NewInt(0)}},
 	}
 	sch := one.Sch
-	it := &plan.Iterate{
-		Init:     one,
-		Step:     &plan.WorkingScan{Name: "iterate", Sch: sch},
-		Stop:     &plan.Values{Sch: sch}, // no rows: never stops before MaxDepth
-		MaxDepth: 500,
+	working := &plan.WorkingScan{Name: "iterate", Sch: sch}
+	steps := map[string]plan.Node{
+		"scan": working,
+		"aggregate": &plan.Aggregate{Child: working, Aggs: []plan.AggSpec{
+			{Func: plan.AggMax, Arg: colRef("x", 0, types.Int64), Type: types.Int64, Name: "x"}}},
 	}
-	ctx := NewContext()
-	ctx.SetMemoryLimit(1 << 12)
-	_, err := Run(it, ctx)
-	if errors.As(err, new(*ResourceError)) {
-		t.Fatalf("working tables not released: budget tripped with %v", err)
+	for name, step := range steps {
+		it := &plan.Iterate{
+			Init:     one,
+			Step:     step,
+			Stop:     &plan.Values{Sch: sch}, // no rows: never stops before MaxDepth
+			MaxDepth: 1000,
+		}
+		ctx := NewContext()
+		ctx.SetMemoryLimit(1 << 12)
+		_, err := Run(it, ctx)
+		if errors.As(err, new(*ResourceError)) {
+			t.Fatalf("%s step: per-round state not released: budget tripped with %v", name, err)
+		}
+		if err == nil || !strings.Contains(err.Error(), "exceeded 1000 iterations") {
+			t.Fatalf("%s step: want MaxDepth exhaustion, got %v", name, err)
+		}
 	}
-	if err == nil || !strings.Contains(err.Error(), "exceeded 500 iterations") {
-		t.Fatalf("want MaxDepth exhaustion, got %v", err)
+}
+
+// TestMemoryLimitNamesRetainingSink: state an operator retains besides
+// batches — the aggregation hash table, the analytical operators' float
+// matrix and edge arrays — is charged like hash-join tables and sort runs
+// are, and the breach names the operator that holds it.
+func TestMemoryLimitNamesRetainingSink(t *testing.T) {
+	const rows = 300_000
+	s, tbl := bigTable(t, rows, rows) // k unique
+	scan := plan.NewScan(tbl, "", s.Snapshot())
+	k := colRef("k", 0, types.Int64)
+	plans := map[string]plan.Node{
+		// 300k groups under a global count: no batch of either aggregate's
+		// input is retained, only the inner hash table.
+		"aggregate": &plan.Aggregate{
+			Child: &plan.Aggregate{Child: scan, Keys: []expr.Expr{k}, KeyNames: []string{"k"},
+				Aggs: []plan.AggSpec{{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"}}},
+			Aggs: []plan.AggSpec{{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"}}},
+		// A 300k x 2 matrix is 4.8 MB.
+		"kmeans": &plan.KMeans{Data: scan, MaxIter: 1, OutNames: []string{"k", "v"},
+			Centers: &plan.Values{Sch: types.Schema{{Name: "k", Type: types.Float64}, {Name: "v", Type: types.Float64}},
+				Rows: [][]types.Value{{types.NewFloat(0), types.NewFloat(0)}}}},
+		"pagerank": &plan.PageRank{Damping: 0.85, MaxIter: 1,
+			Edges: &plan.Project{Child: scan, Exprs: []expr.Expr{k, k}, Names: []string{"src", "dst"}}},
+	}
+	for op, p := range plans {
+		for _, workers := range []int{1, 8} {
+			ctx := NewContext()
+			ctx.Workers = workers
+			ctx.SetMemoryLimit(1 << 20)
+			_, err := Run(p, ctx)
+			var re *ResourceError
+			if !errors.As(err, &re) || re.Operator != op {
+				t.Errorf("%s, workers=%d: want *ResourceError naming %q, got %v", op, workers, op, err)
+			}
+		}
 	}
 }
 
@@ -205,9 +251,9 @@ func TestScanProducerLifecycle(t *testing.T) {
 		{"index-scan", index(plan.IndexScan{Eq: &three}), rows / mod},
 		{"index-scan", index(plan.IndexScan{Lo: &two, Hi: &five, LoInc: true}), 3 * rows / mod},
 	}
-	// Two consumers: the executor's Run (Drain re-checks the context per
+	// Two consumers: the executor's Run (drive re-checks the context per
 	// batch), and a bare Open/Next loop that trusts the operator alone — so
-	// a producer reporting cancellation as EOF cannot hide behind Drain.
+	// a producer reporting cancellation as EOF cannot hide behind drive.
 	consumers := map[string]func(plan.Node, *Context) (int, error){
 		"run": func(p plan.Node, ctx *Context) (int, error) {
 			mat, err := Run(p, ctx)
@@ -354,6 +400,122 @@ func TestCancelRacesWorkerPool(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("iteration %d: cancelled query hung", i)
+		}
+	}
+}
+
+// trackedScan stands in for a table scan behind buildHook: it counts the
+// instance's Open and Close calls and, when a countdown is armed, panics in
+// the Next that exhausts it — a panic on the driver's own goroutine, which
+// the scan producer's private containment never sees.
+type trackedScan struct {
+	Operator
+	opens, closes int
+	untilPanic    *atomic.Int64
+}
+
+func (o *trackedScan) Open(ctx *Context) error { o.opens++; return o.Operator.Open(ctx) }
+func (o *trackedScan) Close() error            { o.closes++; return o.Operator.Close() }
+func (o *trackedScan) Next() (*types.Batch, error) {
+	if o.untilPanic.Add(-1) == 0 {
+		panic("injected sink panic")
+	}
+	return o.Operator.Next()
+}
+
+// TestDriveContractForEverySink states the pull loop's contract once, for
+// every sink on it and for the one-part and the morsel-split case: a panic
+// while a batch is pulled becomes an *InternalError, a storage error comes
+// back as itself, cancellation mid-stream comes back as context.Canceled —
+// and on every path, success included, each operator that was opened is
+// closed exactly once.
+func TestDriveContractForEverySink(t *testing.T) {
+	s := storage.NewStore()
+	big := nullableTable(t, s, "big", 60_000, 1000, 0)
+	small := nullableTable(t, s, "small", 100, 100, 0)
+	scan := func(tbl *storage.Table) plan.Node { return plan.NewScan(tbl, tbl.Name(), s.Snapshot()) }
+	k := colRef("k", 0, types.Int64)
+	centers := &plan.Values{Sch: types.Schema{{Name: "k", Type: types.Float64}, {Name: "v", Type: types.Float64}},
+		Rows: [][]types.Value{{types.NewFloat(0), types.NewFloat(0)}, {types.NewFloat(900), types.NewFloat(50_000)}}}
+	hashJoin := func(l, r *storage.Table) plan.Node {
+		return &plan.Join{Type: plan.InnerJoin, L: scan(l), R: scan(r), EquiLeft: []int{0}, EquiRight: []int{0}}
+	}
+	sinks := []struct {
+		name string
+		plan plan.Node
+	}{
+		{"materialise", hashJoin(big, small)}, // the build side is the split input
+		{"join-probe", hashJoin(small, big)},
+		{"aggregate", &plan.Aggregate{Child: scan(big), Keys: []expr.Expr{k}, KeyNames: []string{"k"},
+			Aggs: []plan.AggSpec{{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"}}}},
+		{"sort", &plan.Sort{Child: scan(big), Keys: []plan.SortKey{{Col: 1, Desc: true}}, TopK: -1}},
+		{"top-k", &plan.Sort{Child: scan(big), Keys: []plan.SortKey{{Col: 1, Desc: true}}, TopK: 10}},
+		{"float-matrix", &plan.KMeans{Data: scan(big), Centers: centers, MaxIter: 2, OutNames: []string{"k", "v"}}},
+		{"edges", &plan.PageRank{Damping: 0.85, MaxIter: 2,
+			Edges: &plan.Project{Child: scan(big), Exprs: []expr.Expr{k, k}, Names: []string{"src", "dst"}}}},
+		{"model-application", &plan.KMeansAssign{Data: scan(big), Centers: centers}},
+	}
+
+	var mu sync.Mutex
+	var tracked []*trackedScan
+	var untilPanic atomic.Int64
+	prev := buildHook
+	defer func() { buildHook = prev }()
+	buildHook = func(p plan.Node) (Operator, bool) {
+		if sc, ok := p.(*plan.Scan); ok {
+			o := &trackedScan{Operator: newTableScan(sc), untilPanic: &untilPanic}
+			mu.Lock()
+			tracked = append(tracked, o)
+			mu.Unlock()
+			return o, true
+		}
+		return prev(p)
+	}
+
+	errInjected := errors.New("injected storage error")
+	faults := []struct {
+		name  string
+		arm   func(cancel context.CancelFunc)
+		check func(err error) bool
+	}{
+		{"none", func(context.CancelFunc) {}, func(err error) bool { return err == nil }},
+		{"panic", func(context.CancelFunc) { untilPanic.Store(3) },
+			func(err error) bool { return errors.As(err, new(*InternalError)) }},
+		{"scan-error", func(context.CancelFunc) { faultinject.FailAfter("exec.scan.batch", 3, errInjected) },
+			func(err error) bool { return errors.Is(err, errInjected) }},
+		{"cancel", func(cancel context.CancelFunc) {
+			var batches atomic.Int64
+			faultinject.Set("exec.scan.batch", func() error {
+				if batches.Add(1) == 3 {
+					cancel()
+				}
+				return nil
+			})
+		}, func(err error) bool { return errors.Is(err, context.Canceled) }},
+	}
+	for _, sk := range sinks {
+		for _, workers := range []int{1, 8} {
+			for _, f := range faults {
+				t.Run(fmt.Sprintf("%s/workers=%d/%s", sk.name, workers, f.name), func(t *testing.T) {
+					defer faultinject.Reset()
+					tracked = nil
+					untilPanic.Store(0)
+					ctx, cancel := lifecycleCtx(workers)
+					defer cancel()
+					f.arm(cancel)
+					if _, err := Run(sk.plan, ctx); !f.check(err) {
+						t.Fatalf("unexpected outcome: %v", err)
+					}
+					if len(tracked) == 0 {
+						t.Fatal("no scan was built through the hook")
+					}
+					for i, o := range tracked {
+						if o.opens > 1 || o.closes != o.opens {
+							t.Errorf("scan instance %d: opened %d times, closed %d times", i, o.opens, o.closes)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -7,10 +7,13 @@ import (
 )
 
 // memAccountant tracks the bytes a query holds in materializations against
-// a configured budget. Charges come from the points where the executor
-// retains data — Drain output, hash-join build tables, sort runs, and
-// ITERATE working tables — so a runaway query fails with a typed
-// ResourceError instead of driving the process out of memory. The counter
+// a configured budget. The rule: the sink that retains data charges it —
+// materialized batches, hash-join tables and probe output, sort runs,
+// aggregation tables, the analytical operators' matrices and edge arrays —
+// and whoever drops retained state (ITERATE's previous working table, an
+// aggregation table or matrix once its operator has produced its output)
+// releases it, so a runaway query fails with a typed ResourceError instead
+// of driving the process out of memory. The counter
 // is a conservative high-water estimate: pipelined stages that hand a
 // materialization to their parent may be counted at both levels.
 type memAccountant struct {

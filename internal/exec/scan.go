@@ -75,8 +75,8 @@ func (s *producerScan) Open(ctx *Context) error {
 	cancelled := ctx.doneCh()
 	go func() {
 		defer close(s.batches)
-		// The producer runs outside the Drain/runParts containment
-		// boundaries, so it carries its own: a panic here becomes an
+		// The producer runs outside drive's containment boundary (a
+		// goroutine of its own), so it carries its own: a panic here becomes an
 		// *InternalError on errCh instead of killing the process.
 		err := func() (err error) {
 			defer containPanic(s.label, &err)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lambdadb/internal/faultinject"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/types"
 )
@@ -11,11 +12,12 @@ import (
 // ---------------------------------------------------------------------------
 // Parallel-pipeline driver
 //
-// Morsel-style parallelism shared by aggregation, hash join, sort, and the
-// analytical operators' input materialization: a pipeline rooted at a
-// base-table Scan (or a bound working table) is cloned into row-range
-// morsels and the clones run on a bounded worker pool. Results are indexed
-// by part, so output order is deterministic regardless of scheduling.
+// Morsel-style parallelism shared by every blocking operator: a pipeline
+// rooted at a base-table Scan (or a bound working table) is cloned into
+// row-range morsels (partsOf) and the clones run on a bounded worker pool
+// (runParts), each pulled to exhaustion into a per-part sink (drive).
+// Results are indexed by part, so output order is deterministic regardless
+// of scheduling.
 // ---------------------------------------------------------------------------
 
 // minRowsPerWorker is the smallest morsel worth a goroutine; below twice
@@ -114,38 +116,95 @@ func runParts(ctx *Context, n int, fn func(i int) error) error {
 	return nil
 }
 
-// drainParts builds and drains one cloned pipeline per part on the worker
-// pool, returning the materialized results in part order.
-func drainParts(parts []plan.Node, ctx *Context) ([]*Materialized, error) {
-	mats := make([]*Materialized, len(parts))
-	err := runParts(ctx, len(parts), func(i int) error {
+// partsOf returns p's row-range morsels, or p itself as the only part when
+// it does not split.
+func partsOf(p plan.Node, ctx *Context) []plan.Node {
+	if parts := splitParallel(p, ctx.workers(), ctx); len(parts) > 1 {
+		return parts
+	}
+	return []plan.Node{p}
+}
+
+// sink consumes the batches of one part of a driven pipeline. A sink
+// charges what it retains against the query budget; whoever later drops
+// that state releases it.
+type sink interface {
+	consume(b *types.Batch) error
+}
+
+// drive is the executor's one pull loop; every place that runs a pipeline
+// to exhaustion is a sink on it. Each part is built for ctx, opened, pulled
+// until exhausted — firing the fault point (when named) and checking
+// cancellation before every Next — and closed exactly once, on the worker
+// pool and under its panic containment; one part is simply the serial case.
+// Sinks come back in part order, which for morsels is serial scan order.
+func drive[S sink](ctx *Context, parts []plan.Node, fault string, newSink func(op Operator) (S, error)) ([]S, error) {
+	sinks := make([]S, len(parts))
+	err := runParts(ctx, len(parts), func(i int) (err error) {
 		op, err := buildFor(parts[i], ctx)
 		if err != nil {
 			return err
 		}
-		mats[i], err = Drain(op, ctx)
+		defer containPanic(opLabel(op), &err)
+		defer func() {
+			if cerr := op.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		if err := op.Open(ctx); err != nil {
+			return err
+		}
+		if sinks[i], err = newSink(op); err != nil {
+			return err
+		}
+		for {
+			if fault != "" {
+				if err := faultinject.Fire(fault); err != nil {
+					return err
+				}
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			b, err := op.Next()
+			if err != nil || b == nil {
+				return err
+			}
+			if err := sinks[i].consume(b); err != nil {
+				return err
+			}
+		}
+	})
+	return sinks, err
+}
+
+// matSink retains every batch, charged under the producing operator's
+// label.
+type matSink struct {
+	ctx   *Context
+	label string
+	mat   Materialized
+}
+
+func (s *matSink) consume(b *types.Batch) error {
+	if err := s.ctx.charge(s.label, batchBytes(b)); err != nil {
 		return err
+	}
+	s.mat.Append(b)
+	return nil
+}
+
+// materialize drives parts into one relation, batches in part order.
+func materialize(parts []plan.Node, ctx *Context) (*Materialized, error) {
+	sinks, err := drive(ctx, parts, "", func(op Operator) (*matSink, error) {
+		return &matSink{ctx: ctx, label: opLabel(op), mat: Materialized{Schema: op.Schema()}}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return mats, nil
-}
-
-// drainPipeline materializes a plan, splitting it across the worker pool
-// when possible. Batch order matches the serial scan order.
-func drainPipeline(p plan.Node, ctx *Context) (*Materialized, error) {
-	parts := splitParallel(p, ctx.workers(), ctx)
-	if len(parts) == 0 {
-		return Run(p, ctx)
-	}
-	mats, err := drainParts(parts, ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := &Materialized{Schema: p.Schema()}
-	for _, m := range mats {
-		for _, b := range m.Batches {
+	out := &sinks[0].mat
+	for _, s := range sinks[1:] {
+		for _, b := range s.mat.Batches {
 			out.Append(b)
 		}
 	}
@@ -174,42 +233,28 @@ type sharedEntry struct {
 	err  error
 }
 
-// sharedOp serves a Shared plan node from the context cache, computing it
-// on first use within the relevant epoch.
-type sharedOp struct {
-	node *plan.Shared
-	it   matIterator
+// newSharedOp serves a Shared plan node from the context cache, computing
+// it on first use within the relevant epoch.
+func newSharedOp(n *plan.Shared) *blockingOp {
+	return &blockingOp{label: "shared", schema: n.Schema(), compute: func(ctx *Context) (*Materialized, error) {
+		key := sharedKey{node: n}
+		if !n.Invariant {
+			key.epoch = ctx.epoch
+		}
+		c := &ctx.shared
+		c.mu.Lock()
+		if c.entries == nil {
+			c.entries = map[sharedKey]*sharedEntry{}
+		}
+		e, ok := c.entries[key]
+		if !ok {
+			e = &sharedEntry{}
+			c.entries[key] = e
+		}
+		c.mu.Unlock()
+		e.once.Do(func() {
+			e.mat, e.err = Run(n.Child, ctx)
+		})
+		return e.mat, e.err
+	}}
 }
-
-func newSharedOp(n *plan.Shared) *sharedOp { return &sharedOp{node: n} }
-
-func (s *sharedOp) Schema() types.Schema { return s.node.Schema() }
-
-func (s *sharedOp) Open(ctx *Context) error {
-	key := sharedKey{node: s.node}
-	if !s.node.Invariant {
-		key.epoch = ctx.epoch
-	}
-	c := &ctx.shared
-	c.mu.Lock()
-	if c.entries == nil {
-		c.entries = map[sharedKey]*sharedEntry{}
-	}
-	e, ok := c.entries[key]
-	if !ok {
-		e = &sharedEntry{}
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.mat, e.err = Run(s.node.Child, ctx)
-	})
-	if e.err != nil {
-		return e.err
-	}
-	s.it = matIterator{mat: e.mat}
-	return nil
-}
-
-func (s *sharedOp) Next() (*types.Batch, error) { return s.it.next(), nil }
-func (s *sharedOp) Close() error                { return nil }

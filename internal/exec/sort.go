@@ -8,28 +8,16 @@ import (
 	"lambdadb/internal/types"
 )
 
-// sortOp materializes its input and emits it in key order. When the input
-// pipeline is splittable it runs morsel-parallel: each worker produces a
-// sorted run (or a bounded top-k heap when the optimizer fused a LIMIT),
-// and the runs meet in a k-way loser-tree merge. Inputs that cannot be
-// split (join results, aggregates) are drained serially but still sorted
-// with parallel chunk runs plus the same merge.
-type sortOp struct {
-	node   *plan.Sort
-	schema types.Schema
-	it     matIterator
-}
-
-func newSortOp(n *plan.Sort) (Operator, error) {
-	return &sortOp{node: n, schema: n.Schema()}, nil
-}
-
-func (s *sortOp) Schema() types.Schema { return s.schema }
-
-func (s *sortOp) Open(ctx *Context) error {
-	keys := s.node.Keys
+// newSortOp materializes its input and emits it in key order. Each part of
+// the input becomes a run — every row, or with a fused LIMIT the best k
+// rows of a bounded heap, so ORDER BY ... LIMIT never materializes the full
+// input; an input that arrives as one part (join results, aggregates) is
+// cut into contiguous chunk runs. Runs are sorted on the worker pool and
+// meet in a k-way loser-tree merge.
+func newSortOp(n *plan.Sort) *blockingOp {
+	schema := n.Schema()
 	less := func(a, b []types.Value) bool {
-		for _, k := range keys {
+		for _, k := range n.Keys {
 			c := a[k.Col].Compare(b[k.Col])
 			if c == 0 {
 				continue
@@ -41,54 +29,20 @@ func (s *sortOp) Open(ctx *Context) error {
 		}
 		return false
 	}
-	workers := ctx.workers()
-	topK := s.node.TopK
-
-	var runs [][][]types.Value
-	if parts := splitParallel(s.node.Child, workers, ctx); len(parts) > 1 {
-		// Parallel run generation: one sorted run per morsel. With a fused
-		// top-k each worker streams its morsel through a private bounded
-		// heap, so ORDER BY ... LIMIT never materializes the full input.
-		runs = make([][][]types.Value, len(parts))
-		err := runParts(ctx, len(parts), func(i int) error {
-			if err := faultinject.Fire("exec.sort.run"); err != nil {
-				return err
-			}
-			op, err := buildFor(parts[i], ctx)
-			if err != nil {
-				return err
-			}
-			rows, err := drainSorted(op, ctx, topK, less)
-			if err != nil {
-				return err
-			}
-			runs[i] = rows
-			return nil
+	return &blockingOp{label: "sort", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
+		sinks, err := drive(ctx, partsOf(n.Child, ctx), "", func(Operator) (*sortSink, error) {
+			return &sortSink{ctx: ctx, k: n.TopK, heap: rowHeap{less: less}}, nil
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-	} else if topK >= 0 {
-		// Serial streamed top-k (unsplittable input): bounded heap, then
-		// sort the survivors.
-		op, err := buildFor(s.node.Child, ctx)
-		if err != nil {
-			return err
+		runs := make([][][]types.Value, len(sinks))
+		for i, s := range sinks {
+			runs[i] = s.heap.rows
 		}
-		rows, err := drainSorted(op, ctx, topK, less)
-		if err != nil {
-			return err
+		if len(runs) == 1 && n.TopK < 0 {
+			runs = chunkRuns(runs[0], ctx.workers())
 		}
-		runs = [][][]types.Value{rows}
-	} else {
-		// Full sort of an unsplittable input: drain serially, then sort
-		// contiguous chunks on the worker pool and merge.
-		mat, err := Run(s.node.Child, ctx)
-		if err != nil {
-			return err
-		}
-		rows := mat.Rows()
-		runs = chunkRuns(rows, workers)
 		err = runParts(ctx, len(runs), func(i int) error {
 			if err := faultinject.Fire("exec.sort.run"); err != nil {
 				return err
@@ -98,82 +52,49 @@ func (s *sortOp) Open(ctx *Context) error {
 			return nil
 		})
 		if err != nil {
+			return nil, err
+		}
+		rows := mergeRuns(runs, less)
+		if n.TopK >= 0 && int64(len(rows)) > n.TopK {
+			rows = rows[:n.TopK]
+		}
+		out := &Materialized{Schema: schema}
+		for _, r := range rows {
+			out.AppendRow(r)
+		}
+		return out, nil
+	}}
+}
+
+// sortSink collects one part's rows as an unsorted run. With k >= 0 the rows
+// stream through a bounded max-heap whose root is the worst kept row, so
+// only k rows are ever held; fully-retained runs (k < 0) are charged against
+// the query memory budget per input batch.
+type sortSink struct {
+	ctx  *Context
+	k    int64
+	heap rowHeap // k < 0: plain append order, no heap property
+}
+
+func (s *sortSink) consume(b *types.Batch) error {
+	if s.k < 0 {
+		if err := s.ctx.charge("sort", batchBytes(b)); err != nil {
 			return err
 		}
 	}
-
-	rows := mergeRuns(runs, less)
-	if topK >= 0 && int64(len(rows)) > topK {
-		rows = rows[:topK]
-	}
-
-	out := &Materialized{Schema: s.schema}
-	batch := types.NewBatch(s.schema)
-	for _, r := range rows {
-		batch.AppendRow(r)
-		if batch.Len() >= types.BatchSize {
-			out.Append(batch)
-			batch = types.NewBatch(s.schema)
+	n := b.Len()
+	for i := 0; i < n; i++ {
+		row := b.Row(i)
+		switch {
+		case s.k < 0:
+			s.heap.rows = append(s.heap.rows, row)
+		case int64(len(s.heap.rows)) < s.k:
+			s.heap.push(row)
+		case s.k > 0 && s.heap.less(row, s.heap.rows[0]):
+			s.heap.replaceTop(row)
 		}
 	}
-	out.Append(batch)
-	s.it = matIterator{mat: out}
 	return nil
-}
-
-// drainSorted opens and drains op into a sorted row run. With k >= 0 the
-// rows stream through a bounded max-heap whose root is the worst kept row,
-// so only k rows are ever held. Fully-retained runs (k < 0) are charged
-// against the query memory budget per input batch.
-func drainSorted(op Operator, ctx *Context, k int64, less func(a, b []types.Value) bool) ([][]types.Value, error) {
-	if err := op.Open(ctx); err != nil {
-		op.Close()
-		return nil, err
-	}
-	var rows [][]types.Value
-	h := &rowHeap{less: less}
-	for {
-		if err := ctx.Err(); err != nil {
-			op.Close()
-			return nil, err
-		}
-		b, err := op.Next()
-		if err != nil {
-			op.Close()
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if k < 0 {
-			if err := ctx.charge("sort", batchBytes(b)); err != nil {
-				op.Close()
-				return nil, err
-			}
-		}
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			if k < 0 {
-				rows = append(rows, row)
-				continue
-			}
-			switch {
-			case int64(len(h.rows)) < k:
-				h.push(row)
-			case k > 0 && less(row, h.rows[0]):
-				h.replaceTop(row)
-			}
-		}
-	}
-	if err := op.Close(); err != nil {
-		return nil, err
-	}
-	if k >= 0 {
-		rows = h.rows
-	}
-	sort.SliceStable(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
-	return rows, nil
 }
 
 // chunkRuns splits rows into at most `workers` contiguous chunks of at
@@ -202,9 +123,6 @@ func chunkRuns(rows [][]types.Value, workers int) [][][]types.Value {
 	}
 	return out
 }
-
-func (s *sortOp) Next() (*types.Batch, error) { return s.it.next(), nil }
-func (s *sortOp) Close() error                { return nil }
 
 // limitOp skips Offset rows and passes through at most N.
 type limitOp struct {

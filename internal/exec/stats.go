@@ -149,37 +149,20 @@ func (sc *StatsCollector) AddIteration(node plan.Node, it IterationStat) {
 	r.iterations = append(r.iterations, it)
 }
 
-// aliasPipeline registers a morsel clone's spine (Filter/Project/Alias down
-// to the Scan or WorkingScan leaf) as aliases of the original pipeline, so
+// aliasPipeline registers a morsel clone's spine (single-child nodes down to
+// the Scan or WorkingScan leaf) as aliases of the original pipeline, so
 // per-part operator wrappers merge into the original nodes' records.
 // ClonePipeline produces a shape-identical spine, which this walk relies on.
 func (sc *StatsCollector) aliasPipeline(orig, clone plan.Node) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	for orig != nil && clone != nil && orig != clone {
+	for orig != clone {
 		sc.alias[clone] = orig
-		switch o := orig.(type) {
-		case *plan.Filter:
-			c, ok := clone.(*plan.Filter)
-			if !ok {
-				return
-			}
-			orig, clone = o.Child, c.Child
-		case *plan.Project:
-			c, ok := clone.(*plan.Project)
-			if !ok {
-				return
-			}
-			orig, clone = o.Child, c.Child
-		case *plan.Alias:
-			c, ok := clone.(*plan.Alias)
-			if !ok {
-				return
-			}
-			orig, clone = o.Child, c.Child
-		default:
+		oc, cc := orig.Children(), clone.Children()
+		if len(oc) != 1 || len(cc) != 1 {
 			return
 		}
+		orig, clone = oc[0], cc[0]
 	}
 }
 

@@ -174,7 +174,7 @@ func checkHistogramBuckets(t *testing.T, samples map[string][]string) {
 
 // BenchmarkRenderMetrics is the cost of one Prometheus scrape against a
 // populated engine. It never takes a query lock, but it should stay cheap
-// enough to scrape every few seconds. See BENCH_obs.json.
+// enough to scrape every few seconds (printed by make bench-obs).
 func BenchmarkRenderMetrics(b *testing.B) {
 	db := engine.Open()
 	defer db.Close()

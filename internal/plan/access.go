@@ -147,47 +147,7 @@ func reorderJoins(n Node) Node {
 			return nj
 		}
 	}
-	switch t := n.(type) {
-	case *Filter:
-		t.Child = reorderJoins(t.Child)
-	case *Project:
-		t.Child = reorderJoins(t.Child)
-	case *Alias:
-		t.Child = reorderJoins(t.Child)
-	case *Shared:
-		t.Child = reorderJoins(t.Child)
-	case *Join:
-		t.L = reorderJoins(t.L)
-		t.R = reorderJoins(t.R)
-	case *Aggregate:
-		t.Child = reorderJoins(t.Child)
-	case *Sort:
-		t.Child = reorderJoins(t.Child)
-	case *Limit:
-		t.Child = reorderJoins(t.Child)
-	case *Distinct:
-		t.Child = reorderJoins(t.Child)
-	case *Union:
-		t.L = reorderJoins(t.L)
-		t.R = reorderJoins(t.R)
-	case *RecursiveCTE:
-		t.Init = reorderJoins(t.Init)
-		t.Rec = reorderJoins(t.Rec)
-	case *Iterate:
-		t.Init = reorderJoins(t.Init)
-		t.Step = reorderJoins(t.Step)
-		t.Stop = reorderJoins(t.Stop)
-	case *KMeans:
-		t.Data = reorderJoins(t.Data)
-		t.Centers = reorderJoins(t.Centers)
-	case *PageRank:
-		t.Edges = reorderJoins(t.Edges)
-	case *NaiveBayesTrain:
-		t.Data = reorderJoins(t.Data)
-	case *NaiveBayesPredict:
-		t.Model = reorderJoins(t.Model)
-		t.Data = reorderJoins(t.Data)
-	}
+	mapChildren(n, reorderJoins)
 	return n
 }
 

@@ -1,7 +1,5 @@
 package plan
 
-import "fmt"
-
 // Morsel splitting: a pipeline rooted at a base-table Scan (or at a
 // WorkingScan over a bound working table) can be cloned into row-range
 // restricted copies, one per morsel, which the executor runs on a worker
@@ -12,48 +10,29 @@ import "fmt"
 // root of a Filter/Project/Alias pipeline, or nil when the pipeline is not
 // splittable.
 func MorselLeaf(p Node) Node {
-	switch n := p.(type) {
-	case *Scan:
-		return n
-	case *WorkingScan:
-		return n
-	case *Filter:
-		return MorselLeaf(n.Child)
-	case *Project:
-		return MorselLeaf(n.Child)
-	case *Alias:
-		return MorselLeaf(n.Child)
+	switch p.(type) {
+	case *Scan, *WorkingScan:
+		return p
+	case *Filter, *Project, *Alias:
+		return MorselLeaf(p.Children()[0])
 	}
 	return nil
 }
 
-// ClonePipeline copies a Filter/Project/Alias chain with the leaf scan
-// restricted to [lo, hi). Expressions are shared; they are immutable after
-// planning.
+// ClonePipeline copies a splittable pipeline (MorselLeaf(p) != nil) with the
+// leaf scan restricted to [lo, hi). Expressions are shared; they are
+// immutable after planning.
 func ClonePipeline(p Node, lo, hi int) Node {
-	switch n := p.(type) {
+	c := shallowCopy(p)
+	switch leaf := c.(type) {
 	case *Scan:
-		c := *n
-		c.Lo, c.Hi = lo, hi
-		return &c
+		leaf.Lo, leaf.Hi = lo, hi
 	case *WorkingScan:
-		c := *n
-		c.Lo, c.Hi = lo, hi
-		return &c
-	case *Filter:
-		c := *n
-		c.Child = ClonePipeline(n.Child, lo, hi)
-		return &c
-	case *Project:
-		c := *n
-		c.Child = ClonePipeline(n.Child, lo, hi)
-		return &c
-	case *Alias:
-		c := *n
-		c.Child = ClonePipeline(n.Child, lo, hi)
-		return &c
+		leaf.Lo, leaf.Hi = lo, hi
+	default:
+		mapChildren(c, func(ch Node) Node { return ClonePipeline(ch, lo, hi) })
 	}
-	panic(fmt.Sprintf("plan.ClonePipeline: unexpected node %T", p))
+	return c
 }
 
 // SplitPipeline clones p into row-range morsels covering [0, rows). It

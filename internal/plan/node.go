@@ -581,6 +581,105 @@ func (n *NaiveBayesPredict) Card() float64    { return n.Data.Card() }
 func (n *NaiveBayesPredict) Children() []Node { return []Node{n.Model, n.Data} }
 func (n *NaiveBayesPredict) Explain() string  { return "NaiveBayesPredict" }
 
+// mapChildren replaces every child of n with fn(child), in place and in
+// Children() order. It is the one place that names each node type's child
+// fields: optimizer passes, Rebind and morsel cloning all walk plans through
+// it, so a new node type is wired into every pass by one case here (and one
+// in shallowCopy). Leaves and node types it does not know are left alone.
+func mapChildren(n Node, fn func(Node) Node) {
+	switch t := n.(type) {
+	case *Filter:
+		t.Child = fn(t.Child)
+	case *Project:
+		t.Child = fn(t.Child)
+	case *Alias:
+		t.Child = fn(t.Child)
+	case *Shared:
+		t.Child = fn(t.Child)
+	case *Join:
+		t.L, t.R = fn(t.L), fn(t.R)
+	case *Aggregate:
+		t.Child = fn(t.Child)
+	case *Sort:
+		t.Child = fn(t.Child)
+	case *Limit:
+		t.Child = fn(t.Child)
+	case *Distinct:
+		t.Child = fn(t.Child)
+	case *Union:
+		t.L, t.R = fn(t.L), fn(t.R)
+	case *RecursiveCTE:
+		t.Init, t.Rec = fn(t.Init), fn(t.Rec)
+	case *Iterate:
+		t.Init, t.Step, t.Stop = fn(t.Init), fn(t.Step), fn(t.Stop)
+	case *KMeans:
+		t.Data, t.Centers = fn(t.Data), fn(t.Centers)
+	case *KMeansAssign:
+		t.Data, t.Centers = fn(t.Data), fn(t.Centers)
+	case *PageRank:
+		t.Edges = fn(t.Edges)
+	case *NaiveBayesTrain:
+		t.Data = fn(t.Data)
+	case *NaiveBayesPredict:
+		t.Model, t.Data = fn(t.Model), fn(t.Data)
+	}
+}
+
+// shallowCopy returns a copy of n that shares n's children and expressions,
+// or nil for a node type it does not know.
+func shallowCopy(n Node) Node {
+	switch t := n.(type) {
+	case *Scan:
+		return copyOf(t)
+	case *IndexScan:
+		return copyOf(t)
+	case *WorkingScan:
+		return copyOf(t)
+	case *Values:
+		return copyOf(t)
+	case *Filter:
+		return copyOf(t)
+	case *Project:
+		return copyOf(t)
+	case *Alias:
+		return copyOf(t)
+	case *Shared:
+		return copyOf(t)
+	case *Join:
+		return copyOf(t)
+	case *Aggregate:
+		return copyOf(t)
+	case *Sort:
+		return copyOf(t)
+	case *Limit:
+		return copyOf(t)
+	case *Distinct:
+		return copyOf(t)
+	case *Union:
+		return copyOf(t)
+	case *RecursiveCTE:
+		return copyOf(t)
+	case *Iterate:
+		return copyOf(t)
+	case *KMeans:
+		return copyOf(t)
+	case *KMeansAssign:
+		return copyOf(t)
+	case *PageRank:
+		return copyOf(t)
+	case *NaiveBayesTrain:
+		return copyOf(t)
+	case *NaiveBayesPredict:
+		return copyOf(t)
+	}
+	return nil
+}
+
+func copyOf[T any](p *T) *T {
+	c := *p
+	return &c
+}
+
 // ExplainTree renders a plan as an indented tree.
 func ExplainTree(n Node) string {
 	var sb strings.Builder

@@ -120,52 +120,12 @@ func pushFilterThroughProject(n Node) Node {
 	return p
 }
 
-// rewriteTree applies fn bottom-up over the plan.
+// rewriteTree applies fn bottom-up over the plan, in place. A Shared
+// subtree is visited once per reference; the rules are idempotent, and
+// filters never push across the Shared boundary, so repeated application is
+// safe.
 func rewriteTree(n Node, fn func(Node) Node) Node {
-	switch t := n.(type) {
-	case *Filter:
-		t.Child = rewriteTree(t.Child, fn)
-	case *Project:
-		t.Child = rewriteTree(t.Child, fn)
-	case *Alias:
-		t.Child = rewriteTree(t.Child, fn)
-	case *Shared:
-		// Shared subtrees are visited once per reference; the rules are
-		// idempotent, and filters never push across the Shared boundary,
-		// so repeated application is safe.
-		t.Child = rewriteTree(t.Child, fn)
-	case *Join:
-		t.L = rewriteTree(t.L, fn)
-		t.R = rewriteTree(t.R, fn)
-	case *Aggregate:
-		t.Child = rewriteTree(t.Child, fn)
-	case *Sort:
-		t.Child = rewriteTree(t.Child, fn)
-	case *Limit:
-		t.Child = rewriteTree(t.Child, fn)
-	case *Distinct:
-		t.Child = rewriteTree(t.Child, fn)
-	case *Union:
-		t.L = rewriteTree(t.L, fn)
-		t.R = rewriteTree(t.R, fn)
-	case *RecursiveCTE:
-		t.Init = rewriteTree(t.Init, fn)
-		t.Rec = rewriteTree(t.Rec, fn)
-	case *Iterate:
-		t.Init = rewriteTree(t.Init, fn)
-		t.Step = rewriteTree(t.Step, fn)
-		t.Stop = rewriteTree(t.Stop, fn)
-	case *KMeans:
-		t.Data = rewriteTree(t.Data, fn)
-		t.Centers = rewriteTree(t.Centers, fn)
-	case *PageRank:
-		t.Edges = rewriteTree(t.Edges, fn)
-	case *NaiveBayesTrain:
-		t.Data = rewriteTree(t.Data, fn)
-	case *NaiveBayesPredict:
-		t.Model = rewriteTree(t.Model, fn)
-		t.Data = rewriteTree(t.Data, fn)
-	}
+	mapChildren(n, func(c Node) Node { return rewriteTree(c, fn) })
 	return fn(n)
 }
 

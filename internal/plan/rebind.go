@@ -9,7 +9,8 @@ import (
 
 // Rebind deep-clones a plan so a cached template can be executed again:
 // every node is copied (optimizer passes and the executor may annotate nodes
-// in place, so cached templates are never run directly), scans are stamped
+// in place, so cached templates are never run directly; a node type the
+// child-mapper does not know fails the rebind), scans are stamped
 // with a fresh snapshot, and $N parameter placeholders are substituted with
 // the bound argument values. args[i] binds $i+1; values are coerced to the
 // type inference stamped on each placeholder occurrence.
@@ -32,7 +33,7 @@ type rebinder struct {
 	err      error
 	// shared memoizes Shared-node clones: a CTE referenced twice must stay
 	// one node after cloning, or its materialization would run twice.
-	shared map[*Shared]*Shared
+	shared map[Node]Node
 }
 
 func (r *rebinder) fail(err error) {
@@ -91,167 +92,73 @@ func (r *rebinder) exprs(es []expr.Expr) []expr.Expr {
 	return out
 }
 
+// node copies one node — a struct copy, then the few fields that differ per
+// execution — and rebinds its children through mapChildren.
 func (r *rebinder) node(n Node) Node {
 	if n == nil || r.err != nil {
 		return n
 	}
-	switch t := n.(type) {
-	case *Scan:
-		c := *t
-		c.Snapshot = r.snapshot
-		return &c
-
-	case *IndexScan:
-		c := *t
-		c.Snapshot = r.snapshot
-		if c.EqParam > 0 {
-			if c.EqParam > len(r.args) {
-				r.fail(fmt.Errorf("no argument bound for parameter $%d", c.EqParam))
-				return &c
-			}
-			key := r.args[c.EqParam-1]
-			// Coerce against the indexed column's declared type so the
-			// probe key compares like a stored value.
-			schema := c.Rel.Schema()
-			for _, ci := range schema {
-				if ci.Name == c.Column {
-					v, err := bindParamValue(key, ci.Type, c.EqParam)
-					if err != nil {
-						r.fail(err)
-						return &c
-					}
-					key = v
-					break
-				}
-			}
-			c.Eq = &key
-			c.EqParam = 0
-		}
-		return &c
-
-	case *WorkingScan:
-		c := *t
-		return &c
-
-	case *Values:
-		c := *t
-		return &c
-
-	case *Filter:
-		c := *t
-		c.Child = r.node(t.Child)
-		c.Pred = r.expr(t.Pred)
-		return &c
-
-	case *Project:
-		c := *t
-		c.Child = r.node(t.Child)
-		c.Exprs = r.exprs(t.Exprs)
-		return &c
-
-	case *Join:
-		c := *t
-		c.L = r.node(t.L)
-		c.R = r.node(t.R)
-		c.On = r.expr(t.On)
-		c.Residual = r.expr(t.Residual)
-		return &c
-
-	case *Aggregate:
-		c := *t
-		c.Child = r.node(t.Child)
-		c.Keys = r.exprs(t.Keys)
-		if len(r.args) > 0 && t.Aggs != nil {
-			aggs := make([]AggSpec, len(t.Aggs))
-			copy(aggs, t.Aggs)
-			for i := range aggs {
-				aggs[i].Arg = r.expr(aggs[i].Arg)
-			}
-			c.Aggs = aggs
-		}
-		return &c
-
-	case *Sort:
-		c := *t
-		c.Child = r.node(t.Child)
-		return &c
-
-	case *Limit:
-		c := *t
-		c.Child = r.node(t.Child)
-		return &c
-
-	case *Distinct:
-		c := *t
-		c.Child = r.node(t.Child)
-		return &c
-
-	case *Union:
-		c := *t
-		c.L = r.node(t.L)
-		c.R = r.node(t.R)
-		return &c
-
-	case *RecursiveCTE:
-		c := *t
-		c.Init = r.node(t.Init)
-		c.Rec = r.node(t.Rec)
-		return &c
-
-	case *Iterate:
-		c := *t
-		c.Init = r.node(t.Init)
-		c.Step = r.node(t.Step)
-		c.Stop = r.node(t.Stop)
-		return &c
-
-	case *KMeans:
-		c := *t
-		c.Data = r.node(t.Data)
-		c.Centers = r.node(t.Centers)
-		return &c
-
-	case *KMeansAssign:
-		c := *t
-		c.Data = r.node(t.Data)
-		c.Centers = r.node(t.Centers)
-		return &c
-
-	case *PageRank:
-		c := *t
-		c.Edges = r.node(t.Edges)
-		return &c
-
-	case *NaiveBayesTrain:
-		c := *t
-		c.Data = r.node(t.Data)
-		return &c
-
-	case *NaiveBayesPredict:
-		c := *t
-		c.Model = r.node(t.Model)
-		c.Data = r.node(t.Data)
-		return &c
-
-	case *Alias:
-		c := *t
-		c.Child = r.node(t.Child)
-		return &c
-
-	case *Shared:
-		if c, ok := r.shared[t]; ok {
-			return c
-		}
-		c := &Shared{Invariant: t.Invariant}
-		if r.shared == nil {
-			r.shared = map[*Shared]*Shared{}
-		}
-		r.shared[t] = c
-		c.Child = r.node(t.Child)
+	if c, ok := r.shared[n]; ok {
 		return c
-
-	default:
+	}
+	c := shallowCopy(n)
+	switch t := c.(type) {
+	case nil:
 		r.fail(fmt.Errorf("cannot rebind plan node %T", n))
 		return n
+	case *Scan:
+		t.Snapshot = r.snapshot
+	case *IndexScan:
+		t.Snapshot = r.snapshot
+		r.bindProbe(t)
+	case *Filter:
+		t.Pred = r.expr(t.Pred)
+	case *Project:
+		t.Exprs = r.exprs(t.Exprs)
+	case *Join:
+		t.On = r.expr(t.On)
+		t.Residual = r.expr(t.Residual)
+	case *Aggregate:
+		t.Keys = r.exprs(t.Keys)
+		if len(r.args) > 0 && t.Aggs != nil {
+			t.Aggs = append([]AggSpec(nil), t.Aggs...)
+			for i := range t.Aggs {
+				t.Aggs[i].Arg = r.expr(t.Aggs[i].Arg)
+			}
+		}
+	case *Shared:
+		if r.shared == nil {
+			r.shared = map[Node]Node{}
+		}
+		r.shared[n] = t
 	}
+	mapChildren(c, r.node)
+	return c
+}
+
+// bindProbe fills an EqParam probe's key from the bound argument, coerced
+// against the indexed column's declared type so the key compares like a
+// stored value.
+func (r *rebinder) bindProbe(s *IndexScan) {
+	if s.EqParam <= 0 {
+		return
+	}
+	if s.EqParam > len(r.args) {
+		r.fail(fmt.Errorf("no argument bound for parameter $%d", s.EqParam))
+		return
+	}
+	key := r.args[s.EqParam-1]
+	for _, ci := range s.Rel.Schema() {
+		if ci.Name == s.Column {
+			v, err := bindParamValue(key, ci.Type, s.EqParam)
+			if err != nil {
+				r.fail(err)
+				return
+			}
+			key = v
+			break
+		}
+	}
+	s.Eq = &key
+	s.EqParam = 0
 }

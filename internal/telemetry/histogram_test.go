@@ -261,7 +261,7 @@ func TestHistogramSummaries(t *testing.T) {
 }
 
 // BenchmarkHistogramRecord is the hot-path cost every statement pays:
-// bucket index + two atomic adds. See BENCH_obs.json for the baseline.
+// bucket index + two atomic adds (~10 ns; printed by make bench-obs).
 func BenchmarkHistogramRecord(b *testing.B) {
 	var h Histogram
 	for i := 0; i < b.N; i++ {
