@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint vet build test race bench-api bench overhead server-smoke crash chaos-repl chaos-cluster bench-wal bench-obs fuzz-smoke bench-prepared
+.PHONY: check lint vet build test race bench-api bench bench-pair overhead server-smoke crash chaos-repl chaos-cluster bench-wal bench-obs fuzz-smoke bench-prepared
 
 ## check: everything CI runs except server-smoke — lint, build, full tests, race, telemetry-overhead smoke, benchmark-module API check
 check: lint build test race overhead bench-api
@@ -44,9 +44,14 @@ bench-obs:
 	$(GO) test ./internal/telemetry/ -run xxx -bench 'BenchmarkHistogram' -benchtime 2s
 	$(GO) test ./internal/obs/ -run xxx -bench 'BenchmarkRenderMetrics' -benchtime 2s
 
-## bench: print the parallel-operator scaling micro-benchmarks; the recorded number is lambdabench's exec.speedup_workers (cmd/lambdabench/BASELINE.json)
+## bench: print the parallel-operator scaling micro-benchmarks and the hash operators' ns/row (BenchmarkHashAgg, BenchmarkHashJoin); print-only — the recorded numbers are lambdabench's exec.speedup_workers, exec.agg_ms and exec.join_ms (cmd/lambdabench/BASELINE.json)
 bench:
-	$(GO) test ./internal/exec/ -run xxx -bench 'BenchmarkParallel(Join|Sort|TopK|Agg)Scaling' -benchtime 3x
+	$(GO) test ./internal/exec/ -run xxx -bench 'BenchmarkParallel(Join|Sort|TopK|Agg)Scaling|BenchmarkHash(Agg|Join)' -benchtime 3x
+
+## bench-pair: PAIRS (default 10) alternating runs of revision BASE against the working tree on WORKLOAD (a BENCHMARK.json workload, or all), then lambdabench -compare; e.g. make bench-pair WORKLOAD=scan_agg BASE=HEAD~1
+PAIRS ?= 10
+bench-pair:
+	bash scripts/bench-pair.sh "$(WORKLOAD)" "$(BASE)" "$(PAIRS)"
 
 ## crash: kill -9 a durable engine repeatedly, verify zero acked-commit loss and no phantom effects
 crash:

@@ -9,182 +9,174 @@ import (
 	"lambdadb/internal/types"
 )
 
-// aggState accumulates one aggregate for one group. Numeric sums are kept
-// in both integer and float domains depending on the argument type.
-type aggState struct {
-	count int64
-	sumI  int64
-	sumF  float64
-	sumSq float64 // for stddev/variance
-	min   types.Value
-	max   types.Value
-	seen  bool
+// aggAcc holds one aggregate's accumulators as arrays indexed by group id;
+// only the arrays its function needs are non-nil. Numeric sums are kept in
+// the integer or the float array depending on the argument type.
+type aggAcc struct {
+	count []int64
+	sumI  []int64
+	sumF  []float64
+	sumSq []float64     // stddev/variance
+	ext   []types.Value // min/max so far; NULL until a value is seen
 }
 
-// group holds a group's key values and aggregate states.
-type group struct {
-	keys   []types.Value
-	states []aggState
-}
-
-// aggHash is a chained hash table over groups.
-type aggHash struct {
-	buckets map[uint64][]*group
-	groups  []*group // insertion order
-	nAggs   int
-}
-
-func newAggHash(nAggs int) *aggHash {
-	return &aggHash{buckets: map[uint64][]*group{}, nAggs: nAggs}
-}
-
-// lookup returns the group for the given key row, creating it on demand.
-func (h *aggHash) lookup(keys []types.Value) *group {
-	var hv uint64
-	for _, k := range keys {
-		if k.Null {
-			// GROUP BY treats NULLs as one group; give them a fixed hash.
-			hv = types.HashCombine(hv, 0x9e3779b97f4a7c15)
-		} else {
-			hv = types.HashCombine(hv, k.Hash())
-		}
+// growTo extends an accumulator array to n groups.
+func growTo[T any](s []T, n int, fill T) []T {
+	for len(s) < n {
+		s = append(s, fill)
 	}
-	for _, g := range h.buckets[hv] {
-		if groupKeysEqual(g.keys, keys) {
-			return g
-		}
-	}
-	g := &group{keys: append([]types.Value{}, keys...), states: make([]aggState, h.nAggs)}
-	h.buckets[hv] = append(h.buckets[hv], g)
-	h.groups = append(h.groups, g)
-	return g
+	return s
 }
 
-// groupKeysEqual compares group keys with NULL = NULL (SQL GROUP BY
-// semantics, unlike ordinary equality).
-func groupKeysEqual(a, b []types.Value) bool {
-	for i := range a {
-		if a[i].Null != b[i].Null {
-			return false
-		}
-		if !a[i].Null && !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// update folds one input value into an aggregate state.
-func (s *aggState) update(f plan.AggFunc, v types.Value) {
-	if f == plan.AggCountStar {
-		s.count++
+// grow extends the arrays spec's function uses to n groups.
+func (a *aggAcc) grow(n int, spec plan.AggSpec) {
+	switch spec.Func {
+	case plan.AggMin, plan.AggMax:
+		a.ext = growTo(a.ext, n, types.NewNull(spec.Type))
 		return
-	}
-	if v.Null {
-		return
-	}
-	switch f {
-	case plan.AggCount:
-		s.count++
 	case plan.AggSum, plan.AggAvg:
-		s.count++
-		if v.T == types.Int64 {
-			s.sumI += v.I
-		} else {
-			s.sumF += v.F
+		a.sumI, a.sumF = growTo(a.sumI, n, 0), growTo(a.sumF, n, 0)
+	case plan.AggStddev, plan.AggVariance:
+		a.sumF, a.sumSq = growTo(a.sumF, n, 0), growTo(a.sumSq, n, 0)
+	}
+	a.count = growTo(a.count, n, 0)
+}
+
+func (a *aggAcc) bytes() int64 {
+	return int64(cap(a.count)+cap(a.sumI)+cap(a.sumF)+cap(a.sumSq))*8 +
+		int64(cap(a.ext))*int64(unsafe.Sizeof(types.Value{}))
+}
+
+// foldCount counts the non-NULL rows of each group.
+func foldCount(ids []int32, nulls []bool, count []int64) {
+	for i, id := range ids {
+		if nulls == nil || !nulls[i] {
+			count[id]++
+		}
+	}
+}
+
+// foldSum adds each non-NULL value to its group's count and sum.
+func foldSum[T int64 | float64](ids []int32, vals []T, nulls []bool, count []int64, sum []T) {
+	vals = vals[:len(ids)]
+	for i, id := range ids {
+		if nulls == nil || !nulls[i] {
+			count[id]++
+			sum[id] += vals[i]
+		}
+	}
+}
+
+// foldSquares is foldSum plus the sum of squares, in the float domain.
+func foldSquares[T int64 | float64](ids []int32, vals []T, nulls []bool, count []int64, sum, sumSq []float64) {
+	for i, id := range ids {
+		if nulls == nil || !nulls[i] {
+			f := float64(vals[i])
+			count[id]++
+			sum[id] += f
+			sumSq[id] += f * f
+		}
+	}
+}
+
+// better reports whether v replaces cur as a group's min (want -1) or max
+// (want +1).
+func better(v, cur types.Value, f plan.AggFunc) bool {
+	want := -1
+	if f == plan.AggMax {
+		want = 1
+	}
+	return !v.Null && (cur.Null || v.Compare(cur) == want)
+}
+
+// fold adds one batch to the accumulators: ids[i] is row i's group, arg the
+// evaluated argument (nil for count(*)). One typed loop per function and
+// argument type; min/max stay on boxed values.
+func (a *aggAcc) fold(f plan.AggFunc, ids []int32, arg *types.Column) {
+	switch f {
+	case plan.AggCountStar:
+		foldCount(ids, nil, a.count)
+	case plan.AggCount:
+		foldCount(ids, arg.Nulls, a.count)
+	case plan.AggSum, plan.AggAvg:
+		switch arg.T {
+		case types.Int64:
+			foldSum(ids, arg.Ints, arg.Nulls, a.count, a.sumI)
+		case types.Float64:
+			foldSum(ids, arg.Floats, arg.Nulls, a.count, a.sumF)
 		}
 	case plan.AggStddev, plan.AggVariance:
-		s.count++
-		f := v.AsFloat()
-		s.sumF += f
-		s.sumSq += f * f
-	case plan.AggMin:
-		if !s.seen || v.Compare(s.min) < 0 {
-			s.min = v
+		switch arg.T {
+		case types.Int64:
+			foldSquares(ids, arg.Ints, arg.Nulls, a.count, a.sumF, a.sumSq)
+		case types.Float64:
+			foldSquares(ids, arg.Floats, arg.Nulls, a.count, a.sumF, a.sumSq)
 		}
-		s.seen = true
-	case plan.AggMax:
-		if !s.seen || v.Compare(s.max) > 0 {
-			s.max = v
+	case plan.AggMin, plan.AggMax:
+		for i, id := range ids {
+			if v := arg.Value(i); better(v, a.ext[id], f) {
+				a.ext[id] = v
+			}
 		}
-		s.seen = true
 	}
 }
 
-// merge folds another partial state into s (parallel aggregation).
-func (s *aggState) merge(f plan.AggFunc, o aggState) {
-	switch f {
-	case plan.AggCountStar, plan.AggCount:
-		s.count += o.count
-	case plan.AggSum, plan.AggAvg, plan.AggStddev, plan.AggVariance:
-		s.count += o.count
-		s.sumI += o.sumI
-		s.sumF += o.sumF
-		s.sumSq += o.sumSq
-	case plan.AggMin:
-		if o.seen && (!s.seen || o.min.Compare(s.min) < 0) {
-			s.min = o.min
+// merge folds another part's partial states into a (parallel aggregation):
+// ids[g] is the group here of o's group g.
+func (a *aggAcc) merge(f plan.AggFunc, o *aggAcc, ids []int32) {
+	for g, id := range ids {
+		if a.count != nil {
+			a.count[id] += o.count[g]
 		}
-		s.seen = s.seen || o.seen
-	case plan.AggMax:
-		if o.seen && (!s.seen || o.max.Compare(s.max) > 0) {
-			s.max = o.max
+		if a.sumI != nil {
+			a.sumI[id] += o.sumI[g]
 		}
-		s.seen = s.seen || o.seen
+		if a.sumF != nil {
+			a.sumF[id] += o.sumF[g]
+		}
+		if a.sumSq != nil {
+			a.sumSq[id] += o.sumSq[g]
+		}
+		if a.ext != nil && better(o.ext[g], a.ext[id], f) {
+			a.ext[id] = o.ext[g]
+		}
 	}
 }
 
-// result produces the final value of an aggregate state.
-func (s *aggState) result(spec plan.AggSpec) types.Value {
+// result produces the final value of group g.
+func (a *aggAcc) result(spec plan.AggSpec, g int) types.Value {
 	switch spec.Func {
 	case plan.AggCountStar, plan.AggCount:
-		return types.NewInt(s.count)
-	case plan.AggSum:
-		if s.count == 0 {
-			return types.NewNull(spec.Type)
-		}
-		if spec.Type == types.Int64 {
-			return types.NewInt(s.sumI)
-		}
-		return types.NewFloat(s.sumF + float64(s.sumI))
-	case plan.AggAvg:
-		if s.count == 0 {
-			return types.NewNull(types.Float64)
-		}
-		return types.NewFloat((s.sumF + float64(s.sumI)) / float64(s.count))
-	case plan.AggStddev, plan.AggVariance:
-		// Population variance: E[x²] − E[x]², floored at zero against
-		// floating-point cancellation.
-		if s.count == 0 {
-			return types.NewNull(types.Float64)
-		}
-		n := float64(s.count)
-		mean := s.sumF / n
-		variance := s.sumSq/n - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		if spec.Func == plan.AggVariance {
-			return types.NewFloat(variance)
-		}
-		return types.NewFloat(math.Sqrt(variance))
-	case plan.AggMin:
-		if !s.seen {
-			return types.NewNull(spec.Type)
-		}
-		return s.min
-	case plan.AggMax:
-		if !s.seen {
-			return types.NewNull(spec.Type)
-		}
-		return s.max
+		return types.NewInt(a.count[g])
+	case plan.AggMin, plan.AggMax:
+		return a.ext[g]
 	}
-	return types.NewNull(spec.Type)
+	if a.count[g] == 0 {
+		return types.NewNull(spec.Type)
+	}
+	n := float64(a.count[g])
+	switch spec.Func {
+	case plan.AggSum:
+		if spec.Type == types.Int64 {
+			return types.NewInt(a.sumI[g])
+		}
+		return types.NewFloat(a.sumF[g] + float64(a.sumI[g]))
+	case plan.AggAvg:
+		return types.NewFloat((a.sumF[g] + float64(a.sumI[g])) / n)
+	}
+	// Population variance: E[x²] − E[x]², floored at zero against
+	// floating-point cancellation.
+	mean := a.sumF[g] / n
+	variance := math.Max(a.sumSq[g]/n-mean*mean, 0)
+	if spec.Func == plan.AggVariance {
+		return types.NewFloat(variance)
+	}
+	return types.NewFloat(math.Sqrt(variance))
 }
 
 // newAggOp is the hash-aggregation operator. Each part of its input (one
 // morsel of a splittable pipeline, or the whole input) aggregates into a
-// private hash table, and the tables are merged at the end — the
+// private key table, and the tables are merged at the end — the
 // thread-local pattern the paper describes for its analytical operators
 // (Section 6.1). The tables are charged to the query budget while they live
 // and released once the output relation is built.
@@ -194,61 +186,68 @@ func newAggOp(n *plan.Aggregate) *blockingOp {
 		sinks, err := drive(ctx, partsOf(n.Child, ctx), "", func(Operator) (*aggSink, error) {
 			return newAggSink(n, ctx)
 		})
+		defer func() {
+			for _, s := range sinks {
+				if s != nil {
+					s.table.release()
+				}
+			}
+		}()
 		if err != nil {
 			return nil, err
 		}
-		var held int64
-		for _, s := range sinks {
-			held += s.charged
-		}
-		defer ctx.release(held)
-		// Merge worker tables into the first.
-		total := sinks[0].table
+		// Merge worker tables into the first, in part order.
+		total := sinks[0]
 		for _, part := range sinks[1:] {
-			for _, g := range part.table.groups {
-				dst := total.lookup(g.keys)
-				for ai := range dst.states {
-					dst.states[ai].merge(n.Aggs[ai].Func, g.states[ai])
-				}
+			ids := make([]int32, part.groups)
+			if len(n.Keys) > 0 {
+				total.table.findOrAdd(part.table.cols, part.table.hashes, ids)
+			}
+			if err := total.grow(); err != nil {
+				return nil, err
+			}
+			for ai := range total.accs {
+				total.accs[ai].merge(n.Aggs[ai].Func, &part.accs[ai], ids)
 			}
 		}
-		// Global aggregation (no keys) over empty input still yields one row.
+		// The group keys are the table's columns as they stand; each
+		// aggregate adds one column, a value per group.
+		cols := append([]*types.Column{}, total.table.cols...)
+		for ai, spec := range n.Aggs {
+			col := types.NewColumn(spec.Type, total.groups)
+			for g := 0; g < total.groups; g++ {
+				col.Append(total.accs[ai].result(spec, g))
+			}
+			cols = append(cols, col)
+		}
 		out := &Materialized{Schema: schema}
-		for _, g := range total.groups {
-			row := make([]types.Value, 0, len(schema))
-			row = append(row, g.keys...)
-			for ai, spec := range n.Aggs {
-				row = append(row, g.states[ai].result(spec))
-			}
-			out.AppendRow(row)
-		}
+		out.appendChunked(&types.Batch{Schema: schema, Cols: cols})
 		return out, nil
 	}}
 }
 
-// aggSink folds one part's batches into a private hash table.
+// aggSink folds one part's batches into a private key table and the
+// accumulator arrays its ids index.
 type aggSink struct {
-	ctx      *Context
 	aggs     []plan.AggSpec
 	keyEvals []expr.Evaluator
 	argEvals []expr.Evaluator // nil entry: count(*)
-	table    *aggHash
-	keyBuf   []types.Value
-	global   *group // the only group when there are no keys
-	perGroup int64  // estimated bytes one group adds to table
-	charged  int64  // bytes booked for table so far
+	table    *keyTable
+	accs     []aggAcc
+	// groups is the number of ids in use: the table's keys, or the one group
+	// of a global aggregate, which exists before any input.
+	groups int
+	hashes []uint64
+	ids    []int32 // all zero while there are no keys
 }
 
 func newAggSink(n *plan.Aggregate, ctx *Context) (*aggSink, error) {
-	s := &aggSink{ctx: ctx, aggs: n.Aggs, table: newAggHash(len(n.Aggs)),
-		keyEvals: make([]expr.Evaluator, len(n.Keys)), argEvals: make([]expr.Evaluator, len(n.Aggs)),
-		keyBuf: make([]types.Value, len(n.Keys)),
-		// The group with its key and state arrays, plus its bucket and
-		// insertion-order entries.
-		perGroup: 112 + int64(len(n.Keys))*int64(unsafe.Sizeof(types.Value{})) +
-			int64(len(n.Aggs))*int64(unsafe.Sizeof(aggState{}))}
+	s := &aggSink{aggs: n.Aggs, accs: make([]aggAcc, len(n.Aggs)),
+		keyEvals: make([]expr.Evaluator, len(n.Keys)), argEvals: make([]expr.Evaluator, len(n.Aggs))}
+	keyTypes := make([]types.Type, len(n.Keys))
 	var err error
 	for i, k := range n.Keys {
+		keyTypes[i] = k.Type()
 		if s.keyEvals[i], err = expr.Compile(k); err != nil {
 			return nil, err
 		}
@@ -261,14 +260,28 @@ func newAggSink(n *plan.Aggregate, ctx *Context) (*aggSink, error) {
 			return nil, err
 		}
 	}
-	if len(n.Keys) == 0 {
-		s.global = s.table.lookup(nil)
+	s.table = newKeyTable(ctx, "aggregate", keyTypes, true)
+	return s, s.grow()
+}
+
+// grow sizes the accumulators for every id the table has handed out and
+// books table and accumulators.
+func (s *aggSink) grow() error {
+	s.groups = s.table.len()
+	if len(s.keyEvals) == 0 {
+		s.groups = 1
 	}
-	return s, nil
+	var held int64
+	for ai := range s.accs {
+		s.accs[ai].grow(s.groups, s.aggs[ai])
+		held += s.accs[ai].bytes()
+	}
+	return s.table.book(held)
 }
 
 func (s *aggSink) consume(b *types.Batch) error {
 	var err error
+	n := b.Len()
 	keyCols := make([]*types.Column, len(s.keyEvals))
 	for i, ev := range s.keyEvals {
 		if keyCols[i], err = ev(b); err != nil {
@@ -284,28 +297,17 @@ func (s *aggSink) consume(b *types.Batch) error {
 			return err
 		}
 	}
-	n := b.Len()
-	for r := 0; r < n; r++ {
-		g := s.global
-		if g == nil {
-			for i, kc := range keyCols {
-				s.keyBuf[i] = kc.Value(r)
-			}
-			g = s.table.lookup(s.keyBuf)
-		}
-		for ai := range s.aggs {
-			var v types.Value
-			if argCols[ai] != nil {
-				v = argCols[ai].Value(r)
-			}
-			g.states[ai].update(s.aggs[ai].Func, v)
-		}
+	s.ids = sized(s.ids, n)
+	ids := s.ids
+	if len(keyCols) > 0 {
+		s.hashes = hashKeys(keyCols, n, s.hashes)
+		s.table.findOrAdd(keyCols, s.hashes, ids)
 	}
-	// Book the groups this batch created.
-	grown := int64(len(s.table.groups))*s.perGroup - s.charged
-	if err := s.ctx.charge("aggregate", grown); err != nil {
+	if err := s.grow(); err != nil {
 		return err
 	}
-	s.charged += grown
+	for ai := range s.accs {
+		s.accs[ai].fold(s.aggs[ai].Func, ids, argCols[ai])
+	}
 	return nil
 }

@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"lambdadb/internal/expr"
 	"lambdadb/internal/plan"
+	"lambdadb/internal/storage"
 	"lambdadb/internal/types"
 )
 
@@ -161,23 +163,91 @@ func BenchmarkParallelTopKScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkHashJoin measures the equi-join path: build on 100k rows,
-// probe with 400k.
-func BenchmarkHashJoin(b *testing.B) {
-	s, left := bigTable(b, 100_000, 10_000)
-	rs, right := bigTable(b, 400_000, 10_000)
-	join := &plan.Join{
-		Type:      plan.InnerJoin,
-		L:         plan.NewScan(left, "l", s.Snapshot()),
-		R:         plan.NewScan(right, "r", rs.Snapshot()),
-		EquiLeft:  []int{0},
-		EquiRight: []int{0},
-	}
+// runPerRow runs p serially b.N times and reports the time per row of rows,
+// the unit the hash operators' inner loops are judged in.
+func runPerRow(b *testing.B, p plan.Node, rows int) {
 	ctx := NewContext()
+	ctx.Workers = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(join, ctx); err != nil {
+		if _, err := Run(p, ctx); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+}
+
+// BenchmarkHashAgg measures hash aggregation per input row over 1M rows:
+// 1000 groups by an integer key, by two integer keys, by a string key, and
+// the key-less global aggregate that never touches the key table.
+func BenchmarkHashAgg(b *testing.B) {
+	const rows = 1_000_000
+	s := storage.NewStore()
+	tbl, err := s.CreateTable("t", types.Schema{
+		{Name: "k", Type: types.Int64}, {Name: "s", Type: types.String}, {Name: "v", Type: types.Float64}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tx := s.Begin()
+	for lo := 0; lo < rows; lo += 1 << 15 {
+		batch := types.NewBatch(tbl.Schema())
+		for i := lo; i < min(lo+1<<15, rows); i++ {
+			batch.Cols[0].AppendInt(int64(i % 1000))
+			batch.Cols[1].AppendString(fmt.Sprint("group-", i%1000))
+			batch.Cols[2].AppendFloat(float64(i))
+		}
+		if err := tx.Insert(tbl, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	k, str, v := colRef("k", 0, types.Int64), colRef("s", 1, types.String), colRef("v", 2, types.Float64)
+	kMod10 := &expr.BinOp{Op: expr.OpMod, Typ: types.Int64, L: k, R: &expr.Const{Val: types.NewInt(10)}}
+	for _, tc := range []struct {
+		name string
+		keys []expr.Expr
+	}{{"int-key", []expr.Expr{k}}, {"two-keys", []expr.Expr{k, kMod10}}, {"string-key", []expr.Expr{str}}, {"global", nil}} {
+		b.Run(tc.name, func(b *testing.B) {
+			runPerRow(b, &plan.Aggregate{
+				Child: plan.NewScan(tbl, "", s.Snapshot()),
+				Keys:  tc.keys, KeyNames: make([]string, len(tc.keys)),
+				Aggs: []plan.AggSpec{
+					{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"},
+					{Func: plan.AggSum, Arg: v, Type: types.Float64, Name: "sum(v)"}},
+			}, rows)
+		})
+	}
+}
+
+// BenchmarkHashJoin measures the equi-join per row of the side named: the
+// build of 1M distinct keys (per build row), a probe where every row finds
+// one partner and one where it finds 32 (per probe row), and a left join
+// half of whose probe rows are NULL-extended (per probe row).
+func BenchmarkHashJoin(b *testing.B) {
+	for _, tc := range []struct {
+		name        string
+		typ         plan.JoinType
+		lRows, lMod int
+		rRows, rMod int
+		perLeftRow  bool // the side the time is divided by
+	}{
+		{"build", plan.InnerJoin, 1_000_000, 1_000_000, 1, 1, true},
+		{"probe-1:1", plan.InnerJoin, 10_000, 10_000, 1_000_000, 10_000, false},
+		{"probe-1:32", plan.InnerJoin, 32_000, 1000, 100_000, 1000, false},
+		{"left-join", plan.LeftJoin, 1_000_000, 20_000, 10_000, 10_000, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			ls, left := bigTable(b, tc.lRows, tc.lMod)
+			rs, right := bigTable(b, tc.rRows, tc.rMod)
+			rows := tc.rRows
+			if tc.perLeftRow {
+				rows = tc.lRows
+			}
+			runPerRow(b, &plan.Join{Type: tc.typ,
+				L: plan.NewScan(left, "l", ls.Snapshot()), R: plan.NewScan(right, "r", rs.Snapshot()),
+				EquiLeft: []int{0}, EquiRight: []int{0}}, rows)
+		})
 	}
 }

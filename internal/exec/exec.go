@@ -150,6 +150,14 @@ func (m *Materialized) Append(b *types.Batch) {
 	m.NumRows += b.Len()
 }
 
+// appendChunked adds b as views of at most types.BatchSize rows, the batch
+// size downstream operators are written for.
+func (m *Materialized) appendChunked(b *types.Batch) {
+	for lo, n := 0, b.Len(); lo < n; lo += types.BatchSize {
+		m.Append(b.Slice(lo, min(lo+types.BatchSize, n)))
+	}
+}
+
 // AppendRow adds one row to a relation built by AppendRow alone, packing
 // rows into batches of types.BatchSize.
 func (m *Materialized) AppendRow(row []types.Value) {
@@ -204,16 +212,6 @@ func (m *Materialized) SliceRows(lo, hi int) []*types.Batch {
 		base += n
 	}
 	return out
-}
-
-// Scan yields the materialized batches.
-func (m *Materialized) Scan(yield func(*types.Batch) error) error {
-	for _, b := range m.Batches {
-		if err := yield(b); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // buildHook lets tests inject physical operators for test-only plan nodes.
@@ -326,7 +324,7 @@ func opLabel(op Operator) string {
 	case *limitOp:
 		return "limit"
 	case *distinctOp:
-		return "distinct"
+		return o.label
 	case *unionOp:
 		return "union"
 	}

@@ -6,7 +6,6 @@ import (
 
 	"lambdadb/internal/faultinject"
 	"lambdadb/internal/plan"
-	"lambdadb/internal/types"
 )
 
 // roundCheck is the gate every iterative construct — ITERATE, recursive CTE,
@@ -137,30 +136,31 @@ func newRecursiveOp(n *plan.RecursiveCTE) *blockingOp {
 			return nil, fmt.Errorf("%s init: %w", what, err)
 		}
 		acc := &Materialized{Schema: init.Schema}
-		var seen *rowSet
+		var seen *keyTable
 		if !n.All {
-			seen = newRowSet()
+			seen = newRowTable(ctx, "recursive-cte", init.Schema)
+			defer seen.release()
 		}
 		// fresh appends src's not-yet-seen rows to acc and returns them as
 		// the next working table.
-		fresh := func(src *Materialized) *Materialized {
+		fresh := func(src *Materialized) (*Materialized, error) {
 			next := &Materialized{Schema: init.Schema}
 			for _, b := range src.Batches {
 				if seen != nil {
-					filtered := types.NewBatch(src.Schema)
-					for i, rows := 0, b.Len(); i < rows; i++ {
-						if row := b.Row(i); seen.add(row) {
-							filtered.AppendRow(row)
-						}
+					var err error
+					if b, err = seen.fresh(b); err != nil {
+						return nil, err
 					}
-					b = filtered
 				}
 				acc.Append(b)
 				next.Append(b)
 			}
-			return next
+			return next, nil
 		}
-		working := fresh(init)
+		working, err := fresh(init)
+		if err != nil {
+			return nil, err
+		}
 		if working.NumRows == 0 {
 			return acc, nil
 		}
@@ -170,7 +170,10 @@ func newRecursiveOp(n *plan.RecursiveCTE) *blockingOp {
 				if err != nil {
 					return nil, 0, false, fmt.Errorf("%s: %w", what, err)
 				}
-				next := fresh(delta)
+				next, err := fresh(delta)
+				if err != nil {
+					return nil, 0, false, err
+				}
 				return next, float64(next.NumRows), next.NumRows == 0, nil
 			}); err != nil {
 			return nil, err

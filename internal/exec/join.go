@@ -7,132 +7,83 @@ import (
 	"lambdadb/internal/types"
 )
 
-// rowRef addresses a row inside a Materialized relation.
-type rowRef struct {
-	batch int
-	row   int
+// joinTable is the build side of a hash join: the build rows as one batch,
+// the key table over their distinct keys and, per key, the chain of build
+// rows that hold it in build-row order (head[id], then next[row] until -1).
+// Rows with a NULL key are on no chain (SQL equi-join semantics). Probing
+// only reads it, so the probe workers share one.
+type joinTable struct {
+	rows       *types.Batch
+	keys       *keyTable
+	head, next []int32
 }
 
-// hashTable is a partitioned chained hash table over materialized rows
-// keyed by a set of columns. Partition p owns the keys with hash&mask == p,
-// so the parallel build needs no locks: each partition is written by
-// exactly one worker, and probing is read-only. NULL keys never enter the
-// table (SQL equi-join semantics).
-type hashTable struct {
-	mat     *Materialized
-	keyCols []int
-	parts   []map[uint64][]rowRef
-	mask    uint64
+// buildJoinTable flattens the materialized build side, resolves every row's
+// key to an id and threads the chains; table and chains are charged to the
+// join.
+func buildJoinTable(mat *Materialized, keyCols []int, keyTypes []types.Type, ctx *Context) (*joinTable, error) {
+	jt := &joinTable{rows: flatten(mat), keys: newKeyTable(ctx, "join", keyTypes, false),
+		next: make([]int32, mat.NumRows)}
+	keys := pickCols(jt.rows, keyCols)
+	ids := make([]int32, mat.NumRows)
+	jt.keys.findOrAdd(keys, hashKeys(keys, mat.NumRows, nil), ids)
+	jt.head = make([]int32, jt.keys.len())
+	for id := range jt.head {
+		jt.head[id] = -1
+	}
+	// Back to front, so that pushing each row at its chain's head leaves the
+	// chains in ascending row order.
+	for r := len(ids) - 1; r >= 0; r-- {
+		if id := ids[r]; id >= 0 {
+			jt.next[r], jt.head[id] = jt.head[id], int32(r)
+		}
+	}
+	return jt, jt.keys.book(int64(len(jt.head)+len(jt.next)) * 4)
 }
 
-func (ht *hashTable) lookup(h uint64) []rowRef { return ht.parts[h&ht.mask][h] }
-
-// hashTableBytesPerRow is the accounting estimate for one build-side row's
-// hash-table footprint: a rowRef plus amortized map bucket overhead.
-const hashTableBytesPerRow = 48
-
-// buildHashTable constructs the table; when the build side is large enough
-// and the context allows parallelism it builds in parallel: one pass hashes
-// every row's keys (parallel over batches), then each partition worker
-// inserts its own slice of the hash space. The table's footprint is charged
-// against the query memory budget.
-func buildHashTable(mat *Materialized, keyCols []int, ctx *Context) (*hashTable, error) {
-	if err := ctx.charge("join", int64(mat.NumRows)*hashTableBytesPerRow); err != nil {
-		return nil, err
-	}
-	if ctx.workers() > 1 && mat.NumRows >= 2*minRowsPerWorker {
-		return buildHashTableParallel(mat, keyCols, ctx)
-	}
-	ht := &hashTable{mat: mat, keyCols: keyCols,
-		parts: []map[uint64][]rowRef{make(map[uint64][]rowRef, mat.NumRows)}}
-	for bi, b := range mat.Batches {
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			h, ok := rowKeyHash(b, keyCols, i)
-			if !ok {
-				continue // NULL key never joins
-			}
-			ht.parts[0][h] = append(ht.parts[0][h], rowRef{bi, i})
+// match resolves a probe batch's keys (ids[i] < 0: row i has no partner) and
+// expands each found key's chain into (probe row, build row) pairs, in probe
+// order and, per probe row, build order.
+func (jt *joinTable) match(keys []*types.Column, hashes []uint64, ids []int32) (probeIdx, buildIdx []int) {
+	jt.keys.find(keys, hashes, ids)
+	probeIdx, buildIdx = make([]int, 0, len(ids)), make([]int, 0, len(ids))
+	for i, id := range ids {
+		if id < 0 {
+			continue
+		}
+		for r := jt.head[id]; r >= 0; r = jt.next[r] {
+			probeIdx, buildIdx = append(probeIdx, i), append(buildIdx, int(r))
 		}
 	}
-	return ht, nil
+	return probeIdx, buildIdx
 }
 
-func buildHashTableParallel(mat *Materialized, keyCols []int, ctx *Context) (*hashTable, error) {
-	p := 1
-	for p < ctx.workers() {
-		p <<= 1
-	}
-	ht := &hashTable{mat: mat, keyCols: keyCols,
-		parts: make([]map[uint64][]rowRef, p), mask: uint64(p - 1)}
-	// Pass 1: hash every row's key columns, parallel over batches. A NULL
-	// key marks the row invalid.
-	hashes := make([][]uint64, len(mat.Batches))
-	valid := make([][]bool, len(mat.Batches))
-	if err := runParts(ctx, len(mat.Batches), func(bi int) error {
-		b := mat.Batches[bi]
-		n := b.Len()
-		hs := make([]uint64, n)
-		ok := make([]bool, n)
-		for i := 0; i < n; i++ {
-			hs[i], ok[i] = rowKeyHash(b, keyCols, i)
+// flatten concatenates a relation into one batch, so that rows are
+// addressed by one index and gathered a column at a time.
+func flatten(m *Materialized) *types.Batch {
+	out := &types.Batch{Schema: m.Schema, Cols: make([]*types.Column, len(m.Schema))}
+	for c, info := range m.Schema {
+		out.Cols[c] = types.NewColumn(info.Type, m.NumRows)
+		for _, b := range m.Batches {
+			out.Cols[c].AppendColumn(b.Cols[c])
 		}
-		hashes[bi], valid[bi] = hs, ok
-		return nil
-	}); err != nil {
-		return nil, err
 	}
-	// Pass 2: each partition worker scans the precomputed hashes and keeps
-	// only its share. Insertion order within a partition matches row order,
-	// so probe results are deterministic.
-	est := mat.NumRows / p
-	if err := runParts(ctx, p, func(pi int) error {
-		part := make(map[uint64][]rowRef, est)
-		target := uint64(pi)
-		for bi, hs := range hashes {
-			ok := valid[bi]
-			for i, h := range hs {
-				if ok[i] && h&ht.mask == target {
-					part[h] = append(part[h], rowRef{bi, i})
-				}
-			}
-		}
-		ht.parts[pi] = part
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return ht, nil
+	return out
 }
 
-// rowKeyHash hashes the key columns of row i; ok is false when any key is
-// NULL.
-func rowKeyHash(b *types.Batch, cols []int, i int) (uint64, bool) {
-	var h uint64
-	for _, c := range cols {
-		col := b.Cols[c]
-		if col.IsNull(i) {
-			return 0, false
-		}
-		h = types.HashCombine(h, col.Value(i).Hash())
+// pickCols returns the columns of b at the given positions.
+func pickCols(b *types.Batch, at []int) []*types.Column {
+	out := make([]*types.Column, len(at))
+	for i, c := range at {
+		out[i] = b.Cols[c]
 	}
-	return h, true
-}
-
-// keysEqual compares key columns between two rows.
-func keysEqual(a *types.Batch, aCols []int, ai int, b *types.Batch, bCols []int, bi int) bool {
-	for k := range aCols {
-		if !a.Cols[aCols[k]].Value(ai).Equal(b.Cols[bCols[k]].Value(bi)) {
-			return false
-		}
-	}
-	return true
+	return out
 }
 
 // joinOp executes inner, left-outer, and cross joins. With equi keys it is
-// a hash join — partition-parallel build and, when the probe side is a
-// splittable scan pipeline, morsel-parallel probe; otherwise a block
-// nested-loop join.
+// a hash join — the build side drained morsel-parallel into one join table
+// and, when the probe side is a splittable scan pipeline, a morsel-parallel
+// probe; otherwise a block nested-loop join.
 type joinOp struct {
 	node   *plan.Join
 	schema types.Schema
@@ -140,8 +91,9 @@ type joinOp struct {
 	ctx *Context
 
 	// Hash-join state.
-	ht          *hashTable
+	jt          *joinTable
 	buildIsLeft bool
+	probeKeys   []int
 	probe       Operator // serial streaming probe
 	pr          *prober  // serial streaming probe state
 	parallel    bool     // probe ran morsel-parallel in Open
@@ -192,8 +144,8 @@ func (j *joinOp) Open(ctx *Context) error {
 }
 
 // openHash runs the two hash-join phases. Build: drain the build side
-// (morsel-parallel when its pipeline splits) and build the partitioned
-// table. Probe: when the probe side splits, each worker streams its morsels
+// (morsel-parallel when its pipeline splits) and build the join table.
+// Probe: when the probe side splits, each worker streams its morsels
 // against the shared read-only table with private output buffers —
 // concatenating per-part outputs in part order reproduces the serial output
 // order exactly; otherwise probe batches stream through Next as before.
@@ -204,9 +156,18 @@ func (j *joinOp) openHash(ctx *Context) error {
 	j.buildIsLeft = j.node.Type == plan.InnerJoin
 	buildPlan, buildKeys := j.node.L, j.node.EquiLeft
 	probePlan := j.node.R
+	j.probeKeys = j.node.EquiRight
 	if !j.buildIsLeft {
 		buildPlan, buildKeys = j.node.R, j.node.EquiRight
-		probePlan = j.node.L
+		probePlan, j.probeKeys = j.node.L, j.node.EquiLeft
+	}
+	// A key pair of two types (BIGINT = DOUBLE) is compared as DOUBLE.
+	bs, ps := buildPlan.Schema(), probePlan.Schema()
+	keyTypes := make([]types.Type, len(buildKeys))
+	for i, c := range buildKeys {
+		if keyTypes[i] = bs[c].Type; keyTypes[i] != ps[j.probeKeys[i]].Type {
+			keyTypes[i] = types.Float64
+		}
 	}
 	if err := faultinject.Fire("exec.join.build"); err != nil {
 		return err
@@ -215,7 +176,7 @@ func (j *joinOp) openHash(ctx *Context) error {
 	if err != nil {
 		return err
 	}
-	j.ht, err = buildHashTable(mat, buildKeys, ctx)
+	j.jt, err = buildJoinTable(mat, buildKeys, keyTypes, ctx)
 	if err != nil {
 		return err
 	}
@@ -276,7 +237,8 @@ func (j *joinOp) openLoop(ctx *Context) error {
 }
 
 func (j *joinOp) Close() error {
-	if j.ht != nil {
+	if j.jt != nil {
+		j.jt.keys.release()
 		if j.probe != nil {
 			return j.probe.Close()
 		}
@@ -292,7 +254,7 @@ func (j *joinOp) Next() (*types.Batch, error) {
 	if j.parallel {
 		return j.it.next(), nil
 	}
-	if j.ht != nil {
+	if j.jt != nil {
 		return j.hashNext()
 	}
 	return j.loopNext()
@@ -323,10 +285,12 @@ func (j *joinOp) hashNext() (*types.Batch, error) {
 
 // prober holds the per-worker probe state of a hash join: its own compiled
 // residual evaluator (compiled closures are not shared across goroutines)
-// over the operator-wide read-only hash table.
+// and lookup buffers, over the operator-wide read-only join table.
 type prober struct {
 	j        *joinOp
 	residual expr.Evaluator
+	hashes   []uint64
+	ids      []int32
 }
 
 func (j *joinOp) newProber() (*prober, error) {
@@ -363,129 +327,84 @@ func (s *probeSink) consume(pb *types.Batch) error {
 	return nil
 }
 
-// probeBatch joins one probe-side batch against the hash table, returning
+// probeBatch joins one probe-side batch against the join table, returning
 // the matched rows followed by any left-join NULL-extended rows.
 func (p *prober) probeBatch(pb *types.Batch) ([]*types.Batch, error) {
 	j := p.j
-	probeKeys := j.node.EquiRight
-	buildKeys := j.node.EquiLeft
-	if !j.buildIsLeft {
-		probeKeys, buildKeys = j.node.EquiLeft, j.node.EquiRight
-	}
 	n := pb.Len()
-	var buildRefs []rowRef
-	var probeIdx []int
-	var unmatched []int // left-join probe rows with no match
-	for i := 0; i < n; i++ {
-		h, ok := rowKeyHash(pb, probeKeys, i)
-		matched := false
-		if ok {
-			for _, ref := range j.ht.lookup(h) {
-				bb := j.ht.mat.Batches[ref.batch]
-				if keysEqual(pb, probeKeys, i, bb, buildKeys, ref.row) {
-					buildRefs = append(buildRefs, ref)
-					probeIdx = append(probeIdx, i)
-					matched = true
-				}
-			}
-		}
-		if !matched && j.node.Type == plan.LeftJoin {
-			unmatched = append(unmatched, i)
-		}
-	}
-	out, keep, err := p.assemble(pb, probeIdx, buildRefs)
+	keys := pickCols(pb, j.probeKeys)
+	p.hashes, p.ids = hashKeys(keys, n, p.hashes), sized(p.ids, n)
+	probeIdx, buildIdx := j.jt.match(keys, p.hashes, p.ids)
+	out, probeIdx, err := p.assemble(pb, probeIdx, buildIdx)
 	if err != nil {
 		return nil, err
 	}
 	var res []*types.Batch
-	if out != nil && out.Len() > 0 {
+	if out.Len() > 0 {
 		res = append(res, out)
 	}
-	// For left joins, rows eliminated by the residual also count as
-	// unmatched; track which probe rows survived.
-	if j.node.Type == plan.LeftJoin {
-		stillMatched := map[int]bool{}
-		for oi, pi := range probeIdx {
-			if keep == nil || keep[oi] {
-				stillMatched[pi] = true
+	if j.node.Type != plan.LeftJoin {
+		return res, nil
+	}
+	// A probe row is matched when one of its pairs survived the residual.
+	// The others are NULL-extended: first those whose key found no build row,
+	// then those whose every candidate the residual rejected.
+	matched := make([]bool, n)
+	for _, pi := range probeIdx {
+		matched[pi] = true
+	}
+	var lone []int
+	for _, hadCandidates := range []bool{false, true} {
+		for i, m := range matched {
+			if !m && (p.ids[i] >= 0) == hadCandidates {
+				lone = append(lone, i)
 			}
 		}
-		for _, pi := range probeIdx {
-			if !stillMatched[pi] {
-				unmatched = append(unmatched, pi)
-			}
-		}
-		// Deduplicate: a probe row with several candidates may appear in
-		// unmatched repeatedly.
-		seen := map[int]bool{}
-		nullRows := types.NewBatch(j.schema)
-		for _, pi := range unmatched {
-			if seen[pi] || stillMatched[pi] {
-				continue
-			}
-			seen[pi] = true
-			row := make([]types.Value, 0, len(j.schema))
-			row = append(row, pb.Row(pi)...)
-			for _, c := range j.schema[len(pb.Cols):] {
-				row = append(row, types.NewNull(c.Type))
-			}
-			nullRows.AppendRow(row)
-		}
-		if nullRows.Len() > 0 {
-			res = append(res, nullRows)
-		}
+	}
+	if len(lone) > 0 {
+		res = append(res, nullExtend(pb, lone, j.schema))
 	}
 	return res, nil
 }
 
+// nullExtend returns the given rows of a left-side batch under the join's
+// schema, every right-side column NULL.
+func nullExtend(lb *types.Batch, rows []int, schema types.Schema) *types.Batch {
+	cols := lb.Gather(rows).Cols
+	for _, c := range schema[len(cols):] {
+		cols = append(cols, types.ConstColumn(types.NewNull(c.Type), len(rows)))
+	}
+	return &types.Batch{Schema: schema, Cols: cols}
+}
+
 // assemble materializes matched pairs in output column order (left then
-// right), applying the residual predicate. keep reports which output rows
-// survived the residual (nil = all).
-func (p *prober) assemble(pb *types.Batch, probeIdx []int, buildRefs []rowRef) (*types.Batch, []bool, error) {
+// right), one gather per column, and applies the residual predicate; it
+// returns the output and the probe rows of the pairs in it.
+func (p *prober) assemble(pb *types.Batch, probeIdx, buildIdx []int) (*types.Batch, []int, error) {
 	j := p.j
-	if len(probeIdx) == 0 {
-		return nil, nil, nil
+	cols, build := pb.Gather(probeIdx).Cols, j.jt.rows.Gather(buildIdx).Cols
+	if j.buildIsLeft {
+		cols, build = build, cols
 	}
-	nl := len(j.node.L.Schema())
-	out := &types.Batch{Schema: j.schema, Cols: make([]*types.Column, len(j.schema))}
-	for ci := range j.schema {
-		fromLeft := ci < nl
-		srcCol := ci
-		if !fromLeft {
-			srcCol = ci - nl
-		}
-		if fromLeft != j.buildIsLeft {
-			// Probe-side column: a single gather.
-			out.Cols[ci] = pb.Cols[srcCol].Gather(probeIdx)
-			continue
-		}
-		// Build-side column: rows scatter across the materialized batches.
-		col := types.NewColumn(j.schema[ci].Type, len(probeIdx))
-		for k := range probeIdx {
-			ref := buildRefs[k]
-			col.Append(j.ht.mat.Batches[ref.batch].Cols[srcCol].Value(ref.row))
-		}
-		out.Cols[ci] = col
-	}
-	if p.residual == nil {
-		return out, nil, nil
+	out := &types.Batch{Schema: j.schema, Cols: append(cols, build...)}
+	if p.residual == nil || len(probeIdx) == 0 {
+		return out, probeIdx, nil
 	}
 	c, err := p.residual(out)
 	if err != nil {
 		return nil, nil, err
 	}
-	keep := make([]bool, out.Len())
-	idx := make([]int, 0, out.Len())
-	for i := range keep {
-		keep[i] = !c.IsNull(i) && c.Bools[i]
-		if keep[i] {
-			idx = append(idx, i)
+	kept := make([]int, 0, out.Len())
+	for i, pi := range probeIdx {
+		if !c.IsNull(i) && c.Bools[i] {
+			probeIdx[len(kept)] = pi
+			kept = append(kept, i)
 		}
 	}
-	if len(idx) == out.Len() {
-		return out, keep, nil
+	if len(kept) < out.Len() {
+		out = out.Gather(kept)
 	}
-	return out.Gather(idx), keep, nil
+	return out, probeIdx[:len(kept)], nil
 }
 
 // loopNext implements block nested-loop join (cross joins and non-equi
@@ -515,21 +434,14 @@ func (j *joinOp) loopNext() (*types.Batch, error) {
 		}
 		if j.nlRight >= len(j.rightMat.Batches) {
 			// Finished all right batches for this left batch.
-			if j.node.Type == plan.LeftJoin {
-				nullRows := types.NewBatch(j.schema)
-				for i, m := range j.nlMatched {
-					if m {
-						continue
-					}
-					row := append([]types.Value{}, j.nlLeft.Row(i)...)
-					for _, c := range j.schema[len(j.nlLeft.Cols):] {
-						row = append(row, types.NewNull(c.Type))
-					}
-					nullRows.AppendRow(row)
+			var lone []int
+			for i, m := range j.nlMatched {
+				if !m && j.node.Type == plan.LeftJoin {
+					lone = append(lone, i)
 				}
-				if nullRows.Len() > 0 {
-					j.pendingOut = append(j.pendingOut, nullRows)
-				}
+			}
+			if len(lone) > 0 {
+				j.pendingOut = append(j.pendingOut, nullExtend(j.nlLeft, lone, j.schema))
 			}
 			j.nlLeft = nil
 			continue

@@ -114,7 +114,7 @@ func TestMemoryLimitNamesJoinBuild(t *testing.T) {
 	}
 	ctx := NewContext()
 	// Enough for the build-side batches but not the hash table on top.
-	ctx.SetMemoryLimit(int64(40_000*16) + hashTableBytesPerRow)
+	ctx.SetMemoryLimit(int64(40_000*16) + 48)
 	_, err := Run(join, ctx)
 	var re *ResourceError
 	if !errors.As(err, &re) {
@@ -138,71 +138,94 @@ func TestMemoryLimitUnlimitedByDefault(t *testing.T) {
 
 func TestIterateReleasesWorkingTables(t *testing.T) {
 	// A long non-appending loop whose working table is one small row: with
-	// per-round release of the dropped working table — and of the hash table
-	// an aggregating step builds — a thousand rounds fit in a 4 KB budget. If
-	// rounds accumulated, the budget would trip long before MaxDepth.
+	// per-round release of the dropped working table — and of the key table
+	// an aggregating or deduplicating step builds — a thousand rounds fit in
+	// a few KB. If rounds accumulated, the budget would trip long before
+	// MaxDepth.
 	one := &plan.Values{
 		Sch:  types.Schema{{Name: "x", Type: types.Int64}},
 		Rows: [][]types.Value{{types.NewInt(0)}},
 	}
 	sch := one.Sch
 	working := &plan.WorkingScan{Name: "iterate", Sch: sch}
-	steps := map[string]plan.Node{
-		"scan": working,
-		"aggregate": &plan.Aggregate{Child: working, Aggs: []plan.AggSpec{
-			{Func: plan.AggMax, Arg: colRef("x", 0, types.Int64), Type: types.Int64, Name: "x"}}},
+	steps := []struct {
+		name  string
+		step  plan.Node
+		limit int64
+	}{
+		{"scan", working, 1 << 12},
+		{"aggregate", &plan.Aggregate{Child: working, Aggs: []plan.AggSpec{
+			{Func: plan.AggMax, Arg: colRef("x", 0, types.Int64), Type: types.Int64, Name: "x"}}}, 1 << 12},
+		// A recursive UNION that ends after its seed. The seed relation is
+		// booked once by the CTE and once as the step's result, and ITERATE
+		// returns one of the two (8 B a round stay behind); a dedup table
+		// that stayed behind would be ten times that.
+		{"recursive-union", &plan.RecursiveCTE{Name: "r", Init: working, Rec: &plan.Values{Sch: sch}, MaxDepth: 10}, 1 << 14},
 	}
-	for name, step := range steps {
+	for _, tc := range steps {
 		it := &plan.Iterate{
 			Init:     one,
-			Step:     step,
+			Step:     tc.step,
 			Stop:     &plan.Values{Sch: sch}, // no rows: never stops before MaxDepth
 			MaxDepth: 1000,
 		}
 		ctx := NewContext()
-		ctx.SetMemoryLimit(1 << 12)
+		ctx.SetMemoryLimit(tc.limit)
 		_, err := Run(it, ctx)
 		if errors.As(err, new(*ResourceError)) {
-			t.Fatalf("%s step: per-round state not released: budget tripped with %v", name, err)
+			t.Fatalf("%s step: per-round state not released: budget tripped with %v", tc.name, err)
 		}
 		if err == nil || !strings.Contains(err.Error(), "exceeded 1000 iterations") {
-			t.Fatalf("%s step: want MaxDepth exhaustion, got %v", name, err)
+			t.Fatalf("%s step: want MaxDepth exhaustion, got %v", tc.name, err)
 		}
 	}
 }
 
 // TestMemoryLimitNamesRetainingSink: state an operator retains besides
-// batches — the aggregation hash table, the analytical operators' float
-// matrix and edge arrays — is charged like hash-join tables and sort runs
-// are, and the breach names the operator that holds it.
+// batches — the key table under aggregation, DISTINCT, UNION and a recursive
+// UNION, the analytical operators' float matrix and edge arrays — is charged
+// like hash-join tables and sort runs are, and the breach names the operator
+// that holds it.
 func TestMemoryLimitNamesRetainingSink(t *testing.T) {
 	const rows = 300_000
 	s, tbl := bigTable(t, rows, rows) // k unique
 	scan := plan.NewScan(tbl, "", s.Snapshot())
 	k := colRef("k", 0, types.Int64)
-	plans := map[string]plan.Node{
-		// 300k groups under a global count: no batch of either aggregate's
-		// input is retained, only the inner hash table.
-		"aggregate": &plan.Aggregate{
-			Child: &plan.Aggregate{Child: scan, Keys: []expr.Expr{k}, KeyNames: []string{"k"},
-				Aggs: []plan.AggSpec{{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"}}},
-			Aggs: []plan.AggSpec{{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"}}},
-		// A 300k x 2 matrix is 4.8 MB.
-		"kmeans": &plan.KMeans{Data: scan, MaxIter: 1, OutNames: []string{"k", "v"},
-			Centers: &plan.Values{Sch: types.Schema{{Name: "k", Type: types.Float64}, {Name: "v", Type: types.Float64}},
-				Rows: [][]types.Value{{types.NewFloat(0), types.NewFloat(0)}}}},
-		"pagerank": &plan.PageRank{Damping: 0.85, MaxIter: 1,
-			Edges: &plan.Project{Child: scan, Exprs: []expr.Expr{k, k}, Names: []string{"src", "dst"}}},
+	// Under a global count no batch of the input is retained: whatever trips
+	// the budget is the input operator's own state.
+	counted := func(p plan.Node) plan.Node {
+		return &plan.Aggregate{Child: p,
+			Aggs: []plan.AggSpec{{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"}}}
 	}
-	for op, p := range plans {
+	plans := []struct {
+		op    string
+		plan  plan.Node
+		limit int64
+	}{
+		{"aggregate", counted(&plan.Aggregate{Child: scan, Keys: []expr.Expr{k}, KeyNames: []string{"k"},
+			Aggs: []plan.AggSpec{{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"}}}), 1 << 20},
+		{"distinct", counted(&plan.Distinct{Child: scan}), 1 << 20},
+		{"union", counted(&plan.Union{L: scan, R: scan}), 1 << 20},
+		// The recursive CTE keeps its 4.8 MB seed relation, booked by the
+		// scan; the dedup table on top of it is what does not fit.
+		{"recursive-cte", counted(&plan.RecursiveCTE{Name: "r", Init: scan, MaxDepth: 10,
+			Rec: &plan.Values{Sch: tbl.Schema()}}), rows*16 + 1<<20},
+		// A 300k x 2 matrix is 4.8 MB.
+		{"kmeans", &plan.KMeans{Data: scan, MaxIter: 1, OutNames: []string{"k", "v"},
+			Centers: &plan.Values{Sch: types.Schema{{Name: "k", Type: types.Float64}, {Name: "v", Type: types.Float64}},
+				Rows: [][]types.Value{{types.NewFloat(0), types.NewFloat(0)}}}}, 1 << 20},
+		{"pagerank", &plan.PageRank{Damping: 0.85, MaxIter: 1,
+			Edges: &plan.Project{Child: scan, Exprs: []expr.Expr{k, k}, Names: []string{"src", "dst"}}}, 1 << 20},
+	}
+	for _, tc := range plans {
 		for _, workers := range []int{1, 8} {
 			ctx := NewContext()
 			ctx.Workers = workers
-			ctx.SetMemoryLimit(1 << 20)
-			_, err := Run(p, ctx)
+			ctx.SetMemoryLimit(tc.limit)
+			_, err := Run(tc.plan, ctx)
 			var re *ResourceError
-			if !errors.As(err, &re) || re.Operator != op {
-				t.Errorf("%s, workers=%d: want *ResourceError naming %q, got %v", op, workers, op, err)
+			if !errors.As(err, &re) || re.Operator != tc.op {
+				t.Errorf("%s, workers=%d: want *ResourceError naming %q, got %v", tc.op, workers, tc.op, err)
 			}
 		}
 	}

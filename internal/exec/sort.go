@@ -179,36 +179,13 @@ func (l *limitOp) Next() (*types.Batch, error) {
 
 func (l *limitOp) Close() error { return l.child.Close() }
 
-// rowSet deduplicates full rows (Distinct, UNION).
-type rowSet struct {
-	buckets map[uint64][][]types.Value
-}
-
-func newRowSet() *rowSet { return &rowSet{buckets: map[uint64][][]types.Value{}} }
-
-// add inserts the row and reports whether it was new.
-func (s *rowSet) add(row []types.Value) bool {
-	var h uint64
-	for _, v := range row {
-		if v.Null {
-			h = types.HashCombine(h, 0x9e3779b97f4a7c15)
-		} else {
-			h = types.HashCombine(h, v.Hash())
-		}
-	}
-	for _, existing := range s.buckets[h] {
-		if groupKeysEqual(existing, row) {
-			return false
-		}
-	}
-	s.buckets[h] = append(s.buckets[h], append([]types.Value{}, row...))
-	return true
-}
-
-// distinctOp drops duplicate rows.
+// distinctOp drops duplicate rows: DISTINCT, and UNION without ALL over the
+// concatenation of its inputs. The rows seen live in a key table charged
+// under label.
 type distinctOp struct {
 	child Operator
-	seen  *rowSet
+	label string
+	seen  *keyTable
 }
 
 func newDistinctOp(n *plan.Distinct, sc *StatsCollector) (Operator, error) {
@@ -216,13 +193,13 @@ func newDistinctOp(n *plan.Distinct, sc *StatsCollector) (Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &distinctOp{child: child}, nil
+	return &distinctOp{child: child, label: "distinct"}, nil
 }
 
 func (d *distinctOp) Schema() types.Schema { return d.child.Schema() }
 
 func (d *distinctOp) Open(ctx *Context) error {
-	d.seen = newRowSet()
+	d.seen = newRowTable(ctx, d.label, d.Schema())
 	return d.child.Open(ctx)
 }
 
@@ -232,28 +209,21 @@ func (d *distinctOp) Next() (*types.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		out := types.NewBatch(b.Schema)
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			if d.seen.add(row) {
-				out.AppendRow(row)
-			}
-		}
-		if out.Len() > 0 {
-			return out, nil
+		if b, err = d.seen.fresh(b); err != nil || b.Len() > 0 {
+			return b, err
 		}
 	}
 }
 
-func (d *distinctOp) Close() error { return d.child.Close() }
+func (d *distinctOp) Close() error {
+	d.seen.release()
+	return d.child.Close()
+}
 
-// unionOp concatenates two inputs; without ALL it deduplicates.
+// unionOp concatenates two inputs (UNION ALL).
 type unionOp struct {
-	node    *plan.Union
 	l, r    Operator
 	onRight bool
-	seen    *rowSet
 }
 
 func newUnionOp(n *plan.Union, sc *StatsCollector) (Operator, error) {
@@ -265,16 +235,16 @@ func newUnionOp(n *plan.Union, sc *StatsCollector) (Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &unionOp{node: n, l: l, r: r}, nil
+	if n.All {
+		return &unionOp{l: l, r: r}, nil
+	}
+	return &distinctOp{child: &unionOp{l: l, r: r}, label: "union"}, nil
 }
 
 func (u *unionOp) Schema() types.Schema { return u.l.Schema() }
 
 func (u *unionOp) Open(ctx *Context) error {
 	u.onRight = false
-	if !u.node.All {
-		u.seen = newRowSet()
-	}
 	if err := u.l.Open(ctx); err != nil {
 		return err
 	}
@@ -298,25 +268,12 @@ func (u *unionOp) Next() (*types.Batch, error) {
 			u.onRight = true
 			continue
 		}
-		if u.seen == nil {
-			// UNION ALL: left batches pass through unchanged, right batches
-			// are re-labeled with the unified schema.
-			if b.Schema.Equal(u.Schema()) {
-				return b, nil
-			}
-			return &types.Batch{Schema: u.Schema(), Cols: b.Cols}, nil
+		// Left batches pass through unchanged, right batches are re-labeled
+		// with the unified schema.
+		if b.Schema.Equal(u.Schema()) {
+			return b, nil
 		}
-		out := types.NewBatch(u.Schema())
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			if u.seen.add(row) {
-				out.AppendRow(row)
-			}
-		}
-		if out.Len() > 0 {
-			return out, nil
-		}
+		return &types.Batch{Schema: u.Schema(), Cols: b.Cols}, nil
 	}
 }
 

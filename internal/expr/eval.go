@@ -97,8 +97,34 @@ func compileCast(n *Cast) (Evaluator, error) {
 	}, nil
 }
 
+// castColumn converts a column. Numeric-to-numeric and boolean-to-integer
+// casts run as one typed loop and share the source's null bitmap (what a
+// NULL row's slot holds is never read); everything else goes value by value
+// through castValue, which defines the conversion for both paths.
 func castColumn(c *types.Column, to types.Type) (*types.Column, error) {
 	n := c.Len()
+	switch {
+	case c.T == types.Int64 && to == types.Float64:
+		out := &types.Column{T: to, Floats: make([]float64, n), Nulls: c.Nulls}
+		for i, v := range c.Ints {
+			out.Floats[i] = float64(v)
+		}
+		return out, nil
+	case c.T == types.Float64 && to == types.Int64:
+		out := &types.Column{T: to, Ints: make([]int64, n), Nulls: c.Nulls}
+		for i, v := range c.Floats {
+			out.Ints[i] = int64(v)
+		}
+		return out, nil
+	case c.T == types.Bool && to == types.Int64:
+		out := &types.Column{T: to, Ints: make([]int64, n), Nulls: c.Nulls}
+		for i, v := range c.Bools {
+			if v {
+				out.Ints[i] = 1
+			}
+		}
+		return out, nil
+	}
 	out := types.NewColumn(to, n)
 	for i := 0; i < n; i++ {
 		if c.IsNull(i) {
@@ -185,7 +211,7 @@ func compileBinOp(n *BinOp) (Evaluator, error) {
 			return out, nil
 		}, nil
 	case op.IsArith():
-		return compileArith(op, n.Typ, l, r)
+		return compileArith(n, l, r)
 	}
 	return nil, fmt.Errorf("cannot compile operator %s", op)
 }
@@ -202,8 +228,9 @@ func evalPair(l, r Evaluator, b *types.Batch) (*types.Column, *types.Column, err
 	return lc, rc, nil
 }
 
-func compileArith(op Op, out types.Type, l, r Evaluator) (Evaluator, error) {
-	if out == types.Int64 {
+func compileArith(n *BinOp, l, r Evaluator) (Evaluator, error) {
+	op := n.Op
+	if n.Typ == types.Int64 {
 		var fn func(a, b int64) (int64, error)
 		switch op {
 		case OpAdd:
@@ -244,6 +271,26 @@ func compileArith(op Op, out types.Type, l, r Evaluator) (Evaluator, error) {
 		}, nil
 	}
 
+	// x ^ 2 is a multiply, not a call of math.Pow (and x ^ 1, x ^ 0 no
+	// arithmetic at all). Pow computes the square on the mantissa and scales
+	// afterwards, which rounds a subnormal result twice; those stay on Pow.
+	if op == OpPow && IsConst(n.R) {
+		if k, err := EvalConst(n.R); err == nil && !k.Null {
+			switch k.AsFloat() {
+			case 2:
+				return mapFloats(l, func(x float64) float64 {
+					if sq := x * x; !(sq < 0x1p-1022) {
+						return sq
+					}
+					return math.Pow(x, 2)
+				}), nil
+			case 1:
+				return l, nil
+			case 0:
+				return mapFloats(l, func(float64) float64 { return 1 }), nil
+			}
+		}
+	}
 	var fn func(a, b float64) float64
 	switch op {
 	case OpAdd:
@@ -525,6 +572,21 @@ func compileCase(n *Case) (Evaluator, error) {
 	}, nil
 }
 
+// mapFloats applies f to every row of a DOUBLE argument; NULLs stay NULL.
+func mapFloats(arg Evaluator, f func(float64) float64) Evaluator {
+	return func(b *types.Batch) (*types.Column, error) {
+		c, err := arg(b)
+		if err != nil {
+			return nil, err
+		}
+		out := &types.Column{T: types.Float64, Floats: make([]float64, c.Len()), Nulls: c.Nulls}
+		for i, x := range c.Floats {
+			out.Floats[i] = f(x)
+		}
+		return out, nil
+	}
+}
+
 func compileFunc(n *FuncCall) (Evaluator, error) {
 	if AggregateFuncs[n.Name] {
 		return nil, fmt.Errorf("aggregate %s evaluated outside GROUP BY context", n.Name)
@@ -539,22 +601,7 @@ func compileFunc(n *FuncCall) (Evaluator, error) {
 	}
 	name := n.Name
 	if f := scalarFloatFunc(name); f != nil && len(args) == 1 && n.Typ == types.Float64 {
-		arg := args[0]
-		return func(b *types.Batch) (*types.Column, error) {
-			c, err := arg(b)
-			if err != nil {
-				return nil, err
-			}
-			cnt := c.Len()
-			out := &types.Column{T: types.Float64, Floats: make([]float64, cnt)}
-			if c.Nulls != nil {
-				out.Nulls = append([]bool{}, c.Nulls...)
-			}
-			for i := 0; i < cnt; i++ {
-				out.Floats[i] = f(c.Floats[i])
-			}
-			return out, nil
-		}, nil
+		return mapFloats(args[0], f), nil
 	}
 	switch name {
 	case "abs", "sign":

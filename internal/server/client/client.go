@@ -242,7 +242,16 @@ func (c *Conn) roundTrip(ctx context.Context, typ byte, body []byte) (*Result, e
 		traceID = telemetry.NewTraceID()
 	}
 	if err := wire.WriteFrame(nc, typ, wire.AppendTraced(traceID, body)); err != nil {
-		return nil, c.fail(ctx, err)
+		// A server that refuses a connection sends its Error frame and closes
+		// without reading, so the request can break on the reset while the
+		// reason waits to be read: that frame, not the broken pipe, is the
+		// answer. The connection is torn down either way.
+		typ, payload, rerr := wire.ReadFrame(c.br)
+		err = c.fail(ctx, err)
+		if rerr == nil && typ == wire.Error {
+			err = serverError(payload)
+		}
+		return nil, err
 	}
 	typ, payload, err := wire.ReadFrame(c.br)
 	if err != nil {
@@ -250,9 +259,7 @@ func (c *Conn) roundTrip(ctx context.Context, typ byte, body []byte) (*Result, e
 	}
 	switch typ {
 	case wire.Error:
-		id, body := wire.SplitTraced(payload)
-		code, details, msg := wire.SplitErrorCode(body)
-		return nil, &ServerError{Msg: msg, TraceID: id, Code: code, Details: details}
+		return nil, serverError(payload)
 	case wire.Affected:
 		n, err := strconv.Atoi(string(payload))
 		if err != nil {
@@ -268,6 +275,13 @@ func (c *Conn) roundTrip(ctx context.Context, typ byte, body []byte) (*Result, e
 	default:
 		return nil, c.fail(ctx, fmt.Errorf("client: unexpected frame type %q", typ))
 	}
+}
+
+// serverError decodes an Error frame.
+func serverError(payload []byte) *ServerError {
+	id, body := wire.SplitTraced(payload)
+	code, details, msg := wire.SplitErrorCode(body)
+	return &ServerError{Msg: msg, TraceID: id, Code: code, Details: details}
 }
 
 // fail tears the connection down after a transport-level failure,

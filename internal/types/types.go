@@ -198,7 +198,7 @@ func cmpFloat(a, b float64) int {
 // cross-type joins group correctly.
 func (v Value) Hash() uint64 {
 	if v.Null {
-		return 0x9e3779b97f4a7c15
+		return nullHash
 	}
 	switch v.T {
 	case Int64:
@@ -210,12 +210,53 @@ func (v Value) Hash() uint64 {
 	case String:
 		return HashString(v.S)
 	case Bool:
-		if v.B {
-			return hash64(1)
-		}
-		return hash64(0)
+		return hashBool(v.B)
 	}
 	return 0
+}
+
+// nullHash is the hash of NULL of any type.
+const nullHash = 0x9e3779b97f4a7c15
+
+// HashColumn mixes the hash of every row of c into acc (one accumulated row
+// hash per row, HashCombine order): Value.Hash a column at a time, with the
+// type switch outside the loop.
+func HashColumn(c *Column, acc []uint64) {
+	mix := func(i int, h uint64) {
+		if c.Nulls != nil && c.Nulls[i] {
+			h = nullHash
+		}
+		acc[i] = HashCombine(acc[i], h)
+	}
+	switch c.T {
+	case Int64:
+		for i, v := range c.Ints {
+			mix(i, hashFloat(float64(v)))
+		}
+	case Float64:
+		for i, v := range c.Floats {
+			mix(i, hashFloat(v))
+		}
+	case String:
+		for i, v := range c.Strs {
+			mix(i, HashString(v))
+		}
+	case Bool:
+		for i, v := range c.Bools {
+			mix(i, hashBool(v))
+		}
+	default: // untyped all-NULL column
+		for i := range c.Nulls {
+			mix(i, 0)
+		}
+	}
+}
+
+func hashBool(b bool) uint64 {
+	if b {
+		return hash64(1)
+	}
+	return hash64(0)
 }
 
 func hashFloat(f float64) uint64 {
