@@ -3,6 +3,7 @@ package bench
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -178,5 +179,41 @@ func TestRunAllSystemsSmoke(t *testing.T) {
 		if _, _, err := nb.Run(sys); err != nil {
 			t.Errorf("nb %s: %v", sys, err)
 		}
+	}
+}
+
+// TestWorkingTablesAreEstimatedByTheirInit: a working table used to be
+// estimated at 0 rows, so every join in a loop body built its hash table on
+// whatever read it — the k-Means step built the two-key join of dists with
+// mind on dists, k times the larger side. With the init plan's estimate
+// carried over, nothing under the step is estimated at 0 rows and that join
+// builds on mind (the join's first child) and streams dists past it.
+func TestWorkingTablesAreEstimatedByTheirInit(t *testing.T) {
+	ds, err := PrepareKMeans(KMeansConfig{N: 600, D: 3, K: 4, Iters: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ds.DB.Exec("EXPLAIN ANALYZE " + KMeansIterateQuery(ds.Cfg.D, ds.Cfg.Iters))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, row := range res.Rows {
+		lines = append(lines, row[0].S)
+	}
+	join := -1
+	for i, line := range lines {
+		if strings.Contains(line, " est=0 ") {
+			t.Errorf("estimated at 0 rows: %s", strings.TrimSpace(line))
+		}
+		if strings.Contains(line, "InnerJoin on ((dd.id = m.id)") {
+			join = i
+		}
+	}
+	if join < 0 || join+2 >= len(lines) {
+		t.Fatalf("no join of dists with mind in the plan:\n%s", strings.Join(lines, "\n"))
+	}
+	if build := lines[join+2]; !strings.Contains(lines[join+1], "Shared") || !strings.Contains(build, "Project id, min(dist)") {
+		t.Errorf("the join builds on %s, want mind (Project id, min(dist))", strings.TrimSpace(build))
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -83,6 +84,39 @@ func TestInvariantCTEInsideIterate(t *testing.T) {
 	// sum(n) = 15; 0 → 15 → 30 → 45.
 	if len(got) != 1 || got[0] != 45 {
 		t.Fatalf("got %v, want [45]", got)
+	}
+}
+
+func TestIterateInsideIterateStartsFromOuterWorkingTable(t *testing.T) {
+	// The inner loop's init reads the outer working table; inside the inner
+	// step and stop `iterate` is the inner one. Each loop's rounds bind
+	// their own table without disturbing the other's.
+	db := Open()
+	got := queryInts(t, db, `SELECT * FROM ITERATE (
+		(SELECT 0 "x"),
+		(SELECT i.y FROM (SELECT * FROM ITERATE (
+			(SELECT x + 1 "y" FROM iterate),
+			(SELECT y + 1 FROM iterate),
+			(SELECT y FROM iterate WHERE y % 5 = 0))) i),
+		(SELECT x FROM iterate WHERE x >= 15))`)
+	// 0 → (1 … 5) → (6 … 10) → (11 … 15).
+	if len(got) != 1 || got[0] != 15 {
+		t.Fatalf("got %v, want [15]", got)
+	}
+}
+
+func TestCTEOverWholeLoopIsInvariant(t *testing.T) {
+	// A loop that is wholly inside the CTE reads no working table of the
+	// query around it: the CTE is computed once, wherever it is referenced.
+	db := Open()
+	const q = `WITH c AS (SELECT * FROM ITERATE (
+			(SELECT 1 "x"), (SELECT x + 1 FROM iterate), (SELECT x FROM iterate WHERE x >= 3)))
+		SELECT a.x + b.x FROM c a, c b`
+	if got := queryInts(t, db, q); len(got) != 1 || got[0] != 6 {
+		t.Fatalf("got %v, want [6]", got)
+	}
+	if plan := explainText(t, db, "EXPLAIN "+q); strings.Count(plan, "Shared (invariant)") != 2 {
+		t.Errorf("the CTE over a whole loop is not marked invariant:\n%s", plan)
 	}
 }
 

@@ -16,8 +16,13 @@ type aggAcc struct {
 	count []int64
 	sumI  []int64
 	sumF  []float64
-	sumSq []float64     // stddev/variance
-	ext   []types.Value // min/max so far; NULL until a value is seen
+	sumSq []float64 // stddev/variance
+	// min/max so far, as the result column in the making: typed values plus
+	// a NULL bitmap for numbers, boxed values for strings and bools.
+	extI    []int64
+	extF    []float64
+	extNull []bool        // true until the group has seen a value
+	ext     []types.Value // NULL until a value is seen
 }
 
 // growTo extends an accumulator array to n groups.
@@ -32,7 +37,14 @@ func growTo[T any](s []T, n int, fill T) []T {
 func (a *aggAcc) grow(n int, spec plan.AggSpec) {
 	switch spec.Func {
 	case plan.AggMin, plan.AggMax:
-		a.ext = growTo(a.ext, n, types.NewNull(spec.Type))
+		switch spec.Arg.Type() {
+		case types.Int64:
+			a.extI, a.extNull = growTo(a.extI, n, 0), growTo(a.extNull, n, true)
+		case types.Float64:
+			a.extF, a.extNull = growTo(a.extF, n, 0), growTo(a.extNull, n, true)
+		default:
+			a.ext = growTo(a.ext, n, types.NewNull(spec.Type))
+		}
 		return
 	case plan.AggSum, plan.AggAvg:
 		a.sumI, a.sumF = growTo(a.sumI, n, 0), growTo(a.sumF, n, 0)
@@ -43,8 +55,8 @@ func (a *aggAcc) grow(n int, spec plan.AggSpec) {
 }
 
 func (a *aggAcc) bytes() int64 {
-	return int64(cap(a.count)+cap(a.sumI)+cap(a.sumF)+cap(a.sumSq))*8 +
-		int64(cap(a.ext))*int64(unsafe.Sizeof(types.Value{}))
+	return int64(cap(a.count)+cap(a.sumI)+cap(a.sumF)+cap(a.sumSq)+cap(a.extI)+cap(a.extF))*8 +
+		int64(cap(a.extNull)) + int64(cap(a.ext))*int64(unsafe.Sizeof(types.Value{}))
 }
 
 // foldCount counts the non-NULL rows of each group.
@@ -79,6 +91,21 @@ func foldSquares[T int64 | float64](ids []int32, vals []T, nulls []bool, count [
 	}
 }
 
+// foldExtreme keeps each group's smallest or largest non-NULL value in
+// ext/extNull, in better's order: the first of equals stays (so does the
+// first of -0 and +0), and a NaN compares equal to everything — it neither
+// replaces a value nor, once it is a group's first, is replaced.
+func foldExtreme[T int64 | float64](ids []int32, vals []T, nulls []bool, ext []T, extNull []bool, max bool) {
+	for i, id := range ids {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		if v := vals[i]; extNull[id] || (max && v > ext[id]) || (!max && v < ext[id]) {
+			ext[id], extNull[id] = v, false
+		}
+	}
+}
+
 // better reports whether v replaces cur as a group's min (want -1) or max
 // (want +1).
 func better(v, cur types.Value, f plan.AggFunc) bool {
@@ -91,7 +118,7 @@ func better(v, cur types.Value, f plan.AggFunc) bool {
 
 // fold adds one batch to the accumulators: ids[i] is row i's group, arg the
 // evaluated argument (nil for count(*)). One typed loop per function and
-// argument type; min/max stay on boxed values.
+// argument type; only min/max of strings and bools box their values.
 func (a *aggAcc) fold(f plan.AggFunc, ids []int32, arg *types.Column) {
 	switch f {
 	case plan.AggCountStar:
@@ -113,9 +140,16 @@ func (a *aggAcc) fold(f plan.AggFunc, ids []int32, arg *types.Column) {
 			foldSquares(ids, arg.Floats, arg.Nulls, a.count, a.sumF, a.sumSq)
 		}
 	case plan.AggMin, plan.AggMax:
-		for i, id := range ids {
-			if v := arg.Value(i); better(v, a.ext[id], f) {
-				a.ext[id] = v
+		switch arg.T {
+		case types.Int64:
+			foldExtreme(ids, arg.Ints, arg.Nulls, a.extI, a.extNull, f == plan.AggMax)
+		case types.Float64:
+			foldExtreme(ids, arg.Floats, arg.Nulls, a.extF, a.extNull, f == plan.AggMax)
+		default:
+			for i, id := range ids {
+				if v := arg.Value(i); better(v, a.ext[id], f) {
+					a.ext[id] = v
+				}
 			}
 		}
 	}
@@ -124,6 +158,13 @@ func (a *aggAcc) fold(f plan.AggFunc, ids []int32, arg *types.Column) {
 // merge folds another part's partial states into a (parallel aggregation):
 // ids[g] is the group here of o's group g.
 func (a *aggAcc) merge(f plan.AggFunc, o *aggAcc, ids []int32) {
+	// The other part's extremes are one more column of values to fold.
+	if a.extI != nil {
+		foldExtreme(ids, o.extI, o.extNull, a.extI, a.extNull, f == plan.AggMax)
+	}
+	if a.extF != nil {
+		foldExtreme(ids, o.extF, o.extNull, a.extF, a.extNull, f == plan.AggMax)
+	}
 	for g, id := range ids {
 		if a.count != nil {
 			a.count[id] += o.count[g]
@@ -149,7 +190,15 @@ func (a *aggAcc) result(spec plan.AggSpec, g int) types.Value {
 	case plan.AggCountStar, plan.AggCount:
 		return types.NewInt(a.count[g])
 	case plan.AggMin, plan.AggMax:
-		return a.ext[g]
+		switch {
+		case a.ext != nil:
+			return a.ext[g]
+		case a.extNull[g]:
+			return types.NewNull(spec.Type)
+		case a.extI != nil:
+			return types.NewInt(a.extI[g])
+		}
+		return types.NewFloat(a.extF[g])
 	}
 	if a.count[g] == 0 {
 		return types.NewNull(spec.Type)

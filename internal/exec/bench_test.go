@@ -93,19 +93,25 @@ func benchName(workers int) string {
 	return "workers=" + string(rune('0'+workers))
 }
 
-// BenchmarkParallelJoinScaling sweeps the morsel-parallel hash join worker
-// count: partitioned parallel build on 100k rows, morsel-parallel probe
-// with 1.6M rows, 1:1 key matches.
-func BenchmarkParallelJoinScaling(b *testing.B) {
+// scalingJoin is 1.6M probe rows against a 100k-row build side, every probe
+// row finding one partner.
+func scalingJoin(b *testing.B) (join *plan.Join, probeRows int) {
 	s, left := bigTable(b, 100_000, 100_000)
 	rs, right := bigTable(b, 1_600_000, 100_000)
-	join := &plan.Join{
+	return &plan.Join{
 		Type:      plan.InnerJoin,
 		L:         plan.NewScan(left, "l", s.Snapshot()),
 		R:         plan.NewScan(right, "r", rs.Snapshot()),
 		EquiLeft:  []int{0},
 		EquiRight: []int{0},
-	}
+	}, 1_600_000
+}
+
+// BenchmarkParallelJoinScaling runs the bare join and keeps all 1.6M rows of
+// its output. The top-level pipeline is never split, so the probe is one
+// part at every worker count; only the 100k-row build is morsel-parallel.
+func BenchmarkParallelJoinScaling(b *testing.B) {
+	join, _ := scalingJoin(b)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(benchName(workers), func(b *testing.B) {
 			ctx := NewContext()
@@ -117,6 +123,69 @@ func BenchmarkParallelJoinScaling(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkJoinPipelineAgg drives scan → probe → GROUP BY (16 groups) as one
+// pipeline over the same join. The aggregate's parts are the probe's parts,
+// so the time per probe row falls with the workers, and B/op is what the
+// pipeline allocates per run — a join that materialised its output again
+// would show there as ~50 MB more.
+func BenchmarkJoinPipelineAgg(b *testing.B) {
+	join, probeRows := scalingJoin(b)
+	agg := &plan.Aggregate{
+		Child: join,
+		Keys: []expr.Expr{&expr.BinOp{Op: expr.OpMod, Typ: types.Int64,
+			L: colRef("k", 0, types.Int64), R: &expr.Const{Val: types.NewInt(16)}}},
+		KeyNames: []string{"g"},
+		Aggs: []plan.AggSpec{{Func: plan.AggSum,
+			Arg: colRef("v", 3, types.Float64), Type: types.Float64, Name: "sum(v)"}},
+	}
+	for _, workers := range []int{1, 2, 8} {
+		b.Run(benchName(workers), func(b *testing.B) {
+			ctx := NewContext()
+			ctx.Workers = workers
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(agg, ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(probeRows), "ns/probe-row")
+		})
+	}
+}
+
+// BenchmarkBroadcastCross is the k-Means step's n x k relation: 10k rows of
+// 11 columns crossed with 5 rows of 12, 23 columns out, under a global
+// count so that nothing but the cross product is paid for.
+func BenchmarkBroadcastCross(b *testing.B) {
+	const n, k = 10_000, 5
+	wide := func(name string, rows, cols int) plan.Node {
+		s := storage.NewStore()
+		schema := make(types.Schema, cols)
+		for c := range schema {
+			schema[c] = types.ColumnInfo{Name: fmt.Sprint("d", c), Type: types.Float64}
+		}
+		tbl, err := s.CreateTable(name, schema)
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch := types.NewBatch(schema)
+		for i := 0; i < rows; i++ {
+			for _, col := range batch.Cols {
+				col.AppendFloat(float64(i))
+			}
+		}
+		tx := s.Begin()
+		if err := tx.Insert(tbl, batch); err != nil {
+			b.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		return plan.NewScan(tbl, "", s.Snapshot())
+	}
+	runPerRow(b, counted(&plan.Join{Type: plan.CrossJoin, L: wide("points", n, 11), R: wide("centres", k, 12)}), n*k)
 }
 
 // BenchmarkParallelSortScaling sweeps the parallel sort worker count:

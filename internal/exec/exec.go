@@ -41,11 +41,16 @@ type Context struct {
 	// tree with no wrappers.
 	stats *StatsCollector
 
-	// epoch counts iteration rounds of the innermost running ITERATE /
-	// recursive CTE; epoch-scoped Shared subplans are recomputed when it
-	// advances.
+	// epoch names the loop round this context runs — 0 is the statement
+	// itself, outside every loop — and never changes: each round of an
+	// ITERATE / recursive CTE runs under a context of its own (see round),
+	// so the parts of a pipeline agree on whose cache entries they share
+	// whenever they arrive.
 	epoch uint64
-	// shared caches materialized Shared subplans.
+	// stmt is the statement's context, whose cache a round's context uses;
+	// nil in the statement's own.
+	stmt *Context
+	// shared caches materialized Shared subplans and join build sides.
 	shared sharedCache
 }
 
@@ -71,11 +76,6 @@ func (c *Context) doneCh() <-chan struct{} {
 	}
 	return c.goCtx.Done()
 }
-
-// BumpEpoch advances the iteration epoch, invalidating epoch-scoped shared
-// materializations. The iterate and recursive-CTE operators call it once
-// per iteration.
-func (c *Context) BumpEpoch() { c.epoch++ }
 
 // EnableStats arms per-operator telemetry for this query and returns the
 // collector. It also ensures a memory accountant exists (with an effectively
@@ -294,10 +294,14 @@ func buildWith(p plan.Node, sc *StatsCollector) (Operator, error) {
 	return op, nil
 }
 
-// Run builds, executes, and materializes a plan as a single part: the
-// top-level pipeline is never split, the blocking operators inside it split
-// their own inputs.
+// Run builds, executes, and materializes a plan. A pipeline that streams
+// past a join runs as morsels, since nothing else would run its probe in
+// parallel; any other top-level pipeline is one part — the blocking operators
+// inside it split their own inputs, and splitting a bare scan buys nothing.
 func Run(p plan.Node, ctx *Context) (*Materialized, error) {
+	if plan.StreamsPastJoin(p) {
+		return materialize(partsOf(p, ctx), ctx)
+	}
 	return materialize([]plan.Node{p}, ctx)
 }
 

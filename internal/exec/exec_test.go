@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -188,6 +189,54 @@ func TestHashJoinDuplicateKeys(t *testing.T) {
 	// 1 × 2 = 2. Total 4.
 	if m.NumRows != 4 {
 		t.Errorf("join rows = %d, want 4", m.NumRows)
+	}
+}
+
+// TestHashJoinOneToOneMatchesNestedLoop pins the probe's pass-through: when
+// every row of a probe batch finds exactly one partner the batch's columns go
+// into the output ungathered. The output must be what a nested loop over the
+// two inputs gives — with every probe row matched once (the pass-through),
+// with one build row missing, and with one build key held twice and another
+// by no row (as many pairs as probe rows, yet not one each) — and with a
+// residual on top of each.
+func TestHashJoinOneToOneMatchesNestedLoop(t *testing.T) {
+	sch := types.Schema{{Name: "k", Type: types.Int64}, {Name: "v", Type: types.Int64}}
+	values := func(n int, key func(i int) int64) *plan.Values {
+		v := &plan.Values{Sch: sch}
+		for i := 0; i < n; i++ {
+			v.Rows = append(v.Rows, []types.Value{types.NewInt(key(i)), types.NewInt(int64(i))})
+		}
+		return v
+	}
+	const n = 500
+	probe := values(n, func(i int) int64 { return int64(i * 7 % n) }) // a permutation of 0..n-1
+	evenV := &expr.BinOp{Op: expr.OpEq, Typ: types.Bool, R: &expr.Const{Val: types.NewInt(0)},
+		L: &expr.BinOp{Op: expr.OpMod, Typ: types.Int64, L: colRef("v", 3, types.Int64), R: &expr.Const{Val: types.NewInt(2)}}}
+	builds := map[string]*plan.Values{
+		"one-each":    values(n, func(i int) int64 { return int64(i) }),
+		"one-missing": values(n-1, func(i int) int64 { return int64(i) }),
+		"one-twice":   values(n, func(i int) int64 { return int64(i % (n - 1)) }),
+	}
+	for name, build := range builds {
+		for _, residual := range []expr.Expr{nil, evenV} {
+			join := &plan.Join{Type: plan.InnerJoin, L: build, R: probe, EquiLeft: []int{0}, EquiRight: []int{0}, Residual: residual}
+			var want [][]types.Value
+			for _, p := range probe.Rows {
+				for _, b := range build.Rows {
+					if b[0].I == p[0].I && (residual == nil || p[1].I%2 == 0) {
+						want = append(want, []types.Value{b[0], b[1], p[0], p[1]})
+					}
+				}
+			}
+			m, err := Run(join, NewContext())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Rows(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, residual %v: %d rows, want %d; first rows %v, want %v",
+					name, residual != nil, len(got), len(want), got[:min(3, len(got))], want[:3])
+			}
+		}
 	}
 }
 

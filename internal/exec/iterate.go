@@ -37,24 +37,15 @@ func (c *Context) kernelRound(node plan.Node, rows func(delta float64) int64) fu
 	}
 }
 
-// runRounds is the round loop of the plan-level iteration constructs. The
-// working table is bound under name for the duration and the previous
-// binding restored on every exit, so a failed or cancelled loop leaves the
-// context reusable. Each round passes roundCheck and the maxDepth bound,
-// advances the epoch (invalidating epoch-scoped Shared subplans) and calls
-// step on the current working table. A non-nil next replaces it and is
-// recorded as the round's result; done ends the loop. what names the
-// construct in the runaway-loop error.
+// runRounds is the round loop of the plan-level iteration constructs. Each
+// round passes roundCheck and the maxDepth bound and calls step under a
+// context of its own (round) that binds the current working table under name
+// and scopes what the round caches about it; c is left as it was, so a failed
+// or cancelled loop leaves it reusable. A non-nil next replaces the working
+// table and is recorded as the round's result; done ends the loop. what names
+// the construct in the runaway-loop error.
 func (c *Context) runRounds(node plan.Node, name, what string, maxDepth int, working *Materialized,
-	step func(working *Materialized) (next *Materialized, delta float64, done bool, err error)) (*Materialized, error) {
-	saved, had := c.Bindings[name]
-	defer func() {
-		if had {
-			c.Bindings[name] = saved
-		} else {
-			delete(c.Bindings, name)
-		}
-	}()
+	step func(rc *Context, working *Materialized) (next *Materialized, delta float64, done bool, err error)) (*Materialized, error) {
 	for round := 1; ; round++ {
 		if err := c.roundCheck(); err != nil {
 			return nil, err
@@ -63,9 +54,9 @@ func (c *Context) runRounds(node plan.Node, name, what string, maxDepth int, wor
 			return nil, fmt.Errorf("%s: exceeded %d iterations (possible infinite loop)", what, maxDepth)
 		}
 		start := time.Now()
-		c.BumpEpoch()
-		c.Bindings[name] = working
-		next, delta, done, err := step(working)
+		rc := c.round(name, working)
+		next, delta, done, err := step(rc, working)
+		rc.endRound()
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +93,7 @@ func newIterateOp(n *plan.Iterate) *blockingOp {
 			return nil, fmt.Errorf("iterate init: %w", err)
 		}
 		return ctx.runRounds(n, "iterate", "iterate", n.MaxDepth, init,
-			func(working *Materialized) (*Materialized, float64, bool, error) {
+			func(ctx *Context, working *Materialized) (*Materialized, float64, bool, error) {
 				stop, err := Run(n.Stop, ctx)
 				if err != nil {
 					return nil, 0, false, fmt.Errorf("iterate stop: %w", err)
@@ -165,7 +156,7 @@ func newRecursiveOp(n *plan.RecursiveCTE) *blockingOp {
 			return acc, nil
 		}
 		if _, err := ctx.runRounds(n, n.Name, what, n.MaxDepth, working,
-			func(*Materialized) (*Materialized, float64, bool, error) {
+			func(ctx *Context, _ *Materialized) (*Materialized, float64, bool, error) {
 				delta, err := Run(n.Rec, ctx)
 				if err != nil {
 					return nil, 0, false, fmt.Errorf("%s: %w", what, err)

@@ -1,18 +1,23 @@
 package exec
 
 import (
+	"fmt"
+
 	"lambdadb/internal/expr"
 	"lambdadb/internal/faultinject"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/types"
 )
 
-// joinTable is the build side of a hash join: the build rows as one batch,
-// the key table over their distinct keys and, per key, the chain of build
-// rows that hold it in build-row order (head[id], then next[row] until -1).
-// Rows with a NULL key are on no chain (SQL equi-join semantics). Probing
-// only reads it, so the probe workers share one.
+// joinTable is the blocking side of a join, materialised once and only read
+// afterwards, so every part of the pipeline that streams past it shares one.
+// A nested-loop join walks it block by block. A hash join addresses it as one
+// batch through the key table over its distinct keys and, per key, the chain
+// of build rows that hold it in build-row order (head[id], then next[row]
+// until -1). Rows with a NULL key are on no chain (SQL equi-join semantics).
 type joinTable struct {
+	blocks []*types.Batch
+
 	rows       *types.Batch
 	keys       *keyTable
 	head, next []int32
@@ -80,181 +85,120 @@ func pickCols(b *types.Batch, at []int) []*types.Column {
 	return out
 }
 
-// joinOp executes inner, left-outer, and cross joins. With equi keys it is
-// a hash join — the build side drained morsel-parallel into one join table
-// and, when the probe side is a splittable scan pipeline, a morsel-parallel
-// probe; otherwise a block nested-loop join.
+// joinOp executes inner, left-outer, and cross joins as one stage of the
+// pipeline its streaming side carries: Open fetches the blocking side from
+// the context cache — built by whichever part of the pipeline asks first —
+// and Next joins one streamed batch at a time against it. With equi keys
+// that is a hash probe, otherwise a block nested loop. The join retains
+// nothing of its output; whoever drives the pipeline decides whether it runs
+// as morsels and how far.
 type joinOp struct {
 	node   *plan.Join
 	schema types.Schema
 
-	ctx *Context
+	// Fixed when the operator is built.
+	hash                 bool
+	blocking, streaming  plan.Node
+	buildKeys, probeKeys []int
+	keyTypes             []types.Type
+	key                  sharedKey
+	scoped               bool           // the blocking side changes from round to round of an enclosing loop
+	cond                 expr.Evaluator // hash: the residual; nested loop: the whole condition
 
-	// Hash-join state.
-	jt          *joinTable
-	buildIsLeft bool
-	probeKeys   []int
-	probe       Operator // serial streaming probe
-	pr          *prober  // serial streaming probe state
-	parallel    bool     // probe ran morsel-parallel in Open
-	it          matIterator
+	jt *joinTable
+	in Operator // the streaming side
 
 	pendingOut []*types.Batch
 
+	// Hash-probe buffers.
+	hashes []uint64
+	ids    []int32
+
 	// Nested-loop state.
-	left      Operator
-	right     Operator
-	onEval    expr.Evaluator
-	rightMat  *Materialized
 	nlLeft    *types.Batch
 	nlMatched []bool
 	nlRight   int
 	done      bool
+	leftIdx   []int
+	rightIdx  []int
 }
 
 func newJoinOp(n *plan.Join) (Operator, error) {
-	// Compile condition expressions eagerly so malformed plans fail at
-	// build time; per-worker probers recompile their own copies.
-	if n.Residual != nil {
-		if _, err := expr.Compile(n.Residual); err != nil {
+	j := &joinOp{node: n, schema: n.Schema(),
+		hash: len(n.EquiLeft) > 0 && (n.Type == plan.InnerJoin || n.Type == plan.LeftJoin)}
+	j.blocking, j.streaming = n.Sides()
+	j.scoped = plan.ReadsWorkingTable(j.blocking)
+	cond := n.On
+	if j.hash {
+		cond = n.Residual
+		j.buildKeys, j.probeKeys = n.EquiRight, n.EquiLeft
+		if n.BlockingLeft() {
+			j.buildKeys, j.probeKeys = n.EquiLeft, n.EquiRight
+		}
+		// A key pair of two types (BIGINT = DOUBLE) is compared as DOUBLE.
+		bs, ps := j.blocking.Schema(), j.streaming.Schema()
+		j.keyTypes = make([]types.Type, len(j.buildKeys))
+		for i, c := range j.buildKeys {
+			if j.keyTypes[i] = bs[c].Type; j.keyTypes[i] != ps[j.probeKeys[i]].Type {
+				j.keyTypes[i] = types.Float64
+			}
+		}
+	}
+	j.key = sharedKey{node: j.blocking, keys: fmt.Sprint(j.buildKeys, j.keyTypes)}
+	if cond != nil {
+		var err error
+		if j.cond, err = expr.Compile(cond); err != nil {
 			return nil, err
 		}
 	}
-	if n.On != nil && len(n.EquiLeft) == 0 {
-		if _, err := expr.Compile(n.On); err != nil {
-			return nil, err
-		}
-	}
-	return &joinOp{node: n, schema: n.Schema()}, nil
+	return j, nil
 }
 
 func (j *joinOp) Schema() types.Schema { return j.schema }
 
 func (j *joinOp) Open(ctx *Context) error {
-	j.ctx = ctx
-	j.done = false
-	j.parallel = false
-	j.pendingOut = nil
-	useHash := len(j.node.EquiLeft) > 0 &&
-		(j.node.Type == plan.InnerJoin || j.node.Type == plan.LeftJoin)
-	if useHash {
-		return j.openHash(ctx)
+	v, err := ctx.cached(j.key, j.scoped, func() (any, int64, error) { return j.build(ctx) })
+	if err != nil {
+		return err
 	}
-	return j.openLoop(ctx)
+	j.jt = v.(*joinTable)
+	if j.in, err = buildFor(j.streaming, ctx); err != nil {
+		return err
+	}
+	return j.in.Open(ctx)
 }
 
-// openHash runs the two hash-join phases. Build: drain the build side
-// (morsel-parallel when its pipeline splits) and build the join table.
-// Probe: when the probe side splits, each worker streams its morsels
-// against the shared read-only table with private output buffers —
-// concatenating per-part outputs in part order reproduces the serial output
-// order exactly; otherwise probe batches stream through Next as before.
-func (j *joinOp) openHash(ctx *Context) error {
-	// Inner joins build on the left (the optimizer put the smaller side
-	// there); left-outer joins must probe with the left side, so they build
-	// on the right.
-	j.buildIsLeft = j.node.Type == plan.InnerJoin
-	buildPlan, buildKeys := j.node.L, j.node.EquiLeft
-	probePlan := j.node.R
-	j.probeKeys = j.node.EquiRight
-	if !j.buildIsLeft {
-		buildPlan, buildKeys = j.node.R, j.node.EquiRight
-		probePlan, j.probeKeys = j.node.L, j.node.EquiLeft
-	}
-	// A key pair of two types (BIGINT = DOUBLE) is compared as DOUBLE.
-	bs, ps := buildPlan.Schema(), probePlan.Schema()
-	keyTypes := make([]types.Type, len(buildKeys))
-	for i, c := range buildKeys {
-		if keyTypes[i] = bs[c].Type; keyTypes[i] != ps[j.probeKeys[i]].Type {
-			keyTypes[i] = types.Float64
+// build materialises the blocking side (morsel-parallel when its pipeline
+// splits) and, for a hash join, indexes it.
+func (j *joinOp) build(ctx *Context) (jt *joinTable, held int64, err error) {
+	defer containPanic("join", &err)
+	if j.hash {
+		if err := faultinject.Fire("exec.join.build"); err != nil {
+			return nil, 0, err
 		}
 	}
-	if err := faultinject.Fire("exec.join.build"); err != nil {
-		return err
-	}
-	mat, err := materialize(partsOf(buildPlan, ctx), ctx)
+	mat, err := materialize(partsOf(j.blocking, ctx), ctx)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	j.jt, err = buildJoinTable(mat, buildKeys, keyTypes, ctx)
-	if err != nil {
-		return err
+	if !j.hash {
+		return &joinTable{blocks: mat.Batches}, matBytes(mat), nil
 	}
-
-	if parts := partsOf(probePlan, ctx); len(parts) > 1 {
-		sinks, err := drive(ctx, parts, "exec.join.probe", func(Operator) (*probeSink, error) {
-			pr, err := j.newProber()
-			return &probeSink{pr: pr}, err
-		})
-		if err != nil {
-			return err
-		}
-		res := &Materialized{Schema: j.schema}
-		for _, s := range sinks {
-			for _, b := range s.out {
-				res.Append(b)
-			}
-		}
-		j.parallel = true
-		j.it = matIterator{mat: res}
-		return nil
+	if jt, err = buildJoinTable(mat, j.buildKeys, j.keyTypes, ctx); err != nil {
+		return nil, 0, err
 	}
-
-	pr, err := j.newProber()
-	if err != nil {
-		return err
-	}
-	j.pr = pr
-	op, err := buildFor(probePlan, ctx)
-	if err != nil {
-		return err
-	}
-	j.probe = op
-	return op.Open(ctx)
-}
-
-// openLoop prepares the block nested-loop join: materialize the right side,
-// stream the left.
-func (j *joinOp) openLoop(ctx *Context) error {
-	l, err := buildFor(j.node.L, ctx)
-	if err != nil {
-		return err
-	}
-	j.left = l
-	if j.node.On != nil && len(j.node.EquiLeft) == 0 {
-		ev, err := expr.Compile(j.node.On)
-		if err != nil {
-			return err
-		}
-		j.onEval = ev
-	}
-	mat, err := materialize(partsOf(j.node.R, ctx), ctx)
-	if err != nil {
-		return err
-	}
-	j.rightMat = mat
-	return j.left.Open(ctx)
+	return jt, matBytes(mat) + jt.keys.charged, nil
 }
 
 func (j *joinOp) Close() error {
-	if j.jt != nil {
-		j.jt.keys.release()
-		if j.probe != nil {
-			return j.probe.Close()
-		}
-		return nil
-	}
-	if j.left != nil {
-		return j.left.Close()
+	if j.in != nil {
+		return j.in.Close()
 	}
 	return nil
 }
 
 func (j *joinOp) Next() (*types.Batch, error) {
-	if j.parallel {
-		return j.it.next(), nil
-	}
-	if j.jt != nil {
+	if j.hash {
 		return j.hashNext()
 	}
 	return j.loopNext()
@@ -271,71 +215,24 @@ func (j *joinOp) hashNext() (*types.Batch, error) {
 		if err := faultinject.Fire("exec.join.probe"); err != nil {
 			return nil, err
 		}
-		pb, err := j.probe.Next()
+		pb, err := j.in.Next()
 		if err != nil || pb == nil {
 			return nil, err
 		}
-		bs, err := j.pr.probeBatch(pb)
-		if err != nil {
+		if j.pendingOut, err = j.probeBatch(pb); err != nil {
 			return nil, err
 		}
-		j.pendingOut = append(j.pendingOut, bs...)
 	}
-}
-
-// prober holds the per-worker probe state of a hash join: its own compiled
-// residual evaluator (compiled closures are not shared across goroutines)
-// and lookup buffers, over the operator-wide read-only join table.
-type prober struct {
-	j        *joinOp
-	residual expr.Evaluator
-	hashes   []uint64
-	ids      []int32
-}
-
-func (j *joinOp) newProber() (*prober, error) {
-	pr := &prober{j: j}
-	if j.node.Residual != nil {
-		ev, err := expr.Compile(j.node.Residual)
-		if err != nil {
-			return nil, err
-		}
-		pr.residual = ev
-	}
-	return pr, nil
-}
-
-// probeSink is one worker of the morsel-parallel probe: it joins its part's
-// batches against the shared table and retains the output, charged to the
-// join.
-type probeSink struct {
-	pr  *prober
-	out []*types.Batch
-}
-
-func (s *probeSink) consume(pb *types.Batch) error {
-	bs, err := s.pr.probeBatch(pb)
-	if err != nil {
-		return err
-	}
-	for _, b := range bs {
-		if err := s.pr.j.ctx.charge("join", batchBytes(b)); err != nil {
-			return err
-		}
-	}
-	s.out = append(s.out, bs...)
-	return nil
 }
 
 // probeBatch joins one probe-side batch against the join table, returning
 // the matched rows followed by any left-join NULL-extended rows.
-func (p *prober) probeBatch(pb *types.Batch) ([]*types.Batch, error) {
-	j := p.j
+func (j *joinOp) probeBatch(pb *types.Batch) ([]*types.Batch, error) {
 	n := pb.Len()
 	keys := pickCols(pb, j.probeKeys)
-	p.hashes, p.ids = hashKeys(keys, n, p.hashes), sized(p.ids, n)
-	probeIdx, buildIdx := j.jt.match(keys, p.hashes, p.ids)
-	out, probeIdx, err := p.assemble(pb, probeIdx, buildIdx)
+	j.hashes, j.ids = hashKeys(keys, n, j.hashes), sized(j.ids, n)
+	probeIdx, buildIdx := j.jt.match(keys, j.hashes, j.ids)
+	out, probeIdx, err := j.assemble(pb, probeIdx, buildIdx)
 	if err != nil {
 		return nil, err
 	}
@@ -356,7 +253,7 @@ func (p *prober) probeBatch(pb *types.Batch) ([]*types.Batch, error) {
 	var lone []int
 	for _, hadCandidates := range []bool{false, true} {
 		for i, m := range matched {
-			if !m && (p.ids[i] >= 0) == hadCandidates {
+			if !m && (j.ids[i] >= 0) == hadCandidates {
 				lone = append(lone, i)
 			}
 		}
@@ -380,17 +277,19 @@ func nullExtend(lb *types.Batch, rows []int, schema types.Schema) *types.Batch {
 // assemble materializes matched pairs in output column order (left then
 // right), one gather per column, and applies the residual predicate; it
 // returns the output and the probe rows of the pairs in it.
-func (p *prober) assemble(pb *types.Batch, probeIdx, buildIdx []int) (*types.Batch, []int, error) {
-	j := p.j
-	cols, build := pb.Gather(probeIdx).Cols, j.jt.rows.Gather(buildIdx).Cols
-	if j.buildIsLeft {
-		cols, build = build, cols
+func (j *joinOp) assemble(pb *types.Batch, probeIdx, buildIdx []int) (*types.Batch, []int, error) {
+	left, right := pb.Cols, j.jt.rows.Gather(buildIdx).Cols
+	if !isIdentity(probeIdx, pb.Len()) { // else every probe row found exactly one partner
+		left = pb.Gather(probeIdx).Cols
 	}
-	out := &types.Batch{Schema: j.schema, Cols: append(cols, build...)}
-	if p.residual == nil || len(probeIdx) == 0 {
+	if j.node.BlockingLeft() {
+		left, right = right, left
+	}
+	out := &types.Batch{Schema: j.schema, Cols: append(append(make([]*types.Column, 0, len(j.schema)), left...), right...)}
+	if j.cond == nil || len(probeIdx) == 0 {
 		return out, probeIdx, nil
 	}
-	c, err := p.residual(out)
+	c, err := j.cond(out)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -407,6 +306,19 @@ func (p *prober) assemble(pb *types.Batch, probeIdx, buildIdx []int) (*types.Bat
 	return out, probeIdx[:len(kept)], nil
 }
 
+// isIdentity reports whether idx is 0, 1, ..., n-1.
+func isIdentity(idx []int, n int) bool {
+	if len(idx) != n {
+		return false
+	}
+	for i, x := range idx {
+		if x != i {
+			return false
+		}
+	}
+	return true
+}
+
 // loopNext implements block nested-loop join (cross joins and non-equi
 // conditions).
 func (j *joinOp) loopNext() (*types.Batch, error) {
@@ -420,7 +332,7 @@ func (j *joinOp) loopNext() (*types.Batch, error) {
 			return nil, nil
 		}
 		if j.nlLeft == nil {
-			lb, err := j.left.Next()
+			lb, err := j.in.Next()
 			if err != nil {
 				return nil, err
 			}
@@ -432,7 +344,7 @@ func (j *joinOp) loopNext() (*types.Batch, error) {
 			j.nlMatched = make([]bool, lb.Len())
 			j.nlRight = 0
 		}
-		if j.nlRight >= len(j.rightMat.Batches) {
+		if j.nlRight >= len(j.jt.blocks) {
 			// Finished all right batches for this left batch.
 			var lone []int
 			for i, m := range j.nlMatched {
@@ -446,7 +358,7 @@ func (j *joinOp) loopNext() (*types.Batch, error) {
 			j.nlLeft = nil
 			continue
 		}
-		rb := j.rightMat.Batches[j.nlRight]
+		rb := j.jt.blocks[j.nlRight]
 		j.nlRight++
 		out, err := j.crossBlock(j.nlLeft, rb)
 		if err != nil {
@@ -458,36 +370,23 @@ func (j *joinOp) loopNext() (*types.Batch, error) {
 	}
 }
 
-// crossBlock produces the filtered cross product of two batches and
-// records which left rows matched. Output columns are built column-wise:
-// left values repeat across the right block, right columns are copied
-// wholesale per left row.
+// crossBlock produces the filtered cross product of two batches, left-major,
+// and records which left rows matched: two gathers, the left rows repeated
+// across the right block and the right block tiled once per left row.
 func (j *joinOp) crossBlock(lb, rb *types.Batch) (*types.Batch, error) {
 	ln, rn := lb.Len(), rb.Len()
-	nl := len(lb.Cols)
-	out := &types.Batch{Schema: j.schema, Cols: make([]*types.Column, len(j.schema))}
-	for ci := range j.schema {
-		out.Cols[ci] = types.NewColumn(j.schema[ci].Type, ln*rn)
+	j.leftIdx, j.rightIdx = sized(j.leftIdx, ln*rn), sized(j.rightIdx, ln*rn)
+	for o := range j.leftIdx {
+		j.leftIdx[o], j.rightIdx[o] = o/rn, o%rn
 	}
-	leftIdx := make([]int, 0, ln*rn)
-	for li := 0; li < ln; li++ {
-		for ci, c := range lb.Cols {
-			out.Cols[ci].AppendRepeat(c.Value(li), rn)
-		}
-		for ci, c := range rb.Cols {
-			out.Cols[nl+ci].AppendColumn(c)
-		}
-		for ri := 0; ri < rn; ri++ {
-			leftIdx = append(leftIdx, li)
-		}
-	}
-	if j.onEval == nil {
+	out := &types.Batch{Schema: j.schema, Cols: append(lb.Gather(j.leftIdx).Cols, rb.Gather(j.rightIdx).Cols...)}
+	if j.cond == nil {
 		for i := range j.nlMatched {
 			j.nlMatched[i] = true
 		}
 		return out, nil
 	}
-	c, err := j.onEval(out)
+	c, err := j.cond(out)
 	if err != nil {
 		return nil, err
 	}
@@ -495,7 +394,7 @@ func (j *joinOp) crossBlock(lb, rb *types.Batch) (*types.Batch, error) {
 	for i := 0; i < out.Len(); i++ {
 		if !c.IsNull(i) && c.Bools[i] {
 			idx = append(idx, i)
-			j.nlMatched[leftIdx[i]] = true
+			j.nlMatched[j.leftIdx[i]] = true
 		}
 	}
 	if len(idx) == 0 {

@@ -78,6 +78,13 @@ func (t *keyTable) resolve(keys []*types.Column, hashes []uint64, ids []int32, a
 			}
 		}
 	}
+	// One BIGINT key without NULLs on either side, the common case, is
+	// compared as such (see same); decided once per batch.
+	var ints []int64
+	if len(keys) == 1 && keys[0].T == types.Int64 && t.cols[0].T == types.Int64 &&
+		keys[0].Nulls == nil && t.cols[0].Nulls == nil {
+		ints = keys[0].Ints
+	}
 	mask := uint64(len(t.slots) - 1)
 	for i, h := range hashes {
 		if ids[i] < 0 {
@@ -100,7 +107,7 @@ func (t *keyTable) resolve(keys []*types.Column, hashes []uint64, ids []int32, a
 				ids[i] = id
 				break
 			}
-			if t.hashes[id] == h && t.equal(keys, i, int(id)) {
+			if t.hashes[id] == h && t.same(ints, keys, i, id) {
 				ids[i] = id
 				break
 			}
@@ -122,6 +129,17 @@ func (t *keyTable) widen(keys []*types.Column) []*types.Column {
 		}
 	}
 	return out
+}
+
+// same reports whether row i of keys holds stored key id. ints, when not nil,
+// is the batch's only key column and BIGINT without NULLs, like the table's:
+// one load and compare, small enough to inline into resolve's loop (a closure
+// picked before the loop measured 10 % slower on BenchmarkHashAgg/int-key).
+func (t *keyTable) same(ints []int64, keys []*types.Column, i int, id int32) bool {
+	if ints != nil {
+		return ints[i] == t.cols[0].Ints[id]
+	}
+	return t.equal(keys, i, int(id))
 }
 
 // equal compares row i of keys with stored key id.

@@ -276,6 +276,41 @@ func TestKeyTableGroupsLikeOracle(t *testing.T) {
 	}
 }
 
+// TestKeyTableIntFastPathMatchesOracle pins resolve's compare for one BIGINT
+// key without NULLs: the same table is fed batches with and without NULLs in
+// turn, so it enters the fast path, leaves it for good once a NULL key is
+// stored, and must hand out the oracle's ids throughout — under the
+// degenerate hash too, where nothing but the compare tells keys apart.
+func TestKeyTableIntFastPathMatchesOracle(t *testing.T) {
+	ts := []types.Type{types.Int64}
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(200 + seed))
+		wide, degenerateHash := seed%2 == 0, seed%4 >= 2
+		oracle := &oracleAggHash{buckets: map[uint64][]int{}}
+		table := newKeyTable(nil, "test", ts, true)
+		for batch, nullEvery := range []int{0, 0, 0, 5, 0, 5, 0} {
+			n := 100 + rng.Intn(300) // enough rows that one in five NULL means some NULL
+			b := randBatch(rng, ts, n, wide, nullEvery)
+			if fast := batch < 3; fast != (b.Cols[0].Nulls == nil && table.cols[0].Nulls == nil) {
+				t.Fatalf("seed %d batch %d: on the fast path: %v, want %v", seed, batch, !fast, fast)
+			}
+			hashes := hashKeys(b.Cols, n, nil)
+			if degenerateHash {
+				hashes = degenerate(n)
+			}
+			ids, again := make([]int32, n), make([]int32, n)
+			table.findOrAdd(b.Cols, hashes, ids)
+			table.find(b.Cols, hashes, again)
+			for i := 0; i < n; i++ {
+				if want := oracle.lookup(b.Row(i)); int(ids[i]) != want || int(again[i]) != want {
+					t.Fatalf("seed %d batch %d row %d %v: findOrAdd %d, find %d, oracle group %d",
+						seed, batch, i, b.Row(i), ids[i], again[i], want)
+				}
+			}
+		}
+	}
+}
+
 func hasNaN(row []types.Value) bool {
 	for _, v := range row {
 		if !v.Null && v.T == types.Float64 && math.IsNaN(v.F) {

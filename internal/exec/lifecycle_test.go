@@ -17,6 +17,12 @@ import (
 	"lambdadb/internal/types"
 )
 
+// counted puts a global count(*) over p: a driver that splits p's pipeline
+// into morsels and retains none of its batches.
+func counted(p plan.Node) plan.Node {
+	return &plan.Aggregate{Child: p, Aggs: []plan.AggSpec{{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"}}}
+}
+
 // lifecycleCtx returns an exec context with the given parallelism attached
 // to a cancellable Go context.
 func lifecycleCtx(workers int) (*Context, context.CancelFunc) {
@@ -125,6 +131,43 @@ func TestMemoryLimitNamesJoinBuild(t *testing.T) {
 	}
 }
 
+// TestJoinBuildSidesStayBookedForTheStatement: outside a loop, what a join
+// retains — its blocking side and the table over it — belongs to the
+// statement's cache and is returned when the Context dies, not when the join
+// closes. The branches of a UNION ALL of joins therefore add up: a budget
+// must admit every build side of the statement at once (DESIGN §8).
+func TestJoinBuildSidesStayBookedForTheStatement(t *testing.T) {
+	s := storage.NewStore()
+	small := nullableTable(t, s, "small", 2_000, 2_000, 0)
+	big := nullableTable(t, s, "big", 20_000, 2_000, 0)
+	branch := func() plan.Node {
+		return counted(&plan.Join{Type: plan.InnerJoin, L: plan.NewScan(small, "", s.Snapshot()),
+			R: plan.NewScan(big, "", s.Snapshot()), EquiLeft: []int{0}, EquiRight: []int{0}})
+	}
+	run := func(p plan.Node, limit int64) (int64, error) {
+		ctx := NewContext()
+		ctx.SetMemoryLimit(limit)
+		_, err := Run(p, ctx)
+		return ctx.MemoryUsed(), err
+	}
+	one, err := run(branch(), 1<<30)
+	if err != nil || one < 2_000*16 {
+		t.Fatalf("one join: %d bytes booked at the end, %v", one, err)
+	}
+	const branches = 4
+	union := branch()
+	for i := 1; i < branches; i++ {
+		union = &plan.Union{All: true, L: union, R: branch()}
+	}
+	if used, err := run(union, 1<<30); err != nil || used < branches*one {
+		t.Errorf("%d joins: %d bytes booked at the end, want %d x %d; %v", branches, used, branches, one, err)
+	}
+	var re *ResourceError
+	if _, err := run(union, (branches-1)*one); !errors.As(err, &re) {
+		t.Errorf("a budget of %d build sides admitted %d: %v", branches-1, branches, err)
+	}
+}
+
 func TestMemoryLimitUnlimitedByDefault(t *testing.T) {
 	s, tbl := bigTable(t, 50_000, 1000)
 	ctx := NewContext()
@@ -161,6 +204,15 @@ func TestIterateReleasesWorkingTables(t *testing.T) {
 		// returns one of the two (8 B a round stay behind); a dedup table
 		// that stayed behind would be ten times that.
 		{"recursive-union", &plan.RecursiveCTE{Name: "r", Init: working, Rec: &plan.Values{Sch: sch}, MaxDepth: 10}, 1 << 14},
+		// What a round caches about its working table — a WITH's relation, a
+		// join's build side — ends with the round. The Shared relation is
+		// also the step's result and so the next working table: it is booked
+		// twice (by the cache and by the step's sink) and returned twice (at
+		// the epoch bump and when ITERATE drops it).
+		{"shared", &plan.Shared{Child: working}, 1 << 12},
+		{"join-build", &plan.Project{Exprs: []expr.Expr{colRef("x", 0, types.Int64)}, Names: []string{"x"},
+			Child: &plan.Join{Type: plan.InnerJoin, L: working, R: &plan.WorkingScan{Name: "iterate", Sch: sch},
+				EquiLeft: []int{0}, EquiRight: []int{0}}}, 1 << 12},
 	}
 	for _, tc := range steps {
 		it := &plan.Iterate{
@@ -178,6 +230,9 @@ func TestIterateReleasesWorkingTables(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "exceeded 1000 iterations") {
 			t.Fatalf("%s step: want MaxDepth exhaustion, got %v", tc.name, err)
 		}
+		if used := ctx.MemoryUsed(); used < 0 {
+			t.Errorf("%s step: %d bytes in use after the loop: something was released twice", tc.name, used)
+		}
 	}
 }
 
@@ -193,10 +248,6 @@ func TestMemoryLimitNamesRetainingSink(t *testing.T) {
 	k := colRef("k", 0, types.Int64)
 	// Under a global count no batch of the input is retained: whatever trips
 	// the budget is the input operator's own state.
-	counted := func(p plan.Node) plan.Node {
-		return &plan.Aggregate{Child: p,
-			Aggs: []plan.AggSpec{{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"}}}
-	}
 	plans := []struct {
 		op    string
 		plan  plan.Node
@@ -433,6 +484,7 @@ func TestCancelRacesWorkerPool(t *testing.T) {
 // the scan producer's private containment never sees.
 type trackedScan struct {
 	Operator
+	table         string
 	opens, closes int
 	untilPanic    *atomic.Int64
 }
@@ -451,7 +503,9 @@ func (o *trackedScan) Next() (*types.Batch, error) {
 // while a batch is pulled becomes an *InternalError, a storage error comes
 // back as itself, cancellation mid-stream comes back as context.Canceled —
 // and on every path, success included, each operator that was opened is
-// closed exactly once.
+// closed exactly once. A join is a stage of the pipeline that streams past
+// it: however many parts that pipeline runs as, and however it ends, the
+// join's blocking side is built — its scan opened and closed — once.
 func TestDriveContractForEverySink(t *testing.T) {
 	s := storage.NewStore()
 	big := nullableTable(t, s, "big", 60_000, 1000, 0)
@@ -463,20 +517,24 @@ func TestDriveContractForEverySink(t *testing.T) {
 	hashJoin := func(l, r *storage.Table) plan.Node {
 		return &plan.Join{Type: plan.InnerJoin, L: scan(l), R: scan(r), EquiLeft: []int{0}, EquiRight: []int{0}}
 	}
+	fiveOfSmall := &plan.Filter{Child: scan(small), Pred: &expr.BinOp{Op: expr.OpLt, Typ: types.Bool, L: k, R: &expr.Const{Val: types.NewInt(5)}}}
 	sinks := []struct {
-		name string
-		plan plan.Node
+		name     string
+		plan     plan.Node
+		blocking string // the table on the blocking side of a join the split pipeline streams past
 	}{
-		{"materialise", hashJoin(big, small)}, // the build side is the split input
-		{"join-probe", hashJoin(small, big)},
+		{"materialise", hashJoin(big, small), ""}, // the build side is the split input
+		{"join-probe", hashJoin(small, big), ""},
+		{"probe-stage", counted(hashJoin(small, big)), "small"},
+		{"cross-stage", counted(&plan.Join{Type: plan.CrossJoin, L: scan(big), R: fiveOfSmall}), "small"},
 		{"aggregate", &plan.Aggregate{Child: scan(big), Keys: []expr.Expr{k}, KeyNames: []string{"k"},
-			Aggs: []plan.AggSpec{{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"}}}},
-		{"sort", &plan.Sort{Child: scan(big), Keys: []plan.SortKey{{Col: 1, Desc: true}}, TopK: -1}},
-		{"top-k", &plan.Sort{Child: scan(big), Keys: []plan.SortKey{{Col: 1, Desc: true}}, TopK: 10}},
-		{"float-matrix", &plan.KMeans{Data: scan(big), Centers: centers, MaxIter: 2, OutNames: []string{"k", "v"}}},
+			Aggs: []plan.AggSpec{{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"}}}, ""},
+		{"sort", &plan.Sort{Child: scan(big), Keys: []plan.SortKey{{Col: 1, Desc: true}}, TopK: -1}, ""},
+		{"top-k", &plan.Sort{Child: scan(big), Keys: []plan.SortKey{{Col: 1, Desc: true}}, TopK: 10}, ""},
+		{"float-matrix", &plan.KMeans{Data: scan(big), Centers: centers, MaxIter: 2, OutNames: []string{"k", "v"}}, ""},
 		{"edges", &plan.PageRank{Damping: 0.85, MaxIter: 2,
-			Edges: &plan.Project{Child: scan(big), Exprs: []expr.Expr{k, k}, Names: []string{"src", "dst"}}}},
-		{"model-application", &plan.KMeansAssign{Data: scan(big), Centers: centers}},
+			Edges: &plan.Project{Child: scan(big), Exprs: []expr.Expr{k, k}, Names: []string{"src", "dst"}}}, ""},
+		{"model-application", &plan.KMeansAssign{Data: scan(big), Centers: centers}, ""},
 	}
 
 	var mu sync.Mutex
@@ -486,7 +544,7 @@ func TestDriveContractForEverySink(t *testing.T) {
 	defer func() { buildHook = prev }()
 	buildHook = func(p plan.Node) (Operator, bool) {
 		if sc, ok := p.(*plan.Scan); ok {
-			o := &trackedScan{Operator: newTableScan(sc), untilPanic: &untilPanic}
+			o := &trackedScan{Operator: newTableScan(sc), table: sc.Rel.Name(), untilPanic: &untilPanic}
 			mu.Lock()
 			tracked = append(tracked, o)
 			mu.Unlock()
@@ -532,10 +590,17 @@ func TestDriveContractForEverySink(t *testing.T) {
 					if len(tracked) == 0 {
 						t.Fatal("no scan was built through the hook")
 					}
+					builds := 0
 					for i, o := range tracked {
 						if o.opens > 1 || o.closes != o.opens {
 							t.Errorf("scan instance %d: opened %d times, closed %d times", i, o.opens, o.closes)
 						}
+						if o.table == sk.blocking {
+							builds += o.opens
+						}
+					}
+					if sk.blocking != "" && builds != 1 {
+						t.Errorf("the join's blocking side was scanned %d times, want once for all parts", builds)
 					}
 				})
 			}

@@ -8,14 +8,14 @@ import (
 
 // memAccountant tracks the bytes a query holds in materializations against
 // a configured budget. The rule: the sink that retains data charges it —
-// materialized batches, hash-join tables and probe output, sort runs,
-// aggregation tables, the analytical operators' matrices and edge arrays —
-// and whoever drops retained state (ITERATE's previous working table, an
-// aggregation table or matrix once its operator has produced its output)
-// releases it, so a runaway query fails with a typed ResourceError instead
-// of driving the process out of memory. The counter
-// is a conservative high-water estimate: pipelined stages that hand a
-// materialization to their parent may be counted at both levels.
+// materialized batches, hash-join tables, sort runs, aggregation tables,
+// the analytical operators' matrices and edge arrays — and whoever drops
+// retained state (ITERATE's previous working table, an aggregation table or
+// matrix once its operator has produced its output, the context cache what
+// it held for a round that is over) releases it, so a runaway query fails
+// with a typed ResourceError instead of driving the process out of memory.
+// The counter is a conservative high-water estimate: pipelined stages that
+// hand a materialization to their parent may be counted at both levels.
 type memAccountant struct {
 	limit int64
 	used  atomic.Int64

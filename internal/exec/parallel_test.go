@@ -2,9 +2,12 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
+	"lambdadb/internal/expr"
+	"lambdadb/internal/faultinject"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/storage"
 	"lambdadb/internal/types"
@@ -430,5 +433,235 @@ func TestLoserTreeMergeStability(t *testing.T) {
 	}
 	if out := mergeRuns([][][]types.Value{{}, {}, {mkRow(5, 0)}}, less); len(out) != 1 || out[0][0].I != 5 {
 		t.Errorf("merge with empty runs = %v", out)
+	}
+}
+
+// TestJoinPipelineMatchesSerial: a join is a stage of the pipeline that
+// streams past it, so whoever drives that pipeline — a materialisation, an
+// aggregate, a sort — runs scan → join → … as morsels, and a LIMIT stops it
+// early. Every driver must give at Workers=8 what it gives at Workers=1, and
+// an inner join's own output keeps its order: probe order, then build-row
+// order. (A left join emits each probe batch's unmatched rows after its
+// matched ones, so its order follows the batch boundaries, which morsels
+// move; its rows are compared as a set.)
+func TestJoinPipelineMatchesSerial(t *testing.T) {
+	s := storage.NewStore()
+	l := nullableTable(t, s, "l", 40_000, 20_000, 97)
+	r := nullableTable(t, s, "r", 30_000, 20_000, 89)
+	few := nullableTable(t, s, "few", 40, 40, 7)
+	scan := func(tbl *storage.Table) plan.Node { return plan.NewScan(tbl, tbl.Name(), s.Snapshot()) }
+	// Over (k, v, k, v): the streamed row's partner must have the larger v.
+	vLess := func(a, b int) expr.Expr {
+		return &expr.BinOp{Op: expr.OpLt, Typ: types.Bool, L: colRef("v", a, types.Float64), R: colRef("v", b, types.Float64)}
+	}
+	joins := map[string]*plan.Join{
+		"inner-hash-residual": {Type: plan.InnerJoin, L: scan(r), R: scan(l),
+			EquiLeft: []int{0}, EquiRight: []int{0}, Residual: vLess(3, 1)},
+		"left-hash-residual-null-keys": {Type: plan.LeftJoin, L: scan(l), R: scan(r),
+			EquiLeft: []int{0}, EquiRight: []int{0}, Residual: vLess(1, 3)},
+		"left-nested-loop": {Type: plan.LeftJoin, L: scan(l), R: scan(few),
+			On: &expr.BinOp{Op: expr.OpLt, Typ: types.Bool, L: colRef("k", 0, types.Int64), R: colRef("k", 2, types.Int64)}},
+	}
+	for name, join := range joins {
+		ordered := join.Type == plan.InnerJoin
+		k, v, v2 := colRef("k", 0, types.Int64), colRef("v", 1, types.Float64), colRef("v", 3, types.Float64)
+		drivers := map[string]plan.Node{
+			"aggregate": &plan.Aggregate{Child: join, Keys: []expr.Expr{k}, KeyNames: []string{"k"}, Aggs: []plan.AggSpec{
+				{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"},
+				{Func: plan.AggSum, Arg: v, Type: types.Float64, Name: "sum(v)"},
+				{Func: plan.AggMin, Arg: v2, Type: types.Float64, Name: "min(v)"},
+				{Func: plan.AggMax, Arg: v2, Type: types.Float64, Name: "max(v)"}}},
+			"sort":  &plan.Sort{Child: join, Keys: []plan.SortKey{{Col: 1}, {Col: 3, Desc: true}, {Col: 2}}, TopK: -1},
+			"limit": &plan.Limit{Child: join, N: 3000, Offset: 17},
+		}
+		for driver, p := range drivers {
+			t.Run(name+"/"+driver, func(t *testing.T) {
+				serial := runWithWorkers(t, p, 1, nil)
+				if serial.NumRows == 0 {
+					t.Fatal("no rows; test data broken")
+				}
+				assertSameRows(t, serial, runWithWorkers(t, p, 8, nil), ordered || driver == "sort")
+			})
+		}
+		t.Run(name+"/materialise", func(t *testing.T) {
+			var outs [2]*Materialized
+			for i, workers := range []int{1, 8} {
+				ctx := NewContext()
+				ctx.Workers = workers
+				parts := partsOf(join, ctx)
+				if (len(parts) > 1) != (workers > 1) {
+					t.Fatalf("workers=%d: the join pipeline runs as %d parts", workers, len(parts))
+				}
+				var err error
+				if outs[i], err = materialize(parts, ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if outs[0].NumRows < 5000 {
+				t.Fatalf("%d rows; test data broken", outs[0].NumRows)
+			}
+			assertSameRows(t, outs[0], outs[1], ordered)
+		})
+	}
+}
+
+// TestIterateBuildsInvariantJoinSideOnce: a join inside a loop body keeps
+// its blocking side across rounds when that side reads no working table —
+// its subtree executes once, however many rounds probe it — and rebuilds it
+// every round when it does. The plan is not touched either way.
+func TestIterateBuildsInvariantJoinSideOnce(t *testing.T) {
+	s, big := bigTable(t, 20_000, 20_000) // k unique
+	sch := types.Schema{{Name: "k", Type: types.Int64}}
+	working := func() plan.Node { return &plan.WorkingScan{Name: "iterate", Sch: sch} }
+	k := colRef("k", 0, types.Int64)
+	next := []expr.Expr{&expr.BinOp{Op: expr.OpAdd, Typ: types.Int64, L: k, R: &expr.Const{Val: types.NewInt(1)}}}
+	const rounds = 6
+	iterate := func(step plan.Node) *plan.Iterate {
+		return &plan.Iterate{MaxDepth: 100,
+			Init: &plan.Values{Sch: sch, Rows: [][]types.Value{{types.NewInt(0)}}},
+			Step: step,
+			Stop: &plan.Filter{Child: working(), Pred: &expr.BinOp{Op: expr.OpGe, Typ: types.Bool, L: k, R: &expr.Const{Val: types.NewInt(rounds)}}},
+		}
+	}
+	invariant := plan.NewScan(big, "big", s.Snapshot())
+	for _, tc := range []struct {
+		name     string
+		it       *plan.Iterate
+		blocking plan.Node
+		builds   int64
+	}{
+		{"invariant-side", iterate(&plan.Project{Exprs: next, Names: []string{"k"}, Child: &plan.Join{Type: plan.LeftJoin,
+			L: working(), R: invariant, EquiLeft: []int{0}, EquiRight: []int{0}}}), invariant, 1},
+		{"working-side", func() *plan.Iterate {
+			w := working()
+			return iterate(&plan.Project{Exprs: next, Names: []string{"k"}, Child: &plan.Join{Type: plan.InnerJoin,
+				L: w, R: plan.NewScan(big, "big", s.Snapshot()), EquiLeft: []int{0}, EquiRight: []int{0}}})
+		}(), nil, rounds},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blocking := tc.blocking
+			if blocking == nil {
+				blocking, _ = tc.it.Step.(*plan.Project).Child.(*plan.Join).Sides()
+			}
+			before := plan.ExplainTree(tc.it)
+			ctx := NewContext()
+			ctx.Workers = 1
+			sc := ctx.EnableStats()
+			out, err := Run(tc.it, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows := out.Rows(); len(rows) != 1 || rows[0][0].I != rounds {
+				t.Fatalf("result %v, want one row holding %d", rows, rounds)
+			}
+			if got := sc.Tree(blocking).Instances; got != tc.builds {
+				t.Errorf("the blocking side executed %d times over %d rounds, want %d", got, rounds, tc.builds)
+			}
+			if after := plan.ExplainTree(tc.it); after != before {
+				t.Errorf("EXPLAIN changed:\n%s\nwas\n%s", after, before)
+			}
+		})
+	}
+}
+
+// TestJoinFaultPointsPerBuildAndProbeBatch: exec.join.build fires once per
+// table built, not once per part that probes it; exec.join.probe fires
+// before every pull on the probe side, in every part.
+func TestJoinFaultPointsPerBuildAndProbeBatch(t *testing.T) {
+	defer faultinject.Reset()
+	s := storage.NewStore()
+	small := nullableTable(t, s, "small", 100, 100, 0)
+	big := nullableTable(t, s, "big", 60_000, 1000, 0)
+	join := &plan.Join{Type: plan.InnerJoin, L: plan.NewScan(small, "", s.Snapshot()), R: plan.NewScan(big, "", s.Snapshot()),
+		EquiLeft: []int{0}, EquiRight: []int{0}}
+	for _, workers := range []int{1, 8} {
+		var builds, probes, scanned atomic.Int64
+		count := func(n *atomic.Int64) func() error { return func() error { n.Add(1); return nil } }
+		faultinject.Set("exec.join.build", count(&builds))
+		faultinject.Set("exec.join.probe", count(&probes))
+		faultinject.Set("exec.scan.batch", count(&scanned))
+		ctx := NewContext()
+		ctx.Workers = workers
+		parts := int64(len(partsOf(join, ctx)))
+		if _, err := Run(counted(join), ctx); err != nil {
+			t.Fatal(err)
+		}
+		// The build side is one batch; every other batch scanned is probed,
+		// and each part pulls once more to find its input exhausted.
+		if want := scanned.Load() - 1 + parts; builds.Load() != 1 || probes.Load() != want {
+			t.Errorf("workers=%d (%d parts): exec.join.build fired %d times, want 1; exec.join.probe %d times, want %d",
+				workers, parts, builds.Load(), probes.Load(), want)
+		}
+	}
+}
+
+// TestLoopInBlockingSideBuildsOnce: the parts of a pipeline meet at one cache
+// entry for a join's blocking side whenever they arrive — also when that side
+// is itself a loop, whose rounds come and go while it is computed. A round
+// runs under a context of its own, so the loop moves neither the epoch nor
+// the bindings its sibling parts read. GOMAXPROCS(1) makes the late arrival
+// the rule: the part that computes the build runs the whole loop before the
+// others have asked.
+func TestLoopInBlockingSideBuildsOnce(t *testing.T) {
+	s, big := bigTable(t, 60_000, 60_000) // k unique
+	sch := types.Schema{{Name: "k", Type: types.Int64}}
+	k := colRef("k", 0, types.Int64)
+	lit := func(n int64) expr.Expr { return &expr.Const{Val: types.NewInt(n)} }
+	working := func() plan.Node { return &plan.WorkingScan{Name: "iterate", Sch: sch} }
+	// loop runs rounds times over init, adding 1 to every k in each.
+	loop := func(init plan.Node, below int64) *plan.Iterate {
+		return &plan.Iterate{MaxDepth: 1000, Init: init,
+			Step: &plan.Project{Child: working(), Names: []string{"k"},
+				Exprs: []expr.Expr{&expr.BinOp{Op: expr.OpAdd, Typ: types.Int64, L: k, R: lit(1)}}},
+			Stop: &plan.Filter{Child: working(), Pred: &expr.BinOp{Op: expr.OpGe, Typ: types.Bool, L: k, R: lit(below)}}}
+	}
+	probe := func(blocking plan.Node) plan.Node {
+		return counted(&plan.Join{Type: plan.InnerJoin, L: blocking, R: plan.NewScan(big, "big", s.Snapshot()),
+			EquiLeft: []int{0}, EquiRight: []int{0}})
+	}
+	const inner, outer = 50, 3
+	one := &plan.Values{Sch: sch, Rows: [][]types.Value{{types.NewInt(0)}}}
+	whole := loop(one, inner)
+	// The inner loop starts from the outer working table, so the join that
+	// holds it is rebuilt every outer round — once, not once per part. The
+	// outer step adds the one row the probe finds to its k.
+	nested := loop(working(), inner)
+	outerStep := &plan.Project{Names: []string{"k"},
+		Exprs: []expr.Expr{&expr.BinOp{Op: expr.OpAdd, Typ: types.Int64, L: k, R: colRef("count(*)", 1, types.Int64)}},
+		Child: &plan.Join{Type: plan.CrossJoin, L: working(), R: probe(nested)}}
+	for _, tc := range []struct {
+		name   string
+		plan   plan.Node
+		loop   plan.Node
+		builds int64
+		want   int64
+	}{
+		{"whole-loop", probe(whole), whole, 1, 1},
+		{"loop-over-outer-working-table", &plan.Iterate{MaxDepth: 100, Init: one, Step: outerStep,
+			Stop: &plan.Filter{Child: working(), Pred: &expr.BinOp{Op: expr.OpGe, Typ: types.Bool, L: k, R: lit(outer)}}}, nested, outer, outer},
+	} {
+		for _, procs := range []int{1, 0} {
+			t.Run(fmt.Sprintf("%s/procs=%d", tc.name, procs), func(t *testing.T) {
+				if procs > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				}
+				ctx := NewContext()
+				ctx.Workers = 8
+				sc := ctx.EnableStats()
+				out, err := Run(tc.plan, ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rows := out.Rows(); len(rows) != 1 || rows[0][0].I != tc.want {
+					t.Fatalf("result %v, want one row holding %d", rows, tc.want)
+				}
+				if got := sc.Tree(tc.loop).Instances; got != tc.builds {
+					t.Errorf("the loop in the blocking side ran %d times, want %d", got, tc.builds)
+				}
+				if used := ctx.MemoryUsed(); used < 0 {
+					t.Errorf("%d bytes in use after the statement: something was released twice", used)
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -211,50 +212,111 @@ func materialize(parts []plan.Node, ctx *Context) (*Materialized, error) {
 	return out, nil
 }
 
-// sharedKey identifies one cached materialization: the plan node plus the
-// execution epoch (0 for loop-invariant subplans).
+// sharedKey identifies one cached materialization: the relation of a Shared
+// subplan, or a join's blocking side — keyed by that side's plan node, which
+// the morsel clones of a pipeline all point at, and by how the join indexes
+// it — plus the epoch of the loop round it belongs to (0 for loop-invariant
+// subplans).
 type sharedKey struct {
-	node  *plan.Shared
+	node  plan.Node
+	keys  string // join: build key columns and types; "" for a Shared relation
 	epoch uint64
 }
 
-// sharedCache stores materialized Shared subplans per Context. Each entry
-// computes at most once; the per-entry sync.Once keeps nested Shared
-// subplans (a CTE referencing another CTE) from deadlocking on the map
-// lock.
+// sharedCache stores what a query materializes once and reads from many
+// places, per statement. Each entry computes at most once; the per-entry
+// sync.Once keeps nested entries (a CTE referencing another CTE, a build
+// side that joins) from deadlocking on the map lock.
 type sharedCache struct {
 	mu      sync.Mutex
 	entries map[sharedKey]*sharedEntry
+	rounds  uint64 // loop rounds started so far; the latest one's epoch
 }
 
 type sharedEntry struct {
 	once sync.Once
-	mat  *Materialized
+	val  any // *Materialized or *joinTable
 	err  error
+	held int64 // bytes booked for val, returned when its round ends
+}
+
+func (c *Context) cache() *sharedCache {
+	if c.stmt != nil {
+		return &c.stmt.shared
+	}
+	return &c.shared
+}
+
+// cached returns what compute produces for key, computing it on first use:
+// once per statement, or once per loop round when scoped (the subplan reads a
+// working table bound outside it). compute reports the bytes it booked for
+// the value; the cache returns them to the budget when the round ends.
+// Unscoped entries live as long as the statement's Context.
+func (c *Context) cached(key sharedKey, scoped bool, compute func() (val any, held int64, err error)) (any, error) {
+	if scoped {
+		key.epoch = c.epoch
+	}
+	sc := c.cache()
+	sc.mu.Lock()
+	if sc.entries == nil {
+		sc.entries = map[sharedKey]*sharedEntry{}
+	}
+	e, ok := sc.entries[key]
+	if !ok {
+		e = &sharedEntry{}
+		sc.entries[key] = e
+	}
+	sc.mu.Unlock()
+	e.once.Do(func() { e.val, e.held, e.err = compute() })
+	return e.val, e.err
+}
+
+// round returns the context one round of a loop runs under: c's settings,
+// budget, telemetry and cache, name bound to working on top of c's bindings,
+// and an epoch of its own. c is not touched — whatever else runs under it,
+// such as the sibling parts of a pipeline whose blocking side is this loop,
+// sees neither its bindings nor its epoch move.
+func (c *Context) round(name string, working *Materialized) *Context {
+	rc := &Context{Workers: c.Workers, OnIndexProbe: c.OnIndexProbe, goCtx: c.goCtx, mem: c.mem, stats: c.stats,
+		Bindings: make(map[string]*Materialized, len(c.Bindings)+1), stmt: c.stmt}
+	if rc.stmt == nil {
+		rc.stmt = c
+	}
+	maps.Copy(rc.Bindings, c.Bindings)
+	rc.Bindings[name] = working
+	sc := rc.cache()
+	sc.mu.Lock()
+	sc.rounds++
+	rc.epoch = sc.rounds
+	sc.mu.Unlock()
+	return rc
+}
+
+// endRound drops what the round cached about its working tables — Shared
+// relations and join build sides alike; nothing can find it again — and
+// returns its bytes to the budget. Every pipeline the round ran has been
+// joined by now, so no entry of it is still being computed.
+func (c *Context) endRound() {
+	sc := c.cache()
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	for key, e := range sc.entries {
+		if key.epoch == c.epoch {
+			c.release(e.held)
+			delete(sc.entries, key)
+		}
+	}
 }
 
 // newSharedOp serves a Shared plan node from the context cache, computing
 // it on first use within the relevant epoch.
 func newSharedOp(n *plan.Shared) *blockingOp {
 	return &blockingOp{label: "shared", schema: n.Schema(), compute: func(ctx *Context) (*Materialized, error) {
-		key := sharedKey{node: n}
-		if !n.Invariant {
-			key.epoch = ctx.epoch
-		}
-		c := &ctx.shared
-		c.mu.Lock()
-		if c.entries == nil {
-			c.entries = map[sharedKey]*sharedEntry{}
-		}
-		e, ok := c.entries[key]
-		if !ok {
-			e = &sharedEntry{}
-			c.entries[key] = e
-		}
-		c.mu.Unlock()
-		e.once.Do(func() {
-			e.mat, e.err = Run(n.Child, ctx)
+		v, err := ctx.cached(sharedKey{node: n}, !n.Invariant, func() (any, int64, error) {
+			mat, err := Run(n.Child, ctx)
+			return mat, matBytes(mat), err
 		})
-		return e.mat, e.err
+		mat, _ := v.(*Materialized)
+		return mat, err
 	}}
 }

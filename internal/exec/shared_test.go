@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"context"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,21 +88,61 @@ func TestSharedEpochScopedRecomputes(t *testing.T) {
 	counted := &countingNode{inner: oneRowValues(), runs: &runs}
 	shared := &plan.Shared{Child: counted, Invariant: false}
 	ctx := NewContext()
-	if _, err := Run(shared, ctx); err != nil {
+	round := ctx.round("iterate", nil)
+	if _, err := Run(shared, round); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(shared, ctx); err != nil {
+	if _, err := Run(shared, round); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 1 {
-		t.Fatalf("same epoch should cache: runs = %d", runs.Load())
+		t.Fatalf("same round should cache: runs = %d", runs.Load())
 	}
-	ctx.BumpEpoch()
-	if _, err := Run(shared, ctx); err != nil {
+	round.endRound()
+	if _, err := Run(shared, ctx.round("iterate", nil)); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() != 2 {
-		t.Errorf("new epoch should recompute: runs = %d", runs.Load())
+		t.Errorf("new round should recompute: runs = %d", runs.Load())
+	}
+}
+
+// TestRoundContextCarriesTheStatement: a round's context is the statement's
+// in everything but its bindings and epoch. round names the fields it
+// copies, so a field added to Context must be added there or here.
+func TestRoundContextCarriesTheStatement(t *testing.T) {
+	ctx := NewContext()
+	ctx.Workers = 3
+	ctx.OnIndexProbe = func(int64) {}
+	ctx.AttachContext(context.Background())
+	ctx.SetMemoryLimit(1 << 20)
+	ctx.EnableStats()
+	outer := &Materialized{}
+	ctx.Bindings["outer"] = outer
+	working := &Materialized{}
+	inner := ctx.round("r", working).round("r2", working)
+	own := map[string]bool{"Bindings": true, "epoch": true, "stmt": true, "shared": true}
+	a, b := reflect.ValueOf(ctx).Elem(), reflect.ValueOf(inner).Elem()
+	for i := 0; i < a.NumField(); i++ {
+		name := a.Type().Field(i).Name
+		if own[name] {
+			continue
+		}
+		if f := a.Field(i); f.IsZero() {
+			t.Errorf("Context.%s is not set by this test", name)
+		} else if f.Kind() == reflect.Func {
+			if b.Field(i).IsNil() {
+				t.Errorf("round drops Context.%s", name)
+			}
+		} else if !f.Equal(b.Field(i)) {
+			t.Errorf("round does not carry Context.%s", name)
+		}
+	}
+	if inner.stmt != ctx || inner.cache() != &ctx.shared || inner.epoch != 2 {
+		t.Errorf("a nested round uses cache %p (statement's %p) at epoch %d, want 2", inner.cache(), &ctx.shared, inner.epoch)
+	}
+	if inner.Bindings["outer"] != outer || inner.Bindings["r2"] != working || len(ctx.Bindings) != 1 {
+		t.Errorf("bindings: round %v, statement %v", inner.Bindings, ctx.Bindings)
 	}
 }
 

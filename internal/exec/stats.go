@@ -149,20 +149,25 @@ func (sc *StatsCollector) AddIteration(node plan.Node, it IterationStat) {
 	r.iterations = append(r.iterations, it)
 }
 
-// aliasPipeline registers a morsel clone's spine (single-child nodes down to
-// the Scan or WorkingScan leaf) as aliases of the original pipeline, so
-// per-part operator wrappers merge into the original nodes' records.
-// ClonePipeline produces a shape-identical spine, which this walk relies on.
+// aliasPipeline registers a morsel clone's spine (down to the Scan or
+// WorkingScan leaf, through a join's streaming side) as aliases of the
+// original pipeline, so per-part operator wrappers merge into the original
+// nodes' records. ClonePipeline produces a shape-identical tree that shares
+// with the original whatever it did not copy, which this walk relies on.
 func (sc *StatsCollector) aliasPipeline(orig, clone plan.Node) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	for orig != clone {
-		sc.alias[clone] = orig
-		oc, cc := orig.Children(), clone.Children()
-		if len(oc) != 1 || len(cc) != 1 {
-			return
-		}
-		orig, clone = oc[0], cc[0]
+	sc.aliasLocked(orig, clone)
+}
+
+func (sc *StatsCollector) aliasLocked(orig, clone plan.Node) {
+	if orig == clone {
+		return
+	}
+	sc.alias[clone] = orig
+	cc := clone.Children()
+	for i, oc := range orig.Children() {
+		sc.aliasLocked(oc, cc[i])
 	}
 }
 

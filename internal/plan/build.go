@@ -42,6 +42,9 @@ type cteBinding struct {
 	working bool // true inside a recursive CTE / ITERATE definition
 	schema  types.Schema
 	name    string
+	// card estimates a working table by its init plan: the round's input is
+	// the previous round's output, and the first round's is the init's.
+	card float64
 }
 
 // NewBuilder returns a Builder reading at the given snapshot.
@@ -94,7 +97,7 @@ func (b *Builder) buildSelect(sel *sql.Select) (Node, error) {
 		}
 		// Materialize each CTE once per execution epoch; subtrees that read
 		// no working table are loop-invariant and cached across iterations.
-		shared := &Shared{Child: node, Invariant: !ContainsWorkingScan(node)}
+		shared := &Shared{Child: node, Invariant: !ReadsWorkingTable(node)}
 		b.ctes[cte.Name] = &cteBinding{node: shared, schema: node.Schema(), name: cte.Name}
 	}
 
@@ -181,7 +184,7 @@ func (b *Builder) buildCTE(cte sql.CTE) (Node, error) {
 
 	// Plan the recursive term with the CTE name bound to the working table.
 	savedBinding := b.ctes[cte.Name]
-	b.ctes[cte.Name] = &cteBinding{working: true, schema: initSchema, name: cte.Name}
+	b.ctes[cte.Name] = &cteBinding{working: true, schema: initSchema, name: cte.Name, card: init.Card()}
 	rec, err := b.buildQueryExpr(setop.R)
 	if savedBinding == nil {
 		delete(b.ctes, cte.Name)

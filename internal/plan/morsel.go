@@ -4,31 +4,55 @@ package plan
 // WorkingScan over a bound working table) can be cloned into row-range
 // restricted copies, one per morsel, which the executor runs on a worker
 // pool. Filter/Project/Alias nodes are pure per-row transforms and commute
-// with the split; everything else is a pipeline breaker.
+// with the split, and so does a Join along its streaming side: every morsel
+// joins against the same blocking side, which the clones share unchanged.
+// Everything else is a pipeline breaker.
 
 // MorselLeaf returns the splittable leaf (a *Scan or *WorkingScan) at the
-// root of a Filter/Project/Alias pipeline, or nil when the pipeline is not
-// splittable.
+// root of a Filter/Project/Alias/Join pipeline, or nil when the pipeline is
+// not splittable.
 func MorselLeaf(p Node) Node {
-	switch p.(type) {
+	switch n := p.(type) {
 	case *Scan, *WorkingScan:
 		return p
 	case *Filter, *Project, *Alias:
 		return MorselLeaf(p.Children()[0])
+	case *Join:
+		_, streaming := n.Sides()
+		return MorselLeaf(streaming)
 	}
 	return nil
 }
 
+// StreamsPastJoin reports whether the pipeline rooted at p has a join among
+// its stages.
+func StreamsPastJoin(p Node) bool {
+	switch p.(type) {
+	case *Filter, *Project, *Alias:
+		return StreamsPastJoin(p.Children()[0])
+	case *Join:
+		return true
+	}
+	return false
+}
+
 // ClonePipeline copies a splittable pipeline (MorselLeaf(p) != nil) with the
 // leaf scan restricted to [lo, hi). Expressions are shared; they are
-// immutable after planning.
+// immutable after planning. A join's blocking side is shared too — the very
+// node, which is how the executor knows the clones want one build.
 func ClonePipeline(p Node, lo, hi int) Node {
 	c := shallowCopy(p)
-	switch leaf := c.(type) {
+	switch n := c.(type) {
 	case *Scan:
-		leaf.Lo, leaf.Hi = lo, hi
+		n.Lo, n.Hi = lo, hi
 	case *WorkingScan:
-		leaf.Lo, leaf.Hi = lo, hi
+		n.Lo, n.Hi = lo, hi
+	case *Join:
+		if n.BlockingLeft() {
+			n.R = ClonePipeline(n.R, lo, hi)
+		} else {
+			n.L = ClonePipeline(n.L, lo, hi)
+		}
 	default:
 		mapChildren(c, func(ch Node) Node { return ClonePipeline(ch, lo, hi) })
 	}

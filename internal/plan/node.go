@@ -286,6 +286,21 @@ func (j *Join) Card() float64 {
 	}
 }
 func (j *Join) Children() []Node { return []Node{j.L, j.R} }
+
+// BlockingLeft reports which input the executor materialises before the
+// other streams past it: a hash join's build side — the left of an inner
+// join (chooseBuildSide put the smaller input there); a left-outer join must
+// probe with its left, so it builds on the right — or the right of a
+// nested-loop join.
+func (j *Join) BlockingLeft() bool { return j.Type == InnerJoin && len(j.EquiLeft) > 0 }
+
+// Sides returns the join's blocking and streaming inputs.
+func (j *Join) Sides() (blocking, streaming Node) {
+	if j.BlockingLeft() {
+		return j.L, j.R
+	}
+	return j.R, j.L
+}
 func (j *Join) Explain() string {
 	if j.On != nil {
 		return fmt.Sprintf("%s on %s", j.Type, j.On)

@@ -33,8 +33,7 @@ func (b *Builder) buildTableName(tn *sql.TableName) (Node, error) {
 	// CTE bindings shadow stored tables.
 	if binding, ok := b.ctes[tn.Name]; ok {
 		if binding.working {
-			ws := &WorkingScan{Name: binding.name, Sch: binding.schema, Alias: tn.Alias}
-			return ws, nil
+			return &WorkingScan{Name: binding.name, Sch: binding.schema, Alias: tn.Alias, CardEst: binding.card}, nil
 		}
 		if tn.Alias != "" {
 			return &Alias{Child: binding.node, Name: tn.Alias}, nil
@@ -200,7 +199,7 @@ func (b *Builder) buildIterate(tf *sql.TableFunc) (Node, error) {
 	schema := init.Schema()
 
 	saved := b.ctes["iterate"]
-	b.ctes["iterate"] = &cteBinding{working: true, schema: schema, name: "iterate"}
+	b.ctes["iterate"] = &cteBinding{working: true, schema: schema, name: "iterate", card: init.Card()}
 	defer func() {
 		if saved == nil {
 			delete(b.ctes, "iterate")

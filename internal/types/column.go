@@ -222,41 +222,6 @@ func (c *Column) AppendColumn(o *Column) {
 	}
 }
 
-// AppendRepeat appends n copies of v.
-func (c *Column) AppendRepeat(v Value, n int) {
-	if v.Null {
-		for i := 0; i < n; i++ {
-			c.AppendNull()
-		}
-		return
-	}
-	oldLen := c.Len()
-	switch c.T {
-	case Int64:
-		x := v.AsInt()
-		for i := 0; i < n; i++ {
-			c.Ints = append(c.Ints, x)
-		}
-	case Float64:
-		x := v.AsFloat()
-		for i := 0; i < n; i++ {
-			c.Floats = append(c.Floats, x)
-		}
-	case String:
-		for i := 0; i < n; i++ {
-			c.Strs = append(c.Strs, v.S)
-		}
-	case Bool:
-		for i := 0; i < n; i++ {
-			c.Bools = append(c.Bools, v.B)
-		}
-	}
-	if c.Nulls != nil {
-		c.Nulls = append(c.Nulls, make([]bool, n)...)
-		_ = oldLen
-	}
-}
-
 // ConstColumn returns a column of n copies of v.
 func ConstColumn(v Value, n int) *Column {
 	c := NewColumn(v.T, n)
