@@ -69,10 +69,12 @@ chaos-cluster:
 bench-wal:
 	LAMBDADB_WAL_BENCH=1 $(GO) test ./internal/wal/ -run TestGroupCommitBench -count=1 -v
 
-## fuzz-smoke: 30s of native Go fuzzing against each decoder of outside bytes — the SQL front end, the WAL frame reader, the WAL record decoder (go test allows one -fuzz per invocation)
+## fuzz-smoke: 30s of native Go fuzzing against each decoder of outside bytes — the SQL front end and its statement splitter, the wire protocol's frame and payload decoders, the replication control payloads, the WAL frame reader, the WAL record decoder (go test allows one -fuzz per invocation)
 fuzz-smoke:
 	$(GO) test ./internal/sql/ -run xxx -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/sql/ -run xxx -fuzz FuzzSplitStatements -fuzztime 30s
+	$(GO) test ./internal/server/wire/ -run xxx -fuzz FuzzDecoders -fuzztime 30s
+	$(GO) test ./internal/repl/ -run xxx -fuzz FuzzControlPayloads -fuzztime 30s
 	$(GO) test ./internal/wal/ -run xxx -fuzz FuzzSegmentFrames -fuzztime 30s
 	$(GO) test ./internal/wal/ -run xxx -fuzz FuzzDecodeRecord -fuzztime 30s
 

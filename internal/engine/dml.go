@@ -10,24 +10,7 @@ import (
 	"lambdadb/internal/types"
 )
 
-// coerce converts a value to a column type, widening numerics.
-func coerce(v types.Value, to types.Type) (types.Value, error) {
-	if v.Null {
-		return types.NewNull(to), nil
-	}
-	if v.T == to {
-		return v, nil
-	}
-	if v.T.IsNumeric() && to.IsNumeric() {
-		if to == types.Float64 {
-			return types.NewFloat(v.AsFloat()), nil
-		}
-		return types.NewInt(v.AsInt()), nil
-	}
-	return types.Value{}, fmt.Errorf("cannot store %s value in %s column", v.T, to)
-}
-
-func (s *Session) execInsert(ctx context.Context, n *sql.Insert) (*Result, error) {
+func (s *Session) execInsert(ctx context.Context, st *stmt, n *sql.Insert) (*Result, error) {
 	tbl, err := s.db.store.Table(n.Table)
 	if err != nil {
 		return nil, err
@@ -60,9 +43,10 @@ func (s *Session) execInsert(ctx context.Context, n *sql.Insert) (*Result, error
 			row[i] = types.NewNull(schema[i].Type)
 		}
 		for k, v := range vals {
-			cv, err := coerce(v, schema[colIdx[k]].Type)
-			if err != nil {
-				return err
+			to := schema[colIdx[k]].Type
+			cv, ok := types.Coerce(v, to)
+			if !ok {
+				return fmt.Errorf("cannot store %s value in %s column", v.T, to)
 			}
 			row[colIdx[k]] = cv
 		}
@@ -91,13 +75,13 @@ func (s *Session) execInsert(ctx context.Context, n *sql.Insert) (*Result, error
 			}
 		}
 	case n.Query != nil:
-		node, err := s.newBuilder().BuildSelect(n.Query)
+		tmpl, err := s.buildSelect(st, n.Query)
 		if err != nil {
 			return nil, err
 		}
 		// runPlan applies the session timeout, memory limit, and telemetry,
 		// so an INSERT ... SELECT is governed like any SELECT.
-		mat, err := s.runPlan(ctx, node)
+		mat, err := s.runPlan(ctx, st, tmpl, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -365,26 +365,9 @@ func (db *DB) Query(text string) (*Result, error) {
 
 // QueryContext is Query governed by ctx (see ExecContext).
 func (db *DB) QueryContext(ctx context.Context, text string) (*Result, error) {
-	fastSess := db.NewSession()
-	res, handled, err := fastSess.tryCachedSelect(ctx, text)
-	fastSess.Close()
-	if handled {
-		return res, err
-	}
-	parseStart := time.Now()
-	st, err := sql.ParseOne(text)
-	parseNs := time.Since(parseStart).Nanoseconds()
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := st.(*sql.Select)
-	if !ok {
-		return nil, fmt.Errorf("Query expects a SELECT statement")
-	}
 	s := db.NewSession()
 	defer s.Close()
-	s.parseNs = parseNs
-	return s.execLogged(ctx, strings.TrimSpace(text), sel)
+	return s.exec(ctx, text, true)
 }
 
 // MustExec is Exec that panics on error (tests, examples).
@@ -418,25 +401,11 @@ type Session struct {
 	closed bool
 
 	collect   bool          // arm per-operator stats for every statement
-	lastStats *exec.OpStats // stats tree of the last armed statement
-	lastPeak  int64         // peak accounted bytes of the last armed statement
-
-	// Stage-latency attribution for the current statement (see execLogged):
-	// parseNs is this statement's share of script parse time, planNs the
-	// time execSelect spent building the plan.
-	parseNs int64
-	planNs  int64
+	lastStats *exec.OpStats // stats tree of the last statement (copied from its stmt)
+	lastPeak  int64         // peak accounted bytes of the last statement
 
 	// prepared holds this session's PREPAREd statements by name.
 	prepared map[string]*preparedStmt
-
-	// cacheKey, when non-empty, asks execSelect to insert the plan it
-	// builds into the shared plan cache under that key, stamped with
-	// cacheDDLVer/cacheStatsVer (read before the build started, so a DDL
-	// racing the build invalidates the entry on its next lookup).
-	cacheKey      string
-	cacheDDLVer   uint64
-	cacheStatsVer uint64
 }
 
 // CollectStats arms (or disarms) per-operator statistics collection for
@@ -450,9 +419,6 @@ func (s *Session) LastStats() *exec.OpStats { return s.lastStats }
 // LastPeakBytes returns the peak accounted memory of the most recent
 // statement executed with stats armed.
 func (s *Session) LastPeakBytes() int64 { return s.lastPeak }
-
-// statsArmed reports whether statement telemetry should be collected.
-func (s *Session) statsArmed() bool { return s.collect || s.db.slowSink != nil }
 
 // NewSession opens a session.
 func (db *DB) NewSession() *Session {
@@ -510,52 +476,96 @@ func (s *Session) Exec(text string) (*Result, error) {
 // statement failure, or cancellation — aborts an open explicit transaction
 // (see Session).
 func (s *Session) ExecContext(ctx context.Context, text string) (*Result, error) {
-	// Plan-cache fast path: a single SELECT whose normalized text matches a
-	// cached template executes with zero lex/parse/plan work. Misses fall
-	// through to the ordinary path (which inserts the built plan).
-	if res, handled, err := s.tryCachedSelect(ctx, text); handled {
-		if err != nil {
-			return nil, s.abortOnError(err)
-		}
-		return res, nil
-	}
-	parseStart := time.Now()
-	stmts, err := sql.Parse(text)
+	return s.exec(ctx, text, false)
+}
+
+// exec is the one statement entry path, behind ExecContext and (selectOnly)
+// QueryContext. Text that normalizes to a single SELECT goes to
+// execSelectText, which parses it only on a plan-cache miss; anything else
+// is parsed once into statements and their texts, and each statement runs
+// through execLogged with bookkeeping of its own. Any error aborts an open
+// explicit transaction.
+func (s *Session) exec(ctx context.Context, text string, selectOnly bool) (*Result, error) {
+	res, err := s.execScript(ctx, text, selectOnly)
 	if err != nil {
 		return nil, s.abortOnError(err)
+	}
+	return res, nil
+}
+
+func (s *Session) execScript(ctx context.Context, text string, selectOnly bool) (*Result, error) {
+	if key, ok := sql.NormalizeStatement(text); ok && isSelectPrefix(key) {
+		return s.execSelectText(ctx, text, key)
+	}
+	parseStart := time.Now()
+	stmts, texts, err := sql.ParseScript(text)
+	if err != nil {
+		return nil, err
+	}
+	if selectOnly && (len(stmts) != 1 || sql.Classify(stmts[0]).Kind != sql.KindSelect) {
+		return nil, fmt.Errorf("Query expects a SELECT statement")
 	}
 	if len(stmts) == 0 {
 		return &Result{}, nil
 	}
-	// Recover each statement's original text for the query log; fall back
-	// to the whole script if the split disagrees with the parse.
-	texts, err := sql.SplitStatements(text)
-	if err != nil || len(texts) != len(stmts) {
-		texts = nil
-	}
-	// Each statement's share of the script's parse time, for the
-	// parse_plan stage histogram.
 	parseShare := time.Since(parseStart).Nanoseconds() / int64(len(stmts))
 	var last *Result
-	for i, st := range stmts {
-		if err := ctx.Err(); err != nil {
-			return nil, s.abortOnError(err)
+	for i, ast := range stmts {
+		if err := s.ready(ctx); err != nil {
+			return nil, err
 		}
-		if s.isClosed() {
-			return nil, errSessionClosed
+		st := s.newStmt(parseShare)
+		if last, err = s.execLogged(ctx, st, texts[i], sql.Classify(ast).Kind, func(ctx context.Context) (*Result, error) {
+			return s.execStatement(ctx, st, ast)
+		}); err != nil {
+			return nil, err
 		}
-		stmtText := strings.TrimSpace(text)
-		if texts != nil {
-			stmtText = texts[i]
-		}
-		s.parseNs = parseShare
-		r, err := s.execLogged(ctx, stmtText, st)
-		if err != nil {
-			return nil, s.abortOnError(err)
-		}
-		last = r
 	}
 	return last, nil
+}
+
+// execSelectText runs text that normalizes to key, a single SELECT. Its
+// plan comes from the shared cache when a current one is there, so the text
+// is parsed only on a miss; text that does not parse runs nothing, as a
+// script that does not parse runs none of its statements.
+func (s *Session) execSelectText(ctx context.Context, text, key string) (*Result, error) {
+	if err := s.ready(ctx); err != nil {
+		return nil, err
+	}
+	st := s.newStmt(0)
+	var parseErr error
+	tmpl, err := s.cachedPlan(st, key, 0, func() (*sql.Select, error) {
+		parseStart := time.Now()
+		ast, err := sql.ParseOne(text)
+		st.parseNs = time.Since(parseStart).Nanoseconds()
+		if err != nil {
+			parseErr = err
+			return nil, err
+		}
+		sel := ast.(*sql.Select) // only a SELECT parses from a SELECT/WITH key
+		return sel, noParams(sel)
+	})
+	if parseErr != nil {
+		return nil, parseErr
+	}
+	return s.execLogged(ctx, st, strings.TrimSpace(text), sql.KindSelect, func(ctx context.Context) (*Result, error) {
+		if err != nil {
+			return nil, err
+		}
+		return s.runSelect(ctx, st, tmpl, nil)
+	})
+}
+
+// ready is checked before each statement: once ctx is done or the session
+// is closed, no further statement runs.
+func (s *Session) ready(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if s.isClosed() {
+		return errSessionClosed
+	}
+	return nil
 }
 
 // isClosed reports whether Close has been called.
@@ -565,23 +575,30 @@ func (s *Session) isClosed() bool {
 	return s.closed
 }
 
-func (s *Session) execStatement(ctx context.Context, st sql.Statement) (*Result, error) {
-	if err := s.db.rejectOnReplica(st); err != nil {
+func (s *Session) execStatement(ctx context.Context, st *stmt, ast sql.Statement) (*Result, error) {
+	if err := s.db.rejectOnReplica(ast); err != nil {
 		return nil, err
 	}
-	switch n := st.(type) {
+	switch n := ast.(type) {
 	case *sql.CreateTable:
 		return s.execCreate(n)
 	case *sql.DropTable:
 		return s.execDrop(n)
 	case *sql.Insert:
-		return s.execInsert(ctx, n)
+		return s.execInsert(ctx, st, n)
 	case *sql.Update:
 		return s.execUpdate(ctx, n)
 	case *sql.Delete:
 		return s.execDelete(ctx, n)
 	case *sql.Select:
-		return s.execSelect(ctx, n)
+		if err := noParams(n); err != nil {
+			return nil, err
+		}
+		tmpl, err := s.buildSelect(st, n)
+		if err != nil {
+			return nil, err
+		}
+		return s.runSelect(ctx, st, tmpl, nil)
 	case *sql.Begin:
 		s.mu.Lock()
 		if s.closed {
@@ -623,11 +640,11 @@ func (s *Session) execStatement(ctx context.Context, st sql.Statement) (*Result,
 	case *sql.Copy:
 		return s.execCopy(n)
 	case *sql.Explain:
-		return s.execExplain(ctx, n)
+		return s.execExplain(ctx, st, n)
 	case *sql.Prepare:
-		return s.execPrepare(n)
+		return s.execPrepare(st, n)
 	case *sql.Execute:
-		return s.execExecute(ctx, n)
+		return s.execExecute(ctx, st, n)
 	case *sql.Deallocate:
 		return s.execDeallocate(n)
 	case *sql.Checkpoint:
@@ -768,11 +785,36 @@ func (s *Session) withStmtTimeout(ctx context.Context) (context.Context, context
 	return context.WithTimeout(ctx, s.db.stmtTimeout)
 }
 
-// runPlan executes a built plan under the session's execution settings
-// (workers, memory limit, statement timeout). When telemetry is armed it
-// records the per-operator stats tree and peak memory on the session —
-// including for failed statements, so cancelled work is observable too.
-func (s *Session) runPlan(ctx context.Context, node plan.Node) (*exec.Materialized, error) {
+// noParams rejects $N placeholders outside PREPARE.
+func noParams(sel *sql.Select) error {
+	if n, err := sql.NumParams(sel); err != nil {
+		return err
+	} else if n > 0 {
+		return fmt.Errorf("statement has %d parameter placeholder(s); use PREPARE / EXECUTE to bind them", n)
+	}
+	return nil
+}
+
+// buildSelect plans sel, counting the time as the statement's plan time.
+// The result is a template: run it with runPlan.
+func (s *Session) buildSelect(st *stmt, sel *sql.Select) (plan.Node, error) {
+	start := time.Now()
+	node, err := s.newBuilder().BuildSelect(sel)
+	st.planNs += time.Since(start).Nanoseconds()
+	return node, err
+}
+
+// runPlan executes a plan template under the session's execution settings
+// (workers, memory limit, statement timeout). The template is rebound to the
+// session snapshot and args first, so a plan the cache shares is never run
+// itself. When st collects, its per-operator stats tree and peak memory are
+// recorded on st — for failed statements too, so cancelled work is
+// observable.
+func (s *Session) runPlan(ctx context.Context, st *stmt, tmpl plan.Node, args []types.Value) (*exec.Materialized, error) {
+	node, err := plan.Rebind(tmpl, s.snapshot(), args)
+	if err != nil {
+		return nil, err
+	}
 	ctx, cancel := s.withStmtTimeout(ctx)
 	defer cancel()
 	ectx := exec.NewContext()
@@ -784,49 +826,20 @@ func (s *Session) runPlan(ctx context.Context, node plan.Node) (*exec.Materializ
 		s.db.metrics.IndexRowsRead.Add(rows)
 	}
 	var sc *exec.StatsCollector
-	if s.statsArmed() {
+	if st.collect {
 		sc = ectx.EnableStats()
 	}
 	mat, err := exec.Run(node, ectx)
 	if sc != nil {
-		s.lastStats = sc.Tree(node)
-		s.lastPeak = ectx.PeakBytes()
+		st.stats = sc.Tree(node)
+		st.peak = ectx.PeakBytes()
 	}
 	return mat, err
 }
 
-func (s *Session) execSelect(ctx context.Context, sel *sql.Select) (*Result, error) {
-	if n, err := sql.NumParams(sel); err != nil {
-		return nil, err
-	} else if n > 0 {
-		return nil, fmt.Errorf("statement has %d parameter placeholder(s); use PREPARE / EXECUTE to bind them", n)
-	}
-	// Read both invalidation versions before building: a DDL or ANALYZE
-	// racing this build then mismatches the stamped entry on its next
-	// lookup, so a possibly-stale plan is never served again.
-	ddlVer := s.db.store.DDLVersion()
-	statsVer := s.db.stats.Version()
-	planStart := time.Now()
-	node, err := s.newBuilder().BuildSelect(sel)
-	s.planNs = time.Since(planStart).Nanoseconds()
-	if err != nil {
-		return nil, err
-	}
-	if key := s.cacheKey; key != "" {
-		s.cacheKey = ""
-		if planCacheable(node) {
-			s.db.planCache.Put(&plancache.Entry{
-				Key: key, Plan: node, DDLVer: ddlVer, StatsVer: statsVer,
-			})
-		}
-	}
-	return s.runSelectPlan(ctx, node)
-}
-
-// runSelectPlan executes a built (or rebound) SELECT plan and shapes the
-// result.
-func (s *Session) runSelectPlan(ctx context.Context, node plan.Node) (*Result, error) {
-	mat, err := s.runPlan(ctx, node)
+// runSelect runs a SELECT plan template and shapes the result.
+func (s *Session) runSelect(ctx context.Context, st *stmt, tmpl plan.Node, args []types.Value) (*Result, error) {
+	mat, err := s.runPlan(ctx, st, tmpl, args)
 	if err != nil {
 		return nil, err
 	}

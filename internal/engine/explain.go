@@ -16,10 +16,10 @@ import (
 // plan and returns it as text without executing; EXPLAIN ANALYZE executes
 // the statement with telemetry armed and returns the physical tree
 // annotated with per-operator actuals plus an execution footer.
-func (s *Session) execExplain(ctx context.Context, n *sql.Explain) (*Result, error) {
+func (s *Session) execExplain(ctx context.Context, st *stmt, n *sql.Explain) (*Result, error) {
 	var lines []string
 	if n.Analyze {
-		analyzed, err := s.explainAnalyze(ctx, n.Stmt)
+		analyzed, err := s.explainAnalyze(ctx, st, n.Stmt)
 		if err != nil {
 			return nil, err
 		}
@@ -80,24 +80,21 @@ func dmlScanLines(head, table string, where any) []string {
 	return lines
 }
 
-// explainAnalyze executes the statement with stats armed and renders the
+// explainAnalyze executes the statement with st collecting and renders the
 // operator tree with actuals plus a footer of whole-statement measurements.
-func (s *Session) explainAnalyze(ctx context.Context, st sql.Statement) ([]string, error) {
-	saved := s.collect
-	s.collect = true
-	defer func() { s.collect = saved }()
-
+func (s *Session) explainAnalyze(ctx context.Context, st *stmt, ast sql.Statement) ([]string, error) {
+	st.collect = true
 	start := time.Now()
-	res, err := s.execStatement(ctx, st)
+	res, err := s.execStatement(ctx, st, ast)
 	dur := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
 
 	var lines []string
-	if s.lastStats != nil {
-		body := splitLines(exec.FormatStatsTree(s.lastStats))
-		if ins, ok := st.(*sql.Insert); ok {
+	if st.stats != nil {
+		body := splitLines(exec.FormatStatsTree(st.stats))
+		if ins, ok := ast.(*sql.Insert); ok {
 			// The stats tree covers the SELECT source; head it with the sink.
 			lines = append(lines, fmt.Sprintf("Insert into %s", ins.Table))
 			lines = append(lines, indentLines(body)...)
@@ -107,7 +104,7 @@ func (s *Session) explainAnalyze(ctx context.Context, st sql.Statement) ([]strin
 	} else {
 		// No plan-driven execution (VALUES insert, UPDATE, DELETE): show
 		// the static shape.
-		lines, err = s.explainLines(st)
+		lines, err = s.explainLines(ast)
 		if err != nil {
 			return nil, err
 		}
@@ -117,7 +114,7 @@ func (s *Session) explainAnalyze(ctx context.Context, st sql.Statement) ([]strin
 		"",
 		fmt.Sprintf("Execution time: %s", dur.Round(time.Microsecond)),
 		fmt.Sprintf("Rows: %d", rows),
-		fmt.Sprintf("Peak memory: %s", exec.FormatBytes(s.lastPeak)),
+		fmt.Sprintf("Peak memory: %s", exec.FormatBytes(st.peak)),
 		fmt.Sprintf("Workers: %d", s.db.workers))
 	return lines, nil
 }

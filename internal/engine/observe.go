@@ -10,30 +10,45 @@ import (
 	"lambdadb/internal/telemetry"
 )
 
+// stmt is one statement's bookkeeping. The entry path creates one per
+// statement and passes it down explicitly — to the plan cache, the builder,
+// runPlan and EXPLAIN ANALYZE — and execLogged reads it back, so nothing
+// about a statement is left on the Session for the next one to inherit.
+type stmt struct {
+	start   time.Time     // the statement's clock: its duration runs from here
+	parseNs int64         // parse time: its share of the script's parse, or its own parse on a cache miss
+	planNs  int64         // time spent building plans
+	collect bool          // record the per-operator stats tree and peak bytes
+	stats   *exec.OpStats // per-operator stats tree of the plan it ran, when collected
+	peak    int64         // peak accounted bytes, when collected
+}
+
+// newStmt starts a statement's bookkeeping. parseNs is its share of a
+// script parse that already ran; the clock is started that much earlier, so
+// the statement's duration counts its parse however it was parsed.
+func (s *Session) newStmt(parseNs int64) *stmt {
+	return &stmt{
+		start:   time.Now().Add(-time.Duration(parseNs)),
+		parseNs: parseNs,
+		collect: s.collect || s.db.slowSink != nil,
+	}
+}
+
 // execLogged runs one statement and folds its outcome into the engine
 // telemetry: cumulative counters and latency histograms (system.metrics),
 // the recent-statement ring (system.query_log), and — when the statement
-// ran at least the configured threshold — the slow-query log. The trace ID
-// carried by ctx (if any) is stamped into the log entries so one ID follows
-// the statement across every surface.
-func (s *Session) execLogged(ctx context.Context, text string, st sql.Statement) (*Result, error) {
-	return s.execLoggedKind(ctx, text, sql.Classify(st).Kind, func(ctx context.Context) (*Result, error) {
-		return s.execStatement(ctx, st)
-	})
-}
-
-// execLoggedKind is execLogged without an AST: the plan-cache hit path uses
-// it because a cached statement is never re-parsed, so there is no syntax
-// tree to classify — the caller supplies the histogram kind and a closure
-// that does the work.
-func (s *Session) execLoggedKind(ctx context.Context, text string, kind sql.Kind, run func(context.Context) (*Result, error)) (*Result, error) {
-	s.lastStats, s.lastPeak, s.planNs = nil, 0, 0
+// ran at least the configured threshold — the slow-query log. Every entry
+// path (a script's statements, a cached SELECT, EXECUTE, ExecutePrepared)
+// runs through here: kind is the statement's histogram label and run does
+// the work. The trace ID carried by ctx (if any) is stamped into the log
+// entries so one ID follows the statement across every surface.
+func (s *Session) execLogged(ctx context.Context, st *stmt, text string, kind sql.Kind, run func(context.Context) (*Result, error)) (*Result, error) {
 	db := s.db
 	db.metrics.QueriesActive.Add(1)
-	start := time.Now()
 	res, err := run(ctx)
-	dur := time.Since(start)
+	dur := time.Since(st.start)
 	db.metrics.QueriesActive.Add(-1)
+	s.lastStats, s.lastPeak = st.stats, st.peak
 
 	status := telemetry.StatusOf(err)
 	var returned, affected int64
@@ -45,31 +60,25 @@ func (s *Session) execLoggedKind(ctx context.Context, text string, kind sql.Kind
 	if err != nil {
 		errText = err.Error()
 	}
-	db.metrics.RecordStatement(status, returned, affected, dur, s.lastPeak)
+	db.metrics.RecordStatement(status, returned, affected, dur, st.peak)
 	hist := db.metrics.Hist()
 	hist.RecordStmt(string(kind), dur.Nanoseconds())
-	// Stage split: parse time is attributed by ExecContext (s.parseNs),
-	// plan time by execSelect (s.planNs); what remains is execution.
-	execNs := dur.Nanoseconds() - s.planNs
-	if execNs < 0 {
-		execNs = 0
-	}
-	hist.RecordStages(s.parseNs+s.planNs, execNs)
-	s.parseNs = 0
+	frontEnd := st.parseNs + st.planNs
+	hist.RecordStages(frontEnd, max(dur.Nanoseconds()-frontEnd, 0))
 	traceID := telemetry.TraceID(ctx)
 	db.queryLog.Add(telemetry.QueryLogEntry{
-		Started:   start,
+		Started:   st.start,
 		Statement: text,
 		TraceID:   traceID,
 		Duration:  dur,
 		Rows:      returned + affected,
-		PeakBytes: s.lastPeak,
+		PeakBytes: st.peak,
 		Status:    status,
 		Err:       errText,
 	})
 	if db.slowSink != nil && dur >= db.slowThreshold {
 		db.metrics.SlowQueries.Add(1)
-		s.emitSlowQuery(text, traceID, dur, returned+affected, status)
+		s.emitSlowQuery(st, text, traceID, dur, returned+affected, status)
 	}
 	return res, err
 }
@@ -88,7 +97,7 @@ type slowQueryRecord struct {
 	Stats      *exec.OpStats `json:"stats,omitempty"`
 }
 
-func (s *Session) emitSlowQuery(text, traceID string, dur time.Duration, rows int64, status string) {
+func (s *Session) emitSlowQuery(st *stmt, text, traceID string, dur time.Duration, rows int64, status string) {
 	rec := slowQueryRecord{
 		TS:         time.Now().UTC().Format(time.RFC3339Nano),
 		Statement:  text,
@@ -96,8 +105,8 @@ func (s *Session) emitSlowQuery(text, traceID string, dur time.Duration, rows in
 		DurationMS: float64(dur.Nanoseconds()) / 1e6,
 		Rows:       rows,
 		Status:     status,
-		PeakBytes:  s.lastPeak,
-		Stats:      s.lastStats,
+		PeakBytes:  st.peak,
+		Stats:      st.stats,
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {

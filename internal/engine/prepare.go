@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"lambdadb/internal/expr"
 	"lambdadb/internal/plan"
@@ -27,60 +26,49 @@ type preparedStmt struct {
 
 // isSelectPrefix reports whether a normalized statement key can only be a
 // SELECT (possibly WITH-prefixed). False negatives just skip the cache;
-// false positives are harmless because a cache hit requires that the exact
-// key was previously cached by execSelect.
+// false positives only cost a parse error, which runs nothing.
 func isSelectPrefix(key string) bool {
 	return len(key) >= 6 && strings.EqualFold(key[:6], "SELECT") ||
 		len(key) >= 4 && strings.EqualFold(key[:4], "WITH")
 }
 
-// tryCachedSelect is the plan-cache fast path for ad-hoc statement text: when
-// text normalizes to a single SELECT whose key holds a valid cached template,
-// the statement executes with zero lex/parse/plan work (handled = true). On a
-// miss the session is armed (cacheKey + pre-build version stamps) so the
-// ordinary path inserts the plan it builds, and handled = false.
-//
-// It must be called at the top of every statement entry point: it also
-// resets the arming fields, so a key from a previous statement that errored
-// before reaching execSelect can never mis-file a later plan.
-func (s *Session) tryCachedSelect(ctx context.Context, text string) (*Result, bool, error) {
-	s.cacheKey, s.cacheDDLVer, s.cacheStatsVer = "", 0, 0
-	key, ok := sql.NormalizeStatement(text)
-	if !ok || !isSelectPrefix(key) {
-		return nil, false, nil
-	}
+// cachedPlan is the one plan-cache protocol, shared by ad-hoc SELECT text
+// and prepared SELECTs. It returns the template cached under key for a
+// statement with nParams placeholders when that template was built against
+// the current catalog and statistics. Otherwise it builds the SELECT that
+// parse returns and caches it, stamped with the two versions read before
+// the lookup — so a DDL or ANALYZE racing the build leaves an entry that is
+// already stale and dies at its next lookup instead of being served. Each
+// call counts one hit, or one miss (plus an invalidation when a stale entry
+// was dropped). Run the template with runPlan, never directly.
+func (s *Session) cachedPlan(st *stmt, key string, nParams int, parse func() (*sql.Select, error)) (plan.Node, error) {
 	db := s.db
-	ddlVer := db.store.DDLVersion()
-	statsVer := db.stats.Version()
+	ddlVer, statsVer := db.store.DDLVersion(), db.stats.Version()
 	entry, outcome := db.planCache.Get(key, ddlVer, statsVer)
-	switch outcome {
-	case plancache.Hit:
-		if entry.NParams > 0 {
-			// A PREPAREd template: raw text containing $N placeholders cannot
-			// execute without bound arguments. Let the ordinary path reject it.
-			return nil, false, nil
-		}
+	// A $N-bearing template only serves the statement it was prepared for;
+	// the same text run ad hoc misses, and its build rejects the $N.
+	if outcome == plancache.Hit && entry.NParams == nParams {
 		db.metrics.PlanCacheHits.Add(1)
-	case plancache.Invalidated:
+		return entry.Plan, nil
+	}
+	if outcome == plancache.Invalidated {
 		db.metrics.PlanCacheInvalidations.Add(1)
-		fallthrough
-	case plancache.Miss:
-		db.metrics.PlanCacheMisses.Add(1)
-		s.cacheKey, s.cacheDDLVer, s.cacheStatsVer = key, ddlVer, statsVer
-		return nil, false, nil
 	}
-	if s.isClosed() {
-		return nil, true, errSessionClosed
+	db.metrics.PlanCacheMisses.Add(1)
+	sel, err := parse()
+	if err != nil {
+		return nil, err
 	}
-	s.parseNs = 0
-	res, err := s.execLoggedKind(ctx, strings.TrimSpace(text), sql.KindSelect, func(ctx context.Context) (*Result, error) {
-		bound, err := plan.Rebind(entry.Plan, s.snapshot(), nil)
-		if err != nil {
-			return nil, err
-		}
-		return s.runSelectPlan(ctx, bound)
-	})
-	return res, true, err
+	node, err := s.buildSelect(st, sel)
+	if err != nil {
+		return nil, err
+	}
+	if planCacheable(node) {
+		db.planCache.Put(&plancache.Entry{
+			Key: key, Plan: node, NParams: nParams, DDLVer: ddlVer, StatsVer: statsVer,
+		})
+	}
+	return node, nil
 }
 
 // planCacheable reports whether a built plan may live in the shared cache.
@@ -101,7 +89,7 @@ func planCacheable(n plan.Node) bool {
 }
 
 // execPrepare handles PREPARE name [(TYPE, ...)] AS <stmt>.
-func (s *Session) execPrepare(n *sql.Prepare) (*Result, error) {
+func (s *Session) execPrepare(st *stmt, n *sql.Prepare) (*Result, error) {
 	if _, exists := s.prepared[n.Name]; exists {
 		return nil, fmt.Errorf("prepared statement %q already exists", n.Name)
 	}
@@ -132,7 +120,7 @@ func (s *Session) execPrepare(n *sql.Prepare) (*Result, error) {
 		// Build eagerly: names and parameter types are validated at PREPARE
 		// time (PostgreSQL-style), and the plan template is already cached
 		// when the first EXECUTE arrives.
-		if _, err := s.cachedPlan(ps); err != nil {
+		if _, err := s.preparedPlan(st, ps); err != nil {
 			return nil, err
 		}
 	}
@@ -143,47 +131,16 @@ func (s *Session) execPrepare(n *sql.Prepare) (*Result, error) {
 	return &Result{}, nil
 }
 
-// cachedPlan returns the plan template for a prepared SELECT: from the
-// shared cache when its stamped versions are current, otherwise freshly
-// built (and cached for the next lookup). The returned template must be
-// executed via plan.Rebind, never directly.
-func (s *Session) cachedPlan(ps *preparedStmt) (plan.Node, error) {
-	db := s.db
-	ddlVer := db.store.DDLVersion()
-	statsVer := db.stats.Version()
-	if ps.key != "" {
-		entry, outcome := db.planCache.Get(ps.key, ddlVer, statsVer)
-		switch outcome {
-		case plancache.Hit:
-			if entry.NParams == ps.nParams {
-				db.metrics.PlanCacheHits.Add(1)
-				return entry.Plan, nil
-			}
-		case plancache.Invalidated:
-			db.metrics.PlanCacheInvalidations.Add(1)
-			db.metrics.PlanCacheMisses.Add(1)
-		case plancache.Miss:
-			db.metrics.PlanCacheMisses.Add(1)
-		}
-	}
-	planStart := time.Now()
-	node, err := s.newBuilder().BuildSelect(ps.stmt.(*sql.Select))
-	s.planNs += time.Since(planStart).Nanoseconds()
-	if err != nil {
-		return nil, err
-	}
-	if ps.key != "" && planCacheable(node) {
-		db.planCache.Put(&plancache.Entry{
-			Key: ps.key, Plan: node, NParams: ps.nParams,
-			DDLVer: ddlVer, StatsVer: statsVer,
-		})
-	}
-	return node, nil
+// preparedPlan returns the plan template of a prepared SELECT.
+func (s *Session) preparedPlan(st *stmt, ps *preparedStmt) (plan.Node, error) {
+	return s.cachedPlan(st, ps.key, ps.nParams, func() (*sql.Select, error) {
+		return ps.stmt.(*sql.Select), nil
+	})
 }
 
 // execExecute handles EXECUTE name [(args, ...)]: arguments are constant
 // expressions evaluated here and bound to $1..$N.
-func (s *Session) execExecute(ctx context.Context, n *sql.Execute) (*Result, error) {
+func (s *Session) execExecute(ctx context.Context, st *stmt, n *sql.Execute) (*Result, error) {
 	ps, ok := s.prepared[n.Name]
 	if !ok {
 		return nil, fmt.Errorf("prepared statement %q does not exist", n.Name)
@@ -203,28 +160,24 @@ func (s *Session) execExecute(ctx context.Context, n *sql.Execute) (*Result, err
 		}
 		args[i] = v
 	}
-	return s.runPrepared(ctx, ps, args)
+	return s.runPrepared(ctx, st, ps, args)
 }
 
 // runPrepared executes a prepared statement with bound argument values.
-func (s *Session) runPrepared(ctx context.Context, ps *preparedStmt, args []types.Value) (*Result, error) {
+func (s *Session) runPrepared(ctx context.Context, st *stmt, ps *preparedStmt, args []types.Value) (*Result, error) {
 	if ps.class.Kind == sql.KindSelect {
-		node, err := s.cachedPlan(ps)
+		tmpl, err := s.preparedPlan(st, ps)
 		if err != nil {
 			return nil, err
 		}
-		bound, err := plan.Rebind(node, s.snapshot(), args)
-		if err != nil {
-			return nil, err
-		}
-		return s.runSelectPlan(ctx, bound)
+		return s.runSelect(ctx, st, tmpl, args)
 	}
 	// DML: substitute the arguments into a deep copy of the template, then
 	// run it down the ordinary path (the template itself is never mutated).
-	st := ps.stmt
+	ast := ps.stmt
 	if len(args) > 0 {
 		var substErr error
-		st = sql.RewriteExprs(ps.stmt, func(e expr.Expr) expr.Expr {
+		ast = sql.RewriteExprs(ps.stmt, func(e expr.Expr) expr.Expr {
 			p, ok := e.(*expr.Param)
 			if !ok {
 				return e
@@ -241,7 +194,7 @@ func (s *Session) runPrepared(ctx context.Context, ps *preparedStmt, args []type
 			return nil, substErr
 		}
 	}
-	return s.execStatement(ctx, st)
+	return s.execStatement(ctx, st, ast)
 }
 
 // execDeallocate handles DEALLOCATE name | ALL.
@@ -272,22 +225,26 @@ func (s *Session) Prepared() []string {
 // of EXECUTE: the network server's Bind frames route here so repeated
 // executions skip SQL text entirely.
 func (s *Session) ExecutePrepared(ctx context.Context, name string, args []types.Value) (*Result, error) {
-	if s.isClosed() {
-		return nil, errSessionClosed
-	}
-	ps, ok := s.prepared[name]
-	if !ok {
-		return nil, s.abortOnError(fmt.Errorf("prepared statement %q does not exist", name))
-	}
-	if len(args) != ps.nParams {
-		return nil, s.abortOnError(fmt.Errorf("prepared statement %q expects %d argument(s), got %d", name, ps.nParams, len(args)))
-	}
-	s.parseNs = 0
-	res, err := s.execLoggedKind(ctx, "EXECUTE "+name, ps.class.Kind, func(ctx context.Context) (*Result, error) {
-		return s.runPrepared(ctx, ps, args)
-	})
+	res, err := s.executePrepared(ctx, name, args)
 	if err != nil {
 		return nil, s.abortOnError(err)
 	}
 	return res, nil
+}
+
+func (s *Session) executePrepared(ctx context.Context, name string, args []types.Value) (*Result, error) {
+	if err := s.ready(ctx); err != nil {
+		return nil, err
+	}
+	ps, ok := s.prepared[name]
+	if !ok {
+		return nil, fmt.Errorf("prepared statement %q does not exist", name)
+	}
+	if len(args) != ps.nParams {
+		return nil, fmt.Errorf("prepared statement %q expects %d argument(s), got %d", name, ps.nParams, len(args))
+	}
+	st := s.newStmt(0)
+	return s.execLogged(ctx, st, "EXECUTE "+name, ps.class.Kind, func(ctx context.Context) (*Result, error) {
+		return s.runPrepared(ctx, st, ps, args)
+	})
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -99,8 +100,12 @@ func TestWeightedPageRankErrors(t *testing.T) {
 			t.Errorf("Query(%q) should fail", q)
 		}
 	}
-	// Negative weights are a runtime error.
-	if _, err := db.Query(`SELECT * FROM PAGERANK ((SELECT src, dest, w FROM wedges), λ(e) 0.0 - e.w, 0.85, 0.0)`); err == nil {
-		t.Error("negative weights should fail at runtime")
+	// Weights that are negative, NaN or infinite are a runtime error of the
+	// pagerank operator.
+	for _, w := range []string{`0.0 - e.w`, `0.0 / 0.0`, `sqrt(e.w - 1000)`, `1.0 / 0.0`} {
+		q := `SELECT * FROM PAGERANK ((SELECT src, dest, w FROM wedges), λ(e) ` + w + `, 0.85, 0.0)`
+		if _, err := db.Query(q); err == nil || !strings.Contains(err.Error(), "pagerank") {
+			t.Errorf("weight λ(e) %s: err = %v, want a pagerank error", w, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"lambdadb/internal/analytics"
@@ -297,8 +298,8 @@ func (s *edgeSink) consume(b *types.Batch) (err error) {
 			return err
 		}
 		w := s.weight(s.tuple, nil)
-		if w < 0 {
-			return fmt.Errorf("edge-weight lambda produced negative weight %g", w)
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("edge-weight lambda produced weight %g; weights must be finite and non-negative", w)
 		}
 		s.weights = append(s.weights, w)
 	}

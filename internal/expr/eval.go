@@ -271,24 +271,9 @@ func compileArith(n *BinOp, l, r Evaluator) (Evaluator, error) {
 		}, nil
 	}
 
-	// x ^ 2 is a multiply, not a call of math.Pow (and x ^ 1, x ^ 0 no
-	// arithmetic at all). Pow computes the square on the mantissa and scales
-	// afterwards, which rounds a subnormal result twice; those stay on Pow.
-	if op == OpPow && IsConst(n.R) {
-		if k, err := EvalConst(n.R); err == nil && !k.Null {
-			switch k.AsFloat() {
-			case 2:
-				return mapFloats(l, func(x float64) float64 {
-					if sq := x * x; !(sq < 0x1p-1022) {
-						return sq
-					}
-					return math.Pow(x, 2)
-				}), nil
-			case 1:
-				return l, nil
-			case 0:
-				return mapFloats(l, func(float64) float64 { return 1 }), nil
-			}
+	if op == OpPow {
+		if pow := constPow(n.R); pow != nil {
+			return mapFloats(l, pow), nil
 		}
 	}
 	var fn func(a, b float64) float64
@@ -322,6 +307,37 @@ func compileArith(n *BinOp, l, r Evaluator) (Evaluator, error) {
 		}
 		return res, nil
 	}, nil
+}
+
+// constPow returns x ^ k as a function of x when the exponent k is a
+// constant that needs no math.Pow, and nil otherwise. It is the one
+// constant-exponent rule: SQL expressions and scalar lambdas both compile
+// ^ through it, so a λ's ^ means what SQL's ^ means. x ^ 2 is a multiply —
+// except where the square is subnormal: Pow computes it on the mantissa and
+// scales afterwards, rounding once where x*x rounds twice — x ^ 1 is x, and
+// x ^ 0 is 1 (for NaN too).
+func constPow(k Expr) func(x float64) float64 {
+	if !IsConst(k) {
+		return nil
+	}
+	v, err := EvalConst(k)
+	if err != nil || v.Null {
+		return nil
+	}
+	switch v.AsFloat() {
+	case 2:
+		return func(x float64) float64 {
+			if sq := x * x; !(sq < 0x1p-1022) {
+				return sq
+			}
+			return math.Pow(x, 2)
+		}
+	case 1:
+		return func(x float64) float64 { return x }
+	case 0:
+		return func(float64) float64 { return 1 }
+	}
+	return nil
 }
 
 func compileCompare(op Op, operand types.Type, l, r Evaluator) (Evaluator, error) {

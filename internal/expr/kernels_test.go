@@ -70,6 +70,50 @@ func TestTypedCastsMatchCastValue(t *testing.T) {
 	}
 }
 
+// TestLambdaPowerMatchesSQL: a scalar λ's ^ and SQL's ^ are one operator.
+// For constant exponents — the ones constPow specialises and the ones it
+// leaves to math.Pow — CompileFloatLambda and Compile agree bit for bit
+// (NaN equals NaN) on -Inf, ±0, subnormals and random bit patterns.
+func TestLambdaPowerMatchesSQL(t *testing.T) {
+	xs := []float64{math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1), math.NaN(), 1, -1, 2.5, -3,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 1.5e-154, 1e-162, 1e200}
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 200_000; i++ {
+		xs = append(xs, math.Float64frombits(rng.Uint64()), math.Ldexp(rng.Float64()+0.5, -340-rng.Intn(40)))
+	}
+	b := &types.Batch{Schema: types.Schema{{Name: "x", Type: types.Float64}},
+		Cols: []*types.Column{{T: types.Float64, Floats: xs}}}
+	for _, k := range []float64{0, 1, 2, 3, 0.5} {
+		ev, err := Compile(&BinOp{Op: OpPow, Typ: types.Float64,
+			L: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, R: lit(types.NewFloat(k))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sqlCol, err := ev(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, err := CompileFloatLambda(&Lambda{Params: []string{"p"}, Body: &BinOp{Op: OpPow, Typ: types.Float64,
+			L: &ParamField{Param: "p", Field: "x", ParamIdx: 0, FieldIdx: 0, Typ: types.Float64}, R: lit(types.NewFloat(k))}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := 0
+		for i, x := range xs {
+			g, w := fn([]float64{x}, nil), sqlCol.Floats[i]
+			if (math.IsNaN(g) && math.IsNaN(w)) || math.Float64bits(g) == math.Float64bits(w) {
+				continue
+			}
+			if bad++; bad <= 5 {
+				t.Errorf("%g ^ %g: λ gives %g (%#x), SQL gives %g (%#x)", x, k, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+		if bad > 0 {
+			t.Errorf("x ^ %g: %d of %d values differ between λ and SQL", k, bad, len(xs))
+		}
+	}
+}
+
 // TestConstantPowerMatchesPow: x ^ 2, x ^ 1 and x ^ 0 are compiled without
 // math.Pow and must return what math.Pow returns, on the edge values and on
 // a million random bit patterns (every exponent range, subnormals and NaN

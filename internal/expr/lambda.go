@@ -125,19 +125,8 @@ func compileFloatScalar(e Expr) (FloatFn, error) {
 		case OpMod:
 			return func(a, b []float64) float64 { return math.Mod(l(a, b), r(a, b)) }, nil
 		case OpPow:
-			// The overwhelmingly common lambda shape is `expr ^ 2`;
-			// specialize small integer exponents.
-			if c, ok := n.R.(*Const); ok && !c.Val.Null {
-				switch c.Val.AsFloat() {
-				case 2:
-					return func(a, b []float64) float64 { v := l(a, b); return v * v }, nil
-				case 3:
-					return func(a, b []float64) float64 { v := l(a, b); return v * v * v }, nil
-				case 1:
-					return l, nil
-				case 0.5:
-					return func(a, b []float64) float64 { return math.Sqrt(l(a, b)) }, nil
-				}
+			if pow := constPow(n.R); pow != nil {
+				return func(a, b []float64) float64 { return pow(l(a, b)) }, nil
 			}
 			return func(a, b []float64) float64 { return math.Pow(l(a, b), r(a, b)) }, nil
 		}

@@ -44,19 +44,11 @@ func (r *rebinder) fail(err error) {
 
 // bindParamValue coerces an argument to the placeholder's inferred type.
 func bindParamValue(v types.Value, to types.Type, idx int) (types.Value, error) {
-	if v.Null {
-		return types.NewNull(to), nil
+	cv, ok := types.Coerce(v, to)
+	if !ok {
+		return types.Value{}, fmt.Errorf("parameter $%d: cannot bind %s value where %s is expected", idx, v.T, to)
 	}
-	if v.T == to || to == types.Unknown {
-		return v, nil
-	}
-	if v.T.IsNumeric() && to.IsNumeric() {
-		if to == types.Float64 {
-			return types.NewFloat(v.AsFloat()), nil
-		}
-		return types.NewInt(v.AsInt()), nil
-	}
-	return types.Value{}, fmt.Errorf("parameter $%d: cannot bind %s value where %s is expected", idx, v.T, to)
+	return cv, nil
 }
 
 func (r *rebinder) expr(e expr.Expr) expr.Expr {

@@ -29,14 +29,15 @@ func AppendTraced(id string, body []byte) []byte {
 
 // SplitTraced splits a possibly-traced payload into its trace ID and body.
 // Payloads without the 0x00 prefix return id "" and the payload untouched.
-// A malformed prefix (no terminating NUL) is treated as untraced rather
-// than rejected, so a corrupt prefix degrades to a missing trace ID.
+// A malformed prefix — no terminating NUL, or an empty ID, which
+// AppendTraced never writes — is treated as untraced rather than rejected,
+// so a corrupt prefix degrades to a missing trace ID.
 func SplitTraced(payload []byte) (id string, body []byte) {
 	if len(payload) == 0 || payload[0] != 0 {
 		return "", payload
 	}
 	end := bytes.IndexByte(payload[1:], 0)
-	if end < 0 {
+	if end <= 0 {
 		return "", payload
 	}
 	return string(payload[1 : 1+end]), payload[2+end:]

@@ -1,9 +1,9 @@
 package sql
 
 import (
+	"reflect"
 	"strings"
 	"testing"
-	"unicode/utf8"
 )
 
 // fuzzSeeds is the shared corpus: the regression inputs from the three lexer
@@ -82,31 +82,32 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzSplitStatements: splitting must never panic, every returned piece must
-// be non-empty, and re-splitting a piece must yield that piece back (the
-// splitter is idempotent on its own output).
+// FuzzSplitStatements: the statement texts ParseScript records are the one
+// statement splitter. Each is a non-blank substring of the input that
+// re-parses to exactly one statement of the same type, whose recorded text
+// is itself.
 func FuzzSplitStatements(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		parts, err := SplitStatements(src)
+		stmts, texts, err := ParseScript(src)
 		if err != nil {
 			return
 		}
-		for _, p := range parts {
-			if strings.TrimSpace(p) == "" {
-				t.Fatalf("SplitStatements(%q) returned blank piece %q", src, p)
+		if len(texts) != len(stmts) {
+			t.Fatalf("ParseScript(%q): %d statements, %d texts", src, len(stmts), len(texts))
+		}
+		for i, text := range texts {
+			if strings.TrimSpace(text) == "" || !strings.Contains(src, text) {
+				t.Fatalf("ParseScript(%q): text %q is blank or not a substring", src, text)
 			}
-			if utf8.ValidString(src) && !strings.Contains(src, p) {
-				t.Fatalf("piece %q is not a substring of input %q", p, src)
-			}
-			again, err := SplitStatements(p)
+			again, againTexts, err := ParseScript(text)
 			if err != nil {
-				t.Fatalf("re-split of %q failed: %v", p, err)
+				t.Fatalf("re-parse of %q failed: %v", text, err)
 			}
-			if len(again) != 1 || again[0] != p {
-				t.Fatalf("re-split of %q = %q", p, again)
+			if len(again) != 1 || reflect.TypeOf(again[0]) != reflect.TypeOf(stmts[i]) || againTexts[0] != text {
+				t.Fatalf("re-parse of %q = %T %q, want one %T", text, again, againTexts, stmts[i])
 			}
 		}
 	})

@@ -160,12 +160,13 @@ func TestParseExplainStatement(t *testing.T) {
 	}
 }
 
+// TestSplitStatements: ParseScript records each statement's own source text.
 func TestSplitStatements(t *testing.T) {
-	parts, err := SplitStatements("SELECT 1; -- c\n INSERT INTO t VALUES (1);;")
+	_, parts, err := ParseScript("SELECT 1; -- c\n INSERT INTO t VALUES (1);; /* d */ PREPARE p AS SELECT ';' -- e")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"SELECT 1", "INSERT INTO t VALUES (1)"}
+	want := []string{"SELECT 1", "INSERT INTO t VALUES (1)", "PREPARE p AS SELECT ';' -- e"}
 	if len(parts) != len(want) {
 		t.Fatalf("parts = %q", parts)
 	}

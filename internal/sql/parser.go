@@ -11,61 +11,43 @@ import (
 
 // Parse parses a semicolon-separated sequence of SQL statements.
 func Parse(src string) ([]Statement, error) {
+	stmts, _, err := ParseScript(src)
+	return stmts, err
+}
+
+// ParseScript is Parse that also returns each statement's source text —
+// from its first token up to the ';' or end of input after it, trimmed — so
+// texts[i] is the text of stmts[i] (the engine's query log shows it).
+func ParseScript(src string) (stmts []Statement, texts []string, err error) {
 	toks, err := lexAll(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := &parser{src: src, toks: toks}
-	var out []Statement
 	for {
 		for p.peek().kind == tokSymbol && p.peek().text == ";" {
 			p.advance()
 		}
 		if p.peek().kind == tokEOF {
-			return out, nil
+			return stmts, texts, nil
 		}
+		start := p.peek().pos
 		st, err := p.parseStatement()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out = append(out, st)
 		if t := p.peek(); t.kind != tokEOF && !(t.kind == tokSymbol && t.text == ";") {
-			return nil, p.errorf("unexpected %q after statement", t.text)
+			return nil, nil, p.errorf("unexpected %q after statement", t.text)
 		}
+		stmts = append(stmts, st)
+		texts = append(texts, p.textFrom(start))
 	}
 }
 
-// SplitStatements returns the source text of each non-empty statement in a
-// semicolon-separated script, in order, trimmed of surrounding whitespace
-// and trailing semicolons. Statement i corresponds to Parse(src)[i], which
-// lets callers (the engine's query log) attribute original text to each
-// parsed statement.
-func SplitStatements(src string) ([]string, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	start := -1
-	for _, t := range toks {
-		if t.kind == tokEOF {
-			break
-		}
-		if t.kind == tokSymbol && t.text == ";" {
-			if start >= 0 {
-				out = append(out, strings.TrimSpace(src[start:t.pos]))
-				start = -1
-			}
-			continue
-		}
-		if start < 0 {
-			start = t.pos
-		}
-	}
-	if start >= 0 {
-		out = append(out, strings.TrimSpace(src[start:]))
-	}
-	return out, nil
+// textFrom returns the source text from byte offset start up to the next
+// token — the ';' or end of input after a statement — trimmed.
+func (p *parser) textFrom(start int) string {
+	return strings.TrimSpace(p.src[start:p.peek().pos])
 }
 
 // ParseOne parses exactly one statement.
@@ -305,16 +287,7 @@ func (p *parser) parsePrepare() (Statement, error) {
 	default:
 		return nil, p.errorf("PREPARE supports SELECT, INSERT, UPDATE, and DELETE statements")
 	}
-	end := p.peek().pos // the ';' or EOF token after the inner statement
-	if end > len(p.src) {
-		end = len(p.src)
-	}
-	return &Prepare{
-		Name:  name,
-		Types: declared,
-		Stmt:  st,
-		Text:  strings.TrimSpace(p.src[start:end]),
-	}, nil
+	return &Prepare{Name: name, Types: declared, Stmt: st, Text: p.textFrom(start)}, nil
 }
 
 // parseExecute parses EXECUTE name [(expr, ...)].

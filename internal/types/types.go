@@ -88,6 +88,25 @@ func (v Value) AsInt() int64 {
 	return v.I
 }
 
+// Coerce converts v to type to, as storing a value in a column or binding
+// it to a placeholder does: NULL becomes a NULL of type to, numerics widen
+// (or truncate) to the other numeric type, and a value of type to — or any
+// value when to is Unknown — is kept. ok is false for anything else; the
+// caller words the error.
+func Coerce(v Value, to Type) (_ Value, ok bool) {
+	switch {
+	case v.Null:
+		return NewNull(to), true
+	case v.T == to || to == Unknown:
+		return v, true
+	case v.T.IsNumeric() && to == Float64:
+		return NewFloat(v.AsFloat()), true
+	case v.T.IsNumeric() && to == Int64:
+		return NewInt(v.AsInt()), true
+	}
+	return Value{}, false
+}
+
 // String renders the value as it would appear in query output.
 func (v Value) String() string {
 	if v.Null {
