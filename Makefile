@@ -5,8 +5,11 @@ GO ?= go
 ## check: everything CI runs except server-smoke — lint, build, full tests, race, telemetry-overhead smoke, benchmark-module API check
 check: lint build test race overhead bench-api
 
-## lint: go vet always; staticcheck when installed (CI pins and installs it; locally it is optional)
+## lint: go vet and gofmt -l (any file it lists fails the target) always; staticcheck when installed (CI pins and installs it; locally it is optional)
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -69,7 +72,7 @@ chaos-cluster:
 bench-wal:
 	LAMBDADB_WAL_BENCH=1 $(GO) test ./internal/wal/ -run TestGroupCommitBench -count=1 -v
 
-## fuzz-smoke: 30s of native Go fuzzing against each decoder of outside bytes — the SQL front end and its statement splitter, the wire protocol's frame and payload decoders, the replication control payloads, the WAL frame reader, the WAL record decoder (go test allows one -fuzz per invocation)
+## fuzz-smoke: 30s of native Go fuzzing against each decoder of outside bytes — the SQL front end and its statement splitter, the wire protocol's frame and payload decoders, the replication control payloads, the WAL frame reader, the WAL record decoder, the snapshot-image loader (go test allows one -fuzz per invocation)
 fuzz-smoke:
 	$(GO) test ./internal/sql/ -run xxx -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/sql/ -run xxx -fuzz FuzzSplitStatements -fuzztime 30s
@@ -77,6 +80,7 @@ fuzz-smoke:
 	$(GO) test ./internal/repl/ -run xxx -fuzz FuzzControlPayloads -fuzztime 30s
 	$(GO) test ./internal/wal/ -run xxx -fuzz FuzzSegmentFrames -fuzztime 30s
 	$(GO) test ./internal/wal/ -run xxx -fuzz FuzzDecodeRecord -fuzztime 30s
+	$(GO) test ./internal/persist/ -run xxx -fuzz FuzzLoadImage -fuzztime 30s
 
 ## bench-prepared: assert the plan-cached point-query path is >= 2x faster than lex+parse+plan per statement and print the numbers; the recorded numbers are lambdabench's plancache.adhoc_miss_read_us vs engine.point_read_us (cmd/lambdabench/BASELINE.json)
 bench-prepared:

@@ -284,6 +284,60 @@ func TestIndexedMatchesUnindexed(t *testing.T) {
 	}
 }
 
+// TestNaNComparisonsMatchIndex: a float comparison with a NaN operand is
+// false under =, <, <=, >, >= and true under <> (IEEE 754), so a filter and a
+// float index — which never matches a NaN key — agree, and DML selects the
+// same rows a query does.
+func TestNaNComparisonsMatchIndex(t *testing.T) {
+	load := func(indexed bool) *DB {
+		db := Open(WithWorkers(2))
+		db.MustExec(`CREATE TABLE t (id BIGINT, f DOUBLE)`)
+		var sb strings.Builder
+		sb.WriteString(`INSERT INTO t VALUES (2000, 0.0 / 0.0)`)
+		for i := 0; i < 2000; i++ {
+			fmt.Fprintf(&sb, ", (%d, %d.0)", i, i)
+		}
+		db.MustExec(sb.String())
+		if indexed {
+			db.MustExec(`CREATE INDEX tf ON t (f)`)
+			db.MustExec(`ANALYZE`)
+		}
+		return db
+	}
+	plain, fast := load(false), load(true)
+	if plan := explainText(t, fast, `EXPLAIN SELECT count(*) FROM t WHERE f = 7.0`); !strings.Contains(plan, "IndexScan") {
+		t.Fatalf("f = 7.0 did not pick the index:\n%s", plan)
+	}
+	for q, want := range map[string]int64{
+		`SELECT count(*) FROM t WHERE f = 7.0`:     1,
+		`SELECT count(*) FROM t WHERE f <> 7.0`:    2000,
+		`SELECT count(*) FROM t WHERE f < 1.0`:     1,
+		`SELECT count(*) FROM t WHERE f <= 1.0`:    2,
+		`SELECT count(*) FROM t WHERE f > 1997.0`:  2,
+		`SELECT count(*) FROM t WHERE f >= 2.0`:    1998,
+		`SELECT count(*) FROM t WHERE 7.0 = f`:     1,
+		`SELECT count(*) FROM t WHERE f = f`:       2000,
+		`SELECT count(*) FROM t WHERE f <> f`:      1,
+		`SELECT count(*) FROM t WHERE f >= 1999.0`: 1,
+	} {
+		for name, db := range map[string]*DB{"unindexed": plain, "indexed": fast} {
+			r, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, q, err)
+			}
+			if got := r.Rows[0][0].I; got != want {
+				t.Errorf("%s %q = %d, want %d", name, q, got, want)
+			}
+		}
+	}
+	for name, db := range map[string]*DB{"unindexed": plain, "indexed": fast} {
+		r := db.MustExec(`UPDATE t SET id = id + 100 WHERE f = 1.0`)
+		if r.Affected != 1 {
+			t.Errorf("%s UPDATE ... WHERE f = 1.0 affected %d rows, want 1", name, r.Affected)
+		}
+	}
+}
+
 // TestIndexMaintainedThroughDML confirms probes see freshly inserted,
 // updated, and deleted rows without re-ANALYZE (stats are advisory; the
 // index itself is transactionally maintained).

@@ -382,7 +382,7 @@ func relationToModel(mat *Materialized) (*analytics.NBModel, error) {
 	for l := range priors {
 		labels = append(labels, l)
 	}
-	sortInt64s(labels)
+	slices.Sort(labels)
 	d := int(maxFeature + 1)
 	m := &analytics.NBModel{Labels: labels}
 	for _, l := range labels {
@@ -401,14 +401,6 @@ func relationToModel(mat *Materialized) (*analytics.NBModel, error) {
 		m.Stds = append(m.Stds, ss)
 	}
 	return m, nil
-}
-
-func sortInt64s(v []int64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // newNBPredictOp applies a trained model to feature rows, appending the

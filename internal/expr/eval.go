@@ -372,8 +372,14 @@ func compileCompare(op Op, operand types.Type, l, r Evaluator) (Evaluator, error
 				res.Bools[i] = truth(cmp3(a < bb, a > bb))
 			}
 		case types.Float64:
+			// IEEE 754: NaN is unordered, so only <> holds — the same answer
+			// a float index gives, which never matches a NaN key.
 			for i := 0; i < n; i++ {
 				a, bb := lc.Floats[i], rc.Floats[i]
+				if a != a || bb != bb {
+					res.Bools[i] = op == OpNe
+					continue
+				}
 				res.Bools[i] = truth(cmp3(a < bb, a > bb))
 			}
 		case types.String:

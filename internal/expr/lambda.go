@@ -279,29 +279,3 @@ func compileBoolScalar(e Expr) (boolFn, error) {
 	}
 	return nil, fmt.Errorf("lambda: cannot compile %T in boolean context", e)
 }
-
-// DefaultDistanceLambda returns the paper's default k-Means variation
-// point: squared Euclidean distance over d dimensions. It is used when a
-// query passes no lambda (paper Section 7: "for all variation points we
-// provide default lambdas").
-func DefaultDistanceLambda(d int) FloatFn {
-	return func(a, b []float64) float64 {
-		var s float64
-		for i := 0; i < d; i++ {
-			diff := a[i] - b[i]
-			s += diff * diff
-		}
-		return s
-	}
-}
-
-// ManhattanDistanceLambda returns the L1 metric (k-Medians variant).
-func ManhattanDistanceLambda(d int) FloatFn {
-	return func(a, b []float64) float64 {
-		var s float64
-		for i := 0; i < d; i++ {
-			s += math.Abs(a[i] - b[i])
-		}
-		return s
-	}
-}

@@ -29,6 +29,30 @@ func euclidLambda() *Lambda {
 	return &Lambda{Params: []string{"a", "b"}, Body: body}
 }
 
+// defaultDistance is the reference for the paper's default k-Means
+// variation point: squared Euclidean distance over d dimensions.
+func defaultDistance(d int) FloatFn {
+	return func(a, b []float64) float64 {
+		var s float64
+		for i := 0; i < d; i++ {
+			diff := a[i] - b[i]
+			s += diff * diff
+		}
+		return s
+	}
+}
+
+// manhattanDistance is the reference L1 metric (k-Medians variant).
+func manhattanDistance(d int) FloatFn {
+	return func(a, b []float64) float64 {
+		var s float64
+		for i := 0; i < d; i++ {
+			s += math.Abs(a[i] - b[i])
+		}
+		return s
+	}
+}
+
 func TestBindAndCompileEuclidean(t *testing.T) {
 	l, err := BindLambda(euclidLambda(), []types.Schema{xySchema(), xySchema()})
 	if err != nil {
@@ -53,7 +77,7 @@ func TestLambdaMatchesDefaultDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def := DefaultDistanceLambda(2)
+	def := defaultDistance(2)
 	f := func(ax, ay, bx, by float64) bool {
 		if math.IsNaN(ax) || math.IsNaN(ay) || math.IsNaN(bx) || math.IsNaN(by) ||
 			math.IsInf(ax, 0) || math.IsInf(ay, 0) || math.IsInf(bx, 0) || math.IsInf(by, 0) {
@@ -92,7 +116,7 @@ func TestManhattanLambda(t *testing.T) {
 	if got != 7 {
 		t.Errorf("L1 distance = %v, want 7", got)
 	}
-	ref := ManhattanDistanceLambda(2)([]float64{0, 0}, []float64{3, -4})
+	ref := manhattanDistance(2)([]float64{0, 0}, []float64{3, -4})
 	if got != ref {
 		t.Errorf("lambda %v != builtin %v", got, ref)
 	}
@@ -180,7 +204,7 @@ func TestLambdaString(t *testing.T) {
 }
 
 func TestDefaultDistanceProperties(t *testing.T) {
-	d := DefaultDistanceLambda(3)
+	d := defaultDistance(3)
 	// Non-negativity and identity.
 	f := func(x, y, z float64) bool {
 		if math.IsNaN(x) || math.IsNaN(y) || math.IsNaN(z) {

@@ -49,7 +49,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -313,19 +312,41 @@ func ReadSchema(r Reader) (types.Schema, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb, err := r.ReadByte()
+		ct, err := ReadType(r)
 		if err != nil {
 			return nil, err
-		}
-		ct := types.Type(tb)
-		switch ct {
-		case types.Int64, types.Float64, types.String, types.Bool:
-		default:
-			return nil, fmt.Errorf("bad column type %d", tb)
 		}
 		schema[i] = types.ColumnInfo{Name: cname, Type: ct}
 	}
 	return schema, nil
+}
+
+// ReadType reads a column type byte, refusing one that names no type. It
+// is the one column-type check of the image and redo-record decoders.
+func ReadType(r Reader) (types.Type, error) {
+	tb, err := r.ReadByte()
+	if err != nil {
+		return 0, err
+	}
+	switch t := types.Type(tb); t {
+	case types.Int64, types.Float64, types.String, types.Bool:
+		return t, nil
+	}
+	return 0, fmt.Errorf("bad column type %d", tb)
+}
+
+// ReadIndexKind reads an index kind byte, refusing one that names no kind.
+// It is the one index-kind check of the image and redo-record decoders.
+func ReadIndexKind(r Reader) (storage.IndexKind, error) {
+	kb, err := r.ReadByte()
+	if err != nil {
+		return 0, err
+	}
+	switch k := storage.IndexKind(kb); k {
+	case storage.HashIndex, storage.OrderedIndex:
+		return k, nil
+	}
+	return 0, fmt.Errorf("bad index kind %d", kb)
 }
 
 // WriteBatch writes a row-count-prefixed batch (columns only, no schema).
@@ -483,6 +504,9 @@ func loadImage(data []byte, path string) (*storage.Store, error) {
 		return nil, corrupt(int64(len(magicV3)), "unknown image kind %d", kind)
 	}
 	clock := binary.LittleEndian.Uint64(body[1:9])
+	if kind == kindLogical && clock != 0 {
+		return nil, corrupt(int64(len(magicV3))+1, "logical image with clock %d", clock)
+	}
 	body = body[9:]
 
 	r := bytes.NewReader(body)
@@ -492,17 +516,28 @@ func loadImage(data []byte, path string) (*storage.Store, error) {
 	if err != nil {
 		return nil, corrupt(offset(), "table count: %v", err)
 	}
+	var tables []*storage.Table
+	var defs [][]storage.IndexDef
 	for t := uint32(0); t < count; t++ {
-		if err := loadTable(r, store, kind); err != nil {
-			var ce *CorruptImageError
-			if errors.As(err, &ce) {
-				return nil, err
-			}
+		tbl, d, err := loadTable(r, store, kind, clock)
+		if err != nil {
 			return nil, corrupt(offset(), "table %d/%d: %v", t+1, count, err)
 		}
+		tables, defs = append(tables, tbl), append(defs, d)
 	}
 	if r.Len() != 0 {
 		return nil, corrupt(offset(), "%d trailing bytes after last table", r.Len())
+	}
+	// Index contents are never persisted: index state is a pure function of
+	// the physical rows, so rebuild-at-load always converges with the
+	// pre-crash state. They are built once the whole image has decoded, so a
+	// damaged image costs no index build.
+	for i, tbl := range tables {
+		for _, def := range defs[i] {
+			if err := tbl.AddIndex(def); err != nil {
+				return nil, corrupt(offset(), "table %q: rebuild index %q: %v", tbl.Name(), def.Name, err)
+			}
+		}
 	}
 	if kind == kindPhysical {
 		store.RestoreClock(clock)
@@ -510,86 +545,84 @@ func loadImage(data []byte, path string) (*storage.Store, error) {
 	return store, nil
 }
 
-func loadTable(r Reader, store *storage.Store, kind byte) error {
+// loadTable reads one table of an image into store and returns it with its
+// index definitions, which the caller builds.
+func loadTable(r Reader, store *storage.Store, kind byte, clock uint64) (*storage.Table, []storage.IndexDef, error) {
 	name, err := ReadString(r)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	id, err := ReadU64(r)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	schema, err := ReadSchema(r)
 	if err != nil {
-		return fmt.Errorf("table %q: %w", name, err)
+		return nil, nil, fmt.Errorf("table %q: %w", name, err)
 	}
 	defs, err := readIndexDefs(r, name)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-
-	if kind == kindPhysical {
-		tbl, err := store.CreateTableWithID(name, schema, id)
-		if err != nil {
-			return err
-		}
-		for {
-			n, err := ReadU32(r)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				return buildIndexes(tbl, defs)
-			}
-			b, err := readBatchRows(r, schema, n)
-			if err != nil {
-				return fmt.Errorf("table %q: %w", name, err)
-			}
-			createdAt := make([]uint64, n)
-			deletedAt := make([]uint64, n)
-			for i := range createdAt {
-				if createdAt[i], err = ReadU64(r); err != nil {
-					return err
-				}
-			}
-			for i := range deletedAt {
-				if deletedAt[i], err = ReadU64(r); err != nil {
-					return err
-				}
-			}
-			if err := tbl.RestoreRows(b, createdAt, deletedAt); err != nil {
-				return err
-			}
-		}
+	// The table keeps its incarnation ID, so redo-log records written
+	// against it still resolve.
+	create := &storage.Change{Kind: storage.ChangeCreateTable, Table: name, TableID: id, Schema: schema}
+	if applied, err := store.Replay(create, 0); err != nil {
+		return nil, nil, err
+	} else if !applied {
+		return nil, nil, fmt.Errorf("table %q listed twice", name)
 	}
-
-	// Logical image: replay the rows as one ordinary commit.
-	tbl, err := store.CreateTable(name, schema)
+	tbl, err := store.Table(name)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
+	// A logical image's rows replay as one ordinary commit; a physical
+	// image's keep their positions and version stamps.
 	tx := store.Begin()
+	defer tx.Rollback()
+	var prev uint64
 	for {
 		n, err := ReadU32(r)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		if n == 0 {
 			break
 		}
 		b, err := readBatchRows(r, schema, n)
 		if err != nil {
-			return fmt.Errorf("table %q: %w", name, err)
+			return nil, nil, fmt.Errorf("table %q: %w", name, err)
 		}
-		if err := tx.Insert(tbl, b); err != nil {
-			tx.Rollback()
-			return err
+		if kind == kindLogical {
+			if err := tx.Insert(tbl, b); err != nil {
+				return nil, nil, err
+			}
+			continue
+		}
+		if int64(n)*16 > int64(r.Len()) {
+			return nil, nil, fmt.Errorf("table %q: version stamps for %d rows, %d bytes remain", name, n, r.Len())
+		}
+		stamps := make([]uint64, 2*n)
+		for i := range stamps {
+			if stamps[i], err = ReadU64(r); err != nil {
+				return nil, nil, err
+			}
+		}
+		createdAt, deletedAt := stamps[:n], stamps[n:]
+		// Checkpoints write the prefix created at or before the clock, in
+		// commit order; anything else could not be written back out.
+		for i, c := range createdAt {
+			if c < prev || c > clock || deletedAt[i] > clock {
+				return nil, nil, fmt.Errorf("table %q: row stamps %d/%d out of order or past the image clock %d",
+					name, c, deletedAt[i], clock)
+			}
+			prev = c
+		}
+		if err := tbl.RestoreRows(b, createdAt, deletedAt); err != nil {
+			return nil, nil, err
 		}
 	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	return buildIndexes(tbl, defs)
+	return tbl, defs, tx.Commit()
 }
 
 // maxIndexes bounds the per-table index count during decode.
@@ -601,8 +634,8 @@ func readIndexDefs(r Reader, table string) ([]storage.IndexDef, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > maxIndexes {
-		return nil, fmt.Errorf("table %q: %d indexes", table, n)
+	if n > maxIndexes || int64(n) > int64(r.Len()) {
+		return nil, fmt.Errorf("table %q: %d indexes, %d bytes remain", table, n, r.Len())
 	}
 	defs := make([]storage.IndexDef, 0, n)
 	for i := uint32(0); i < n; i++ {
@@ -614,31 +647,12 @@ func readIndexDefs(r Reader, table string) ([]storage.IndexDef, error) {
 		if def.Column, err = ReadString(r); err != nil {
 			return nil, err
 		}
-		kb, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		switch storage.IndexKind(kb) {
-		case storage.HashIndex, storage.OrderedIndex:
-			def.Kind = storage.IndexKind(kb)
-		default:
-			return nil, fmt.Errorf("table %q index %q: bad index kind %d", table, def.Name, kb)
+		if def.Kind, err = ReadIndexKind(r); err != nil {
+			return nil, fmt.Errorf("table %q index %q: %w", table, def.Name, err)
 		}
 		defs = append(defs, def)
 	}
 	return defs, nil
-}
-
-// buildIndexes rebuilds a table's indexes from its restored rows. Contents
-// are never persisted: index state is a pure function of the physical rows,
-// so rebuild-at-load always converges with the pre-crash state.
-func buildIndexes(tbl *storage.Table, defs []storage.IndexDef) error {
-	for _, def := range defs {
-		if err := tbl.AddIndex(def); err != nil {
-			return fmt.Errorf("table %q: rebuild index %q: %w", tbl.Name(), def.Name, err)
-		}
-	}
-	return nil
 }
 
 func readColumn(r Reader, c *types.Column, n int) error {

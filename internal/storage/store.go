@@ -41,46 +41,73 @@ type Store struct {
 	logger CommitLogger
 }
 
-// CommitInsert is one table's inserted batch within a CommitData.
+// ChangeKind says what a Change does. The values are the redo log's record
+// kind bytes.
+type ChangeKind uint8
+
+// Change kinds.
+const (
+	ChangeCommit      ChangeKind = 1
+	ChangeCreateTable ChangeKind = 2
+	ChangeDropTable   ChangeKind = 3
+	ChangeCreateIndex ChangeKind = 4
+	ChangeDropIndex   ChangeKind = 5
+)
+
+var changeNames = [...]string{ChangeCommit: "COMMIT", ChangeCreateTable: "CREATE TABLE",
+	ChangeDropTable: "DROP TABLE", ChangeCreateIndex: "CREATE INDEX", ChangeDropIndex: "DROP INDEX"}
+
+// String returns the SQL spelling of the kind.
+func (k ChangeKind) String() string {
+	if int(k) < len(changeNames) && changeNames[k] != "" {
+		return changeNames[k]
+	}
+	return fmt.Sprintf("change kind %d", k)
+}
+
+// Change is one logged change to the store — a commit or a catalog change
+// — and the one value storage and its log exchange: the store hands it to
+// the CommitLogger before applying it, the redo log encodes it byte for
+// byte, and recovery and replicas hand the decoded value back to Replay.
+// A commit's batches are shared with the transaction; loggers must encode
+// them synchronously and not retain them.
+type Change struct {
+	Kind    ChangeKind
+	TS      uint64         // ChangeCommit: the commit timestamp it publishes
+	Inserts []CommitInsert // ChangeCommit
+	Deletes []CommitDelete // ChangeCommit
+	Table   string         // catalog changes: the table
+	TableID uint64         // catalog changes: the table's incarnation
+	Schema  types.Schema   // ChangeCreateTable
+	Index   IndexDef       // ChangeCreateIndex (Index.Table = Table); ChangeDropIndex: Name only
+}
+
+// CommitInsert is one table's inserted batch within a commit.
 type CommitInsert struct {
 	Table   string
 	TableID uint64
 	Batch   *types.Batch
 }
 
-// CommitDelete is one physical-row deletion within a CommitData.
+// CommitDelete is one physical-row deletion within a commit.
 type CommitDelete struct {
 	Table   string
 	TableID uint64
 	Row     int
 }
 
-// CommitData describes one committing transaction for the CommitLogger: the
-// commit timestamp it will publish plus every buffered write. The batches
-// are shared with the transaction — loggers must encode them synchronously
-// and not retain them.
-type CommitData struct {
-	TS      uint64
-	Inserts []CommitInsert
-	Deletes []CommitDelete
-}
-
 // CommitLogger is the storage layer's durability hook (write-ahead log).
 //
-// Log* methods are called while the relevant store lock is held — LogCommit
-// under the commit lock after validation and before apply, the DDL hooks
-// under the table-map lock — so log order equals apply order. They must
-// only buffer the record and return quickly; returning a non-nil error
-// fails the operation before anything is applied. The returned wait
-// function is called after the locks are released and blocks until the
-// record is durable; its error means the change is applied in memory but
-// its durability is unconfirmed (the caller must not acknowledge it).
+// Log is called while the store lock that orders the change is held — the
+// commit lock after validation and before apply, the table-map lock for a
+// catalog change — so log order equals apply order. It must only buffer the
+// record and return quickly; returning a non-nil error fails the change
+// before anything is applied. The returned wait function is called after
+// the locks are released and blocks until the record is durable; its error
+// means the change is applied in memory but its durability is unconfirmed
+// (the caller must not acknowledge it).
 type CommitLogger interface {
-	LogCommit(c *CommitData) (wait func() error, err error)
-	LogCreateTable(name string, schema types.Schema, id uint64) (wait func() error, err error)
-	LogDropTable(name string, id uint64) (wait func() error, err error)
-	LogCreateIndex(def IndexDef, tableID uint64) (wait func() error, err error)
-	LogDropIndex(index, table string, tableID uint64) (wait func() error, err error)
+	Log(c *Change) (wait func() error, err error)
 }
 
 // SetCommitLogger installs the durability hook. It must be called before
@@ -99,164 +126,140 @@ func NewStore() *Store {
 
 // CreateTable creates a new table. It fails if the name is taken.
 func (s *Store) CreateTable(name string, schema types.Schema) (*Table, error) {
-	s.mu.Lock()
-	if _, ok := s.tables[name]; ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("table %q already exists", name)
-	}
-	t := NewTable(name, schema)
-	t.id = s.nextTableID + 1
-	var wait func() error
-	if lg := s.logger; lg != nil {
-		w, err := lg.LogCreateTable(name, schema, t.id)
-		if err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-		wait = w
-	}
-	s.nextTableID = t.id
-	s.tables[name] = t
-	s.ddlVer.Add(1)
-	s.mu.Unlock()
-	if wait != nil {
-		if err := wait(); err != nil {
-			return nil, fmt.Errorf("CREATE TABLE applied but not confirmed durable: %w", err)
-		}
-	}
-	return t, nil
-}
-
-// CreateTableWithID creates a table carrying an explicit incarnation ID.
-// It is a recovery-only API (snapshot load and log replay, before a
-// CommitLogger is installed): the ID must come from the image or log so
-// later log records can be matched against the right incarnation.
-func (s *Store) CreateTableWithID(name string, schema types.Schema, id uint64) (*Table, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tables[name]; ok {
-		return nil, fmt.Errorf("table %q already exists", name)
-	}
-	t := NewTable(name, schema)
-	t.id = id
-	if id > s.nextTableID {
-		s.nextTableID = id
-	}
-	s.tables[name] = t
-	s.ddlVer.Add(1)
-	return t, nil
+	t, _, err := s.ddl(&Change{Kind: ChangeCreateTable, Table: name, Schema: schema}, false)
+	return t, err
 }
 
 // DropTable removes a table.
 func (s *Store) DropTable(name string) error {
-	s.mu.Lock()
-	t, ok := s.tables[name]
-	if !ok {
-		s.mu.Unlock()
-		return &catalog.ErrNoSuchTable{Name: name}
-	}
-	var wait func() error
-	if lg := s.logger; lg != nil {
-		w, err := lg.LogDropTable(name, t.id)
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		wait = w
-	}
-	delete(s.tables, name)
-	s.ddlVer.Add(1)
-	s.mu.Unlock()
-	if wait != nil {
-		if err := wait(); err != nil {
-			return fmt.Errorf("DROP TABLE applied but not confirmed durable: %w", err)
-		}
-	}
-	return nil
+	_, _, err := s.ddl(&Change{Kind: ChangeDropTable, Table: name}, false)
+	return err
 }
 
 // CreateIndex creates a secondary index on an existing table. Index names
-// are globally unique (DROP INDEX takes only a name). The definition is
-// validated before it is logged, then built and installed atomically with
-// respect to commits: addIndex holds the table lock, so the structure covers
-// exactly the rows present at install time and the append hook covers every
-// later one.
+// are globally unique (DROP INDEX takes only a name). The structure is
+// built and installed under the table lock, so it covers exactly the rows
+// present at install time and the append path covers every later one.
 func (s *Store) CreateIndex(def IndexDef) error {
-	s.mu.Lock()
-	t, ok := s.tables[def.Table]
-	if !ok {
-		s.mu.Unlock()
-		return &catalog.ErrNoSuchTable{Name: def.Table}
-	}
-	for _, other := range s.tables {
-		if other.hasIndex(def.Name) {
-			s.mu.Unlock()
-			return fmt.Errorf("index %q already exists", def.Name)
-		}
-	}
-	// Validate column and type now: the log must never record an operation
-	// that cannot apply.
-	col := t.Schema().IndexOf(def.Column)
-	if col < 0 {
-		s.mu.Unlock()
-		return fmt.Errorf("table %q has no column %q", def.Table, def.Column)
-	}
-	if _, err := newIndexImpl(def.Kind, t.Schema()[col].Type); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	var wait func() error
-	if lg := s.logger; lg != nil {
-		w, err := lg.LogCreateIndex(def, t.id)
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		wait = w
-	}
-	if err := t.AddIndex(def); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	s.ddlVer.Add(1)
-	s.mu.Unlock()
-	if wait != nil {
-		if err := wait(); err != nil {
-			return fmt.Errorf("CREATE INDEX applied but not confirmed durable: %w", err)
-		}
-	}
-	return nil
+	_, _, err := s.ddl(&Change{Kind: ChangeCreateIndex, Table: def.Table, Index: def}, false)
+	return err
 }
 
 // DropIndex removes the named index from whichever table holds it.
 func (s *Store) DropIndex(name string) error {
+	_, _, err := s.ddl(&Change{Kind: ChangeDropIndex, Index: IndexDef{Name: name}}, false)
+	return err
+}
+
+// ddl is the one catalog-change path, shared by the four DDL methods and
+// Replay: under the table-map lock it validates the change (prepare), hands
+// it to the logger unless replaying, applies it, and bumps the catalog
+// version; the durability wait runs after the lock is released. A replayed
+// change whose effect is already present is skipped (applied is false).
+func (s *Store) ddl(c *Change, replay bool) (t *Table, applied bool, err error) {
 	s.mu.Lock()
-	var t *Table
-	for _, tb := range s.tables {
-		if tb.hasIndex(name) {
-			t = tb
-			break
-		}
-	}
-	if t == nil {
-		s.mu.Unlock()
-		return fmt.Errorf("index %q does not exist", name)
-	}
+	t, apply, err := s.prepare(c, replay)
 	var wait func() error
-	if lg := s.logger; lg != nil {
-		w, err := lg.LogDropIndex(name, t.name, t.id)
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		wait = w
+	if err == nil && apply != nil && !replay && s.logger != nil {
+		wait, err = s.logger.Log(c)
 	}
-	t.dropIndex(name)
-	s.ddlVer.Add(1)
+	if err == nil && apply != nil {
+		apply()
+		s.ddlVer.Add(1)
+	}
 	s.mu.Unlock()
+	if err != nil {
+		return nil, false, err
+	}
 	if wait != nil {
 		if err := wait(); err != nil {
-			return fmt.Errorf("DROP INDEX applied but not confirmed durable: %w", err)
+			return nil, true, fmt.Errorf("%s applied but not confirmed durable: %w", c.Kind, err)
+		}
+	}
+	return t, apply != nil, nil
+}
+
+// prepare validates a catalog change (the caller holds s.mu) and returns
+// the table it targets and the step that applies it; a nil step skips a
+// replayed change. A live change is completed here — the new table's ID,
+// the table a DROP INDEX names — so the logged record is whole. A replayed
+// one carries both, and catalog changes carry no timestamp, so a change an
+// image cut after it already reflects must be skipped: one against a table
+// incarnation that is gone (it died with the table), a CREATE TABLE whose
+// incarnation is present, a CREATE INDEX whose identical definition is
+// present, a DROP INDEX whose index is gone.
+func (s *Store) prepare(c *Change, replay bool) (*Table, func(), error) {
+	t := s.tables[c.Table]
+	switch {
+	case c.Kind == ChangeCreateTable:
+		if t != nil {
+			if replay && t.id == c.TableID {
+				return t, nil, nil
+			}
+			return nil, nil, fmt.Errorf("table %q already exists", c.Table)
+		}
+		if !replay {
+			c.TableID = s.nextTableID + 1
+		}
+		t = NewTable(c.Table, c.Schema)
+		t.id = c.TableID
+		return t, func() {
+			s.tables[t.name] = t
+			s.nextTableID = max(s.nextTableID, t.id)
+		}, nil
+	case c.Kind < ChangeDropTable || c.Kind > ChangeDropIndex:
+		return nil, nil, fmt.Errorf("storage: %s is not a catalog change", c.Kind)
+	case replay:
+		if t = s.incarnation(c.Table, c.TableID); t == nil {
+			return nil, nil, nil
+		}
+	case c.Kind == ChangeDropIndex:
+		if t = s.indexOwner(c.Index.Name); t == nil {
+			return nil, nil, fmt.Errorf("index %q does not exist", c.Index.Name)
+		}
+	case t == nil:
+		return nil, nil, &catalog.ErrNoSuchTable{Name: c.Table}
+	}
+	c.Table, c.TableID = t.name, t.id
+	switch c.Kind {
+	case ChangeDropTable:
+		return t, func() { delete(s.tables, t.name) }, nil
+	case ChangeDropIndex:
+		if _, ok := t.indexDef(c.Index.Name); !ok {
+			return t, nil, nil
+		}
+		return t, func() { t.dropIndex(c.Index.Name) }, nil
+	}
+	if def, ok := t.indexDef(c.Index.Name); ok && replay && def == c.Index {
+		return t, nil, nil
+	}
+	if s.indexOwner(c.Index.Name) != nil {
+		return nil, nil, fmt.Errorf("index %q already exists", c.Index.Name)
+	}
+	ix, err := t.newIndex(c.Index)
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, func() { t.installIndex(ix) }, nil
+}
+
+// incarnation returns the named table if it is still incarnation id. A
+// logged change against a name that is gone, or now names a later
+// incarnation, had no visible effect, and replay skips it. The caller
+// holds s.mu.
+func (s *Store) incarnation(name string, id uint64) *Table {
+	if t := s.tables[name]; t != nil && t.id == id {
+		return t
+	}
+	return nil
+}
+
+// indexOwner returns the table holding the named index; the caller holds
+// s.mu.
+func (s *Store) indexOwner(name string) *Table {
+	for _, t := range s.tables {
+		if _, ok := t.indexDef(name); ok {
+			return t
 		}
 	}
 	return nil
@@ -266,12 +269,7 @@ func (s *Store) DropIndex(name string) error {
 func (s *Store) HasIndex(name string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, t := range s.tables {
-		if t.hasIndex(name) {
-			return true
-		}
-	}
-	return false
+	return s.indexOwner(name) != nil
 }
 
 // Table returns the named table.
@@ -341,59 +339,49 @@ func (s *Store) AdoptState(from *Store) {
 // older version must not be served.
 func (s *Store) DDLVersion() uint64 { return s.ddlVer.Load() }
 
-// lookupForReplay resolves a logged table reference. It returns nil when
-// the name is gone or now names a different incarnation — the record then
-// targeted a table that was concurrently dropped, and had no visible
-// effect, so replay skips it.
-func (s *Store) lookupForReplay(name string, id uint64) *Table {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t := s.tables[name]
-	if t == nil || t.id != id {
-		return nil
+// Replay applies one logged change — read back from the log in recovery,
+// or streamed from a primary — through the same step a live change takes,
+// without logging it, and reports whether it had an effect. The
+// idempotency rules live here: catalog changes follow prepare's; a commit
+// at or below floor is skipped (recovery passes the image's clock, a
+// streaming replica its live clock), and any other must carry exactly
+// clock+1 — a gap, or a duplicate above floor, means a record is missing
+// and replay must not guess. A replayed commit skips the parts whose table
+// incarnation is gone and requires every delete target to be live.
+func (s *Store) Replay(c *Change, floor uint64) (applied bool, err error) {
+	if c.Kind != ChangeCommit {
+		_, applied, err = s.ddl(c, true)
+		return applied, err
 	}
-	return t
-}
-
-// ApplyLoggedCommit re-applies one logged commit during recovery. Commit
-// timestamps are contiguous (every logged commit advanced the clock by
-// exactly one), so the record's timestamp must be exactly clock+1; a gap
-// means a log record is missing and recovery must not guess.
-func (s *Store) ApplyLoggedCommit(c *CommitData) error {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	ts := s.clock.Load() + 1
-	if c.TS != ts {
-		return fmt.Errorf("storage: replayed commit has timestamp %d, want %d (log record missing or duplicated)", c.TS, ts)
+	if c.TS <= floor {
+		return false, nil
 	}
-	for _, d := range c.Deletes {
-		t := s.lookupForReplay(d.Table, d.TableID)
-		if t == nil {
-			continue
-		}
-		if err := t.replayDelete(d.Row, ts); err != nil {
-			return err
-		}
+	if want := s.clock.Load() + 1; c.TS != want {
+		return false, fmt.Errorf("storage: replayed commit has timestamp %d, want %d (log record missing or duplicated)", c.TS, want)
 	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var ins []bufferedInsert
 	for _, in := range c.Inserts {
-		t := s.lookupForReplay(in.Table, in.TableID)
-		if t == nil {
-			continue
-		}
-		if len(in.Batch.Cols) != len(t.schema) {
-			return fmt.Errorf("storage: replayed insert into %s has %d columns, table has %d",
-				in.Table, len(in.Batch.Cols), len(t.schema))
-		}
-		for j, col := range t.schema {
-			if got := in.Batch.Cols[j].T; got != col.Type {
-				return fmt.Errorf("storage: replayed insert into %s column %q has type %s, table has %s",
-					in.Table, col.Name, got, col.Type)
+		if t := s.incarnation(in.Table, in.TableID); t != nil {
+			if err := t.checkBatch(in.Batch); err != nil {
+				return false, err
 			}
+			ins = append(ins, bufferedInsert{t, in.Batch})
 		}
-		t.appendRows(in.Batch, ts)
 	}
-	s.clock.Store(ts)
-	return nil
+	var dels []bufferedDelete
+	for _, d := range c.Deletes {
+		if t := s.incarnation(d.Table, d.TableID); t != nil {
+			dels = append(dels, bufferedDelete{t, d.Row})
+		}
+	}
+	if _, err := s.commitLocked(c.TS, 0, ins, dels, nil); err != nil {
+		return false, fmt.Errorf("storage: replayed commit %d: %w", c.TS, err)
+	}
+	return true, nil
 }
 
 // Begin starts a transaction reading at the current snapshot.
@@ -433,24 +421,15 @@ type bufferedDelete struct {
 func (tx *Txn) Snapshot() uint64 { return tx.snapshot }
 
 // Insert buffers rows for insertion into table at commit. The batch must
-// match the table's column count and column types exactly: a mis-typed
-// batch would corrupt the column store when its vectors are bulk-appended.
+// match the table's column count and column types exactly (see checkBatch).
 func (tx *Txn) Insert(table *Table, b *types.Batch) error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if tx.done {
 		return errTxnDone
 	}
-	if len(b.Cols) != len(table.schema) {
-		return fmt.Errorf("insert into %s: got %d columns, want %d",
-			table.name, len(b.Cols), len(table.schema))
-	}
-	for j, col := range table.schema {
-		if got := b.Cols[j].T; got != col.Type {
-			return &TypeMismatchError{
-				Table: table.name, Column: col.Name, Got: got, Want: col.Type,
-			}
-		}
+	if err := table.checkBatch(b); err != nil {
+		return err
 	}
 	tx.inserts = append(tx.inserts, bufferedInsert{table, b})
 	return nil
@@ -474,11 +453,9 @@ func (tx *Txn) Delete(table *Table, row int) error {
 // ConflictError if another transaction deleted one of our target rows after
 // our snapshot.
 //
-// Commit either publishes everything or publishes nothing: the commit
-// timestamp is only advanced after every buffered write applied, and a
-// failed commit unwinds any delete stamps it placed, so a later committer
-// can never accidentally publish a failed transaction's writes by reusing
-// its timestamp.
+// Commit either publishes everything or publishes nothing: every check runs
+// before the first write is applied, and the commit timestamp is published
+// only after every write applied.
 func (tx *Txn) Commit() error {
 	wait, err := tx.commit()
 	if err != nil {
@@ -498,8 +475,8 @@ func (tx *Txn) Commit() error {
 	return nil
 }
 
-// commit validates, logs, and applies the transaction under the commit
-// lock, returning the logger's durability wait (nil without a logger).
+// commit runs the transaction through commitLocked under the commit lock,
+// returning the logger's durability wait (nil without a logger).
 func (tx *Txn) commit() (wait func() error, err error) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -507,71 +484,57 @@ func (tx *Txn) commit() (wait func() error, err error) {
 		return nil, errTxnDone
 	}
 	tx.done = true
-	// One transaction may buffer the same physical row for deletion more
-	// than once (UPDATE then DELETE, or DELETE twice — scans never see the
-	// transaction's own buffered deletes). Deduplicate so the apply loop
-	// below stamps each row exactly once.
-	deletes := dedupeDeletes(tx.deletes)
-	if len(tx.inserts) == 0 && len(deletes) == 0 {
+	if len(tx.inserts) == 0 && len(tx.deletes) == 0 {
 		return nil, nil
 	}
 	s := tx.store
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
+	return s.commitLocked(s.clock.Load()+1, tx.snapshot, tx.inserts, tx.deletes, s.logger)
+}
 
-	// Validate deletes first (first-committer-wins): any target row deleted
-	// after our snapshot is a conflict. Bounds are checked here too, so an
-	// invalid row index fails the commit before anything is stamped.
-	for _, d := range deletes {
+// commitLocked is the one commit step, run under the commit lock by
+// Txn.commit and Replay. First-committer-wins comes first: every delete
+// target must be a physical row not deleted after snapshot, and a target
+// already dead at snapshot has nothing left to stamp (Replay passes 0, so
+// a target that is not live means log and store disagree). Only then does
+// the logger, if any, see the change — a logging failure fails the commit
+// with nothing applied — and are the deletes stamped, the inserts appended
+// and ts published: rows become visible to snapshots taken from now on.
+func (s *Store) commitLocked(ts, snapshot uint64, ins []bufferedInsert, dels []bufferedDelete, lg CommitLogger) (wait func() error, err error) {
+	dels = dedupeDeletes(dels)
+	live := dels[:0]
+	for _, d := range dels {
 		_, del, err := d.table.rowVersion(d.row)
-		if err != nil {
+		switch {
+		case err != nil:
 			return nil, err
-		}
-		if del != 0 && del > tx.snapshot {
+		case del > snapshot:
 			return nil, &ConflictError{Table: d.table.name, Row: d.row}
+		case del == 0:
+			live = append(live, d)
 		}
 	}
-
-	ts := s.clock.Load() + 1
-
-	// Write-ahead: hand the validated commit to the logger before anything
-	// is applied. Appends are ordered by the commit lock, so log order is
-	// commit order; a logging failure fails the commit with nothing stamped.
-	if lg := s.logger; lg != nil {
-		c := &CommitData{TS: ts}
-		for _, in := range tx.inserts {
-			if in.batch.Len() == 0 {
-				continue
+	if lg != nil {
+		c := &Change{Kind: ChangeCommit, TS: ts}
+		for _, in := range ins {
+			if in.batch.Len() > 0 {
+				c.Inserts = append(c.Inserts, CommitInsert{Table: in.table.name, TableID: in.table.id, Batch: in.batch})
 			}
-			c.Inserts = append(c.Inserts, CommitInsert{
-				Table: in.table.name, TableID: in.table.id, Batch: in.batch,
-			})
 		}
-		for _, d := range deletes {
-			c.Deletes = append(c.Deletes, CommitDelete{
-				Table: d.table.name, TableID: d.table.id, Row: d.row,
-			})
+		for _, d := range live {
+			c.Deletes = append(c.Deletes, CommitDelete{Table: d.table.name, TableID: d.table.id, Row: d.row})
 		}
-		if wait, err = lg.LogCommit(c); err != nil {
+		if wait, err = lg.Log(c); err != nil {
 			return nil, err
 		}
 	}
-
-	for k, d := range deletes {
-		if err := d.table.deleteRow(d.row, ts, tx.snapshot); err != nil {
-			// Cannot happen after validation while holding commitMu, but if
-			// it ever does, unwind the stamps already placed: ts was never
-			// published, and the next committer will reuse it.
-			for _, u := range deletes[:k] {
-				u.table.undeleteRow(u.row, ts)
-			}
-			return nil, err
-		}
+	for _, d := range live {
+		d.table.stamp(d.row, ts)
 	}
-	for _, in := range tx.inserts {
-		in.table.appendRows(in.batch, ts)
+	for _, in := range ins {
+		in.table.appendRows(in.batch, ts, nil, nil)
 	}
-	// Publish: rows become visible to snapshots taken from now on.
 	s.clock.Store(ts)
 	return wait, nil
 }

@@ -12,6 +12,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -88,61 +89,32 @@ func (t *Table) visibleLocked(i int, snapshot uint64) bool {
 	return d == 0 || d > snapshot
 }
 
-// Scan yields batches of rows visible at snapshot.
-func (t *Table) Scan(snapshot uint64, yield func(*types.Batch) error) error {
-	t.mu.RLock()
-	n := len(t.createdAt)
-	t.mu.RUnlock()
-	return t.ScanRange(snapshot, 0, n, yield)
-}
-
-// ScanRange yields batches of visible rows whose physical index is in
-// [lo, hi). Appends never move existing rows, so holding the lock only per
-// batch is safe: rows added after the scan started have createdAt greater
-// than the snapshot and would be invisible anyway.
-func (t *Table) ScanRange(snapshot uint64, lo, hi int, yield func(*types.Batch) error) error {
-	if lo < 0 {
-		lo = 0
-	}
-	idx := make([]int, 0, types.BatchSize)
-	for start := lo; start < hi; start += types.BatchSize {
-		end := start + types.BatchSize
-		if end > hi {
-			end = hi
-		}
+// emit is the one batch builder behind every scan and index probe. Each
+// round takes the read lock once: next returns the round's rows — ascending
+// physical indexes, at most BatchSize — and whether another round follows,
+// and the rows are gathered (or, when they form one contiguous run, viewed
+// without a copy — rows never move once appended) before the lock is
+// released and yield sees the batch with its rows.
+func (t *Table) emit(next func() ([]int, bool), yield func(*types.Batch, []int) error) error {
+	for more := true; more; {
+		var rows []int
 		t.mu.RLock()
-		if end > len(t.createdAt) {
-			end = len(t.createdAt)
-		}
-		if start >= end {
-			t.mu.RUnlock()
-			break
-		}
-		idx = idx[:0]
-		allVisible := true
-		for i := start; i < end; i++ {
-			if t.visibleLocked(i, snapshot) {
-				idx = append(idx, i)
-			} else {
-				allVisible = false
-			}
-		}
+		rows, more = next()
 		var b *types.Batch
-		if allVisible {
-			// Zero-copy view of a fully visible range.
+		if n := len(rows); n > 0 {
 			b = &types.Batch{Schema: t.schema, Cols: make([]*types.Column, len(t.cols))}
+			run := rows[n-1]-rows[0] == n-1
 			for j, c := range t.cols {
-				b.Cols[j] = c.Slice(start, end)
-			}
-		} else if len(idx) > 0 {
-			b = &types.Batch{Schema: t.schema, Cols: make([]*types.Column, len(t.cols))}
-			for j, c := range t.cols {
-				b.Cols[j] = c.Gather(idx)
+				if run {
+					b.Cols[j] = c.Slice(rows[0], rows[n-1]+1)
+				} else {
+					b.Cols[j] = c.Gather(rows)
+				}
 			}
 		}
 		t.mu.RUnlock()
-		if b != nil && b.Len() > 0 {
-			if err := yield(b); err != nil {
+		if b != nil {
+			if err := yield(b, rows); err != nil {
 				return err
 			}
 		}
@@ -150,12 +122,92 @@ func (t *Table) ScanRange(snapshot uint64, lo, hi int, yield func(*types.Batch) 
 	return nil
 }
 
-// appendRows appends rows (as a batch) with the given creation timestamp.
-// Caller must ensure batch schema types match the table schema.
-func (t *Table) appendRows(b *types.Batch, ts uint64) {
+// scanVisible hands emit the rows of [lo, hi) visible at snapshot, one
+// BatchSize stretch of physical rows per round. Rows appended after the
+// scan started are invisible at snapshot, so the per-round lock suffices.
+func (t *Table) scanVisible(snapshot uint64, lo, hi int, yield func(*types.Batch, []int) error) error {
+	idx := make([]int, 0, types.BatchSize)
+	start := max(lo, 0)
+	return t.emit(func() ([]int, bool) {
+		n, rows, i := min(hi, len(t.createdAt)), idx[:0], start
+		for end := min(i+types.BatchSize, n); i < end; i++ {
+			if t.visibleLocked(i, snapshot) {
+				rows = append(rows, i)
+			}
+		}
+		start = i
+		return rows, i < n
+	}, yield)
+}
+
+// Scan yields batches of rows visible at snapshot.
+func (t *Table) Scan(snapshot uint64, yield func(*types.Batch) error) error {
+	return t.ScanRange(snapshot, 0, t.PhysicalRows(), yield)
+}
+
+// ScanRange yields batches of visible rows whose physical index is in
+// [lo, hi).
+func (t *Table) ScanRange(snapshot uint64, lo, hi int, yield func(*types.Batch) error) error {
+	return t.scanVisible(snapshot, lo, hi, func(b *types.Batch, _ []int) error { return yield(b) })
+}
+
+// ScanWithRowIDs yields batches of visible rows together with their physical
+// row indices. DML execution (UPDATE/DELETE) uses it to address the rows it
+// must version.
+func (t *Table) ScanWithRowIDs(snapshot uint64, yield func(b *types.Batch, rowIDs []int) error) error {
+	return t.scanVisible(snapshot, 0, t.PhysicalRows(), func(b *types.Batch, rows []int) error {
+		return yield(b, slices.Clone(rows))
+	})
+}
+
+// ScanPhysical yields the physical row prefix created at or before clock,
+// in physical order and with per-row version stamps (valid only during the
+// call); deletions stamped after clock are reported as live (0). Commit
+// timestamps are assigned under the commit lock and rows append at the
+// tail, so createdAt is non-decreasing and the rows at or before clock are
+// exactly a prefix. Checkpointing uses this to write a consistent physical
+// image of the store as of clock while commits continue.
+func (t *Table) ScanPhysical(clock uint64, yield func(b *types.Batch, createdAt, deletedAt []uint64) error) error {
+	t.mu.RLock()
+	n := sort.Search(len(t.createdAt), func(i int) bool { return t.createdAt[i] > clock })
+	t.mu.RUnlock()
+	var rows []int
+	var created, deleted []uint64
+	start := 0
+	return t.emit(func() ([]int, bool) {
+		rows, created, deleted = rows[:0], created[:0], deleted[:0]
+		for end := min(start+types.BatchSize, n); start < end; start++ {
+			d := t.deletedAt[start]
+			if d > clock {
+				d = 0
+			}
+			rows, created, deleted = append(rows, start), append(created, t.createdAt[start]), append(deleted, d)
+		}
+		return rows, start < n
+	}, func(b *types.Batch, _ []int) error { return yield(b, created, deleted) })
+}
+
+// checkBatch verifies that b matches the table's column count and column
+// types exactly: a mis-typed batch would corrupt the column store when its
+// vectors are bulk-appended.
+func (t *Table) checkBatch(b *types.Batch) error {
+	if len(b.Cols) != len(t.schema) {
+		return fmt.Errorf("insert into %s: got %d columns, want %d", t.name, len(b.Cols), len(t.schema))
+	}
+	for j, col := range t.schema {
+		if got := b.Cols[j].T; got != col.Type {
+			return &TypeMismatchError{Table: t.name, Column: col.Name, Got: got, Want: col.Type}
+		}
+	}
+	return nil
+}
+
+// appendRows is the one append: columns, index postings, version stamps. A
+// commit passes its timestamp and nil stamps (every row created at ts and
+// live); an image restore passes one createdAt and deletedAt stamp per row.
+func (t *Table) appendRows(b *types.Batch, ts uint64, createdAt, deletedAt []uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := b.Len()
 	base := len(t.createdAt)
 	for j, c := range t.cols {
 		c.AppendColumn(b.Cols[j])
@@ -163,70 +215,18 @@ func (t *Table) appendRows(b *types.Batch, ts uint64) {
 	for _, ix := range t.indexes {
 		ix.impl.insert(b.Cols[ix.col], base)
 	}
-	for i := 0; i < n; i++ {
-		t.createdAt = append(t.createdAt, ts)
-		t.deletedAt = append(t.deletedAt, 0)
-	}
-	t.liveRows += n
-	if ts > t.maxTS {
-		t.maxTS = ts
-	}
-}
-
-// deleteRow marks physical row i deleted at ts. It reports a conflict when
-// the row was already deleted by a transaction invisible to snapshot.
-func (t *Table) deleteRow(i int, ts, snapshot uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || i >= len(t.deletedAt) {
-		return fmt.Errorf("storage: delete of out-of-range row %d in %s", i, t.name)
-	}
-	if d := t.deletedAt[i]; d != 0 {
-		if d == ts {
-			// Already stamped by this very commit (a duplicate buffered
-			// delete). Commit deduplicates, but a same-timestamp stamp must
-			// never read as a conflict: that would fail the commit after
-			// earlier stamps were placed.
-			return nil
+	for i := range b.Len() {
+		c, d := ts, uint64(0)
+		if createdAt != nil {
+			c, d = createdAt[i], deletedAt[i]
 		}
-		if d > snapshot {
-			return &ConflictError{Table: t.name, Row: i}
+		t.createdAt = append(t.createdAt, c)
+		t.deletedAt = append(t.deletedAt, d)
+		if d == 0 {
+			t.liveRows++
 		}
-		return nil // already deleted before our snapshot; treat as no-op
+		t.maxTS = max(t.maxTS, c, d)
 	}
-	t.deletedAt[i] = ts
-	t.liveRows--
-	if ts > t.maxTS {
-		t.maxTS = ts
-	}
-	return nil
-}
-
-// replayDelete re-applies a logged deletion during recovery. The original
-// commit already validated it, so any disagreement with the table's state
-// (row out of range, or already deleted by a different timestamp) means the
-// log and image diverged, and recovery must stop rather than guess.
-func (t *Table) replayDelete(i int, ts uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || i >= len(t.deletedAt) {
-		return fmt.Errorf("storage: replayed delete of out-of-range row %d in %s (have %d physical rows)",
-			i, t.name, len(t.deletedAt))
-	}
-	switch d := t.deletedAt[i]; d {
-	case 0:
-		t.deletedAt[i] = ts
-		t.liveRows--
-	case ts:
-		// duplicate within the record; harmless
-	default:
-		return fmt.Errorf("storage: replayed delete of row %d in %s at ts %d, but row already deleted at ts %d",
-			i, t.name, ts, d)
-	}
-	if ts > t.maxTS {
-		t.maxTS = ts
-	}
-	return nil
 }
 
 // RestoreRows bulk-appends physical rows with explicit version stamps. It
@@ -235,92 +235,25 @@ func (t *Table) replayDelete(i int, ts uint64) error {
 // timestamps, so redo-log records that reference physical row indexes
 // resolve exactly as they did before the crash.
 func (t *Table) RestoreRows(b *types.Batch, createdAt, deletedAt []uint64) error {
-	n := b.Len()
-	if len(createdAt) != n || len(deletedAt) != n {
+	if n := b.Len(); len(createdAt) != n || len(deletedAt) != n {
 		return fmt.Errorf("storage: restore of %d rows in %s with %d/%d version stamps",
 			n, t.name, len(createdAt), len(deletedAt))
 	}
-	if len(b.Cols) != len(t.schema) {
-		return fmt.Errorf("storage: restore into %s: got %d columns, want %d",
-			t.name, len(b.Cols), len(t.schema))
+	if err := t.checkBatch(b); err != nil {
+		return err
 	}
-	for j, col := range t.schema {
-		if got := b.Cols[j].T; got != col.Type {
-			return fmt.Errorf("storage: restore into %s column %q: got type %s, want %s",
-				t.name, col.Name, got, col.Type)
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	base := len(t.createdAt)
-	for j, c := range t.cols {
-		c.AppendColumn(b.Cols[j])
-	}
-	for _, ix := range t.indexes {
-		ix.impl.insert(b.Cols[ix.col], base)
-	}
-	for i := 0; i < n; i++ {
-		t.createdAt = append(t.createdAt, createdAt[i])
-		t.deletedAt = append(t.deletedAt, deletedAt[i])
-		if deletedAt[i] == 0 {
-			t.liveRows++
-		}
-		if createdAt[i] > t.maxTS {
-			t.maxTS = createdAt[i]
-		}
-		if deletedAt[i] > t.maxTS {
-			t.maxTS = deletedAt[i]
-		}
-	}
+	t.appendRows(b, 0, createdAt, deletedAt)
 	return nil
 }
 
-// ScanPhysical yields the physical row prefix created at or before clock,
-// in physical order and with per-row version stamps; deletions stamped
-// after clock are reported as live (0). Commit timestamps are assigned
-// under the commit lock and rows append at the tail, so createdAt is
-// non-decreasing and the rows at or before clock are exactly a prefix.
-// Checkpointing uses this to write a consistent physical image of the
-// store as of clock while commits continue.
-func (t *Table) ScanPhysical(clock uint64, yield func(b *types.Batch, createdAt, deletedAt []uint64) error) error {
-	t.mu.RLock()
-	n := sort.Search(len(t.createdAt), func(i int) bool { return t.createdAt[i] > clock })
-	t.mu.RUnlock()
-	for start := 0; start < n; start += types.BatchSize {
-		end := start + types.BatchSize
-		if end > n {
-			end = n
-		}
-		t.mu.RLock()
-		b := &types.Batch{Schema: t.schema, Cols: make([]*types.Column, len(t.cols))}
-		for j, c := range t.cols {
-			b.Cols[j] = c.Slice(start, end)
-		}
-		created := append([]uint64(nil), t.createdAt[start:end]...)
-		deleted := make([]uint64, end-start)
-		for i := range deleted {
-			if d := t.deletedAt[start+i]; d != 0 && d <= clock {
-				deleted[i] = d
-			}
-		}
-		t.mu.RUnlock()
-		if err := yield(b, created, deleted); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// undeleteRow reverts a deleteRow stamp placed with ts by a commit that
-// subsequently failed, restoring the row's live status. Stamps placed by
-// other timestamps are left untouched.
-func (t *Table) undeleteRow(i int, ts uint64) {
+// stamp marks physical row i deleted at ts. The one caller, commitLocked,
+// holds the commit lock and has checked that the row is live.
+func (t *Table) stamp(i int, ts uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i >= 0 && i < len(t.deletedAt) && t.deletedAt[i] == ts {
-		t.deletedAt[i] = 0
-		t.liveRows++
-	}
+	t.deletedAt[i] = ts
+	t.liveRows--
+	t.maxTS = max(t.maxTS, ts)
 }
 
 // rowVersion returns (createdAt, deletedAt) of physical row i, or an error

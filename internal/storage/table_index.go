@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lambdadb/internal/catalog"
@@ -17,57 +18,61 @@ type tableIndex struct {
 }
 
 // AddIndex validates def against the table, builds the structure over every
-// existing physical row, and installs it, all under the table lock so no
-// concurrent append can slip between build and install.
+// existing physical row, and installs it (see newIndex, installIndex).
 //
 // It performs no logging: Store.CreateIndex is the transactional path.
 // Calling AddIndex directly is reserved for recovery (image load), where
 // the definition comes from the checkpoint image.
 func (t *Table) AddIndex(def IndexDef) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, ix := range t.indexes {
-		if ix.def.Name == def.Name {
-			return fmt.Errorf("storage: index %q already exists on table %q", def.Name, t.name)
-		}
-	}
-	col := t.schema.IndexOf(def.Column)
-	if col < 0 {
-		return fmt.Errorf("storage: table %q has no column %q", t.name, def.Column)
-	}
-	impl, err := newIndexImpl(def.Kind, t.schema[col].Type)
+	ix, err := t.newIndex(def)
 	if err != nil {
 		return err
 	}
-	impl.insert(t.cols[col], 0)
-	def.Table = t.name
-	t.indexes = append(t.indexes, &tableIndex{def: def, col: col, impl: impl})
+	t.installIndex(ix)
 	return nil
 }
 
-// dropIndex removes the named index; it reports whether it existed.
-func (t *Table) dropIndex(name string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i, ix := range t.indexes {
-		if ix.def.Name == name {
-			t.indexes = append(t.indexes[:i], t.indexes[i+1:]...)
-			return true
-		}
+// newIndex validates def against the table and returns its empty structure.
+func (t *Table) newIndex(def IndexDef) (*tableIndex, error) {
+	if _, ok := t.indexDef(def.Name); ok {
+		return nil, fmt.Errorf("storage: index %q already exists on table %q", def.Name, t.name)
 	}
-	return false
+	col := t.schema.IndexOf(def.Column)
+	if col < 0 {
+		return nil, fmt.Errorf("storage: table %q has no column %q", t.name, def.Column)
+	}
+	impl, err := newIndexImpl(def.Kind, t.schema[col].Type)
+	if err != nil {
+		return nil, err
+	}
+	def.Table = t.name
+	return &tableIndex{def: def, col: col, impl: impl}, nil
 }
 
-// hasIndex reports whether the named index exists on this table.
-func (t *Table) hasIndex(name string) bool {
+// installIndex fills ix from every physical row and installs it, both under
+// the table lock, so no concurrent append can slip between build and install.
+func (t *Table) installIndex(ix *tableIndex) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ix.impl.insert(t.cols[ix.col], 0)
+	t.indexes = append(t.indexes, ix)
+}
+
+// dropIndex removes the named index.
+func (t *Table) dropIndex(name string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.indexes = slices.DeleteFunc(t.indexes, func(ix *tableIndex) bool { return ix.def.Name == name })
+}
+
+// indexDef returns the named index's definition, if the table has it.
+func (t *Table) indexDef(name string) (IndexDef, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for _, ix := range t.indexes {
-		if ix.def.Name == name {
-			return true
-		}
+	if ix := t.indexLocked(name); ix != nil {
+		return ix.def, true
 	}
-	return false
+	return IndexDef{}, false
 }
 
 // IndexDefs returns the table's index definitions, sorted by name (the
@@ -166,23 +171,12 @@ func (t *Table) indexRows(name string, snapshot uint64, probe func(*tableIndex) 
 	return vis, nil
 }
 
-// emitRows gathers the given physical rows into batches, re-taking the read
-// lock per batch like ScanRange does (rows never move once appended).
+// emitRows hands emit the given physical rows, BatchSize per round.
 func (t *Table) emitRows(rows []int, yield func(*types.Batch) error) error {
-	for start := 0; start < len(rows); start += types.BatchSize {
-		end := start + types.BatchSize
-		if end > len(rows) {
-			end = len(rows)
-		}
-		t.mu.RLock()
-		b := &types.Batch{Schema: t.schema, Cols: make([]*types.Column, len(t.cols))}
-		for j, c := range t.cols {
-			b.Cols[j] = c.Gather(rows[start:end])
-		}
-		t.mu.RUnlock()
-		if err := yield(b); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.emit(func() ([]int, bool) {
+		k := min(len(rows), types.BatchSize)
+		round := rows[:k]
+		rows = rows[k:]
+		return round, len(rows) > 0
+	}, func(b *types.Batch, _ []int) error { return yield(b) })
 }

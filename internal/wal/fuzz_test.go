@@ -139,24 +139,6 @@ func FuzzSegmentFrames(f *testing.F) {
 	})
 }
 
-// reencode is the inverse of decodeRecord, by way of the production encoders.
-func reencode(rec *record) []byte {
-	switch rec.kind {
-	case recCommit:
-		return encodeCommit(rec.commit)
-	case recCreateTable:
-		return encodeCreateTable(rec.name, rec.schema, rec.id)
-	case recDropTable:
-		return encodeDropTable(rec.name, rec.id)
-	case recCreateIndex:
-		return encodeCreateIndex(storage.IndexDef{Name: rec.index, Table: rec.name, Column: rec.column, Kind: rec.ikind}, rec.id)
-	case recDropIndex:
-		return encodeDropIndex(rec.index, rec.name, rec.id)
-	default:
-		return encodeEpoch(rec.epoch)
-	}
-}
-
 // FuzzDecodeRecord: decodeRecord either refuses a payload or returns a
 // record that re-encodes to exactly the bytes it came from — never a panic,
 // never a second spelling of the same record.
@@ -174,7 +156,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got := reencode(rec); !bytes.Equal(got, payload) {
+		if got := encodeRecord(rec); !bytes.Equal(got, payload) {
 			t.Fatalf("decoded record re-encodes to\n%x\nwant\n%x", got, payload)
 		}
 	})
@@ -194,7 +176,7 @@ func TestHostileLengthsAllocateNothing(t *testing.T) {
 	const bound = 512 << 10 // the reader's one 256 KiB buffer, with room
 
 	// DROP TABLE whose name claims 1<<30 - 1 bytes: five bytes in all.
-	hostile := []byte{recDropTable, 0xff, 0xff, 0xff, 0x3f}
+	hostile := []byte{byte(storage.ChangeDropTable), 0xff, 0xff, 0xff, 0x3f}
 	if got := allocatedBy(func() {
 		if _, err := decodeRecord(hostile); err == nil {
 			t.Error("decodeRecord accepted a string longer than the record")
@@ -219,8 +201,8 @@ func TestHostileLengthsAllocateNothing(t *testing.T) {
 		t.Errorf("readFrames allocated %d bytes for a %d-byte input", got, len(data))
 	}
 
-	c := &storage.CommitData{TS: 1, Deletes: []storage.CommitDelete{{Table: "t", TableID: 1, Row: -1}}}
-	if _, err := decodeRecord(encodeCommit(c)); err == nil {
+	c := &storage.Change{Kind: storage.ChangeCommit, TS: 1, Deletes: []storage.CommitDelete{{Table: "t", TableID: 1, Row: -1}}}
+	if _, err := decodeRecord(encodeRecord(c)); err == nil {
 		t.Error("decodeRecord accepted a delete whose row index does not fit a non-negative int")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"lambdadb/internal/persist"
 	"lambdadb/internal/storage"
 	"lambdadb/internal/telemetry"
-	"lambdadb/internal/types"
 )
 
 // snapshotFile is the checkpoint image's name within the data directory.
@@ -38,7 +37,7 @@ type RecoverySummary struct {
 	SnapshotClock     uint64 // the image's commit-clock cut (0 when fresh)
 	Segments          int    // log segments scanned
 	CommitsReplayed   int    // commit records re-applied
-	DDLReplayed       int    // CREATE/DROP TABLE records re-applied
+	DDLReplayed       int    // CREATE/DROP TABLE and CREATE/DROP INDEX records re-applied
 	RecordsSkipped    int    // records already covered by the snapshot or a dead incarnation
 	TornTailTruncated bool   // the final segment ended in a torn record and was truncated
 	TornSegment       string // segment file name of the torn tail
@@ -144,7 +143,7 @@ func Open(dir string, opts Options) (*storage.Store, *Manager, error) {
 
 	for i, seg := range segs {
 		good, torn, err := scanSegment(dir, seg, func(payload []byte, _ int64) error {
-			return replayRecord(dir, seg, store, summary.SnapshotClock, &summary, payload)
+			return replayRecord(dir, filepath.Base(seg.path), store, summary.SnapshotClock, &summary, payload)
 		})
 		if err != nil {
 			return nil, nil, err
@@ -192,121 +191,38 @@ func Open(dir string, opts Options) (*storage.Store, *Manager, error) {
 	return store, m, nil
 }
 
-// replayRecord decodes and re-applies one log record during recovery.
-func replayRecord(dir string, seg segmentInfo, store *storage.Store, snapClock uint64, summary *RecoverySummary, payload []byte) error {
+// replayRecord decodes one log record and applies it through Store.Replay
+// above floor — the idempotency rules live there — counting the outcome in
+// summary. An epoch record, the one kind only the log knows, raises
+// summary.Epoch instead: epochs only move forward, so an older one (possible
+// after a demoted primary's segments are replayed behind a newer bump) is
+// inert.
+func replayRecord(dir, segName string, store *storage.Store, floor uint64, summary *RecoverySummary, payload []byte) error {
 	if err := faultinject.Fire("wal.replay.record"); err != nil {
 		return err
 	}
-	rec, err := decodeRecord(payload)
+	c, err := decodeRecord(payload)
 	if err != nil {
 		// The payload passed its CRC, so this is a format disagreement, not
 		// disk damage — refusing is the only safe move.
-		return fmt.Errorf("wal: segment %s: undecodable record: %w", filepath.Base(seg.path), err)
+		return fmt.Errorf("wal: segment %s: undecodable record: %w", segName, err)
 	}
-	segName := filepath.Base(seg.path)
-	switch rec.kind {
-	case recCommit:
-		if rec.commit.TS <= snapClock {
-			// Already captured by the checkpoint image.
-			summary.RecordsSkipped++
-			return nil
-		}
-		if err := store.ApplyLoggedCommit(rec.commit); err != nil {
-			return &AmbiguousStateError{Dir: dir, Segment: segName, Reason: err.Error()}
-		}
+	if c.Kind == recEpoch {
+		summary.Epoch = max(summary.Epoch, c.TS)
+		return nil
+	}
+	applied, err := store.Replay(c, floor)
+	switch {
+	case err != nil:
+		return &AmbiguousStateError{Dir: dir, Segment: segName, Reason: err.Error()}
+	case !applied:
+		summary.RecordsSkipped++
+	case c.Kind == storage.ChangeCommit:
 		summary.CommitsReplayed++
-	case recCreateTable:
-		// DDL records carry no timestamp; a CREATE logged just before the
-		// checkpoint image was cut is both in the image and in the log, so
-		// replay is idempotent on the incarnation ID.
-		if t, err := store.Table(rec.name); err == nil {
-			if t.ID() == rec.id {
-				summary.RecordsSkipped++
-				return nil
-			}
-			return &AmbiguousStateError{
-				Dir: dir, Segment: segName,
-				Reason: fmt.Sprintf("logged CREATE TABLE %q id %d, but the store holds incarnation %d",
-					rec.name, rec.id, t.ID()),
-			}
-		}
-		if _, err := store.CreateTableWithID(rec.name, rec.schema, rec.id); err != nil {
-			return &AmbiguousStateError{Dir: dir, Segment: segName, Reason: err.Error()}
-		}
+	default:
 		summary.DDLReplayed++
-	case recDropTable:
-		t, err := store.Table(rec.name)
-		if err != nil || t.ID() != rec.id {
-			// The incarnation is already gone (image cut after the drop).
-			summary.RecordsSkipped++
-			return nil
-		}
-		if err := store.DropTable(rec.name); err != nil {
-			return &AmbiguousStateError{Dir: dir, Segment: segName, Reason: err.Error()}
-		}
-		summary.DDLReplayed++
-	case recCreateIndex:
-		t, err := store.Table(rec.name)
-		if err != nil || t.ID() != rec.id {
-			// The table incarnation is gone; the index died with it.
-			summary.RecordsSkipped++
-			return nil
-		}
-		// Index DDL carries no timestamp, so a CREATE INDEX logged around a
-		// checkpoint cut may be both in the image and in the log: replay is
-		// idempotent on an identical definition. A same-name index with a
-		// different definition means log and image diverged.
-		if existing, ok := findIndexDef(t, rec.index); ok {
-			if existing.Column == rec.column && existing.Kind == rec.ikind {
-				summary.RecordsSkipped++
-				return nil
-			}
-			return &AmbiguousStateError{
-				Dir: dir, Segment: segName,
-				Reason: fmt.Sprintf("logged CREATE INDEX %q on %s(%s) USING %s, but the store holds %s(%s) USING %s",
-					rec.index, rec.name, rec.column, rec.ikind,
-					existing.Table, existing.Column, existing.Kind),
-			}
-		}
-		def := storage.IndexDef{Name: rec.index, Table: rec.name, Column: rec.column, Kind: rec.ikind}
-		if err := store.CreateIndex(def); err != nil {
-			return &AmbiguousStateError{Dir: dir, Segment: segName, Reason: err.Error()}
-		}
-		summary.DDLReplayed++
-	case recDropIndex:
-		t, err := store.Table(rec.name)
-		if err != nil || t.ID() != rec.id {
-			summary.RecordsSkipped++
-			return nil
-		}
-		if _, ok := findIndexDef(t, rec.index); !ok {
-			// Already gone (image cut after the drop).
-			summary.RecordsSkipped++
-			return nil
-		}
-		if err := store.DropIndex(rec.index); err != nil {
-			return &AmbiguousStateError{Dir: dir, Segment: segName, Reason: err.Error()}
-		}
-		summary.DDLReplayed++
-	case recEpoch:
-		// Epoch records only move the fencing epoch forward; an older one
-		// (possible after a demoted primary's segments are replayed behind a
-		// newer bump) is inert.
-		if rec.epoch > summary.Epoch {
-			summary.Epoch = rec.epoch
-		}
 	}
 	return nil
-}
-
-// findIndexDef returns the named index's definition on t, if present.
-func findIndexDef(t *storage.Table, name string) (storage.IndexDef, bool) {
-	for _, def := range t.IndexDefs() {
-		if def.Name == name {
-			return def, true
-		}
-	}
-	return storage.IndexDef{}, false
 }
 
 // truncateSegment cuts a segment back to off and makes the cut durable.
@@ -347,72 +263,29 @@ func (m *Manager) waitReplicated(pos Pos) error {
 	return nil
 }
 
-// LogCommit implements storage.CommitLogger: it appends the commit's redo
-// record (called under the commit lock, so append order is commit order)
-// and returns the group-commit durability wait. The time a committer parks
-// in that wait feeds the commit_wait stage histogram — the durability share
-// of end-to-end DML latency.
-func (m *Manager) LogCommit(c *storage.CommitData) (func() error, error) {
-	lsn, end, err := m.activeLog().append(encodeCommit(c))
+// Log implements storage.CommitLogger: it appends the change's record
+// (called under the store lock that orders the change, so append order is
+// apply order) and returns the wait for group-commit durability, then for
+// semi-sync replication. The time a committer parks in the durability wait
+// feeds the commit_wait stage histogram — the durability share of
+// end-to-end DML latency.
+func (m *Manager) Log(c *storage.Change) (func() error, error) {
+	lsn, end, err := m.activeLog().append(encodeRecord(c))
 	if err != nil {
 		return nil, err
 	}
+	commit := c.Kind == storage.ChangeCommit
 	return func() error {
 		waitStart := time.Now()
 		err := m.activeLog().waitDurable(lsn)
-		m.metrics.Hist().RecordCommitWait(time.Since(waitStart).Nanoseconds())
+		if commit {
+			m.metrics.Hist().RecordCommitWait(time.Since(waitStart).Nanoseconds())
+		}
 		if err != nil {
 			return err
 		}
 		return m.waitReplicated(end)
 	}, nil
-}
-
-// LogCreateTable implements storage.CommitLogger.
-func (m *Manager) LogCreateTable(name string, schema types.Schema, id uint64) (func() error, error) {
-	lsn, end, err := m.activeLog().append(encodeCreateTable(name, schema, id))
-	if err != nil {
-		return nil, err
-	}
-	return m.durableThenReplicated(lsn, end), nil
-}
-
-// LogDropTable implements storage.CommitLogger.
-func (m *Manager) LogDropTable(name string, id uint64) (func() error, error) {
-	lsn, end, err := m.activeLog().append(encodeDropTable(name, id))
-	if err != nil {
-		return nil, err
-	}
-	return m.durableThenReplicated(lsn, end), nil
-}
-
-// LogCreateIndex implements storage.CommitLogger.
-func (m *Manager) LogCreateIndex(def storage.IndexDef, tableID uint64) (func() error, error) {
-	lsn, end, err := m.activeLog().append(encodeCreateIndex(def, tableID))
-	if err != nil {
-		return nil, err
-	}
-	return m.durableThenReplicated(lsn, end), nil
-}
-
-// LogDropIndex implements storage.CommitLogger.
-func (m *Manager) LogDropIndex(index, table string, tableID uint64) (func() error, error) {
-	lsn, end, err := m.activeLog().append(encodeDropIndex(index, table, tableID))
-	if err != nil {
-		return nil, err
-	}
-	return m.durableThenReplicated(lsn, end), nil
-}
-
-// durableThenReplicated is the wait shared by the DDL log hooks: local
-// group-commit durability, then the semi-sync replication wait.
-func (m *Manager) durableThenReplicated(lsn uint64, end Pos) func() error {
-	return func() error {
-		if err := m.activeLog().waitDurable(lsn); err != nil {
-			return err
-		}
-		return m.waitReplicated(end)
-	}
 }
 
 // Epoch returns the cluster fencing epoch: the highest epoch record known
@@ -427,7 +300,7 @@ func (m *Manager) SetEpoch(e uint64) error {
 	if cur := m.epoch.Load(); e <= cur {
 		return fmt.Errorf("wal: epoch %d does not advance the current epoch %d", e, cur)
 	}
-	lsn, _, err := m.activeLog().append(encodeEpoch(e))
+	lsn, _, err := m.activeLog().append(encodeRecord(&storage.Change{Kind: recEpoch, TS: e}))
 	if err != nil {
 		return err
 	}
@@ -501,7 +374,7 @@ func (m *Manager) cutImage(imageFault string) (clock uint64, err error) {
 			return
 		}
 		if e := m.epoch.Load(); e > 0 {
-			epochLSN, _, err = m.activeLog().append(encodeEpoch(e))
+			epochLSN, _, err = m.activeLog().append(encodeRecord(&storage.Change{Kind: recEpoch, TS: e}))
 		}
 	})
 	if err != nil {

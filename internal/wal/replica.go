@@ -62,15 +62,15 @@ func (m *Manager) SealMirror(next uint64) error {
 	return m.activeLog().rotate()
 }
 
-// ApplyStreamed decodes one shipped record and applies it to the store,
-// reporting whether it had an effect. Records the store already covers are
-// skipped, not errors: a commit whose timestamp is at or below the clock
-// (the stream legitimately overlaps what local recovery already replayed),
-// and DDL whose effect is present (matched by incarnation ID).
+// ApplyStreamed decodes one shipped record and applies it to the store
+// through Store.Replay, reporting whether it had an effect. The replay
+// floor is the live clock: a commit at or below it is skipped, not an
+// error, because the stream legitimately overlaps what local recovery
+// already replayed; catalog changes whose effect is present are skipped by
+// Replay's own rules.
 func (m *Manager) ApplyStreamed(payload []byte) (applied bool, err error) {
 	var scratch RecoverySummary
-	seg := segmentInfo{seq: m.activeLog().activeSeq(), path: filepath.Join(m.dir, "replication-stream")}
-	if err := replayRecord(m.dir, seg, m.store, m.store.Snapshot(), &scratch, payload); err != nil {
+	if err := replayRecord(m.dir, "replication-stream", m.store, m.store.Snapshot(), &scratch, payload); err != nil {
 		return false, err
 	}
 	// A streamed epoch record fences this replica forward; the record is

@@ -802,6 +802,66 @@ func TestCrashBetweenSnapshotAndPrune(t *testing.T) {
 	wantRows(t, store2, "t", 1, 2, 3)
 }
 
+// TestDuplicateCommitRecordIsAmbiguous: a commit record that appears twice
+// above the image clock is a log recovery must not trust — the replay floor
+// only skips commits the image already holds, it cannot hide a duplicate.
+func TestDuplicateCommitRecordIsAmbiguous(t *testing.T) {
+	dir := t.TempDir()
+	store, mgr := mustOpen(t, dir)
+	if _, err := store.CreateTable("t", intSchema()); err != nil {
+		t.Fatal(err)
+	}
+	commitInsert(t, store, "t", 1)
+	if _, err := mgr.Checkpoint(); err != nil { // image at clock 1, log now in segment 2
+		t.Fatal(err)
+	}
+	commitInsert(t, store, "t", 2)
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := segmentPath(dir, 2)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last []byte
+	for off := int64(segHeaderLen); off < int64(len(data)); {
+		end := off + frameHeader + int64(binary.LittleEndian.Uint32(data[off:]))
+		last, off = data[off:end], end
+	}
+	if err := os.WriteFile(path, append(data, last...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Open(dir, Options{})
+	var amb *AmbiguousStateError
+	if !errors.As(err, &amb) || !strings.Contains(amb.Reason, "duplicated") {
+		t.Fatalf("Open = %v, want an *AmbiguousStateError for the duplicated commit", err)
+	}
+}
+
+// TestDeleteOfDeadRowRecovers: deleting a row that was already dead at the
+// transaction's snapshot is a no-op commit, and recovery agrees — the
+// record must not carry a delete that replay would find already stamped.
+func TestDeleteOfDeadRowRecovers(t *testing.T) {
+	dir := t.TempDir()
+	store, mgr := mustOpen(t, dir)
+	if _, err := store.CreateTable("t", intSchema()); err != nil {
+		t.Fatal(err)
+	}
+	commitInsert(t, store, "t", 1, 2)
+	commitDelete(t, store, "t", 0)
+	commitDelete(t, store, "t", 0)
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store2, mgr2 := mustOpen(t, dir)
+	defer mgr2.Close()
+	wantRows(t, store2, "t", 2)
+	if got, want := store2.Snapshot(), store.Snapshot(); got != want {
+		t.Errorf("recovered clock %d, want %d", got, want)
+	}
+}
+
 func TestSegmentGapIsAmbiguous(t *testing.T) {
 	dir := t.TempDir()
 	for _, seq := range []uint64{1, 3} {
