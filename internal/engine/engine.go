@@ -75,7 +75,7 @@ func WithWorkers(n int) Option {
 }
 
 // WithMemoryLimit caps the bytes one query may hold in materializations
-// (hash-join builds, sort runs, working tables, buffered results). A query
+// (hash-join builds, sort inputs, working tables, buffered results). A query
 // over the budget fails with a typed *exec.ResourceError naming the
 // operator that tripped it, instead of driving the process out of memory.
 // bytes <= 0 (the default) means unlimited.

@@ -109,3 +109,35 @@ func TestWeightedPageRankErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestWeightedPageRankLambdaCastIsSQLCast: a λ's CAST(… AS BIGINT) truncates
+// as SQL's does, so on these non-negative weights it ranks exactly as
+// floor(e.w) + 1. A cast to a type that is not a number, and a CASE without
+// ELSE — NULL for the edges no branch matches — are rejected before the
+// operator runs, by an error that names the λ.
+func TestWeightedPageRankLambdaCastIsSQLCast(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE cw (src BIGINT, dest BIGINT, w DOUBLE)`)
+	db.MustExec(`INSERT INTO cw VALUES (0, 1, 0.5), (0, 2, 2.0), (1, 2, 0.5), (2, 0, 0.5)`)
+	query := func(weight string) (*Result, error) {
+		return db.Query(`SELECT vertex, rank FROM PAGERANK ((SELECT src, dest, w FROM cw), λ(e) ` + weight + `, 0.85, 0.0, 50) ORDER BY vertex`)
+	}
+	cast, err := query(`CAST(e.w AS BIGINT) + 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor, err := query(`floor(e.w) + 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range floor.Rows {
+		if got := cast.Rows[i][1].F; math.Abs(got-row[1].F) > 1e-12 {
+			t.Errorf("vertex %v: CAST(e.w AS BIGINT) + 1 ranks %v, floor(e.w) + 1 ranks %v", row[0], got, row[1].F)
+		}
+	}
+	for _, weight := range []string{`CAST(e.w AS VARCHAR)`, `CASE WHEN e.w > 1 THEN e.w END`} {
+		if _, err := query(weight); err == nil || !strings.Contains(err.Error(), "λ(e)") {
+			t.Errorf("λ(e) %s: err = %v, want a compile error naming the λ", weight, err)
+		}
+	}
+}

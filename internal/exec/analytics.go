@@ -94,7 +94,7 @@ func compileDistance(l *expr.Lambda, what string) (analytics.DistanceFn, error) 
 	}
 	fn, err := expr.CompileFloatLambda(l)
 	if err != nil {
-		return nil, fmt.Errorf("%s lambda: %w", what, err)
+		return nil, fmt.Errorf("%s: %w", what, err)
 	}
 	return analytics.DistanceFn(fn), nil
 }
@@ -222,7 +222,7 @@ func newPageRankOp(n *plan.PageRank) (*blockingOp, error) {
 	if n.Lambda != nil {
 		fn, err := expr.CompileFloatLambda(n.Lambda)
 		if err != nil {
-			return nil, fmt.Errorf("pagerank lambda: %w", err)
+			return nil, fmt.Errorf("pagerank: %w", err)
 		}
 		weight = fn
 	}

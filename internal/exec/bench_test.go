@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"lambdadb/internal/expr"
@@ -188,8 +189,9 @@ func BenchmarkBroadcastCross(b *testing.B) {
 	runPerRow(b, counted(&plan.Join{Type: plan.CrossJoin, L: wide("points", n, 11), R: wide("centres", k, 12)}), n*k)
 }
 
-// BenchmarkParallelSortScaling sweeps the parallel sort worker count:
-// per-worker run generation over a 1M-row scan, k-way loser-tree merge.
+// BenchmarkParallelSortScaling sweeps the worker count of a full sort of 1M
+// rows by a unique DOUBLE key: the parts collect their batches in parallel,
+// then one stable sort of their concatenation orders the rows.
 func BenchmarkParallelSortScaling(b *testing.B) {
 	s, tbl := bigTable(b, 1_000_000, 1000) // v column is unique, k repeats
 	srt := &plan.Sort{
@@ -201,6 +203,7 @@ func BenchmarkParallelSortScaling(b *testing.B) {
 		b.Run(benchName(workers), func(b *testing.B) {
 			ctx := NewContext()
 			ctx.Workers = workers
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Run(srt, ctx); err != nil {
 					b.Fatal(err)
@@ -210,25 +213,55 @@ func BenchmarkParallelSortScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelTopKScaling isolates the fused ORDER BY ... LIMIT path:
-// per-worker bounded heaps mean the 1M-row input is never materialized.
+// BenchmarkParallelTopKScaling isolates the fused ORDER BY ... LIMIT 100 over
+// 1M rows, where each part keeps only its best 100 rows. "worst-case" orders
+// bigTable's unique, ascending v DESC, so every row sorts before the current
+// 100th and is admitted; "random" is the shape of scan_agg's top-k statement,
+// four uniform DOUBLE columns ordered by one of them DESC, where almost every
+// row is turned away by one comparison.
 func BenchmarkParallelTopKScaling(b *testing.B) {
 	s, tbl := bigTable(b, 1_000_000, 1000)
-	srt := &plan.Sort{
-		Child: plan.NewScan(tbl, "", s.Snapshot()),
-		Keys:  []plan.SortKey{{Col: 1, Desc: true}},
-		TopK:  100,
+	rs := storage.NewStore()
+	pts, err := rs.CreateTable("pts", types.Schema{{Name: "d0", Type: types.Float64}, {Name: "d1", Type: types.Float64},
+		{Name: "d2", Type: types.Float64}, {Name: "d3", Type: types.Float64}})
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(benchName(workers), func(b *testing.B) {
-			ctx := NewContext()
-			ctx.Workers = workers
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(srt, ctx); err != nil {
-					b.Fatal(err)
-				}
+	rng := rand.New(rand.NewSource(1))
+	tx := rs.Begin()
+	for lo := 0; lo < 1_000_000; lo += 1 << 15 {
+		batch := types.NewBatch(pts.Schema())
+		for i := lo; i < min(lo+1<<15, 1_000_000); i++ {
+			for _, c := range batch.Cols {
+				c.AppendFloat(rng.Float64())
 			}
-		})
+		}
+		if err := tx.Insert(pts, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		srt  *plan.Sort
+	}{
+		{"worst-case", &plan.Sort{Child: plan.NewScan(tbl, "", s.Snapshot()), Keys: []plan.SortKey{{Col: 1, Desc: true}}, TopK: 100}},
+		{"random", &plan.Sort{Child: plan.NewScan(pts, "", rs.Snapshot()), Keys: []plan.SortKey{{Col: 2, Desc: true}}, TopK: 100}},
+	} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(tc.name+"/"+benchName(workers), func(b *testing.B) {
+				ctx := NewContext()
+				ctx.Workers = workers
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Run(tc.srt, ctx); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

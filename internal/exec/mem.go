@@ -8,8 +8,8 @@ import (
 
 // memAccountant tracks the bytes a query holds in materializations against
 // a configured budget. The rule: the sink that retains data charges it —
-// materialized batches, hash-join tables, sort runs, aggregation tables,
-// the analytical operators' matrices and edge arrays — and whoever drops
+// materialized batches, hash-join tables, a full sort's input, aggregation
+// tables, the analytical operators' matrices and edge arrays — and whoever drops
 // retained state (ITERATE's previous working table, an aggregation table or
 // matrix once its operator has produced its output, the context cache what
 // it held for a round that is over) releases it, so a runaway query fails

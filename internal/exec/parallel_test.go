@@ -403,39 +403,6 @@ func TestRunPartsErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestLoserTreeMergeStability merges runs with heavy key ties and checks
-// rows with equal keys come out in run order (stability across runs).
-func TestLoserTreeMergeStability(t *testing.T) {
-	mkRow := func(key, seq int64) []types.Value {
-		return []types.Value{types.NewInt(key), types.NewInt(seq)}
-	}
-	// Three runs, each sorted by key, sequence numbers encode global input
-	// order (run-major).
-	runs := [][][]types.Value{
-		{mkRow(1, 0), mkRow(1, 1), mkRow(3, 2)},
-		{mkRow(1, 10), mkRow(2, 11), mkRow(3, 12)},
-		{mkRow(0, 20), mkRow(1, 21), mkRow(1, 22)},
-	}
-	less := func(a, b []types.Value) bool { return a[0].I < b[0].I }
-	got := mergeRuns(runs, less)
-	if len(got) != 9 {
-		t.Fatalf("merged %d rows, want 9", len(got))
-	}
-	wantSeq := []int64{20, 0, 1, 10, 21, 22, 11, 2, 12}
-	for i, row := range got {
-		if row[1].I != wantSeq[i] {
-			t.Fatalf("position %d: seq %d, want %d (got order %v)", i, row[1].I, wantSeq[i], got)
-		}
-	}
-	// Degenerate shapes.
-	if out := mergeRuns(nil, less); len(out) != 0 {
-		t.Errorf("empty merge produced %d rows", len(out))
-	}
-	if out := mergeRuns([][][]types.Value{{}, {}, {mkRow(5, 0)}}, less); len(out) != 1 || out[0][0].I != 5 {
-		t.Errorf("merge with empty runs = %v", out)
-	}
-}
-
 // TestJoinPipelineMatchesSerial: a join is a stage of the pipeline that
 // streams past it, so whoever drives that pipeline — a materialisation, an
 // aggregate, a sort — runs scan → join → … as morsels, and a LIMIT stops it

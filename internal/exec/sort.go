@@ -1,127 +1,154 @@
 package exec
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
+	"strings"
 
-	"lambdadb/internal/faultinject"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/types"
 )
 
-// newSortOp materializes its input and emits it in key order. Each part of
-// the input becomes a run — every row, or with a fused LIMIT the best k
-// rows of a bounded heap, so ORDER BY ... LIMIT never materializes the full
-// input; an input that arrives as one part (join results, aggregates) is
-// cut into contiguous chunk runs. Runs are sorted on the worker pool and
-// meet in a k-way loser-tree merge.
+// newSortOp materializes its input and emits it in key order. The parts of
+// the input collect their rows on the worker pool — every batch, or under a
+// fused LIMIT only each part's best k rows, so ORDER BY ... LIMIT holds
+// O(parts·k) rows — and one stable sort of their concatenation in part order
+// orders the result, so tied rows keep scan order.
 func newSortOp(n *plan.Sort) *blockingOp {
 	schema := n.Schema()
-	less := func(a, b []types.Value) bool {
-		for _, k := range n.Keys {
-			c := a[k.Col].Compare(b[k.Col])
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	}
 	return &blockingOp{label: "sort", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
-		sinks, err := drive(ctx, partsOf(n.Child, ctx), "", func(Operator) (*sortSink, error) {
-			return &sortSink{ctx: ctx, k: n.TopK, heap: rowHeap{less: less}}, nil
+		sinks, err := drive(ctx, partsOf(n.Child, ctx), "exec.sort.run", func(Operator) (*sortSink, error) {
+			return &sortSink{ctx: ctx, keys: n.Keys, k: n.TopK, rows: Materialized{Schema: schema}}, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		runs := make([][][]types.Value, len(sinks))
-		for i, s := range sinks {
-			runs[i] = s.heap.rows
-		}
-		if len(runs) == 1 && n.TopK < 0 {
-			runs = chunkRuns(runs[0], ctx.workers())
-		}
-		err = runParts(ctx, len(runs), func(i int) error {
-			if err := faultinject.Fire("exec.sort.run"); err != nil {
-				return err
+		all := &Materialized{Schema: schema}
+		for _, s := range sinks {
+			for _, b := range s.rows.Batches {
+				all.Append(b)
 			}
-			r := runs[i]
-			sort.SliceStable(r, func(a, b int) bool { return less(r[a], r[b]) })
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows := mergeRuns(runs, less)
-		if n.TopK >= 0 && int64(len(rows)) > n.TopK {
-			rows = rows[:n.TopK]
 		}
 		out := &Materialized{Schema: schema}
-		for _, r := range rows {
-			out.AppendRow(r)
-		}
+		out.appendChunked(sorted(n.Keys, all, n.TopK))
 		return out, nil
 	}}
 }
 
-// sortSink collects one part's rows as an unsorted run. With k >= 0 the rows
-// stream through a bounded max-heap whose root is the worst kept row, so
-// only k rows are ever held; fully-retained runs (k < 0) are charged against
-// the query memory budget per input batch.
+// sortSink collects one part's rows. A full sort (k < 0) keeps every batch,
+// charged to the query budget. A top-k sort keeps the part's best k rows so
+// far as one sorted batch, best, at the head of rows, and behind it the rows
+// admitted since: only those that sort strictly before best's last row, so a
+// later row never displaces a tied earlier one. Once rows holds max(k, a
+// batch) rows beyond its first k, one sort of rows makes the next best.
 type sortSink struct {
 	ctx  *Context
+	keys []plan.SortKey
 	k    int64
-	heap rowHeap // k < 0: plain append order, no heap property
+	rows Materialized
+	best *types.Batch // nil until rows first held k rows
+	keep []int
 }
 
 func (s *sortSink) consume(b *types.Batch) error {
-	if s.k < 0 {
+	switch {
+	case s.k < 0:
 		if err := s.ctx.charge("sort", batchBytes(b)); err != nil {
 			return err
 		}
+	case s.k == 0:
+		return nil
+	case s.best != nil:
+		b = s.admit(b)
 	}
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		row := b.Row(i)
-		switch {
-		case s.k < 0:
-			s.heap.rows = append(s.heap.rows, row)
-		case int64(len(s.heap.rows)) < s.k:
-			s.heap.push(row)
-		case s.k > 0 && s.heap.less(row, s.heap.rows[0]):
-			s.heap.replaceTop(row)
-		}
+	s.rows.Append(b)
+	if s.k >= 0 && int64(s.rows.NumRows)-s.k >= max(s.k, types.BatchSize) {
+		s.best = sorted(s.keys, &s.rows, s.k)
+		s.rows = Materialized{Schema: s.rows.Schema}
+		s.rows.Append(s.best)
 	}
 	return nil
 }
 
-// chunkRuns splits rows into at most `workers` contiguous chunks of at
-// least minRowsPerWorker rows each (a single chunk below that), preserving
-// input order across chunk boundaries for merge stability.
-func chunkRuns(rows [][]types.Value, workers int) [][][]types.Value {
-	n := len(rows)
-	parts := workers
-	if parts > 1 && n < 2*minRowsPerWorker {
-		parts = 1
-	}
-	if parts > n/minRowsPerWorker && parts > 1 {
-		parts = n / minRowsPerWorker
-	}
-	if parts <= 1 {
-		return [][][]types.Value{rows}
-	}
-	chunk := (n + parts - 1) / parts
-	out := make([][][]types.Value, 0, parts)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+// admit returns the rows of b that sort strictly before best's last row.
+func (s *sortSink) admit(b *types.Batch) *types.Batch {
+	last := s.best.Len() - 1
+	s.keep = s.keep[:0]
+	for i := range b.Len() {
+		if compareRows(s.keys, b, i, s.best, last) < 0 {
+			s.keep = append(s.keep, i)
 		}
-		out = append(out, rows[lo:hi:hi])
 	}
-	return out
+	if len(s.keep) == b.Len() {
+		return b
+	}
+	return b.Gather(s.keep)
+}
+
+// sorted concatenates m's batches and returns their rows in key order, the
+// first k of them when k >= 0. The permutation is stable — tied rows keep
+// their order in m — because ties are broken by position, which makes the
+// order total and lets the faster unstable sort produce it.
+func sorted(keys []plan.SortKey, m *Materialized, k int64) *types.Batch {
+	rows := flatten(m)
+	perm := make([]int, m.NumRows)
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortFunc(perm, func(i, j int) int {
+		if c := compareRows(keys, rows, i, rows, j); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	if k >= 0 && int64(len(perm)) > k {
+		perm = perm[:k]
+	}
+	return rows.Gather(perm)
+}
+
+// compareRows orders row i of a against row j of b, two batches of the
+// sort's schema, by the sort keys: NULL sorts first and NaN after every
+// number, as in PostgreSQL, and a DESC key negates the result.
+func compareRows(keys []plan.SortKey, a *types.Batch, i int, b *types.Batch, j int) int {
+	for _, k := range keys {
+		x, y := a.Cols[k.Col], b.Cols[k.Col]
+		var c int
+		switch xn, yn := x.IsNull(i), y.IsNull(j); {
+		case xn || yn:
+			c = cmpBool(!xn, !yn)
+		case x.T == types.Int64:
+			c = cmp.Compare(x.Ints[i], y.Ints[j])
+		case x.T == types.Float64:
+			c = cmp.Compare(x.Floats[i], y.Floats[j])
+			if math.IsNaN(x.Floats[i]) != math.IsNaN(y.Floats[j]) {
+				c = -c // cmp.Compare puts NaN before every number
+			}
+		case x.T == types.String:
+			c = strings.Compare(x.Strs[i], y.Strs[j])
+		case x.T == types.Bool:
+			c = cmpBool(x.Bools[i], y.Bools[j])
+		}
+		if c != 0 {
+			if k.Desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// cmpBool orders false before true.
+func cmpBool(x, y bool) int {
+	if x == y {
+		return 0
+	}
+	if x {
+		return 1
+	}
+	return -1
 }
 
 // limitOp skips Offset rows and passes through at most N.
@@ -284,45 +311,4 @@ func (u *unionOp) Close() error {
 		return err1
 	}
 	return err2
-}
-
-// rowHeap is a max-heap of rows under the sort order: the root is the
-// worst kept row, so a better candidate replaces it in O(log k).
-type rowHeap struct {
-	rows [][]types.Value
-	less func(a, b []types.Value) bool
-}
-
-func (h *rowHeap) push(row []types.Value) {
-	h.rows = append(h.rows, row)
-	i := len(h.rows) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		// Sift up while the child is worse (greater) than its parent.
-		if !h.less(h.rows[parent], h.rows[i]) {
-			break
-		}
-		h.rows[parent], h.rows[i] = h.rows[i], h.rows[parent]
-		i = parent
-	}
-}
-
-func (h *rowHeap) replaceTop(row []types.Value) {
-	h.rows[0] = row
-	i := 0
-	n := len(h.rows)
-	for {
-		worst := i
-		if l := 2*i + 1; l < n && h.less(h.rows[worst], h.rows[l]) {
-			worst = l
-		}
-		if r := 2*i + 2; r < n && h.less(h.rows[worst], h.rows[r]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		h.rows[i], h.rows[worst] = h.rows[worst], h.rows[i]
-		i = worst
-	}
 }

@@ -3,6 +3,7 @@ package expr
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lambdadb/internal/types"
@@ -110,6 +111,44 @@ func TestLambdaPowerMatchesSQL(t *testing.T) {
 		}
 		if bad > 0 {
 			t.Errorf("x ^ %g: %d of %d values differ between λ and SQL", k, bad, len(xs))
+		}
+	}
+}
+
+// TestLambdaCastMatchesSQL: a λ's CAST is SQL's. CAST(x AS BIGINT) truncates
+// toward zero exactly as castColumn does, positive and negative fractions
+// alike, and CAST(x AS DOUBLE) keeps x. A cast to a type that is not a
+// number, and a CASE without ELSE — NULL where no branch matches — are
+// rejected when the λ compiles, by an error that names the λ.
+func TestLambdaCastMatchesSQL(t *testing.T) {
+	xs := []float64{0.5, 0.999, 1.5, 2, 2.75, -0.5, -0.999, -1.5, -2, -2.75, 0, 1e15 + 0.5, -1e15 - 0.5}
+	b := &types.Batch{Schema: types.Schema{{Name: "x", Type: types.Float64}},
+		Cols: []*types.Column{{T: types.Float64, Floats: xs}}}
+	x := &ParamField{Param: "p", Field: "x", ParamIdx: 0, FieldIdx: 0, Typ: types.Float64}
+	for _, to := range []types.Type{types.Int64, types.Float64} {
+		ev, err := Compile(&Cast{E: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, To: to})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sqlCol, err := ev(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, err := CompileFloatLambda(&Lambda{Params: []string{"p"}, Body: &Cast{E: x, To: to}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range xs {
+			if got, want := fn([]float64{v}, nil), sqlCol.Value(i).AsFloat(); got != want {
+				t.Errorf("CAST(%g AS %s): λ gives %g, SQL gives %g", v, to, got, want)
+			}
+		}
+	}
+	for _, body := range []Expr{&Cast{E: x, To: types.String}, &Cast{E: x, To: types.Bool},
+		&Case{Whens: []When{{Cond: &BinOp{Op: OpGt, L: x, R: lit(types.NewFloat(1))}, Then: x}}}} {
+		l := &Lambda{Params: []string{"p"}, Body: body}
+		if _, err := CompileFloatLambda(l); err == nil || !strings.Contains(err.Error(), l.String()) {
+			t.Errorf("%s: err = %v, want a compile error naming the λ", l, err)
 		}
 	}
 }

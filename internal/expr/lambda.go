@@ -59,24 +59,28 @@ func BindLambda(l *Lambda, schemas []types.Schema) (*Lambda, error) {
 }
 
 // CompileFloatLambda compiles a bound lambda into a scalar float closure.
-// The lambda body may use arithmetic, comparisons, CASE, and the scalar
-// math functions; all values are treated as float64.
+// The lambda body may use arithmetic, comparisons, numeric casts, CASE with
+// ELSE, and the scalar math functions; all values are treated as float64.
 func CompileFloatLambda(l *Lambda) (FloatFn, error) {
-	return compileFloatScalar(l.Body)
+	fn, err := compileFloatScalar(l.Body)
+	if err != nil {
+		return nil, fmt.Errorf("lambda %s: %w", l, err)
+	}
+	return fn, nil
 }
 
 func compileFloatScalar(e Expr) (FloatFn, error) {
 	switch n := e.(type) {
 	case *Const:
 		if !n.Val.T.IsNumeric() {
-			return nil, fmt.Errorf("lambda: non-numeric constant %s", n)
+			return nil, fmt.Errorf("non-numeric constant %s", n)
 		}
 		v := n.Val.AsFloat()
 		return func(_, _ []float64) float64 { return v }, nil
 
 	case *ParamField:
 		if n.ParamIdx < 0 || n.FieldIdx < 0 {
-			return nil, fmt.Errorf("lambda: unbound parameter field %s", n)
+			return nil, fmt.Errorf("unbound parameter field %s", n)
 		}
 		fi := n.FieldIdx
 		if n.ParamIdx == 0 {
@@ -85,11 +89,17 @@ func compileFloatScalar(e Expr) (FloatFn, error) {
 		if n.ParamIdx == 1 {
 			return func(_, b []float64) float64 { return b[fi] }, nil
 		}
-		return nil, fmt.Errorf("lambda: more than two parameters are not supported in scalar compilation")
+		return nil, fmt.Errorf("more than two parameters are not supported in scalar compilation")
 
 	case *Cast:
-		// Numeric casts are identities in the all-float domain.
-		return compileFloatScalar(n.E)
+		inner, err := compileFloatScalar(n.E)
+		switch {
+		case err != nil || n.To == types.Float64:
+			return inner, err
+		case n.To == types.Int64: // truncates toward zero, as SQL's CAST does
+			return func(a, b []float64) float64 { return float64(int64(inner(a, b))) }, nil
+		}
+		return nil, fmt.Errorf("cast to %s does not produce a number", n.To)
 
 	case *UnOp:
 		inner, err := compileFloatScalar(n.E)
@@ -97,13 +107,13 @@ func compileFloatScalar(e Expr) (FloatFn, error) {
 			return nil, err
 		}
 		if n.Op != OpNeg {
-			return nil, fmt.Errorf("lambda: unary %s not supported in float context", n.Op)
+			return nil, fmt.Errorf("unary %s not supported in float context", n.Op)
 		}
 		return func(a, b []float64) float64 { return -inner(a, b) }, nil
 
 	case *BinOp:
 		if !n.Op.IsArith() {
-			return nil, fmt.Errorf("lambda: operator %s does not produce a number", n.Op)
+			return nil, fmt.Errorf("operator %s does not produce a number", n.Op)
 		}
 		l, err := compileFloatScalar(n.L)
 		if err != nil {
@@ -180,7 +190,7 @@ func compileFloatScalar(e Expr) (FloatFn, error) {
 				return best
 			}, nil
 		}
-		return nil, fmt.Errorf("lambda: function %q not supported in scalar compilation", n.Name)
+		return nil, fmt.Errorf("function %q not supported in scalar compilation", n.Name)
 
 	case *Case:
 		conds := make([]boolFn, len(n.Whens))
@@ -196,14 +206,12 @@ func compileFloatScalar(e Expr) (FloatFn, error) {
 			}
 			conds[i], thens[i] = c, t
 		}
-		var els FloatFn
-		if n.Else != nil {
-			var err error
-			if els, err = compileFloatScalar(n.Else); err != nil {
-				return nil, err
-			}
-		} else {
-			els = func(_, _ []float64) float64 { return 0 }
+		if n.Else == nil {
+			return nil, fmt.Errorf("CASE without ELSE is NULL where no branch matches, not a number")
+		}
+		els, err := compileFloatScalar(n.Else)
+		if err != nil {
+			return nil, err
 		}
 		return func(a, b []float64) float64 {
 			for i, c := range conds {
@@ -214,21 +222,21 @@ func compileFloatScalar(e Expr) (FloatFn, error) {
 			return els(a, b)
 		}, nil
 	}
-	return nil, fmt.Errorf("lambda: cannot compile %T in scalar context", e)
+	return nil, fmt.Errorf("cannot compile %T in scalar context", e)
 }
 
 func compileBoolScalar(e Expr) (boolFn, error) {
 	switch n := e.(type) {
 	case *Const:
 		if n.Val.T != types.Bool {
-			return nil, fmt.Errorf("lambda: expected boolean constant, got %s", n)
+			return nil, fmt.Errorf("expected boolean constant, got %s", n)
 		}
 		v := n.Val.B
 		return func(_, _ []float64) bool { return v }, nil
 
 	case *UnOp:
 		if n.Op != OpNot {
-			return nil, fmt.Errorf("lambda: unary %s not boolean", n.Op)
+			return nil, fmt.Errorf("unary %s not boolean", n.Op)
 		}
 		inner, err := compileBoolScalar(n.E)
 		if err != nil {
@@ -277,5 +285,5 @@ func compileBoolScalar(e Expr) (boolFn, error) {
 			}
 		}
 	}
-	return nil, fmt.Errorf("lambda: cannot compile %T in boolean context", e)
+	return nil, fmt.Errorf("cannot compile %T in boolean context", e)
 }

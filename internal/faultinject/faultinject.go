@@ -1,6 +1,6 @@
 // Package faultinject provides named fault-injection trigger points for
 // deterministic robustness testing. Production code calls Fire(point) at
-// interesting boundaries (scan batches, join build/probe, sort runs,
+// interesting boundaries (scan batches, join build/probe, sort input,
 // iterate rounds, snapshot writes); the call is a single atomic load unless
 // a test has armed a hook, so the hooks cost nothing in normal operation.
 //
