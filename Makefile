@@ -33,7 +33,7 @@ race:
 bench-api:
 	cd cmd/lambdabench && $(GO) vet ./... && $(GO) test ./...
 
-## overhead: assert the disarmed operator-stats path AND the armed histogram path each add <2% to the vectorized filter+agg workload
+## overhead: assert the disarmed operator-stats path AND the armed histogram path each add <2% to the vectorized filter+agg workload (median ratio of 501 alternating pairs of single executions each)
 overhead:
 	LAMBDADB_OVERHEAD_SMOKE=1 $(GO) test ./internal/exec/ -run TestTelemetryOverheadSmoke -v
 	LAMBDADB_OVERHEAD_SMOKE=1 $(GO) test ./internal/engine/ -run TestObsOverheadSmoke -count=1 -v
@@ -47,9 +47,9 @@ bench-obs:
 	$(GO) test ./internal/telemetry/ -run xxx -bench 'BenchmarkHistogram' -benchtime 2s
 	$(GO) test ./internal/obs/ -run xxx -bench 'BenchmarkRenderMetrics' -benchtime 2s
 
-## bench: print the parallel-operator scaling micro-benchmarks, the hash operators' ns/row (BenchmarkHashAgg, BenchmarkHashJoin) and the join as a pipeline stage (BenchmarkJoinPipelineAgg: ns/probe-row and B/op; BenchmarkBroadcastCross: the k-Means n x k shape); print-only — the recorded numbers are lambdabench's exec.speedup_workers, exec.agg_ms and exec.join_ms (cmd/lambdabench/BASELINE.json)
+## bench: print the parallel-operator scaling micro-benchmarks, the hash operators' ns/row (BenchmarkHashAgg, BenchmarkHashJoin), the join as a pipeline stage (BenchmarkJoinPipelineAgg: ns/probe-row and B/op; BenchmarkBroadcastCross: the k-Means n x k shape) and the expression kernels (BenchmarkVectorizedFilterAgg: a filter under an aggregate; BenchmarkProjectArith: scan_agg's GROUP BY key and the k-Means distance, ns/row); print-only — the recorded numbers are lambdabench's exec.speedup_workers, exec.agg_ms, exec.join_ms and exec.filter_ms (cmd/lambdabench/BASELINE.json)
 bench:
-	$(GO) test ./internal/exec/ -run xxx -bench 'BenchmarkParallel(Join|Sort|TopK|Agg)Scaling|BenchmarkHash(Agg|Join)|BenchmarkJoinPipelineAgg|BenchmarkBroadcastCross' -benchtime 3x
+	$(GO) test ./internal/exec/ -run xxx -bench 'BenchmarkParallel(Join|Sort|TopK|Agg)Scaling|BenchmarkHash(Agg|Join)|BenchmarkJoinPipelineAgg|BenchmarkBroadcastCross|BenchmarkVectorizedFilterAgg|BenchmarkProjectArith' -benchtime 3x
 
 ## bench-pair: PAIRS (default 10) alternating runs of revision BASE against the working tree on WORKLOAD (a BENCHMARK.json workload, or all), then lambdabench -compare; e.g. make bench-pair WORKLOAD=scan_agg BASE=HEAD~1
 PAIRS ?= 10

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"os"
+	"sort"
 	"testing"
+	"time"
 
 	"lambdadb/internal/telemetry"
 	"lambdadb/internal/types"
@@ -49,40 +51,39 @@ func TestObsOverheadSmoke(t *testing.T) {
 	}
 
 	const query = `SELECT count(*), sum(v) FROM obs_bench WHERE v > 500000`
-	run := func() float64 {
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Exec(query); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		return float64(res.NsPerOp())
-	}
-
-	// Interleave the two sides and keep each side's minimum, so slow drift
-	// (thermal throttling, page-cache state) hits both equally.
-	measure := func(rounds int) (base, armed float64) {
-		for i := 0; i < rounds; i++ {
-			db.Metrics().SetHist(telemetry.NewDisabledHistograms())
-			if v := run(); i == 0 || v < base {
-				base = v
-			}
-			db.Metrics().SetHist(&telemetry.Histograms{})
-			if v := run(); i == 0 || v < armed {
-				armed = v
-			}
+	// run executes the query once under h and returns the time.
+	run := func(h *telemetry.Histograms) float64 {
+		db.Metrics().SetHist(h)
+		start := time.Now()
+		if _, err := db.Exec(query); err != nil {
+			t.Fatal(err)
 		}
-		return base, armed
+		return float64(time.Since(start))
 	}
-	base, armed := measure(3)
-	overhead := (armed - base) / base
-	if overhead > 0.02 {
-		// One retry with more rounds before declaring a regression.
-		base, armed = measure(5)
-		overhead = (armed - base) / base
+	disabled, armed := telemetry.NewDisabledHistograms(), &telemetry.Histograms{}
+
+	// Alternate the sides one statement at a time, each pair led by the
+	// other side than the last, and judge the median per-pair ratio: a slow
+	// moment of the host or a GC cycle lands on both runs of a pair or makes
+	// one outlier among hundreds, so no single pair decides.
+	for i := 0; i < 5; i++ {
+		run(disabled)
+		run(armed)
 	}
-	t.Logf("disabled %.0f ns/op, armed %.0f ns/op, overhead %.2f%%", base, armed, overhead*100)
+	ratios := make([]float64, 501)
+	for i := range ratios {
+		if i%2 == 0 {
+			base := run(disabled)
+			ratios[i] = run(armed) / base
+		} else {
+			a := run(armed)
+			ratios[i] = a / run(disabled)
+		}
+	}
+	sort.Float64s(ratios)
+	overhead := ratios[len(ratios)/2] - 1
+	t.Logf("armed/disabled over %d pairs: quartiles %.4f %.4f %.4f, median overhead %.2f%%",
+		len(ratios), ratios[len(ratios)/4], ratios[len(ratios)/2], ratios[3*len(ratios)/4], overhead*100)
 	if overhead > 0.02 {
 		t.Errorf("armed histogram overhead %.2f%% exceeds 2%%", overhead*100)
 	}

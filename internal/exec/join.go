@@ -293,12 +293,9 @@ func (j *joinOp) assemble(pb *types.Batch, probeIdx, buildIdx []int) (*types.Bat
 	if err != nil {
 		return nil, nil, err
 	}
-	kept := make([]int, 0, out.Len())
-	for i, pi := range probeIdx {
-		if !c.IsNull(i) && c.Bools[i] {
-			probeIdx[len(kept)] = pi
-			kept = append(kept, i)
-		}
+	kept := selected(c, out.Len())
+	for k, i := range kept {
+		probeIdx[k] = probeIdx[i]
 	}
 	if len(kept) < out.Len() {
 		out = out.Gather(kept)
@@ -390,12 +387,9 @@ func (j *joinOp) crossBlock(lb, rb *types.Batch) (*types.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, 0, out.Len())
-	for i := 0; i < out.Len(); i++ {
-		if !c.IsNull(i) && c.Bools[i] {
-			idx = append(idx, i)
-			j.nlMatched[j.leftIdx[i]] = true
-		}
+	idx := selected(c, out.Len())
+	for _, i := range idx {
+		j.nlMatched[j.leftIdx[i]] = true
 	}
 	if len(idx) == 0 {
 		return nil, nil

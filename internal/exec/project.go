@@ -52,21 +52,37 @@ func applyFilter(b *types.Batch, pred expr.Evaluator) (*types.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := b.Len()
-	idx := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if !c.IsNull(i) && c.Bools[i] {
-			idx = append(idx, i)
-		}
-	}
-	switch len(idx) {
+	switch idx := selected(c, b.Len()); len(idx) {
 	case 0:
 		return nil, nil
-	case n:
+	case b.Len():
 		return b, nil
 	default:
 		return b.Gather(idx), nil
 	}
+}
+
+// selected returns the rows of the first n where the predicate result c is
+// true, not false or NULL: one pass, which reads a NULL bitmap only when c
+// has one.
+func selected(c *types.Column, n int) []int {
+	idx, kept := make([]int, n), 0
+	if c.Nulls == nil {
+		for i, t := range c.Bools[:n] {
+			idx[kept] = i
+			if t {
+				kept++
+			}
+		}
+	} else {
+		for i, t := range c.Bools[:n] {
+			idx[kept] = i
+			if t && !c.Nulls[i] {
+				kept++
+			}
+		}
+	}
+	return idx[:kept]
 }
 
 // projectOp computes output expressions per batch.

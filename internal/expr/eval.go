@@ -166,54 +166,56 @@ func castValue(v types.Value, to types.Type) (types.Value, error) {
 	return types.Value{}, fmt.Errorf("cannot cast %s to %s", v.T, to)
 }
 
-// mergeNulls returns the elementwise OR of two null bitmaps (either may be
-// nil).
-func mergeNulls(a, b []bool, n int) []bool {
-	if a == nil && b == nil {
-		return nil
+// mergeNulls returns the NULLs of a row-wise result of two columns: one
+// bitmap when the other is nil (results are read-only, so it is shared),
+// else their elementwise OR.
+func mergeNulls(a, b []bool) []bool {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
 	}
-	out := make([]bool, n)
-	for i := 0; i < n; i++ {
-		out[i] = (a != nil && a[i]) || (b != nil && b[i])
+	out := make([]bool, len(a))
+	for i := range out {
+		out[i] = a[i] || b[i]
 	}
 	return out
 }
 
 func compileBinOp(n *BinOp) (Evaluator, error) {
-	l, err := Compile(n.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := Compile(n.R)
-	if err != nil {
-		return nil, err
-	}
 	op := n.Op
 	switch {
-	case op == OpAnd:
-		return compileAnd(l, r), nil
-	case op == OpOr:
-		return compileOr(l, r), nil
-	case op.IsComparison():
-		return compileCompare(op, n.L.Type(), l, r)
-	case op == OpConcat:
-		return func(b *types.Batch) (*types.Column, error) {
-			lc, rc, err := evalPair(l, r, b)
-			if err != nil {
-				return nil, err
-			}
-			cnt := lc.Len()
-			out := &types.Column{T: types.String, Strs: make([]string, cnt)}
-			out.Nulls = mergeNulls(lc.Nulls, rc.Nulls, cnt)
-			for i := 0; i < cnt; i++ {
-				out.Strs[i] = lc.Strs[i] + rc.Strs[i]
-			}
-			return out, nil
-		}, nil
-	case op.IsArith():
-		return compileArith(n, l, r)
+	case op == OpAnd || op == OpOr:
+		return compileLogic(op, n.L, n.R)
+	case !op.IsComparison() && !op.IsArith() && op != OpConcat:
+		return nil, fmt.Errorf("cannot compile operator %s", op)
+	case isNullConst(n.L) || isNullConst(n.R):
+		// A NULL operand makes every row NULL; it has the other side's type.
+		return Compile(&Const{Val: types.NewNull(n.Typ)})
+	case op == OpPow && constPow(n.R) != nil:
+		l, err := Compile(n.L)
+		if err != nil {
+			return nil, err
+		}
+		return mapFloats(l, constPow(n.R)), nil
 	}
-	return nil, fmt.Errorf("cannot compile operator %s", op)
+	if op.IsComparison() && n.L.Type() == types.Bool {
+		return compileBinOp(&BinOp{Op: op, L: asBigint(n.L), R: asBigint(n.R), Typ: types.Bool})
+	}
+	lo, ro, err := compileOperands(n.L, n.R)
+	if err != nil {
+		return nil, err
+	}
+	if op.IsComparison() {
+		return compileCompare(op, n.L.Type(), lo, ro)
+	}
+	return compileArith(op, n.Typ, lo, ro)
+}
+
+func isNullConst(e Expr) bool {
+	c, ok := e.(*Const)
+	return ok && c.Val.Null
 }
 
 func evalPair(l, r Evaluator, b *types.Batch) (*types.Column, *types.Column, error) {
@@ -226,87 +228,6 @@ func evalPair(l, r Evaluator, b *types.Batch) (*types.Column, *types.Column, err
 		return nil, nil, err
 	}
 	return lc, rc, nil
-}
-
-func compileArith(n *BinOp, l, r Evaluator) (Evaluator, error) {
-	op := n.Op
-	if n.Typ == types.Int64 {
-		var fn func(a, b int64) (int64, error)
-		switch op {
-		case OpAdd:
-			fn = func(a, b int64) (int64, error) { return a + b, nil }
-		case OpSub:
-			fn = func(a, b int64) (int64, error) { return a - b, nil }
-		case OpMul:
-			fn = func(a, b int64) (int64, error) { return a * b, nil }
-		case OpMod:
-			fn = func(a, b int64) (int64, error) {
-				if b == 0 {
-					return 0, fmt.Errorf("modulo by zero")
-				}
-				return a % b, nil
-			}
-		default:
-			return nil, fmt.Errorf("operator %s cannot yield an integer", op)
-		}
-		return func(b *types.Batch) (*types.Column, error) {
-			lc, rc, err := evalPair(l, r, b)
-			if err != nil {
-				return nil, err
-			}
-			n := lc.Len()
-			res := &types.Column{T: types.Int64, Ints: make([]int64, n)}
-			res.Nulls = mergeNulls(lc.Nulls, rc.Nulls, n)
-			for i := 0; i < n; i++ {
-				if res.Nulls != nil && res.Nulls[i] {
-					continue
-				}
-				v, err := fn(lc.Ints[i], rc.Ints[i])
-				if err != nil {
-					return nil, err
-				}
-				res.Ints[i] = v
-			}
-			return res, nil
-		}, nil
-	}
-
-	if op == OpPow {
-		if pow := constPow(n.R); pow != nil {
-			return mapFloats(l, pow), nil
-		}
-	}
-	var fn func(a, b float64) float64
-	switch op {
-	case OpAdd:
-		fn = func(a, b float64) float64 { return a + b }
-	case OpSub:
-		fn = func(a, b float64) float64 { return a - b }
-	case OpMul:
-		fn = func(a, b float64) float64 { return a * b }
-	case OpDiv:
-		fn = func(a, b float64) float64 { return a / b }
-	case OpMod:
-		fn = math.Mod
-	case OpPow:
-		fn = math.Pow
-	default:
-		return nil, fmt.Errorf("operator %s cannot yield a float", op)
-	}
-	return func(b *types.Batch) (*types.Column, error) {
-		lc, rc, err := evalPair(l, r, b)
-		if err != nil {
-			return nil, err
-		}
-		n := lc.Len()
-		res := &types.Column{T: types.Float64, Floats: make([]float64, n)}
-		res.Nulls = mergeNulls(lc.Nulls, rc.Nulls, n)
-		lf, rf := lc.Floats, rc.Floats
-		for i := 0; i < n; i++ {
-			res.Floats[i] = fn(lf[i], rf[i])
-		}
-		return res, nil
-	}, nil
 }
 
 // constPow returns x ^ k as a function of x when the exponent k is a
@@ -340,169 +261,16 @@ func constPow(k Expr) func(x float64) float64 {
 	return nil
 }
 
-func compileCompare(op Op, operand types.Type, l, r Evaluator) (Evaluator, error) {
-	// cmpResult maps a three-way comparison to the operator's truth value.
-	var truth func(c int) bool
-	switch op {
-	case OpEq:
-		truth = func(c int) bool { return c == 0 }
-	case OpNe:
-		truth = func(c int) bool { return c != 0 }
-	case OpLt:
-		truth = func(c int) bool { return c < 0 }
-	case OpLe:
-		truth = func(c int) bool { return c <= 0 }
-	case OpGt:
-		truth = func(c int) bool { return c > 0 }
-	case OpGe:
-		truth = func(c int) bool { return c >= 0 }
-	}
-	return func(b *types.Batch) (*types.Column, error) {
-		lc, rc, err := evalPair(l, r, b)
-		if err != nil {
-			return nil, err
-		}
-		n := lc.Len()
-		res := &types.Column{T: types.Bool, Bools: make([]bool, n)}
-		res.Nulls = mergeNulls(lc.Nulls, rc.Nulls, n)
-		switch operand {
-		case types.Int64:
-			for i := 0; i < n; i++ {
-				a, bb := lc.Ints[i], rc.Ints[i]
-				res.Bools[i] = truth(cmp3(a < bb, a > bb))
-			}
-		case types.Float64:
-			// IEEE 754: NaN is unordered, so only <> holds — the same answer
-			// a float index gives, which never matches a NaN key.
-			for i := 0; i < n; i++ {
-				a, bb := lc.Floats[i], rc.Floats[i]
-				if a != a || bb != bb {
-					res.Bools[i] = op == OpNe
-					continue
-				}
-				res.Bools[i] = truth(cmp3(a < bb, a > bb))
-			}
-		case types.String:
-			for i := 0; i < n; i++ {
-				a, bb := lc.Strs[i], rc.Strs[i]
-				res.Bools[i] = truth(cmp3(a < bb, a > bb))
-			}
-		case types.Bool:
-			for i := 0; i < n; i++ {
-				a, bb := lc.Bools[i], rc.Bools[i]
-				res.Bools[i] = truth(cmp3(!a && bb, a && !bb))
-			}
-		default:
-			return nil, fmt.Errorf("cannot compare values of type %s", operand)
-		}
-		return res, nil
-	}, nil
-}
-
-func cmp3(lt, gt bool) int {
-	switch {
-	case lt:
-		return -1
-	case gt:
-		return 1
-	}
-	return 0
-}
-
-// compileAnd implements SQL three-valued AND: false dominates NULL.
-func compileAnd(l, r Evaluator) Evaluator {
-	return func(b *types.Batch) (*types.Column, error) {
-		lc, rc, err := evalPair(l, r, b)
-		if err != nil {
-			return nil, err
-		}
-		n := lc.Len()
-		res := &types.Column{T: types.Bool, Bools: make([]bool, n)}
-		var nulls []bool
-		for i := 0; i < n; i++ {
-			ln, rn := lc.IsNull(i), rc.IsNull(i)
-			lv := !ln && lc.Bools[i]
-			rv := !rn && rc.Bools[i]
-			switch {
-			case !ln && !rn:
-				res.Bools[i] = lv && rv
-			case (!ln && !lv) || (!rn && !rv):
-				res.Bools[i] = false // false AND anything = false
-			default:
-				if nulls == nil {
-					nulls = make([]bool, n)
-				}
-				nulls[i] = true
-			}
-		}
-		res.Nulls = nulls
-		return res, nil
-	}
-}
-
-// compileOr implements SQL three-valued OR: true dominates NULL.
-func compileOr(l, r Evaluator) Evaluator {
-	return func(b *types.Batch) (*types.Column, error) {
-		lc, rc, err := evalPair(l, r, b)
-		if err != nil {
-			return nil, err
-		}
-		n := lc.Len()
-		res := &types.Column{T: types.Bool, Bools: make([]bool, n)}
-		var nulls []bool
-		for i := 0; i < n; i++ {
-			ln, rn := lc.IsNull(i), rc.IsNull(i)
-			lv := !ln && lc.Bools[i]
-			rv := !rn && rc.Bools[i]
-			switch {
-			case !ln && !rn:
-				res.Bools[i] = lv || rv
-			case lv || rv:
-				res.Bools[i] = true
-			default:
-				if nulls == nil {
-					nulls = make([]bool, n)
-				}
-				nulls[i] = true
-			}
-		}
-		res.Nulls = nulls
-		return res, nil
-	}
-}
-
 func compileUnOp(n *UnOp) (Evaluator, error) {
+	if n.Op == OpNeg { // -x is x * -1 exactly, -0 and BIGINT's range included
+		minusOne, _ := castValue(types.NewInt(-1), n.Typ)
+		return compileBinOp(&BinOp{Op: OpMul, L: n.E, R: &Const{Val: minusOne}, Typ: n.Typ})
+	}
 	inner, err := Compile(n.E)
 	if err != nil {
 		return nil, err
 	}
 	switch n.Op {
-	case OpNeg:
-		t := n.Typ
-		return func(b *types.Batch) (*types.Column, error) {
-			c, err := inner(b)
-			if err != nil {
-				return nil, err
-			}
-			cnt := c.Len()
-			out := types.NewColumn(t, cnt)
-			out.Nulls = mergeNulls(c.Nulls, nil, cnt)
-			if out.Nulls == nil && c.Nulls != nil {
-				out.Nulls = append([]bool{}, c.Nulls...)
-			}
-			if t == types.Int64 {
-				out.Ints = make([]int64, cnt)
-				for i := 0; i < cnt; i++ {
-					out.Ints[i] = -c.Ints[i]
-				}
-			} else {
-				out.Floats = make([]float64, cnt)
-				for i := 0; i < cnt; i++ {
-					out.Floats[i] = -c.Floats[i]
-				}
-			}
-			return out, nil
-		}, nil
 	case OpNot:
 		return func(b *types.Batch) (*types.Column, error) {
 			c, err := inner(b)
@@ -510,10 +278,7 @@ func compileUnOp(n *UnOp) (Evaluator, error) {
 				return nil, err
 			}
 			cnt := c.Len()
-			out := &types.Column{T: types.Bool, Bools: make([]bool, cnt)}
-			if c.Nulls != nil {
-				out.Nulls = append([]bool{}, c.Nulls...)
-			}
+			out := &types.Column{T: types.Bool, Bools: make([]bool, cnt), Nulls: c.Nulls}
 			for i := 0; i < cnt; i++ {
 				out.Bools[i] = !c.Bools[i]
 			}
@@ -613,6 +378,16 @@ func compileFunc(n *FuncCall) (Evaluator, error) {
 	if AggregateFuncs[n.Name] {
 		return nil, fmt.Errorf("aggregate %s evaluated outside GROUP BY context", n.Name)
 	}
+	switch last := len(n.Args) - 1; n.Name {
+	case "pow", "power":
+		return compileBinOp(&BinOp{Op: OpPow, L: n.Args[0], R: n.Args[1], Typ: types.Float64})
+	case "coalesce": // the first argument that is not NULL
+		c := &Case{Else: castTo(n.Args[last], n.Typ), Typ: n.Typ}
+		for _, a := range n.Args[:last] {
+			c.Whens = append(c.Whens, When{Cond: &IsNull{E: a, Negate: true}, Then: castTo(a, n.Typ)})
+		}
+		return compileCase(c)
+	}
 	args := make([]Evaluator, len(n.Args))
 	for i, a := range n.Args {
 		ev, err := Compile(a)
@@ -635,13 +410,13 @@ func compileFunc(n *FuncCall) (Evaluator, error) {
 				return nil, err
 			}
 			cnt := c.Len()
-			out := &types.Column{T: types.Int64, Ints: make([]int64, cnt)}
-			if c.Nulls != nil {
-				out.Nulls = append([]bool{}, c.Nulls...)
-			}
+			out := &types.Column{T: types.Int64, Ints: make([]int64, cnt), Nulls: c.Nulls}
 			for i := 0; i < cnt; i++ {
 				v := c.Ints[i]
 				if name == "abs" {
+					if v == math.MinInt64 && !c.IsNull(i) {
+						return nil, errBigintRange
+					}
 					if v < 0 {
 						v = -v
 					}
@@ -654,21 +429,6 @@ func compileFunc(n *FuncCall) (Evaluator, error) {
 					}
 				}
 				out.Ints[i] = v
-			}
-			return out, nil
-		}, nil
-	case "pow", "power":
-		l, r := args[0], args[1]
-		return func(b *types.Batch) (*types.Column, error) {
-			lc, rc, err := evalPair(l, r, b)
-			if err != nil {
-				return nil, err
-			}
-			cnt := lc.Len()
-			out := &types.Column{T: types.Float64, Floats: make([]float64, cnt)}
-			out.Nulls = mergeNulls(lc.Nulls, rc.Nulls, cnt)
-			for i := 0; i < cnt; i++ {
-				out.Floats[i] = math.Pow(lc.Floats[i], rc.Floats[i])
 			}
 			return out, nil
 		}, nil
@@ -715,38 +475,6 @@ func compileFunc(n *FuncCall) (Evaluator, error) {
 			}
 			return out, nil
 		}, nil
-	case "coalesce":
-		t := n.Typ
-		return func(b *types.Batch) (*types.Column, error) {
-			cols := make([]*types.Column, len(args))
-			for i, a := range args {
-				c, err := a(b)
-				if err != nil {
-					return nil, err
-				}
-				cols[i] = c
-			}
-			cnt := b.Len()
-			out := types.NewColumn(t, cnt)
-			for i := 0; i < cnt; i++ {
-				appended := false
-				for _, c := range cols {
-					if !c.IsNull(i) {
-						v, err := castValue(c.Value(i), t)
-						if err != nil {
-							return nil, err
-						}
-						out.Append(v)
-						appended = true
-						break
-					}
-				}
-				if !appended {
-					out.AppendNull()
-				}
-			}
-			return out, nil
-		}, nil
 	case "length", "lower", "upper", "substr":
 		return compileStringFunc(name, args)
 	}
@@ -770,9 +498,7 @@ func compileStringFunc(name string, args []Evaluator) (Evaluator, error) {
 		} else {
 			out = &types.Column{T: types.String, Strs: make([]string, cnt)}
 		}
-		if cols[0].Nulls != nil {
-			out.Nulls = append([]bool{}, cols[0].Nulls...)
-		}
+		out.Nulls = cols[0].Nulls
 		for i := 0; i < cnt; i++ {
 			if cols[0].IsNull(i) {
 				continue
@@ -841,10 +567,7 @@ func compileLike(n *Like) (Evaluator, error) {
 			return nil, err
 		}
 		cnt := c.Len()
-		out := &types.Column{T: types.Bool, Bools: make([]bool, cnt)}
-		if c.Nulls != nil {
-			out.Nulls = append([]bool{}, c.Nulls...)
-		}
+		out := &types.Column{T: types.Bool, Bools: make([]bool, cnt), Nulls: c.Nulls}
 		for i := 0; i < cnt; i++ {
 			if c.IsNull(i) {
 				continue

@@ -1,7 +1,9 @@
 package expr
 
 import (
+	"errors"
 	"math"
+	"math/big"
 	"math/rand"
 	"strings"
 	"testing"
@@ -196,5 +198,268 @@ func TestConstantPowerMatchesPow(t *testing.T) {
 				t.Fatalf("x ^ %g: %d of %d values differ from math.Pow", k, bad, len(xs))
 			}
 		}
+	}
+}
+
+// kernelSpecials are the values a kernel must treat exactly as the boxed
+// reference does: ±0, NaN, ±Inf, BIGINT's extremes, the exponents constPow
+// specialises.
+var kernelSpecials = map[types.Type][]types.Value{
+	types.Int64: {types.NewInt(0), types.NewInt(1), types.NewInt(-1), types.NewInt(2), types.NewInt(-7),
+		types.NewInt(math.MaxInt64), types.NewInt(math.MinInt64), types.NewInt(math.MaxInt64 - 1),
+		types.NewInt(math.MinInt64 + 1), types.NewInt(1 << 32), types.NewInt(-(1 << 31))},
+	types.Float64: {types.NewFloat(0), types.NewFloat(math.Copysign(0, -1)), types.NewFloat(1), types.NewFloat(-1),
+		types.NewFloat(2), types.NewFloat(0.5), types.NewFloat(-2.5), types.NewFloat(1e300), types.NewFloat(-1e300),
+		types.NewFloat(math.NaN()), types.NewFloat(math.Inf(1)), types.NewFloat(math.Inf(-1)),
+		types.NewFloat(math.SmallestNonzeroFloat64)},
+	types.String: {types.NewString(""), types.NewString("a"), types.NewString("ab"), types.NewString("b"), types.NewString("B")},
+	types.Bool:   {types.NewBool(false), types.NewBool(true)},
+}
+
+// kernelColumn is n random rows of type t: specials, small numbers and, if
+// nulls, one row in six NULL with a special in its slot; else no bitmap.
+func kernelColumn(rng *rand.Rand, t types.Type, n int, nulls bool) *types.Column {
+	c := types.NewColumn(t, n)
+	if nulls {
+		c.Nulls = make([]bool, n)
+	}
+	specials := kernelSpecials[t]
+	for i := 0; i < n; i++ {
+		v := specials[rng.Intn(len(specials))]
+		switch {
+		case t == types.Int64 && rng.Intn(2) == 0:
+			v = types.NewInt(rng.Int63n(2001) - 1000)
+		case t == types.Float64 && rng.Intn(2) == 0:
+			v = types.NewFloat(rng.NormFloat64() * 100)
+		}
+		c.Append(v)
+		if nulls {
+			c.Nulls[i] = rng.Intn(6) == 0
+		}
+	}
+	return c
+}
+
+// refBinary is a binary operator on boxed values, row by row: NULL in, NULL
+// out (AND and OR: Kleene's logic), a NaN operand makes every comparison
+// but <> false, and BIGINT arithmetic outside BIGINT's range is an error.
+func refBinary(op Op, a, b types.Value) (types.Value, error) {
+	switch {
+	case op == OpAnd || op == OpOr:
+		d := op == OpOr
+		switch {
+		case !a.Null && a.B == d || !b.Null && b.B == d:
+			return types.NewBool(d), nil
+		case a.Null || b.Null:
+			return types.NewNull(types.Bool), nil
+		}
+		return types.NewBool(!d), nil
+	case op.IsComparison():
+		if a.Null || b.Null {
+			return types.NewNull(types.Bool), nil
+		}
+		if a.T == types.Float64 && (math.IsNaN(a.F) || math.IsNaN(b.F)) {
+			return types.NewBool(op == OpNe), nil
+		}
+		c := a.Compare(b)
+		return types.NewBool(map[Op]bool{OpEq: c == 0, OpNe: c != 0, OpLt: c < 0, OpLe: c <= 0, OpGt: c > 0, OpGe: c >= 0}[op]), nil
+	case a.Null || b.Null:
+		return types.NewNull(a.T), nil
+	case op == OpConcat:
+		return types.NewString(a.S + b.S), nil
+	case a.T == types.Float64:
+		x, y := a.F, b.F
+		return types.NewFloat(map[Op]float64{OpAdd: x + y, OpSub: x - y, OpMul: x * y, OpDiv: x / y,
+			OpMod: math.Mod(x, y), OpPow: math.Pow(x, y)}[op]), nil
+	case op == OpMod:
+		if b.I == 0 {
+			return types.Value{}, errors.New("modulo by zero")
+		}
+		return types.NewInt(a.I % b.I), nil
+	}
+	x, y, r := big.NewInt(a.I), big.NewInt(b.I), new(big.Int)
+	switch op {
+	case OpAdd:
+		r.Add(x, y)
+	case OpSub:
+		r.Sub(x, y)
+	case OpMul:
+		r.Mul(x, y)
+	}
+	if !r.IsInt64() {
+		return types.Value{}, errors.New("bigint out of range")
+	}
+	return types.NewInt(r.Int64()), nil
+}
+
+// sameValue is row equality for the oracle: NULL equals NULL, NaN equals
+// NaN, and floats are otherwise compared bit for bit (so -0 is not +0).
+func sameValue(g, w types.Value) bool {
+	if g.Null || w.Null {
+		return g.Null == w.Null
+	}
+	if g.T == types.Float64 {
+		return math.IsNaN(g.F) && math.IsNaN(w.F) || math.Float64bits(g.F) == math.Float64bits(w.F)
+	}
+	return g == w
+}
+
+// TestKernelsMatchBoxedReference holds every arithmetic operator (BIGINT
+// + - * %, DOUBLE + - * / % ^), every comparison (BIGINT, DOUBLE, VARCHAR,
+// BOOLEAN), AND/OR and || to refBinary, in every operand shape —
+// column∘column, column∘constant, constant∘column, constant∘constant and a
+// NULL constant on either side — over random columns with NULLs, NaN, ±0,
+// ±Inf and BIGINT's extremes, and over columns without a NULL bitmap.
+// Results match row for row; where the reference errs on some row, the
+// batch errs, and each row alone errs exactly where the reference does.
+func TestKernelsMatchBoxedReference(t *testing.T) {
+	const n = 200
+	rng := rand.New(rand.NewSource(25))
+	type family struct {
+		t, result types.Type
+		ops       []Op
+	}
+	cmps := []Op{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
+	families := []family{
+		{types.Int64, types.Int64, []Op{OpAdd, OpSub, OpMul, OpMod}},
+		{types.Float64, types.Float64, []Op{OpAdd, OpSub, OpMul, OpDiv, OpMod, OpPow}},
+		{types.Int64, types.Bool, cmps}, {types.Float64, types.Bool, cmps},
+		{types.String, types.Bool, cmps}, {types.Bool, types.Bool, cmps},
+		{types.Bool, types.Bool, []Op{OpAnd, OpOr}}, {types.String, types.String, []Op{OpConcat}},
+	}
+	checked := 0
+	for fi := range 2 * len(families) {
+		f, nulls := families[fi/2], fi%2 == 0
+		b := &types.Batch{Schema: types.Schema{{Name: "a", Type: f.t}, {Name: "b", Type: f.t}},
+			Cols: []*types.Column{kernelColumn(rng, f.t, n, nulls), kernelColumn(rng, f.t, n, nulls)}}
+		cols := []Expr{&ColRef{Name: "a", Index: 0, Typ: f.t}, &ColRef{Name: "b", Index: 1, Typ: f.t}}
+		consts := append([]types.Value{types.NewNull(f.t)}, kernelSpecials[f.t]...)
+		// operand i of a shape: a column, or constant k, row by row.
+		type side struct {
+			e   Expr
+			val func(i int) types.Value
+		}
+		colSide := func(c int) side { return side{cols[c], func(i int) types.Value { return b.Cols[c].Value(i) }} }
+		constSide := func(k types.Value) side { return side{&Const{Val: k}, func(int) types.Value { return k }} }
+		var shapes [][2]side
+		shapes = append(shapes, [2]side{colSide(0), colSide(1)})
+		for _, k := range consts {
+			shapes = append(shapes, [2]side{colSide(0), constSide(k)}, [2]side{constSide(k), colSide(1)},
+				[2]side{constSide(k), constSide(consts[rng.Intn(len(consts))])})
+		}
+		for _, op := range f.ops {
+			for _, sh := range shapes {
+				e := &BinOp{Op: op, L: sh[0].e, R: sh[1].e, Typ: f.result}
+				want := make([]types.Value, n)
+				wantErr := make([]error, n)
+				failing := false
+				for i := range want {
+					want[i], wantErr[i] = refBinary(op, sh[0].val(i), sh[1].val(i))
+					failing = failing || wantErr[i] != nil
+				}
+				ev, err := Compile(e)
+				if err != nil {
+					t.Fatalf("%s: %v", e, err)
+				}
+				got, err := ev(b)
+				checked++
+				if !failing {
+					if err != nil {
+						t.Fatalf("%s: %v, the reference errs on no row", e, err)
+					}
+					if got.T != f.result || got.Len() != n {
+						t.Fatalf("%s: %s x %d, want %s x %d", e, got.T, got.Len(), f.result, n)
+					}
+					for i, w := range want {
+						if g := got.Value(i); !sameValue(g, w) {
+							t.Fatalf("%s row %d (%v, %v): got %v, want %v", e, i, sh[0].val(i), sh[1].val(i), g, w)
+						}
+					}
+					continue
+				}
+				if err == nil {
+					t.Fatalf("%s: no error, the reference errs", e)
+				}
+				for i := range want {
+					row, err := ev(b.Slice(i, i+1))
+					switch {
+					case (err == nil) != (wantErr[i] == nil) || err != nil && err.Error() != wantErr[i].Error():
+						t.Fatalf("%s row %d (%v, %v): error %v, want %v", e, i, sh[0].val(i), sh[1].val(i), err, wantErr[i])
+					case err == nil && !sameValue(row.Value(0), want[i]):
+						t.Fatalf("%s row %d (%v, %v): got %v, want %v", e, i, sh[0].val(i), sh[1].val(i), row.Value(0), want[i])
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d operator/shape/constant cases", checked)
+}
+
+// TestNullOperandTakesTheOtherType: a bare NULL on either side of a
+// comparison, an arithmetic operator or AND/OR resolves to a NULL of the
+// other operand's type, and the result is NULL on every row (AND/OR: where
+// the other side does not decide it). NULL <op> NULL has no type to take
+// and stays an error.
+func TestNullOperandTakesTheOtherType(t *testing.T) {
+	null := lit(types.NewNull(types.Unknown))
+	for _, e := range []Expr{
+		bin(OpLt, col("y"), null), bin(OpLt, null, col("y")), bin(OpEq, col("x"), null), bin(OpEq, null, col("s")),
+		bin(OpAdd, col("y"), null), bin(OpSub, null, col("x")), bin(OpMul, col("x"), null), bin(OpMod, null, col("x")),
+		bin(OpDiv, col("x"), null), bin(OpOr, null, bin(OpGt, col("x"), lit(types.NewInt(5)))),
+	} {
+		c := evalOn(t, e)
+		for i := 0; i < c.Len(); i++ {
+			if !c.IsNull(i) {
+				t.Errorf("%s row %d = %v, want NULL", e, i, c.Value(i))
+			}
+		}
+	}
+	if c := evalOn(t, bin(OpAnd, col("b"), null)); !c.IsNull(0) || c.IsNull(1) || c.Bools[1] || !c.IsNull(2) {
+		t.Errorf("b AND NULL over b = true, false, true: %v %v, want NULL, false, NULL", c.Bools, c.Nulls)
+	}
+	if c := evalOn(t, bin(OpAdd, col("x"), null)); c.T != types.Int64 {
+		t.Errorf("x + NULL is %s, want BIGINT", c.T)
+	}
+	for _, e := range []Expr{bin(OpEq, null, null), bin(OpAdd, null, null), bin(OpAnd, null, null), bin(OpLt, null, null)} {
+		if _, err := Resolve(e, testCtx()); err == nil {
+			t.Errorf("%s resolved; NULL <op> NULL must be an error", e)
+		}
+	}
+}
+
+// TestBigintArithmeticOutOfRange: BIGINT +, -, *, unary - and abs raise
+// "bigint out of range" instead of wrapping — in a column, in a constant
+// expression, and not for a NULL row whose slot would overflow.
+func TestBigintArithmeticOutOfRange(t *testing.T) {
+	max, min := lit(types.NewInt(math.MaxInt64)), lit(types.NewInt(math.MinInt64))
+	for _, e := range []Expr{
+		bin(OpAdd, col("x"), max), bin(OpAdd, max, lit(types.NewInt(1))), bin(OpSub, min, col("x")),
+		bin(OpSub, bin(OpSub, lit(types.NewInt(0)), col("x")), max), bin(OpMul, col("x"), lit(types.NewInt(1<<62))),
+		&UnOp{Op: OpNeg, E: bin(OpSub, min, bin(OpSub, col("x"), col("x")))},
+		&FuncCall{Name: "abs", Args: []Expr{bin(OpAdd, min, bin(OpSub, col("x"), col("x")))}},
+	} {
+		r, err := Resolve(e, testCtx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := Compile(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ev(testBatch()); err == nil || err.Error() != "bigint out of range" {
+			t.Errorf("%s: err = %v, want bigint out of range", e, err)
+		}
+	}
+	if v, err := EvalConst(&BinOp{Op: OpAdd, L: lit(types.NewInt(math.MaxInt64 - 1)), R: lit(types.NewInt(1)), Typ: types.Int64}); err != nil || v.I != math.MaxInt64 {
+		t.Errorf("MaxInt64-1 + 1 = %v, %v", v, err)
+	}
+	b := &types.Batch{Schema: types.Schema{{Name: "x", Type: types.Int64}},
+		Cols: []*types.Column{{T: types.Int64, Ints: []int64{math.MaxInt64, 1}, Nulls: []bool{true, false}}}}
+	ev, err := Compile(&BinOp{Op: OpAdd, L: &ColRef{Name: "x", Index: 0, Typ: types.Int64}, R: lit(types.NewInt(1)), Typ: types.Int64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := ev(b); err != nil || !c.IsNull(0) || c.Ints[1] != 2 {
+		t.Errorf("NULL + 1 over an overflowing slot: %v, %v", c, err)
 	}
 }

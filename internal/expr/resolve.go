@@ -208,9 +208,19 @@ func adoptParamType(a, b Expr) {
 	}
 }
 
+// adoptNullType gives a bare NULL literal the type of the other operand, as
+// adoptParamType does for $n: `x < NULL` compares x with a NULL of x's type.
+func adoptNullType(e, other Expr) Expr {
+	if c, ok := e.(*Const); ok && c.Val.Null && c.Val.T == types.Unknown {
+		return &Const{Val: types.NewNull(other.Type())}
+	}
+	return e
+}
+
 func typeBinOp(op Op, l, r Expr) (Expr, error) {
 	adoptParamType(l, r)
 	adoptParamType(r, l)
+	l, r = adoptNullType(l, r), adoptNullType(r, l)
 	if p, ok := l.(*Param); ok && p.Typ == types.Unknown {
 		return nil, fmt.Errorf("cannot infer a type for parameter $%d; declare one with PREPARE name (TYPE, ...) AS ...", p.Idx)
 	}
@@ -237,7 +247,7 @@ func typeBinOp(op Op, l, r Expr) (Expr, error) {
 			if lt != rt {
 				l, r = castTo(l, types.Float64), castTo(r, types.Float64)
 			}
-		} else if lt != rt {
+		} else if lt != rt || lt == types.Unknown {
 			return nil, fmt.Errorf("cannot compare %s with %s", lt, rt)
 		}
 		return &BinOp{Op: op, L: l, R: r, Typ: types.Bool}, nil

@@ -573,9 +573,12 @@ func aggSpecFor(f *expr.FuncCall) (AggSpec, error) {
 }
 
 // resolveOrderBy binds ORDER BY items to output columns: by name/alias or
-// by 1-based position.
+// by 1-based position. A qualified name binds to the output column that
+// carries that table's column; an unqualified name must match one output
+// column.
 func (b *Builder) resolveOrderBy(items []sql.OrderItem, node Node) ([]SortKey, error) {
 	schema := node.Schema()
+	quals := node.Quals()
 	keys := make([]SortKey, 0, len(items))
 	for _, it := range items {
 		var col = -1
@@ -589,11 +592,18 @@ func (b *Builder) resolveOrderBy(items []sql.OrderItem, node Node) ([]SortKey, e
 				col = pos - 1
 			}
 		case *expr.ColRef:
-			idx := schema.IndexOf(e.Name)
-			if idx < 0 {
-				return nil, fmt.Errorf("ORDER BY: unknown output column %q", e.Name)
+			for i, c := range schema {
+				if c.Name != e.Name || (e.Table != "" && !strings.EqualFold(quals[i], e.Table)) {
+					continue
+				}
+				if col >= 0 {
+					return nil, fmt.Errorf("ORDER BY %q is ambiguous", e.String())
+				}
+				col = i
 			}
-			col = idx
+			if col < 0 {
+				return nil, fmt.Errorf("ORDER BY: unknown output column %q", e.String())
+			}
 		}
 		if col < 0 {
 			return nil, fmt.Errorf("ORDER BY supports output columns and positions, got %s", it.Expr)

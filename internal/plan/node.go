@@ -55,6 +55,20 @@ func (s *Scan) Card() float64        { return float64(s.Rel.NumRows(s.Snapshot))
 func (s *Scan) Children() []Node     { return nil }
 func (s *Scan) Explain() string      { return fmt.Sprintf("Scan %s", s.Alias) }
 
+// refQuals gives each bare column reference among exprs its child's
+// qualifier, so that ORDER BY t.col finds a column of t that a projection
+// or a GROUP BY key passes through; the other output columns (n in all)
+// have none.
+func refQuals(exprs []expr.Expr, n int, child Node) []string {
+	src, out := child.Quals(), make([]string, n)
+	for i, e := range exprs {
+		if c, ok := e.(*expr.ColRef); ok {
+			out[i] = src[c.Index]
+		}
+	}
+	return out
+}
+
 func uniformQuals(n int, q string) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -220,7 +234,7 @@ func (p *Project) Schema() types.Schema {
 	}
 	return out
 }
-func (p *Project) Quals() []string  { return uniformQuals(len(p.Exprs), "") }
+func (p *Project) Quals() []string  { return refQuals(p.Exprs, len(p.Exprs), p.Child) }
 func (p *Project) Card() float64    { return p.Child.Card() }
 func (p *Project) Children() []Node { return []Node{p.Child} }
 func (p *Project) Explain() string {
@@ -359,7 +373,7 @@ func (a *Aggregate) Schema() types.Schema {
 	}
 	return out
 }
-func (a *Aggregate) Quals() []string { return uniformQuals(len(a.Keys)+len(a.Aggs), "") }
+func (a *Aggregate) Quals() []string { return refQuals(a.Keys, len(a.Keys)+len(a.Aggs), a.Child) }
 func (a *Aggregate) Card() float64 {
 	if len(a.Keys) == 0 {
 		return 1

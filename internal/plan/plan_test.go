@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -91,6 +92,16 @@ func TestFoldLeavesRuntimeErrors(t *testing.T) {
 		R: &expr.Const{Val: types.NewInt(0)}}
 	if _, ok := Fold(e).(*expr.Const); ok {
 		t.Error("1 % 0 should not fold to a constant")
+	}
+}
+
+func TestFoldLeavesBigintOverflow(t *testing.T) {
+	// A BIGINT result out of range must survive folding and fail at runtime.
+	e := &expr.BinOp{Op: expr.OpAdd, Typ: types.Int64,
+		L: &expr.Const{Val: types.NewInt(math.MaxInt64)},
+		R: &expr.Const{Val: types.NewInt(1)}}
+	if _, ok := Fold(e).(*expr.Const); ok {
+		t.Error("9223372036854775807 + 1 should not fold to a constant")
 	}
 }
 

@@ -222,13 +222,33 @@ func (c *Column) AppendColumn(o *Column) {
 	}
 }
 
-// ConstColumn returns a column of n copies of v.
+// ConstColumn returns a column of n copies of v, filled a typed slice at a
+// time: a NULL is an all-true bitmap over zeroed data.
 func ConstColumn(v Value, n int) *Column {
-	c := NewColumn(v.T, n)
-	for i := 0; i < n; i++ {
-		c.Append(v)
+	c := &Column{T: v.T}
+	if v.Null {
+		c.Nulls = fill(n, true)
+		v = Value{T: v.T}
+	}
+	switch v.T {
+	case Int64:
+		c.Ints = fill(n, v.I)
+	case Float64:
+		c.Floats = fill(n, v.F)
+	case String:
+		c.Strs = fill(n, v.S)
+	case Bool:
+		c.Bools = fill(n, v.B)
 	}
 	return c
+}
+
+func fill[T any](n int, v T) []T {
+	s := make([]T, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // ColumnInfo describes one column of a schema.
