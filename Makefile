@@ -25,9 +25,9 @@ build:
 test:
 	$(GO) test ./...
 
-## race: the concurrent subsystems — planner (shared plan-cache templates), executor, analytics kernels, CSV loader, CSR build, engine, storage, network server and client, WAL, replication, cluster, telemetry, plan cache — under the race detector
+## race: the concurrent subsystems — planner (shared plan-cache templates), executor, analytics kernels and their λ metrics (E9 at 1 and 8 workers), CSV loader, CSR build, engine, storage, network server and client, WAL, replication, cluster, telemetry, plan cache — under the race detector
 race:
-	$(GO) test -race ./internal/plan/ ./internal/exec/ ./internal/analytics/ ./internal/load/ ./internal/graph/ ./internal/engine/ ./internal/faultinject/ ./internal/storage/ ./internal/server/ ./internal/server/client/ ./internal/wal/ ./internal/repl/ ./internal/cluster/ ./internal/retry/ ./internal/obs/ ./internal/telemetry/ ./internal/plancache/
+	$(GO) test -race ./internal/plan/ ./internal/exec/ ./internal/analytics/ ./internal/bench/ ./internal/load/ ./internal/graph/ ./internal/engine/ ./internal/faultinject/ ./internal/storage/ ./internal/server/ ./internal/server/client/ ./internal/wal/ ./internal/repl/ ./internal/cluster/ ./internal/retry/ ./internal/obs/ ./internal/telemetry/ ./internal/plancache/
 
 ## bench-api: vet and test the benchmark module (cmd/lambdabench, its own go.mod, outside ./...) so a refactor that breaks a name it imports fails here, not in the benchmark run (~9 s)
 bench-api:
@@ -47,9 +47,10 @@ bench-obs:
 	$(GO) test ./internal/telemetry/ -run xxx -bench 'BenchmarkHistogram' -benchtime 2s
 	$(GO) test ./internal/obs/ -run xxx -bench 'BenchmarkRenderMetrics' -benchtime 2s
 
-## bench: print the parallel-operator scaling micro-benchmarks, the hash operators' ns/row (BenchmarkHashAgg, BenchmarkHashJoin), the join as a pipeline stage (BenchmarkJoinPipelineAgg: ns/probe-row and B/op; BenchmarkBroadcastCross: the k-Means n x k shape) and the expression kernels (BenchmarkVectorizedFilterAgg: a filter under an aggregate; BenchmarkProjectArith: scan_agg's GROUP BY key and the k-Means distance, ns/row); print-only — the recorded numbers are lambdabench's exec.speedup_workers, exec.agg_ms, exec.join_ms and exec.filter_ms (cmd/lambdabench/BASELINE.json)
+## bench: print the parallel-operator scaling micro-benchmarks, the hash operators' ns/row (BenchmarkHashAgg, BenchmarkHashJoin), the join as a pipeline stage (BenchmarkJoinPipelineAgg: ns/probe-row and B/op; BenchmarkBroadcastCross: the k-Means n x k shape) the expression kernels (BenchmarkVectorizedFilterAgg: a filter under an aggregate; BenchmarkProjectArith: scan_agg's GROUP BY key and the k-Means distance, ns/row) and the k-Means operator per E9 variant, default metric and each distance λ (BenchmarkLambdaVariants, ns per query); print-only — the recorded numbers are lambdabench's exec.speedup_workers, exec.agg_ms, exec.join_ms and exec.filter_ms (cmd/lambdabench/BASELINE.json)
 bench:
 	$(GO) test ./internal/exec/ -run xxx -bench 'BenchmarkParallel(Join|Sort|TopK|Agg)Scaling|BenchmarkHash(Agg|Join)|BenchmarkJoinPipelineAgg|BenchmarkBroadcastCross|BenchmarkVectorizedFilterAgg|BenchmarkProjectArith' -benchtime 3x
+	$(GO) test . -run xxx -bench 'BenchmarkLambdaVariants' -benchtime 5x
 
 ## bench-pair: PAIRS (default 10) alternating runs of revision BASE against the working tree on WORKLOAD (a BENCHMARK.json workload, or all), then lambdabench -compare; e.g. make bench-pair WORKLOAD=scan_agg BASE=HEAD~1
 PAIRS ?= 10

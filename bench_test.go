@@ -148,12 +148,22 @@ func BenchmarkIterateVsCTE(b *testing.B) {
 }
 
 // BenchmarkLambdaVariants measures the Section 7 claim: parameterizing the
-// k-Means operator with different lambdas keeps operator-level speed.
+// k-Means operator with different lambdas keeps operator-level speed. One
+// sub-benchmark per E9 variant, all over the same data.
 func BenchmarkLambdaVariants(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.LambdaVariants(50_000, 10, 5, 3, nil); err != nil {
-			b.Fatal(err)
-		}
+	const n, d, k, iters = 50_000, 10, 5, 3
+	ds, err := bench.PrepareKMeans(bench.KMeansConfig{N: n, D: d, K: k, Iters: iters, Seed: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range bench.LambdaVariantQueries(d, iters) {
+		b.Run(v.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ds.DB.Query(v.Query); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

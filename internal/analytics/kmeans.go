@@ -11,12 +11,15 @@ package analytics
 import (
 	"fmt"
 	"sync"
+
+	"lambdadb/internal/types"
 )
 
-// DistanceFn computes the distance between a data tuple and a center, both
-// given as d-dimensional float slices. It matches expr.FloatFn so compiled
-// SQL lambdas plug in directly.
-type DistanceFn func(a, b []float64) float64
+// A Metric is a distance prepared for one set of k centres. Given a block of
+// at most types.BatchSize data rows (row-major, d floats each), it sets
+// dist[c][i] to the distance between row i and centre c for every centre.
+// It is called from several goroutines at once.
+type Metric func(rows []float64, dist [][]float64) error
 
 // KMeansResult reports the outcome of a k-Means run.
 type KMeansResult struct {
@@ -36,9 +39,10 @@ type KMeansOptions struct {
 	MaxIter int
 	// Workers is the parallelism degree; 0 or 1 means serial.
 	Workers int
-	// Distance is the metric; nil means squared Euclidean (the default
-	// lambda of the paper's Section 7).
-	Distance DistanceFn
+	// Distance, when set, is given every round's centres (row-major k×d)
+	// and returns the round's metric. Unset, or a nil metric, is squared
+	// Euclidean distance (the default lambda of the paper's Section 7).
+	Distance func(centers []float64) (Metric, error)
 	// OnIteration, if set, is called after every iteration with the 1-based
 	// round number and how many assignments changed (telemetry and
 	// cancellation hook); an error stops the run and is returned.
@@ -82,7 +86,18 @@ func KMeans(data []float64, n, d int, centers []float64, k int, opt KMeansOption
 	res := &KMeansResult{}
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		res.Iterations = iter + 1
-		changed := assignStep(data, n, d, cur, k, opt.Distance, assign, workers)
+		var metric Metric
+		if opt.Distance != nil {
+			m, err := opt.Distance(cur)
+			if err != nil {
+				return nil, err
+			}
+			metric = m
+		}
+		changed, err := assignStep(data, n, d, cur, k, metric, assign, workers)
+		if err != nil {
+			return nil, err
+		}
 		updateStep(data, n, d, cur, k, assign, workers)
 		if opt.OnIteration != nil {
 			if err := opt.OnIteration(iter+1, float64(changed)); err != nil {
@@ -98,13 +113,24 @@ func KMeans(data []float64, n, d int, centers []float64, k int, opt KMeansOption
 	return res, nil
 }
 
-// assignStep assigns each tuple to its nearest center, returning how many
-// assignments changed.
+// assignStep assigns each tuple to its nearest center under metric (nil =
+// squared Euclidean), returning how many assignments changed. One worker
+// runs on the caller's goroutine.
 func assignStep(data []float64, n, d int, centers []float64, k int,
-	dist DistanceFn, assign []int32, workers int) int {
+	metric Metric, assign []int32, workers int) (int, error) {
 
+	run := func(lo, hi int) (int, error) {
+		if metric == nil {
+			return assignEuclid(data, d, centers, k, assign, lo, hi), nil
+		}
+		return assignCustom(data, d, k, metric, assign, lo, hi)
+	}
+	if workers == 1 {
+		return run(0, n)
+	}
 	chunk := (n + workers - 1) / workers
 	changes := make([]int, workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
@@ -118,21 +144,18 @@ func assignStep(data []float64, n, d int, centers []float64, k int,
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			changed := 0
-			if dist == nil {
-				changed = assignEuclid(data, d, centers, k, assign, lo, hi)
-			} else {
-				changed = assignCustom(data, d, centers, k, dist, assign, lo, hi)
-			}
-			changes[w] = changed
+			changes[w], errs[w] = run(lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
 	total := 0
-	for _, c := range changes {
+	for w, c := range changes {
+		if errs[w] != nil {
+			return 0, errs[w]
+		}
 		total += c
 	}
-	return total
+	return total, nil
 }
 
 // assignEuclid is the specialized default-metric inner loop.
@@ -166,27 +189,37 @@ func euclidSq(a, b []float64) float64 {
 	return s
 }
 
-// assignCustom runs the compiled lambda metric.
-func assignCustom(data []float64, d int, centers []float64, k int,
-	dist DistanceFn, assign []int32, lo, hi int) int {
+// assignCustom assigns tuples lo..hi-1 under a λ metric, one block of
+// types.BatchSize rows at a time: the metric fills one distance column per
+// center, and each row takes the center of its smallest distance, the first
+// one on ties — as assignEuclid does.
+func assignCustom(data []float64, d, k int, metric Metric, assign []int32, lo, hi int) (int, error) {
+	dist := make([][]float64, k)
+	for c := range dist {
+		dist[c] = make([]float64, types.BatchSize)
+	}
 	changed := 0
-	for i := lo; i < hi; i++ {
-		row := data[i*d : i*d+d]
-		best := int32(0)
-		bestDist := dist(row, centers[:d])
-		for c := 1; c < k; c++ {
-			dd := dist(row, centers[c*d:c*d+d])
-			if dd < bestDist {
-				bestDist = dd
-				best = int32(c)
+	for blo := lo; blo < hi; blo += types.BatchSize {
+		bhi := min(blo+types.BatchSize, hi)
+		if err := metric(data[blo*d:bhi*d], dist); err != nil {
+			return 0, err
+		}
+		for i := blo; i < bhi; i++ {
+			best := int32(0)
+			bestDist := dist[0][i-blo]
+			for c := 1; c < k; c++ {
+				if dd := dist[c][i-blo]; dd < bestDist {
+					bestDist = dd
+					best = int32(c)
+				}
+			}
+			if assign[i] != best {
+				assign[i] = best
+				changed++
 			}
 		}
-		if assign[i] != best {
-			assign[i] = best
-			changed++
-		}
 	}
-	return changed
+	return changed, nil
 }
 
 // updateStep recomputes centers as the arithmetic mean of their assigned
@@ -249,17 +282,13 @@ func updateStep(data []float64, n, d int, centers []float64, k int, assign []int
 	}
 }
 
-// Assign returns the nearest-center index for each tuple under the given
-// metric (nil = squared Euclidean). It is the "apply the model" half of the
-// paper's model-application pattern.
-func Assign(data []float64, n, d int, centers []float64, k int, dist DistanceFn, workers int) []int32 {
+// Assign returns the nearest-center index for each of n tuples under metric
+// (nil = squared Euclidean), on the caller's goroutine. It is the "apply the
+// model" half of the paper's model-application pattern.
+func Assign(data []float64, n, d int, centers []float64, k int, metric Metric) ([]int32, error) {
 	assign := make([]int32, n)
-	for i := range assign {
-		assign[i] = -1
+	if _, err := assignStep(data, n, d, centers, k, metric, assign, 1); err != nil {
+		return nil, err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	assignStep(data, n, d, centers, k, dist, assign, workers)
-	return assign
+	return assign, nil
 }

@@ -22,6 +22,22 @@ func twoBlobs(n, d int, seed int64) []float64 {
 	return data
 }
 
+// pointwise is a Metric factory from a distance between one row and one
+// centre.
+func pointwise(dist func(a, b []float64) float64) func(centers []float64) (Metric, error) {
+	return func(centers []float64) (Metric, error) {
+		return func(rows []float64, out [][]float64) error {
+			d := len(centers) / len(out)
+			for c := range out {
+				for i := 0; i < len(rows)/d; i++ {
+					out[c][i] = dist(rows[i*d:i*d+d], centers[c*d:c*d+d])
+				}
+			}
+			return nil
+		}, nil
+	}
+}
+
 func TestKMeansConvergesOnSeparatedBlobs(t *testing.T) {
 	const n, d, k = 1000, 3, 2
 	data := twoBlobs(n, d, 1)
@@ -81,7 +97,7 @@ func TestKMeansCustomMetricMatchesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cust, err := KMeans(data, n, d, centers, k, KMeansOptions{MaxIter: 10, Distance: custom})
+	cust, err := KMeans(data, n, d, centers, k, KMeansOptions{MaxIter: 10, Distance: pointwise(custom)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +115,7 @@ func TestKMeansManhattanDiffersButClusters(t *testing.T) {
 	l1 := func(a, b []float64) float64 {
 		return math.Abs(a[0]-b[0]) + math.Abs(a[1]-b[1])
 	}
-	res, err := KMeans(data, n, d, centers, k, KMeansOptions{MaxIter: 20, Distance: l1})
+	res, err := KMeans(data, n, d, centers, k, KMeansOptions{MaxIter: 20, Distance: pointwise(l1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +185,10 @@ func TestKMeansDoesNotMutateInputs(t *testing.T) {
 func TestAssign(t *testing.T) {
 	data := []float64{0, 0, 10, 10, 0.5, 0.5}
 	centers := []float64{0, 0, 10, 10}
-	got := Assign(data, 3, 2, centers, 2, nil, 2)
+	got, err := Assign(data, 3, 2, centers, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got[0] != 0 || got[1] != 1 || got[2] != 0 {
 		t.Errorf("assignments = %v", got)
 	}

@@ -5,6 +5,10 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"lambdadb/internal/analytics"
+	"lambdadb/internal/engine"
+	"lambdadb/internal/workload"
 )
 
 // queryKMeansCenters runs a k-Means SQL variant and returns centers sorted
@@ -215,5 +219,86 @@ func TestWorkingTablesAreEstimatedByTheirInit(t *testing.T) {
 	}
 	if build := lines[join+2]; !strings.Contains(lines[join+1], "Shared") || !strings.Contains(build, "Project id, min(dist)") {
 		t.Errorf("the join builds on %s, want mind (Project id, min(dist))", strings.TrimSpace(build))
+	}
+}
+
+// plainGo is a k-Means metric factory from a distance between one row and
+// one centre.
+func plainGo(dist func(a, b []float64) float64) func(centers []float64) (analytics.Metric, error) {
+	return func(centers []float64) (analytics.Metric, error) {
+		return func(rows []float64, out [][]float64) error {
+			d := len(centers) / len(out)
+			for c := range out {
+				for i := 0; i < len(rows)/d; i++ {
+					out[c][i] = dist(rows[i*d:i*d+d], centers[c*d:c*d+d])
+				}
+			}
+			return nil
+		}, nil
+	}
+}
+
+// TestLambdaVariantsMatchPlainGo: each of E9's distance λs, compiled by the
+// SQL expression compiler and run by the k-Means operator, yields centres
+// bit-identical to the kernel run with the same metric written in plain Go
+// in the λ's evaluation order — left to right, x ^ 2 as math.Pow — at one
+// worker and at eight.
+func TestLambdaVariantsMatchPlainGo(t *testing.T) {
+	const n, d, k, iters = 20_000, 10, 5, 3
+	data := workload.UniformVectors(n, d, 8)
+	centers := workload.SampleCenters(data, n, d, k, 9)
+	sq := func(x float64) float64 { return math.Pow(x, 2) }
+	ref := map[string]func(a, b []float64) float64{
+		"lambda-L2": func(a, b []float64) float64 {
+			s := sq(a[0] - b[0])
+			for j := 1; j < d; j++ {
+				s += sq(a[j] - b[j])
+			}
+			return s
+		},
+		"lambda-L1": func(a, b []float64) float64 {
+			s := math.Abs(a[0] - b[0])
+			for j := 1; j < d; j++ {
+				s += math.Abs(a[j] - b[j])
+			}
+			return s
+		},
+		"lambda-weighted": func(a, b []float64) float64 {
+			s := 1 * sq(a[0]-b[0])
+			for j := 1; j < d; j++ {
+				s += float64(float64(j+1) * sq(a[j]-b[j])) // no fused multiply-add
+			}
+			return s
+		},
+	}
+	for _, workers := range []int{1, 8} {
+		db := engine.Open(engine.WithWorkers(workers))
+		if err := loadPointsTable(db, "points", data, n, d, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := loadCentersTable(db, "centers", centers, k, d); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range LambdaVariantQueries(d, iters)[1:] {
+			want, err := analytics.KMeans(data, n, d, centers, k,
+				analytics.KMeansOptions{MaxIter: iters, Workers: workers, Distance: plainGo(ref[v.Name])})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := db.Query(v.Query + " ORDER BY cluster")
+			if err != nil {
+				t.Fatalf("%s: %v", v.Name, err)
+			}
+			if len(got.Rows) != k {
+				t.Fatalf("%s: %d centres, want %d", v.Name, len(got.Rows), k)
+			}
+			for c, row := range got.Rows {
+				for j, x := range row[1:] {
+					if w := want.Centers[c*d+j]; math.Float64bits(x.F) != math.Float64bits(w) {
+						t.Errorf("%s, %d workers: centre %d dim %d = %v, plain Go gives %v", v.Name, workers, c, j, x.F, w)
+					}
+				}
+			}
+		}
 	}
 }

@@ -436,10 +436,27 @@ func Table1(scale Scale) *Table {
 	return t
 }
 
+// LambdaVariant is one of E9's k-Means operator queries: the default
+// metric, or one distance lambda.
+type LambdaVariant struct{ Name, Query string }
+
+// LambdaVariantQueries lists E9's queries over d dimensions: the default
+// Euclidean metric, then the explicit Euclidean, Manhattan (k-Medians) and
+// weighted Euclidean lambdas.
+func LambdaVariantQueries(d, iters int) []LambdaVariant {
+	dims := dimList("", d, "d%[2]d")
+	return []LambdaVariant{
+		{"default(L2)", fmt.Sprintf(`SELECT * FROM KMEANS ((SELECT %s FROM points), (SELECT %s FROM centers), %d)`,
+			dims, dims, iters)},
+		{"lambda-L2", KMeansOperatorLambdaQuery(d, iters)},
+		{"lambda-L1", kmeansLambdaQuery(d, iters, l1Lambda(d))},
+		{"lambda-weighted", kmeansLambdaQuery(d, iters, weightedLambda(d))},
+	}
+}
+
 // LambdaVariants is experiment E9: the same k-Means operator parameterized
-// with different lambdas (default Euclidean, explicit Euclidean lambda,
-// Manhattan/k-Medians, and a custom weighted metric) — demonstrating that
-// lambda flexibility does not sacrifice operator performance (Section 7).
+// with different lambdas (LambdaVariantQueries) — demonstrating that lambda
+// flexibility does not sacrifice operator performance (Section 7).
 func LambdaVariants(n, d, k, iters int, progress io.Writer) (*Table, error) {
 	ds, err := PrepareKMeans(KMeansConfig{N: n, D: d, K: k, Iters: iters, Seed: 8})
 	if err != nil {
@@ -450,27 +467,17 @@ func LambdaVariants(n, d, k, iters int, progress io.Writer) (*Table, error) {
 		Param:   "lambda",
 		Systems: []string{"seconds"}}
 
-	variants := []struct {
-		name string
-		q    string
-	}{
-		{"default(L2)", fmt.Sprintf(`SELECT * FROM KMEANS ((SELECT %s FROM points), (SELECT %s FROM centers), %d)`,
-			dimList("", d, "d%[2]d"), dimList("", d, "d%[2]d"), iters)},
-		{"lambda-L2", KMeansOperatorLambdaQuery(d, iters)},
-		{"lambda-L1", kmeansLambdaQuery(d, iters, l1Lambda(d))},
-		{"lambda-weighted", kmeansLambdaQuery(d, iters, weightedLambda(d))},
-	}
-	for _, v := range variants {
-		d, stats, err := timeQuery(ds.DB, v.q)
+	for _, v := range LambdaVariantQueries(d, iters) {
+		dur, stats, err := timeQuery(ds.DB, v.Query)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
+			return nil, fmt.Errorf("%s: %w", v.Name, err)
 		}
-		sec := d.Seconds()
-		row := Row{Label: v.name, Seconds: map[string]float64{"seconds": sec}}
+		sec := dur.Seconds()
+		row := Row{Label: v.Name, Seconds: map[string]float64{"seconds": sec}}
 		row.addStats("seconds", stats)
 		t.Rows = append(t.Rows, row)
 		if progress != nil {
-			fmt.Fprintf(progress, "  %-16s %8.3fs\n", v.name, sec)
+			fmt.Fprintf(progress, "  %-16s %8.3fs\n", v.Name, sec)
 		}
 	}
 	return t, nil

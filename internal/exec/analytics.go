@@ -86,25 +86,80 @@ func loadFloats(p plan.Node, ctx *Context, label string) (*floatMatrix, error) {
 	return &floatMatrix{data: data, n: len(data) / d, d: d}, nil
 }
 
-// compileDistance compiles an operator's distance lambda; nil selects the
-// kernels' default squared Euclidean distance.
-func compileDistance(l *expr.Lambda, what string) (analytics.DistanceFn, error) {
-	if l == nil {
-		return nil, nil
+// distanceMetric prepares a bound distance λ(a, b) over d DOUBLE fields for
+// the k-Means kernels; a nil λ yields their default, squared Euclidean
+// distance, as a nil metric. For each set of centres, centre c's fields
+// replace b's as constants, and the folded body compiles with the ordinary
+// expression compiler: k compiles per round, none per row or block. The
+// metric evaluates a block of rows as d columns transposed from the
+// row-major matrix; a NULL or NaN distance is an error naming the λ.
+func distanceMetric(l *expr.Lambda, d int, what string) func(centers []float64) (analytics.Metric, error) {
+	return func(centers []float64) (analytics.Metric, error) {
+		if l == nil {
+			return nil, nil
+		}
+		evs := make([]expr.Evaluator, len(centers)/d)
+		for c := range evs {
+			centre := centers[c*d : c*d+d]
+			body := expr.Rewrite(l.Body, func(e expr.Expr) expr.Expr {
+				if ref, ok := e.(*expr.ColRef); ok && ref.Index >= d {
+					return &expr.Const{Val: types.NewFloat(centre[ref.Index-d])}
+				}
+				return e
+			})
+			ev, err := expr.Compile(plan.Fold(body))
+			if err != nil {
+				return nil, fmt.Errorf("%s: distance %s: %w", what, l, err)
+			}
+			evs[c] = ev
+		}
+		return func(rows []float64, dist [][]float64) error {
+			b := columnsOf(rows, d)
+			for c, ev := range evs {
+				col, err := ev(b)
+				if err == nil {
+					err = checkLambdaResult(col, func(x float64) bool { return !math.IsNaN(x) }, "distances must be numbers")
+				}
+				if err != nil {
+					return fmt.Errorf("%s: distance %s: %w", what, l, err)
+				}
+				copy(dist[c], col.Floats)
+			}
+			return nil
+		}, nil
 	}
-	fn, err := expr.CompileFloatLambda(l)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", what, err)
+}
+
+// columnsOf is a block of row-major rows of d floats as a batch of d DOUBLE
+// columns.
+func columnsOf(rows []float64, d int) *types.Batch {
+	m := len(rows) / d
+	buf := make([]float64, len(rows))
+	b := &types.Batch{Cols: make([]*types.Column, d)}
+	for j := range b.Cols {
+		col := buf[j*m : (j+1)*m : (j+1)*m]
+		for i := range col {
+			col[i] = rows[i*d+j]
+		}
+		b.Cols[j] = &types.Column{T: types.Float64, Floats: col}
 	}
-	return analytics.DistanceFn(fn), nil
+	return b
+}
+
+// checkLambdaResult fails the first row of a λ's DOUBLE result that is NULL
+// or that valid rejects; rule says what the operator needs instead.
+func checkLambdaResult(c *types.Column, valid func(float64) bool, rule string) error {
+	for i, x := range c.Floats {
+		if c.IsNull(i) || !valid(x) {
+			return fmt.Errorf("produced %s; %s", c.Value(i), rule)
+		}
+	}
+	return nil
 }
 
 // newKMeansOp is the physical k-Means operator (paper Section 6.1).
-func newKMeansOp(n *plan.KMeans) (*blockingOp, error) {
-	dist, err := compileDistance(n.Lambda, "kmeans")
-	if err != nil {
-		return nil, err
-	}
+func newKMeansOp(n *plan.KMeans) *blockingOp {
+	dist := distanceMetric(n.Lambda, len(n.OutNames), "kmeans")
 	schema := n.Schema()
 	return &blockingOp{label: "kmeans", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
 		data, err := loadFloats(n.Data, ctx, "kmeans")
@@ -140,30 +195,33 @@ func newKMeansOp(n *plan.KMeans) (*blockingOp, error) {
 			out.AppendRow(row)
 		}
 		return out, nil
-	}}, nil
+	}}
 }
 
-// applySink is model application: every input row, read as d floats, gets
-// the model's label appended. The output is charged to the operator named by
-// label.
+// applySink is model application: every input batch, read as rows of d
+// floats, gets the model's labels appended as a column. The output is
+// charged to the operator named by label.
 type applySink struct {
 	ctx     *Context
 	label   string
 	schema  types.Schema
 	d       int
-	predict func(row []float64) int64
-	row     []float64
+	predict func(rows []float64, labels []int64) error
+	rows    []float64
 	out     []*types.Batch
 }
 
 func (s *applySink) consume(b *types.Batch) (err error) {
 	n := b.Len()
-	labels := types.NewColumn(types.Int64, n)
+	s.rows = s.rows[:0]
 	for i := 0; i < n; i++ {
-		if s.row, err = appendRowFloats(s.row[:0], b, i, s.d); err != nil {
+		if s.rows, err = appendRowFloats(s.rows, b, i, s.d); err != nil {
 			return err
 		}
-		labels.AppendInt(s.predict(s.row))
+	}
+	labels := &types.Column{T: types.Int64, Ints: make([]int64, n)}
+	if err := s.predict(s.rows, labels.Ints); err != nil {
+		return err
 	}
 	nb := &types.Batch{Schema: s.schema, Cols: append(append([]*types.Column{}, b.Cols...), labels)}
 	s.out = append(s.out, nb)
@@ -171,9 +229,9 @@ func (s *applySink) consume(b *types.Batch) (err error) {
 }
 
 // applyModel drives data through one applySink per part and concatenates
-// the labelled batches in part order. predict must be safe for concurrent
-// use.
-func applyModel(data plan.Node, ctx *Context, label string, schema types.Schema, d int, predict func(row []float64) int64) (*Materialized, error) {
+// the labelled batches in part order. predict labels one batch's rows and
+// must be safe for concurrent use.
+func applyModel(data plan.Node, ctx *Context, label string, schema types.Schema, d int, predict func(rows []float64, labels []int64) error) (*Materialized, error) {
 	sinks, err := drive(ctx, partsOf(data, ctx), "", func(Operator) (*applySink, error) {
 		return &applySink{ctx: ctx, label: label, schema: schema, d: d, predict: predict}, nil
 	})
@@ -191,11 +249,9 @@ func applyModel(data plan.Node, ctx *Context, label string, schema types.Schema,
 
 // newKMeansAssignOp applies centers to data rows, appending the nearest
 // cluster id to every tuple (model application).
-func newKMeansAssignOp(n *plan.KMeansAssign) (*blockingOp, error) {
-	dist, err := compileDistance(n.Lambda, "kmeans_assign")
-	if err != nil {
-		return nil, err
-	}
+func newKMeansAssignOp(n *plan.KMeansAssign) *blockingOp {
+	d := len(n.Data.Schema())
+	dist := distanceMetric(n.Lambda, d, "kmeans_assign")
 	schema := n.Schema()
 	return &blockingOp{label: "kmeans_assign", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
 		centers, err := loadFloats(n.Centers, ctx, "kmeans_assign")
@@ -206,30 +262,38 @@ func newKMeansAssignOp(n *plan.KMeansAssign) (*blockingOp, error) {
 		if centers.n == 0 {
 			return nil, fmt.Errorf("kmeans_assign: no centers")
 		}
-		d := centers.d
-		return applyModel(n.Data, ctx, "kmeans_assign", schema, d, func(row []float64) int64 {
-			return int64(analytics.Assign(row, 1, d, centers.data, centers.n, dist, 1)[0])
+		metric, err := dist(centers.data)
+		if err != nil {
+			return nil, err
+		}
+		return applyModel(n.Data, ctx, "kmeans_assign", schema, d, func(rows []float64, labels []int64) error {
+			ids, err := analytics.Assign(rows, len(labels), d, centers.data, centers.n, metric)
+			for i, c := range ids {
+				labels[i] = int64(c)
+			}
+			return err
 		})
-	}}, nil
+	}}
 }
 
 // newPageRankOp is the physical PageRank operator (paper Section 6.3): it
 // builds a temporary CSR index with dense re-labeled vertex ids, runs the
 // ranking iterations, and maps ids back on output. An edge-weight lambda
-// (Section 7) makes the CSR weighted.
+// (Section 7), compiled once like any other expression over the edge
+// batches, makes the CSR weighted.
 func newPageRankOp(n *plan.PageRank) (*blockingOp, error) {
-	var weight expr.FloatFn
+	var weight expr.Evaluator
 	if n.Lambda != nil {
-		fn, err := expr.CompileFloatLambda(n.Lambda)
+		ev, err := expr.Compile(n.Lambda.Body)
 		if err != nil {
-			return nil, fmt.Errorf("pagerank: %w", err)
+			return nil, fmt.Errorf("pagerank: edge weight %s: %w", n.Lambda, err)
 		}
-		weight = fn
+		weight = ev
 	}
 	schema := n.Schema()
 	return &blockingOp{label: "pagerank", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
 		sinks, err := drive(ctx, partsOf(n.Edges, ctx), "", func(Operator) (*edgeSink, error) {
-			return &edgeSink{ctx: ctx, weight: weight}, nil
+			return &edgeSink{ctx: ctx, lambda: n.Lambda, weight: weight}, nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("pagerank edges: %w", err)
@@ -263,17 +327,17 @@ func newPageRankOp(n *plan.PageRank) (*blockingOp, error) {
 }
 
 // edgeSink loads one part of an edge input into src/dst arrays; with a
-// weight function, each edge tuple (as floats) is passed through it to
-// produce per-edge weights. The arrays are charged to the pagerank operator.
+// weight λ, its compiled body evaluates each edge batch into per-edge
+// weights. The arrays are charged to the pagerank operator.
 type edgeSink struct {
 	ctx      *Context
-	weight   expr.FloatFn
+	lambda   *expr.Lambda
+	weight   expr.Evaluator
 	src, dst []int64
 	weights  []float64
-	tuple    []float64
 }
 
-func (s *edgeSink) consume(b *types.Batch) (err error) {
+func (s *edgeSink) consume(b *types.Batch) error {
 	sc, dc := b.Cols[0], b.Cols[1]
 	n := b.Len()
 	for i := 0; i < n; i++ {
@@ -293,16 +357,15 @@ func (s *edgeSink) consume(b *types.Batch) (err error) {
 	if s.weight == nil {
 		return nil
 	}
-	for i := 0; i < n; i++ {
-		if s.tuple, err = appendRowFloats(s.tuple[:0], b, i, len(b.Cols)); err != nil {
-			return err
-		}
-		w := s.weight(s.tuple, nil)
-		if !(w >= 0) || math.IsInf(w, 1) {
-			return fmt.Errorf("edge-weight lambda produced weight %g; weights must be finite and non-negative", w)
-		}
-		s.weights = append(s.weights, w)
+	w, err := s.weight(b)
+	if err == nil {
+		err = checkLambdaResult(w, func(x float64) bool { return x >= 0 && !math.IsInf(x, 1) },
+			"weights must be finite and non-negative")
 	}
+	if err != nil {
+		return fmt.Errorf("edge weight %s: %w", s.lambda, err)
+	}
+	s.weights = append(s.weights, w.Floats...)
 	return nil
 }
 
@@ -421,6 +484,11 @@ func newNBPredictOp(n *plan.NaiveBayesPredict) *blockingOp {
 			return nil, fmt.Errorf("naive_bayes_predict: model has %d features, data has %d",
 				len(model.Means[0]), d)
 		}
-		return applyModel(n.Data, ctx, "naive_bayes_predict", schema, d, model.Predict)
+		return applyModel(n.Data, ctx, "naive_bayes_predict", schema, d, func(rows []float64, labels []int64) error {
+			for i := range labels {
+				labels[i] = model.Predict(rows[i*d : i*d+d])
+			}
+			return nil
+		})
 	}}
 }

@@ -273,9 +273,9 @@ func buildWith(p plan.Node, sc *StatsCollector) (Operator, error) {
 	case *plan.RecursiveCTE:
 		op = newRecursiveOp(n)
 	case *plan.KMeans:
-		op, err = newKMeansOp(n)
+		op = newKMeansOp(n)
 	case *plan.KMeansAssign:
-		op, err = newKMeansAssignOp(n)
+		op = newKMeansAssignOp(n)
 	case *plan.PageRank:
 		op, err = newPageRankOp(n)
 	case *plan.NaiveBayesTrain:

@@ -8,8 +8,8 @@
 //
 // The package also implements the paper's lambda expressions (Section 7):
 // anonymous SQL functions such as `λ(a, b) (a.x-b.x)^2 + (a.y-b.y)^2` that
-// parameterize analytical operators. Lambdas over numeric tuples compile to
-// scalar float closures invoked inside the operators' hot loops.
+// parameterize analytical operators. A bound λ body is an ordinary
+// expression: it compiles with Compile like any other.
 package expr
 
 import (
@@ -245,26 +245,10 @@ func (l *Like) String() string {
 	return fmt.Sprintf("(%s %s '%s')", l.E, op, l.Pattern)
 }
 
-// ParamField references a field of a lambda parameter, e.g. a.x inside
-// `λ(a, b) ...`. ParamIdx selects the parameter, FieldIdx the field within
-// the tuple the parameter is bound to; both are -1 until resolved against
-// the operator's input schema.
-type ParamField struct {
-	Param    string
-	Field    string
-	ParamIdx int
-	FieldIdx int
-	Typ      types.Type
-}
-
-// Type implements Expr.
-func (p *ParamField) Type() types.Type { return p.Typ }
-
-func (p *ParamField) String() string { return p.Param + "." + p.Field }
-
-// Lambda is an anonymous SQL function: parameter names plus a body that may
-// reference parameter fields. Input and output types are inferred when the
-// lambda is bound to an operator variation point (paper Section 7).
+// Lambda is an anonymous SQL function: parameter names plus a body whose
+// column references name parameter fields, such as a.x. Input and output
+// types are inferred when the lambda is bound to an operator variation point
+// (paper Section 7).
 type Lambda struct {
 	Params []string
 	Body   Expr

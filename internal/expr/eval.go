@@ -231,9 +231,7 @@ func evalPair(l, r Evaluator, b *types.Batch) (*types.Column, *types.Column, err
 }
 
 // constPow returns x ^ k as a function of x when the exponent k is a
-// constant that needs no math.Pow, and nil otherwise. It is the one
-// constant-exponent rule: SQL expressions and scalar lambdas both compile
-// ^ through it, so a λ's ^ means what SQL's ^ means. x ^ 2 is a multiply —
+// constant that needs no math.Pow, and nil otherwise. x ^ 2 is a multiply —
 // except where the square is subnormal: Pow computes it on the mantissa and
 // scales afterwards, rounding once where x*x rounds twice — x ^ 1 is x, and
 // x ^ 0 is 1 (for NaN too).
@@ -634,7 +632,7 @@ func IsConst(e Expr) bool {
 	constant := true
 	Walk(e, func(n Expr) bool {
 		switch n.(type) {
-		case *ColRef, *ParamField:
+		case *ColRef:
 			constant = false
 			return false
 		}

@@ -73,10 +73,10 @@ func TestTypedCastsMatchCastValue(t *testing.T) {
 	}
 }
 
-// TestLambdaPowerMatchesSQL: a scalar λ's ^ and SQL's ^ are one operator.
-// For constant exponents — the ones constPow specialises and the ones it
-// leaves to math.Pow — CompileFloatLambda and Compile agree bit for bit
-// (NaN equals NaN) on -Inf, ±0, subnormals and random bit patterns.
+// TestLambdaPowerMatchesSQL: a λ's ^ and SQL's ^ are one operator. For
+// constant exponents — the ones constPow specialises and the ones it leaves
+// to math.Pow — a bound λ body and the SQL expression agree bit for bit (NaN
+// equals NaN) on -Inf, ±0, subnormals and random bit patterns.
 func TestLambdaPowerMatchesSQL(t *testing.T) {
 	xs := []float64{math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1), math.NaN(), 1, -1, 2.5, -3,
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 1.5e-154, 1e-162, 1e200}
@@ -96,14 +96,11 @@ func TestLambdaPowerMatchesSQL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn, err := CompileFloatLambda(&Lambda{Params: []string{"p"}, Body: &BinOp{Op: OpPow, Typ: types.Float64,
-			L: &ParamField{Param: "p", Field: "x", ParamIdx: 0, FieldIdx: 0, Typ: types.Float64}, R: lit(types.NewFloat(k))}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		lambdaCol := evalLambda(t, &Lambda{Params: []string{"p"}, Body: &BinOp{Op: OpPow,
+			L: &ColRef{Table: "p", Name: "x", Index: -1}, R: lit(types.NewFloat(k))}}, b, b.Schema)
 		bad := 0
 		for i, x := range xs {
-			g, w := fn([]float64{x}, nil), sqlCol.Floats[i]
+			g, w := lambdaCol.Floats[i], sqlCol.Floats[i]
 			if (math.IsNaN(g) && math.IsNaN(w)) || math.Float64bits(g) == math.Float64bits(w) {
 				continue
 			}
@@ -120,13 +117,14 @@ func TestLambdaPowerMatchesSQL(t *testing.T) {
 // TestLambdaCastMatchesSQL: a λ's CAST is SQL's. CAST(x AS BIGINT) truncates
 // toward zero exactly as castColumn does, positive and negative fractions
 // alike, and CAST(x AS DOUBLE) keeps x. A cast to a type that is not a
-// number, and a CASE without ELSE — NULL where no branch matches — are
-// rejected when the λ compiles, by an error that names the λ.
+// number is rejected when the λ binds, by an error that names the λ. A CASE
+// without ELSE binds and is NULL where no branch matches, as in SQL; the
+// operators reject a NULL result when they run.
 func TestLambdaCastMatchesSQL(t *testing.T) {
 	xs := []float64{0.5, 0.999, 1.5, 2, 2.75, -0.5, -0.999, -1.5, -2, -2.75, 0, 1e15 + 0.5, -1e15 - 0.5}
 	b := &types.Batch{Schema: types.Schema{{Name: "x", Type: types.Float64}},
 		Cols: []*types.Column{{T: types.Float64, Floats: xs}}}
-	x := &ParamField{Param: "p", Field: "x", ParamIdx: 0, FieldIdx: 0, Typ: types.Float64}
+	x := &ColRef{Table: "p", Name: "x", Index: -1}
 	for _, to := range []types.Type{types.Int64, types.Float64} {
 		ev, err := Compile(&Cast{E: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, To: to})
 		if err != nil {
@@ -136,21 +134,24 @@ func TestLambdaCastMatchesSQL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fn, err := CompileFloatLambda(&Lambda{Params: []string{"p"}, Body: &Cast{E: x, To: to}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		lambdaCol := evalLambda(t, &Lambda{Params: []string{"p"}, Body: &Cast{E: x, To: to}}, b, b.Schema)
 		for i, v := range xs {
-			if got, want := fn([]float64{v}, nil), sqlCol.Value(i).AsFloat(); got != want {
+			if got, want := lambdaCol.Floats[i], sqlCol.Value(i).AsFloat(); got != want {
 				t.Errorf("CAST(%g AS %s): λ gives %g, SQL gives %g", v, to, got, want)
 			}
 		}
 	}
-	for _, body := range []Expr{&Cast{E: x, To: types.String}, &Cast{E: x, To: types.Bool},
-		&Case{Whens: []When{{Cond: &BinOp{Op: OpGt, L: x, R: lit(types.NewFloat(1))}, Then: x}}}} {
+	for _, body := range []Expr{&Cast{E: x, To: types.String}, &Cast{E: x, To: types.Bool}} {
 		l := &Lambda{Params: []string{"p"}, Body: body}
-		if _, err := CompileFloatLambda(l); err == nil || !strings.Contains(err.Error(), l.String()) {
-			t.Errorf("%s: err = %v, want a compile error naming the λ", l, err)
+		if _, err := BindLambda(l, []types.Schema{b.Schema}); err == nil || !strings.Contains(err.Error(), l.String()) {
+			t.Errorf("%s: err = %v, want a bind error naming the λ", l, err)
+		}
+	}
+	caseCol := evalLambda(t, &Lambda{Params: []string{"p"}, Body: &Case{
+		Whens: []When{{Cond: &BinOp{Op: OpGt, L: x, R: lit(types.NewFloat(1))}, Then: x}}}}, b, b.Schema)
+	for i, v := range xs {
+		if got := caseCol.Value(i); got.Null != (v <= 1) || !got.Null && got.F != v {
+			t.Errorf("CASE WHEN %g > 1 THEN %g END: λ gives %v", v, v, got)
 		}
 	}
 }

@@ -13,7 +13,41 @@ func xySchema() types.Schema {
 }
 
 func pf(param, field string) Expr {
-	return &ParamField{Param: param, Field: field, ParamIdx: -1, FieldIdx: -1}
+	return &ColRef{Table: param, Name: field, Index: -1}
+}
+
+// evalLambda binds l, one schema per parameter, compiles its body with
+// Compile and evaluates it over b, whose columns are the parameters' fields
+// in order.
+func evalLambda(t *testing.T, l *Lambda, b *types.Batch, schemas ...types.Schema) *types.Column {
+	t.Helper()
+	bound, err := BindLambda(l, schemas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := Compile(bound.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ev(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// scalarLambda is l bound to schemas as a function of one row per
+// parameter, evaluated as a one-row batch.
+func scalarLambda(t *testing.T, l *Lambda, schemas ...types.Schema) func(rows ...[]float64) float64 {
+	return func(rows ...[]float64) float64 {
+		b := &types.Batch{}
+		for _, row := range rows {
+			for _, v := range row {
+				b.Cols = append(b.Cols, &types.Column{T: types.Float64, Floats: []float64{v}})
+			}
+		}
+		return evalLambda(t, l, b, schemas...).Floats[0]
+	}
 }
 
 // euclidLambda builds λ(a, b) (a.x-b.x)^2 + (a.y-b.y)^2 — the paper's
@@ -31,7 +65,7 @@ func euclidLambda() *Lambda {
 
 // defaultDistance is the reference for the paper's default k-Means
 // variation point: squared Euclidean distance over d dimensions.
-func defaultDistance(d int) FloatFn {
+func defaultDistance(d int) func(a, b []float64) float64 {
 	return func(a, b []float64) float64 {
 		var s float64
 		for i := 0; i < d; i++ {
@@ -43,7 +77,7 @@ func defaultDistance(d int) FloatFn {
 }
 
 // manhattanDistance is the reference L1 metric (k-Medians variant).
-func manhattanDistance(d int) FloatFn {
+func manhattanDistance(d int) func(a, b []float64) float64 {
 	return func(a, b []float64) float64 {
 		var s float64
 		for i := 0; i < d; i++ {
@@ -54,14 +88,7 @@ func manhattanDistance(d int) FloatFn {
 }
 
 func TestBindAndCompileEuclidean(t *testing.T) {
-	l, err := BindLambda(euclidLambda(), []types.Schema{xySchema(), xySchema()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn, err := CompileFloatLambda(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fn := scalarLambda(t, euclidLambda(), xySchema(), xySchema())
 	got := fn([]float64{0, 0}, []float64{3, 4})
 	if got != 25 {
 		t.Errorf("distance = %v, want 25", got)
@@ -69,14 +96,7 @@ func TestBindAndCompileEuclidean(t *testing.T) {
 }
 
 func TestLambdaMatchesDefaultDistance(t *testing.T) {
-	l, err := BindLambda(euclidLambda(), []types.Schema{xySchema(), xySchema()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn, err := CompileFloatLambda(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fn := scalarLambda(t, euclidLambda(), xySchema(), xySchema())
 	def := defaultDistance(2)
 	f := func(ax, ay, bx, by float64) bool {
 		if math.IsNaN(ax) || math.IsNaN(ay) || math.IsNaN(bx) || math.IsNaN(by) ||
@@ -104,14 +124,7 @@ func TestManhattanLambda(t *testing.T) {
 	}
 	l := &Lambda{Params: []string{"a", "b"},
 		Body: &BinOp{Op: OpAdd, L: absDiff("x"), R: absDiff("y")}}
-	bound, err := BindLambda(l, []types.Schema{xySchema(), xySchema()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn, err := CompileFloatLambda(bound)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fn := scalarLambda(t, l, xySchema(), xySchema())
 	got := fn([]float64{0, 0}, []float64{3, -4})
 	if got != 7 {
 		t.Errorf("L1 distance = %v, want 7", got)
@@ -131,14 +144,7 @@ func TestLambdaWithCase(t *testing.T) {
 		}},
 		Else: &BinOp{Op: OpSub, L: pf("b", "x"), R: pf("a", "x")},
 	}}
-	bound, err := BindLambda(l, []types.Schema{xySchema(), xySchema()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn, err := CompileFloatLambda(bound)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fn := scalarLambda(t, l, xySchema(), xySchema())
 	if got := fn([]float64{5, 0}, []float64{2, 0}); got != 3 {
 		t.Errorf("case lambda = %v, want 3", got)
 	}
@@ -181,15 +187,8 @@ func TestPowSpecializations(t *testing.T) {
 	} {
 		l := &Lambda{Params: []string{"a"}, Body: &BinOp{Op: OpPow,
 			L: pf("a", "x"), R: &Const{Val: types.NewFloat(tc.exp)}}}
-		bound, err := BindLambda(l, []types.Schema{{{Name: "x", Type: types.Float64}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fn, err := CompileFloatLambda(bound)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fn([]float64{tc.base}, nil); got != tc.want {
+		fn := scalarLambda(t, l, types.Schema{{Name: "x", Type: types.Float64}})
+		if got := fn([]float64{tc.base}); got != tc.want {
 			t.Errorf("%v^%v = %v, want %v", tc.base, tc.exp, got, tc.want)
 		}
 	}

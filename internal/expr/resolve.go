@@ -74,11 +74,6 @@ func Resolve(e Expr, rc *ResolveCtx) (Expr, error) {
 		}
 		return &ColRef{Table: n.Table, Name: n.Name, Index: idx, Typ: rc.Schema[idx].Type}, nil
 
-	case *ParamField:
-		// Lambda parameter fields resolve when the lambda is bound to an
-		// operator; inside ordinary queries they are an error.
-		return nil, fmt.Errorf("lambda parameter %q used outside a lambda", n)
-
 	case *BinOp:
 		l, err := Resolve(n.L, rc)
 		if err != nil {
@@ -152,7 +147,7 @@ func Resolve(e Expr, rc *ResolveCtx) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Cast{E: inner, To: n.To}, nil
+		return castTo(inner, n.To), nil // a cast to its operand's type is a no-op
 
 	case *IsNull:
 		inner, err := Resolve(n.E, rc)

@@ -548,7 +548,12 @@ func (k *KMeansAssign) Schema() types.Schema {
 func (k *KMeansAssign) Quals() []string  { return uniformQuals(len(k.Data.Schema())+1, "") }
 func (k *KMeansAssign) Card() float64    { return k.Data.Card() }
 func (k *KMeansAssign) Children() []Node { return []Node{k.Data, k.Centers} }
-func (k *KMeansAssign) Explain() string  { return "KMeansAssign" }
+func (k *KMeansAssign) Explain() string {
+	if k.Lambda != nil {
+		return fmt.Sprintf("KMeansAssign dist=%s", k.Lambda)
+	}
+	return "KMeansAssign"
+}
 
 // PageRank is the physical graph-ranking operator (paper Section 6.3).
 // Output: (vertex BIGINT, rank DOUBLE). Lambda, when set, computes a
@@ -569,6 +574,9 @@ func (p *PageRank) Quals() []string  { return uniformQuals(2, "") }
 func (p *PageRank) Card() float64    { return p.Edges.Card() / 10 }
 func (p *PageRank) Children() []Node { return []Node{p.Edges} }
 func (p *PageRank) Explain() string {
+	if p.Lambda != nil {
+		return fmt.Sprintf("PageRank d=%g eps=%g maxiter=%d weight=%s", p.Damping, p.Epsilon, p.MaxIter, p.Lambda)
+	}
 	return fmt.Sprintf("PageRank d=%g eps=%g maxiter=%d", p.Damping, p.Epsilon, p.MaxIter)
 }
 

@@ -13,7 +13,7 @@ func Fold(e expr.Expr) expr.Expr {
 	}
 	return expr.Rewrite(e, func(n expr.Expr) expr.Expr {
 		switch n.(type) {
-		case *expr.Const, *expr.ColRef, *expr.ParamField:
+		case *expr.Const, *expr.ColRef:
 			return n
 		}
 		if !expr.IsConst(n) {

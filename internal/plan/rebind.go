@@ -73,6 +73,14 @@ func (r *rebinder) expr(e expr.Expr) expr.Expr {
 	})
 }
 
+// lambda rebinds a λ argument's body.
+func (r *rebinder) lambda(l *expr.Lambda) *expr.Lambda {
+	if l == nil || len(r.args) == 0 {
+		return l
+	}
+	return &expr.Lambda{Params: l.Params, Body: r.expr(l.Body)}
+}
+
 func (r *rebinder) exprs(es []expr.Expr) []expr.Expr {
 	if es == nil {
 		return nil
@@ -118,6 +126,12 @@ func (r *rebinder) node(n Node) Node {
 				t.Aggs[i].Arg = r.expr(t.Aggs[i].Arg)
 			}
 		}
+	case *KMeans:
+		t.Lambda = r.lambda(t.Lambda)
+	case *KMeansAssign:
+		t.Lambda = r.lambda(t.Lambda)
+	case *PageRank:
+		t.Lambda = r.lambda(t.Lambda)
 	case *Shared:
 		if r.shared == nil {
 			r.shared = map[Node]Node{}

@@ -262,17 +262,9 @@ func (b *Builder) buildKMeans(tf *sql.TableFunc) (Node, error) {
 		if len(l.Params) != 2 {
 			return nil, fmt.Errorf("kmeans: distance lambda must take 2 parameters, got %d", len(l.Params))
 		}
-		// Both parameters are bound to the data tuple layout (centers are
-		// conformed to the data schema at execution).
-		floatSchema := make(types.Schema, len(ds))
-		for i, c := range ds {
-			floatSchema[i] = types.ColumnInfo{Name: c.Name, Type: types.Float64}
+		if node.Lambda, err = bindDistance("kmeans", l, ds); err != nil {
+			return nil, err
 		}
-		bound, err := expr.BindLambda(l, []types.Schema{floatSchema, floatSchema})
-		if err != nil {
-			return nil, fmt.Errorf("kmeans: %w", err)
-		}
-		node.Lambda = bound
 		argIdx++
 	}
 	if argIdx < len(tf.Args) {
@@ -323,23 +315,39 @@ func (b *Builder) buildKMeansAssign(tf *sql.TableFunc) (Node, error) {
 		if len(l.Params) != 2 {
 			return nil, fmt.Errorf("kmeans_assign: distance lambda must take 2 parameters, got %d", len(l.Params))
 		}
-		floatSchema := make(types.Schema, len(ds))
-		for i, c := range ds {
-			floatSchema[i] = types.ColumnInfo{Name: c.Name, Type: types.Float64}
+		if node.Lambda, err = bindDistance("kmeans_assign", l, ds); err != nil {
+			return nil, err
 		}
-		bound, err := expr.BindLambda(l, []types.Schema{floatSchema, floatSchema})
-		if err != nil {
-			return nil, fmt.Errorf("kmeans_assign: %w", err)
-		}
-		node.Lambda = bound
 	}
 	return node, nil
+}
+
+// bindDistance binds a distance λ(a, b) to the row layout the k-Means
+// kernels evaluate it over: both parameters take the data's field names, all
+// DOUBLE. Its body folds like any other SQL expression.
+func bindDistance(fn string, l *expr.Lambda, data types.Schema) (*expr.Lambda, error) {
+	doubles := make(types.Schema, len(data))
+	for i, c := range data {
+		doubles[i] = types.ColumnInfo{Name: c.Name, Type: types.Float64}
+	}
+	return bindLambda(fn, l, doubles, doubles)
+}
+
+// bindLambda binds a table function's λ argument, one schema per parameter,
+// and folds its body.
+func bindLambda(fn string, l *expr.Lambda, schemas ...types.Schema) (*expr.Lambda, error) {
+	bound, err := expr.BindLambda(l, schemas)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", fn, err)
+	}
+	bound.Body = Fold(bound.Body)
+	return bound, nil
 }
 
 // buildPageRank plans PAGERANK((edges) [, λ(e) weight], damping, epsilon
 // [, maxiter]) — the paper's Listing 2, plus the Section 7 edge-weight
 // variation point. With a weight lambda, the edges subquery may carry
-// additional numeric property columns the lambda can reference.
+// additional property columns; those the lambda reads must be numeric.
 func (b *Builder) buildPageRank(tf *sql.TableFunc) (Node, error) {
 	if len(tf.Args) < 1 || len(tf.Args) > 5 {
 		return nil, fmt.Errorf("pagerank expects 1-5 arguments, got %d", len(tf.Args))
@@ -356,16 +364,11 @@ func (b *Builder) buildPageRank(tf *sql.TableFunc) (Node, error) {
 		if len(l.Params) != 1 {
 			return nil, fmt.Errorf("pagerank: weight lambda must take 1 edge parameter, got %d", len(l.Params))
 		}
-		es := edges.Schema()
-		floatSchema := make(types.Schema, len(es))
-		for i, c := range es {
-			floatSchema[i] = types.ColumnInfo{Name: c.Name, Type: types.Float64}
+		// The λ reads the edge batches themselves; BindLambda casts each
+		// field it reads to DOUBLE.
+		if node.Lambda, err = bindLambda("pagerank", l, edges.Schema()); err != nil {
+			return nil, err
 		}
-		bound, err := expr.BindLambda(l, []types.Schema{floatSchema})
-		if err != nil {
-			return nil, fmt.Errorf("pagerank: %w", err)
-		}
-		node.Lambda = bound
 		argIdx++
 	}
 
@@ -376,11 +379,6 @@ func (b *Builder) buildPageRank(tf *sql.TableFunc) (Node, error) {
 	}
 	if node.Lambda == nil && len(es) != 2 {
 		return nil, fmt.Errorf("pagerank: edges must have exactly (src, dest) unless a weight lambda is given, got %s", es)
-	}
-	for _, c := range es[2:] {
-		if !c.Type.IsNumeric() {
-			return nil, fmt.Errorf("pagerank: edge property %q is %s, need a numeric type", c.Name, c.Type)
-		}
 	}
 
 	if argIdx < len(tf.Args) {

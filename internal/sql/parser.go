@@ -66,9 +66,6 @@ type parser struct {
 	src  string
 	toks []token
 	pos  int
-	// lambdaParams is the active lambda parameter name set while parsing a
-	// lambda body; references qualified by these names become ParamFields.
-	lambdaParams []string
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -1086,7 +1083,9 @@ func (p *parser) parseTableFuncArg() (TableFuncArg, error) {
 	return TableFuncArg{Scalar: e}, nil
 }
 
-// parseLambda parses `λ(a, b) expr` or `LAMBDA(a, b) expr`.
+// parseLambda parses `λ(a, b) expr` or `LAMBDA(a, b) expr`. A field of a
+// parameter, a.x, parses as the column reference it becomes when the λ is
+// bound to an operator's input.
 func (p *parser) parseLambda() (*expr.Lambda, error) {
 	p.advance() // λ or LAMBDA
 	if err := p.expectSymbol("("); err != nil {
@@ -1107,23 +1106,11 @@ func (p *parser) parseLambda() (*expr.Lambda, error) {
 	if err := p.expectSymbol(")"); err != nil {
 		return nil, err
 	}
-	saved := p.lambdaParams
-	p.lambdaParams = params
 	body, err := p.parseExpr()
-	p.lambdaParams = saved
 	if err != nil {
 		return nil, err
 	}
 	return &expr.Lambda{Params: params, Body: body}, nil
-}
-
-func (p *parser) isLambdaParam(name string) bool {
-	for _, q := range p.lambdaParams {
-		if q == name {
-			return true
-		}
-	}
-	return false
 }
 
 // ---- expression parsing (precedence climbing) ----
@@ -1459,9 +1446,6 @@ func (p *parser) parseIdentExpr() (expr.Expr, error) {
 		field, err := p.expectIdent()
 		if err != nil {
 			return nil, err
-		}
-		if p.isLambdaParam(name) {
-			return &expr.ParamField{Param: name, Field: field, ParamIdx: -1, FieldIdx: -1}, nil
 		}
 		return &expr.ColRef{Table: name, Name: field, Index: -1}, nil
 	}

@@ -193,19 +193,19 @@ func TestParseKMeansWithLambda(t *testing.T) {
 	if l == nil || len(l.Params) != 2 || l.Params[0] != "a" {
 		t.Fatalf("lambda = %+v", l)
 	}
-	// Lambda body references must be ParamFields, not ColRefs.
+	// Lambda body references are columns qualified by a parameter.
 	sawParam := false
 	expr.Walk(l.Body, func(e expr.Expr) bool {
-		if _, ok := e.(*expr.ParamField); ok {
+		if c, ok := e.(*expr.ColRef); ok {
+			if c.Table != "a" && c.Table != "b" {
+				t.Errorf("lambda body reference %v is not qualified by a parameter", e)
+			}
 			sawParam = true
-		}
-		if _, ok := e.(*expr.ColRef); ok {
-			t.Errorf("lambda body contains unbound ColRef: %v", e)
 		}
 		return true
 	})
 	if !sawParam {
-		t.Error("lambda body has no ParamFields")
+		t.Error("lambda body has no parameter fields")
 	}
 	if tf.Args[3].Scalar == nil {
 		t.Error("fourth arg should be a scalar")
