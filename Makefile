@@ -47,7 +47,7 @@ bench-obs:
 	$(GO) test ./internal/telemetry/ -run xxx -bench 'BenchmarkHistogram' -benchtime 2s
 	$(GO) test ./internal/obs/ -run xxx -bench 'BenchmarkRenderMetrics' -benchtime 2s
 
-## bench: print the parallel-operator scaling micro-benchmarks, the hash operators' ns/row (BenchmarkHashAgg, BenchmarkHashJoin), the join as a pipeline stage (BenchmarkJoinPipelineAgg: ns/probe-row and B/op; BenchmarkBroadcastCross: the k-Means n x k shape) the expression kernels (BenchmarkVectorizedFilterAgg: a filter under an aggregate; BenchmarkProjectArith: scan_agg's GROUP BY key and the k-Means distance, ns/row) and the k-Means operator per E9 variant, default metric and each distance λ (BenchmarkLambdaVariants, ns per query); print-only — the recorded numbers are lambdabench's exec.speedup_workers, exec.agg_ms, exec.join_ms and exec.filter_ms (cmd/lambdabench/BASELINE.json)
+## bench: print the parallel-operator scaling micro-benchmarks, the hash operators' ns/row in both key-table modes (BenchmarkHashAgg int-key and BenchmarkHashJoin build: dense keys, addressed directly; sparse-int-key and build-sparse: hashed), the join as a pipeline stage (BenchmarkJoinPipelineAgg: ns/probe-row and B/op; BenchmarkBroadcastCross: the k-Means n x k shape) the expression kernels (BenchmarkVectorizedFilterAgg: a filter under an aggregate; BenchmarkProjectArith: scan_agg's GROUP BY key and the k-Means distance, ns/row) and the k-Means operator per E9 variant, default metric and each distance λ (BenchmarkLambdaVariants, ns per query); print-only — the recorded numbers are lambdabench's exec.speedup_workers, exec.agg_ms, exec.join_ms and exec.filter_ms (cmd/lambdabench/BASELINE.json)
 bench:
 	$(GO) test ./internal/exec/ -run xxx -bench 'BenchmarkParallel(Join|Sort|TopK|Agg)Scaling|BenchmarkHash(Agg|Join)|BenchmarkJoinPipelineAgg|BenchmarkBroadcastCross|BenchmarkVectorizedFilterAgg|BenchmarkProjectArith' -benchtime 3x
 	$(GO) test . -run xxx -bench 'BenchmarkLambdaVariants' -benchtime 5x

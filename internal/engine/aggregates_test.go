@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"lambdadb/internal/types"
@@ -103,5 +105,61 @@ func TestStddevParallelMatchesSerial(t *testing.T) {
 	serial, parallel := mk(1), mk(8)
 	if math.Abs(serial-parallel) > 1e-9 {
 		t.Errorf("serial %v != parallel %v", serial, parallel)
+	}
+}
+
+// TestBigintSumIsExact: SUM and AVG over BIGINT add in 128 bits, at one
+// worker and across the parts of a parallel aggregation. SUM fails with
+// "bigint out of range" when the final sum is past int64 however it got
+// there, succeeds when only a partial sum was, and AVG divides the exact sum.
+func TestBigintSumIsExact(t *testing.T) {
+	const big = 4611686018427387904 // 2^62
+	for _, workers := range []int{1, 8} {
+		db := Open(WithWorkers(workers))
+		db.MustExec(`CREATE TABLE s (g BIGINT, x BIGINT)`)
+		tbl, err := db.Store().Table("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Group 0: 40,000 rows of 2^62. Group 1: the same, then as many of
+		// -2^62 and one 5, so its sum is 5 and half-way it was 10,000 × 2^64.
+		b := types.NewBatch(tbl.Schema())
+		for g, vals := range [][]int64{{big}, {big, -big}} {
+			for _, v := range vals {
+				for i := 0; i < 40_000; i++ {
+					b.Cols[0].AppendInt(int64(g))
+					b.Cols[1].AppendInt(v)
+				}
+			}
+		}
+		b.Cols[0].AppendInt(1)
+		b.Cols[1].AppendInt(5)
+		tx := db.Store().Begin()
+		if err := tx.Insert(tbl, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for q, want := range map[string]string{
+			`SELECT avg(x) FROM s WHERE g = 0`:           "[[4.611686018427388e+18]]",
+			`SELECT sum(x), avg(x) FROM s WHERE g = 1`:   "[[5 6.24992187597655e-05]]",
+			`SELECT g, avg(x) FROM s GROUP BY g`:         "[[0 4.611686018427388e+18] [1 6.24992187597655e-05]]",
+			`SELECT sum(x) FROM s WHERE g = 0 AND x < 0`: "[[NULL]]",
+		} {
+			r, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("workers %d: %s: %v", workers, q, err)
+			}
+			if got := fmt.Sprint(r.Rows); got != want {
+				t.Errorf("workers %d: %s = %s, want %s", workers, q, got, want)
+			}
+		}
+		for _, q := range []string{`SELECT sum(x) FROM s WHERE g = 0`, `SELECT g, sum(x) FROM s GROUP BY g`,
+			`SELECT sum(x) FROM s WHERE g = 0 LIMIT 3`} {
+			if _, err := db.Query(q); err == nil || !strings.Contains(err.Error(), "bigint out of range") {
+				t.Errorf("workers %d: %s: err = %v, want bigint out of range", workers, q, err)
+			}
+		}
 	}
 }

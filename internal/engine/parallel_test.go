@@ -122,3 +122,51 @@ func normalizeRows(rows [][]types.Value) {
 		return false
 	})
 }
+
+// TestDenseAndSparseKeysParallelMatchSerial: GROUP BY, DISTINCT, UNION and
+// join give the same rows in the same order at Workers=1 and Workers=8 over
+// dense BIGINT keys (addressed directly), sparse ones (k × 1000003, hashed),
+// and keys that turn sparse part-way (a table that switches mode in some
+// parts only, merged with dense ones).
+func TestDenseAndSparseKeysParallelMatchSerial(t *testing.T) {
+	serialDB := Open(WithWorkers(1))
+	parallelDB := Open(WithWorkers(8))
+	loadParallelFixture(t, serialDB)
+	loadParallelFixture(t, parallelDB)
+	for name, sql := range map[string]string{
+		"group-dense":     `SELECT k, count(*), sum(v), min(v) FROM fact GROUP BY k`,
+		"group-sparse":    `SELECT k * 1000003, count(*), sum(v) FROM fact GROUP BY k * 1000003`,
+		"group-switches":  `SELECT g, count(*) FROM (SELECT CASE WHEN v < 45000 THEN k ELSE k * 1000003 END AS g FROM fact) t GROUP BY g`,
+		"distinct-dense":  `SELECT DISTINCT k FROM fact`,
+		"distinct-sparse": `SELECT DISTINCT k * 1000003 FROM fact`,
+		"union":           `SELECT k FROM fact UNION SELECT k * 1000003 FROM dim`,
+		"join-dense":      `SELECT fact.k, fact.v, dim.w FROM fact JOIN dim ON fact.k = dim.k`,
+		"join-sparse": `SELECT f.s, f.v, d.w FROM (SELECT k * 1000003 AS s, v FROM fact) f
+			JOIN (SELECT k * 1000003 AS s, w FROM dim) d ON f.s = d.s`,
+		"join-group-dense": `SELECT dim.k, count(*), sum(fact.v) FROM fact JOIN dim ON fact.k = dim.k GROUP BY dim.k`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			sr, err := serialDB.Query(sql)
+			if err != nil {
+				t.Fatalf("serial: %v", err)
+			}
+			pr, err := parallelDB.Query(sql)
+			if err != nil {
+				t.Fatalf("parallel: %v", err)
+			}
+			if len(sr.Rows) < 1000 {
+				t.Fatalf("%d rows; test data broken", len(sr.Rows))
+			}
+			if len(sr.Rows) != len(pr.Rows) {
+				t.Fatalf("row counts differ: serial %d parallel %d", len(sr.Rows), len(pr.Rows))
+			}
+			for i := range sr.Rows {
+				for j := range sr.Rows[i] {
+					if av, bv := sr.Rows[i][j], pr.Rows[i][j]; av.Null != bv.Null || (!av.Null && !av.Equal(bv)) {
+						t.Fatalf("row %d col %d: serial %v parallel %v", i, j, av, bv)
+					}
+				}
+			}
+		})
+	}
+}

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"errors"
 	"math"
+	"math/bits"
 	"unsafe"
 
 	"lambdadb/internal/expr"
@@ -10,11 +12,13 @@ import (
 )
 
 // aggAcc holds one aggregate's accumulators as arrays indexed by group id;
-// only the arrays its function needs are non-nil. Numeric sums are kept in
-// the integer or the float array depending on the argument type.
+// only the arrays its function needs are non-nil. A sum of BIGINTs is exact,
+// in 128 bits (sumHi·2⁶⁴ + sumLo), so that only a final sum out of range
+// fails; a sum of DOUBLEs is a float.
 type aggAcc struct {
 	count []int64
-	sumI  []int64
+	sumLo []uint64
+	sumHi []int64
 	sumF  []float64
 	sumSq []float64 // stddev/variance
 	// min/max so far, as the result column in the making: typed values plus
@@ -47,7 +51,11 @@ func (a *aggAcc) grow(n int, spec plan.AggSpec) {
 		}
 		return
 	case plan.AggSum, plan.AggAvg:
-		a.sumI, a.sumF = growTo(a.sumI, n, 0), growTo(a.sumF, n, 0)
+		if spec.Arg.Type() == types.Int64 {
+			a.sumLo, a.sumHi = growTo(a.sumLo, n, 0), growTo(a.sumHi, n, 0)
+		} else {
+			a.sumF = growTo(a.sumF, n, 0)
+		}
 	case plan.AggStddev, plan.AggVariance:
 		a.sumF, a.sumSq = growTo(a.sumF, n, 0), growTo(a.sumSq, n, 0)
 	}
@@ -55,7 +63,7 @@ func (a *aggAcc) grow(n int, spec plan.AggSpec) {
 }
 
 func (a *aggAcc) bytes() int64 {
-	return int64(cap(a.count)+cap(a.sumI)+cap(a.sumF)+cap(a.sumSq)+cap(a.extI)+cap(a.extF))*8 +
+	return int64(cap(a.count)+cap(a.sumLo)+cap(a.sumHi)+cap(a.sumF)+cap(a.sumSq)+cap(a.extI)+cap(a.extF))*8 +
 		int64(cap(a.extNull)) + int64(cap(a.ext))*int64(unsafe.Sizeof(types.Value{}))
 }
 
@@ -69,7 +77,7 @@ func foldCount(ids []int32, nulls []bool, count []int64) {
 }
 
 // foldSum adds each non-NULL value to its group's count and sum.
-func foldSum[T int64 | float64](ids []int32, vals []T, nulls []bool, count []int64, sum []T) {
+func foldSum(ids []int32, vals []float64, nulls []bool, count []int64, sum []float64) {
 	vals = vals[:len(ids)]
 	for i, id := range ids {
 		if nulls == nil || !nulls[i] {
@@ -77,6 +85,24 @@ func foldSum[T int64 | float64](ids []int32, vals []T, nulls []bool, count []int
 			sum[id] += vals[i]
 		}
 	}
+}
+
+// foldSumInt is foldSum for BIGINTs, summing in 128 bits.
+func foldSumInt(ids []int32, vals []int64, nulls []bool, count []int64, lo []uint64, hi []int64) {
+	vals = vals[:len(ids)]
+	for i, id := range ids {
+		if nulls == nil || !nulls[i] {
+			count[id]++
+			add128(&lo[id], &hi[id], uint64(vals[i]), vals[i]>>63)
+		}
+	}
+}
+
+// add128 adds the 128-bit integer (yHi, yLo) to (hi, lo).
+func add128(lo *uint64, hi *int64, yLo uint64, yHi int64) {
+	var carry uint64
+	*lo, carry = bits.Add64(*lo, yLo, 0)
+	*hi += yHi + int64(carry)
 }
 
 // foldSquares is foldSum plus the sum of squares, in the float domain.
@@ -128,7 +154,7 @@ func (a *aggAcc) fold(f plan.AggFunc, ids []int32, arg *types.Column) {
 	case plan.AggSum, plan.AggAvg:
 		switch arg.T {
 		case types.Int64:
-			foldSum(ids, arg.Ints, arg.Nulls, a.count, a.sumI)
+			foldSumInt(ids, arg.Ints, arg.Nulls, a.count, a.sumLo, a.sumHi)
 		case types.Float64:
 			foldSum(ids, arg.Floats, arg.Nulls, a.count, a.sumF)
 		}
@@ -169,8 +195,8 @@ func (a *aggAcc) merge(f plan.AggFunc, o *aggAcc, ids []int32) {
 		if a.count != nil {
 			a.count[id] += o.count[g]
 		}
-		if a.sumI != nil {
-			a.sumI[id] += o.sumI[g]
+		if a.sumLo != nil {
+			add128(&a.sumLo[id], &a.sumHi[id], o.sumLo[g], o.sumHi[g])
 		}
 		if a.sumF != nil {
 			a.sumF[id] += o.sumF[g]
@@ -184,43 +210,67 @@ func (a *aggAcc) merge(f plan.AggFunc, o *aggAcc, ids []int32) {
 	}
 }
 
+// intSum is group g's BIGINT sum, ok false when it is past int64.
+func (a *aggAcc) intSum(g int) (v int64, ok bool) {
+	lo := a.sumLo[g]
+	return int64(lo), a.sumHi[g] == int64(lo)>>63
+}
+
+// floatSum is group g's sum as a DOUBLE; a BIGINT sum past int64 rounds
+// twice.
+func (a *aggAcc) floatSum(g int) float64 {
+	if a.sumLo == nil {
+		return a.sumF[g]
+	}
+	if v, ok := a.intSum(g); ok {
+		return float64(v)
+	}
+	return float64(a.sumHi[g])*0x1p64 + float64(a.sumLo[g])
+}
+
+// errBigintRange is a BIGINT sum past int64, in PostgreSQL's words.
+var errBigintRange = errors.New("bigint out of range")
+
 // result produces the final value of group g.
-func (a *aggAcc) result(spec plan.AggSpec, g int) types.Value {
+func (a *aggAcc) result(spec plan.AggSpec, g int) (types.Value, error) {
 	switch spec.Func {
 	case plan.AggCountStar, plan.AggCount:
-		return types.NewInt(a.count[g])
+		return types.NewInt(a.count[g]), nil
 	case plan.AggMin, plan.AggMax:
 		switch {
 		case a.ext != nil:
-			return a.ext[g]
+			return a.ext[g], nil
 		case a.extNull[g]:
-			return types.NewNull(spec.Type)
+			return types.NewNull(spec.Type), nil
 		case a.extI != nil:
-			return types.NewInt(a.extI[g])
+			return types.NewInt(a.extI[g]), nil
 		}
-		return types.NewFloat(a.extF[g])
+		return types.NewFloat(a.extF[g]), nil
 	}
 	if a.count[g] == 0 {
-		return types.NewNull(spec.Type)
+		return types.NewNull(spec.Type), nil
 	}
 	n := float64(a.count[g])
 	switch spec.Func {
 	case plan.AggSum:
-		if spec.Type == types.Int64 {
-			return types.NewInt(a.sumI[g])
+		if spec.Type != types.Int64 {
+			return types.NewFloat(a.floatSum(g)), nil
 		}
-		return types.NewFloat(a.sumF[g] + float64(a.sumI[g]))
+		if v, ok := a.intSum(g); ok {
+			return types.NewInt(v), nil
+		}
+		return types.Value{}, errBigintRange
 	case plan.AggAvg:
-		return types.NewFloat((a.sumF[g] + float64(a.sumI[g])) / n)
+		return types.NewFloat(a.floatSum(g) / n), nil
 	}
 	// Population variance: E[x²] − E[x]², floored at zero against
 	// floating-point cancellation.
 	mean := a.sumF[g] / n
 	variance := math.Max(a.sumSq[g]/n-mean*mean, 0)
 	if spec.Func == plan.AggVariance {
-		return types.NewFloat(variance)
+		return types.NewFloat(variance), nil
 	}
-	return types.NewFloat(math.Sqrt(variance))
+	return types.NewFloat(math.Sqrt(variance)), nil
 }
 
 // newAggOp is the hash-aggregation operator. Each part of its input (one
@@ -250,7 +300,7 @@ func newAggOp(n *plan.Aggregate) *blockingOp {
 		for _, part := range sinks[1:] {
 			ids := make([]int32, part.groups)
 			if len(n.Keys) > 0 {
-				total.table.findOrAdd(part.table.cols, part.table.hashes, ids)
+				total.table.merge(part.table, ids)
 			}
 			if err := total.grow(); err != nil {
 				return nil, err
@@ -265,7 +315,11 @@ func newAggOp(n *plan.Aggregate) *blockingOp {
 		for ai, spec := range n.Aggs {
 			col := types.NewColumn(spec.Type, total.groups)
 			for g := 0; g < total.groups; g++ {
-				col.Append(total.accs[ai].result(spec, g))
+				v, err := total.accs[ai].result(spec, g)
+				if err != nil {
+					return nil, err
+				}
+				col.Append(v)
 			}
 			cols = append(cols, col)
 		}
@@ -286,7 +340,6 @@ type aggSink struct {
 	// groups is the number of ids in use: the table's keys, or the one group
 	// of a global aggregate, which exists before any input.
 	groups int
-	hashes []uint64
 	ids    []int32 // all zero while there are no keys
 }
 
@@ -349,8 +402,7 @@ func (s *aggSink) consume(b *types.Batch) error {
 	s.ids = sized(s.ids, n)
 	ids := s.ids
 	if len(keyCols) > 0 {
-		s.hashes = hashKeys(keyCols, n, s.hashes)
-		s.table.findOrAdd(keyCols, s.hashes, ids)
+		s.table.findOrAdd(keyCols, ids)
 	}
 	if err := s.grow(); err != nil {
 		return err

@@ -69,7 +69,7 @@ func TestTypedMinMaxMatchesBoxed(t *testing.T) {
 			}
 		}
 		for g := range want {
-			got := total.result(spec, g)
+			got, _ := total.result(spec, g)
 			if got.Null != want[g].Null || got.T != want[g].T || got.I != want[g].I ||
 				math.Float64bits(got.F) != math.Float64bits(want[g].F) {
 				t.Fatalf("seed %d: %s(%s) of group %d = %v, the boxed loop says %v", seed, f, typ, g, got, want[g])

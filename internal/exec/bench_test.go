@@ -280,13 +280,16 @@ func runPerRow(b *testing.B, p plan.Node, rows int) {
 }
 
 // BenchmarkHashAgg measures hash aggregation per input row over 1M rows:
-// 1000 groups by an integer key, by two integer keys, by a string key, and
-// the key-less global aggregate that never touches the key table.
+// 1000 groups by an integer key (dense, so addressed directly), by the same
+// keys times a large odd number (sparse, so hashed), by two integer keys, by
+// a string key, and the key-less global aggregate that never touches the key
+// table.
 func BenchmarkHashAgg(b *testing.B) {
 	const rows = 1_000_000
 	s := storage.NewStore()
 	tbl, err := s.CreateTable("t", types.Schema{
-		{Name: "k", Type: types.Int64}, {Name: "s", Type: types.String}, {Name: "v", Type: types.Float64}})
+		{Name: "k", Type: types.Int64}, {Name: "s", Type: types.String}, {Name: "v", Type: types.Float64},
+		{Name: "sparse", Type: types.Int64}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -297,6 +300,7 @@ func BenchmarkHashAgg(b *testing.B) {
 			batch.Cols[0].AppendInt(int64(i % 1000))
 			batch.Cols[1].AppendString(fmt.Sprint("group-", i%1000))
 			batch.Cols[2].AppendFloat(float64(i))
+			batch.Cols[3].AppendInt(int64(i%1000) * 1_000_003)
 		}
 		if err := tx.Insert(tbl, batch); err != nil {
 			b.Fatal(err)
@@ -307,10 +311,12 @@ func BenchmarkHashAgg(b *testing.B) {
 	}
 	k, str, v := colRef("k", 0, types.Int64), colRef("s", 1, types.String), colRef("v", 2, types.Float64)
 	kMod10 := &expr.BinOp{Op: expr.OpMod, Typ: types.Int64, L: k, R: &expr.Const{Val: types.NewInt(10)}}
+	sparse := colRef("sparse", 3, types.Int64)
 	for _, tc := range []struct {
 		name string
 		keys []expr.Expr
-	}{{"int-key", []expr.Expr{k}}, {"two-keys", []expr.Expr{k, kMod10}}, {"string-key", []expr.Expr{str}}, {"global", nil}} {
+	}{{"int-key", []expr.Expr{k}}, {"sparse-int-key", []expr.Expr{sparse}}, {"two-keys", []expr.Expr{k, kMod10}},
+		{"string-key", []expr.Expr{str}}, {"global", nil}} {
 		b.Run(tc.name, func(b *testing.B) {
 			runPerRow(b, &plan.Aggregate{
 				Child: plan.NewScan(tbl, "", s.Snapshot()),
@@ -324,25 +330,28 @@ func BenchmarkHashAgg(b *testing.B) {
 }
 
 // BenchmarkHashJoin measures the equi-join per row of the side named: the
-// build of 1M distinct keys (per build row), a probe where every row finds
-// one partner and one where it finds 32 (per probe row), and a left join
-// half of whose probe rows are NULL-extended (per probe row).
+// build of 1M distinct keys (per build row) dense, so addressed directly,
+// and sparse, so hashed; a probe where every row finds one partner and one
+// where it finds 32 (per probe row), and a left join half of whose probe
+// rows are NULL-extended (per probe row).
 func BenchmarkHashJoin(b *testing.B) {
 	for _, tc := range []struct {
 		name        string
 		typ         plan.JoinType
 		lRows, lMod int
 		rRows, rMod int
-		perLeftRow  bool // the side the time is divided by
+		perLeftRow  bool  // the side the time is divided by
+		scale       int64 // of both sides' keys
 	}{
-		{"build", plan.InnerJoin, 1_000_000, 1_000_000, 1, 1, true},
-		{"probe-1:1", plan.InnerJoin, 10_000, 10_000, 1_000_000, 10_000, false},
-		{"probe-1:32", plan.InnerJoin, 32_000, 1000, 100_000, 1000, false},
-		{"left-join", plan.LeftJoin, 1_000_000, 20_000, 10_000, 10_000, true},
+		{"build", plan.InnerJoin, 1_000_000, 1_000_000, 1, 1, true, 1},
+		{"build-sparse", plan.InnerJoin, 1_000_000, 1_000_000, 1, 1, true, 1_000_003},
+		{"probe-1:1", plan.InnerJoin, 10_000, 10_000, 1_000_000, 10_000, false, 1},
+		{"probe-1:32", plan.InnerJoin, 32_000, 1000, 100_000, 1000, false, 1},
+		{"left-join", plan.LeftJoin, 1_000_000, 20_000, 10_000, 10_000, true, 1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			ls, left := bigTable(b, tc.lRows, tc.lMod)
-			rs, right := bigTable(b, tc.rRows, tc.rMod)
+			ls, left := scaledTable(b, tc.lRows, tc.lMod, tc.scale)
+			rs, right := scaledTable(b, tc.rRows, tc.rMod, tc.scale)
 			rows := tc.rRows
 			if tc.perLeftRow {
 				rows = tc.lRows

@@ -14,6 +14,13 @@ import (
 // bigTable builds a table of n rows (k BIGINT, v DOUBLE) with k = i % mod.
 func bigTable(t testing.TB, n, mod int) (*storage.Store, *storage.Table) {
 	t.Helper()
+	return scaledTable(t, n, mod, 1)
+}
+
+// scaledTable is bigTable with k = (i % mod) × scale: a scale past 2 spreads
+// the keys too thin for the key table's direct-address mode.
+func scaledTable(t testing.TB, n, mod int, scale int64) (*storage.Store, *storage.Table) {
+	t.Helper()
 	s := storage.NewStore()
 	tbl, err := s.CreateTable("big", types.Schema{
 		{Name: "k", Type: types.Int64},
@@ -31,7 +38,7 @@ func bigTable(t testing.TB, n, mod int) (*storage.Store, *storage.Table) {
 		}
 		b := types.NewBatch(tbl.Schema())
 		for i := lo; i < hi; i++ {
-			b.Cols[0].AppendInt(int64(i % mod))
+			b.Cols[0].AppendInt(int64(i%mod) * scale)
 			b.Cols[1].AppendFloat(float64(i))
 		}
 		if err := tx.Insert(tbl, b); err != nil {

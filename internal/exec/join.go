@@ -31,7 +31,7 @@ func buildJoinTable(mat *Materialized, keyCols []int, keyTypes []types.Type, ctx
 		next: make([]int32, mat.NumRows)}
 	keys := pickCols(jt.rows, keyCols)
 	ids := make([]int32, mat.NumRows)
-	jt.keys.findOrAdd(keys, hashKeys(keys, mat.NumRows, nil), ids)
+	jt.keys.findOrAdd(keys, ids)
 	jt.head = make([]int32, jt.keys.len())
 	for id := range jt.head {
 		jt.head[id] = -1
@@ -48,9 +48,9 @@ func buildJoinTable(mat *Materialized, keyCols []int, keyTypes []types.Type, ctx
 
 // match resolves a probe batch's keys (ids[i] < 0: row i has no partner) and
 // expands each found key's chain into (probe row, build row) pairs, in probe
-// order and, per probe row, build order.
-func (jt *joinTable) match(keys []*types.Column, hashes []uint64, ids []int32) (probeIdx, buildIdx []int) {
-	jt.keys.find(keys, hashes, ids)
+// order and, per probe row, build order. scratch is the prober's, for find.
+func (jt *joinTable) match(keys []*types.Column, ids []int32, scratch *[]uint64) (probeIdx, buildIdx []int) {
+	jt.keys.find(keys, ids, scratch)
 	probeIdx, buildIdx = make([]int, 0, len(ids)), make([]int, 0, len(ids))
 	for i, id := range ids {
 		if id < 0 {
@@ -111,8 +111,8 @@ type joinOp struct {
 	pendingOut []*types.Batch
 
 	// Hash-probe buffers.
-	hashes []uint64
-	ids    []int32
+	scratch []uint64
+	ids     []int32
 
 	// Nested-loop state.
 	nlLeft    *types.Batch
@@ -230,8 +230,8 @@ func (j *joinOp) hashNext() (*types.Batch, error) {
 func (j *joinOp) probeBatch(pb *types.Batch) ([]*types.Batch, error) {
 	n := pb.Len()
 	keys := pickCols(pb, j.probeKeys)
-	j.hashes, j.ids = hashKeys(keys, n, j.hashes), sized(j.ids, n)
-	probeIdx, buildIdx := j.jt.match(keys, j.hashes, j.ids)
+	j.ids = sized(j.ids, n)
+	probeIdx, buildIdx := j.jt.match(keys, j.ids, &j.scratch)
 	out, probeIdx, err := j.assemble(pb, probeIdx, buildIdx)
 	if err != nil {
 		return nil, err

@@ -195,7 +195,20 @@ func randBatch(rng *rand.Rand, ts []types.Type, n int, wide bool, nullEvery int)
 
 // degenerate is the worst hash function: every row collides with every
 // other, so only equality tells keys apart.
-func degenerate(n int) []uint64 { return make([]uint64, n) }
+func degenerate(_ []*types.Column, n int, buf []uint64) []uint64 {
+	buf = sized(buf, n)
+	clear(buf)
+	return buf
+}
+
+// inMode returns t as newKeyTable made it (hashed false) or switched to
+// hashing before its first key, so that a test covers both modes.
+func inMode(t *keyTable, hashed bool) *keyTable {
+	if hashed && t.dense {
+		t.toHashed()
+	}
+	return t
+}
 
 // sameValue is equality for checking stored keys: NULL equals NULL, floats
 // by bits except that the zeros are one key (either may be the one stored).
@@ -217,61 +230,63 @@ func sameValue(a, b types.Value) bool {
 // handed out group indexes — same groups, same first-seen order — over
 // random batches of 1–4 key columns of every type, with NULLs anywhere, both
 // narrow (special values, many repeats) and wide (thousands of keys, so the
-// slot array doubles many times), under the real hash and the degenerate one.
+// slot array doubles many times), under the real hash and the degenerate one,
+// in both of the table's modes.
 func TestKeyTableGroupsLikeOracle(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ts := randKeyTypes(rng)
-		wide, nullEvery, degenerateHash := seed%4 == 3, []int{0, 3, 10}[seed%3], seed%8 >= 4
-		if wide {
-			ts[0] = types.Int64 // BOOLEAN columns alone make three keys
-		}
-		oracle := &oracleAggHash{buckets: map[uint64][]int{}}
-		table := newKeyTable(nil, "test", ts, true)
-		for batch := 0; batch < 6; batch++ {
-			n := 1 + rng.Intn(1500)
-			if wide && degenerateHash {
-				n = 1 + rng.Intn(150) // all-collide probing is quadratic
+	for _, hashed := range []bool{false, true} {
+		for seed := int64(0); seed < 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ts := randKeyTypes(rng)
+			wide, nullEvery, degenerateHash := seed%4 == 3, []int{0, 3, 10}[seed%3], seed%8 >= 4
+			if wide {
+				ts[0] = types.Int64 // BOOLEAN columns alone make three keys
 			}
-			b := randBatch(rng, ts, n, wide, nullEvery)
-			hashes := hashKeys(b.Cols, n, nil)
+			oracle := &oracleAggHash{buckets: map[uint64][]int{}}
+			table := inMode(newKeyTable(nil, "test", ts, true), hashed)
 			if degenerateHash {
-				hashes = degenerate(n)
+				table.hash = degenerate
 			}
-			ids := make([]int32, n)
-			table.findOrAdd(b.Cols, hashes, ids)
-			for i := 0; i < n; i++ {
-				if want := oracle.lookup(b.Row(i)); int(ids[i]) != want {
-					t.Fatalf("seed %d types %v batch %d row %d %v: id %d, oracle group %d",
-						seed, ts, batch, i, b.Row(i), ids[i], want)
+			for batch := 0; batch < 6; batch++ {
+				n := 1 + rng.Intn(1500)
+				if wide && degenerateHash {
+					n = 1 + rng.Intn(150) // all-collide probing is quadratic
 				}
-			}
-			// find sees exactly what findOrAdd stored — except a NaN key,
-			// which equals nothing, itself included.
-			again := make([]int32, n)
-			table.find(b.Cols, hashes, again)
-			for i := range again {
-				if hasNaN(b.Row(i)) {
-					if again[i] != -1 {
-						t.Fatalf("seed %d row %d %v: find matched a NaN key (id %d)", seed, i, b.Row(i), again[i])
+				b := randBatch(rng, ts, n, wide, nullEvery)
+				ids := make([]int32, n)
+				table.findOrAdd(b.Cols, ids)
+				for i := 0; i < n; i++ {
+					if want := oracle.lookup(b.Row(i)); int(ids[i]) != want {
+						t.Fatalf("seed %d types %v batch %d row %d %v: id %d, oracle group %d",
+							seed, ts, batch, i, b.Row(i), ids[i], want)
 					}
-				} else if again[i] != ids[i] {
-					t.Fatalf("seed %d row %d %v: find gives %d after findOrAdd gave %d", seed, i, b.Row(i), again[i], ids[i])
+				}
+				// find sees exactly what findOrAdd stored — except a NaN key,
+				// which equals nothing, itself included.
+				again := make([]int32, n)
+				table.find(b.Cols, again, new([]uint64))
+				for i := range again {
+					if hasNaN(b.Row(i)) {
+						if again[i] != -1 {
+							t.Fatalf("seed %d row %d %v: find matched a NaN key (id %d)", seed, i, b.Row(i), again[i])
+						}
+					} else if again[i] != ids[i] {
+						t.Fatalf("seed %d row %d %v: find gives %d after findOrAdd gave %d", seed, i, b.Row(i), again[i], ids[i])
+					}
 				}
 			}
-		}
-		if table.len() != len(oracle.groups) {
-			t.Fatalf("seed %d: %d keys, oracle has %d groups", seed, table.len(), len(oracle.groups))
-		}
-		for g, og := range oracle.groups {
-			for c := range ts {
-				if got := table.cols[c].Value(g); !sameValue(got, og.keys[c]) {
-					t.Fatalf("seed %d: stored key %d column %d = %v, oracle %v", seed, g, c, got, og.keys[c])
+			if table.len() != len(oracle.groups) {
+				t.Fatalf("seed %d: %d keys, oracle has %d groups", seed, table.len(), len(oracle.groups))
+			}
+			for g, og := range oracle.groups {
+				for c := range ts {
+					if got := table.cols[c].Value(g); !sameValue(got, og.keys[c]) {
+						t.Fatalf("seed %d: stored key %d column %d = %v, oracle %v", seed, g, c, got, og.keys[c])
+					}
 				}
 			}
-		}
-		if wide && !degenerateHash && table.len() < 1000 {
-			t.Fatalf("seed %d: only %d keys, the growth path was not exercised", seed, table.len())
+			if wide && !degenerateHash && table.len() < 1000 {
+				t.Fatalf("seed %d: only %d keys, the growth path was not exercised", seed, table.len())
+			}
 		}
 	}
 }
@@ -280,32 +295,38 @@ func TestKeyTableGroupsLikeOracle(t *testing.T) {
 // key without NULLs: the same table is fed batches with and without NULLs in
 // turn, so it enters the fast path, leaves it for good once a NULL key is
 // stored, and must hand out the oracle's ids throughout — under the
-// degenerate hash too, where nothing but the compare tells keys apart.
+// degenerate hash too, where nothing but the compare tells keys apart. As
+// made, the table stays dense over the wide keys and switches to hashing
+// mid-batch over the narrow ones (they include MinInt64 and MaxInt64).
 func TestKeyTableIntFastPathMatchesOracle(t *testing.T) {
 	ts := []types.Type{types.Int64}
-	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(200 + seed))
-		wide, degenerateHash := seed%2 == 0, seed%4 >= 2
-		oracle := &oracleAggHash{buckets: map[uint64][]int{}}
-		table := newKeyTable(nil, "test", ts, true)
-		for batch, nullEvery := range []int{0, 0, 0, 5, 0, 5, 0} {
-			n := 100 + rng.Intn(300) // enough rows that one in five NULL means some NULL
-			b := randBatch(rng, ts, n, wide, nullEvery)
-			if fast := batch < 3; fast != (b.Cols[0].Nulls == nil && table.cols[0].Nulls == nil) {
-				t.Fatalf("seed %d batch %d: on the fast path: %v, want %v", seed, batch, !fast, fast)
-			}
-			hashes := hashKeys(b.Cols, n, nil)
+	for _, hashed := range []bool{false, true} {
+		for seed := int64(0); seed < 8; seed++ {
+			rng := rand.New(rand.NewSource(200 + seed))
+			wide, degenerateHash := seed%2 == 0, seed%4 >= 2
+			oracle := &oracleAggHash{buckets: map[uint64][]int{}}
+			table := inMode(newKeyTable(nil, "test", ts, true), hashed)
 			if degenerateHash {
-				hashes = degenerate(n)
+				table.hash = degenerate
 			}
-			ids, again := make([]int32, n), make([]int32, n)
-			table.findOrAdd(b.Cols, hashes, ids)
-			table.find(b.Cols, hashes, again)
-			for i := 0; i < n; i++ {
-				if want := oracle.lookup(b.Row(i)); int(ids[i]) != want || int(again[i]) != want {
-					t.Fatalf("seed %d batch %d row %d %v: findOrAdd %d, find %d, oracle group %d",
-						seed, batch, i, b.Row(i), ids[i], again[i], want)
+			for batch, nullEvery := range []int{0, 0, 0, 5, 0, 5, 0} {
+				n := 100 + rng.Intn(300) // enough rows that one in five NULL means some NULL
+				b := randBatch(rng, ts, n, wide, nullEvery)
+				if fast := batch < 3; fast != (b.Cols[0].Nulls == nil && table.cols[0].Nulls == nil) {
+					t.Fatalf("seed %d batch %d: on the fast path: %v, want %v", seed, batch, !fast, fast)
 				}
+				ids, again := make([]int32, n), make([]int32, n)
+				table.findOrAdd(b.Cols, ids)
+				table.find(b.Cols, again, new([]uint64))
+				for i := 0; i < n; i++ {
+					if want := oracle.lookup(b.Row(i)); int(ids[i]) != want || int(again[i]) != want {
+						t.Fatalf("seed %d batch %d row %d %v: findOrAdd %d, find %d, oracle group %d",
+							seed, batch, i, b.Row(i), ids[i], again[i], want)
+					}
+				}
+			}
+			if dense := !hashed && wide; table.dense != dense {
+				t.Fatalf("seed %d hashed %v: dense at the end: %v, want %v", seed, hashed, table.dense, dense)
 			}
 		}
 	}
@@ -321,38 +342,40 @@ func hasNaN(row []types.Value) bool {
 }
 
 // TestDedupLikeOracle: keyTable.fresh passes on exactly the rows rowSet.add
-// called new, in order.
+// called new, in order, in both of the table's modes.
 func TestDedupLikeOracle(t *testing.T) {
-	for seed := int64(0); seed < 24; seed++ {
-		rng := rand.New(rand.NewSource(100 + seed))
-		ts := randKeyTypes(rng)
-		wide, nullEvery := seed%4 == 3, []int{0, 4}[seed%2]
-		oracle := &oracleRowSet{buckets: map[uint64][][]types.Value{}}
-		var schema types.Schema
-		var d *keyTable
-		for batch := 0; batch < 5; batch++ {
-			b := randBatch(rng, ts, 1+rng.Intn(1200), wide, nullEvery)
-			if d == nil {
-				schema = b.Schema
-				d = newRowTable(nil, "test", schema)
-			}
-			var want [][]types.Value
-			for i := 0; i < b.Len(); i++ {
-				if row := b.Row(i); oracle.add(row) {
-					want = append(want, row)
+	for _, hashed := range []bool{false, true} {
+		for seed := int64(0); seed < 24; seed++ {
+			rng := rand.New(rand.NewSource(100 + seed))
+			ts := randKeyTypes(rng)
+			wide, nullEvery := seed%4 == 3, []int{0, 4}[seed%2]
+			oracle := &oracleRowSet{buckets: map[uint64][][]types.Value{}}
+			var schema types.Schema
+			var d *keyTable
+			for batch := 0; batch < 5; batch++ {
+				b := randBatch(rng, ts, 1+rng.Intn(1200), wide, nullEvery)
+				if d == nil {
+					schema = b.Schema
+					d = inMode(newRowTable(nil, "test", schema), hashed)
 				}
-			}
-			out, err := d.fresh(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out.Len() != len(want) {
-				t.Fatalf("seed %d batch %d: %d fresh rows, oracle %d", seed, batch, out.Len(), len(want))
-			}
-			for i, w := range want {
-				for c, v := range out.Row(i) {
-					if !sameValue(v, w[c]) {
-						t.Fatalf("seed %d batch %d fresh row %d: %v, oracle %v", seed, batch, i, out.Row(i), w)
+				var want [][]types.Value
+				for i := 0; i < b.Len(); i++ {
+					if row := b.Row(i); oracle.add(row) {
+						want = append(want, row)
+					}
+				}
+				out, err := d.fresh(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.Len() != len(want) {
+					t.Fatalf("seed %d batch %d: %d fresh rows, oracle %d", seed, batch, out.Len(), len(want))
+				}
+				for i, w := range want {
+					for c, v := range out.Row(i) {
+						if !sameValue(v, w[c]) {
+							t.Fatalf("seed %d batch %d fresh row %d: %v, oracle %v", seed, batch, i, out.Row(i), w)
+						}
 					}
 				}
 			}
@@ -364,16 +387,18 @@ func TestDedupLikeOracle(t *testing.T) {
 // build row) pairs in the oracle's order, for every pairing of key types the
 // planner allows — same type on both sides, or BIGINT against DOUBLE either
 // way round (compared as DOUBLE: 2^53+1 = 2^53.0) — with NULL keys on both
-// sides, 1–3 key columns, the build side split over several batches.
+// sides, 1–3 key columns, the build side split over several batches. A
+// table built dense is probed once more after switching to hashing.
 func TestJoinTableMatchesOracle(t *testing.T) {
 	pairsOf := [][2]types.Type{
 		{types.Int64, types.Int64}, {types.Float64, types.Float64}, {types.Int64, types.Float64},
 		{types.Float64, types.Int64}, {types.String, types.String}, {types.Bool, types.Bool},
 	}
+	denseBuilds := 0
 	for seed := int64(0); seed < 48; seed++ {
 		rng := rand.New(rand.NewSource(200 + seed))
 		nKeys := 1 + rng.Intn(3)
-		wide, nullEvery := seed%4 == 3, []int{0, 5}[seed%2]
+		wide, nullEvery := seed%8 >= 6, []int{0, 5}[seed%2]
 		buildTypes, probeTypes, keyTypes := make([]types.Type, nKeys+1), make([]types.Type, nKeys+1), make([]types.Type, nKeys)
 		keyCols := make([]int, nKeys)
 		for k := 0; k < nKeys; k++ {
@@ -398,11 +423,17 @@ func TestJoinTableMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		oracle := newOracleHashTable(flatten(mat), keyCols)
+		if jt.keys.dense {
+			denseBuilds++
+		}
 		for batch := 0; batch < 3; batch++ {
+			if batch == 2 && jt.keys.dense {
+				jt.keys.toHashed()
+			}
 			pb := randBatch(rng, probeTypes, 1+rng.Intn(800), wide, nullEvery)
 			keys := pickCols(pb, keyCols)
 			ids := make([]int32, pb.Len())
-			gotP, gotB := jt.match(keys, hashKeys(keys, pb.Len(), nil), ids)
+			gotP, gotB := jt.match(keys, ids, new([]uint64))
 			wantP, wantB := oracle.pairs(pb, keyCols)
 			if fmt.Sprint(gotP, gotB) != fmt.Sprint(wantP, wantB) {
 				t.Fatalf("seed %d build %v probe %v: %d pairs, oracle %d; first difference at %d",
@@ -410,14 +441,15 @@ func TestJoinTableMatchesOracle(t *testing.T) {
 			}
 			// The same lookups when every key collides: find alone, against
 			// a table filled under the degenerate hash.
-			slow := newKeyTable(nil, "test", keyTypes, false)
+			slow := inMode(newKeyTable(nil, "test", keyTypes, false), true)
+			slow.hash = degenerate
 			build := flatten(mat)
 			if build.Len() > 300 {
 				build = build.Slice(0, 300)
 			}
 			buildIDs := make([]int32, build.Len())
-			slow.findOrAdd(pickCols(build, keyCols), degenerate(build.Len()), buildIDs)
-			slow.find(keys, degenerate(pb.Len()), ids)
+			slow.findOrAdd(pickCols(build, keyCols), buildIDs)
+			slow.find(keys, ids, new([]uint64))
 			o := newOracleHashTable(build, keyCols)
 			wantP, wantB = o.pairs(pb, keyCols)
 			want := make([]int32, pb.Len())
@@ -433,6 +465,9 @@ func TestJoinTableMatchesOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+	if denseBuilds == 0 {
+		t.Fatal("no build side went dense; the direct-address mode was not exercised")
 	}
 }
 
@@ -458,7 +493,10 @@ func TestJoinKeysPast2To53(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, b := jt.match(probeF, hashKeys(probeF, 4, nil), make([]int32, 4))
+	if jt.keys.dense {
+		t.Error("a BIGINT = DOUBLE join key is a DOUBLE column and must stay hashed")
+	}
+	p, b := jt.match(probeF, make([]int32, 4), new([]uint64))
 	if got, want := fmt.Sprint(p, b), "[0 0 1 2] [0 1 2 3]"; got != want {
 		t.Errorf("BIGINT build, DOUBLE probe: pairs %s, want %s", got, want)
 	}
@@ -466,7 +504,7 @@ func TestJoinKeysPast2To53(t *testing.T) {
 	if jt, err = buildJoinTable(mat, []int{0}, []types.Type{types.Int64}, nil); err != nil {
 		t.Fatal(err)
 	}
-	p, b = jt.match(probeI, hashKeys(probeI, 3, nil), make([]int32, 3))
+	p, b = jt.match(probeI, make([]int32, 3), new([]uint64))
 	if got, want := fmt.Sprint(p, b), "[0 1] [1 0]"; got != want {
 		t.Errorf("BIGINT build, BIGINT probe: pairs %s, want %s", got, want)
 	}
@@ -495,5 +533,194 @@ func TestHashColumnMatchesValueHash(t *testing.T) {
 	unknown := hashKeys([]*types.Column{{Nulls: []bool{true}}}, 1, nil)
 	if want := oracleRowHash([]types.Value{types.NewNull(types.Unknown)}); unknown[0] != want {
 		t.Errorf("untyped NULL column hashes %#x, want %#x", unknown[0], want)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The direct-address mode
+// ---------------------------------------------------------------------------
+
+func intKeys(vals ...int64) []*types.Column {
+	return []*types.Column{{T: types.Int64, Ints: vals}}
+}
+
+// resolveAll runs findOrAdd over keys and then find over probe, returning
+// both id lists.
+func resolveAll(table *keyTable, keys, probe []*types.Column) (added, found []int32) {
+	added, found = make([]int32, keys[0].Len()), make([]int32, probe[0].Len())
+	table.findOrAdd(keys, added)
+	table.find(probe, found, new([]uint64))
+	return added, found
+}
+
+// TestKeyTableSwitchesToHashingMidBatch: a key that breaks the density rule
+// in the middle of a batch switches the table to hashing there; the ids
+// handed out before it stay, and the rest of the batch and later batches
+// continue in first-seen order.
+func TestKeyTableSwitchesToHashingMidBatch(t *testing.T) {
+	table := newKeyTable(nil, "test", []types.Type{types.Int64}, true)
+	added, found := resolveAll(table, intKeys(5, 3, 5, 7), intKeys(7, 6, 3))
+	if got := fmt.Sprint(added, found, table.dense); got != "[0 1 0 2] [2 -1 1] true" {
+		t.Fatalf("dense batch: ids, find, dense = %s", got)
+	}
+	// 4, 3 and 6 lie in the array; 1<<40 fits it neither with the rest of
+	// the batch nor alone, and breaks the rule.
+	added, found = resolveAll(table, intKeys(4, 3, 6, 1<<40, 5, 1<<40, -9, 4), intKeys(1<<40, -9, 6, 8))
+	if got := fmt.Sprint(added, found, table.dense); got != "[3 1 4 5 0 5 6 3] [5 6 4 -1] false" {
+		t.Fatalf("switching batch: ids, find, dense = %s", got)
+	}
+	if got := fmt.Sprint(table.cols[0].Ints, len(table.hashes), table.direct == nil); got != "[5 3 7 4 6 1099511627776 -9] 7 true" {
+		t.Fatalf("stored keys, hashes, direct gone = %s", got)
+	}
+	added, _ = resolveAll(table, intKeys(7, 2, -9), intKeys(0))
+	if got := fmt.Sprint(added); got != "[2 7 6]" {
+		t.Fatalf("after the switch: ids %s", got)
+	}
+}
+
+// TestKeyTableDenseAtTheEndsOfInt64: the span arithmetic neither overflows
+// nor wraps at the ends of int64. Keys next to MinInt64 or MaxInt64 stay
+// dense, the array's slack clamped inside the range; the two together span
+// all of int64 and switch the table to hashing.
+func TestKeyTableDenseAtTheEndsOfInt64(t *testing.T) {
+	for _, tc := range []struct {
+		keys  []int64
+		dense bool
+	}{
+		{[]int64{math.MaxInt64, math.MaxInt64 - 3, math.MaxInt64 - 1, math.MaxInt64}, true},
+		{[]int64{math.MinInt64 + 2, math.MinInt64, math.MinInt64 + 2}, true},
+		{[]int64{math.MaxInt64, math.MinInt64, math.MaxInt64, 0, math.MinInt64}, false},
+		{[]int64{math.MinInt64, math.MaxInt64}, false},
+		{[]int64{-1, 0, math.MaxInt64}, false},
+	} {
+		// Once as one batch (the array sized from its bounds), once a key at
+		// a time (the array grown key by key).
+		for _, perKey := range []bool{false, true} {
+			table := newKeyTable(nil, "test", []types.Type{types.Int64}, false)
+			oracle := &oracleAggHash{buckets: map[uint64][]int{}}
+			batches := [][]int64{tc.keys}
+			if perKey {
+				batches = nil
+				for _, k := range tc.keys {
+					batches = append(batches, []int64{k})
+				}
+			}
+			for _, keys := range batches {
+				added, found := resolveAll(table, intKeys(keys...), intKeys(keys...))
+				for i, k := range keys {
+					if want := oracle.lookup([]types.Value{types.NewInt(k)}); int(added[i]) != want || int(found[i]) != want {
+						t.Fatalf("keys %v per key %v: %d got id %d, find %d, oracle %d", tc.keys, perKey, k, added[i], found[i], want)
+					}
+				}
+			}
+			_, outside := resolveAll(table, intKeys(), intKeys(0, 1, math.MaxInt64-4, math.MinInt64+1))
+			for i, id := range outside {
+				if id >= 0 && table.cols[0].Ints[id] != []int64{0, 1, math.MaxInt64 - 4, math.MinInt64 + 1}[i] {
+					t.Fatalf("keys %v per key %v: an absent key found id %d", tc.keys, perKey, id)
+				}
+			}
+			if table.dense != tc.dense {
+				t.Fatalf("keys %v per key %v: dense %v, want %v", tc.keys, perKey, table.dense, tc.dense)
+			}
+		}
+	}
+}
+
+// TestKeyTableDenseNullGroup: with NULLs equal, NULL is one more key of a
+// dense table, with its own first-seen id, found again before and after a
+// switch to hashing; with NULLs never matching it gets no id.
+func TestKeyTableDenseNullGroup(t *testing.T) {
+	keys := []*types.Column{{T: types.Int64, Ints: []int64{0, 4, 0, 2, 0}, Nulls: []bool{true, false, true, false, false}}}
+	grouping := newKeyTable(nil, "test", []types.Type{types.Int64}, true)
+	added, found := resolveAll(grouping, keys, keys)
+	if got := fmt.Sprint(added, found, grouping.dense, grouping.cols[0].Nulls); got != "[0 1 0 2 3] [0 1 0 2 3] true [true false false false]" {
+		t.Fatalf("grouping: ids, find, dense, stored NULLs = %s", got)
+	}
+	grouping.findOrAdd(intKeys(1<<50), make([]int32, 1))
+	if grouping.dense {
+		t.Fatal("1<<50 did not switch the table to hashing")
+	}
+	if _, found = resolveAll(grouping, intKeys(), keys); fmt.Sprint(found) != "[0 1 0 2 3]" {
+		t.Fatalf("after the switch: find %v", found)
+	}
+	joining := newKeyTable(nil, "test", []types.Type{types.Int64}, false)
+	added, found = resolveAll(joining, keys, keys)
+	if got := fmt.Sprint(added, found, joining.len()); got != "[-1 0 -1 1 2] [-1 0 -1 1 2] 3" {
+		t.Fatalf("joining: ids, find, keys = %s", got)
+	}
+}
+
+// TestDenseJoinTableFind: a build side whose keys are dense is addressed
+// directly, and a probe finds exactly its keys: none below the range, none
+// above, none in its gaps, never a NULL, and the ends of int64 neither wrap
+// nor overflow into the range.
+func TestDenseJoinTableFind(t *testing.T) {
+	build := &types.Column{T: types.Int64, Ints: []int64{10, 11, 13, 0, 11, 16}, Nulls: []bool{false, false, false, true, false, false}}
+	b := &types.Batch{Schema: types.Schema{{Name: "k", Type: types.Int64}}, Cols: []*types.Column{build}}
+	mat := &Materialized{Schema: b.Schema}
+	mat.Append(b)
+	jt, err := buildJoinTable(mat, []int{0}, []types.Type{types.Int64}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !jt.keys.dense || jt.keys.hashes != nil {
+		t.Fatalf("dense %v, %d hashes: a 7-wide build side must be addressed directly", jt.keys.dense, len(jt.keys.hashes))
+	}
+	probe := []*types.Column{{T: types.Int64,
+		Ints:  []int64{9, 10, 12, 13, 17, 11, 0, math.MinInt64, math.MaxInt64, 16, 10 - 1<<32},
+		Nulls: []bool{false, false, false, false, false, false, true, false, false, false, false}}}
+	p, bi := jt.match(probe, make([]int32, 11), new([]uint64))
+	if got, want := fmt.Sprint(p, bi), "[1 3 5 5 9] [0 2 1 4 5]"; got != want {
+		t.Fatalf("pairs %s, want %s", got, want)
+	}
+}
+
+// TestKeyTableResolvesWithoutAllocating: once a table holds a batch's keys,
+// resolving that batch again allocates nothing, in either mode.
+func TestKeyTableResolvesWithoutAllocating(t *testing.T) {
+	for _, hashed := range []bool{false, true} {
+		table := inMode(newKeyTable(nil, "test", []types.Type{types.Int64}, true), hashed)
+		keys := []*types.Column{randColumn(rand.New(rand.NewSource(1)), types.Int64, 1024, true, 10)}
+		ids := make([]int32, 1024)
+		table.findOrAdd(keys, ids)
+		if table.dense == hashed {
+			t.Fatalf("hashed %v: dense %v", hashed, table.dense)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { table.findOrAdd(keys, ids) }); allocs != 0 {
+			t.Errorf("hashed %v: findOrAdd allocates %.1f times per batch", hashed, allocs)
+		}
+	}
+}
+
+// TestKeyTableBooksDirectArray: a dense table's direct array is booked like
+// the hash slots, and the switch to hashing returns it to the budget.
+func TestKeyTableBooksDirectArray(t *testing.T) {
+	ctx := NewContext()
+	ctx.SetMemoryLimit(1 << 30)
+	table := newKeyTable(ctx, "test", []types.Type{types.Int64}, true)
+	keys := make([]int64, 5000)
+	for i := range keys {
+		keys[i] = int64(i * 2) // half the span: as sparse as dense goes
+	}
+	table.findOrAdd(intKeys(keys...), make([]int32, len(keys)))
+	if err := table.book(0); err != nil {
+		t.Fatal(err)
+	}
+	cols := int64(cap(table.cols[0].Ints)) * 8
+	if want := int64(cap(table.direct))*4 + cols; !table.dense || table.charged != want || ctx.MemoryUsed() != want {
+		t.Fatalf("dense %v: charged %d, budget %d, want direct + keys = %d", table.dense, table.charged, ctx.MemoryUsed(), want)
+	}
+	table.findOrAdd(intKeys(1<<40), make([]int32, 1))
+	if err := table.book(0); err != nil {
+		t.Fatal(err)
+	}
+	cols = int64(cap(table.cols[0].Ints)) * 8
+	if want := int64(cap(table.slots))*4 + int64(cap(table.hashes))*8 + cols; table.dense || table.direct != nil ||
+		table.charged != want || ctx.MemoryUsed() != want {
+		t.Fatalf("hashed: charged %d, budget %d, want slots + hashes + keys = %d", table.charged, ctx.MemoryUsed(), want)
+	}
+	table.release()
+	if ctx.MemoryUsed() != 0 {
+		t.Fatalf("released: %d bytes still booked", ctx.MemoryUsed())
 	}
 }
