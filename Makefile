@@ -47,10 +47,10 @@ bench-obs:
 	$(GO) test ./internal/telemetry/ -run xxx -bench 'BenchmarkHistogram' -benchtime 2s
 	$(GO) test ./internal/obs/ -run xxx -bench 'BenchmarkRenderMetrics' -benchtime 2s
 
-## bench: print the parallel-operator scaling micro-benchmarks, the hash operators' ns/row in both key-table modes (BenchmarkHashAgg int-key and BenchmarkHashJoin build: dense keys, addressed directly; sparse-int-key and build-sparse: hashed), the join as a pipeline stage (BenchmarkJoinPipelineAgg: ns/probe-row and B/op; BenchmarkBroadcastCross: the k-Means n x k shape) the expression kernels (BenchmarkVectorizedFilterAgg: a filter under an aggregate; BenchmarkProjectArith: scan_agg's GROUP BY key and the k-Means distance, ns/row) and the k-Means operator per E9 variant, default metric and each distance λ (BenchmarkLambdaVariants, ns per query); print-only — the recorded numbers are lambdabench's exec.speedup_workers, exec.agg_ms, exec.join_ms and exec.filter_ms (cmd/lambdabench/BASELINE.json)
+## bench: print the parallel-operator scaling micro-benchmarks, the hash operators' ns/row in both key-table modes (BenchmarkHashAgg int-key and BenchmarkHashJoin build: dense keys, addressed directly; sparse-int-key and build-sparse: hashed), the join as a pipeline stage (BenchmarkJoinPipelineAgg: ns/probe-row and B/op; BenchmarkBroadcastCross: the k-Means n x k shape) the expression kernels (BenchmarkVectorizedFilterAgg: a filter under an aggregate; BenchmarkProjectArith: scan_agg's GROUP BY key and the k-Means distance, ns/row), the k-Means operator per E9 variant, default metric and each distance λ (BenchmarkLambdaVariants, ns per query) and PageRank's CSR build over 400k edges in both relabel modes (BenchmarkCSRBuild dense: ids 0…19999, addressed directly; sparse: the same ids × 1,000,003, through a map; ns/op and B/op); print-only — the recorded numbers are lambdabench's exec.speedup_workers, exec.agg_ms, exec.join_ms, exec.filter_ms and graph.csr_build_ms (cmd/lambdabench/BASELINE.json)
 bench:
 	$(GO) test ./internal/exec/ -run xxx -bench 'BenchmarkParallel(Join|Sort|TopK|Agg)Scaling|BenchmarkHash(Agg|Join)|BenchmarkJoinPipelineAgg|BenchmarkBroadcastCross|BenchmarkVectorizedFilterAgg|BenchmarkProjectArith' -benchtime 3x
-	$(GO) test . -run xxx -bench 'BenchmarkLambdaVariants' -benchtime 5x
+	$(GO) test . -run xxx -bench 'BenchmarkLambdaVariants|BenchmarkCSRBuild' -benchtime 5x
 
 ## bench-pair: PAIRS (default 10) alternating runs of revision BASE against the working tree on WORKLOAD (a BENCHMARK.json workload, or all), then lambdabench -compare; e.g. make bench-pair WORKLOAD=scan_agg BASE=HEAD~1
 PAIRS ?= 10

@@ -12,78 +12,151 @@ import (
 	"lambdadb/internal/types"
 )
 
-// appendRowFloats appends the first d columns of row i of b to dst as
-// float64s. NULLs in analytical inputs are rejected.
-func appendRowFloats(dst []float64, b *types.Batch, i, d int) ([]float64, error) {
-	for j := 0; j < d; j++ {
-		col := b.Cols[j]
-		if col.IsNull(i) {
-			return nil, fmt.Errorf("NULL in analytical input column %q", b.Schema[j].Name)
-		}
-		if col.T == types.Int64 {
-			dst = append(dst, float64(col.Ints[i]))
-		} else {
-			dst = append(dst, col.Floats[i])
+// nullColumn returns the first of b's first d columns holding a NULL, or -1;
+// only columns with a null bitmap are scanned.
+func nullColumn(b *types.Batch, d int) int {
+	for j, col := range b.Cols[:d] {
+		if col.Nulls != nil && slices.Contains(col.Nulls[:b.Len()], true) {
+			return j
 		}
 	}
-	return dst, nil
+	return -1
+}
+
+// rejectNulls rejects NULLs in the first d columns of a numeric input.
+func rejectNulls(b *types.Batch, d int) error {
+	if j := nullColumn(b, d); j >= 0 {
+		return fmt.Errorf("NULL in analytical input column %q", b.Schema[j].Name)
+	}
+	return nil
+}
+
+// fillRows writes the first n rows of cols, BIGINT or DOUBLE, as float64s
+// into the row-major dst of d values a row, column j at offset j: one typed
+// strided copy per column.
+func fillRows(dst []float64, d int, cols []*types.Column, n int) {
+	for j, col := range cols {
+		out := dst[j:]
+		if col.T == types.Int64 {
+			for i, x := range col.Ints[:n] {
+				out[i*d] = float64(x)
+			}
+		} else {
+			for i, x := range col.Floats[:n] {
+				out[i*d] = x
+			}
+		}
+	}
+}
+
+// inputSink retains the batches of one part of an analytical operator's
+// input, each checked by prepare — which may also extend it, as PageRank
+// appends the edge weights — and charged to the operator named by label as
+// the rowBytes a row it will take once copied into the operator's arrays.
+type inputSink struct {
+	ctx      *Context
+	label    string
+	rowBytes int64
+	prepare  func(b *types.Batch) (*types.Batch, error)
+	batches  []*types.Batch
+	rows     int
+	start    int // the position of the part's first row in the whole input
+}
+
+func (s *inputSink) consume(b *types.Batch) error {
+	b, err := s.prepare(b)
+	if err != nil {
+		return err
+	}
+	if err := s.ctx.charge(s.label, s.rowBytes*int64(b.Len())); err != nil {
+		return err
+	}
+	s.batches = append(s.batches, b)
+	s.rows += b.Len()
+	return nil
+}
+
+// input is an analytical operator's input, loaded: the checked batches of
+// each part, in part order, and how many rows they hold.
+type input struct {
+	parts []*inputSink
+	rows  int
+}
+
+// loadInput is the one loader of the analytical operators: it drives p
+// into one inputSink per part.
+func loadInput(p plan.Node, ctx *Context, label string, rowBytes int64, prepare func(*types.Batch) (*types.Batch, error)) (*input, error) {
+	sinks, err := drive(ctx, partsOf(p, ctx), "", func(Operator) (*inputSink, error) {
+		return &inputSink{ctx: ctx, label: label, rowBytes: rowBytes, prepare: prepare}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	in := &input{parts: sinks}
+	for _, s := range sinks {
+		s.start, in.rows = in.rows, in.rows+s.rows
+	}
+	return in, nil
+}
+
+// copyInto hands every batch, with the position of its first row in the
+// whole input, to copyAt, which copies it into arrays the caller sized to
+// in.rows; the parts copy in parallel.
+func (in *input) copyInto(ctx *Context, copyAt func(b *types.Batch, row int)) error {
+	return runParts(ctx, len(in.parts), func(i int) error {
+		row := in.parts[i].start
+		for _, b := range in.parts[i].batches {
+			copyAt(b, row)
+			row += b.Len()
+		}
+		return nil
+	})
 }
 
 // floatMatrix is a materialized numeric input: n rows of d float64 columns,
-// row-major.
+// row-major, and for a labelled input its last column, one BIGINT label a
+// row, kept exact.
 type floatMatrix struct {
-	data []float64
-	n, d int
+	data   []float64
+	labels []int64
+	n, d   int
 }
 
 // bytes is what a loaded matrix holds of the query budget; the operator that
 // loaded it releases that when its kernel returns.
-func (m *floatMatrix) bytes() int64 { return 8 * int64(len(m.data)) }
+func (m *floatMatrix) bytes() int64 { return 8 * int64(len(m.data)+len(m.labels)) }
 
-// floatSink loads one part of a numeric input, charged to the operator
-// named by label.
-type floatSink struct {
-	ctx   *Context
-	label string
-	d     int
-	data  []float64
-}
-
-func (s *floatSink) consume(b *types.Batch) (err error) {
-	rows := b.Len()
-	if err := s.ctx.charge(s.label, 8*int64(s.d)*int64(rows)); err != nil {
-		return err
-	}
-	for i := 0; i < rows && err == nil; i++ {
-		s.data, err = appendRowFloats(s.data, b, i, s.d)
-	}
-	return err
-}
-
-// loadFloats materializes a plan into a row-major float matrix on behalf of
-// the operator named by label.
-func loadFloats(p plan.Node, ctx *Context, label string) (*floatMatrix, error) {
-	d := len(p.Schema())
+// loadFloats materializes a plan into a row-major float matrix, allocated
+// once at its final size, on behalf of the operator named by label. With
+// labelled, the plan's last column is the BIGINT label and stays out of the
+// matrix.
+func loadFloats(p plan.Node, ctx *Context, label string, labelled bool) (*floatMatrix, error) {
+	width := len(p.Schema())
 	for _, c := range p.Schema() {
 		if !c.Type.IsNumeric() {
 			return nil, fmt.Errorf("analytical input column %q is %s, need a numeric type", c.Name, c.Type)
 		}
 	}
-	sinks, err := drive(ctx, partsOf(p, ctx), "", func(Operator) (*floatSink, error) {
-		return &floatSink{ctx: ctx, label: label, d: d}, nil
+	in, err := loadInput(p, ctx, label, 8*int64(width), func(b *types.Batch) (*types.Batch, error) {
+		return b, rejectNulls(b, width)
 	})
 	if err != nil {
 		return nil, err
 	}
-	rest := 0
-	for _, s := range sinks[1:] {
-		rest += len(s.data)
+	m := &floatMatrix{n: in.rows, d: width}
+	if labelled {
+		m.d--
+		m.labels = make([]int64, m.n)
 	}
-	data := slices.Grow(sinks[0].data, rest)
-	for _, s := range sinks[1:] {
-		data = append(data, s.data...)
-	}
-	return &floatMatrix{data: data, n: len(data) / d, d: d}, nil
+	m.data = make([]float64, m.n*m.d)
+	err = in.copyInto(ctx, func(b *types.Batch, row int) {
+		rows := b.Len()
+		fillRows(m.data[row*m.d:], m.d, b.Cols[:m.d], rows)
+		if labelled {
+			copy(m.labels[row:], b.Cols[m.d].Ints[:rows])
+		}
+	})
+	return m, err
 }
 
 // distanceMetric prepares a bound distance λ(a, b) over d DOUBLE fields for
@@ -162,12 +235,12 @@ func newKMeansOp(n *plan.KMeans) *blockingOp {
 	dist := distanceMetric(n.Lambda, len(n.OutNames), "kmeans")
 	schema := n.Schema()
 	return &blockingOp{label: "kmeans", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
-		data, err := loadFloats(n.Data, ctx, "kmeans")
+		data, err := loadFloats(n.Data, ctx, "kmeans", false)
 		if err != nil {
 			return nil, fmt.Errorf("kmeans data: %w", err)
 		}
 		defer ctx.release(data.bytes())
-		centers, err := loadFloats(n.Centers, ctx, "kmeans")
+		centers, err := loadFloats(n.Centers, ctx, "kmeans", false)
 		if err != nil {
 			return nil, fmt.Errorf("kmeans centers: %w", err)
 		}
@@ -211,14 +284,16 @@ type applySink struct {
 	out     []*types.Batch
 }
 
-func (s *applySink) consume(b *types.Batch) (err error) {
-	n := b.Len()
-	s.rows = s.rows[:0]
-	for i := 0; i < n; i++ {
-		if s.rows, err = appendRowFloats(s.rows, b, i, s.d); err != nil {
-			return err
-		}
+func (s *applySink) consume(b *types.Batch) error {
+	if err := rejectNulls(b, s.d); err != nil {
+		return err
 	}
+	n := b.Len()
+	if cap(s.rows) < n*s.d {
+		s.rows = make([]float64, n*s.d)
+	}
+	s.rows = s.rows[:n*s.d]
+	fillRows(s.rows, s.d, b.Cols[:s.d], n)
 	labels := &types.Column{T: types.Int64, Ints: make([]int64, n)}
 	if err := s.predict(s.rows, labels.Ints); err != nil {
 		return err
@@ -254,7 +329,7 @@ func newKMeansAssignOp(n *plan.KMeansAssign) *blockingOp {
 	dist := distanceMetric(n.Lambda, d, "kmeans_assign")
 	schema := n.Schema()
 	return &blockingOp{label: "kmeans_assign", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
-		centers, err := loadFloats(n.Centers, ctx, "kmeans_assign")
+		centers, err := loadFloats(n.Centers, ctx, "kmeans_assign", false)
 		if err != nil {
 			return nil, fmt.Errorf("kmeans_assign centers: %w", err)
 		}
@@ -292,23 +367,28 @@ func newPageRankOp(n *plan.PageRank) (*blockingOp, error) {
 	}
 	schema := n.Schema()
 	return &blockingOp{label: "pagerank", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
-		sinks, err := drive(ctx, partsOf(n.Edges, ctx), "", func(Operator) (*edgeSink, error) {
-			return &edgeSink{ctx: ctx, lambda: n.Lambda, weight: weight}, nil
-		})
+		e, err := loadEdges(n, weight, ctx)
 		if err != nil {
 			return nil, fmt.Errorf("pagerank edges: %w", err)
 		}
-		edges := sinks[0]
-		for _, s := range sinks[1:] {
-			edges.src = append(edges.src, s.src...)
-			edges.dst = append(edges.dst, s.dst...)
-			edges.weights = append(edges.weights, s.weights...)
+		// BuildWeighted holds the edges and their relabeled endpoints (8 B
+		// an edge) until the graph is built; both go once it returns. The
+		// graph and the transpose the kernel pulls over are held until the
+		// operator ends.
+		relabel := 8 * int64(len(e.src))
+		if err := ctx.charge("pagerank", relabel); err != nil {
+			return nil, err
 		}
-		defer ctx.release(8 * int64(len(edges.src)+len(edges.dst)+len(edges.weights)))
-		g, err := graph.BuildWeighted(edges.src, edges.dst, edges.weights)
+		g, err := graph.BuildWeighted(e.src, e.dst, e.weights)
 		if err != nil {
 			return nil, err
 		}
+		held := 2 * csrBytes(g)
+		if err := ctx.charge("pagerank", held); err != nil {
+			return nil, err
+		}
+		ctx.release(e.bytes() + relabel)
+		defer ctx.release(held)
 		nRanks := int64(g.N)
 		res, err := analytics.PageRank(g, analytics.PageRankOptions{
 			Damping: n.Damping, Epsilon: n.Epsilon, MaxIter: n.MaxIter, Workers: ctx.Workers,
@@ -317,63 +397,78 @@ func newPageRankOp(n *plan.PageRank) (*blockingOp, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Reverse mapping: dense internal id v is the original id OrigIDs[v].
 		out := &Materialized{Schema: schema}
-		for v := 0; v < g.N; v++ {
-			// Reverse mapping: dense internal id back to the original id.
-			out.AppendRow([]types.Value{types.NewInt(g.OrigIDs[v]), types.NewFloat(res.Ranks[v])})
-		}
+		out.appendChunked(&types.Batch{Schema: schema, Cols: []*types.Column{
+			{T: types.Int64, Ints: g.OrigIDs}, {T: types.Float64, Floats: res.Ranks}}})
 		return out, nil
 	}}, nil
 }
 
-// edgeSink loads one part of an edge input into src/dst arrays; with a
-// weight λ, its compiled body evaluates each edge batch into per-edge
-// weights. The arrays are charged to the pagerank operator.
-type edgeSink struct {
-	ctx      *Context
-	lambda   *expr.Lambda
-	weight   expr.Evaluator
+// csrBytes is the resident size of a CSR's arrays.
+func csrBytes(g *graph.CSR) int64 {
+	return 8*int64(len(g.Offsets)+len(g.Weights)+len(g.OrigIDs)) + 4*int64(len(g.Targets))
+}
+
+// edges is a loaded edge input: src/dst vertex ids and, with a weight λ,
+// one weight per edge.
+type edges struct {
 	src, dst []int64
 	weights  []float64
 }
 
-func (s *edgeSink) consume(b *types.Batch) error {
-	sc, dc := b.Cols[0], b.Cols[1]
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		if sc.IsNull(i) || dc.IsNull(i) {
-			return fmt.Errorf("NULL vertex id in edge input")
+// bytes is what loaded edges hold of the query budget.
+func (e *edges) bytes() int64 { return 8 * int64(len(e.src)+len(e.dst)+len(e.weights)) }
+
+// loadEdges materializes a PageRank edge input into arrays allocated once at
+// their final size, charged to the pagerank operator. With a weight λ, its
+// compiled body evaluates each edge batch into a weight column appended to
+// the batch.
+func loadEdges(n *plan.PageRank, weight expr.Evaluator, ctx *Context) (*edges, error) {
+	rowBytes := int64(16)
+	if weight != nil {
+		rowBytes += 8
+	}
+	in, err := loadInput(n.Edges, ctx, "pagerank", rowBytes, func(b *types.Batch) (*types.Batch, error) {
+		if nullColumn(b, 2) >= 0 {
+			return nil, fmt.Errorf("NULL vertex id in edge input")
 		}
-	}
-	perEdge := int64(16)
-	if s.weight != nil {
-		perEdge += 8
-	}
-	if err := s.ctx.charge("pagerank", perEdge*int64(n)); err != nil {
-		return err
-	}
-	s.src = append(s.src, sc.Ints...)
-	s.dst = append(s.dst, dc.Ints...)
-	if s.weight == nil {
-		return nil
-	}
-	w, err := s.weight(b)
-	if err == nil {
-		err = checkLambdaResult(w, func(x float64) bool { return x >= 0 && !math.IsInf(x, 1) },
-			"weights must be finite and non-negative")
-	}
+		if weight == nil {
+			return b, nil
+		}
+		w, err := weight(b)
+		if err == nil {
+			err = checkLambdaResult(w, func(x float64) bool { return x >= 0 && !math.IsInf(x, 1) },
+				"weights must be finite and non-negative")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("edge weight %s: %w", n.Lambda, err)
+		}
+		return &types.Batch{Cols: []*types.Column{b.Cols[0], b.Cols[1], w}}, nil
+	})
 	if err != nil {
-		return fmt.Errorf("edge weight %s: %w", s.lambda, err)
+		return nil, err
 	}
-	s.weights = append(s.weights, w.Floats...)
-	return nil
+	e := &edges{src: make([]int64, in.rows), dst: make([]int64, in.rows)}
+	if weight != nil {
+		e.weights = make([]float64, in.rows)
+	}
+	err = in.copyInto(ctx, func(b *types.Batch, row int) {
+		k := b.Len()
+		copy(e.src[row:], b.Cols[0].Ints[:k])
+		copy(e.dst[row:], b.Cols[1].Ints[:k])
+		if weight != nil {
+			copy(e.weights[row:], b.Cols[2].Floats[:k])
+		}
+	})
+	return e, err
 }
 
 // newNBTrainOp is the Naive Bayes training operator (paper Section 6.2). The
 // last input column is the class label.
 func newNBTrainOp(n *plan.NaiveBayesTrain) *blockingOp {
 	return &blockingOp{label: "naive_bayes_train", schema: plan.NBModelSchema, compute: func(ctx *Context) (*Materialized, error) {
-		m, err := loadFloats(n.Data, ctx, "naive_bayes_train")
+		m, err := loadFloats(n.Data, ctx, "naive_bayes_train", true)
 		if err != nil {
 			return nil, fmt.Errorf("naive_bayes_train: %w", err)
 		}
@@ -381,15 +476,7 @@ func newNBTrainOp(n *plan.NaiveBayesTrain) *blockingOp {
 		if m.n == 0 {
 			return nil, fmt.Errorf("naive_bayes_train: empty training set")
 		}
-		// Split off the label column.
-		d := m.d - 1
-		feats := make([]float64, m.n*d)
-		labels := make([]int64, m.n)
-		for i := 0; i < m.n; i++ {
-			copy(feats[i*d:], m.data[i*m.d:i*m.d+d])
-			labels[i] = int64(m.data[i*m.d+d])
-		}
-		model, err := analytics.TrainNB(feats, m.n, d, labels, ctx.Workers)
+		model, err := analytics.TrainNB(m.data, m.n, m.d, m.labels, ctx.Workers)
 		if err != nil {
 			return nil, err
 		}

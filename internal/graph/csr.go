@@ -6,7 +6,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // CSR is a directed graph in compressed sparse row form over dense vertex
@@ -55,62 +56,149 @@ func Build(src, dst []int64) (*CSR, error) {
 	return BuildWeighted(src, dst, nil)
 }
 
+// denseFloor is the id span BuildWeighted relabels by direct address
+// whatever the number of edges (32 KB of marks); above it the span may be at
+// most twice the number of edges.
+const denseFloor = 1 << 13
+
 // BuildWeighted is Build with optional per-edge weights (nil = unweighted);
 // weights stay aligned with their edges through the relabeling.
+//
+// Ids spanning at most max(denseFloor, 2 × edges) values are relabeled by
+// direct address: an array indexed by id − lo marks the ids present, and one
+// ascending sweep numbers them. Sparser ids go through one map and one sort.
+// Either way every endpoint is resolved once, and the counting and fill
+// passes read the resolved ids.
 func BuildWeighted(src, dst []int64, weights []float64) (*CSR, error) {
 	if len(src) != len(dst) {
 		return nil, fmt.Errorf("graph: %d sources but %d destinations", len(src), len(dst))
 	}
-	// Collect and sort distinct ids.
-	idset := make(map[int64]struct{}, len(src))
-	for i := range src {
-		idset[src[i]] = struct{}{}
-		idset[dst[i]] = struct{}{}
+	if weights != nil && len(weights) != len(src) {
+		return nil, fmt.Errorf("graph: %d weights for %d edges", len(weights), len(src))
 	}
-	orig := make([]int64, 0, len(idset))
-	for id := range idset {
-		orig = append(orig, id)
-	}
-	sort.Slice(orig, func(i, j int) bool { return orig[i] < orig[j] })
-	dense := make(map[int64]int32, len(orig))
-	for i, id := range orig {
-		dense[id] = int32(i)
-	}
-
-	n := len(orig)
-	if int64(len(src)) > int64(^uint32(0)>>1) {
+	if len(src) > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: too many edges (%d)", len(src))
 	}
+	lo, span := idSpan(src, dst)
+	var r relabeled
+	if dense(span, len(src)) {
+		r = relabelDense(src, dst, lo, span)
+	} else {
+		r = relabelSparse(src, dst)
+	}
+	return r.build(weights), nil
+}
 
-	// Counting pass.
+// idSpan returns the lowest id over src and dst and the highest minus it,
+// computed in uint64 so that no pair of int64 ids overflows. An empty edge
+// list spans nothing.
+func idSpan(src, dst []int64) (lo int64, span uint64) {
+	if len(src) == 0 {
+		return 0, 0
+	}
+	dst = dst[:len(src)]
+	lo, hi := src[0], src[0]
+	for i, s := range src {
+		lo, hi = min(lo, s, dst[i]), max(hi, s, dst[i])
+	}
+	return lo, uint64(hi) - uint64(lo)
+}
+
+// dense reports whether ids spanning span+1 values over edges edges are
+// relabeled by direct address.
+func dense(span uint64, edges int) bool {
+	return span < uint64(max(denseFloor, 2*edges))
+}
+
+// relabeled is an edge list over dense ids: edge i runs from sid[i] to
+// did[i], and dense id v stands for orig[v], ascending.
+type relabeled struct {
+	sid, did []int32
+	orig     []int64
+}
+
+// relabelDense numbers the ids of src and dst, which lie in
+// [lo, lo + span], through an array indexed by id − lo.
+func relabelDense(src, dst []int64, lo int64, span uint64) relabeled {
+	at := make([]int32, span+1) // 1 where an id is present, then its dense id
+	for i, s := range src {
+		at[uint64(s)-uint64(lo)] = 1
+		at[uint64(dst[i])-uint64(lo)] = 1
+	}
+	n := 0
+	for _, m := range at {
+		n += int(m)
+	}
+	r := relabeled{sid: make([]int32, len(src)), did: make([]int32, len(src)), orig: make([]int64, 0, n)}
+	for k, m := range at {
+		if m != 0 {
+			at[k] = int32(len(r.orig))
+			r.orig = append(r.orig, lo+int64(k))
+		}
+	}
+	for i, s := range src {
+		r.sid[i] = at[uint64(s)-uint64(lo)]
+		r.did[i] = at[uint64(dst[i])-uint64(lo)]
+	}
+	return r
+}
+
+// relabelSparse numbers the ids of src and dst through one map: each id
+// gets a provisional id on first sight, the distinct ids are sorted once,
+// and the provisional ids are then renumbered in sorted order.
+func relabelSparse(src, dst []int64) relabeled {
+	first := map[int64]int32{}
+	r := relabeled{sid: make([]int32, len(src)), did: make([]int32, len(src))}
+	resolve := func(id int64) int32 {
+		k, ok := first[id]
+		if !ok {
+			k = int32(len(r.orig))
+			first[id] = k
+			r.orig = append(r.orig, id)
+		}
+		return k
+	}
+	for i, s := range src {
+		r.sid[i], r.did[i] = resolve(s), resolve(dst[i])
+	}
+	slices.Sort(r.orig)
+	renumber := make([]int32, len(r.orig)) // provisional id → dense id
+	for v, id := range r.orig {
+		renumber[first[id]] = int32(v)
+	}
+	for i := range r.sid {
+		r.sid[i], r.did[i] = renumber[r.sid[i]], renumber[r.did[i]]
+	}
+	return r
+}
+
+// build lays the relabeled edges out as a CSR: a counting pass over the
+// sources, then a fill pass that keeps each source's edges in input order.
+func (r relabeled) build(weights []float64) *CSR {
+	n := len(r.orig)
 	offsets := make([]int64, n+1)
-	for _, s := range src {
-		offsets[dense[s]+1]++
+	for _, s := range r.sid {
+		offsets[s+1]++
 	}
 	for i := 0; i < n; i++ {
 		offsets[i+1] += offsets[i]
 	}
-	if weights != nil && len(weights) != len(src) {
-		return nil, fmt.Errorf("graph: %d weights for %d edges", len(weights), len(src))
-	}
-
-	// Fill pass.
-	targets := make([]int32, len(src))
+	targets := make([]int32, len(r.sid))
 	var outW []float64
 	if weights != nil {
-		outW = make([]float64, len(src))
+		outW = make([]float64, len(r.sid))
 	}
 	cursor := make([]int64, n)
 	copy(cursor, offsets[:n])
-	for i := range src {
-		s := dense[src[i]]
-		targets[cursor[s]] = dense[dst[i]]
+	for i, s := range r.sid {
+		c := cursor[s]
+		targets[c] = r.did[i]
 		if weights != nil {
-			outW[cursor[s]] = weights[i]
+			outW[c] = weights[i]
 		}
-		cursor[s]++
+		cursor[s] = c + 1
 	}
-	return &CSR{N: n, Offsets: offsets, Targets: targets, Weights: outW, OrigIDs: orig}, nil
+	return &CSR{N: n, Offsets: offsets, Targets: targets, Weights: outW, OrigIDs: r.orig}
 }
 
 // Transpose returns the reverse graph (in-edges become out-edges); the
