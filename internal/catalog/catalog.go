@@ -8,6 +8,15 @@ import (
 	"lambdadb/internal/types"
 )
 
+// Cursor hands out a relation's rows one batch per Next, on the caller's
+// goroutine. A cursor does no work before its first Next.
+type Cursor interface {
+	// Next returns the next batch and its rows' physical row ids, or a nil
+	// batch once the cursor is exhausted. The row ids are valid until the
+	// next call; a cursor over rows without physical positions returns nil.
+	Next() (*types.Batch, []int)
+}
+
 // Relation is a readable stored relation at some snapshot.
 type Relation interface {
 	// Name returns the table name.
@@ -17,13 +26,10 @@ type Relation interface {
 	// NumRows returns the number of rows visible at the given snapshot.
 	// It is used for cardinality estimation and may be approximate.
 	NumRows(snapshot uint64) int
-	// Scan calls yield with batches of rows visible at snapshot, in row
-	// order, until exhausted or yield returns an error.
-	Scan(snapshot uint64, yield func(*types.Batch) error) error
-	// ScanRange behaves like Scan but only covers physical rows in
-	// [lo, hi); it exists so parallel scans can partition a table into
-	// morsels.
-	ScanRange(snapshot uint64, lo, hi int, yield func(*types.Batch) error) error
+	// Cursor returns a cursor over the rows visible at snapshot whose
+	// physical index is in [lo, hi) (hi < 0: to the end), in row order;
+	// parallel scans partition a table into morsels by range.
+	Cursor(snapshot uint64, lo, hi int) Cursor
 	// PhysicalRows returns the physical row count (including rows not
 	// visible at a given snapshot) for morsel partitioning.
 	PhysicalRows() int
@@ -38,15 +44,35 @@ type IndexInfo struct {
 	Entries int    // postings: physical rows indexed, dead versions included
 }
 
+// IndexProbe is what an index cursor looks up: an equality probe (Eq set)
+// or a range (nil bound = unbounded side).
+type IndexProbe struct {
+	Eq           *types.Value
+	Lo, Hi       *types.Value
+	LoInc, HiInc bool
+}
+
 // IndexedRelation is a Relation whose backing store maintains secondary
-// indexes. Probes yield batches of rows visible at snapshot whose indexed
-// column satisfies the probe, in physical row order; a nil bound pointer
-// leaves that side of a range unbounded.
+// indexes. An index cursor hands out the rows visible at snapshot whose
+// indexed column satisfies the probe, in physical row order.
 type IndexedRelation interface {
 	Relation
 	Indexes() []IndexInfo
-	IndexLookupEq(index string, key types.Value, snapshot uint64, yield func(*types.Batch) error) error
-	IndexLookupRange(index string, lo, hi *types.Value, loInc, hiInc bool, snapshot uint64, yield func(*types.Batch) error) error
+	IndexCursor(index string, probe IndexProbe, snapshot uint64) (Cursor, error)
+}
+
+// Batches is a Cursor over batches already built, in order; its row ids
+// are nil.
+type Batches []*types.Batch
+
+// Next implements Cursor.
+func (c *Batches) Next() (*types.Batch, []int) {
+	if len(*c) == 0 {
+		return nil, nil
+	}
+	b := (*c)[0]
+	*c = (*c)[1:]
+	return b, nil
 }
 
 // Catalog resolves table names to relations.

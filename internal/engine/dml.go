@@ -152,25 +152,33 @@ func (s *Session) execDelete(ctx context.Context, n *sql.Delete) (*Result, error
 
 // scanMatching is the row discovery UPDATE and DELETE share: inside the
 // session's write transaction it scans tbl at the statement snapshot and
-// hands fn each batch with its physical row IDs and the WHERE match vector.
-// It is governed like runPlan — statement timeout applied, ctx checked once
-// per batch — so a timed-out or cancelled DML scan stops, the autocommit
-// transaction rolls back, and an explicit one aborts (abortOnError).
+// hands fn each batch with its physical row IDs (valid during the call) and
+// the WHERE match vector. It is governed like runPlan — statement timeout
+// applied, ctx checked before each cursor batch — so a timed-out or
+// cancelled DML scan stops, the autocommit transaction rolls back, and an
+// explicit one aborts (abortOnError).
 func (s *Session) scanMatching(ctx context.Context, tbl *storage.Table, pred expr.Evaluator,
 	fn func(tx *storage.Txn, b *types.Batch, rowIDs []int, match []bool) error) error {
 	ctx, cancel := s.withStmtTimeout(ctx)
 	defer cancel()
 	return s.write(func(tx *storage.Txn) error {
-		return tbl.ScanWithRowIDs(s.snapshot(), func(b *types.Batch, rowIDs []int) error {
+		c := tbl.Cursor(s.snapshot(), 0, -1)
+		for {
 			if err := ctx.Err(); err != nil {
 				return err
+			}
+			b, rowIDs := c.Next()
+			if b == nil {
+				return nil
 			}
 			match, err := matchRows(b, pred)
 			if err != nil {
 				return err
 			}
-			return fn(tx, b, rowIDs, match)
-		})
+			if err := fn(tx, b, rowIDs, match); err != nil {
+				return err
+			}
+		}
 	})
 }
 

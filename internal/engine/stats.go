@@ -68,10 +68,7 @@ func (db *DB) analyzeTable(name string, snapshot uint64) (*plan.TableStats, erro
 	if err != nil {
 		return nil, err
 	}
-	ts, err := plan.CollectTableStats(tbl, snapshot)
-	if err != nil {
-		return nil, err
-	}
+	ts := plan.CollectTableStats(tbl, snapshot)
 	db.stats.put(ts)
 	db.metrics.AnalyzeRuns.Add(1)
 	return ts, nil

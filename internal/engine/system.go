@@ -190,27 +190,14 @@ func (r *memRelation) Schema() types.Schema { return r.schema }
 func (r *memRelation) NumRows(_ uint64) int { return r.batch.Len() }
 func (r *memRelation) PhysicalRows() int    { return r.batch.Len() }
 
-func (r *memRelation) Scan(_ uint64, yield func(*types.Batch) error) error {
-	if r.batch.Len() == 0 {
-		return nil
-	}
-	return yield(r.batch)
-}
-
-func (r *memRelation) ScanRange(_ uint64, lo, hi int, yield func(*types.Batch) error) error {
+func (r *memRelation) Cursor(_ uint64, lo, hi int) catalog.Cursor {
 	n := r.batch.Len()
 	if hi < 0 || hi > n {
 		hi = n
 	}
-	if lo < 0 {
-		lo = 0
+	var c catalog.Batches
+	if lo = max(lo, 0); lo < hi {
+		c = catalog.Batches{r.batch.Slice(lo, hi)}
 	}
-	if lo >= hi {
-		return nil
-	}
-	b := r.batch
-	if lo != 0 || hi != n {
-		b = b.Slice(lo, hi)
-	}
-	return yield(b)
+	return &c
 }

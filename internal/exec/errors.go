@@ -1,16 +1,9 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 )
-
-// errScanCancelled is the single early-termination signal for producer
-// goroutines: it aborts a storage scan when the consumer stops early
-// (LIMIT satisfied, operator closed) or the query is cancelled. It never
-// escapes the executor; compare with errors.Is.
-var errScanCancelled = errors.New("exec: scan stopped early")
 
 // ResourceError reports a query that exceeded a configured resource budget
 // (WithMemoryLimit). It is user-actionable: raise the limit, or rewrite the

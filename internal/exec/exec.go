@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"lambdadb/internal/catalog"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/types"
 )
@@ -66,15 +67,6 @@ func (c *Context) Err() error {
 		return nil
 	}
 	return c.goCtx.Err()
-}
-
-// doneCh exposes the cancellation channel for producer-goroutine selects;
-// the nil channel (no context) blocks forever, which is the desired no-op.
-func (c *Context) doneCh() <-chan struct{} {
-	if c == nil || c.goCtx == nil {
-		return nil
-	}
-	return c.goCtx.Done()
 }
 
 // EnableStats arms per-operator telemetry for this query and returns the
@@ -311,14 +303,10 @@ func opLabel(op Operator) string {
 	switch o := op.(type) {
 	case *statsOp:
 		return opLabel(o.inner)
-	case *producerScan:
+	case *scanOp:
 		return o.label
 	case *blockingOp:
 		return o.label
-	case *workingScan:
-		return "working-scan"
-	case *valuesOp:
-		return "values"
 	case *filterOp:
 		return "filter"
 	case *projectOp:
@@ -343,32 +331,23 @@ type blockingOp struct {
 	label   string
 	schema  types.Schema
 	compute func(ctx *Context) (*Materialized, error)
-	it      matIterator
+	out     catalog.Batches
 }
 
 func (o *blockingOp) Schema() types.Schema { return o.schema }
 
 func (o *blockingOp) Open(ctx *Context) error {
 	mat, err := o.compute(ctx)
-	o.it = matIterator{mat: mat}
+	o.out = nil
+	if mat != nil {
+		o.out = mat.Batches
+	}
 	return err
 }
 
-func (o *blockingOp) Next() (*types.Batch, error) { return o.it.next(), nil }
-func (o *blockingOp) Close() error                { return nil }
-
-// matIterator drains a Materialized as batches (shared by several
-// operators that deliver from a buffered result).
-type matIterator struct {
-	mat *Materialized
-	pos int
+func (o *blockingOp) Next() (*types.Batch, error) {
+	b, _ := o.out.Next()
+	return b, nil
 }
 
-func (it *matIterator) next() *types.Batch {
-	if it.mat == nil || it.pos >= len(it.mat.Batches) {
-		return nil
-	}
-	b := it.mat.Batches[it.pos]
-	it.pos++
-	return b
-}
+func (o *blockingOp) Close() error { return nil }

@@ -440,13 +440,6 @@ func TestScanProducerLifecycle(t *testing.T) {
 	}
 }
 
-func TestScanSentinelIsErrorsIsComparable(t *testing.T) {
-	wrapped := fmt.Errorf("outer: %w", errScanCancelled)
-	if !errors.Is(wrapped, errScanCancelled) {
-		t.Fatal("errScanCancelled must be comparable through wrapping via errors.Is")
-	}
-}
-
 // TestCancelRacesWorkerPool hammers cancellation against the parallel sort
 // pool from a separate goroutine (run under -race via make check): whatever
 // the interleaving, the query must return promptly with either a clean

@@ -1,58 +1,49 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 
+	"lambdadb/internal/catalog"
 	"lambdadb/internal/faultinject"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/types"
 )
 
-// producerScan adapts a push-style storage scan — a table range or an
-// index probe — to the pull-based operator tree. The scan runs in its own
-// goroutine; batches flow through a small channel, and the producer stops
-// at the next batch once the consumer closes the operator or the query is
-// cancelled.
-type producerScan struct {
+// scanOp is the one leaf operator: Open gets a cursor and Next pulls it on
+// the caller's goroutine, one batch per call. The leaves differ only in
+// where the cursor comes from — a table range, an index probe, a bound
+// working table or a VALUES list.
+type scanOp struct {
 	label  string // opLabel and panic-containment name
 	schema types.Schema
-	// push runs the storage scan, handing each batch to yield and stopping
-	// with yield's error.
-	push func(yield func(*types.Batch) error) error
+	open   func(ctx *Context) (catalog.Cursor, error)
+	// stored marks a table or index cursor: each batch it delivers fires
+	// the exec.scan.batch fault point.
+	stored bool
 	// onClose, when set, is called once per Open with the rows delivered.
 	onClose func(ctx *Context, rows int64)
 
-	ctx     *Context
-	batches chan *types.Batch
-	errCh   chan error
-	done    chan struct{}
-	opened  bool
-	rows    int64
+	ctx  *Context
+	cur  catalog.Cursor
+	rows int64
 }
 
 // newTableScan reads a stored table (optionally a physical row range).
-func newTableScan(n *plan.Scan) *producerScan {
-	return &producerScan{label: "scan", schema: n.Schema(),
-		push: func(yield func(*types.Batch) error) error {
-			hi := n.Hi
-			if hi < 0 {
-				hi = n.Rel.PhysicalRows()
-			}
-			return n.Rel.ScanRange(n.Snapshot, n.Lo, hi, yield)
+func newTableScan(n *plan.Scan) *scanOp {
+	return &scanOp{label: "scan", schema: n.Schema(), stored: true,
+		open: func(*Context) (catalog.Cursor, error) {
+			return n.Rel.Cursor(n.Snapshot, n.Lo, n.Hi), nil
 		}}
 }
 
 // newIndexScan probes a secondary index (point or range), emits the
 // visible matching rows, and reports the probe's row count to the
 // context's OnIndexProbe hook.
-func newIndexScan(n *plan.IndexScan) *producerScan {
-	return &producerScan{label: "index-scan", schema: n.Schema(),
-		push: func(yield func(*types.Batch) error) error {
-			if n.Eq != nil {
-				return n.Rel.IndexLookupEq(n.Index, *n.Eq, n.Snapshot, yield)
-			}
-			return n.Rel.IndexLookupRange(n.Index, n.Lo, n.Hi, n.LoInc, n.HiInc, n.Snapshot, yield)
+func newIndexScan(n *plan.IndexScan) *scanOp {
+	return &scanOp{label: "index-scan", schema: n.Schema(), stored: true,
+		open: func(*Context) (catalog.Cursor, error) {
+			probe := catalog.IndexProbe{Eq: n.Eq, Lo: n.Lo, Hi: n.Hi, LoInc: n.LoInc, HiInc: n.HiInc}
+			return n.Rel.IndexCursor(n.Index, probe, n.Snapshot)
 		},
 		onClose: func(ctx *Context, rows int64) {
 			if ctx.OnIndexProbe != nil {
@@ -61,138 +52,74 @@ func newIndexScan(n *plan.IndexScan) *producerScan {
 		}}
 }
 
-func (s *producerScan) Schema() types.Schema { return s.schema }
-
-func (s *producerScan) Open(ctx *Context) error {
-	s.ctx = ctx
-	// Depth 4 lets the producer run a few batches ahead of a consumer that
-	// is busy with the previous one without buffering the whole scan.
-	s.batches = make(chan *types.Batch, 4)
-	s.errCh = make(chan error, 1)
-	s.done = make(chan struct{})
-	s.opened = true
-	s.rows = 0
-	cancelled := ctx.doneCh()
-	go func() {
-		defer close(s.batches)
-		// The producer runs outside drive's containment boundary (a
-		// goroutine of its own), so it carries its own: a panic here becomes an
-		// *InternalError on errCh instead of killing the process.
-		err := func() (err error) {
-			defer containPanic(s.label, &err)
-			return s.push(func(b *types.Batch) error {
-				if err := faultinject.Fire("exec.scan.batch"); err != nil {
-					return err
-				}
-				select {
-				case s.batches <- b:
-					return nil
-				case <-s.done:
-					return errScanCancelled
-				case <-cancelled:
-					return errScanCancelled
-				}
-			})
-		}()
-		if err != nil && !errors.Is(err, errScanCancelled) {
-			s.errCh <- err
-		}
-	}()
-	return nil
+// newWorkingScan reads the current contents of a named working table from
+// the execution context (ITERATE / recursive CTE bodies), or the morsel of
+// it the plan node restricts it to.
+func newWorkingScan(n *plan.WorkingScan) *scanOp {
+	return &scanOp{label: "working-scan", schema: n.Sch,
+		open: func(ctx *Context) (catalog.Cursor, error) {
+			mat, ok := ctx.Bindings[n.Name]
+			if !ok {
+				return nil, fmt.Errorf("working table %q is not bound", n.Name)
+			}
+			c := catalog.Batches(mat.Batches)
+			if n.Lo > 0 || n.Hi > 0 {
+				c = mat.SliceRows(n.Lo, n.Hi)
+			}
+			return &c, nil
+		}}
 }
 
-func (s *producerScan) Next() (*types.Batch, error) {
+// newValuesOp emits literal rows as one batch.
+func newValuesOp(n *plan.Values) *scanOp {
+	return &scanOp{label: "values", schema: n.Sch,
+		open: func(*Context) (catalog.Cursor, error) {
+			var c catalog.Batches
+			if len(n.Rows) > 0 {
+				b := types.NewBatch(n.Sch)
+				for _, row := range n.Rows {
+					b.AppendRow(row)
+				}
+				c = catalog.Batches{b}
+			}
+			return &c, nil
+		}}
+}
+
+func (s *scanOp) Schema() types.Schema { return s.schema }
+
+func (s *scanOp) Open(ctx *Context) (err error) {
+	s.ctx, s.rows = ctx, 0
+	s.cur, err = s.open(ctx)
+	return err
+}
+
+// Next checks the query context before each pull, so cancellation is never
+// reported as end of stream. A panic while pulling becomes an
+// *InternalError under the leaf's label even when no drive loop is above.
+func (s *scanOp) Next() (b *types.Batch, err error) {
 	if err := s.ctx.Err(); err != nil {
 		return nil, err
 	}
-	select {
-	case err := <-s.errCh:
-		return nil, err
-	case b, ok := <-s.batches:
-		if !ok {
-			select {
-			case err := <-s.errCh:
-				return nil, err
-			default:
-			}
-			// The producer also shuts down on cancellation; report that as
-			// the context error, never as a clean end of stream.
-			if err := s.ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, nil
-		}
-		s.rows += int64(b.Len())
-		return b, nil
+	defer containPanic(s.label, &err)
+	if b, _ = s.cur.Next(); b == nil {
+		return nil, nil
 	}
+	if s.stored {
+		if err := faultinject.Fire("exec.scan.batch"); err != nil {
+			return nil, err
+		}
+	}
+	s.rows += int64(b.Len())
+	return b, nil
 }
 
-func (s *producerScan) Close() error {
-	if s.opened {
-		close(s.done)
-		s.opened = false
+func (s *scanOp) Close() error {
+	if s.cur != nil {
+		s.cur = nil
 		if s.onClose != nil {
 			s.onClose(s.ctx, s.rows)
 		}
 	}
 	return nil
 }
-
-// workingScan reads the current contents of a named working table from the
-// execution context (ITERATE / recursive CTE bodies).
-type workingScan struct {
-	node *plan.WorkingScan
-	ctx  *Context
-	it   matIterator
-}
-
-func newWorkingScan(n *plan.WorkingScan) *workingScan { return &workingScan{node: n} }
-
-func (s *workingScan) Schema() types.Schema { return s.node.Sch }
-
-func (s *workingScan) Open(ctx *Context) error {
-	s.ctx = ctx
-	mat, ok := ctx.Bindings[s.node.Name]
-	if !ok {
-		return fmt.Errorf("working table %q is not bound", s.node.Name)
-	}
-	if s.node.Lo > 0 || s.node.Hi > 0 {
-		// Morsel-restricted scan over the bound working table.
-		mat = &Materialized{Schema: mat.Schema, Batches: mat.SliceRows(s.node.Lo, s.node.Hi)}
-	}
-	s.it = matIterator{mat: mat}
-	return nil
-}
-
-func (s *workingScan) Next() (*types.Batch, error) {
-	if err := s.ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.it.next(), nil
-}
-func (s *workingScan) Close() error { return nil }
-
-// valuesOp emits literal rows.
-type valuesOp struct {
-	node *plan.Values
-	done bool
-}
-
-func newValuesOp(n *plan.Values) *valuesOp { return &valuesOp{node: n} }
-
-func (v *valuesOp) Schema() types.Schema    { return v.node.Sch }
-func (v *valuesOp) Open(ctx *Context) error { v.done = false; return nil }
-
-func (v *valuesOp) Next() (*types.Batch, error) {
-	if v.done || len(v.node.Rows) == 0 {
-		return nil, nil
-	}
-	v.done = true
-	b := types.NewBatch(v.node.Sch)
-	for _, row := range v.node.Rows {
-		b.AppendRow(row)
-	}
-	return b, nil
-}
-
-func (v *valuesOp) Close() error { return nil }

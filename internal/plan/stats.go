@@ -187,7 +187,7 @@ const (
 
 // CollectTableStats scans rel once at the given snapshot and computes
 // statistics for every column.
-func CollectTableStats(rel catalog.Relation, snapshot uint64) (*TableStats, error) {
+func CollectTableStats(rel catalog.Relation, snapshot uint64) *TableStats {
 	schema := rel.Schema()
 	ts := &TableStats{Table: rel.Name(), Snapshot: snapshot, Cols: make([]ColumnStats, len(schema))}
 	accs := make([]statsAcc, len(schema))
@@ -196,7 +196,8 @@ func CollectTableStats(rel catalog.Relation, snapshot uint64) (*TableStats, erro
 			Min: types.NewNull(c.Type), Max: types.NewNull(c.Type)}
 		accs[i].distinct = map[uint64]struct{}{}
 	}
-	err := rel.Scan(snapshot, func(b *types.Batch) error {
+	c := rel.Cursor(snapshot, 0, -1)
+	for b, _ := c.Next(); b != nil; b, _ = c.Next() {
 		n := b.Len()
 		ts.RowCount += int64(n)
 		for j, col := range b.Cols {
@@ -219,17 +220,13 @@ func CollectTableStats(rel catalog.Relation, snapshot uint64) (*TableStats, erro
 				acc.sample(v)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	for j := range ts.Cols {
 		cs, acc := &ts.Cols[j], &accs[j]
 		cs.NDV = int64(len(acc.distinct))
 		cs.Hist = buildHistogram(acc.vals)
 	}
-	return ts, nil
+	return ts
 }
 
 // statsAcc is the per-column scan accumulator.

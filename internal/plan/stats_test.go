@@ -34,10 +34,7 @@ func statsTable(t *testing.T, vals []types.Value) (*storage.Store, *storage.Tabl
 
 func TestCollectStatsEmptyTable(t *testing.T) {
 	s, tbl := statsTable(t, nil)
-	ts, err := CollectTableStats(tbl, s.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := CollectTableStats(tbl, s.Snapshot())
 	if ts.RowCount != 0 {
 		t.Fatalf("RowCount = %d, want 0", ts.RowCount)
 	}
@@ -61,10 +58,7 @@ func TestCollectStatsAllNullColumn(t *testing.T) {
 		vals[i] = types.NewNull(types.Int64)
 	}
 	s, tbl := statsTable(t, vals)
-	ts, err := CollectTableStats(tbl, s.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := CollectTableStats(tbl, s.Snapshot())
 	cs := ts.Cols[0]
 	if cs.NullCount != 50 || cs.NDV != 0 || !cs.Min.Null || !cs.Max.Null {
 		t.Fatalf("all-NULL stats = %+v", cs)
@@ -80,10 +74,7 @@ func TestCollectStatsSingleValueColumn(t *testing.T) {
 		vals[i] = types.NewInt(7)
 	}
 	s, tbl := statsTable(t, vals)
-	ts, err := CollectTableStats(tbl, s.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := CollectTableStats(tbl, s.Snapshot())
 	cs := ts.Cols[0]
 	if cs.NDV != 1 {
 		t.Fatalf("NDV = %d, want 1", cs.NDV)
@@ -113,10 +104,7 @@ func TestCollectStatsUniformColumn(t *testing.T) {
 		vals[i] = types.NewInt(int64(i))
 	}
 	s, tbl := statsTable(t, vals)
-	ts, err := CollectTableStats(tbl, s.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := CollectTableStats(tbl, s.Snapshot())
 	cs := ts.Cols[0]
 	if cs.NDV != 100 {
 		t.Fatalf("NDV = %d, want 100", cs.NDV)
@@ -150,10 +138,7 @@ func TestCollectStatsMixedNulls(t *testing.T) {
 		vals = append(vals, types.NewNull(types.Int64))
 	}
 	s, tbl := statsTable(t, vals)
-	ts, err := CollectTableStats(tbl, s.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := CollectTableStats(tbl, s.Snapshot())
 	cs := ts.Cols[0]
 	if cs.NullCount != 10 || cs.NDV != 3 {
 		t.Fatalf("NullCount/NDV = %d/%d, want 10/3", cs.NullCount, cs.NDV)
@@ -166,10 +151,7 @@ func TestCollectStatsMixedNulls(t *testing.T) {
 
 func TestStatsUnknownColumnFallsBack(t *testing.T) {
 	s, tbl := statsTable(t, []types.Value{types.NewInt(1)})
-	ts, err := CollectTableStats(tbl, s.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := CollectTableStats(tbl, s.Snapshot())
 	if sel := ts.EqSelectivity("nope"); sel != 0.1 {
 		t.Fatalf("unknown column EqSelectivity = %v, want heuristic 0.1", sel)
 	}

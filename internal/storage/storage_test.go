@@ -183,12 +183,9 @@ func TestScanWithRowIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ids []int
-	err := tbl.ScanWithRowIDs(s.Snapshot(), func(b *types.Batch, rowIDs []int) error {
+	c := tbl.Cursor(s.Snapshot(), 0, -1)
+	for b, rowIDs := c.Next(); b != nil; b, rowIDs = c.Next() {
 		ids = append(ids, rowIDs...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
 		t.Errorf("row ids = %v, want [0 2]", ids)
@@ -215,12 +212,9 @@ func TestScanRangeMorsels(t *testing.T) {
 	count := 0
 	half := tbl.PhysicalRows() / 2
 	for _, r := range [][2]int{{0, half}, {half, tbl.PhysicalRows()}} {
-		err := tbl.ScanRange(snap, r[0], r[1], func(b *types.Batch) error {
+		c := tbl.Cursor(snap, r[0], r[1])
+		for b, _ := c.Next(); b != nil; b, _ = c.Next() {
 			count += b.Len()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 	if count != n {

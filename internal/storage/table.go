@@ -12,10 +12,11 @@ package storage
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"sort"
 	"sync"
 
+	"lambdadb/internal/catalog"
 	"lambdadb/internal/types"
 )
 
@@ -89,75 +90,101 @@ func (t *Table) visibleLocked(i int, snapshot uint64) bool {
 	return d == 0 || d > snapshot
 }
 
-// emit is the one batch builder behind every scan and index probe. Each
-// round takes the read lock once: next returns the round's rows — ascending
-// physical indexes, at most BatchSize — and whether another round follows,
-// and the rows are gathered (or, when they form one contiguous run, viewed
-// without a copy — rows never move once appended) before the lock is
-// released and yield sees the batch with its rows.
-func (t *Table) emit(next func() ([]int, bool), yield func(*types.Batch, []int) error) error {
-	for more := true; more; {
-		var rows []int
+// cursor is the one batch builder behind every scan, index probe and
+// checkpoint scan. Each Next takes the read lock once per round: the round
+// picks its rows — ascending physical indexes, at most BatchSize — and they
+// are gathered (or, when they form one contiguous run, viewed without a copy:
+// rows never move once appended) before the lock is released. A table cursor
+// reads one BatchSize stretch of [next, hi) per round; rows appended after
+// the snapshot are invisible at it, so the per-round lock suffices. An index
+// cursor probes on its first Next and then hands out the visible hits
+// BatchSize at a time.
+type cursor struct {
+	t        *Table
+	snapshot uint64
+	physical bool // admit every row of the range, deleted ones too
+
+	next, hi int   // table cursor: the physical rows [next, hi) not yet read
+	buf      []int // table cursor: the round's row ids, reused across rounds
+
+	index  *tableIndex // index cursor
+	probe  catalog.IndexProbe
+	probed bool
+	hits   []int // index cursor: visible hits not yet handed out
+}
+
+// Cursor implements catalog.Relation.
+func (t *Table) Cursor(snapshot uint64, lo, hi int) catalog.Cursor {
+	if hi < 0 {
+		hi = math.MaxInt
+	}
+	return &cursor{t: t, snapshot: snapshot, next: max(lo, 0), hi: hi}
+}
+
+// Next implements catalog.Cursor.
+func (c *cursor) Next() (*types.Batch, []int) {
+	t := c.t
+	for {
 		t.mu.RLock()
-		rows, more = next()
-		var b *types.Batch
-		if n := len(rows); n > 0 {
-			b = &types.Batch{Schema: t.schema, Cols: make([]*types.Column, len(t.cols))}
-			run := rows[n-1]-rows[0] == n-1
-			for j, c := range t.cols {
+		ids, more := c.roundLocked()
+		if n := len(ids); n > 0 {
+			b := &types.Batch{Schema: t.schema, Cols: make([]*types.Column, len(t.cols))}
+			run := ids[n-1]-ids[0] == n-1
+			for j, col := range t.cols {
 				if run {
-					b.Cols[j] = c.Slice(rows[0], rows[n-1]+1)
+					b.Cols[j] = col.Slice(ids[0], ids[n-1]+1)
 				} else {
-					b.Cols[j] = c.Gather(rows)
+					b.Cols[j] = col.Gather(ids)
 				}
 			}
+			t.mu.RUnlock()
+			return b, ids
 		}
 		t.mu.RUnlock()
-		if b != nil {
-			if err := yield(b, rows); err != nil {
-				return err
-			}
+		if !more {
+			return nil, nil
+		}
+	}
+}
+
+// roundLocked picks the next round's rows and reports whether another round
+// follows; the caller holds the read lock.
+func (c *cursor) roundLocked() (ids []int, more bool) {
+	t := c.t
+	if c.index != nil {
+		if !c.probed {
+			c.hits, c.probed = t.hitsLocked(c.index, c.probe, c.snapshot), true
+		}
+		k := min(len(c.hits), types.BatchSize)
+		ids, c.hits = c.hits[:k], c.hits[k:]
+		return ids, len(c.hits) > 0
+	}
+	if c.buf == nil {
+		// First round: every row created at or before the snapshot is
+		// appended by now, so the range ends at today's tail.
+		c.buf = make([]int, 0, types.BatchSize)
+		c.hi = min(c.hi, len(t.createdAt))
+	}
+	ids = c.buf[:0]
+	for end := min(c.next+types.BatchSize, c.hi); c.next < end; c.next++ {
+		if c.physical || t.visibleLocked(c.next, c.snapshot) {
+			ids = append(ids, c.next)
+		}
+	}
+	return ids, c.next < c.hi
+}
+
+// Scan calls yield with each batch of rows visible at snapshot until the
+// table is exhausted or yield fails: a loop over Cursor for callers that
+// consume a whole table at once.
+func (t *Table) Scan(snapshot uint64, yield func(*types.Batch) error) error {
+	c := t.Cursor(snapshot, 0, -1)
+	for b, _ := c.Next(); b != nil; b, _ = c.Next() {
+		if err := yield(b); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// scanVisible hands emit the rows of [lo, hi) visible at snapshot, one
-// BatchSize stretch of physical rows per round. Rows appended after the
-// scan started are invisible at snapshot, so the per-round lock suffices.
-func (t *Table) scanVisible(snapshot uint64, lo, hi int, yield func(*types.Batch, []int) error) error {
-	idx := make([]int, 0, types.BatchSize)
-	start := max(lo, 0)
-	return t.emit(func() ([]int, bool) {
-		n, rows, i := min(hi, len(t.createdAt)), idx[:0], start
-		for end := min(i+types.BatchSize, n); i < end; i++ {
-			if t.visibleLocked(i, snapshot) {
-				rows = append(rows, i)
-			}
-		}
-		start = i
-		return rows, i < n
-	}, yield)
-}
-
-// Scan yields batches of rows visible at snapshot.
-func (t *Table) Scan(snapshot uint64, yield func(*types.Batch) error) error {
-	return t.ScanRange(snapshot, 0, t.PhysicalRows(), yield)
-}
-
-// ScanRange yields batches of visible rows whose physical index is in
-// [lo, hi).
-func (t *Table) ScanRange(snapshot uint64, lo, hi int, yield func(*types.Batch) error) error {
-	return t.scanVisible(snapshot, lo, hi, func(b *types.Batch, _ []int) error { return yield(b) })
-}
-
-// ScanWithRowIDs yields batches of visible rows together with their physical
-// row indices. DML execution (UPDATE/DELETE) uses it to address the rows it
-// must version.
-func (t *Table) ScanWithRowIDs(snapshot uint64, yield func(b *types.Batch, rowIDs []int) error) error {
-	return t.scanVisible(snapshot, 0, t.PhysicalRows(), func(b *types.Batch, rows []int) error {
-		return yield(b, slices.Clone(rows))
-	})
 }
 
 // ScanPhysical yields the physical row prefix created at or before clock,
@@ -165,26 +192,32 @@ func (t *Table) ScanWithRowIDs(snapshot uint64, yield func(b *types.Batch, rowID
 // call); deletions stamped after clock are reported as live (0). Commit
 // timestamps are assigned under the commit lock and rows append at the
 // tail, so createdAt is non-decreasing and the rows at or before clock are
-// exactly a prefix. Checkpointing uses this to write a consistent physical
-// image of the store as of clock while commits continue.
+// exactly a prefix; a commit stamps its deletes before it publishes its
+// timestamp, so every stamp at or before clock is already set. Checkpointing
+// uses this to write a consistent physical image of the store as of clock
+// while commits continue.
 func (t *Table) ScanPhysical(clock uint64, yield func(b *types.Batch, createdAt, deletedAt []uint64) error) error {
 	t.mu.RLock()
 	n := sort.Search(len(t.createdAt), func(i int) bool { return t.createdAt[i] > clock })
 	t.mu.RUnlock()
-	var rows []int
+	c := &cursor{t: t, snapshot: clock, physical: true, hi: n}
 	var created, deleted []uint64
-	start := 0
-	return t.emit(func() ([]int, bool) {
-		rows, created, deleted = rows[:0], created[:0], deleted[:0]
-		for end := min(start+types.BatchSize, n); start < end; start++ {
-			d := t.deletedAt[start]
+	for b, ids := c.Next(); b != nil; b, ids = c.Next() {
+		created, deleted = created[:0], deleted[:0]
+		t.mu.RLock()
+		for _, i := range ids {
+			d := t.deletedAt[i]
 			if d > clock {
 				d = 0
 			}
-			rows, created, deleted = append(rows, start), append(created, t.createdAt[start]), append(deleted, d)
+			created, deleted = append(created, t.createdAt[i]), append(deleted, d)
 		}
-		return rows, start < n
-	}, func(b *types.Batch, _ []int) error { return yield(b, created, deleted) })
+		t.mu.RUnlock()
+		if err := yield(b, created, deleted); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // checkBatch verifies that b matches the table's column count and column

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"lambdadb/internal/catalog"
-	"lambdadb/internal/types"
 )
 
 // tableIndex binds an index definition to its structure and column ordinal.
@@ -116,49 +115,32 @@ func (t *Table) indexLocked(name string) *tableIndex {
 	return nil
 }
 
-// IndexLookupEq implements catalog.IndexedRelation: it yields batches of
-// rows visible at snapshot whose indexed column equals key.
-func (t *Table) IndexLookupEq(index string, key types.Value, snapshot uint64, yield func(*types.Batch) error) error {
-	rows, err := t.indexRows(index, snapshot, func(ix *tableIndex) ([]int32, error) {
-		return ix.impl.probeEq(key, nil), nil
-	})
-	if err != nil {
-		return err
-	}
-	return t.emitRows(rows, yield)
-}
-
-// IndexLookupRange implements catalog.IndexedRelation: it yields batches of
-// visible rows whose indexed column falls within the bounds (nil pointer =
-// unbounded side). The index must be ordered.
-func (t *Table) IndexLookupRange(index string, lo, hi *types.Value, loInc, hiInc bool, snapshot uint64, yield func(*types.Batch) error) error {
-	rows, err := t.indexRows(index, snapshot, func(ix *tableIndex) ([]int32, error) {
-		res, ok := ix.impl.probeRange(lo, hi, loInc, hiInc, nil)
-		if !ok {
-			return nil, fmt.Errorf("storage: index %q on table %q does not support range probes", index, t.name)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return err
-	}
-	return t.emitRows(rows, yield)
-}
-
-// indexRows probes an index under the read lock, filters the candidate rows
-// by MVCC visibility at snapshot, and returns them in ascending physical
-// order. Probes never mutate the structure, so the read lock suffices.
-func (t *Table) indexRows(name string, snapshot uint64, probe func(*tableIndex) ([]int32, error)) ([]int, error) {
+// IndexCursor implements catalog.IndexedRelation. It checks that the index
+// exists and serves the probe; the probe itself runs on the first Next.
+func (t *Table) IndexCursor(index string, probe catalog.IndexProbe, snapshot uint64) (catalog.Cursor, error) {
 	t.mu.RLock()
-	ix := t.indexLocked(name)
+	ix := t.indexLocked(index)
+	t.mu.RUnlock()
 	if ix == nil {
-		t.mu.RUnlock()
-		return nil, fmt.Errorf("storage: no index %q on table %q", name, t.name)
+		return nil, fmt.Errorf("storage: no index %q on table %q", index, t.name)
 	}
-	cand, err := probe(ix)
-	if err != nil {
-		t.mu.RUnlock()
-		return nil, err
+	if probe.Eq == nil && ix.def.Kind != OrderedIndex {
+		return nil, fmt.Errorf("storage: index %q on table %q does not support range probes", index, t.name)
+	}
+	return &cursor{t: t, snapshot: snapshot, index: ix, probe: probe}, nil
+}
+
+// hitsLocked probes ix, filters the candidate rows by MVCC visibility at
+// snapshot, and returns them in ascending physical order. Probes never
+// mutate the structure, so the caller's read lock suffices; an index dropped
+// since the cursor was made is no longer appended to, so it still serves the
+// rows created at or before snapshot.
+func (t *Table) hitsLocked(ix *tableIndex, p catalog.IndexProbe, snapshot uint64) []int {
+	var cand []int32
+	if p.Eq != nil {
+		cand = ix.impl.probeEq(*p.Eq, nil)
+	} else {
+		cand, _ = ix.impl.probeRange(p.Lo, p.Hi, p.LoInc, p.HiInc, nil)
 	}
 	vis := make([]int, 0, len(cand))
 	for _, r := range cand {
@@ -166,17 +148,6 @@ func (t *Table) indexRows(name string, snapshot uint64, probe func(*tableIndex) 
 			vis = append(vis, int(r))
 		}
 	}
-	t.mu.RUnlock()
-	sort.Ints(vis)
-	return vis, nil
-}
-
-// emitRows hands emit the given physical rows, BatchSize per round.
-func (t *Table) emitRows(rows []int, yield func(*types.Batch) error) error {
-	return t.emit(func() ([]int, bool) {
-		k := min(len(rows), types.BatchSize)
-		round := rows[:k]
-		rows = rows[k:]
-		return round, len(rows) > 0
-	}, func(b *types.Batch, _ []int) error { return yield(b) })
+	slices.Sort(vis)
+	return vis
 }
