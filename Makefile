@@ -25,9 +25,9 @@ build:
 test:
 	$(GO) test ./...
 
-## race: the concurrent subsystems — planner (shared plan-cache templates), executor, analytics kernels and their λ metrics (E9 at 1 and 8 workers), CSV loader, CSR build, engine, storage, the image writer (a physical image cut while commits continue), network server and client, WAL, replication, cluster, telemetry, plan cache — under the race detector
+## race: the concurrent subsystems — planner (shared plan-cache templates), executor, the expression compiler and column buffers (per-evaluator and per-operator reused buffers), analytics kernels and their λ metrics (E9 at 1 and 8 workers), CSV loader, CSR build, engine, storage, the image writer (a physical image cut while commits continue), network server and client, WAL, replication, cluster, telemetry, plan cache — under the race detector
 race:
-	$(GO) test -race ./internal/plan/ ./internal/exec/ ./internal/analytics/ ./internal/bench/ ./internal/load/ ./internal/graph/ ./internal/engine/ ./internal/faultinject/ ./internal/storage/ ./internal/persist/ ./internal/server/ ./internal/server/client/ ./internal/wal/ ./internal/repl/ ./internal/cluster/ ./internal/retry/ ./internal/obs/ ./internal/telemetry/ ./internal/plancache/
+	$(GO) test -race ./internal/plan/ ./internal/exec/ ./internal/expr/ ./internal/types/ ./internal/analytics/ ./internal/bench/ ./internal/load/ ./internal/graph/ ./internal/engine/ ./internal/faultinject/ ./internal/storage/ ./internal/persist/ ./internal/server/ ./internal/server/client/ ./internal/wal/ ./internal/repl/ ./internal/cluster/ ./internal/retry/ ./internal/obs/ ./internal/telemetry/ ./internal/plancache/
 
 ## bench-api: vet and test the benchmark module (cmd/lambdabench, its own go.mod, outside ./...) so a refactor that breaks a name it imports fails here, not in the benchmark run (~9 s)
 bench-api:

@@ -15,10 +15,10 @@ import (
 	"lambdadb/internal/types"
 )
 
-// A Metric is a distance prepared for one set of k centres. Given a block of
-// at most types.BatchSize data rows (row-major, d floats each), it sets
-// dist[c][i] to the distance between row i and centre c for every centre.
-// It is called from several goroutines at once.
+// A Metric is a distance prepared for one set of k centres and one worker.
+// Given a block of at most types.BatchSize data rows (row-major, d floats
+// each), it sets dist[c][i] to the distance between row i and centre c for
+// every centre. It is called on its worker's goroutine only.
 type Metric func(rows []float64, dist [][]float64) error
 
 // KMeansResult reports the outcome of a k-Means run.
@@ -40,9 +40,11 @@ type KMeansOptions struct {
 	// Workers is the parallelism degree; 0 or 1 means serial.
 	Workers int
 	// Distance, when set, is given every round's centres (row-major k×d)
-	// and returns the round's metric. Unset, or a nil metric, is squared
-	// Euclidean distance (the default lambda of the paper's Section 7).
-	Distance func(centers []float64) (Metric, error)
+	// once per worker, worker in [0, Workers), on the caller's goroutine,
+	// and returns that worker's metric for the round; so a metric may keep
+	// per-worker state. Unset, or a nil metric, is squared Euclidean
+	// distance (the default lambda of the paper's Section 7).
+	Distance func(worker int, centers []float64) (Metric, error)
 	// OnIteration, if set, is called after every iteration with the 1-based
 	// round number and how many assignments changed (telemetry and
 	// cancellation hook); an error stops the run and is returned.
@@ -84,17 +86,19 @@ func KMeans(data []float64, n, d int, centers []float64, k int, opt KMeansOption
 	}
 
 	res := &KMeansResult{}
+	metrics := make([]Metric, workers)
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		res.Iterations = iter + 1
-		var metric Metric
 		if opt.Distance != nil {
-			m, err := opt.Distance(cur)
-			if err != nil {
-				return nil, err
+			for w := range metrics {
+				m, err := opt.Distance(w, cur)
+				if err != nil {
+					return nil, err
+				}
+				metrics[w] = m
 			}
-			metric = m
 		}
-		changed, err := assignStep(data, n, d, cur, k, metric, assign, workers)
+		changed, err := assignStep(data, n, d, cur, k, metrics, assign, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -113,20 +117,20 @@ func KMeans(data []float64, n, d int, centers []float64, k int, opt KMeansOption
 	return res, nil
 }
 
-// assignStep assigns each tuple to its nearest center under metric (nil =
-// squared Euclidean), returning how many assignments changed. One worker
-// runs on the caller's goroutine.
+// assignStep assigns each tuple to its nearest center, worker w under
+// metrics[w] (nil = squared Euclidean), returning how many assignments
+// changed. One worker runs on the caller's goroutine.
 func assignStep(data []float64, n, d int, centers []float64, k int,
-	metric Metric, assign []int32, workers int) (int, error) {
+	metrics []Metric, assign []int32, workers int) (int, error) {
 
-	run := func(lo, hi int) (int, error) {
-		if metric == nil {
+	run := func(w, lo, hi int) (int, error) {
+		if metrics[w] == nil {
 			return assignEuclid(data, d, centers, k, assign, lo, hi), nil
 		}
-		return assignCustom(data, d, k, metric, assign, lo, hi)
+		return assignCustom(data, d, k, metrics[w], assign, lo, hi)
 	}
 	if workers == 1 {
-		return run(0, n)
+		return run(0, 0, n)
 	}
 	chunk := (n + workers - 1) / workers
 	changes := make([]int, workers)
@@ -144,7 +148,7 @@ func assignStep(data []float64, n, d int, centers []float64, k int,
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			changes[w], errs[w] = run(lo, hi)
+			changes[w], errs[w] = run(w, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -287,7 +291,7 @@ func updateStep(data []float64, n, d int, centers []float64, k int, assign []int
 // model" half of the paper's model-application pattern.
 func Assign(data []float64, n, d int, centers []float64, k int, metric Metric) ([]int32, error) {
 	assign := make([]int32, n)
-	if _, err := assignStep(data, n, d, centers, k, metric, assign, 1); err != nil {
+	if _, err := assignStep(data, n, d, centers, k, []Metric{metric}, assign, 1); err != nil {
 		return nil, err
 	}
 	return assign, nil

@@ -24,8 +24,8 @@ func twoBlobs(n, d int, seed int64) []float64 {
 
 // pointwise is a Metric factory from a distance between one row and one
 // centre.
-func pointwise(dist func(a, b []float64) float64) func(centers []float64) (Metric, error) {
-	return func(centers []float64) (Metric, error) {
+func pointwise(dist func(a, b []float64) float64) func(worker int, centers []float64) (Metric, error) {
+	return func(_ int, centers []float64) (Metric, error) {
 		return func(rows []float64, out [][]float64) error {
 			d := len(centers) / len(out)
 			for c := range out {

@@ -224,8 +224,8 @@ func TestWorkingTablesAreEstimatedByTheirInit(t *testing.T) {
 
 // plainGo is a k-Means metric factory from a distance between one row and
 // one centre.
-func plainGo(dist func(a, b []float64) float64) func(centers []float64) (analytics.Metric, error) {
-	return func(centers []float64) (analytics.Metric, error) {
+func plainGo(dist func(a, b []float64) float64) func(worker int, centers []float64) (analytics.Metric, error) {
+	return func(_ int, centers []float64) (analytics.Metric, error) {
 		return func(rows []float64, out [][]float64) error {
 			d := len(centers) / len(out)
 			for c := range out {

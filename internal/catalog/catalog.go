@@ -12,8 +12,10 @@ import (
 // goroutine. A cursor does no work before its first Next.
 type Cursor interface {
 	// Next returns the next batch and its rows' physical row ids, or a nil
-	// batch once the cursor is exhausted. The row ids are valid until the
-	// next call; a cursor over rows without physical positions returns nil.
+	// batch once the cursor is exhausted. Both are valid until the next
+	// call: the batch is borrowed, and a caller that keeps it keeps
+	// types.Retain of it. A cursor over rows without physical positions
+	// returns nil row ids.
 	Next() (*types.Batch, []int)
 }
 

@@ -289,6 +289,7 @@ func newAggOp(n *plan.Aggregate) *blockingOp {
 			for _, s := range sinks {
 				if s != nil {
 					s.table.release()
+					s.scratch.release()
 				}
 			}
 		}()
@@ -337,6 +338,9 @@ type aggSink struct {
 	argEvals []expr.Evaluator // nil entry: count(*)
 	table    *keyTable
 	accs     []aggAcc
+	scratch  scratch // the evaluators' inner nodes
+	keyCols  []*types.Column
+	argCols  []*types.Column
 	// groups is the number of ids in use: the table's keys, or the one group
 	// of a global aggregate, which exists before any input.
 	groups int
@@ -345,12 +349,14 @@ type aggSink struct {
 
 func newAggSink(n *plan.Aggregate, ctx *Context) (*aggSink, error) {
 	s := &aggSink{aggs: n.Aggs, accs: make([]aggAcc, len(n.Aggs)),
-		keyEvals: make([]expr.Evaluator, len(n.Keys)), argEvals: make([]expr.Evaluator, len(n.Aggs))}
+		keyEvals: make([]expr.Evaluator, len(n.Keys)), argEvals: make([]expr.Evaluator, len(n.Aggs)),
+		keyCols: make([]*types.Column, len(n.Keys)), argCols: make([]*types.Column, len(n.Aggs)),
+		scratch: scratch{ctx: ctx, label: "aggregate"}}
 	keyTypes := make([]types.Type, len(n.Keys))
 	var err error
 	for i, k := range n.Keys {
 		keyTypes[i] = k.Type()
-		if s.keyEvals[i], err = expr.Compile(k); err != nil {
+		if s.keyEvals[i], err = expr.CompileLent(k, &s.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}
@@ -358,7 +364,7 @@ func newAggSink(n *plan.Aggregate, ctx *Context) (*aggSink, error) {
 		if g.Arg == nil {
 			continue
 		}
-		if s.argEvals[i], err = expr.Compile(g.Arg); err != nil {
+		if s.argEvals[i], err = expr.CompileLent(g.Arg, &s.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}
@@ -384,13 +390,12 @@ func (s *aggSink) grow() error {
 func (s *aggSink) consume(b *types.Batch) error {
 	var err error
 	n := b.Len()
-	keyCols := make([]*types.Column, len(s.keyEvals))
+	keyCols, argCols := s.keyCols, s.argCols
 	for i, ev := range s.keyEvals {
 		if keyCols[i], err = ev(b); err != nil {
 			return err
 		}
 	}
-	argCols := make([]*types.Column, len(s.argEvals))
 	for i, ev := range s.argEvals {
 		if ev == nil {
 			continue
@@ -410,5 +415,5 @@ func (s *aggSink) consume(b *types.Batch) error {
 	for ai := range s.accs {
 		s.accs[ai].fold(s.aggs[ai].Func, ids, argCols[ai])
 	}
-	return nil
+	return s.scratch.book()
 }

@@ -58,6 +58,7 @@ type inputSink struct {
 	label    string
 	rowBytes int64
 	prepare  func(b *types.Batch) (*types.Batch, error)
+	scratch  scratch // prepare's evaluators
 	batches  []*types.Batch
 	rows     int
 	start    int // the position of the part's first row in the whole input
@@ -65,16 +66,23 @@ type inputSink struct {
 
 func (s *inputSink) consume(b *types.Batch) error {
 	b, err := s.prepare(b)
+	if err == nil {
+		err = s.scratch.book()
+	}
 	if err != nil {
 		return err
 	}
 	if err := s.ctx.charge(s.label, s.rowBytes*int64(b.Len())); err != nil {
 		return err
 	}
-	s.batches = append(s.batches, b)
+	s.batches = append(s.batches, types.Retain(b))
 	s.rows += b.Len()
 	return nil
 }
+
+// preparer makes one part's prepare step; an evaluator it compiles draws
+// its buffers from the part's scratch, since parts run concurrently.
+type preparer func(s *scratch) (func(*types.Batch) (*types.Batch, error), error)
 
 // input is an analytical operator's input, loaded: the checked batches of
 // each part, in part order, and how many rows they hold.
@@ -85,10 +93,17 @@ type input struct {
 
 // loadInput is the one loader of the analytical operators: it drives p
 // into one inputSink per part.
-func loadInput(p plan.Node, ctx *Context, label string, rowBytes int64, prepare func(*types.Batch) (*types.Batch, error)) (*input, error) {
-	sinks, err := drive(ctx, partsOf(p, ctx), "", func(Operator) (*inputSink, error) {
-		return &inputSink{ctx: ctx, label: label, rowBytes: rowBytes, prepare: prepare}, nil
+func loadInput(p plan.Node, ctx *Context, label string, rowBytes int64, prepare preparer) (*input, error) {
+	sinks, err := drive(ctx, partsOf(p, ctx), "", func(Operator) (s *inputSink, err error) {
+		s = &inputSink{ctx: ctx, label: label, rowBytes: rowBytes, scratch: scratch{ctx: ctx, label: label}}
+		s.prepare, err = prepare(&s.scratch)
+		return s, err
 	})
+	for _, s := range sinks {
+		if s != nil {
+			s.scratch.release()
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -137,8 +152,8 @@ func loadFloats(p plan.Node, ctx *Context, label string, labelled bool) (*floatM
 			return nil, fmt.Errorf("analytical input column %q is %s, need a numeric type", c.Name, c.Type)
 		}
 	}
-	in, err := loadInput(p, ctx, label, 8*int64(width), func(b *types.Batch) (*types.Batch, error) {
-		return b, rejectNulls(b, width)
+	in, err := loadInput(p, ctx, label, 8*int64(width), func(*scratch) (func(*types.Batch) (*types.Batch, error), error) {
+		return func(b *types.Batch) (*types.Batch, error) { return b, rejectNulls(b, width) }, nil
 	})
 	if err != nil {
 		return nil, err
@@ -159,64 +174,111 @@ func loadFloats(p plan.Node, ctx *Context, label string, labelled bool) (*floatM
 	return m, err
 }
 
-// distanceMetric prepares a bound distance λ(a, b) over d DOUBLE fields for
-// the k-Means kernels; a nil λ yields their default, squared Euclidean
-// distance, as a nil metric. For each set of centres, centre c's fields
-// replace b's as constants, and the folded body compiles with the ordinary
-// expression compiler: k compiles per round, none per row or block. The
-// metric evaluates a block of rows as d columns transposed from the
-// row-major matrix; a NULL or NaN distance is an error naming the λ.
-func distanceMetric(l *expr.Lambda, d int, what string) func(centers []float64) (analytics.Metric, error) {
-	return func(centers []float64) (analytics.Metric, error) {
-		if l == nil {
-			return nil, nil
-		}
-		evs := make([]expr.Evaluator, len(centers)/d)
-		for c := range evs {
-			centre := centers[c*d : c*d+d]
-			body := expr.Rewrite(l.Body, func(e expr.Expr) expr.Expr {
-				if ref, ok := e.(*expr.ColRef); ok && ref.Index >= d {
-					return &expr.Const{Val: types.NewFloat(centre[ref.Index-d])}
-				}
-				return e
-			})
-			ev, err := expr.Compile(plan.Fold(body))
-			if err != nil {
-				return nil, fmt.Errorf("%s: distance %s: %w", what, l, err)
-			}
-			evs[c] = ev
-		}
-		return func(rows []float64, dist [][]float64) error {
-			b := columnsOf(rows, d)
-			for c, ev := range evs {
-				col, err := ev(b)
-				if err == nil {
-					err = checkLambdaResult(col, func(x float64) bool { return !math.IsNaN(x) }, "distances must be numbers")
-				}
-				if err != nil {
-					return fmt.Errorf("%s: distance %s: %w", what, l, err)
-				}
-				copy(dist[c], col.Floats)
-			}
-			return nil
-		}, nil
-	}
+// distance is a bound distance λ(a, b) over d DOUBLE fields, prepared for
+// the k-Means kernels on one goroutine, with buffers from that goroutine's
+// scratch. For each set of centres, centre c's fields replace b's as
+// constants, and the folded body compiles with the ordinary expression
+// compiler: k compiles per round, none per row or block. A centre's
+// evaluator has run, and its result is copied out, before the next centre's
+// starts, so all k draw the same buffers from scratch — as do the next
+// round's — and a block of rows is transposed into the same d columns: a
+// round allocates no column data once the first has run. A NULL or NaN
+// distance is an error naming the λ.
+type distance struct {
+	l       *expr.Lambda
+	d       int
+	what    string
+	scratch *scratch
+	evs     []expr.Evaluator
+	buf     []float64
+	cols    []types.Column
+	block   types.Batch
 }
 
-// columnsOf is a block of row-major rows of d floats as a batch of d DOUBLE
-// columns.
-func columnsOf(rows []float64, d int) *types.Batch {
-	m := len(rows) / d
-	buf := make([]float64, len(rows))
-	b := &types.Batch{Cols: make([]*types.Column, d)}
-	for j := range b.Cols {
-		col := buf[j*m : (j+1)*m : (j+1)*m]
+func newDistance(l *expr.Lambda, d int, what string, s *scratch) *distance {
+	m := &distance{l: l, d: d, what: what, scratch: s,
+		cols: make([]types.Column, d), block: types.Batch{Cols: make([]*types.Column, d)}}
+	for j := range m.cols {
+		m.cols[j].T, m.block.Cols[j] = types.Float64, &m.cols[j]
+	}
+	return m
+}
+
+// prepare compiles the metric for one set of centres, replacing the
+// previous set's.
+func (m *distance) prepare(centers []float64) (analytics.Metric, error) {
+	d := m.d
+	m.evs = m.evs[:0]
+	for c := range len(centers) / d {
+		m.scratch.Rewind()
+		centre := centers[c*d : c*d+d]
+		body := expr.Rewrite(m.l.Body, func(e expr.Expr) expr.Expr {
+			if ref, ok := e.(*expr.ColRef); ok && ref.Index >= d {
+				return &expr.Const{Val: types.NewFloat(centre[ref.Index-d])}
+			}
+			return e
+		})
+		ev, err := expr.CompileLent(plan.Fold(body), &m.scratch.Scratch)
+		if err != nil {
+			return nil, fmt.Errorf("%s: distance %s: %w", m.what, m.l, err)
+		}
+		m.evs = append(m.evs, ev)
+	}
+	return m.metric, nil
+}
+
+func (m *distance) metric(rows []float64, dist [][]float64) error {
+	b := m.columnsOf(rows)
+	for c, ev := range m.evs {
+		col, err := ev(b)
+		if err == nil {
+			err = checkLambdaResult(col, func(x float64) bool { return !math.IsNaN(x) }, "distances must be numbers")
+		}
+		if err != nil {
+			return fmt.Errorf("%s: distance %s: %w", m.what, m.l, err)
+		}
+		copy(dist[c], col.Floats)
+	}
+	return m.scratch.book()
+}
+
+// columnsOf transposes a block of row-major rows of d floats into the
+// distance's batch of d DOUBLE columns.
+func (m *distance) columnsOf(rows []float64) *types.Batch {
+	d := m.d
+	n := len(rows) / d
+	m.buf = sized(m.buf, len(rows))
+	for j := range m.cols {
+		col := m.buf[j*n : (j+1)*n : (j+1)*n]
 		for i := range col {
 			col[i] = rows[i*d+j]
 		}
-		b.Cols[j] = &types.Column{T: types.Float64, Floats: col}
+		m.cols[j].Floats = col
 	}
-	return b
+	return &m.block
+}
+
+// distanceMetric is the k-Means kernel's Distance for a bound λ: one
+// distance per worker, kept across rounds, so that no two goroutines share
+// an evaluator. A nil λ yields the kernels' default, squared Euclidean
+// distance, as a nil metric. The returned release returns the workers'
+// buffers to the budget.
+func distanceMetric(l *expr.Lambda, d int, ctx *Context) (dist func(worker int, centers []float64) (analytics.Metric, error), release func()) {
+	var workers []*distance
+	dist = func(worker int, centers []float64) (analytics.Metric, error) {
+		if l == nil {
+			return nil, nil
+		}
+		for len(workers) <= worker {
+			workers = append(workers, newDistance(l, d, "kmeans", &scratch{ctx: ctx, label: "kmeans"}))
+		}
+		return workers[worker].prepare(centers)
+	}
+	return dist, func() {
+		for _, w := range workers {
+			w.scratch.release()
+		}
+	}
 }
 
 // checkLambdaResult fails the first row of a λ's DOUBLE result that is NULL
@@ -232,9 +294,10 @@ func checkLambdaResult(c *types.Column, valid func(float64) bool, rule string) e
 
 // newKMeansOp is the physical k-Means operator (paper Section 6.1).
 func newKMeansOp(n *plan.KMeans) *blockingOp {
-	dist := distanceMetric(n.Lambda, len(n.OutNames), "kmeans")
 	schema := n.Schema()
 	return &blockingOp{label: "kmeans", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
+		dist, release := distanceMetric(n.Lambda, len(n.OutNames), ctx)
+		defer release()
 		data, err := loadFloats(n.Data, ctx, "kmeans", false)
 		if err != nil {
 			return nil, fmt.Errorf("kmeans data: %w", err)
@@ -272,14 +335,15 @@ func newKMeansOp(n *plan.KMeans) *blockingOp {
 }
 
 // applySink is model application: every input batch, read as rows of d
-// floats, gets the model's labels appended as a column. The output is
-// charged to the operator named by label.
+// floats, gets the model's labels appended as a column; the labelled batch
+// is retained. The output is charged to the operator named by label.
 type applySink struct {
 	ctx     *Context
 	label   string
 	schema  types.Schema
 	d       int
 	predict func(rows []float64, labels []int64) error
+	scratch scratch // predict's evaluators
 	rows    []float64
 	out     []*types.Batch
 }
@@ -298,18 +362,30 @@ func (s *applySink) consume(b *types.Batch) error {
 	if err := s.predict(s.rows, labels.Ints); err != nil {
 		return err
 	}
-	nb := &types.Batch{Schema: s.schema, Cols: append(append([]*types.Column{}, b.Cols...), labels)}
+	if err := s.scratch.book(); err != nil {
+		return err
+	}
+	nb := types.Retain(&types.Batch{Schema: s.schema, Cols: append(append([]*types.Column{}, b.Cols...), labels)})
 	s.out = append(s.out, nb)
 	return s.ctx.charge(s.label, batchBytes(nb))
 }
 
 // applyModel drives data through one applySink per part and concatenates
-// the labelled batches in part order. predict labels one batch's rows and
-// must be safe for concurrent use.
-func applyModel(data plan.Node, ctx *Context, label string, schema types.Schema, d int, predict func(rows []float64, labels []int64) error) (*Materialized, error) {
-	sinks, err := drive(ctx, partsOf(data, ctx), "", func(Operator) (*applySink, error) {
-		return &applySink{ctx: ctx, label: label, schema: schema, d: d, predict: predict}, nil
+// the labelled batches in part order. newPredict makes a part's predict,
+// which labels one batch's rows on the part's goroutine with buffers from
+// the part's scratch; it is called from several goroutines at once.
+func applyModel(data plan.Node, ctx *Context, label string, schema types.Schema, d int,
+	newPredict func(s *scratch) (func(rows []float64, labels []int64) error, error)) (*Materialized, error) {
+	sinks, err := drive(ctx, partsOf(data, ctx), "", func(Operator) (s *applySink, err error) {
+		s = &applySink{ctx: ctx, label: label, schema: schema, d: d, scratch: scratch{ctx: ctx, label: label}}
+		s.predict, err = newPredict(&s.scratch)
+		return s, err
 	})
+	for _, s := range sinks {
+		if s != nil {
+			s.scratch.release()
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s data: %w", label, err)
 	}
@@ -326,7 +402,6 @@ func applyModel(data plan.Node, ctx *Context, label string, schema types.Schema,
 // cluster id to every tuple (model application).
 func newKMeansAssignOp(n *plan.KMeansAssign) *blockingOp {
 	d := len(n.Data.Schema())
-	dist := distanceMetric(n.Lambda, d, "kmeans_assign")
 	schema := n.Schema()
 	return &blockingOp{label: "kmeans_assign", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
 		centers, err := loadFloats(n.Centers, ctx, "kmeans_assign", false)
@@ -337,16 +412,21 @@ func newKMeansAssignOp(n *plan.KMeansAssign) *blockingOp {
 		if centers.n == 0 {
 			return nil, fmt.Errorf("kmeans_assign: no centers")
 		}
-		metric, err := dist(centers.data)
-		if err != nil {
-			return nil, err
-		}
-		return applyModel(n.Data, ctx, "kmeans_assign", schema, d, func(rows []float64, labels []int64) error {
-			ids, err := analytics.Assign(rows, len(labels), d, centers.data, centers.n, metric)
-			for i, c := range ids {
-				labels[i] = int64(c)
+		return applyModel(n.Data, ctx, "kmeans_assign", schema, d, func(s *scratch) (func([]float64, []int64) error, error) {
+			var metric analytics.Metric
+			if n.Lambda != nil {
+				var err error
+				if metric, err = newDistance(n.Lambda, d, "kmeans_assign", s).prepare(centers.data); err != nil {
+					return nil, err
+				}
 			}
-			return err
+			return func(rows []float64, labels []int64) error {
+				ids, err := analytics.Assign(rows, len(labels), d, centers.data, centers.n, metric)
+				for i, c := range ids {
+					labels[i] = int64(c)
+				}
+				return err
+			}, nil
 		})
 	}}
 }
@@ -357,17 +437,14 @@ func newKMeansAssignOp(n *plan.KMeansAssign) *blockingOp {
 // (Section 7), compiled once like any other expression over the edge
 // batches, makes the CSR weighted.
 func newPageRankOp(n *plan.PageRank) (*blockingOp, error) {
-	var weight expr.Evaluator
 	if n.Lambda != nil {
-		ev, err := expr.Compile(n.Lambda.Body)
-		if err != nil {
+		if _, err := expr.Compile(n.Lambda.Body); err != nil {
 			return nil, fmt.Errorf("pagerank: edge weight %s: %w", n.Lambda, err)
 		}
-		weight = ev
 	}
 	schema := n.Schema()
 	return &blockingOp{label: "pagerank", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
-		e, err := loadEdges(n, weight, ctx)
+		e, err := loadEdges(n, ctx)
 		if err != nil {
 			return nil, fmt.Errorf("pagerank edges: %w", err)
 		}
@@ -422,42 +499,52 @@ func (e *edges) bytes() int64 { return 8 * int64(len(e.src)+len(e.dst)+len(e.wei
 
 // loadEdges materializes a PageRank edge input into arrays allocated once at
 // their final size, charged to the pagerank operator. With a weight λ, its
-// compiled body evaluates each edge batch into a weight column appended to
-// the batch.
-func loadEdges(n *plan.PageRank, weight expr.Evaluator, ctx *Context) (*edges, error) {
+// body, compiled once per part, evaluates each edge batch into a weight
+// column appended to the batch.
+func loadEdges(n *plan.PageRank, ctx *Context) (*edges, error) {
+	weighted := n.Lambda != nil
 	rowBytes := int64(16)
-	if weight != nil {
+	if weighted {
 		rowBytes += 8
 	}
-	in, err := loadInput(n.Edges, ctx, "pagerank", rowBytes, func(b *types.Batch) (*types.Batch, error) {
-		if nullColumn(b, 2) >= 0 {
-			return nil, fmt.Errorf("NULL vertex id in edge input")
+	in, err := loadInput(n.Edges, ctx, "pagerank", rowBytes, func(s *scratch) (func(*types.Batch) (*types.Batch, error), error) {
+		var weight expr.Evaluator
+		if weighted {
+			var err error
+			if weight, err = expr.CompileScratch(n.Lambda.Body, &s.Scratch); err != nil {
+				return nil, err
+			}
 		}
-		if weight == nil {
-			return b, nil
-		}
-		w, err := weight(b)
-		if err == nil {
-			err = checkLambdaResult(w, func(x float64) bool { return x >= 0 && !math.IsInf(x, 1) },
-				"weights must be finite and non-negative")
-		}
-		if err != nil {
-			return nil, fmt.Errorf("edge weight %s: %w", n.Lambda, err)
-		}
-		return &types.Batch{Cols: []*types.Column{b.Cols[0], b.Cols[1], w}}, nil
+		return func(b *types.Batch) (*types.Batch, error) {
+			if nullColumn(b, 2) >= 0 {
+				return nil, fmt.Errorf("NULL vertex id in edge input")
+			}
+			if weight == nil {
+				return b, nil
+			}
+			w, err := weight(b)
+			if err == nil {
+				err = checkLambdaResult(w, func(x float64) bool { return x >= 0 && !math.IsInf(x, 1) },
+					"weights must be finite and non-negative")
+			}
+			if err != nil {
+				return nil, fmt.Errorf("edge weight %s: %w", n.Lambda, err)
+			}
+			return &types.Batch{Cols: []*types.Column{b.Cols[0], b.Cols[1], w}}, nil
+		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	e := &edges{src: make([]int64, in.rows), dst: make([]int64, in.rows)}
-	if weight != nil {
+	if weighted {
 		e.weights = make([]float64, in.rows)
 	}
 	err = in.copyInto(ctx, func(b *types.Batch, row int) {
 		k := b.Len()
 		copy(e.src[row:], b.Cols[0].Ints[:k])
 		copy(e.dst[row:], b.Cols[1].Ints[:k])
-		if weight != nil {
+		if weighted {
 			copy(e.weights[row:], b.Cols[2].Floats[:k])
 		}
 	})
@@ -571,11 +658,13 @@ func newNBPredictOp(n *plan.NaiveBayesPredict) *blockingOp {
 			return nil, fmt.Errorf("naive_bayes_predict: model has %d features, data has %d",
 				len(model.Means[0]), d)
 		}
-		return applyModel(n.Data, ctx, "naive_bayes_predict", schema, d, func(rows []float64, labels []int64) error {
-			for i := range labels {
-				labels[i] = model.Predict(rows[i*d : i*d+d])
-			}
-			return nil
+		return applyModel(n.Data, ctx, "naive_bayes_predict", schema, d, func(*scratch) (func([]float64, []int64) error, error) {
+			return func(rows []float64, labels []int64) error {
+				for i := range labels {
+					labels[i] = model.Predict(rows[i*d : i*d+d])
+				}
+				return nil
+			}, nil
 		})
 	}}
 }

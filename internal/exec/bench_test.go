@@ -366,9 +366,30 @@ func BenchmarkHashJoin(b *testing.B) {
 // BenchmarkProjectArith measures the expression kernels in a projection,
 // per row: scan_agg's GROUP BY key cast(floor(d0 * 100) AS BIGINT), and the
 // k-Means step's 10-term distance (d0 - d10)^2 + … + (d9 - d19)^2, each over
-// 100k rows of 20 DOUBLE columns under a global count.
+// arithRows rows of 20 DOUBLE columns under a global count.
 func BenchmarkProjectArith(b *testing.B) {
-	const rows = 100_000
+	s, tbl := arithTable(b)
+	d := func(j int) expr.Expr { return colRef(fmt.Sprint("d", j), j, types.Float64) }
+	bucket := &expr.Cast{To: types.Int64, E: &expr.FuncCall{Name: "floor", Typ: types.Float64,
+		Args: []expr.Expr{&expr.BinOp{Op: expr.OpMul, L: d(0), R: &expr.Const{Val: types.NewFloat(100)}, Typ: types.Float64}}}}
+	for _, tc := range []struct {
+		name string
+		e    expr.Expr
+	}{{"cast-floor", bucket}, {"distance", distanceExpr()}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			runPerRow(b, counted(&plan.Project{Child: plan.NewScan(tbl, "", s.Snapshot()),
+				Exprs: []expr.Expr{tc.e}, Names: []string{tc.name}}), arithRows)
+		})
+	}
+}
+
+// arithRows is the size of arithTable.
+const arithRows = 100_000
+
+// arithTable is a table of arithRows rows of 20 random DOUBLE columns,
+// d0 … d19.
+func arithTable(tb testing.TB) (*storage.Store, *storage.Table) {
 	s := storage.NewStore()
 	schema := make(types.Schema, 20)
 	for c := range schema {
@@ -376,26 +397,30 @@ func BenchmarkProjectArith(b *testing.B) {
 	}
 	tbl, err := s.CreateTable("pts", schema)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	batch := types.NewBatch(schema)
-	for i := 0; i < rows; i++ {
+	for i := 0; i < arithRows; i++ {
 		for _, c := range batch.Cols {
 			c.AppendFloat(rng.Float64())
 		}
 	}
 	tx := s.Begin()
 	if err := tx.Insert(tbl, batch); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return s, tbl
+}
+
+// distanceExpr is the k-Means step's squared distance between the first
+// ten columns of arithTable and the last ten: (d0 - d10)^2 + … + (d9 - d19)^2.
+func distanceExpr() expr.Expr {
 	d := func(j int) expr.Expr { return colRef(fmt.Sprint("d", j), j, types.Float64) }
 	arith := func(op expr.Op, l, r expr.Expr) expr.Expr { return &expr.BinOp{Op: op, L: l, R: r, Typ: types.Float64} }
-	bucket := &expr.Cast{To: types.Int64, E: &expr.FuncCall{Name: "floor", Typ: types.Float64,
-		Args: []expr.Expr{arith(expr.OpMul, d(0), &expr.Const{Val: types.NewFloat(100)})}}}
 	term := func(j int) expr.Expr {
 		return arith(expr.OpPow, arith(expr.OpSub, d(j), d(10+j)), &expr.Const{Val: types.NewFloat(2)})
 	}
@@ -403,14 +428,5 @@ func BenchmarkProjectArith(b *testing.B) {
 	for j := 1; j < 10; j++ {
 		dist = arith(expr.OpAdd, dist, term(j))
 	}
-	for _, tc := range []struct {
-		name string
-		e    expr.Expr
-	}{{"cast-floor", bucket}, {"distance", dist}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			runPerRow(b, counted(&plan.Project{Child: plan.NewScan(tbl, "", s.Snapshot()),
-				Exprs: []expr.Expr{tc.e}, Names: []string{tc.name}}), rows)
-		})
-	}
+	return dist
 }

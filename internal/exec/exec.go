@@ -115,12 +115,18 @@ func (c *Context) workers() int {
 }
 
 // Operator is a physical operator.
+//
+// A batch from Next is borrowed until the operator's next Next or Close: an
+// operator may write every output into the same buffers (types.Buffer). A
+// consumer that keeps a batch longer keeps types.Retain of it, which copies
+// only the reused parts; Materialized.Append does, so every materialising
+// consumer does.
 type Operator interface {
 	// Schema returns the operator's output layout.
 	Schema() types.Schema
 	// Open prepares the operator for execution.
 	Open(ctx *Context) error
-	// Next returns the next output batch, or nil when exhausted.
+	// Next returns the next output batch, borrowed, or nil when exhausted.
 	Next() (*types.Batch, error)
 	// Close releases resources. It is safe to call after a failed Open.
 	Close() error
@@ -133,12 +139,12 @@ type Materialized struct {
 	NumRows int
 }
 
-// Append adds a batch.
+// Append adds a batch, retained: it may be borrowed.
 func (m *Materialized) Append(b *types.Batch) {
 	if b == nil || b.Len() == 0 {
 		return
 	}
-	m.Batches = append(m.Batches, b)
+	m.Batches = append(m.Batches, types.Retain(b))
 	m.NumRows += b.Len()
 }
 

@@ -47,11 +47,11 @@ func buildJoinTable(mat *Materialized, keyCols []int, keyTypes []types.Type, ctx
 }
 
 // match resolves a probe batch's keys (ids[i] < 0: row i has no partner) and
-// expands each found key's chain into (probe row, build row) pairs, in probe
-// order and, per probe row, build order. scratch is the prober's, for find.
-func (jt *joinTable) match(keys []*types.Column, ids []int32, scratch *[]uint64) (probeIdx, buildIdx []int) {
+// appends to probeIdx and buildIdx, the prober's buffers, the (probe row,
+// build row) pair of each found key's chain, in probe order and, per probe
+// row, build order. scratch is the prober's too, for find.
+func (jt *joinTable) match(keys []*types.Column, ids []int32, scratch *[]uint64, probeIdx, buildIdx []int) ([]int, []int) {
 	jt.keys.find(keys, ids, scratch)
-	probeIdx, buildIdx = make([]int, 0, len(ids)), make([]int, 0, len(ids))
 	for i, id := range ids {
 		if id < 0 {
 			continue
@@ -91,7 +91,9 @@ func pickCols(b *types.Batch, at []int) []*types.Column {
 // and Next joins one streamed batch at a time against it. With equi keys
 // that is a hash probe, otherwise a block nested loop. The join retains
 // nothing of its output; whoever drives the pipeline decides whether it runs
-// as morsels and how far.
+// as morsels and how far. Joined rows are gathered into the operator's
+// reusable output (out, and kept for what a condition leaves of it); only
+// NULL-extended rows are fresh.
 type joinOp struct {
 	node   *plan.Join
 	schema types.Schema
@@ -110,9 +112,19 @@ type joinOp struct {
 
 	pendingOut []*types.Batch
 
+	// Reusable output and the condition's buffers; lone: a left join's
+	// rows that found no partner.
+	scratch   scratch
+	out, kept outBatch
+	keep      []int
+	lone      []int
+
 	// Hash-probe buffers.
-	scratch []uint64
-	ids     []int32
+	keys               []*types.Column
+	hashes             []uint64
+	ids                []int32
+	probeIdx, buildIdx []int
+	matched            []bool
 
 	// Nested-loop state.
 	nlLeft    *types.Batch
@@ -147,16 +159,18 @@ func newJoinOp(n *plan.Join) (Operator, error) {
 	j.key = sharedKey{node: j.blocking, keys: fmt.Sprint(j.buildKeys, j.keyTypes)}
 	if cond != nil {
 		var err error
-		if j.cond, err = expr.Compile(cond); err != nil {
+		if j.cond, err = expr.CompileLent(cond, &j.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}
+	j.out, j.kept = newOutBatch(&j.scratch.Scratch, j.schema), newOutBatch(&j.scratch.Scratch, j.schema)
 	return j, nil
 }
 
 func (j *joinOp) Schema() types.Schema { return j.schema }
 
 func (j *joinOp) Open(ctx *Context) error {
+	j.scratch.ctx, j.scratch.label = ctx, "join"
 	v, err := ctx.cached(j.key, j.scoped, func() (any, int64, error) { return j.build(ctx) })
 	if err != nil {
 		return err
@@ -191,17 +205,23 @@ func (j *joinOp) build(ctx *Context) (jt *joinTable, held int64, err error) {
 }
 
 func (j *joinOp) Close() error {
+	j.scratch.release()
 	if j.in != nil {
 		return j.in.Close()
 	}
 	return nil
 }
 
-func (j *joinOp) Next() (*types.Batch, error) {
+func (j *joinOp) Next() (b *types.Batch, err error) {
 	if j.hash {
-		return j.hashNext()
+		b, err = j.hashNext()
+	} else {
+		b, err = j.loopNext()
 	}
-	return j.loopNext()
+	if err == nil {
+		err = j.scratch.book()
+	}
+	return b, err
 }
 
 // hashNext probes the hash table with the next probe-side batch.
@@ -209,7 +229,7 @@ func (j *joinOp) hashNext() (*types.Batch, error) {
 	for {
 		if len(j.pendingOut) > 0 {
 			b := j.pendingOut[0]
-			j.pendingOut = j.pendingOut[1:]
+			j.pendingOut = append(j.pendingOut[:0], j.pendingOut[1:]...)
 			return b, nil
 		}
 		if err := faultinject.Fire("exec.join.probe"); err != nil {
@@ -219,49 +239,53 @@ func (j *joinOp) hashNext() (*types.Batch, error) {
 		if err != nil || pb == nil {
 			return nil, err
 		}
-		if j.pendingOut, err = j.probeBatch(pb); err != nil {
+		if err = j.probeBatch(pb); err != nil {
 			return nil, err
 		}
 	}
 }
 
-// probeBatch joins one probe-side batch against the join table, returning
+// probeBatch joins one probe-side batch against the join table, queueing
 // the matched rows followed by any left-join NULL-extended rows.
-func (j *joinOp) probeBatch(pb *types.Batch) ([]*types.Batch, error) {
+func (j *joinOp) probeBatch(pb *types.Batch) error {
 	n := pb.Len()
-	keys := pickCols(pb, j.probeKeys)
-	j.ids = sized(j.ids, n)
-	probeIdx, buildIdx := j.jt.match(keys, j.ids, &j.scratch)
-	out, probeIdx, err := j.assemble(pb, probeIdx, buildIdx)
-	if err != nil {
-		return nil, err
+	j.keys = j.keys[:0]
+	for _, c := range j.probeKeys {
+		j.keys = append(j.keys, pb.Cols[c])
 	}
-	var res []*types.Batch
+	j.ids = sized(j.ids, n)
+	j.probeIdx, j.buildIdx = j.jt.match(j.keys, j.ids, &j.hashes, j.probeIdx[:0], j.buildIdx[:0])
+	out, probeIdx, err := j.assemble(pb, j.probeIdx, j.buildIdx)
+	if err != nil {
+		return err
+	}
+	j.pendingOut = j.pendingOut[:0]
 	if out.Len() > 0 {
-		res = append(res, out)
+		j.pendingOut = append(j.pendingOut, out)
 	}
 	if j.node.Type != plan.LeftJoin {
-		return res, nil
+		return nil
 	}
 	// A probe row is matched when one of its pairs survived the residual.
 	// The others are NULL-extended: first those whose key found no build row,
 	// then those whose every candidate the residual rejected.
-	matched := make([]bool, n)
+	j.matched = sized(j.matched, n)
+	clear(j.matched)
 	for _, pi := range probeIdx {
-		matched[pi] = true
+		j.matched[pi] = true
 	}
-	var lone []int
+	j.lone = j.lone[:0]
 	for _, hadCandidates := range []bool{false, true} {
-		for i, m := range matched {
+		for i, m := range j.matched {
 			if !m && (j.ids[i] >= 0) == hadCandidates {
-				lone = append(lone, i)
+				j.lone = append(j.lone, i)
 			}
 		}
 	}
-	if len(lone) > 0 {
-		res = append(res, nullExtend(pb, lone, j.schema))
+	if len(j.lone) > 0 {
+		j.pendingOut = append(j.pendingOut, nullExtend(pb, j.lone, j.schema))
 	}
-	return res, nil
+	return nil
 }
 
 // nullExtend returns the given rows of a left-side batch under the join's
@@ -274,18 +298,21 @@ func nullExtend(lb *types.Batch, rows []int, schema types.Schema) *types.Batch {
 	return &types.Batch{Schema: schema, Cols: cols}
 }
 
-// assemble materializes matched pairs in output column order (left then
-// right), one gather per column, and applies the residual predicate; it
+// assemble gathers matched pairs into the output in column order (left
+// then right), one gather per column, and applies the residual predicate; it
 // returns the output and the probe rows of the pairs in it.
 func (j *joinOp) assemble(pb *types.Batch, probeIdx, buildIdx []int) (*types.Batch, []int, error) {
-	left, right := pb.Cols, j.jt.rows.Gather(buildIdx).Cols
-	if !isIdentity(probeIdx, pb.Len()) { // else every probe row found exactly one partner
-		left = pb.Gather(probeIdx).Cols
-	}
+	probeAt, buildAt := 0, len(pb.Cols)
 	if j.node.BlockingLeft() {
-		left, right = right, left
+		probeAt, buildAt = len(j.jt.rows.Cols), 0
 	}
-	out := &types.Batch{Schema: j.schema, Cols: append(append(make([]*types.Column, 0, len(j.schema)), left...), right...)}
+	if isIdentity(probeIdx, pb.Len()) { // every probe row found exactly one partner
+		copy(j.out.cols(probeAt), pb.Cols)
+	} else {
+		j.out.gatherAt(probeAt, pb.Cols, probeIdx)
+	}
+	j.out.gatherAt(buildAt, j.jt.rows.Cols, buildIdx)
+	out := &j.out.header
 	if j.cond == nil || len(probeIdx) == 0 {
 		return out, probeIdx, nil
 	}
@@ -293,14 +320,14 @@ func (j *joinOp) assemble(pb *types.Batch, probeIdx, buildIdx []int) (*types.Bat
 	if err != nil {
 		return nil, nil, err
 	}
-	kept := selected(c, out.Len())
-	for k, i := range kept {
+	j.keep = selected(c, out.Len(), j.keep)
+	for k, i := range j.keep {
 		probeIdx[k] = probeIdx[i]
 	}
-	if len(kept) < out.Len() {
-		out = out.Gather(kept)
+	if len(j.keep) < out.Len() {
+		out = j.kept.gather(out, j.keep)
 	}
-	return out, probeIdx[:len(kept)], nil
+	return out, probeIdx[:len(j.keep)], nil
 }
 
 // isIdentity reports whether idx is 0, 1, ..., n-1.
@@ -322,7 +349,7 @@ func (j *joinOp) loopNext() (*types.Batch, error) {
 	for {
 		if len(j.pendingOut) > 0 {
 			b := j.pendingOut[0]
-			j.pendingOut = j.pendingOut[1:]
+			j.pendingOut = append(j.pendingOut[:0], j.pendingOut[1:]...)
 			return b, nil
 		}
 		if j.done {
@@ -338,19 +365,20 @@ func (j *joinOp) loopNext() (*types.Batch, error) {
 				continue
 			}
 			j.nlLeft = lb
-			j.nlMatched = make([]bool, lb.Len())
+			j.nlMatched = sized(j.nlMatched, lb.Len())
+			clear(j.nlMatched)
 			j.nlRight = 0
 		}
 		if j.nlRight >= len(j.jt.blocks) {
 			// Finished all right batches for this left batch.
-			var lone []int
+			j.lone = j.lone[:0]
 			for i, m := range j.nlMatched {
 				if !m && j.node.Type == plan.LeftJoin {
-					lone = append(lone, i)
+					j.lone = append(j.lone, i)
 				}
 			}
-			if len(lone) > 0 {
-				j.pendingOut = append(j.pendingOut, nullExtend(j.nlLeft, lone, j.schema))
+			if len(j.lone) > 0 {
+				j.pendingOut = append(j.pendingOut, nullExtend(j.nlLeft, j.lone, j.schema))
 			}
 			j.nlLeft = nil
 			continue
@@ -376,7 +404,9 @@ func (j *joinOp) crossBlock(lb, rb *types.Batch) (*types.Batch, error) {
 	for o := range j.leftIdx {
 		j.leftIdx[o], j.rightIdx[o] = o/rn, o%rn
 	}
-	out := &types.Batch{Schema: j.schema, Cols: append(lb.Gather(j.leftIdx).Cols, rb.Gather(j.rightIdx).Cols...)}
+	j.out.gatherAt(0, lb.Cols, j.leftIdx)
+	j.out.gatherAt(len(lb.Cols), rb.Cols, j.rightIdx)
+	out := &j.out.header
 	if j.cond == nil {
 		for i := range j.nlMatched {
 			j.nlMatched[i] = true
@@ -387,15 +417,15 @@ func (j *joinOp) crossBlock(lb, rb *types.Batch) (*types.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := selected(c, out.Len())
-	for _, i := range idx {
+	j.keep = selected(c, out.Len(), j.keep)
+	for _, i := range j.keep {
 		j.nlMatched[j.leftIdx[i]] = true
 	}
-	if len(idx) == 0 {
+	if len(j.keep) == 0 {
 		return nil, nil
 	}
-	if len(idx) == out.Len() {
+	if len(j.keep) == out.Len() {
 		return out, nil
 	}
-	return out.Gather(idx), nil
+	return j.kept.gather(out, j.keep), nil
 }

@@ -433,7 +433,7 @@ func TestJoinTableMatchesOracle(t *testing.T) {
 			pb := randBatch(rng, probeTypes, 1+rng.Intn(800), wide, nullEvery)
 			keys := pickCols(pb, keyCols)
 			ids := make([]int32, pb.Len())
-			gotP, gotB := jt.match(keys, ids, new([]uint64))
+			gotP, gotB := jt.match(keys, ids, new([]uint64), nil, nil)
 			wantP, wantB := oracle.pairs(pb, keyCols)
 			if fmt.Sprint(gotP, gotB) != fmt.Sprint(wantP, wantB) {
 				t.Fatalf("seed %d build %v probe %v: %d pairs, oracle %d; first difference at %d",
@@ -496,7 +496,7 @@ func TestJoinKeysPast2To53(t *testing.T) {
 	if jt.keys.dense {
 		t.Error("a BIGINT = DOUBLE join key is a DOUBLE column and must stay hashed")
 	}
-	p, b := jt.match(probeF, make([]int32, 4), new([]uint64))
+	p, b := jt.match(probeF, make([]int32, 4), new([]uint64), nil, nil)
 	if got, want := fmt.Sprint(p, b), "[0 0 1 2] [0 1 2 3]"; got != want {
 		t.Errorf("BIGINT build, DOUBLE probe: pairs %s, want %s", got, want)
 	}
@@ -504,7 +504,7 @@ func TestJoinKeysPast2To53(t *testing.T) {
 	if jt, err = buildJoinTable(mat, []int{0}, []types.Type{types.Int64}, nil); err != nil {
 		t.Fatal(err)
 	}
-	p, b = jt.match(probeI, make([]int32, 3), new([]uint64))
+	p, b = jt.match(probeI, make([]int32, 3), new([]uint64), nil, nil)
 	if got, want := fmt.Sprint(p, b), "[0 1] [1 0]"; got != want {
 		t.Errorf("BIGINT build, BIGINT probe: pairs %s, want %s", got, want)
 	}
@@ -669,7 +669,7 @@ func TestDenseJoinTableFind(t *testing.T) {
 	probe := []*types.Column{{T: types.Int64,
 		Ints:  []int64{9, 10, 12, 13, 17, 11, 0, math.MinInt64, math.MaxInt64, 16, 10 - 1<<32},
 		Nulls: []bool{false, false, false, false, false, false, true, false, false, false, false}}}
-	p, bi := jt.match(probe, make([]int32, 11), new([]uint64))
+	p, bi := jt.match(probe, make([]int32, 11), new([]uint64), nil, nil)
 	if got, want := fmt.Sprint(p, bi), "[1 3 5 5 9] [0 2 1 4 5]"; got != want {
 		t.Fatalf("pairs %s, want %s", got, want)
 	}

@@ -140,3 +140,35 @@ func matBytes(m *Materialized) int64 {
 	}
 	return n
 }
+
+// scratch is an owner's reusable buffers — an operator's own and its
+// evaluators' inner nodes', or one sink's — booked against the query
+// budget under label as they grow: once per owner, not once per batch.
+// Whoever drops the owner releases them.
+type scratch struct {
+	types.Scratch
+	ctx     *Context
+	label   string
+	charged int64
+}
+
+// book charges what the buffers grew by since the last call.
+func (s *scratch) book() error {
+	n := s.Bytes() - s.charged
+	if n <= 0 {
+		return nil
+	}
+	if err := s.ctx.charge(s.label, n); err != nil {
+		return err
+	}
+	s.charged += n
+	return nil
+}
+
+// release poisons the buffers, whose last loan ends here, and returns their
+// bytes to the budget.
+func (s *scratch) release() {
+	s.Poison()
+	s.ctx.release(s.charged)
+	s.charged = 0
+}

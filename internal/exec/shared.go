@@ -126,9 +126,10 @@ func partsOf(p plan.Node, ctx *Context) []plan.Node {
 	return []plan.Node{p}
 }
 
-// sink consumes the batches of one part of a driven pipeline. A sink
-// charges what it retains against the query budget; whoever later drops
-// that state releases it.
+// sink consumes the batches of one part of a driven pipeline. A batch
+// handed to consume is borrowed until consume returns; a sink that keeps it
+// keeps types.Retain of it. A sink charges what it retains against the query
+// budget; whoever later drops that state releases it.
 type sink interface {
 	consume(b *types.Batch) error
 }

@@ -296,11 +296,12 @@ func (u *unionOp) Next() (*types.Batch, error) {
 			continue
 		}
 		// Left batches pass through unchanged, right batches are re-labeled
-		// with the unified schema.
+		// with the unified schema: a header that shares b's columns, and so
+		// is reused when b's is.
 		if b.Schema.Equal(u.Schema()) {
 			return b, nil
 		}
-		return &types.Batch{Schema: u.Schema(), Cols: b.Cols}, nil
+		return &types.Batch{Schema: u.Schema(), Cols: b.Cols, Reused: b.Reused}, nil
 	}
 }
 

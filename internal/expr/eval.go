@@ -3,25 +3,135 @@ package expr
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lambdadb/internal/types"
 )
 
-// Evaluator computes one column from an input batch. Returned columns may
-// alias input storage (for bare column references); callers must not mutate
-// them.
+// Evaluator computes one column from an input batch. The column is
+// borrowed like a batch from an operator's Next: it is valid until the
+// evaluator's next call, and a caller that keeps it past that keeps it
+// through types.Retain. It may be an input column (a bare column reference),
+// a Reused buffer or a fresh column; callers never mutate it. An Evaluator
+// owns the buffers of its inner nodes, so it is not safe for concurrent use:
+// every goroutine compiles its own.
 type Evaluator func(*types.Batch) (*types.Column, error)
 
 // Compile translates a resolved expression tree into a tree of closures.
 // Each closure is specialized to its operand types, so batch evaluation
 // performs no per-row type dispatch — the reproduction's analog of HyPer's
-// compiled query pipelines.
-func Compile(e Expr) (Evaluator, error) {
+// compiled query pipelines. The root returns a fresh column, or an input
+// column it passes through. An inner node's only reader is its parent
+// kernel, and a node's inputs are dead once it has run, so each inner node
+// writes into a Buffer of its own, reused from call to call.
+func Compile(e Expr) (Evaluator, error) { return CompileScratch(e, nil) }
+
+// CompileScratch is Compile with the inner nodes' buffers drawn from s, so
+// that their owner can book them and, after s.Rewind, hand them to the
+// evaluator it compiles next.
+func CompileScratch(e Expr, s *types.Scratch) (Evaluator, error) {
+	return (&compiler{scratch: s}).compile(e, false)
+}
+
+// CompileLent is CompileScratch for a caller that reads each result before
+// the next call and keeps nothing of it — a predicate, a key, an aggregate's
+// argument: the root writes into a buffer from s too.
+func CompileLent(e Expr, s *types.Scratch) (Evaluator, error) {
+	return (&compiler{scratch: s}).compile(e, true)
+}
+
+// compiler compiles one tree, drawing inner nodes' buffers from scratch.
+type compiler struct{ scratch *types.Scratch }
+
+// result is where a node writes its output: a fresh column per call at the
+// root (buf nil), one Buffer reused across calls at an inner node.
+type result struct{ buf *types.Buffer }
+
+func (c *compiler) result(inner bool) result {
+	if !inner {
+		return result{}
+	}
+	return result{buf: c.scratch.Buffer()}
+}
+
+// column returns the output column for n rows of type t, without NULLs.
+func (r result) column(t types.Type, n int) *types.Column {
+	if r.buf != nil {
+		return r.buf.Reset(t, n)
+	}
+	out := &types.Column{T: t}
+	switch t {
+	case types.Int64:
+		out.Ints = make([]int64, n)
+	case types.Float64:
+		out.Floats = make([]float64, n)
+	case types.String:
+		out.Strs = make([]string, n)
+	case types.Bool:
+		out.Bools = make([]bool, n)
+	default:
+		out.Nulls = make([]bool, n)
+	}
+	return out
+}
+
+// ownNulls gives out, of n rows, a NULL bitmap of its own for the caller to
+// fill.
+func (r result) ownNulls(out *types.Column, n int) []bool {
+	if r.buf != nil {
+		return r.buf.Nulls(n)
+	}
+	out.Nulls = make([]bool, n)
+	return out.Nulls
+}
+
+// nulls sets the NULLs of out, a row-wise result of a and b (b may be nil),
+// to the OR of theirs. When only one has NULLs its bitmap is shared —
+// results are read-only — unless out is fresh and the bitmap reused
+// storage, which a fresh column must not hold; then, as when both have
+// NULLs, the bitmap is written to out's own.
+func (r result) nulls(out *types.Column, n int, a, b *types.Column) {
+	a, b = orNone(a), orNone(b)
+	an, bn := a.Nulls, b.Nulls
+	switch {
+	case an == nil && bn == nil:
+		return
+	case bn == nil && (r.buf != nil || !a.Reused):
+		out.Nulls = an
+		return
+	case an == nil && (r.buf != nil || !b.Reused):
+		out.Nulls = bn
+		return
+	}
+	dst := r.ownNulls(out, n)
+	for i := range dst {
+		dst[i] = isNull(an, i) || isNull(bn, i)
+	}
+}
+
+// orNone is c, or noColumn for nil.
+func orNone(c *types.Column) *types.Column {
+	if c == nil {
+		return &noColumn
+	}
+	return c
+}
+
+// compile compiles e; inner says whether its only reader is a parent
+// kernel. A node that passes a child's output through compiles the child
+// as what it is itself.
+func (c *compiler) compile(e Expr, inner bool) (Evaluator, error) {
 	switch n := e.(type) {
 	case *Const:
 		v := n.Val
+		if !inner {
+			return func(b *types.Batch) (*types.Column, error) {
+				return types.ConstColumn(v, b.Len()), nil
+			}, nil
+		}
+		buf := c.result(true).buf
 		return func(b *types.Batch) (*types.Column, error) {
-			return types.ConstColumn(v, b.Len()), nil
+			return buf.Const(v, b.Len()), nil
 		}, nil
 
 	case *ColRef:
@@ -40,38 +150,38 @@ func Compile(e Expr) (Evaluator, error) {
 		return nil, fmt.Errorf("unbound parameter $%d (parameters are only valid in prepared statements)", n.Idx)
 
 	case *Cast:
-		return compileCast(n)
+		return c.compileCast(n, inner)
 
 	case *BinOp:
-		return compileBinOp(n)
+		return c.compileBinOp(n, inner)
 
 	case *UnOp:
-		return compileUnOp(n)
+		return c.compileUnOp(n, inner)
 
 	case *FuncCall:
-		return compileFunc(n)
+		return c.compileFunc(n, inner)
 
 	case *Case:
-		return compileCase(n)
+		return c.compileCase(n)
 
 	case *Like:
-		return compileLike(n)
+		return c.compileLike(n, inner)
 
 	case *IsNull:
-		inner, err := Compile(n.E)
+		arg, err := c.compile(n.E, true)
 		if err != nil {
 			return nil, err
 		}
-		negate := n.Negate
+		negate, res := n.Negate, c.result(inner)
 		return func(b *types.Batch) (*types.Column, error) {
-			c, err := inner(b)
+			in, err := arg(b)
 			if err != nil {
 				return nil, err
 			}
-			n := c.Len()
-			out := &types.Column{T: types.Bool, Bools: make([]bool, n)}
-			for i := 0; i < n; i++ {
-				out.Bools[i] = c.IsNull(i) != negate
+			cnt := in.Len()
+			out := res.column(types.Bool, cnt)
+			for i := range out.Bools {
+				out.Bools[i] = in.IsNull(i) != negate
 			}
 			return out, nil
 		}, nil
@@ -79,50 +189,56 @@ func Compile(e Expr) (Evaluator, error) {
 	return nil, fmt.Errorf("cannot compile expression %T", e)
 }
 
-func compileCast(n *Cast) (Evaluator, error) {
-	inner, err := Compile(n.E)
+func (c *compiler) compileCast(n *Cast, inner bool) (Evaluator, error) {
+	from, to := n.E.Type(), n.To
+	if from == to {
+		return c.compile(n.E, inner)
+	}
+	arg, err := c.compile(n.E, true)
 	if err != nil {
 		return nil, err
 	}
-	from, to := n.E.Type(), n.To
-	if from == to {
-		return inner, nil
-	}
+	res := c.result(inner)
 	return func(b *types.Batch) (*types.Column, error) {
-		c, err := inner(b)
+		in, err := arg(b)
 		if err != nil {
 			return nil, err
 		}
-		return castColumn(c, to)
+		return castColumn(res, in, to)
 	}, nil
 }
 
 // castColumn converts a column. Numeric-to-numeric and boolean-to-integer
-// casts run as one typed loop and share the source's null bitmap (what a
+// casts run as one typed loop into res and keep the source's NULLs (what a
 // NULL row's slot holds is never read); everything else goes value by value
-// through castValue, which defines the conversion for both paths.
-func castColumn(c *types.Column, to types.Type) (*types.Column, error) {
+// through castValue, which defines the conversion for both paths, into a
+// fresh column.
+func castColumn(res result, c *types.Column, to types.Type) (*types.Column, error) {
 	n := c.Len()
 	switch {
 	case c.T == types.Int64 && to == types.Float64:
-		out := &types.Column{T: to, Floats: make([]float64, n), Nulls: c.Nulls}
+		out := res.column(to, n)
 		for i, v := range c.Ints {
 			out.Floats[i] = float64(v)
 		}
+		res.nulls(out, n, c, nil)
 		return out, nil
 	case c.T == types.Float64 && to == types.Int64:
-		out := &types.Column{T: to, Ints: make([]int64, n), Nulls: c.Nulls}
+		out := res.column(to, n)
 		for i, v := range c.Floats {
 			out.Ints[i] = int64(v)
 		}
+		res.nulls(out, n, c, nil)
 		return out, nil
 	case c.T == types.Bool && to == types.Int64:
-		out := &types.Column{T: to, Ints: make([]int64, n), Nulls: c.Nulls}
+		out := res.column(to, n)
 		for i, v := range c.Bools {
+			out.Ints[i] = 0
 			if v {
 				out.Ints[i] = 1
 			}
 		}
+		res.nulls(out, n, c, nil)
 		return out, nil
 	}
 	out := types.NewColumn(to, n)
@@ -166,68 +282,39 @@ func castValue(v types.Value, to types.Type) (types.Value, error) {
 	return types.Value{}, fmt.Errorf("cannot cast %s to %s", v.T, to)
 }
 
-// mergeNulls returns the NULLs of a row-wise result of two columns: one
-// bitmap when the other is nil (results are read-only, so it is shared),
-// else their elementwise OR.
-func mergeNulls(a, b []bool) []bool {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	}
-	out := make([]bool, len(a))
-	for i := range out {
-		out[i] = a[i] || b[i]
-	}
-	return out
-}
-
-func compileBinOp(n *BinOp) (Evaluator, error) {
+func (c *compiler) compileBinOp(n *BinOp, inner bool) (Evaluator, error) {
 	op := n.Op
 	switch {
 	case op == OpAnd || op == OpOr:
-		return compileLogic(op, n.L, n.R)
+		return c.compileLogic(op, n.L, n.R, inner)
 	case !op.IsComparison() && !op.IsArith() && op != OpConcat:
 		return nil, fmt.Errorf("cannot compile operator %s", op)
 	case isNullConst(n.L) || isNullConst(n.R):
 		// A NULL operand makes every row NULL; it has the other side's type.
-		return Compile(&Const{Val: types.NewNull(n.Typ)})
+		return c.compile(&Const{Val: types.NewNull(n.Typ)}, inner)
 	case op == OpPow && constPow(n.R) != nil:
-		l, err := Compile(n.L)
+		l, err := c.compile(n.L, true)
 		if err != nil {
 			return nil, err
 		}
-		return mapFloats(l, constPow(n.R)), nil
+		return mapFloats(c.result(inner), l, constPow(n.R)), nil
 	}
 	if op.IsComparison() && n.L.Type() == types.Bool {
-		return compileBinOp(&BinOp{Op: op, L: asBigint(n.L), R: asBigint(n.R), Typ: types.Bool})
+		return c.compileBinOp(&BinOp{Op: op, L: asBigint(n.L), R: asBigint(n.R), Typ: types.Bool}, inner)
 	}
-	lo, ro, err := compileOperands(n.L, n.R)
+	lo, ro, err := c.compileOperands(n.L, n.R)
 	if err != nil {
 		return nil, err
 	}
 	if op.IsComparison() {
-		return compileCompare(op, n.L.Type(), lo, ro)
+		return compileCompare(c.result(inner), op, n.L.Type(), lo, ro)
 	}
-	return compileArith(op, n.Typ, lo, ro)
+	return compileArith(c.result(inner), op, n.Typ, lo, ro)
 }
 
 func isNullConst(e Expr) bool {
 	c, ok := e.(*Const)
 	return ok && c.Val.Null
-}
-
-func evalPair(l, r Evaluator, b *types.Batch) (*types.Column, *types.Column, error) {
-	lc, err := l(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	rc, err := r(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lc, rc, nil
 }
 
 // constPow returns x ^ k as a function of x when the exponent k is a
@@ -259,57 +346,62 @@ func constPow(k Expr) func(x float64) float64 {
 	return nil
 }
 
-func compileUnOp(n *UnOp) (Evaluator, error) {
+func (c *compiler) compileUnOp(n *UnOp, inner bool) (Evaluator, error) {
 	if n.Op == OpNeg { // -x is x * -1 exactly, -0 and BIGINT's range included
 		minusOne, _ := castValue(types.NewInt(-1), n.Typ)
-		return compileBinOp(&BinOp{Op: OpMul, L: n.E, R: &Const{Val: minusOne}, Typ: n.Typ})
+		return c.compileBinOp(&BinOp{Op: OpMul, L: n.E, R: &Const{Val: minusOne}, Typ: n.Typ}, inner)
 	}
-	inner, err := Compile(n.E)
+	if n.Op != OpNot {
+		return nil, fmt.Errorf("cannot compile unary operator %s", n.Op)
+	}
+	arg, err := c.compile(n.E, true)
 	if err != nil {
 		return nil, err
 	}
-	switch n.Op {
-	case OpNot:
-		return func(b *types.Batch) (*types.Column, error) {
-			c, err := inner(b)
-			if err != nil {
-				return nil, err
-			}
-			cnt := c.Len()
-			out := &types.Column{T: types.Bool, Bools: make([]bool, cnt), Nulls: c.Nulls}
-			for i := 0; i < cnt; i++ {
-				out.Bools[i] = !c.Bools[i]
-			}
-			return out, nil
-		}, nil
-	}
-	return nil, fmt.Errorf("cannot compile unary operator %s", n.Op)
+	res := c.result(inner)
+	return func(b *types.Batch) (*types.Column, error) {
+		in, err := arg(b)
+		if err != nil {
+			return nil, err
+		}
+		cnt := in.Len()
+		out := res.column(types.Bool, cnt)
+		for i, v := range in.Bools[:cnt] {
+			out.Bools[i] = !v
+		}
+		res.nulls(out, cnt, in, nil)
+		return out, nil
+	}, nil
 }
 
-func compileCase(n *Case) (Evaluator, error) {
+// compileCase compiles CASE, whose result is always a fresh column: it is
+// built a value at a time.
+func (c *compiler) compileCase(n *Case) (Evaluator, error) {
 	conds := make([]Evaluator, len(n.Whens))
 	thens := make([]Evaluator, len(n.Whens))
 	for i, w := range n.Whens {
 		var err error
-		if conds[i], err = Compile(w.Cond); err != nil {
+		if conds[i], err = c.compile(w.Cond, true); err != nil {
 			return nil, err
 		}
-		if thens[i], err = Compile(w.Then); err != nil {
+		if thens[i], err = c.compile(w.Then, true); err != nil {
 			return nil, err
 		}
 	}
 	var els Evaluator
 	if n.Else != nil {
 		var err error
-		if els, err = Compile(n.Else); err != nil {
+		if els, err = c.compile(n.Else, true); err != nil {
 			return nil, err
 		}
 	}
 	t := n.Typ
+	var decided []int // decided[i] = arm index + 1, 0 = undecided
+	var armCols []*types.Column
 	return func(b *types.Batch) (*types.Column, error) {
 		cnt := b.Len()
-		// decided[i] = arm index + 1, 0 = undecided.
-		decided := make([]int, cnt)
+		decided = slices.Grow(decided[:0], cnt)[:cnt]
+		clear(decided)
 		remaining := cnt
 		for a := range conds {
 			if remaining == 0 {
@@ -326,13 +418,13 @@ func compileCase(n *Case) (Evaluator, error) {
 				}
 			}
 		}
-		armCols := make([]*types.Column, len(thens))
-		for a, th := range thens {
+		armCols = armCols[:0]
+		for _, th := range thens {
 			c, err := th(b)
 			if err != nil {
 				return nil, err
 			}
-			armCols[a] = c
+			armCols = append(armCols, c)
 		}
 		var elseCol *types.Column
 		if els != nil {
@@ -357,62 +449,67 @@ func compileCase(n *Case) (Evaluator, error) {
 	}, nil
 }
 
-// mapFloats applies f to every row of a DOUBLE argument; NULLs stay NULL.
-func mapFloats(arg Evaluator, f func(float64) float64) Evaluator {
+// mapFloats applies f to every row of a DOUBLE argument into res; NULLs
+// stay NULL.
+func mapFloats(res result, arg Evaluator, f func(float64) float64) Evaluator {
 	return func(b *types.Batch) (*types.Column, error) {
-		c, err := arg(b)
+		in, err := arg(b)
 		if err != nil {
 			return nil, err
 		}
-		out := &types.Column{T: types.Float64, Floats: make([]float64, c.Len()), Nulls: c.Nulls}
-		for i, x := range c.Floats {
+		cnt := in.Len()
+		out := res.column(types.Float64, cnt)
+		for i, x := range in.Floats[:cnt] {
 			out.Floats[i] = f(x)
 		}
+		res.nulls(out, cnt, in, nil)
 		return out, nil
 	}
 }
 
-func compileFunc(n *FuncCall) (Evaluator, error) {
+// compileFunc compiles a scalar function call. The numeric functions write
+// into res; least/greatest and the string functions build fresh columns.
+func (c *compiler) compileFunc(n *FuncCall, inner bool) (Evaluator, error) {
 	if AggregateFuncs[n.Name] {
 		return nil, fmt.Errorf("aggregate %s evaluated outside GROUP BY context", n.Name)
 	}
 	switch last := len(n.Args) - 1; n.Name {
 	case "pow", "power":
-		return compileBinOp(&BinOp{Op: OpPow, L: n.Args[0], R: n.Args[1], Typ: types.Float64})
+		return c.compileBinOp(&BinOp{Op: OpPow, L: n.Args[0], R: n.Args[1], Typ: types.Float64}, inner)
 	case "coalesce": // the first argument that is not NULL
-		c := &Case{Else: castTo(n.Args[last], n.Typ), Typ: n.Typ}
+		cs := &Case{Else: castTo(n.Args[last], n.Typ), Typ: n.Typ}
 		for _, a := range n.Args[:last] {
-			c.Whens = append(c.Whens, When{Cond: &IsNull{E: a, Negate: true}, Then: castTo(a, n.Typ)})
+			cs.Whens = append(cs.Whens, When{Cond: &IsNull{E: a, Negate: true}, Then: castTo(a, n.Typ)})
 		}
-		return compileCase(c)
+		return c.compileCase(cs)
 	}
 	args := make([]Evaluator, len(n.Args))
 	for i, a := range n.Args {
-		ev, err := Compile(a)
+		ev, err := c.compile(a, true)
 		if err != nil {
 			return nil, err
 		}
 		args[i] = ev
 	}
-	name := n.Name
+	name, res := n.Name, c.result(inner)
 	if f := scalarFloatFunc(name); f != nil && len(args) == 1 && n.Typ == types.Float64 {
-		return mapFloats(args[0], f), nil
+		return mapFloats(res, args[0], f), nil
 	}
 	switch name {
 	case "abs", "sign":
 		// Integer-typed abs/sign.
 		arg := args[0]
 		return func(b *types.Batch) (*types.Column, error) {
-			c, err := arg(b)
+			in, err := arg(b)
 			if err != nil {
 				return nil, err
 			}
-			cnt := c.Len()
-			out := &types.Column{T: types.Int64, Ints: make([]int64, cnt), Nulls: c.Nulls}
+			cnt := in.Len()
+			out := res.column(types.Int64, cnt)
 			for i := 0; i < cnt; i++ {
-				v := c.Ints[i]
+				v := in.Ints[i]
 				if name == "abs" {
-					if v == math.MinInt64 && !c.IsNull(i) {
+					if v == math.MinInt64 && !in.IsNull(i) {
 						return nil, errBigintRange
 					}
 					if v < 0 {
@@ -428,6 +525,7 @@ func compileFunc(n *FuncCall) (Evaluator, error) {
 				}
 				out.Ints[i] = v
 			}
+			res.nulls(out, cnt, in, nil)
 			return out, nil
 		}, nil
 	case "least", "greatest":
@@ -436,8 +534,8 @@ func compileFunc(n *FuncCall) (Evaluator, error) {
 			want = 1
 		}
 		t := n.Typ
+		cols := make([]*types.Column, len(args))
 		return func(b *types.Batch) (*types.Column, error) {
-			cols := make([]*types.Column, len(args))
 			for i, a := range args {
 				c, err := a(b)
 				if err != nil {
@@ -480,8 +578,8 @@ func compileFunc(n *FuncCall) (Evaluator, error) {
 }
 
 func compileStringFunc(name string, args []Evaluator) (Evaluator, error) {
+	cols := make([]*types.Column, len(args))
 	return func(b *types.Batch) (*types.Column, error) {
-		cols := make([]*types.Column, len(args))
 		for i, a := range args {
 			c, err := a(b)
 			if err != nil {
@@ -496,7 +594,7 @@ func compileStringFunc(name string, args []Evaluator) (Evaluator, error) {
 		} else {
 			out = &types.Column{T: types.String, Strs: make([]string, cnt)}
 		}
-		out.Nulls = cols[0].Nulls
+		result{}.nulls(out, cnt, cols[0], nil)
 		for i := 0; i < cnt; i++ {
 			if cols[0].IsNull(i) {
 				continue
@@ -553,25 +651,23 @@ func toUpper(s string) string {
 	return string(b)
 }
 
-func compileLike(n *Like) (Evaluator, error) {
-	inner, err := Compile(n.E)
+func (c *compiler) compileLike(n *Like, inner bool) (Evaluator, error) {
+	arg, err := c.compile(n.E, true)
 	if err != nil {
 		return nil, err
 	}
-	pattern, negate := n.Pattern, n.Negate
+	pattern, negate, res := n.Pattern, n.Negate, c.result(inner)
 	return func(b *types.Batch) (*types.Column, error) {
-		c, err := inner(b)
+		in, err := arg(b)
 		if err != nil {
 			return nil, err
 		}
-		cnt := c.Len()
-		out := &types.Column{T: types.Bool, Bools: make([]bool, cnt), Nulls: c.Nulls}
+		cnt := in.Len()
+		out := res.column(types.Bool, cnt)
 		for i := 0; i < cnt; i++ {
-			if c.IsNull(i) {
-				continue
-			}
-			out.Bools[i] = MatchLike(c.Strs[i], pattern) != negate
+			out.Bools[i] = !in.IsNull(i) && MatchLike(in.Strs[i], pattern) != negate
 		}
+		res.nulls(out, cnt, in, nil)
 		return out, nil
 	}, nil
 }

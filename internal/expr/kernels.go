@@ -30,16 +30,16 @@ type operand struct {
 // compileOperands compiles both sides of a binary kernel, a *Const as a
 // scalar. Of two constants (EvalConst's one-row batch) the left one is a
 // column, so a kernel always has a column to size its result by.
-func compileOperands(l, r Expr) (lo, ro operand, err error) {
-	if c, ok := r.(*Const); ok {
-		ro.k = c.Val
-	} else if ro.ev, err = Compile(r); err != nil {
+func (c *compiler) compileOperands(l, r Expr) (lo, ro operand, err error) {
+	if k, ok := r.(*Const); ok {
+		ro.k = k.Val
+	} else if ro.ev, err = c.compile(r, true); err != nil {
 		return lo, ro, err
 	}
-	if c, ok := l.(*Const); ok && ro.ev != nil {
-		lo.k = c.Val
+	if k, ok := l.(*Const); ok && ro.ev != nil {
+		lo.k = k.Val
 	} else {
-		lo.ev, err = Compile(l)
+		lo.ev, err = c.compile(l, true)
 	}
 	return lo, ro, err
 }
@@ -47,24 +47,27 @@ func compileOperands(l, r Expr) (lo, ro operand, err error) {
 // noColumn stands for a constant operand: all of its slices are nil.
 var noColumn types.Column
 
-// evalOperands evaluates the column operands of a kernel over b. A constant
-// comes back as noColumn, so a kernel tells the shape by a nil slice; n is
-// the row count and nulls the NULLs of the result.
-func evalOperands(lo, ro operand, b *types.Batch) (l, r *types.Column, n int, nulls []bool, err error) {
+// evalOperands evaluates the column operands of a kernel over b and returns
+// the kernel's output column from res, its NULLs set. A constant comes back
+// as noColumn, so a kernel tells the shape by a nil slice.
+func evalOperands(res result, t types.Type, lo, ro operand, b *types.Batch) (l, r, out *types.Column, err error) {
 	l, r = &noColumn, &noColumn
+	n := 0
 	if lo.ev != nil {
 		if l, err = lo.ev(b); err != nil {
-			return nil, nil, 0, nil, err
+			return nil, nil, nil, err
 		}
 		n = l.Len()
 	}
 	if ro.ev != nil {
 		if r, err = ro.ev(b); err != nil {
-			return nil, nil, 0, nil, err
+			return nil, nil, nil, err
 		}
 		n = r.Len()
 	}
-	return l, r, n, mergeNulls(l.Nulls, r.Nulls), nil
+	out = res.column(t, n)
+	res.nulls(out, n, l, r)
+	return l, r, out, nil
 }
 
 // flipped is the comparison with its operands swapped: k < x is x > k.
@@ -73,7 +76,7 @@ var flipped = map[Op]Op{OpEq: OpEq, OpNe: OpNe, OpLt: OpGt, OpLe: OpGe, OpGt: Op
 // compileCompare compiles a comparison of two operands of type t. A
 // constant on the left moves to the right with the operator flipped, so
 // every type has a column∘column and a column∘constant loop per operator.
-func compileCompare(op Op, t types.Type, lo, ro operand) (Evaluator, error) {
+func compileCompare(res result, op Op, t types.Type, lo, ro operand) (Evaluator, error) {
 	if t != types.Int64 && t != types.Float64 && t != types.String {
 		return nil, fmt.Errorf("cannot compare values of type %s", t)
 	}
@@ -82,11 +85,10 @@ func compileCompare(op Op, t types.Type, lo, ro operand) (Evaluator, error) {
 	}
 	k := ro.k
 	return func(b *types.Batch) (*types.Column, error) {
-		l, r, n, nulls, err := evalOperands(lo, ro, b)
+		l, r, out, err := evalOperands(res, types.Bool, lo, ro, b)
 		if err != nil {
 			return nil, err
 		}
-		out := &types.Column{T: types.Bool, Bools: make([]bool, n), Nulls: nulls}
 		switch t {
 		case types.Int64:
 			compare(op, l.Ints, r.Ints, k.I, out.Bools)
@@ -163,7 +165,7 @@ func asBigint(e Expr) Expr {
 
 // compileArith compiles an arithmetic operator, or ||, whose operands and
 // result are of type t. A constant on the left of + or * moves to the right.
-func compileArith(op Op, t types.Type, lo, ro operand) (Evaluator, error) {
+func compileArith(res result, op Op, t types.Type, lo, ro operand) (Evaluator, error) {
 	if t == types.Int64 && op != OpAdd && op != OpSub && op != OpMul && op != OpMod {
 		return nil, fmt.Errorf("operator %s cannot yield an integer", op)
 	}
@@ -171,18 +173,16 @@ func compileArith(op Op, t types.Type, lo, ro operand) (Evaluator, error) {
 		lo, ro = ro, lo
 	}
 	return func(b *types.Batch) (*types.Column, error) {
-		l, r, n, nulls, err := evalOperands(lo, ro, b)
+		l, r, out, err := evalOperands(res, t, lo, ro, b)
 		if err != nil {
 			return nil, err
 		}
-		out := &types.Column{T: t, Nulls: nulls}
+		n, nulls := out.Len(), out.Nulls
 		if t == types.String {
-			out.Strs = make([]string, n)
 			call(func(x, y string) string { return x + y }, l.Strs, r.Strs, lo.k.S, ro.k.S, out.Strs)
 			return out, nil
 		}
 		if t == types.Float64 {
-			out.Floats = make([]float64, n)
 			switch op {
 			case OpMod:
 				call(math.Mod, l.Floats, r.Floats, lo.k.AsFloat(), ro.k.AsFloat(), out.Floats)
@@ -193,7 +193,6 @@ func compileArith(op Op, t types.Type, lo, ro operand) (Evaluator, error) {
 			}
 			return out, nil
 		}
-		out.Ints = make([]int64, n)
 		if op == OpMod {
 			if zeroDivisor(r.Ints, ro.k.I, n, nulls) {
 				return nil, errModZero
@@ -352,32 +351,37 @@ func isNull(nulls []bool, i int) bool { return nulls != nil && nulls[i] }
 // NULL. Without NULLs that is one pass of && or ||. A constant operand is
 // settled here, as PostgreSQL's planner settles it: !d yields the other
 // operand, d yields d, and NULL is an all-NULL column.
-func compileLogic(op Op, le, re Expr) (Evaluator, error) {
+func (c *compiler) compileLogic(op Op, le, re Expr, inner bool) (Evaluator, error) {
 	d := op == OpOr
 	if _, ok := le.(*Const); ok {
 		le, re = re, le
 	}
-	l, err := Compile(le)
-	if err != nil {
-		return nil, err
-	}
-	r, err := Compile(re)
-	if err != nil {
-		return nil, err
-	}
-	if c, ok := re.(*Const); ok && !c.Val.Null {
-		if c.Val.B != d {
-			return l, nil
+	if k, ok := re.(*Const); ok && !k.Val.Null {
+		if k.Val.B != d {
+			return c.compile(le, inner)
 		}
-		return r, nil
+		return c.compile(re, inner)
 	}
+	l, err := c.compile(le, true)
+	if err != nil {
+		return nil, err
+	}
+	r, err := c.compile(re, true)
+	if err != nil {
+		return nil, err
+	}
+	res := c.result(inner)
 	return func(b *types.Batch) (*types.Column, error) {
-		lc, rc, err := evalPair(l, r, b)
+		lc, err := l(b)
+		if err != nil {
+			return nil, err
+		}
+		rc, err := r(b)
 		if err != nil {
 			return nil, err
 		}
 		n := lc.Len()
-		out := &types.Column{T: types.Bool, Bools: make([]bool, n)}
+		out := res.column(types.Bool, n)
 		x, y, ln, rn := lc.Bools[:n], rc.Bools[:n], lc.Nulls, rc.Nulls
 		switch {
 		case ln == nil && rn == nil && d:
@@ -389,7 +393,7 @@ func compileLogic(op Op, le, re Expr) (Evaluator, error) {
 				out.Bools[i] = x[i] && y[i]
 			}
 		default:
-			out.Nulls = make([]bool, n)
+			nulls := res.ownNulls(out, n)
 			for i := range out.Bools {
 				lk, rk := !isNull(ln, i), !isNull(rn, i)
 				switch {
@@ -398,8 +402,10 @@ func compileLogic(op Op, le, re Expr) (Evaluator, error) {
 				case lk && rk:
 					out.Bools[i] = !d
 				default:
-					out.Nulls[i] = true
+					out.Bools[i], nulls[i] = false, true
+					continue
 				}
+				nulls[i] = false
 			}
 		}
 		return out, nil

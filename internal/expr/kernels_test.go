@@ -56,7 +56,7 @@ func TestTypedCastsMatchCastValue(t *testing.T) {
 		{"float-to-string", floats, types.String}, // the generic path, for contrast
 	}
 	for _, tc := range cases {
-		got, err := castColumn(tc.src, tc.to)
+		got, err := castColumn(result{}, tc.src, tc.to)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

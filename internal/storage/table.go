@@ -99,6 +99,10 @@ func (t *Table) visibleLocked(i int, snapshot uint64) bool {
 // the snapshot are invisible at it, so the per-round lock suffices. An index
 // cursor probes on its first Next and then hands out the visible hits
 // BatchSize at a time.
+//
+// A batch from Next is borrowed until the next call: its header, and the
+// columns of a gathered round, are the cursor's, rewritten every round
+// (types.Retain). A viewed round's columns are views of the table.
 type cursor struct {
 	t        *Table
 	snapshot uint64
@@ -111,6 +115,9 @@ type cursor struct {
 	probe  catalog.IndexProbe
 	probed bool
 	hits   []int // index cursor: visible hits not yet handed out
+
+	out  types.Batch    // the header every round is lent in
+	bufs []types.Buffer // a gathered round's columns, made by the first gather
 }
 
 // Cursor implements catalog.Relation.
@@ -124,17 +131,20 @@ func (t *Table) Cursor(snapshot uint64, lo, hi int) catalog.Cursor {
 // Next implements catalog.Cursor.
 func (c *cursor) Next() (*types.Batch, []int) {
 	t := c.t
+	for j := range c.bufs {
+		c.bufs[j].Poison() // the previous round's loan ends here
+	}
 	for {
 		t.mu.RLock()
 		ids, more := c.roundLocked()
 		if n := len(ids); n > 0 {
-			b := &types.Batch{Schema: t.schema, Cols: make([]*types.Column, len(t.cols))}
+			b := c.header()
 			run := ids[n-1]-ids[0] == n-1
 			for j, col := range t.cols {
 				if run {
 					b.Cols[j] = col.Slice(ids[0], ids[n-1]+1)
 				} else {
-					b.Cols[j] = col.Gather(ids)
+					b.Cols[j] = c.buffer(j).Gather(col, ids)
 				}
 			}
 			t.mu.RUnlock()
@@ -145,6 +155,23 @@ func (c *cursor) Next() (*types.Batch, []int) {
 			return nil, nil
 		}
 	}
+}
+
+// header returns the batch header the cursor lends every round in.
+func (c *cursor) header() *types.Batch {
+	if c.out.Cols == nil {
+		c.out = types.Batch{Schema: c.t.schema, Cols: make([]*types.Column, len(c.t.cols)), Reused: true}
+	}
+	return &c.out
+}
+
+// buffer returns column j's gather buffer; a cursor whose rounds are all
+// contiguous runs never makes one.
+func (c *cursor) buffer(j int) *types.Buffer {
+	if c.bufs == nil {
+		c.bufs = make([]types.Buffer, len(c.t.cols))
+	}
+	return &c.bufs[j]
 }
 
 // roundLocked picks the next round's rows and reports whether another round
@@ -176,7 +203,7 @@ func (c *cursor) roundLocked() (ids []int, more bool) {
 
 // Scan calls yield with each batch of rows visible at snapshot until the
 // table is exhausted or yield fails: a loop over Cursor for callers that
-// consume a whole table at once.
+// consume a whole table at once. A batch is borrowed for the call.
 func (t *Table) Scan(snapshot uint64, yield func(*types.Batch) error) error {
 	c := t.Cursor(snapshot, 0, -1)
 	for b, _ := c.Next(); b != nil; b, _ = c.Next() {

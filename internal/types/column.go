@@ -12,6 +12,10 @@ type Column struct {
 	Strs   []string
 	Bools  []bool
 	Nulls  []bool
+	// Reused marks a producer's Buffer: the column, its data and its NULL
+	// bitmap are rewritten on the producer's next call (see Retain). A
+	// column not marked Reused never shares storage with one that is.
+	Reused bool
 }
 
 // NewColumn returns an empty column of type t with capacity cap.
@@ -140,9 +144,9 @@ func (c *Column) growNulls(null bool) {
 }
 
 // Slice returns a view of rows [lo, hi). The returned column shares storage
-// with c; it must not be appended to.
+// with c, and so is Reused when c is; it must not be appended to.
 func (c *Column) Slice(lo, hi int) *Column {
-	out := &Column{T: c.T}
+	out := &Column{T: c.T, Reused: c.Reused}
 	switch c.T {
 	case Int64:
 		out.Ints = c.Ints[lo:hi]
@@ -160,38 +164,52 @@ func (c *Column) Slice(lo, hi int) *Column {
 }
 
 // Gather returns a new column containing the rows of c selected by idx.
-// The type dispatch happens once, outside the copy loop.
 func (c *Column) Gather(idx []int) *Column {
 	out := &Column{T: c.T}
 	switch c.T {
 	case Int64:
 		out.Ints = make([]int64, len(idx))
+	case Float64:
+		out.Floats = make([]float64, len(idx))
+	case String:
+		out.Strs = make([]string, len(idx))
+	case Bool:
+		out.Bools = make([]bool, len(idx))
+	}
+	if c.Nulls != nil {
+		out.Nulls = make([]bool, len(idx))
+	}
+	gatherInto(out, c, idx)
+	return out
+}
+
+// gatherInto writes the rows of c selected by idx into out, whose slices
+// have length len(idx) — a NULL bitmap exactly when c has one. The type
+// dispatch happens once, outside the copy loop.
+func gatherInto(out, c *Column, idx []int) {
+	switch c.T {
+	case Int64:
 		for o, i := range idx {
 			out.Ints[o] = c.Ints[i]
 		}
 	case Float64:
-		out.Floats = make([]float64, len(idx))
 		for o, i := range idx {
 			out.Floats[o] = c.Floats[i]
 		}
 	case String:
-		out.Strs = make([]string, len(idx))
 		for o, i := range idx {
 			out.Strs[o] = c.Strs[i]
 		}
 	case Bool:
-		out.Bools = make([]bool, len(idx))
 		for o, i := range idx {
 			out.Bools[o] = c.Bools[i]
 		}
 	}
 	if c.Nulls != nil {
-		out.Nulls = make([]bool, len(idx))
 		for o, i := range idx {
 			out.Nulls[o] = c.Nulls[i]
 		}
 	}
-	return out
 }
 
 // AppendColumn appends all rows of o (which must have the same type) to c,
@@ -309,6 +327,9 @@ func (s Schema) String() string {
 type Batch struct {
 	Schema Schema
 	Cols   []*Column
+	// Reused marks a header — this struct and Cols — that its producer
+	// rewrites on its next call (see Retain).
+	Reused bool
 }
 
 // BatchSize is the default number of rows per batch.
