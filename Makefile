@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint vet build test race bench-api bench bench-pair overhead server-smoke crash chaos-repl chaos-cluster bench-wal bench-obs fuzz-smoke bench-prepared
+.PHONY: check lint vet build test race bench-api bench bench-pair overhead server-smoke crash chaos-repl chaos-cluster bench-wal bench-obs fuzz-smoke bench-prepared loc
 
 ## check: everything CI runs except server-smoke — lint, build, full tests, race, telemetry-overhead smoke, benchmark-module API check
 check: lint build test race overhead bench-api
@@ -28,6 +28,10 @@ test:
 ## race: the concurrent subsystems — planner (shared plan-cache templates), executor, the expression compiler and column buffers (per-evaluator and per-operator reused buffers), analytics kernels and their λ metrics (E9 at 1 and 8 workers), CSV loader, CSR build, engine, storage, the image writer (a physical image cut while commits continue), network server and client, WAL, replication, cluster, telemetry, plan cache — under the race detector
 race:
 	$(GO) test -race ./internal/plan/ ./internal/exec/ ./internal/expr/ ./internal/types/ ./internal/analytics/ ./internal/bench/ ./internal/load/ ./internal/graph/ ./internal/engine/ ./internal/faultinject/ ./internal/storage/ ./internal/persist/ ./internal/server/ ./internal/server/client/ ./internal/wal/ ./internal/repl/ ./internal/cluster/ ./internal/retry/ ./internal/obs/ ./internal/telemetry/ ./internal/plancache/
+
+## loc: print the number of non-test Go lines in tracked files outside cmd/lambdabench (the benchmark module) — the code-size figure the docs quote
+loc:
+	@git ls-files '*.go' ':!*_test.go' ':!cmd/lambdabench' | xargs cat | wc -l
 
 ## bench-api: vet and test the benchmark module (cmd/lambdabench, its own go.mod, outside ./...) so a refactor that breaks a name it imports fails here, not in the benchmark run (~9 s)
 bench-api:

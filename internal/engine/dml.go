@@ -10,7 +10,9 @@ import (
 	"lambdadb/internal/types"
 )
 
-func (s *Session) execInsert(ctx context.Context, st *stmt, n *sql.Insert) (*Result, error) {
+// execInsert runs INSERT, its $N bound from args: VALUES binds them where
+// it evaluates each value, INSERT … SELECT where its plan runs.
+func (s *Session) execInsert(ctx context.Context, st *stmt, n *sql.Insert, args []types.Value) (*Result, error) {
 	tbl, err := s.db.store.Table(n.Table)
 	if err != nil {
 		return nil, err
@@ -64,7 +66,10 @@ func (s *Session) execInsert(ctx context.Context, st *stmt, n *sql.Insert) (*Res
 				if err != nil {
 					return nil, err
 				}
-				v, err := expr.EvalConst(re)
+				if i < len(colIdx) {
+					adoptColumnType(re, schema[colIdx[i]].Type)
+				}
+				v, err := expr.EvalConst(re, args)
 				if err != nil {
 					return nil, err
 				}
@@ -81,7 +86,7 @@ func (s *Session) execInsert(ctx context.Context, st *stmt, n *sql.Insert) (*Res
 		}
 		// runPlan applies the session timeout, memory limit, and telemetry,
 		// so an INSERT ... SELECT is governed like any SELECT.
-		mat, err := s.runPlan(ctx, st, tmpl, nil)
+		mat, err := s.runPlan(ctx, st, tmpl, args)
 		if err != nil {
 			return nil, err
 		}
@@ -105,9 +110,17 @@ func (s *Session) execInsert(ctx context.Context, st *stmt, n *sql.Insert) (*Res
 	return &Result{Affected: affected}, nil
 }
 
+// adoptColumnType gives a bare untyped $N assigned to a column that
+// column's type, as resolution types the $N of `id = $N` from id.
+func adoptColumnType(e expr.Expr, to types.Type) {
+	if p, ok := e.(*expr.Param); ok && p.Typ == types.Unknown {
+		p.Typ = to
+	}
+}
+
 // compilePredicate resolves and compiles an optional WHERE clause against a
-// table's schema. A nil clause accepts all rows.
-func compilePredicate(where expr.Expr, schema types.Schema, table string) (expr.Evaluator, error) {
+// table's schema, its $N bound from args. A nil clause accepts all rows.
+func compilePredicate(where expr.Expr, schema types.Schema, table string, args []types.Value) (expr.Evaluator, error) {
 	if where == nil {
 		return nil, nil
 	}
@@ -119,15 +132,15 @@ func compilePredicate(where expr.Expr, schema types.Schema, table string) (expr.
 	if pred.Type() != types.Bool {
 		return nil, fmt.Errorf("WHERE must be boolean, got %s", pred.Type())
 	}
-	return expr.Compile(pred)
+	return expr.Compile(pred, args)
 }
 
-func (s *Session) execDelete(ctx context.Context, n *sql.Delete) (*Result, error) {
+func (s *Session) execDelete(ctx context.Context, n *sql.Delete, args []types.Value) (*Result, error) {
 	tbl, err := s.db.store.Table(n.Table)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := compilePredicate(n.Where, tbl.Schema(), n.Table)
+	pred, err := compilePredicate(n.Where, tbl.Schema(), n.Table, args)
 	if err != nil {
 		return nil, err
 	}
@@ -202,13 +215,13 @@ func matchRows(b *types.Batch, pred expr.Evaluator) ([]bool, error) {
 	return match, nil
 }
 
-func (s *Session) execUpdate(ctx context.Context, n *sql.Update) (*Result, error) {
+func (s *Session) execUpdate(ctx context.Context, n *sql.Update, args []types.Value) (*Result, error) {
 	tbl, err := s.db.store.Table(n.Table)
 	if err != nil {
 		return nil, err
 	}
 	schema := tbl.Schema()
-	pred, err := compilePredicate(n.Where, schema, n.Table)
+	pred, err := compilePredicate(n.Where, schema, n.Table, args)
 	if err != nil {
 		return nil, err
 	}
@@ -226,6 +239,7 @@ func (s *Session) execUpdate(ctx context.Context, n *sql.Update) (*Result, error
 		if err != nil {
 			return nil, err
 		}
+		adoptColumnType(e, schema[ci].Type)
 		if e.Type() != schema[ci].Type {
 			if !(e.Type().IsNumeric() && schema[ci].Type.IsNumeric()) {
 				return nil, fmt.Errorf("cannot assign %s to column %q (%s)",
@@ -233,7 +247,7 @@ func (s *Session) execUpdate(ctx context.Context, n *sql.Update) (*Result, error
 			}
 			e = &expr.Cast{E: e, To: schema[ci].Type}
 		}
-		ev, err := expr.Compile(e)
+		ev, err := expr.Compile(e, args)
 		if err != nil {
 			return nil, err
 		}

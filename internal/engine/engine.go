@@ -516,7 +516,7 @@ func (s *Session) execScript(ctx context.Context, text string, selectOnly bool) 
 		}
 		st := s.newStmt(parseShare)
 		if last, err = s.execLogged(ctx, st, texts[i], sql.Classify(ast).Kind, func(ctx context.Context) (*Result, error) {
-			return s.execStatement(ctx, st, ast)
+			return s.execStatement(ctx, st, ast, nil)
 		}); err != nil {
 			return nil, err
 		}
@@ -575,7 +575,9 @@ func (s *Session) isClosed() bool {
 	return s.closed
 }
 
-func (s *Session) execStatement(ctx context.Context, st *stmt, ast sql.Statement) (*Result, error) {
+// execStatement runs one parsed statement; args bind the $N of a prepared
+// INSERT, UPDATE or DELETE (a prepared SELECT runs through the plan cache).
+func (s *Session) execStatement(ctx context.Context, st *stmt, ast sql.Statement, args []types.Value) (*Result, error) {
 	if err := s.db.rejectOnReplica(ast); err != nil {
 		return nil, err
 	}
@@ -585,11 +587,11 @@ func (s *Session) execStatement(ctx context.Context, st *stmt, ast sql.Statement
 	case *sql.DropTable:
 		return s.execDrop(n)
 	case *sql.Insert:
-		return s.execInsert(ctx, st, n)
+		return s.execInsert(ctx, st, n, args)
 	case *sql.Update:
-		return s.execUpdate(ctx, n)
+		return s.execUpdate(ctx, n, args)
 	case *sql.Delete:
-		return s.execDelete(ctx, n)
+		return s.execDelete(ctx, n, args)
 	case *sql.Select:
 		if err := noParams(n); err != nil {
 			return nil, err
@@ -805,20 +807,19 @@ func (s *Session) buildSelect(st *stmt, sel *sql.Select) (plan.Node, error) {
 }
 
 // runPlan executes a plan template under the session's execution settings
-// (workers, memory limit, statement timeout). The template is rebound to the
-// session snapshot and args first, so a plan the cache shares is never run
-// itself. When st collects, its per-operator stats tree and peak memory are
-// recorded on st — for failed statements too, so cancelled work is
-// observable.
+// (workers, memory limit, statement timeout), reading at the session
+// snapshot with args bound to its $N. The template runs as it was built:
+// the executor only reads a plan, so the one the cache shares serves every
+// session at once. When st collects, its per-operator stats tree and peak
+// memory are recorded on st — for failed statements too, so cancelled work
+// is observable.
 func (s *Session) runPlan(ctx context.Context, st *stmt, tmpl plan.Node, args []types.Value) (*exec.Materialized, error) {
-	node, err := plan.Rebind(tmpl, s.snapshot(), args)
-	if err != nil {
-		return nil, err
-	}
 	ctx, cancel := s.withStmtTimeout(ctx)
 	defer cancel()
 	ectx := exec.NewContext()
 	ectx.Workers = s.db.workers
+	ectx.Snapshot = s.snapshot()
+	ectx.Args = args
 	ectx.AttachContext(ctx)
 	ectx.SetMemoryLimit(s.db.memLimit)
 	ectx.OnIndexProbe = func(rows int64) {
@@ -829,9 +830,9 @@ func (s *Session) runPlan(ctx context.Context, st *stmt, tmpl plan.Node, args []
 	if st.collect {
 		sc = ectx.EnableStats()
 	}
-	mat, err := exec.Run(node, ectx)
+	mat, err := exec.Run(tmpl, ectx)
 	if sc != nil {
-		st.stats = sc.Tree(node)
+		st.stats = sc.Tree(tmpl)
 		st.peak = ectx.PeakBytes()
 	}
 	return mat, err

@@ -85,7 +85,7 @@ func dmlScanLines(head, table string, where any) []string {
 func (s *Session) explainAnalyze(ctx context.Context, st *stmt, ast sql.Statement) ([]string, error) {
 	st.collect = true
 	start := time.Now()
-	res, err := s.execStatement(ctx, st, ast)
+	res, err := s.execStatement(ctx, st, ast, nil)
 	dur := time.Since(start)
 	if err != nil {
 		return nil, err

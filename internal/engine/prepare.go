@@ -13,8 +13,9 @@ import (
 )
 
 // preparedStmt is one PREPAREd statement held by a session. The template AST
-// is immutable after PREPARE (EXECUTE works on copies), so the same prepared
-// statement can be executed any number of times.
+// is immutable after PREPARE — EXECUTE passes its arguments down to where
+// the statement's expressions compile — so the same prepared statement can
+// be executed any number of times.
 type preparedStmt struct {
 	name    string
 	stmt    sql.Statement // template AST; $N params carry declared types
@@ -154,7 +155,7 @@ func (s *Session) execExecute(ctx context.Context, st *stmt, n *sql.Execute) (*R
 		if err != nil {
 			return nil, fmt.Errorf("EXECUTE %s argument %d: %w", n.Name, i+1, err)
 		}
-		v, err := expr.EvalConst(re)
+		v, err := expr.EvalConst(re, nil)
 		if err != nil {
 			return nil, fmt.Errorf("EXECUTE %s argument %d: %w", n.Name, i+1, err)
 		}
@@ -172,29 +173,7 @@ func (s *Session) runPrepared(ctx context.Context, st *stmt, ps *preparedStmt, a
 		}
 		return s.runSelect(ctx, st, tmpl, args)
 	}
-	// DML: substitute the arguments into a deep copy of the template, then
-	// run it down the ordinary path (the template itself is never mutated).
-	ast := ps.stmt
-	if len(args) > 0 {
-		var substErr error
-		ast = sql.RewriteExprs(ps.stmt, func(e expr.Expr) expr.Expr {
-			p, ok := e.(*expr.Param)
-			if !ok {
-				return e
-			}
-			if p.Idx < 1 || p.Idx > len(args) {
-				if substErr == nil {
-					substErr = fmt.Errorf("no argument bound for parameter $%d", p.Idx)
-				}
-				return e
-			}
-			return &expr.Const{Val: args[p.Idx-1]}
-		})
-		if substErr != nil {
-			return nil, substErr
-		}
-	}
-	return s.execStatement(ctx, st, ast)
+	return s.execStatement(ctx, st, ps.stmt, args)
 }
 
 // execDeallocate handles DEALLOCATE name | ALL.

@@ -3,10 +3,14 @@ package engine
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"lambdadb/internal/exec"
+	"lambdadb/internal/plan"
+	"lambdadb/internal/sql"
 	"lambdadb/internal/types"
 )
 
@@ -378,4 +382,198 @@ func TestPlanCacheDDLRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPreparedDMLBindsLikeSelect: for one WHERE and one argument, the rows a
+// prepared SELECT counts are the rows a prepared UPDATE and a prepared
+// DELETE touch — with the parameter type declared or inferred, and with a
+// DOUBLE argument for the BIGINT column, which binds as that BIGINT.
+func TestPreparedDMLBindsLikeSelect(t *testing.T) {
+	for _, tc := range []struct {
+		decl, arg string
+		want      int64
+	}{
+		{"(INT)", "5.9", 1},
+		{"", "2.7", 1},
+		{"(INT)", "7", 1},
+		{"", "8", 1},
+		{"(DOUBLE)", "9.5", 0},
+	} {
+		db := preparedDB(t)
+		s := db.NewSession()
+		affected := func(stmt string) int64 {
+			t.Helper()
+			if _, err := s.Exec(fmt.Sprintf(`PREPARE p %s AS %s WHERE id = $1`, tc.decl, stmt)); err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Exec(`EXECUTE p (` + tc.arg + `)`)
+			if err != nil {
+				t.Fatalf("%s %s (%s): %v", tc.decl, stmt, tc.arg, err)
+			}
+			if _, err := s.Exec(`DEALLOCATE p`); err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasPrefix(stmt, "SELECT") {
+				return res.Rows[0][0].I
+			}
+			return int64(res.Affected)
+		}
+		counted := affected(`SELECT count(*) FROM pts`)
+		updated := affected(`UPDATE pts SET tag = 'bound'`)
+		deleted := affected(`DELETE FROM pts`)
+		if counted != tc.want || updated != counted || deleted != counted {
+			t.Errorf("PREPARE %s, EXECUTE (%s): SELECT counts %d (want %d), UPDATE touches %d, DELETE touches %d",
+				tc.decl, tc.arg, counted, tc.want, updated, deleted)
+		}
+		s.Close()
+	}
+}
+
+// TestPreparedAssignmentTakesColumnType: an untyped $N assigned to a column
+// binds as that column's type, in SET as in INSERT VALUES.
+func TestPreparedAssignmentTakesColumnType(t *testing.T) {
+	db := preparedDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	for _, q := range []string{
+		`PREPARE ins AS INSERT INTO pts VALUES ($1, $2, $3)`,
+		`PREPARE upd AS UPDATE pts SET x = $2 WHERE id = $1`,
+	} {
+		if _, err := s.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.ExecutePrepared(context.Background(), "ins",
+		[]types.Value{types.NewFloat(500.7), types.NewInt(3), types.NewString("n")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ExecutePrepared(context.Background(), "upd",
+		[]types.Value{types.NewFloat(7.2), types.NewInt(9)}); err != nil {
+		t.Fatal(err)
+	}
+	res := db.MustExec(`SELECT id, x FROM pts WHERE id = 500 OR id = 7 ORDER BY id`)
+	if len(res.Rows) != 2 || res.Rows[0][1].T != types.Float64 || res.Rows[0][1].F != 9 ||
+		res.Rows[1][0].T != types.Int64 || res.Rows[1][1].F != 3 {
+		t.Errorf("rows = %v, want [7 9] [500 3]", res.Rows)
+	}
+}
+
+// TestCachedTemplateRunsAsIs: eight sessions, each in its own transaction,
+// EXECUTE one cached join + GROUP BY template at 8 workers with arguments
+// of their own while a writer commits. Every result equals the same query
+// with the argument inlined, in the same transaction; and afterwards the
+// template is exactly what a fresh build of its text produces — no
+// execution wrote into it.
+func TestCachedTemplateRunsAsIs(t *testing.T) {
+	db := Open(WithWorkers(8))
+	loadParallelFixture(t, db)
+	const text = `SELECT dim.k, count(*), sum(fact.v) FROM fact JOIN dim ON fact.k = dim.k WHERE fact.v < %s GROUP BY dim.k`
+	prep := db.NewSession()
+	defer prep.Close()
+	if _, err := prep.Exec(`PREPARE q AS ` + fmt.Sprintf(text, "$1")); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	writerDone := make(chan error, 1)
+	go func() {
+		// Each UPDATE replaces rows without changing how many there are.
+		for k := 0; ; k++ {
+			select {
+			case <-stop:
+				writerDone <- nil
+				return
+			default:
+			}
+			if _, err := db.Exec(fmt.Sprintf(`UPDATE fact SET v = v + 1 WHERE k = %d`, k%50)); err != nil {
+				writerDone <- err
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := db.NewSession()
+			defer s.Close()
+			if _, err := s.Exec(`PREPARE q AS ` + fmt.Sprintf(text, "$1")); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := s.Exec(`BEGIN`); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < 3; i++ {
+				arg := fmt.Sprint(5_000*(g+1) + 1_000*i)
+				got, err := s.Exec(`EXECUTE q (` + arg + `)`)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want, err := s.Exec(fmt.Sprintf(text, arg))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				normalizeRows(got.Rows)
+				normalizeRows(want.Rows)
+				if !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Errorf("session %d, $1 = %s: EXECUTE gives %d rows, the inlined query %d, or their values differ",
+						g, arg, len(got.Rows), len(want.Rows))
+				}
+			}
+			if _, err := s.Exec(`COMMIT`); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-writerDone; err != nil {
+		t.Fatal(err)
+	}
+
+	// The template split into morsels: the fact scan ran as several parts.
+	prep.CollectStats(true)
+	if _, err := prep.Exec(`EXECUTE q (30000)`); err != nil {
+		t.Fatal(err)
+	}
+	var factScan *exec.OpStats
+	var find func(*exec.OpStats)
+	find = func(n *exec.OpStats) {
+		if n.Name == "Scan fact" {
+			factScan = n
+		}
+		for _, c := range n.Children {
+			find(c)
+		}
+	}
+	find(prep.LastStats())
+	if factScan == nil || factScan.Instances < 2 {
+		t.Fatalf("fact scan stats %+v: want it split into morsels", factScan)
+	}
+
+	key, _ := sql.NormalizeStatement(fmt.Sprintf(text, "$1"))
+	var cached plan.Node
+	for _, e := range db.planCache.Snapshot() {
+		if e.Key == key {
+			cached = e.Plan
+		}
+	}
+	ast, err := sql.ParseOne(fmt.Sprintf(text, "$1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := prep.newBuilder().BuildSelect(ast.(*sql.Select))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached == nil || !reflect.DeepEqual(cached, fresh) {
+		t.Errorf("the cached template differs from a fresh build of its text:\n%s\nfresh:\n%s",
+			plan.ExplainTree(cached), plan.ExplainTree(fresh))
+	}
 }

@@ -356,7 +356,7 @@ func newAggSink(n *plan.Aggregate, ctx *Context) (*aggSink, error) {
 	var err error
 	for i, k := range n.Keys {
 		keyTypes[i] = k.Type()
-		if s.keyEvals[i], err = expr.CompileLent(k, &s.scratch.Scratch); err != nil {
+		if s.keyEvals[i], err = expr.CompileLent(k, ctx.Args, &s.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}
@@ -364,7 +364,7 @@ func newAggSink(n *plan.Aggregate, ctx *Context) (*aggSink, error) {
 		if g.Arg == nil {
 			continue
 		}
-		if s.argEvals[i], err = expr.CompileLent(g.Arg, &s.scratch.Scratch); err != nil {
+		if s.argEvals[i], err = expr.CompileLent(g.Arg, ctx.Args, &s.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}

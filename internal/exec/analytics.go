@@ -218,7 +218,7 @@ func (m *distance) prepare(centers []float64) (analytics.Metric, error) {
 			}
 			return e
 		})
-		ev, err := expr.CompileLent(plan.Fold(body), &m.scratch.Scratch)
+		ev, err := expr.CompileLent(plan.Fold(body), m.scratch.ctx.Args, &m.scratch.Scratch)
 		if err != nil {
 			return nil, fmt.Errorf("%s: distance %s: %w", m.what, m.l, err)
 		}
@@ -436,9 +436,9 @@ func newKMeansAssignOp(n *plan.KMeansAssign) *blockingOp {
 // ranking iterations, and maps ids back on output. An edge-weight lambda
 // (Section 7), compiled once like any other expression over the edge
 // batches, makes the CSR weighted.
-func newPageRankOp(n *plan.PageRank) (*blockingOp, error) {
+func newPageRankOp(n *plan.PageRank, ctx *Context) (*blockingOp, error) {
 	if n.Lambda != nil {
-		if _, err := expr.Compile(n.Lambda.Body); err != nil {
+		if _, err := expr.Compile(n.Lambda.Body, ctx.Args); err != nil {
 			return nil, fmt.Errorf("pagerank: edge weight %s: %w", n.Lambda, err)
 		}
 	}
@@ -511,7 +511,7 @@ func loadEdges(n *plan.PageRank, ctx *Context) (*edges, error) {
 		var weight expr.Evaluator
 		if weighted {
 			var err error
-			if weight, err = expr.CompileScratch(n.Lambda.Body, &s.Scratch); err != nil {
+			if weight, err = expr.CompileScratch(n.Lambda.Body, ctx.Args, &s.Scratch); err != nil {
 				return nil, err
 			}
 		}

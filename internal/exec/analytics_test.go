@@ -21,7 +21,7 @@ func TestPageRankBooksItsGraph(t *testing.T) {
 	pr := &plan.PageRank{Damping: 0.85, MaxIter: 2,
 		Edges: &plan.Project{Child: scan, Exprs: []expr.Expr{k, k}, Names: []string{"src", "dst"}}}
 	for _, workers := range []int{1, 8} {
-		ctx := NewContext()
+		ctx := latestContext()
 		ctx.Workers = workers
 		ctx.SetMemoryLimit(16*edges + 1<<10)
 		_, err := Run(pr, ctx)
@@ -30,7 +30,7 @@ func TestPageRankBooksItsGraph(t *testing.T) {
 			t.Errorf("workers=%d: a budget for the edges alone: want *ResourceError naming pagerank, got %v", workers, err)
 		}
 
-		ctx = NewContext()
+		ctx = latestContext()
 		ctx.Workers = workers
 		ctx.SetMemoryLimit(1 << 30)
 		mat, err := Run(pr, ctx)

@@ -28,7 +28,7 @@ func buildFilterAggPlan(b testing.TB, rows int) plan.Node {
 // compiled predicate over column vectors, hash-free global aggregate.
 func BenchmarkVectorizedFilterAgg(b *testing.B) {
 	p := buildFilterAggPlan(b, 1_000_000)
-	ctx := NewContext()
+	ctx := latestContext()
 	ctx.Workers = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,7 +79,7 @@ func BenchmarkParallelAggScaling(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(benchName(workers), func(b *testing.B) {
-			ctx := NewContext()
+			ctx := latestContext()
 			ctx.Workers = workers
 			for i := 0; i < b.N; i++ {
 				if _, err := Run(agg, ctx); err != nil {
@@ -115,7 +115,7 @@ func BenchmarkParallelJoinScaling(b *testing.B) {
 	join, _ := scalingJoin(b)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(benchName(workers), func(b *testing.B) {
-			ctx := NewContext()
+			ctx := latestContext()
 			ctx.Workers = workers
 			for i := 0; i < b.N; i++ {
 				if _, err := Run(join, ctx); err != nil {
@@ -143,7 +143,7 @@ func BenchmarkJoinPipelineAgg(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		b.Run(benchName(workers), func(b *testing.B) {
-			ctx := NewContext()
+			ctx := latestContext()
 			ctx.Workers = workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -201,7 +201,7 @@ func BenchmarkParallelSortScaling(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(benchName(workers), func(b *testing.B) {
-			ctx := NewContext()
+			ctx := latestContext()
 			ctx.Workers = workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -252,7 +252,7 @@ func BenchmarkParallelTopKScaling(b *testing.B) {
 	} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(tc.name+"/"+benchName(workers), func(b *testing.B) {
-				ctx := NewContext()
+				ctx := latestContext()
 				ctx.Workers = workers
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -268,7 +268,7 @@ func BenchmarkParallelTopKScaling(b *testing.B) {
 // runPerRow runs p serially b.N times and reports the time per row of rows,
 // the unit the hash operators' inner loops are judged in.
 func runPerRow(b *testing.B, p plan.Node, rows int) {
-	ctx := NewContext()
+	ctx := latestContext()
 	ctx.Workers = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -31,7 +31,7 @@ func (k *keeper) consume(b *types.Batch) error {
 // every operator has closed.
 func keptRows(t *testing.T, p plan.Node, workers int, retain bool) [][]types.Value {
 	t.Helper()
-	ctx := NewContext()
+	ctx := latestContext()
 	ctx.Workers = workers
 	sinks, err := drive(ctx, partsOf(p, ctx), "", func(Operator) (*keeper, error) {
 		return &keeper{retain: retain}, nil
@@ -98,7 +98,7 @@ func TestPoisonCatchesAKeeperThatSkipsRetain(t *testing.T) {
 		plan plan.Node
 	}{{"hash join", hashJoin}, {"distance projection", distances}} {
 		for _, workers := range []int{1, 8} {
-			ctx := NewContext()
+			ctx := latestContext()
 			ctx.Workers = workers
 			want, err := Run(tc.plan, ctx)
 			if err != nil {
@@ -132,7 +132,7 @@ func TestDistanceProjectionAllocBudget(t *testing.T) {
 	s, tbl := arithTable(t)
 	p := counted(&plan.Project{Child: plan.NewScan(tbl, "", s.Snapshot()),
 		Exprs: []expr.Expr{distanceExpr()}, Names: []string{"dist"}})
-	ctx := NewContext()
+	ctx := latestContext()
 	ctx.Workers = 1
 	run := func() {
 		if _, err := Run(p, ctx); err != nil {
@@ -161,7 +161,7 @@ func TestWarmJoinProbeAndAggregateAllocateNothing(t *testing.T) {
 	s := storage.NewStore()
 	build := nullableTable(t, s, "build", 2_000, 1_000, 0)
 	probe := nullableTable(t, s, "probe", 100*types.BatchSize, 1_000, 0)
-	ctx := NewContext()
+	ctx := latestContext()
 	ctx.Workers = 1
 	// The probe side is a working table: its batches exist already, so
 	// pulling one allocates nothing either.
@@ -178,7 +178,7 @@ func TestWarmJoinProbeAndAggregateAllocateNothing(t *testing.T) {
 		KeyNames: []string{"g"},
 		Aggs: []plan.AggSpec{{Func: plan.AggSum, Arg: &expr.BinOp{Op: expr.OpMul, Typ: types.Float64,
 			L: colRef("v", 3, types.Float64), R: &expr.Const{Val: types.NewFloat(2)}}, Type: types.Float64, Name: "sum"}}}
-	op, err := buildFor(join, ctx)
+	op, err := buildWith(whole(join), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,17 @@ import (
 	"lambdadb/internal/types"
 )
 
-// Context carries per-query execution state.
+// Context carries per-query execution state: everything that differs from
+// one execution of a plan to the next. The plan itself is only read, so one
+// plan runs under any number of contexts at once.
 type Context struct {
 	// Workers is the parallelism degree for morsel-parallel fragments.
 	Workers int
+	// Snapshot is the commit timestamp every table scan and index probe of
+	// the statement reads at.
+	Snapshot uint64
+	// Args binds the plan's $N placeholders: Args[i] is $i+1.
+	Args []types.Value
 	// Bindings maps working-table names (ITERATE, recursive CTEs) to their
 	// current contents.
 	Bindings map[string]*Materialized
@@ -79,15 +86,6 @@ func (c *Context) EnableStats() *StatsCollector {
 	}
 	if c.mem == nil {
 		c.mem = &memAccountant{limit: int64(^uint64(0) >> 1)}
-	}
-	return c.stats
-}
-
-// statsCollector returns the query's collector, nil when telemetry is
-// disarmed. Nil-safe so plan-splitting helpers can call it with no context.
-func (c *Context) statsCollector() *StatsCollector {
-	if c == nil {
-		return nil
 	}
 	return c.stats
 }
@@ -178,10 +176,10 @@ func (m *Materialized) Rows() [][]types.Value {
 }
 
 // SliceRows returns batches covering rows [lo, hi) of the materialized
-// relation, slicing the boundary batches. hi <= 0 means to the end. The
+// relation, slicing the boundary batches. hi < 0 means to the end. The
 // returned batches may alias m's storage.
 func (m *Materialized) SliceRows(lo, hi int) []*types.Batch {
-	if hi <= 0 || hi > m.NumRows {
+	if hi < 0 || hi > m.NumRows {
 		hi = m.NumRows
 	}
 	var out []*types.Batch
@@ -213,23 +211,34 @@ func (m *Materialized) SliceRows(lo, hi int) []*types.Batch {
 }
 
 // buildHook lets tests inject physical operators for test-only plan nodes.
-var buildHook func(plan.Node) (Operator, bool)
+var buildHook func(part) (Operator, bool)
 
-// Build translates a logical plan into a physical operator tree with
-// telemetry disarmed.
-func Build(p plan.Node) (Operator, error) { return buildWith(p, nil) }
-
-// buildFor builds a plan for execution under ctx, wrapping operators with
-// telemetry when the query's collector is armed.
-func buildFor(p plan.Node, ctx *Context) (Operator, error) {
-	return buildWith(p, ctx.statsCollector())
+// part is what a pipeline is driven as: a plan and the row range [lo, hi)
+// its morsel leaf (plan.MorselLeaf) reads, hi < 0 reading to the end. The
+// morsels of a pipeline are parts of one and the same plan.
+type part struct {
+	node   plan.Node
+	lo, hi int
 }
 
-// buildWith translates a logical plan into a physical operator tree. With a
-// nil collector the result is exactly the tree Build produced before the
-// telemetry layer existed; with a collector every operator (Alias nodes are
-// transparent) is wrapped in a statsOp keyed by its plan node.
-func buildWith(p plan.Node, sc *StatsCollector) (Operator, error) {
+// whole is the part that runs all of p.
+func whole(p plan.Node) part { return part{node: p, hi: -1} }
+
+// of is the part of n, the next stage down p's streaming spine, over p's
+// range: the range travels down the spine to the one leaf.
+func (p part) of(n plan.Node) part { return part{node: n, lo: p.lo, hi: p.hi} }
+
+// Build translates a logical plan into a physical operator tree with
+// telemetry disarmed and no arguments bound.
+func Build(p plan.Node) (Operator, error) { return buildWith(whole(p), &Context{}) }
+
+// buildWith translates part p of a plan into a physical operator tree for
+// execution under ctx: its expressions compile with ctx.Args bound. With
+// telemetry disarmed the result is exactly the tree Build produced before
+// the telemetry layer existed; armed, every operator (Alias nodes are
+// transparent) is wrapped in a statsOp keyed by its plan node, which every
+// part of a pipeline shares, so their counters meet in one record.
+func buildWith(p part, ctx *Context) (Operator, error) {
 	if buildHook != nil {
 		if op, ok := buildHook(p); ok {
 			return op, nil
@@ -237,35 +246,35 @@ func buildWith(p plan.Node, sc *StatsCollector) (Operator, error) {
 	}
 	var op Operator
 	var err error
-	switch n := p.(type) {
+	switch n := p.node.(type) {
 	case *plan.Scan:
-		op = newTableScan(n)
+		op = newTableScan(n, p.lo, p.hi)
 	case *plan.IndexScan:
 		op = newIndexScan(n)
 	case *plan.WorkingScan:
-		op = newWorkingScan(n)
+		op = newWorkingScan(n, p.lo, p.hi)
 	case *plan.Values:
 		op = newValuesOp(n)
 	case *plan.Alias:
-		return buildWith(n.Child, sc)
+		return buildWith(p.of(n.Child), ctx)
 	case *plan.Shared:
 		op = newSharedOp(n)
 	case *plan.Filter:
-		op, err = newFilterOp(n, sc)
+		op, err = newFilterOp(n, p.of(n.Child), ctx)
 	case *plan.Project:
-		op, err = newProjectOp(n, sc)
+		op, err = newProjectOp(n, p.of(n.Child), ctx)
 	case *plan.Join:
-		op, err = newJoinOp(n)
+		op, err = newJoinOp(n, p, ctx)
 	case *plan.Aggregate:
 		op = newAggOp(n)
 	case *plan.Sort:
 		op = newSortOp(n)
 	case *plan.Limit:
-		op, err = newLimitOp(n, sc)
+		op, err = newLimitOp(n, ctx)
 	case *plan.Distinct:
-		op, err = newDistinctOp(n, sc)
+		op, err = newDistinctOp(n, ctx)
 	case *plan.Union:
-		op, err = newUnionOp(n, sc)
+		op, err = newUnionOp(n, ctx)
 	case *plan.Iterate:
 		op = newIterateOp(n)
 	case *plan.RecursiveCTE:
@@ -275,19 +284,19 @@ func buildWith(p plan.Node, sc *StatsCollector) (Operator, error) {
 	case *plan.KMeansAssign:
 		op = newKMeansAssignOp(n)
 	case *plan.PageRank:
-		op, err = newPageRankOp(n)
+		op, err = newPageRankOp(n, ctx)
 	case *plan.NaiveBayesTrain:
 		op = newNBTrainOp(n)
 	case *plan.NaiveBayesPredict:
 		op = newNBPredictOp(n)
 	default:
-		return nil, fmt.Errorf("exec: no physical operator for %T", p)
+		return nil, fmt.Errorf("exec: no physical operator for %T", p.node)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if sc != nil {
-		op = &statsOp{inner: op, node: p, sc: sc}
+	if ctx.stats != nil {
+		op = &statsOp{inner: op, node: p.node, sc: ctx.stats}
 	}
 	return op, nil
 }
@@ -300,7 +309,7 @@ func Run(p plan.Node, ctx *Context) (*Materialized, error) {
 	if plan.StreamsPastJoin(p) {
 		return materialize(partsOf(p, ctx), ctx)
 	}
-	return materialize([]plan.Node{p}, ctx)
+	return materialize([]part{whole(p)}, ctx)
 }
 
 // opLabel names an operator for error reporting (ResourceError.Operator,

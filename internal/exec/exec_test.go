@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -51,6 +52,14 @@ func scaledTable(t testing.TB, n, mod int, scale int64) (*storage.Store, *storag
 	return s, tbl
 }
 
+// latestContext is NewContext reading every committed row: no test store
+// takes writes while a plan reads it.
+func latestContext() *Context {
+	ctx := NewContext()
+	ctx.Snapshot = math.MaxUint64
+	return ctx
+}
+
 func colRef(name string, idx int, t types.Type) *expr.ColRef {
 	return &expr.ColRef{Name: name, Index: idx, Typ: t}
 }
@@ -71,13 +80,13 @@ func TestParallelAggregationMatchesSerial(t *testing.T) {
 			{Func: plan.AggMax, Arg: colRef("v", 1, types.Float64), Type: types.Float64, Name: "max(v)"},
 		},
 	}
-	serialCtx := NewContext()
+	serialCtx := latestContext()
 	serialCtx.Workers = 1
 	serial, err := Run(agg, serialCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parCtx := NewContext()
+	parCtx := latestContext()
 	parCtx.Workers = 8
 	parallel, err := Run(agg, parCtx)
 	if err != nil {
@@ -104,14 +113,14 @@ func TestParallelAggregationMatchesSerial(t *testing.T) {
 func TestSplitParallelCoversAllRows(t *testing.T) {
 	s, tbl := bigTable(t, 50_000, 3)
 	scan := plan.NewScan(tbl, "", s.Snapshot())
-	parts := splitParallel(scan, 4, NewContext())
+	parts := splitParallel(scan, 4, latestContext())
 	if len(parts) < 2 {
 		t.Fatalf("expected multiple parts, got %d", len(parts))
 	}
-	ctx := NewContext()
+	ctx := latestContext()
 	total := 0
 	for _, p := range parts {
-		m, err := Run(p, ctx)
+		m, err := materialize([]part{p}, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +134,7 @@ func TestSplitParallelCoversAllRows(t *testing.T) {
 func TestSplitParallelRefusesSmallTables(t *testing.T) {
 	s, tbl := bigTable(t, 100, 3)
 	scan := plan.NewScan(tbl, "", s.Snapshot())
-	if parts := splitParallel(scan, 8, NewContext()); parts != nil {
+	if parts := splitParallel(scan, 8, latestContext()); parts != nil {
 		t.Errorf("small table should not be split, got %d parts", len(parts))
 	}
 }
@@ -136,7 +145,7 @@ func TestSplitParallelRefusesNonPipelines(t *testing.T) {
 	// An aggregate is a pipeline breaker: its subtree must not be split.
 	agg := &plan.Aggregate{Child: scan, Aggs: []plan.AggSpec{
 		{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"}}}
-	if parts := splitParallel(agg, 8, NewContext()); parts != nil {
+	if parts := splitParallel(agg, 8, latestContext()); parts != nil {
 		t.Error("aggregate should not be splittable")
 	}
 }
@@ -145,7 +154,7 @@ func TestLimitOffsetAcrossBatches(t *testing.T) {
 	s, tbl := bigTable(t, 5000, 5000) // k = 0..4999 unique
 	scan := plan.NewScan(tbl, "", s.Snapshot())
 	lim := &plan.Limit{Child: scan, N: 10, Offset: 2040} // crosses batch boundary
-	m, err := Run(lim, NewContext())
+	m, err := Run(lim, latestContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +197,7 @@ func TestHashJoinDuplicateKeys(t *testing.T) {
 		EquiLeft:  []int{0},
 		EquiRight: []int{0},
 	}
-	m, err := Run(join, NewContext())
+	m, err := Run(join, latestContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +244,7 @@ func TestHashJoinOneToOneMatchesNestedLoop(t *testing.T) {
 					}
 				}
 			}
-			m, err := Run(join, NewContext())
+			m, err := Run(join, latestContext())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +279,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 		EquiLeft:  []int{0},
 		EquiRight: []int{0},
 	}
-	m, err := Run(join, NewContext())
+	m, err := Run(join, latestContext())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,15 +323,15 @@ func TestDrainClosesOnError(t *testing.T) {
 			R: &expr.Const{Val: types.NewInt(0)}},
 		R: &expr.Const{Val: types.NewInt(0)}}
 	f := &plan.Filter{Child: scan, Pred: pred}
-	if _, err := Run(f, NewContext()); err == nil {
+	if _, err := Run(f, latestContext()); err == nil {
 		t.Error("expected runtime error")
 	}
 }
 
 func TestScanRangeRestriction(t *testing.T) {
 	s, tbl := bigTable(t, 10_000, 10_000)
-	scan := &plan.Scan{Rel: tbl, Alias: "big", Snapshot: s.Snapshot(), Lo: 100, Hi: 200}
-	m, err := Run(scan, NewContext())
+	scan := plan.NewScan(tbl, "big", s.Snapshot())
+	m, err := materialize([]part{{node: scan, lo: 100, hi: 200}}, latestContext())
 	if err != nil {
 		t.Fatal(err)
 	}

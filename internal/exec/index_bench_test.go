@@ -36,7 +36,7 @@ func BenchmarkIndexPointLookup(b *testing.B) {
 	b.Run("fullscan", func(b *testing.B) {
 		s, tbl := bigTable(b, rows, rows) // k unique: i % rows == i
 		p := &plan.Filter{Child: plan.NewScan(tbl, "", s.Snapshot()), Pred: pred}
-		ctx := NewContext()
+		ctx := latestContext()
 		ctx.Workers = 1
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -51,10 +51,10 @@ func BenchmarkIndexPointLookup(b *testing.B) {
 	})
 
 	b.Run("indexed", func(b *testing.B) {
-		s, tbl := indexedBigTable(b, rows, rows)
-		p := &plan.IndexScan{Rel: tbl, Snapshot: s.Snapshot(),
+		_, tbl := indexedBigTable(b, rows, rows)
+		p := &plan.IndexScan{Rel: tbl,
 			Index: "big_k", Column: "k", Kind: "ORDERED", Eq: &eq, EstRows: 1}
-		ctx := NewContext()
+		ctx := latestContext()
 		ctx.Workers = 1
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -156,7 +156,7 @@ func BenchmarkJoinOrder(b *testing.B) {
 	s, tables := joinOrderTables(b)
 
 	run := func(b *testing.B, p plan.Node) {
-		ctx := NewContext()
+		ctx := latestContext()
 		ctx.Workers = 1
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -84,7 +84,7 @@ func (c *Context) runRounds(node plan.Node, name, what string, maxDepth int, wor
 //
 // The iteration context (including ctx.Workers) is passed through to every
 // Init/Step/Stop execution, and working tables bound here are splittable
-// into row-range morsels (WorkingScan Lo/Hi), so joins, sorts, and
+// into row-range morsels (parts of a WorkingScan), so joins, sorts, and
 // aggregates inside the loop body run morsel-parallel each round.
 func newIterateOp(n *plan.Iterate) *blockingOp {
 	return &blockingOp{label: "iterate", schema: n.Schema(), compute: func(ctx *Context) (*Materialized, error) {

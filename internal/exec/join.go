@@ -100,7 +100,8 @@ type joinOp struct {
 
 	// Fixed when the operator is built.
 	hash                 bool
-	blocking, streaming  plan.Node
+	blocking             plan.Node
+	streaming            part // the streaming side over the join's own range
 	buildKeys, probeKeys []int
 	keyTypes             []types.Type
 	key                  sharedKey
@@ -135,10 +136,13 @@ type joinOp struct {
 	rightIdx  []int
 }
 
-func newJoinOp(n *plan.Join) (Operator, error) {
+// newJoinOp builds part p of a join: its streaming side reads p's range,
+// its blocking side is whole.
+func newJoinOp(n *plan.Join, p part, ctx *Context) (Operator, error) {
 	j := &joinOp{node: n, schema: n.Schema(),
 		hash: len(n.EquiLeft) > 0 && (n.Type == plan.InnerJoin || n.Type == plan.LeftJoin)}
-	j.blocking, j.streaming = n.Sides()
+	blocking, streaming := n.Sides()
+	j.blocking, j.streaming = blocking, p.of(streaming)
 	j.scoped = plan.ReadsWorkingTable(j.blocking)
 	cond := n.On
 	if j.hash {
@@ -148,7 +152,7 @@ func newJoinOp(n *plan.Join) (Operator, error) {
 			j.buildKeys, j.probeKeys = n.EquiLeft, n.EquiRight
 		}
 		// A key pair of two types (BIGINT = DOUBLE) is compared as DOUBLE.
-		bs, ps := j.blocking.Schema(), j.streaming.Schema()
+		bs, ps := blocking.Schema(), streaming.Schema()
 		j.keyTypes = make([]types.Type, len(j.buildKeys))
 		for i, c := range j.buildKeys {
 			if j.keyTypes[i] = bs[c].Type; j.keyTypes[i] != ps[j.probeKeys[i]].Type {
@@ -159,7 +163,7 @@ func newJoinOp(n *plan.Join) (Operator, error) {
 	j.key = sharedKey{node: j.blocking, keys: fmt.Sprint(j.buildKeys, j.keyTypes)}
 	if cond != nil {
 		var err error
-		if j.cond, err = expr.CompileLent(cond, &j.scratch.Scratch); err != nil {
+		if j.cond, err = expr.CompileLent(cond, ctx.Args, &j.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}
@@ -176,7 +180,7 @@ func (j *joinOp) Open(ctx *Context) error {
 		return err
 	}
 	j.jt = v.(*joinTable)
-	if j.in, err = buildFor(j.streaming, ctx); err != nil {
+	if j.in, err = buildWith(j.streaming, ctx); err != nil {
 		return err
 	}
 	return j.in.Open(ctx)

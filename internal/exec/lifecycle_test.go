@@ -27,7 +27,7 @@ func counted(p plan.Node) plan.Node {
 // to a cancellable Go context.
 func lifecycleCtx(workers int) (*Context, context.CancelFunc) {
 	goCtx, cancel := context.WithCancel(context.Background())
-	ctx := NewContext()
+	ctx := latestContext()
 	ctx.Workers = workers
 	ctx.AttachContext(goCtx)
 	return ctx, cancel
@@ -95,7 +95,7 @@ func TestCancelDuringParallelOperators(t *testing.T) {
 
 func TestMemoryLimitScan(t *testing.T) {
 	s, tbl := bigTable(t, 100_000, 1000)
-	ctx := NewContext()
+	ctx := latestContext()
 	ctx.SetMemoryLimit(4 << 10) // far below the ~1.6 MB the scan holds
 	_, err := Run(plan.NewScan(tbl, "", s.Snapshot()), ctx)
 	var re *ResourceError
@@ -118,7 +118,7 @@ func TestMemoryLimitNamesJoinBuild(t *testing.T) {
 		EquiLeft:  []int{0},
 		EquiRight: []int{0},
 	}
-	ctx := NewContext()
+	ctx := latestContext()
 	// Enough for the build-side batches but not the hash table on top.
 	ctx.SetMemoryLimit(int64(40_000*16) + 48)
 	_, err := Run(join, ctx)
@@ -145,7 +145,7 @@ func TestJoinBuildSidesStayBookedForTheStatement(t *testing.T) {
 			R: plan.NewScan(big, "", s.Snapshot()), EquiLeft: []int{0}, EquiRight: []int{0}})
 	}
 	run := func(p plan.Node, limit int64) (int64, error) {
-		ctx := NewContext()
+		ctx := latestContext()
 		ctx.SetMemoryLimit(limit)
 		_, err := Run(p, ctx)
 		return ctx.MemoryUsed(), err
@@ -170,7 +170,7 @@ func TestJoinBuildSidesStayBookedForTheStatement(t *testing.T) {
 
 func TestMemoryLimitUnlimitedByDefault(t *testing.T) {
 	s, tbl := bigTable(t, 50_000, 1000)
-	ctx := NewContext()
+	ctx := latestContext()
 	if _, err := Run(plan.NewScan(tbl, "", s.Snapshot()), ctx); err != nil {
 		t.Fatalf("no limit set, query must pass: %v", err)
 	}
@@ -221,7 +221,7 @@ func TestIterateReleasesWorkingTables(t *testing.T) {
 			Stop:     &plan.Values{Sch: sch}, // no rows: never stops before MaxDepth
 			MaxDepth: 1000,
 		}
-		ctx := NewContext()
+		ctx := latestContext()
 		ctx.SetMemoryLimit(tc.limit)
 		_, err := Run(it, ctx)
 		if errors.As(err, new(*ResourceError)) {
@@ -270,7 +270,7 @@ func TestMemoryLimitNamesRetainingSink(t *testing.T) {
 	}
 	for _, tc := range plans {
 		for _, workers := range []int{1, 8} {
-			ctx := NewContext()
+			ctx := latestContext()
 			ctx.Workers = workers
 			ctx.SetMemoryLimit(tc.limit)
 			_, err := Run(tc.plan, ctx)
@@ -292,7 +292,7 @@ func TestPanicContainedInWorkerPool(t *testing.T) {
 		Keys:  []plan.SortKey{{Col: 0}},
 		TopK:  -1,
 	}
-	ctx := NewContext()
+	ctx := latestContext()
 	ctx.Workers = 8
 	_, err := Run(srt, ctx)
 	var ie *InternalError
@@ -313,7 +313,7 @@ func TestScanProducerLifecycle(t *testing.T) {
 	s, tbl := indexedBigTable(t, rows, mod)
 	three, two, five := types.NewInt(3), types.NewInt(2), types.NewInt(5)
 	index := func(is plan.IndexScan) plan.Node {
-		is.Rel, is.Snapshot, is.Index, is.Column, is.Kind = tbl, s.Snapshot(), "big_k", "k", "ORDERED"
+		is.Rel, is.Index, is.Column, is.Kind = tbl, "big_k", "k", "ORDERED"
 		return &is
 	}
 	producers := []struct {
@@ -423,14 +423,14 @@ func TestScanProducerLifecycle(t *testing.T) {
 					defer faultinject.Reset()
 					goCtx, cancel := context.WithCancel(context.Background())
 					defer cancel()
-					ctx := NewContext()
+					ctx := latestContext()
 					ctx.Workers = 1
 					ctx.AttachContext(f.arm(t, goCtx, cancel))
 					_, err := consume(pr.plan, ctx)
 					f.check(t, pr.label, err)
 
 					faultinject.Reset()
-					n, err := consume(pr.plan, NewContext())
+					n, err := consume(pr.plan, latestContext())
 					if err != nil || n != pr.wantRows {
 						t.Fatalf("query after the fault: rows = %d, err = %v; want %d rows", n, err, pr.wantRows)
 					}
@@ -535,9 +535,9 @@ func TestDriveContractForEverySink(t *testing.T) {
 	var untilPanic atomic.Int64
 	prev := buildHook
 	defer func() { buildHook = prev }()
-	buildHook = func(p plan.Node) (Operator, bool) {
-		if sc, ok := p.(*plan.Scan); ok {
-			o := &trackedScan{Operator: newTableScan(sc), table: sc.Rel.Name(), untilPanic: &untilPanic}
+	buildHook = func(p part) (Operator, bool) {
+		if sc, ok := p.node.(*plan.Scan); ok {
+			o := &trackedScan{Operator: newTableScan(sc, p.lo, p.hi), table: sc.Rel.Name(), untilPanic: &untilPanic}
 			mu.Lock()
 			tracked = append(tracked, o)
 			mu.Unlock()

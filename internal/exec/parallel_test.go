@@ -71,7 +71,7 @@ func rowLess(a, b []types.Value) bool {
 // working-table bindings if any.
 func runWithWorkers(t *testing.T, p plan.Node, workers int, bindings map[string]*Materialized) *Materialized {
 	t.Helper()
-	ctx := NewContext()
+	ctx := latestContext()
 	ctx.Workers = workers
 	for name, m := range bindings {
 		ctx.Bindings[name] = m
@@ -318,7 +318,7 @@ func TestParallelWorkingTableBody(t *testing.T) {
 		assertSameRows(t, serial, parallel, true)
 	})
 	t.Run("split-covers-all-rows", func(t *testing.T) {
-		ctx := NewContext()
+		ctx := latestContext()
 		ctx.Bindings["iterate"] = working
 		parts := splitParallel(ws(), 4, ctx)
 		if len(parts) < 2 {
@@ -326,7 +326,7 @@ func TestParallelWorkingTableBody(t *testing.T) {
 		}
 		total := 0
 		for _, p := range parts {
-			m, err := Run(p, ctx)
+			m, err := materialize([]part{p}, ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -354,12 +354,10 @@ func TestContextWorkersClamped(t *testing.T) {
 }
 
 func TestSplitPipelineDegenerate(t *testing.T) {
-	s, tbl := bigTable(t, 50_000, 3)
-	scan := plan.NewScan(tbl, "", s.Snapshot())
-	if parts := plan.SplitPipeline(scan, 50_000, 1, 8192); parts != nil {
+	if parts := plan.SplitPipeline(50_000, 1, 8192); parts != nil {
 		t.Errorf("parts=1 must not split, got %d", len(parts))
 	}
-	if parts := plan.SplitPipeline(scan, 10_000, 8, 8192); parts != nil {
+	if parts := plan.SplitPipeline(10_000, 8, 8192); parts != nil {
 		t.Errorf("small input must not split, got %d", len(parts))
 	}
 }
@@ -453,7 +451,7 @@ func TestJoinPipelineMatchesSerial(t *testing.T) {
 		t.Run(name+"/materialise", func(t *testing.T) {
 			var outs [2]*Materialized
 			for i, workers := range []int{1, 8} {
-				ctx := NewContext()
+				ctx := latestContext()
 				ctx.Workers = workers
 				parts := partsOf(join, ctx)
 				if (len(parts) > 1) != (workers > 1) {
@@ -511,7 +509,7 @@ func TestIterateBuildsInvariantJoinSideOnce(t *testing.T) {
 				blocking, _ = tc.it.Step.(*plan.Project).Child.(*plan.Join).Sides()
 			}
 			before := plan.ExplainTree(tc.it)
-			ctx := NewContext()
+			ctx := latestContext()
 			ctx.Workers = 1
 			sc := ctx.EnableStats()
 			out, err := Run(tc.it, ctx)
@@ -547,7 +545,7 @@ func TestJoinFaultPointsPerBuildAndProbeBatch(t *testing.T) {
 		faultinject.Set("exec.join.build", count(&builds))
 		faultinject.Set("exec.join.probe", count(&probes))
 		faultinject.Set("exec.scan.batch", count(&scanned))
-		ctx := NewContext()
+		ctx := latestContext()
 		ctx.Workers = workers
 		parts := int64(len(partsOf(join, ctx)))
 		if _, err := Run(counted(join), ctx); err != nil {
@@ -612,7 +610,7 @@ func TestLoopInBlockingSideBuildsOnce(t *testing.T) {
 				if procs > 0 {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				}
-				ctx := NewContext()
+				ctx := latestContext()
 				ctx.Workers = 8
 				sc := ctx.EnableStats()
 				out, err := Run(tc.plan, ctx)

@@ -18,13 +18,13 @@ type filterOp struct {
 	idx     []int
 }
 
-func newFilterOp(n *plan.Filter, sc *StatsCollector) (Operator, error) {
-	child, err := buildWith(n.Child, sc)
+func newFilterOp(n *plan.Filter, in part, ctx *Context) (Operator, error) {
+	child, err := buildWith(in, ctx)
 	if err != nil {
 		return nil, err
 	}
 	f := &filterOp{node: n, child: child}
-	if f.pred, err = expr.CompileLent(n.Pred, &f.scratch.Scratch); err != nil {
+	if f.pred, err = expr.CompileLent(n.Pred, ctx.Args, &f.scratch.Scratch); err != nil {
 		return nil, err
 	}
 	f.out = newOutBatch(&f.scratch.Scratch, child.Schema())
@@ -138,14 +138,14 @@ type projectOp struct {
 	scratch scratch
 }
 
-func newProjectOp(n *plan.Project, sc *StatsCollector) (Operator, error) {
-	child, err := buildWith(n.Child, sc)
+func newProjectOp(n *plan.Project, in part, ctx *Context) (Operator, error) {
+	child, err := buildWith(in, ctx)
 	if err != nil {
 		return nil, err
 	}
 	p := &projectOp{node: n, child: child, evals: make([]expr.Evaluator, len(n.Exprs)), schema: n.Schema()}
 	for i, e := range n.Exprs {
-		if p.evals[i], err = expr.CompileScratch(e, &p.scratch.Scratch); err != nil {
+		if p.evals[i], err = expr.CompileScratch(e, ctx.Args, &p.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}

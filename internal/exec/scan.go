@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lambdadb/internal/catalog"
+	"lambdadb/internal/expr"
 	"lambdadb/internal/faultinject"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/types"
@@ -28,22 +29,36 @@ type scanOp struct {
 	rows int64
 }
 
-// newTableScan reads a stored table (optionally a physical row range).
-func newTableScan(n *plan.Scan) *scanOp {
+// newTableScan reads the physical rows [lo, hi) of a stored table (hi < 0:
+// to the end) at the statement's snapshot.
+func newTableScan(n *plan.Scan, lo, hi int) *scanOp {
 	return &scanOp{label: "scan", schema: n.Schema(), stored: true,
-		open: func(*Context) (catalog.Cursor, error) {
-			return n.Rel.Cursor(n.Snapshot, n.Lo, n.Hi), nil
+		open: func(ctx *Context) (catalog.Cursor, error) {
+			return n.Rel.Cursor(ctx.Snapshot, lo, hi), nil
 		}}
 }
 
-// newIndexScan probes a secondary index (point or range), emits the
-// visible matching rows, and reports the probe's row count to the
-// context's OnIndexProbe hook.
+// newIndexScan probes a secondary index (point or range) at the statement's
+// snapshot, emits the visible matching rows, and reports the probe's row
+// count to the context's OnIndexProbe hook. A $N probe takes its key from
+// the statement's arguments, coerced to the indexed column's type so that
+// it compares like a stored value.
 func newIndexScan(n *plan.IndexScan) *scanOp {
+	keyType := types.Unknown
+	if i := n.Schema().IndexOf(n.Column); i >= 0 {
+		keyType = n.Schema()[i].Type
+	}
 	return &scanOp{label: "index-scan", schema: n.Schema(), stored: true,
-		open: func(*Context) (catalog.Cursor, error) {
+		open: func(ctx *Context) (catalog.Cursor, error) {
 			probe := catalog.IndexProbe{Eq: n.Eq, Lo: n.Lo, Hi: n.Hi, LoInc: n.LoInc, HiInc: n.HiInc}
-			return n.Rel.IndexCursor(n.Index, probe, n.Snapshot)
+			if n.EqParam > 0 {
+				key, err := expr.Arg(ctx.Args, n.EqParam, keyType)
+				if err != nil {
+					return nil, err
+				}
+				probe.Eq = &key
+			}
+			return n.Rel.IndexCursor(n.Index, probe, ctx.Snapshot)
 		},
 		onClose: func(ctx *Context, rows int64) {
 			if ctx.OnIndexProbe != nil {
@@ -52,10 +67,10 @@ func newIndexScan(n *plan.IndexScan) *scanOp {
 		}}
 }
 
-// newWorkingScan reads the current contents of a named working table from
-// the execution context (ITERATE / recursive CTE bodies), or the morsel of
-// it the plan node restricts it to.
-func newWorkingScan(n *plan.WorkingScan) *scanOp {
+// newWorkingScan reads the rows [lo, hi) (hi < 0: to the end) of a named
+// working table's current contents, bound in the execution context
+// (ITERATE / recursive CTE bodies).
+func newWorkingScan(n *plan.WorkingScan, lo, hi int) *scanOp {
 	return &scanOp{label: "working-scan", schema: n.Sch,
 		open: func(ctx *Context) (catalog.Cursor, error) {
 			mat, ok := ctx.Bindings[n.Name]
@@ -63,8 +78,8 @@ func newWorkingScan(n *plan.WorkingScan) *scanOp {
 				return nil, fmt.Errorf("working table %q is not bound", n.Name)
 			}
 			c := catalog.Batches(mat.Batches)
-			if n.Lo > 0 || n.Hi > 0 {
-				c = mat.SliceRows(n.Lo, n.Hi)
+			if lo > 0 || hi >= 0 {
+				c = mat.SliceRows(lo, hi)
 			}
 			return &c, nil
 		}}

@@ -14,9 +14,9 @@ import (
 // Parallel-pipeline driver
 //
 // Morsel-style parallelism shared by every blocking operator: a pipeline
-// rooted at a base-table Scan (or a bound working table) is cloned into
-// row-range morsels (partsOf) and the clones run on a bounded worker pool
-// (runParts), each pulled to exhaustion into a per-part sink (drive).
+// rooted at a base-table Scan (or a bound working table) runs as row-range
+// morsels of that leaf (partsOf), all of the same plan, on a bounded worker
+// pool (runParts), each pulled to exhaustion into a per-part sink (drive).
 // Results are indexed by part, so output order is deterministic regardless
 // of scheduling.
 // ---------------------------------------------------------------------------
@@ -26,12 +26,11 @@ import (
 const minRowsPerWorker = 8192
 
 // splitParallel partitions a pipeline rooted at a base-table Scan or a
-// WorkingScan into row-range morsels, one plan clone per part. It returns
+// WorkingScan into row-range morsels of its leaf, one part each. It returns
 // nil when the pipeline is not parallelizable (non-scan leaves, a small
 // table, or a clamp down to a single part), in which case callers take the
-// cheaper serial path. ctx supplies working-table bindings; it may be nil
-// when the caller has none.
-func splitParallel(p plan.Node, parts int, ctx *Context) []plan.Node {
+// cheaper serial path. ctx supplies working-table bindings.
+func splitParallel(p plan.Node, parts int, ctx *Context) []part {
 	if parts <= 1 {
 		return nil
 	}
@@ -40,9 +39,6 @@ func splitParallel(p plan.Node, parts int, ctx *Context) []plan.Node {
 	case *plan.Scan:
 		rows = leaf.Rel.PhysicalRows()
 	case *plan.WorkingScan:
-		if ctx == nil {
-			return nil
-		}
 		mat, ok := ctx.Bindings[leaf.Name]
 		if !ok {
 			return nil
@@ -51,15 +47,11 @@ func splitParallel(p plan.Node, parts int, ctx *Context) []plan.Node {
 	default:
 		return nil
 	}
-	split := plan.SplitPipeline(p, rows, parts, minRowsPerWorker)
-	if sc := ctx.statsCollector(); sc != nil {
-		// Register each clone's spine so per-morsel wrappers merge their
-		// counters into the original pipeline's records.
-		for _, part := range split {
-			sc.aliasPipeline(p, part)
-		}
+	var out []part
+	for _, r := range plan.SplitPipeline(rows, parts, minRowsPerWorker) {
+		out = append(out, part{node: p, lo: r[0], hi: r[1]})
 	}
-	return split
+	return out
 }
 
 // runParts executes fn(i) for i in [0, n) on at most ctx.workers()
@@ -117,13 +109,13 @@ func runParts(ctx *Context, n int, fn func(i int) error) error {
 	return nil
 }
 
-// partsOf returns p's row-range morsels, or p itself as the only part when
+// partsOf returns p's row-range morsels, or all of p as the only part when
 // it does not split.
-func partsOf(p plan.Node, ctx *Context) []plan.Node {
+func partsOf(p plan.Node, ctx *Context) []part {
 	if parts := splitParallel(p, ctx.workers(), ctx); len(parts) > 1 {
 		return parts
 	}
-	return []plan.Node{p}
+	return []part{whole(p)}
 }
 
 // sink consumes the batches of one part of a driven pipeline. A batch
@@ -140,10 +132,10 @@ type sink interface {
 // cancellation before every Next — and closed exactly once, on the worker
 // pool and under its panic containment; one part is simply the serial case.
 // Sinks come back in part order, which for morsels is serial scan order.
-func drive[S sink](ctx *Context, parts []plan.Node, fault string, newSink func(op Operator) (S, error)) ([]S, error) {
+func drive[S sink](ctx *Context, parts []part, fault string, newSink func(op Operator) (S, error)) ([]S, error) {
 	sinks := make([]S, len(parts))
 	err := runParts(ctx, len(parts), func(i int) (err error) {
-		op, err := buildFor(parts[i], ctx)
+		op, err := buildWith(parts[i], ctx)
 		if err != nil {
 			return err
 		}
@@ -197,7 +189,7 @@ func (s *matSink) consume(b *types.Batch) error {
 }
 
 // materialize drives parts into one relation, batches in part order.
-func materialize(parts []plan.Node, ctx *Context) (*Materialized, error) {
+func materialize(parts []part, ctx *Context) (*Materialized, error) {
 	sinks, err := drive(ctx, parts, "", func(op Operator) (*matSink, error) {
 		return &matSink{ctx: ctx, label: opLabel(op), mat: Materialized{Schema: op.Schema()}}, nil
 	})
@@ -215,8 +207,8 @@ func materialize(parts []plan.Node, ctx *Context) (*Materialized, error) {
 
 // sharedKey identifies one cached materialization: the relation of a Shared
 // subplan, or a join's blocking side — keyed by that side's plan node, which
-// the morsel clones of a pipeline all point at, and by how the join indexes
-// it — plus the epoch of the loop round it belongs to (0 for loop-invariant
+// the morsels of a pipeline all run, and by how the join indexes it — plus
+// the epoch of the loop round it belongs to (0 for loop-invariant
 // subplans).
 type sharedKey struct {
 	node  plan.Node
@@ -278,7 +270,8 @@ func (c *Context) cached(key sharedKey, scoped bool, compute func() (val any, he
 // such as the sibling parts of a pipeline whose blocking side is this loop,
 // sees neither its bindings nor its epoch move.
 func (c *Context) round(name string, working *Materialized) *Context {
-	rc := &Context{Workers: c.Workers, OnIndexProbe: c.OnIndexProbe, goCtx: c.goCtx, mem: c.mem, stats: c.stats,
+	rc := &Context{Workers: c.Workers, Snapshot: c.Snapshot, Args: c.Args, OnIndexProbe: c.OnIndexProbe,
+		goCtx: c.goCtx, mem: c.mem, stats: c.stats,
 		Bindings: make(map[string]*Materialized, len(c.Bindings)+1), stmt: c.stmt}
 	if rc.stmt == nil {
 		rc.stmt = c

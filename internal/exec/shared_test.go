@@ -49,8 +49,8 @@ func (c *countingOp) Close() error                { return c.inner.Close() }
 
 func init() {
 	// Register the counting node with the builder through buildHook.
-	buildHook = func(p plan.Node) (Operator, bool) {
-		if n, ok := p.(*countingNode); ok {
+	buildHook = func(p part) (Operator, bool) {
+		if n, ok := p.node.(*countingNode); ok {
 			return &countingOp{node: n}, true
 		}
 		return nil, false
@@ -113,6 +113,8 @@ func TestSharedEpochScopedRecomputes(t *testing.T) {
 func TestRoundContextCarriesTheStatement(t *testing.T) {
 	ctx := NewContext()
 	ctx.Workers = 3
+	ctx.Snapshot = 7
+	ctx.Args = []types.Value{types.NewInt(1)}
 	ctx.OnIndexProbe = func(int64) {}
 	ctx.AttachContext(context.Background())
 	ctx.SetMemoryLimit(1 << 20)
@@ -133,6 +135,10 @@ func TestRoundContextCarriesTheStatement(t *testing.T) {
 		} else if f.Kind() == reflect.Func {
 			if b.Field(i).IsNil() {
 				t.Errorf("round drops Context.%s", name)
+			}
+		} else if f.Kind() == reflect.Slice {
+			if f.Pointer() != b.Field(i).Pointer() || f.Len() != b.Field(i).Len() {
+				t.Errorf("round does not carry Context.%s", name)
 			}
 		} else if !f.Equal(b.Field(i)) {
 			t.Errorf("round does not carry Context.%s", name)

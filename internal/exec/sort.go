@@ -159,8 +159,8 @@ type limitOp struct {
 	remaining int64
 }
 
-func newLimitOp(n *plan.Limit, sc *StatsCollector) (Operator, error) {
-	child, err := buildWith(n.Child, sc)
+func newLimitOp(n *plan.Limit, ctx *Context) (Operator, error) {
+	child, err := buildWith(whole(n.Child), ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -215,8 +215,8 @@ type distinctOp struct {
 	seen  *keyTable
 }
 
-func newDistinctOp(n *plan.Distinct, sc *StatsCollector) (Operator, error) {
-	child, err := buildWith(n.Child, sc)
+func newDistinctOp(n *plan.Distinct, ctx *Context) (Operator, error) {
+	child, err := buildWith(whole(n.Child), ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -253,12 +253,12 @@ type unionOp struct {
 	onRight bool
 }
 
-func newUnionOp(n *plan.Union, sc *StatsCollector) (Operator, error) {
-	l, err := buildWith(n.L, sc)
+func newUnionOp(n *plan.Union, ctx *Context) (Operator, error) {
+	l, err := buildWith(whole(n.L), ctx)
 	if err != nil {
 		return nil, err
 	}
-	r, err := buildWith(n.R, sc)
+	r, err := buildWith(whole(n.R), ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -17,8 +17,9 @@ import (
 // operator built for it is wrapped in a statsOp that counts rows, batches,
 // estimated bytes, and inclusive wall time into thread-local counters, merged
 // into the shared collector exactly once at operator Close. The hot path
-// (Next) takes no locks; morsel-parallel clones each carry their own wrapper
-// and their counters meet in the per-plan-node record at pipeline end.
+// (Next) takes no locks; the morsels of a pipeline each carry their own
+// wrapper of the same plan node, and their counters meet in that node's
+// record at pipeline end.
 //
 // When stats are disarmed (the default) buildWith receives a nil collector
 // and constructs exactly the same operator tree as before this layer existed:
@@ -44,7 +45,7 @@ type IterationStat struct {
 
 // OpStats is one node of a query's executed-operator statistics tree, as
 // rendered by EXPLAIN ANALYZE. Counters are cumulative over every execution
-// of the plan node: morsel-parallel clones and per-iteration re-executions
+// of the plan node: morsel-parallel parts and per-iteration re-executions
 // all fold into the same node.
 type OpStats struct {
 	// Name is the plan node's Explain label ("Scan lineitem", "HashJoin", …).
@@ -63,7 +64,7 @@ type OpStats struct {
 	// this is CPU-style work time, not elapsed wall time).
 	TimeNanos int64
 	// Instances counts how many physical operator instances executed for
-	// this plan node: >1 means morsel-parallel clones and/or iterative
+	// this plan node: >1 means morsel-parallel parts and/or iterative
 	// re-execution. 0 means the node was never executed.
 	Instances int64
 	// Iterations holds per-round telemetry for iterative operators.
@@ -93,30 +94,13 @@ type opRecord struct {
 type StatsCollector struct {
 	mu    sync.Mutex
 	nodes map[plan.Node]*opRecord
-	// alias maps morsel-clone plan nodes to the original nodes they were
-	// cloned from, so per-part wrappers fold into one record.
-	alias map[plan.Node]plan.Node
 }
 
 func newStatsCollector() *StatsCollector {
-	return &StatsCollector{
-		nodes: map[plan.Node]*opRecord{},
-		alias: map[plan.Node]plan.Node{},
-	}
-}
-
-func (sc *StatsCollector) resolveLocked(n plan.Node) plan.Node {
-	for {
-		orig, ok := sc.alias[n]
-		if !ok {
-			return n
-		}
-		n = orig
-	}
+	return &StatsCollector{nodes: map[plan.Node]*opRecord{}}
 }
 
 func (sc *StatsCollector) recordLocked(n plan.Node) *opRecord {
-	n = sc.resolveLocked(n)
 	r := sc.nodes[n]
 	if r == nil {
 		r = &opRecord{}
@@ -149,29 +133,7 @@ func (sc *StatsCollector) AddIteration(node plan.Node, it IterationStat) {
 	r.iterations = append(r.iterations, it)
 }
 
-// aliasPipeline registers a morsel clone's spine (down to the Scan or
-// WorkingScan leaf, through a join's streaming side) as aliases of the
-// original pipeline, so per-part operator wrappers merge into the original
-// nodes' records. ClonePipeline produces a shape-identical tree that shares
-// with the original whatever it did not copy, which this walk relies on.
-func (sc *StatsCollector) aliasPipeline(orig, clone plan.Node) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.aliasLocked(orig, clone)
-}
-
-func (sc *StatsCollector) aliasLocked(orig, clone plan.Node) {
-	if orig == clone {
-		return
-	}
-	sc.alias[clone] = orig
-	cc := clone.Children()
-	for i, oc := range orig.Children() {
-		sc.aliasLocked(oc, cc[i])
-	}
-}
-
-// Tree assembles the stats tree for the given (original) plan, mirroring its
+// Tree assembles the stats tree for the plan that ran, mirroring its
 // shape. Alias nodes are transparent, matching how buildWith skips them.
 func (sc *StatsCollector) Tree(root plan.Node) *OpStats {
 	if sc == nil || root == nil {
@@ -187,7 +149,7 @@ func (sc *StatsCollector) treeLocked(n plan.Node) *OpStats {
 		return sc.treeLocked(a.Child)
 	}
 	out := &OpStats{Name: n.Explain(), Est: n.Card()}
-	if r := sc.nodes[sc.resolveLocked(n)]; r != nil {
+	if r := sc.nodes[n]; r != nil {
 		out.RowsOut = r.rows
 		out.Batches = r.batches
 		out.Bytes = r.bytes

@@ -61,12 +61,12 @@ func TestDisarmedBuildHasNoStatsWrappers(t *testing.T) {
 		t.Fatalf("disarmed build contains %d statsOp wrappers, want 0", n)
 	}
 
-	ctx := NewContext()
+	ctx := latestContext()
 	sc := ctx.EnableStats()
 	if sc == nil {
 		t.Fatal("EnableStats returned nil")
 	}
-	armed, err := buildFor(p, ctx)
+	armed, err := buildWith(whole(p), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestStatsTreeCountsFilterAgg(t *testing.T) {
 	const rows = 100_000
 	p := buildFilterAggPlan(t, rows)
 	for _, workers := range []int{1, 8} {
-		ctx := NewContext()
+		ctx := latestContext()
 		ctx.Workers = workers
 		sc := ctx.EnableStats()
 		mat, err := Run(p, ctx)
@@ -134,7 +134,7 @@ func TestTelemetryOverheadSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := NewContext()
+		ctx := latestContext()
 		ctx.Workers = 1
 		if err := op.Open(ctx); err != nil {
 			t.Fatal(err)
@@ -153,7 +153,7 @@ func TestTelemetryOverheadSmoke(t *testing.T) {
 		}
 		return float64(time.Since(start))
 	}
-	baseline := func() (Operator, error) { return buildWith(p, nil) }
+	baseline := func() (Operator, error) { return buildWith(whole(p), &Context{}) }
 	disarmed := func() (Operator, error) { return Build(p) }
 
 	// Alternate the sides one execution at a time, each pair led by the

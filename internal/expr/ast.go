@@ -88,9 +88,9 @@ func (c *Const) String() string {
 
 // Param is a $N positional parameter placeholder (Idx is 1-based). Its type
 // is Unknown until resolution infers one from the surrounding expression or
-// a PREPARE type list stamps one on. Params survive into cached plans and
-// are substituted with Consts when the plan is rebound at EXECUTE time; an
-// unbound Param reaching the evaluator is an error.
+// a PREPARE type list stamps one on. Params survive into cached plans; the
+// compiler binds each to its EXECUTE argument (Arg), and one left unbound
+// fails the compile.
 type Param struct {
 	Idx int
 	Typ types.Type

@@ -24,20 +24,81 @@ type Evaluator func(*types.Batch) (*types.Column, error)
 // column it passes through. An inner node's only reader is its parent
 // kernel, and a node's inputs are dead once it has run, so each inner node
 // writes into a Buffer of its own, reused from call to call.
-func Compile(e Expr) (Evaluator, error) { return CompileScratch(e, nil) }
+//
+// args binds the $N placeholders of e: each becomes the constant Arg
+// returns for it before anything is compiled, so a bound $N compiles
+// exactly like the literal it stands for. An unbound one fails.
+func Compile(e Expr, args []types.Value) (Evaluator, error) { return CompileScratch(e, args, nil) }
 
 // CompileScratch is Compile with the inner nodes' buffers drawn from s, so
 // that their owner can book them and, after s.Rewind, hand them to the
 // evaluator it compiles next.
-func CompileScratch(e Expr, s *types.Scratch) (Evaluator, error) {
-	return (&compiler{scratch: s}).compile(e, false)
+func CompileScratch(e Expr, args []types.Value, s *types.Scratch) (Evaluator, error) {
+	return compileRoot(e, args, s, false)
 }
 
 // CompileLent is CompileScratch for a caller that reads each result before
 // the next call and keeps nothing of it — a predicate, a key, an aggregate's
 // argument: the root writes into a buffer from s too.
-func CompileLent(e Expr, s *types.Scratch) (Evaluator, error) {
-	return (&compiler{scratch: s}).compile(e, true)
+func CompileLent(e Expr, args []types.Value, s *types.Scratch) (Evaluator, error) {
+	return compileRoot(e, args, s, true)
+}
+
+func compileRoot(e Expr, args []types.Value, s *types.Scratch, inner bool) (Evaluator, error) {
+	e, err := bind(e, args)
+	if err != nil {
+		return nil, err
+	}
+	return (&compiler{scratch: s}).compile(e, inner)
+}
+
+// Arg returns the value bound to parameter $idx — args[i] binds $i+1 —
+// coerced to to, the type the placeholder was declared or inferred with. It
+// is the one place a $N meets its value.
+func Arg(args []types.Value, idx int, to types.Type) (types.Value, error) {
+	if idx < 1 || idx > len(args) {
+		return types.Value{}, fmt.Errorf("no argument bound for parameter $%d", idx)
+	}
+	v := args[idx-1]
+	cv, ok := types.Coerce(v, to)
+	if !ok {
+		return types.Value{}, fmt.Errorf("parameter $%d: cannot bind %s value where %s is expected", idx, v.T, to)
+	}
+	return cv, nil
+}
+
+// bind returns e with each $N replaced by its Arg, as a Const. A tree
+// without placeholders comes back as it is; one with placeholders is copied,
+// never written, so a plan shared between executions stays as it was built.
+func bind(e Expr, args []types.Value) (Expr, error) {
+	if !hasParam(e) {
+		return e, nil
+	}
+	var err error
+	out := Rewrite(e, func(x Expr) Expr {
+		p, ok := x.(*Param)
+		if !ok || err != nil {
+			return x
+		}
+		v, perr := Arg(args, p.Idx, p.Typ)
+		if perr != nil {
+			err = perr
+			return x
+		}
+		return &Const{Val: v}
+	})
+	return out, err
+}
+
+func hasParam(e Expr) bool {
+	found := false
+	Walk(e, func(n Expr) bool {
+		if _, ok := n.(*Param); ok {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // compiler compiles one tree, drawing inner nodes' buffers from scratch.
@@ -145,9 +206,6 @@ func (c *compiler) compile(e Expr, inner bool) (Evaluator, error) {
 			}
 			return b.Cols[idx], nil
 		}, nil
-
-	case *Param:
-		return nil, fmt.Errorf("unbound parameter $%d (parameters are only valid in prepared statements)", n.Idx)
 
 	case *Cast:
 		return c.compileCast(n, inner)
@@ -326,7 +384,7 @@ func constPow(k Expr) func(x float64) float64 {
 	if !IsConst(k) {
 		return nil
 	}
-	v, err := EvalConst(k)
+	v, err := EvalConst(k, nil)
 	if err != nil || v.Null {
 		return nil
 	}
@@ -700,13 +758,14 @@ func MatchLike(s, pattern string) bool {
 	return pi == len(pattern)
 }
 
-// EvalConst evaluates a constant-foldable expression to a scalar value.
-func EvalConst(e Expr) (types.Value, error) {
+// EvalConst evaluates a constant-foldable expression to a scalar value,
+// its $N bound from args as Compile binds them.
+func EvalConst(e Expr, args []types.Value) (types.Value, error) {
 	// Bare literals (including untyped NULL) need no compilation.
 	if c, ok := e.(*Const); ok {
 		return c.Val, nil
 	}
-	ev, err := Compile(e)
+	ev, err := Compile(e, args)
 	if err != nil {
 		return types.Value{}, err
 	}

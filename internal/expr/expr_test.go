@@ -36,7 +36,7 @@ func evalOn(t *testing.T, e Expr) *types.Column {
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
-	ev, err := Compile(r)
+	ev, err := Compile(r, nil)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestModByZeroErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Compile(r)
+	ev, err := Compile(r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestThreeValuedLogic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	andEv, _ := Compile(andE)
+	andEv, _ := Compile(andE, nil)
 	c, err := andEv(b)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestThreeValuedLogic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orEv, _ := Compile(orE)
+	orEv, _ := Compile(orE, nil)
 	c, err = orEv(b)
 	if err != nil {
 		t.Fatal(err)
@@ -207,13 +207,13 @@ func TestIsNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, _ := Compile(e)
+	ev, _ := Compile(e, nil)
 	c, _ := ev(b)
 	if c.Bools[0] || !c.Bools[1] {
 		t.Errorf("IS NULL = %v", c.Bools)
 	}
 	e2, _ := Resolve(&IsNull{E: col("v"), Negate: true}, rc)
-	ev2, _ := Compile(e2)
+	ev2, _ := Compile(e2, nil)
 	c2, _ := ev2(b)
 	if !c2.Bools[0] || c2.Bools[1] {
 		t.Errorf("IS NOT NULL = %v", c2.Bools)
@@ -302,7 +302,7 @@ func TestCoalesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, _ := Compile(e)
+	ev, _ := Compile(e, nil)
 	c, _ := ev(b)
 	if c.Ints[0] != -1 || c.Ints[1] != 7 {
 		t.Errorf("coalesce = %v", c.Ints)
@@ -372,7 +372,7 @@ func TestEvalConst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := EvalConst(e)
+	v, err := EvalConst(e, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,11 +417,43 @@ func TestArithCommutativityProperty(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		v1, err1 := EvalConst(r1)
-		v2, err2 := EvalConst(r2)
+		v1, err1 := EvalConst(r1, nil)
+		v2, err2 := EvalConst(r2, nil)
 		return err1 == nil && err2 == nil && v1.I == v2.I
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCompileBindsParams: Compile binds each $N to its argument, coerced to
+// the placeholder's type — DOUBLE 2.9 as BIGINT 2 — without writing the
+// tree it compiles, and fails on a $N with no argument or one that does not
+// coerce.
+func TestCompileBindsParams(t *testing.T) {
+	e, err := Resolve(&BinOp{Op: OpEq, L: col("x"), R: &Param{Idx: 1}}, testCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := Compile(e, []types.Value{types.NewFloat(2.9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ev(testBatch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Bools[0] || !c.Bools[1] || c.Bools[2] {
+		t.Errorf("x = $1 with $1 = 2.9 as BIGINT: %v, want [false true false]", c.Bools)
+	}
+	if p, ok := e.(*BinOp).R.(*Param); !ok || p.Typ != types.Int64 {
+		t.Errorf("compiling wrote the tree: right operand %v", e.(*BinOp).R)
+	}
+	if _, err := Compile(e, nil); err == nil || !strings.Contains(err.Error(), "no argument bound for parameter $1") {
+		t.Errorf("unbound $1: err = %v", err)
+	}
+	if _, err := EvalConst(&Param{Idx: 1, Typ: types.Int64}, []types.Value{types.NewString("a")}); err == nil ||
+		!strings.Contains(err.Error(), "cannot bind") {
+		t.Errorf("VARCHAR for a BIGINT $1: err = %v", err)
 	}
 }

@@ -88,7 +88,8 @@ func TestLambdaPowerMatchesSQL(t *testing.T) {
 		Cols: []*types.Column{{T: types.Float64, Floats: xs}}}
 	for _, k := range []float64{0, 1, 2, 3, 0.5} {
 		ev, err := Compile(&BinOp{Op: OpPow, Typ: types.Float64,
-			L: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, R: lit(types.NewFloat(k))})
+			L: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, R: lit(types.NewFloat(k))}, nil)
+
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestLambdaCastMatchesSQL(t *testing.T) {
 		Cols: []*types.Column{{T: types.Float64, Floats: xs}}}
 	x := &ColRef{Table: "p", Name: "x", Index: -1}
 	for _, to := range []types.Type{types.Int64, types.Float64} {
-		ev, err := Compile(&Cast{E: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, To: to})
+		ev, err := Compile(&Cast{E: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, To: to}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +178,8 @@ func TestConstantPowerMatchesPow(t *testing.T) {
 	for _, k := range []float64{2, 1, 0} {
 		for _, exp := range []Expr{lit(types.NewFloat(k)), &Cast{E: lit(types.NewInt(int64(k))), To: types.Float64}} {
 			ev, err := Compile(&BinOp{Op: OpPow, Typ: types.Float64,
-				L: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, R: exp})
+				L: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, R: exp}, nil)
+
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -358,7 +360,7 @@ func TestKernelsMatchBoxedReference(t *testing.T) {
 					want[i], wantErr[i] = refBinary(op, sh[0].val(i), sh[1].val(i))
 					failing = failing || wantErr[i] != nil
 				}
-				ev, err := Compile(e)
+				ev, err := Compile(e, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", e, err)
 				}
@@ -443,7 +445,7 @@ func TestBigintArithmeticOutOfRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := Compile(r)
+		ev, err := Compile(r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,12 +453,12 @@ func TestBigintArithmeticOutOfRange(t *testing.T) {
 			t.Errorf("%s: err = %v, want bigint out of range", e, err)
 		}
 	}
-	if v, err := EvalConst(&BinOp{Op: OpAdd, L: lit(types.NewInt(math.MaxInt64 - 1)), R: lit(types.NewInt(1)), Typ: types.Int64}); err != nil || v.I != math.MaxInt64 {
+	if v, err := EvalConst(&BinOp{Op: OpAdd, L: lit(types.NewInt(math.MaxInt64 - 1)), R: lit(types.NewInt(1)), Typ: types.Int64}, nil); err != nil || v.I != math.MaxInt64 {
 		t.Errorf("MaxInt64-1 + 1 = %v, %v", v, err)
 	}
 	b := &types.Batch{Schema: types.Schema{{Name: "x", Type: types.Int64}},
 		Cols: []*types.Column{{T: types.Int64, Ints: []int64{math.MaxInt64, 1}, Nulls: []bool{true, false}}}}
-	ev, err := Compile(&BinOp{Op: OpAdd, L: &ColRef{Name: "x", Index: 0, Typ: types.Int64}, R: lit(types.NewInt(1)), Typ: types.Int64})
+	ev, err := Compile(&BinOp{Op: OpAdd, L: &ColRef{Name: "x", Index: 0, Typ: types.Int64}, R: lit(types.NewInt(1)), Typ: types.Int64}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

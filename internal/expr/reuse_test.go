@@ -64,7 +64,7 @@ func TestReusedBuffersMatchFreshResults(t *testing.T) {
 			if lent {
 				compile = CompileLent
 			}
-			ev, err := compile(e, &s)
+			ev, err := compile(e, nil, &s)
 			if err != nil {
 				t.Fatalf("%s: %v", e, err)
 			}
@@ -72,7 +72,7 @@ func TestReusedBuffersMatchFreshResults(t *testing.T) {
 			var prevWant []types.Value
 			for _, n := range []int{700, 1024, 3, 0, 1024, 511} {
 				b := batch(n)
-				fresh, err := Compile(e)
+				fresh, err := Compile(e, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

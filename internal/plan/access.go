@@ -402,7 +402,7 @@ func chooseIndexScan(n Node, stats StatsProvider) Node {
 		return n
 	}
 	scan, ok := f.Child.(*Scan)
-	if !ok || scan.Lo != 0 || scan.Hi != -1 {
+	if !ok {
 		return n
 	}
 	rel, ok := scan.Rel.(catalog.IndexedRelation)
@@ -580,12 +580,11 @@ func tightenHigh(old *types.Value, oinc bool, nv *types.Value, ninc bool) bool {
 // conjunct indices the probe absorbs.
 func buildIndexProbe(scan *Scan, idx *catalog.IndexInfo, cb *colBounds, rows float64, ts *TableStats) (*IndexScan, map[int]bool) {
 	base := &IndexScan{
-		Rel:      scan.Rel.(catalog.IndexedRelation),
-		Alias:    scan.Alias,
-		Snapshot: scan.Snapshot,
-		Index:    idx.Name,
-		Column:   idx.Column,
-		Kind:     idx.Kind,
+		Rel:    scan.Rel.(catalog.IndexedRelation),
+		Alias:  scan.Alias,
+		Index:  idx.Name,
+		Column: idx.Column,
+		Kind:   idx.Kind,
 	}
 	if cb.eq != nil {
 		// Point probe: either index kind serves it.
@@ -605,8 +604,8 @@ func buildIndexProbe(scan *Scan, idx *catalog.IndexInfo, cb *colBounds, rows flo
 		return base, map[int]bool{cb.eqConj: true}
 	}
 	if cb.eqParam > 0 {
-		// Point probe against a $N parameter: the key arrives at rebind
-		// time, but equality selectivity does not depend on the value.
+		// Point probe against a $N parameter: the key arrives with the
+		// arguments, but equality selectivity does not depend on the value.
 		base.EqParam = cb.eqParam
 		sel := 0.0
 		if ts != nil {

@@ -47,7 +47,8 @@ type cteBinding struct {
 	card float64
 }
 
-// NewBuilder returns a Builder reading at the given snapshot.
+// NewBuilder returns a Builder whose scans estimate their tables' row
+// counts at the given snapshot.
 func NewBuilder(cat catalog.Catalog, snapshot uint64) *Builder {
 	return &Builder{Catalog: cat, Snapshot: snapshot, MaxDepth: defaultMaxDepth,
 		ctes: map[string]*cteBinding{}}
@@ -140,7 +141,7 @@ func (b *Builder) constInt(e expr.Expr, what string) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%s: %w", what, err)
 	}
-	v, err := expr.EvalConst(r)
+	v, err := expr.EvalConst(r, nil)
 	if err != nil {
 		return 0, fmt.Errorf("%s: %w", what, err)
 	}

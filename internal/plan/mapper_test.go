@@ -78,8 +78,7 @@ func nodeTypeNames(t *testing.T) map[string]bool {
 // TestChildMapperCoversEveryNode is the guard against the next node type
 // being forgotten by a plan walk: for one instance of every concrete Node
 // type, mapChildren must visit exactly Children() in order and write each
-// replacement back to the same position, and Rebind must return a distinct
-// node of the same type with distinct children.
+// replacement back to the same position.
 func TestChildMapperCoversEveryNode(t *testing.T) {
 	nodes := oneOfEachNode(t)
 	want := nodeTypeNames(t)
@@ -108,60 +107,8 @@ func TestChildMapperCoversEveryNode(t *testing.T) {
 				t.Errorf("%s: replacement %d was not written back to Children()[%d]", name, i, i)
 			}
 		}
-
-		r, err := Rebind(n, 42, nil)
-		if err != nil {
-			t.Fatalf("%s: Rebind: %v", name, err)
-		}
-		if r == n || reflect.TypeOf(r) != reflect.TypeOf(n) {
-			t.Errorf("%s: Rebind returned %T (same node: %v)", name, r, r == n)
-		}
-		for i, c := range r.Children() {
-			if c == n.Children()[i] {
-				t.Errorf("%s: Rebind shares child %d with the template", name, i)
-			}
-		}
 	}
 	for name := range want {
-		t.Errorf("node type %s has no instance in oneOfEachNode: add one, and a case to mapChildren and shallowCopy", name)
+		t.Errorf("node type %s has no instance in oneOfEachNode: add one, and a case to mapChildren", name)
 	}
 }
-
-func TestRebindSpecialCases(t *testing.T) {
-	s := testStore(t)
-	tbl, _ := s.Table("t")
-	if err := s.CreateIndex(storage.IndexDef{Name: "t_a", Table: "t", Column: "a", Kind: storage.HashIndex}); err != nil {
-		t.Fatal(err)
-	}
-	shared := &Shared{Child: NewScan(tbl, "", 1), Invariant: true}
-	tmpl := &Union{All: true,
-		L: &Join{L: shared, R: &IndexScan{Rel: tbl, Index: "t_a", Column: "a", EqParam: 1}},
-		R: shared}
-	r, err := Rebind(tmpl, 7, []types.Value{types.NewFloat(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := r.(*Union)
-	j := u.L.(*Join)
-	if j.L != u.R || j.L == Node(shared) {
-		t.Error("a twice-referenced Shared must rebind to one fresh node")
-	}
-	if sc := j.L.(*Shared).Child.(*Scan); sc.Snapshot != 7 {
-		t.Errorf("scan snapshot = %d, want 7", sc.Snapshot)
-	}
-	is := j.R.(*IndexScan)
-	if is.Snapshot != 7 || is.EqParam != 0 || is.Eq == nil || is.Eq.T != types.Int64 || is.Eq.I != 5 {
-		t.Errorf("index probe not bound to BIGINT 5 at snapshot 7: %+v", is)
-	}
-	if tmpl.L.(*Join).R.(*IndexScan).Eq != nil {
-		t.Error("Rebind wrote the probe key into the template")
-	}
-	if _, err := Rebind(tmpl, 7, nil); err == nil {
-		t.Error("an unbound $1 probe must fail the rebind")
-	}
-	if _, err := Rebind(&unknownNode{}, 7, nil); err == nil || !strings.Contains(err.Error(), "cannot rebind") {
-		t.Errorf("unknown node type: err = %v, want a loud failure", err)
-	}
-}
-
-type unknownNode struct{ Values }

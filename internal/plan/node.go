@@ -32,26 +32,27 @@ type Node interface {
 	Explain() string
 }
 
-// Scan reads a stored table. Lo/Hi restrict the physical row range for
-// morsel-parallel execution; Lo = 0, Hi = -1 means the whole table.
+// Scan reads a stored table, at the snapshot the executing statement reads
+// at. EstRows is the table's row count at the snapshot the plan was built
+// at: the estimate every cost decision about the scan used.
 type Scan struct {
-	Rel      catalog.Relation
-	Alias    string
-	Snapshot uint64
-	Lo, Hi   int
+	Rel     catalog.Relation
+	Alias   string
+	EstRows float64
 }
 
-// NewScan builds a full-table scan.
+// NewScan builds a full-table scan, counting the rows visible at snapshot
+// once for its estimate.
 func NewScan(rel catalog.Relation, alias string, snapshot uint64) *Scan {
 	if alias == "" {
 		alias = rel.Name()
 	}
-	return &Scan{Rel: rel, Alias: alias, Snapshot: snapshot, Lo: 0, Hi: -1}
+	return &Scan{Rel: rel, Alias: alias, EstRows: float64(rel.NumRows(snapshot))}
 }
 
 func (s *Scan) Schema() types.Schema { return s.Rel.Schema() }
 func (s *Scan) Quals() []string      { return uniformQuals(len(s.Rel.Schema()), s.Alias) }
-func (s *Scan) Card() float64        { return float64(s.Rel.NumRows(s.Snapshot)) }
+func (s *Scan) Card() float64        { return s.EstRows }
 func (s *Scan) Children() []Node     { return nil }
 func (s *Scan) Explain() string      { return fmt.Sprintf("Scan %s", s.Alias) }
 
@@ -83,20 +84,19 @@ func uniformQuals(n int, q string) []string {
 // predicate work stays in a Filter above. Chosen by OptimizeAccess when the
 // estimated selectivity clears the threshold.
 type IndexScan struct {
-	Rel      catalog.IndexedRelation
-	Alias    string
-	Snapshot uint64
-	Index    string // index name
-	Column   string // indexed column (display)
-	Kind     string // "HASH" or "ORDERED" (display)
+	Rel    catalog.IndexedRelation
+	Alias  string
+	Index  string // index name
+	Column string // indexed column (display)
+	Kind   string // "HASH" or "ORDERED" (display)
 
 	Eq           *types.Value // equality probe key; nil for range probes
 	Lo, Hi       *types.Value // range bounds; nil = unbounded
 	LoInc, HiInc bool
 
 	// EqParam, when > 0, marks an equality probe against parameter $EqParam
-	// of a prepared statement; Rebind fills Eq from the bound argument. A
-	// plan with EqParam set cannot execute until rebound.
+	// of a prepared statement: the executor reads the key from the
+	// statement's arguments, coerced to the indexed column's type.
 	EqParam int
 
 	EstRows float64
@@ -140,15 +140,12 @@ func (s *IndexScan) probeString() string {
 
 // WorkingScan reads the current working table of an enclosing ITERATE or
 // recursive CTE, identified by name. The executor resolves it through its
-// binding context. Lo/Hi restrict the row range for morsel-parallel
-// execution; Hi <= 0 means to the end of the working table (the zero value
-// scans everything, so plain construction needs no explicit range).
+// binding context.
 type WorkingScan struct {
 	Name    string
 	Sch     types.Schema
 	Alias   string
 	CardEst float64
-	Lo, Hi  int
 }
 
 func (w *WorkingScan) Schema() types.Schema { return w.Sch }
@@ -620,9 +617,9 @@ func (n *NaiveBayesPredict) Explain() string  { return "NaiveBayesPredict" }
 
 // mapChildren replaces every child of n with fn(child), in place and in
 // Children() order. It is the one place that names each node type's child
-// fields: optimizer passes, Rebind and morsel cloning all walk plans through
-// it, so a new node type is wired into every pass by one case here (and one
-// in shallowCopy). Leaves and node types it does not know are left alone.
+// fields: the optimizer passes all rewrite plans through it, so a new node
+// type is wired into every pass by one case here. Leaves and node types it
+// does not know are left alone.
 func mapChildren(n Node, fn func(Node) Node) {
 	switch t := n.(type) {
 	case *Filter:
@@ -660,61 +657,6 @@ func mapChildren(n Node, fn func(Node) Node) {
 	case *NaiveBayesPredict:
 		t.Model, t.Data = fn(t.Model), fn(t.Data)
 	}
-}
-
-// shallowCopy returns a copy of n that shares n's children and expressions,
-// or nil for a node type it does not know.
-func shallowCopy(n Node) Node {
-	switch t := n.(type) {
-	case *Scan:
-		return copyOf(t)
-	case *IndexScan:
-		return copyOf(t)
-	case *WorkingScan:
-		return copyOf(t)
-	case *Values:
-		return copyOf(t)
-	case *Filter:
-		return copyOf(t)
-	case *Project:
-		return copyOf(t)
-	case *Alias:
-		return copyOf(t)
-	case *Shared:
-		return copyOf(t)
-	case *Join:
-		return copyOf(t)
-	case *Aggregate:
-		return copyOf(t)
-	case *Sort:
-		return copyOf(t)
-	case *Limit:
-		return copyOf(t)
-	case *Distinct:
-		return copyOf(t)
-	case *Union:
-		return copyOf(t)
-	case *RecursiveCTE:
-		return copyOf(t)
-	case *Iterate:
-		return copyOf(t)
-	case *KMeans:
-		return copyOf(t)
-	case *KMeansAssign:
-		return copyOf(t)
-	case *PageRank:
-		return copyOf(t)
-	case *NaiveBayesTrain:
-		return copyOf(t)
-	case *NaiveBayesPredict:
-		return copyOf(t)
-	}
-	return nil
-}
-
-func copyOf[T any](p *T) *T {
-	c := *p
-	return &c
 }
 
 // ExplainTree renders a plan as an indented tree.

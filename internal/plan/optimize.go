@@ -19,7 +19,7 @@ func Fold(e expr.Expr) expr.Expr {
 		if !expr.IsConst(n) {
 			return n
 		}
-		v, err := expr.EvalConst(n)
+		v, err := expr.EvalConst(n, nil)
 		if err != nil {
 			// Leave runtime errors (1/0, bad casts) to execution.
 			return n

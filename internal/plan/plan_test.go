@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"lambdadb/internal/catalog"
 	"lambdadb/internal/expr"
 	"lambdadb/internal/sql"
 	"lambdadb/internal/storage"
@@ -302,5 +303,69 @@ func TestExplainTreeIndentation(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "  ") {
 		t.Errorf("children not indented:\n%s", tree)
+	}
+}
+
+// countingRelation counts the NumRows calls made on a relation.
+type countingRelation struct {
+	catalog.Relation
+	calls *int
+}
+
+func (r countingRelation) NumRows(snapshot uint64) int {
+	*r.calls++
+	return r.Relation.NumRows(snapshot)
+}
+
+type countingCatalog struct {
+	inner catalog.Catalog
+	calls int
+}
+
+func (c *countingCatalog) Resolve(name string) (catalog.Relation, error) {
+	rel, err := c.inner.Resolve(name)
+	if err != nil {
+		return nil, err
+	}
+	return countingRelation{Relation: rel, calls: &c.calls}, nil
+}
+
+// TestPlanningCountsRowsOncePerScan: a scan counts its table's rows once,
+// at the builder's snapshot, and every cost decision after that — and the
+// finished plan's Card — reads that one estimate.
+func TestPlanningCountsRowsOncePerScan(t *testing.T) {
+	s := testStore(t)
+	cat := &countingCatalog{inner: s}
+	st, err := sql.ParseOne(`SELECT count(*) FROM t a JOIN u b ON a.a = b.a
+		JOIN t c ON c.a = b.a JOIN u d ON d.a = c.a WHERE a.b > 3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewBuilder(cat, s.Snapshot()).BuildSelect(st.(*sql.Select))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cat.calls != 4 {
+		t.Errorf("planning a 4-scan join counted rows %d times, want 4", cat.calls)
+	}
+	var scans []*Scan
+	var walk func(Node)
+	walk = func(n Node) {
+		if sc, ok := n.(*Scan); ok {
+			scans = append(scans, sc)
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(n)
+	n.Card()
+	if len(scans) != 4 || cat.calls != 4 {
+		t.Errorf("%d scans; Card of the plan counted rows again: %d calls", len(scans), cat.calls)
+	}
+	for _, sc := range scans {
+		if want := float64(sc.Rel.(countingRelation).Relation.NumRows(s.Snapshot())); sc.Card() != want {
+			t.Errorf("scan %s: Card = %g, want %g", sc.Alias, sc.Card(), want)
+		}
 	}
 }

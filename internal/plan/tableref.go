@@ -180,7 +180,7 @@ func (b *Builder) scalarArg(tf *sql.TableFunc, i int, what string) (types.Value,
 	if err != nil {
 		return types.Value{}, fmt.Errorf("%s: %s: %w", tf.Name, what, err)
 	}
-	v, err := expr.EvalConst(r)
+	v, err := expr.EvalConst(r, nil)
 	if err != nil {
 		return types.Value{}, fmt.Errorf("%s: %s: %w", tf.Name, what, err)
 	}

@@ -20,7 +20,7 @@ const DefaultSize = 256
 // and observe it.
 type Entry struct {
 	Key      string    // normalized statement text ($N placeholders intact)
-	Plan     plan.Node // template; execute via plan.Rebind, never directly
+	Plan     plan.Node // template; read-only, shared by every execution
 	NParams  int       // number of $N placeholders
 	DDLVer   uint64    // storage DDL version read before the plan was built
 	StatsVer uint64    // statistics version read before the plan was built

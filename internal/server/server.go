@@ -361,7 +361,7 @@ func (c *conn) execute(ctx context.Context, typ byte, req []byte) (byte, []byte)
 		}
 	case wire.Bind:
 		// The fast path: no SQL text at all — the prepared template's cached
-		// plan is rebound to the argument values and executed.
+		// plan is executed with the argument values bound.
 		var name string
 		var args []types.Value
 		if name, args, err = wire.DecodeBind(body); err == nil {
