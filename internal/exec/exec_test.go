@@ -256,6 +256,46 @@ func TestHashJoinOneToOneMatchesNestedLoop(t *testing.T) {
 	}
 }
 
+// TestJoinOutputIsBounded: a join emits at most maxJoinPairs candidate
+// pairs per batch, whatever its fan-out. A hash join, a cross join and a
+// left join of 3,000 × 3,000 rows that all hold one key each emit their 9M
+// rows in batches no larger, and every pair arrives.
+func TestJoinOutputIsBounded(t *testing.T) {
+	s, tbl := bigTable(t, 3000, 1)
+	scan := func(alias string) plan.Node { return plan.NewScan(tbl, alias, s.Snapshot()) }
+	for name, join := range map[string]*plan.Join{
+		"hash":  {Type: plan.InnerJoin, L: scan("a"), R: scan("b"), EquiLeft: []int{0}, EquiRight: []int{0}},
+		"cross": {Type: plan.CrossJoin, L: scan("a"), R: scan("b")},
+		"left":  {Type: plan.LeftJoin, L: scan("a"), R: scan("b"), EquiLeft: []int{0}, EquiRight: []int{0}},
+	} {
+		op, err := Build(join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := op.Open(latestContext()); err != nil {
+			t.Fatal(err)
+		}
+		rows, largest := 0, 0
+		for {
+			b, err := op.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			rows, largest = rows+b.Len(), max(largest, b.Len())
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rows != 3000*3000 || largest > maxJoinPairs {
+			t.Errorf("%s join: %d rows, largest batch %d; want %d rows in batches of at most %d",
+				name, rows, largest, 3000*3000, maxJoinPairs)
+		}
+	}
+}
+
 func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	s := storage.NewStore()
 	tbl, err := s.CreateTable("n", types.Schema{{Name: "k", Type: types.Int64}})

@@ -424,8 +424,8 @@ func TestJoinPipelineMatchesSerial(t *testing.T) {
 			EquiLeft: []int{0}, EquiRight: []int{0}, Residual: vLess(3, 1)},
 		"left-hash-residual-null-keys": {Type: plan.LeftJoin, L: scan(l), R: scan(r),
 			EquiLeft: []int{0}, EquiRight: []int{0}, Residual: vLess(1, 3)},
-		"left-nested-loop": {Type: plan.LeftJoin, L: scan(l), R: scan(few),
-			On: &expr.BinOp{Op: expr.OpLt, Typ: types.Bool, L: colRef("k", 0, types.Int64), R: colRef("k", 2, types.Int64)}},
+		"left-nested-loop": plan.NewJoin(plan.LeftJoin, scan(l), scan(few),
+			&expr.BinOp{Op: expr.OpLt, Typ: types.Bool, L: colRef("k", 0, types.Int64), R: colRef("k", 2, types.Int64)}),
 	}
 	for name, join := range joins {
 		ordered := join.Type == plan.InnerJoin

@@ -188,20 +188,6 @@ func tryReorder(j *Join) Node {
 			conds = append(conds, analyzeCond(c, leaves))
 		}
 	}
-	// Single-leaf conjuncts become filters on the leaf itself.
-	for _, c := range conds {
-		if len(c.leaves) <= 1 && !c.applied {
-			c.applied = true
-			target := 0
-			for id := range c.leaves {
-				target = id
-			}
-			leaves[target].node = &Filter{
-				Child: leaves[target].node,
-				Pred:  shiftColRefs(c.pred, -leaves[target].off),
-			}
-		}
-	}
 	return buildGreedyJoin(leaves, conds, origSchema)
 }
 
@@ -299,13 +285,7 @@ func buildGreedyJoin(leaves []joinLeaf, conds []*joinCond, origSchema types.Sche
 			c.applied = true
 			on = append(on, localizeCond(c.pred, pos, lf, curWidth))
 		}
-		j := &Join{L: cur, R: lf.node, On: combineConjuncts(on)}
-		if j.On == nil {
-			j.Type = CrossJoin
-		} else {
-			j.Type = InnerJoin
-			classifyJoinKeys(j)
-		}
+		j := NewJoin(InnerJoin, cur, lf.node, combineConjuncts(on))
 		for c := 0; c < lf.width; c++ {
 			pos[lf.off+c] = curWidth + c
 		}

@@ -263,9 +263,10 @@ func (t JoinType) String() string {
 	}
 }
 
-// Join combines two inputs. When EquiLeft/EquiRight are non-empty the
-// executor uses a hash join on those key columns with Residual applied to
-// candidate matches; otherwise it falls back to a nested-loop join with On.
+// Join combines two inputs; NewJoin builds one from its condition. The
+// executor indexes the blocking side on the key columns — with none, every
+// row is a partner of every streamed row — and applies Residual to the
+// candidate pairs.
 type Join struct {
 	Type      JoinType
 	L, R      Node
@@ -299,10 +300,10 @@ func (j *Join) Card() float64 {
 func (j *Join) Children() []Node { return []Node{j.L, j.R} }
 
 // BlockingLeft reports which input the executor materialises before the
-// other streams past it: a hash join's build side — the left of an inner
-// join (chooseBuildSide put the smaller input there); a left-outer join must
-// probe with its left, so it builds on the right — or the right of a
-// nested-loop join.
+// other streams past it: the left of an inner join with keys
+// (chooseBuildSide put the smaller input there), else the right — a
+// left-outer join must probe with its left, and a join without keys streams
+// its left past every row of its right.
 func (j *Join) BlockingLeft() bool { return j.Type == InnerJoin && len(j.EquiLeft) > 0 }
 
 // Sides returns the join's blocking and streaming inputs.

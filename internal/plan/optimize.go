@@ -28,27 +28,123 @@ func Fold(e expr.Expr) expr.Expr {
 	})
 }
 
-// Optimize applies the rule-based optimizer: predicate pushdown and filter
-// merging. As the paper observes (Section 5.2), selections cannot be pushed
-// through analytical operators because their results depend on the whole
-// input; pushdown therefore stops at Iterate, KMeans, PageRank, Naive
-// Bayes, Aggregate, and RecursiveCTE boundaries. Cost-based decisions
-// (join order, build sides, index scans) follow in OptimizeAccess, which
-// BuildSelect runs right after — build-side swaps insert restoring
-// Projects that would otherwise hide join trees from the reordering pass.
+// Optimize applies the rule-based optimizer: one placement pass, then Limit
+// over Sort fuses into a top-k sort. Cost-based decisions (join order, build
+// sides, index scans) follow in OptimizeAccess, which BuildSelect runs right
+// after — build-side swaps insert restoring Projects that would otherwise
+// hide join trees from the reordering pass.
 func Optimize(n Node) Node {
-	// Two passes: filters freed by one rule (e.g. hoisted through a
-	// projection) become candidates for the next (e.g. join pushdown).
-	for i := 0; i < 2; i++ {
-		n = rewriteTree(n, mergeFilters)
-		n = rewriteTree(n, pushFilterThroughAlias)
-		n = rewriteTree(n, pushFilterThroughProject)
-		n = rewriteTree(n, pushFilterThroughJoin)
-		n = rewriteTree(n, pushFilterThroughUnion)
-		n = rewriteTree(n, mergeFilters)
+	n = place(n, nil)
+	return rewriteTree(n, fuseTopK)
+}
+
+// place returns n with the conjuncts conj, resolved against n's output,
+// applied as deep in n as each is valid. For an inner join ON and WHERE are
+// one condition: a conjunct reading one side goes to that side, one reading
+// both becomes the join's condition, one reading no column stays above. As
+// the paper observes (Section 5.2), selections cannot be pushed through
+// analytical operators because their results depend on the whole input;
+// they, left joins, Shared, Sort, Limit, Distinct, Aggregate, Iterate and
+// RecursiveCTE stop the pass, and their inputs are placed with nothing
+// carried in from above.
+func place(n Node, conj []expr.Expr) Node {
+	switch t := n.(type) {
+	case *Filter:
+		return place(t.Child, append(conjuncts(t.Pred), conj...))
+	case *Alias: // renames qualifiers only, never column positions
+		t.Child = place(t.Child, conj)
+		return t
+	case *Project:
+		var down, keep []expr.Expr
+		for _, c := range conj {
+			if d := throughProject(c, t.Exprs); d != nil {
+				down = append(down, d)
+			} else {
+				keep = append(keep, c)
+			}
+		}
+		t.Child = place(t.Child, down)
+		return filterOver(t, keep)
+	case *Join:
+		if t.Type != LeftJoin {
+			return placeJoin(t, conj)
+		}
+	case *Union:
+		t.L, t.R = place(t.L, conj), place(t.R, conj)
+		return t
 	}
-	n = rewriteTree(n, fuseTopK)
-	return n
+	mapChildren(n, func(c Node) Node { return place(c, nil) })
+	return filterOver(n, conj)
+}
+
+// placeJoin pools the conjuncts from above with an inner or cross join's
+// condition and places each one.
+func placeJoin(j *Join, conj []expr.Expr) Node {
+	nl := len(j.L.Schema())
+	var left, right, on, keep []expr.Expr
+	for _, c := range append(conjuncts(j.On), conj...) {
+		refs := map[int]bool{}
+		expr.ReferencedColumns(c, refs)
+		readsL, readsR := false, false
+		for idx := range refs {
+			readsL, readsR = readsL || idx < nl, readsR || idx >= nl
+		}
+		switch {
+		case readsL && readsR:
+			on = append(on, c)
+		case readsL:
+			left = append(left, c)
+		case readsR:
+			right = append(right, shiftColRefs(c, -nl))
+		default:
+			keep = append(keep, c)
+		}
+	}
+	return filterOver(NewJoin(InnerJoin, place(j.L, left), place(j.R, right), combineConjuncts(on)), keep)
+}
+
+// conjuncts splits a predicate into its conjuncts, dropping always-true ones.
+func conjuncts(e expr.Expr) []expr.Expr {
+	var out []expr.Expr
+	for _, c := range splitConjuncts(e) {
+		if k, ok := c.(*expr.Const); !ok || k.Val.Null || k.Val.T != types.Bool || !k.Val.B {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// throughProject rewrites a conjunct over a projection's output to its
+// input, or returns nil unless every column it reads is a plain column
+// reference (computed expressions are not substituted, so no work is
+// duplicated).
+func throughProject(c expr.Expr, exprs []expr.Expr) expr.Expr {
+	refs := map[int]bool{}
+	expr.ReferencedColumns(c, refs)
+	for idx := range refs {
+		if idx >= len(exprs) {
+			return nil
+		}
+		if _, ok := exprs[idx].(*expr.ColRef); !ok {
+			return nil
+		}
+	}
+	return expr.Rewrite(c, func(e expr.Expr) expr.Expr {
+		if r, ok := e.(*expr.ColRef); ok && r.Index >= 0 {
+			src := *exprs[r.Index].(*expr.ColRef)
+			return &src
+		}
+		return e
+	})
+}
+
+// filterOver puts the conjuncts in one Filter above n, or returns n when
+// there are none.
+func filterOver(n Node, conj []expr.Expr) Node {
+	if len(conj) == 0 {
+		return n
+	}
+	return &Filter{Child: n, Pred: combineConjuncts(conj)}
 }
 
 // fuseTopK turns Limit over Sort into a bounded top-k sort: the heap keeps
@@ -66,138 +162,12 @@ func fuseTopK(n Node) Node {
 	return l
 }
 
-// pushFilterThroughAlias commutes Filter(Alias(x)) to Alias(Filter(x));
-// aliasing changes qualifiers only, never column positions.
-func pushFilterThroughAlias(n Node) Node {
-	f, ok := n.(*Filter)
-	if !ok {
-		return n
-	}
-	a, ok := f.Child.(*Alias)
-	if !ok {
-		return n
-	}
-	a.Child = &Filter{Child: a.Child, Pred: f.Pred}
-	return a
-}
-
-// pushFilterThroughProject moves a filter below a projection when every
-// column the predicate references maps to a plain column reference in the
-// projection (pure renames/reorders). Computed projection expressions are
-// not substituted to avoid duplicating work.
-func pushFilterThroughProject(n Node) Node {
-	f, ok := n.(*Filter)
-	if !ok {
-		return n
-	}
-	p, ok := f.Child.(*Project)
-	if !ok {
-		return n
-	}
-	refs := map[int]bool{}
-	expr.ReferencedColumns(f.Pred, refs)
-	mapping := map[int]*expr.ColRef{}
-	for idx := range refs {
-		if idx >= len(p.Exprs) {
-			return n
-		}
-		src, ok := p.Exprs[idx].(*expr.ColRef)
-		if !ok {
-			return n
-		}
-		mapping[idx] = src
-	}
-	newPred := expr.Rewrite(f.Pred, func(e expr.Expr) expr.Expr {
-		if c, ok := e.(*expr.ColRef); ok && c.Index >= 0 {
-			if src, ok := mapping[c.Index]; ok {
-				cc := *src
-				return &cc
-			}
-		}
-		return e
-	})
-	p.Child = &Filter{Child: p.Child, Pred: newPred}
-	return p
-}
-
 // rewriteTree applies fn bottom-up over the plan, in place. A Shared
-// subtree is visited once per reference; the rules are idempotent, and
-// filters never push across the Shared boundary, so repeated application is
-// safe.
+// subtree is visited once per reference; the rules are idempotent, so
+// repeated application is safe.
 func rewriteTree(n Node, fn func(Node) Node) Node {
 	mapChildren(n, func(c Node) Node { return rewriteTree(c, fn) })
 	return fn(n)
-}
-
-// mergeFilters collapses Filter(Filter(x)) into a single conjunction and
-// drops always-true predicates.
-func mergeFilters(n Node) Node {
-	f, ok := n.(*Filter)
-	if !ok {
-		return n
-	}
-	if c, ok := f.Pred.(*expr.Const); ok && !c.Val.Null && c.Val.T == types.Bool && c.Val.B {
-		return f.Child
-	}
-	inner, ok := f.Child.(*Filter)
-	if !ok {
-		return f
-	}
-	return &Filter{
-		Child: inner.Child,
-		Pred: &expr.BinOp{Op: expr.OpAnd, L: inner.Pred, R: f.Pred,
-			Typ: types.Bool},
-	}
-}
-
-// pushFilterThroughJoin moves single-side conjuncts of a Filter above an
-// inner or cross join down to the side they reference.
-func pushFilterThroughJoin(n Node) Node {
-	f, ok := n.(*Filter)
-	if !ok {
-		return n
-	}
-	j, ok := f.Child.(*Join)
-	if !ok || j.Type == LeftJoin {
-		// Pushing into the nullable side of an outer join changes
-		// semantics; keep it simple and skip left joins entirely.
-		return n
-	}
-	nl := len(j.L.Schema())
-	var leftPreds, rightPreds, keep []expr.Expr
-	for _, c := range splitConjuncts(f.Pred) {
-		refs := map[int]bool{}
-		expr.ReferencedColumns(c, refs)
-		leftOnly, rightOnly := true, true
-		for idx := range refs {
-			if idx < nl {
-				rightOnly = false
-			} else {
-				leftOnly = false
-			}
-		}
-		switch {
-		case leftOnly && len(refs) > 0:
-			leftPreds = append(leftPreds, c)
-		case rightOnly && len(refs) > 0:
-			rightPreds = append(rightPreds, shiftColRefs(c, -nl))
-		default:
-			keep = append(keep, c)
-		}
-	}
-	if len(leftPreds) == 0 && len(rightPreds) == 0 {
-		return n
-	}
-	if p := combineConjuncts(leftPreds); p != nil {
-		j.L = &Filter{Child: j.L, Pred: p}
-	}
-	if p := combineConjuncts(rightPreds); p != nil {
-		j.R = &Filter{Child: j.R, Pred: p}
-	}
-	if p := combineConjuncts(keep); p != nil {
-		return &Filter{Child: j, Pred: p}
-	}
-	return j
 }
 
 // shiftColRefs rebases resolved column indices by delta.
@@ -212,25 +182,6 @@ func shiftColRefs(e expr.Expr, delta int) expr.Expr {
 	})
 }
 
-// pushFilterThroughUnion duplicates a filter into both union branches.
-func pushFilterThroughUnion(n Node) Node {
-	f, ok := n.(*Filter)
-	if !ok {
-		return n
-	}
-	u, ok := f.Child.(*Union)
-	if !ok {
-		return n
-	}
-	u.L = &Filter{Child: u.L, Pred: f.Pred}
-	u.R = &Filter{Child: u.R, Pred: clone(f.Pred)}
-	return u
-}
-
-func clone(e expr.Expr) expr.Expr {
-	return expr.Rewrite(e, func(n expr.Expr) expr.Expr { return n })
-}
-
 // chooseBuildSide swaps hash-join inputs so the smaller side is the build
 // side (the executor builds on the left).
 func chooseBuildSide(n Node) Node {
@@ -243,16 +194,7 @@ func chooseBuildSide(n Node) Node {
 	}
 	nl := len(j.L.Schema())
 	nr := len(j.R.Schema())
-	swapped := &Join{
-		Type: InnerJoin, L: j.R, R: j.L,
-		EquiLeft: j.EquiRight, EquiRight: j.EquiLeft,
-	}
-	if j.Residual != nil {
-		swapped.Residual = remapAcrossSwap(j.Residual, nl, nr)
-	}
-	if j.On != nil {
-		swapped.On = remapAcrossSwap(j.On, nl, nr)
-	}
+	swapped := NewJoin(InnerJoin, j.R, j.L, remapAcrossSwap(j.On, nl, nr))
 	// Restore the original column order on top.
 	schema := j.Schema()
 	exprs := make([]expr.Expr, len(schema))

@@ -56,39 +56,46 @@ func (b *Builder) buildJoin(j *sql.Join) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Join{L: l, R: r}
-	switch j.Type {
-	case sql.CrossJoin:
-		out.Type = CrossJoin
-		return out, nil
-	case sql.LeftJoin:
-		out.Type = LeftJoin
-	default:
-		out.Type = InnerJoin
+	if j.Type == sql.CrossJoin {
+		return NewJoin(CrossJoin, l, r, nil), nil
 	}
-	ctx := &expr.ResolveCtx{
-		Schema: out.Schema(),
-		Quals:  out.Quals(),
+	typ := InnerJoin
+	if j.Type == sql.LeftJoin {
+		typ = LeftJoin
 	}
-	on, err := expr.Resolve(j.On, ctx)
+	both := &Join{L: l, R: r}
+	on, err := expr.Resolve(j.On, &expr.ResolveCtx{Schema: both.Schema(), Quals: both.Quals()})
 	if err != nil {
 		return nil, fmt.Errorf("JOIN ON: %w", err)
 	}
 	if on.Type() != types.Bool {
 		return nil, fmt.Errorf("JOIN ON must be boolean, got %s", on.Type())
 	}
-	out.On = Fold(on)
-	classifyJoinKeys(out)
-	return out, nil
+	return NewJoin(typ, l, r, Fold(on)), nil
 }
 
-// classifyJoinKeys splits an ON condition into equi-join key pairs and a
-// residual predicate, enabling hash joins.
+// NewJoin joins l and r on the condition on, resolved against their
+// concatenated schema, and splits it into equi-join key pairs and a
+// residual: every conjunct `column = column` with one column on each side
+// is a key pair, and the rest is the residual. An inner join without a
+// condition is a cross join.
+func NewJoin(typ JoinType, l, r Node, on expr.Expr) *Join {
+	if typ != LeftJoin {
+		typ = InnerJoin
+		if on == nil {
+			typ = CrossJoin
+		}
+	}
+	j := &Join{Type: typ, L: l, R: r, On: on}
+	classifyJoinKeys(j)
+	return j
+}
+
+// classifyJoinKeys sets j's key pairs and residual from its condition.
 func classifyJoinKeys(j *Join) {
 	nl := len(j.L.Schema())
-	conjuncts := splitConjuncts(j.On)
 	var residual []expr.Expr
-	for _, c := range conjuncts {
+	for _, c := range splitConjuncts(j.On) {
 		b, ok := c.(*expr.BinOp)
 		if !ok || b.Op != expr.OpEq {
 			residual = append(residual, c)
@@ -114,8 +121,11 @@ func classifyJoinKeys(j *Join) {
 	j.Residual = combineConjuncts(residual)
 }
 
-// splitConjuncts flattens a tree of ANDs into its conjuncts.
+// splitConjuncts flattens a tree of ANDs into its conjuncts (none for nil).
 func splitConjuncts(e expr.Expr) []expr.Expr {
+	if e == nil {
+		return nil
+	}
 	if b, ok := e.(*expr.BinOp); ok && b.Op == expr.OpAnd {
 		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
 	}
