@@ -25,9 +25,9 @@ build:
 test:
 	$(GO) test ./...
 
-## race: the concurrent subsystems — planner (shared plan-cache templates), executor, the expression compiler and column buffers (per-evaluator and per-operator reused buffers), analytics kernels and their λ metrics (E9 at 1 and 8 workers), CSV loader, CSR build, engine, storage, the image writer (a physical image cut while commits continue), network server and client, WAL, replication, cluster, telemetry, plan cache — under the race detector
+## race: the concurrent subsystems — the worker pool (morsel), planner (shared plan-cache templates), executor, the expression compiler and column buffers (per-evaluator and per-operator reused buffers), analytics kernels and their λ metrics (E9 at 1 and 8 workers), CSV loader, CSR build, engine, storage, the image writer (a physical image cut while commits continue), network server and client, WAL, replication, cluster, telemetry, plan cache — under the race detector
 race:
-	$(GO) test -race ./internal/plan/ ./internal/exec/ ./internal/expr/ ./internal/types/ ./internal/analytics/ ./internal/bench/ ./internal/load/ ./internal/graph/ ./internal/engine/ ./internal/faultinject/ ./internal/storage/ ./internal/persist/ ./internal/server/ ./internal/server/client/ ./internal/wal/ ./internal/repl/ ./internal/cluster/ ./internal/retry/ ./internal/obs/ ./internal/telemetry/ ./internal/plancache/
+	$(GO) test -race ./internal/morsel/ ./internal/plan/ ./internal/exec/ ./internal/expr/ ./internal/types/ ./internal/analytics/ ./internal/bench/ ./internal/load/ ./internal/graph/ ./internal/engine/ ./internal/faultinject/ ./internal/storage/ ./internal/persist/ ./internal/server/ ./internal/server/client/ ./internal/wal/ ./internal/repl/ ./internal/cluster/ ./internal/retry/ ./internal/obs/ ./internal/telemetry/ ./internal/plancache/
 
 ## loc: print the number of non-test Go lines in tracked files outside cmd/lambdabench (the benchmark module) — the code-size figure the docs quote
 loc:

@@ -10,7 +10,7 @@
 //	BenchmarkFig5NBTuples/NBDims       — Figure 5 middle/right
 //	BenchmarkIterateVsCTE              — Section 5.1 claim (E8)
 //	BenchmarkLambdaVariants            — Section 7 claim (E9)
-//	BenchmarkKMeansParallel            — thread-local merge ablation
+//	BenchmarkKMeansParallel            — per-morsel merge ablation
 //	BenchmarkPageRankParallel/CSRBuild — Section 6.3 ablations
 //	BenchmarkInstantLoad               — bulk CSV loading (Section 3)
 //	BenchmarkSnapshotSaveLoad          — persistence round trips
@@ -167,7 +167,7 @@ func BenchmarkLambdaVariants(b *testing.B) {
 	}
 }
 
-// BenchmarkKMeansParallel ablates the operator's thread-local-merge design
+// BenchmarkKMeansParallel ablates the operator's per-morsel-merge design
 // (Section 6.1) across worker counts.
 func BenchmarkKMeansParallel(b *testing.B) {
 	const n, d, k = 200_000, 10, 5

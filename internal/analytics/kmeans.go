@@ -3,15 +3,18 @@
 // with lambda-parameterized distance metrics, pull-based PageRank over a
 // CSR index, and Gaussian Naive Bayes training and prediction.
 //
-// Kernels operate on flat row-major float64 matrices and are parallelized
-// with thread-local partial state plus a final merge, mirroring the
-// operator implementations described in the paper.
+// Kernels operate on flat row-major float64 matrices. They run on the
+// engine's worker pool (morsel.For) over a fixed grid of morsels, keep one
+// partial per morsel and merge the partials in morsel order, so no result
+// depends on the worker count: the paper's thread-local partial state,
+// keyed by morsel instead of by thread.
 package analytics
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
+	"lambdadb/internal/morsel"
 	"lambdadb/internal/types"
 )
 
@@ -40,9 +43,10 @@ type KMeansOptions struct {
 	// Workers is the parallelism degree; 0 or 1 means serial.
 	Workers int
 	// Distance, when set, is given every round's centres (row-major k×d)
-	// once per worker, worker in [0, Workers), on the caller's goroutine,
-	// and returns that worker's metric for the round; so a metric may keep
-	// per-worker state. Unset, or a nil metric, is squared Euclidean
+	// once per worker, worker in [0, morsel.Slots(Workers, morsel.Count(n))),
+	// on
+	// the caller's goroutine, and returns that worker's metric for the
+	// round; so a metric may keep per-worker state. Unset, or a nil metric, is squared Euclidean
 	// distance (the default lambda of the paper's Section 7).
 	Distance func(worker int, centers []float64) (Metric, error)
 	// OnIteration, if set, is called after every iteration with the 1-based
@@ -55,9 +59,10 @@ type KMeansOptions struct {
 // dimensions stored row-major in data, starting from the given centers
 // (row-major k×d, consumed, not modified).
 //
-// Each worker assigns its chunk of tuples to the nearest center and
-// accumulates per-cluster sums locally; synchronization happens only for
-// the final merge and center update, exactly as the paper describes.
+// Each round runs the kernel grid's morsels on the worker pool: a morsel
+// assigns its tuples to the nearest center and sums them per cluster into
+// its own partial; the partials are merged in morsel order for the center
+// update, so the result is the same at any worker count.
 func KMeans(data []float64, n, d int, centers []float64, k int, opt KMeansOptions) (*KMeansResult, error) {
 	if d <= 0 || k <= 0 {
 		return nil, fmt.Errorf("kmeans: need d > 0 and k > 0 (got d=%d k=%d)", d, k)
@@ -71,22 +76,23 @@ func KMeans(data []float64, n, d int, centers []float64, k int, opt KMeansOption
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = 100
 	}
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n/1024+1 {
-		workers = n/1024 + 1
-	}
+	morsels := morsel.Count(n)
+	workers := morsel.Slots(opt.Workers, morsels)
 
 	cur := append([]float64{}, centers...)
 	assign := make([]int32, n)
 	for i := range assign {
 		assign[i] = -1
 	}
+	// Per morsel: its assignment changes, and per cluster its tuple count
+	// and coordinate sums. Per worker: its metric and distance buffers.
+	changes := make([]int, morsels)
+	counts := make([]int64, morsels*k)
+	sums := make([]float64, morsels*k*d)
+	metrics := make([]Metric, workers)
+	dists := make([][][]float64, workers)
 
 	res := &KMeansResult{}
-	metrics := make([]Metric, workers)
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		res.Iterations = iter + 1
 		if opt.Distance != nil {
@@ -98,11 +104,35 @@ func KMeans(data []float64, n, d int, centers []float64, k int, opt KMeansOption
 				metrics[w] = m
 			}
 		}
-		changed, err := assignStep(data, n, d, cur, k, metrics, assign, workers)
+		err := morsel.For(context.TODO(), "kmeans", workers, morsels, func(w, m int) (err error) {
+			lo, hi := morsel.Range(m, n)
+			if metrics[w] == nil {
+				changes[m] = assignEuclid(data, d, cur, k, assign, lo, hi)
+			} else {
+				if dists[w] == nil {
+					dists[w] = distanceBuffers(k)
+				}
+				if changes[m], err = assignCustom(data, d, k, metrics[w], dists[w], assign, lo, hi); err != nil {
+					return err
+				}
+			}
+			cnt, sum := counts[m*k:(m+1)*k], sums[m*k*d:(m+1)*k*d]
+			clear(cnt)
+			clear(sum)
+			for i := lo; i < hi; i++ {
+				c := int(assign[i])
+				cnt[c]++
+				cs := sum[c*d : c*d+d]
+				for j, v := range data[i*d : i*d+d] {
+					cs[j] += v
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		updateStep(data, n, d, cur, k, assign, workers)
+		changed := update(cur, k, d, changes, counts, sums)
 		if opt.OnIteration != nil {
 			if err := opt.OnIteration(iter+1, float64(changed)); err != nil {
 				return nil, err
@@ -117,49 +147,32 @@ func KMeans(data []float64, n, d int, centers []float64, k int, opt KMeansOption
 	return res, nil
 }
 
-// assignStep assigns each tuple to its nearest center, worker w under
-// metrics[w] (nil = squared Euclidean), returning how many assignments
-// changed. One worker runs on the caller's goroutine.
-func assignStep(data []float64, n, d int, centers []float64, k int,
-	metrics []Metric, assign []int32, workers int) (int, error) {
-
-	run := func(w, lo, hi int) (int, error) {
-		if metrics[w] == nil {
-			return assignEuclid(data, d, centers, k, assign, lo, hi), nil
+// update merges the morsels' partials in morsel order and moves every center
+// to the mean of its tuples; an empty cluster keeps its previous center. It
+// returns how many assignments changed.
+func update(centers []float64, k, d int, changes []int, counts []int64, sums []float64) int {
+	changed := 0
+	totalCnt := make([]int64, k)
+	totalSum := make([]float64, k*d)
+	for m, ch := range changes {
+		changed += ch
+		for c, v := range counts[m*k : (m+1)*k] {
+			totalCnt[c] += v
 		}
-		return assignCustom(data, d, k, metrics[w], assign, lo, hi)
-	}
-	if workers == 1 {
-		return run(0, 0, n)
-	}
-	chunk := (n + workers - 1) / workers
-	changes := make([]int, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+		for i, v := range sums[m*k*d : (m+1)*k*d] {
+			totalSum[i] += v
 		}
-		if lo >= hi {
+	}
+	for c := 0; c < k; c++ {
+		if totalCnt[c] == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			changes[w], errs[w] = run(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for w, c := range changes {
-		if errs[w] != nil {
-			return 0, errs[w]
+		inv := 1 / float64(totalCnt[c])
+		for j := 0; j < d; j++ {
+			centers[c*d+j] = totalSum[c*d+j] * inv
 		}
-		total += c
 	}
-	return total, nil
+	return changed
 }
 
 // assignEuclid is the specialized default-metric inner loop.
@@ -193,15 +206,21 @@ func euclidSq(a, b []float64) float64 {
 	return s
 }
 
-// assignCustom assigns tuples lo..hi-1 under a λ metric, one block of
-// types.BatchSize rows at a time: the metric fills one distance column per
-// center, and each row takes the center of its smallest distance, the first
-// one on ties — as assignEuclid does.
-func assignCustom(data []float64, d, k int, metric Metric, assign []int32, lo, hi int) (int, error) {
+// distanceBuffers is one distance column per center, a block of rows long:
+// what a λ metric fills.
+func distanceBuffers(k int) [][]float64 {
 	dist := make([][]float64, k)
 	for c := range dist {
 		dist[c] = make([]float64, types.BatchSize)
 	}
+	return dist
+}
+
+// assignCustom assigns tuples lo..hi-1 under a λ metric, one block of
+// types.BatchSize rows at a time: the metric fills one distance column per
+// center in dist, and each row takes the center of its smallest distance,
+// the first one on ties — as assignEuclid does.
+func assignCustom(data []float64, d, k int, metric Metric, dist [][]float64, assign []int32, lo, hi int) (int, error) {
 	changed := 0
 	for blo := lo; blo < hi; blo += types.BatchSize {
 		bhi := min(blo+types.BatchSize, hi)
@@ -226,72 +245,16 @@ func assignCustom(data []float64, d, k int, metric Metric, assign []int32, lo, h
 	return changed, nil
 }
 
-// updateStep recomputes centers as the arithmetic mean of their assigned
-// tuples, using thread-local sums merged at the end. Empty clusters keep
-// their previous center.
-func updateStep(data []float64, n, d int, centers []float64, k int, assign []int32, workers int) {
-	chunk := (n + workers - 1) / workers
-	sums := make([][]float64, workers)
-	counts := make([][]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			sum := make([]float64, k*d)
-			cnt := make([]int64, k)
-			for i := lo; i < hi; i++ {
-				c := int(assign[i])
-				cnt[c]++
-				row := data[i*d : i*d+d]
-				cs := sum[c*d : c*d+d]
-				for j, v := range row {
-					cs[j] += v
-				}
-			}
-			sums[w], counts[w] = sum, cnt
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	// Global merge — the only synchronized step.
-	totalSum := make([]float64, k*d)
-	totalCnt := make([]int64, k)
-	for w := range sums {
-		if sums[w] == nil {
-			continue
-		}
-		for i, v := range sums[w] {
-			totalSum[i] += v
-		}
-		for c, v := range counts[w] {
-			totalCnt[c] += v
-		}
-	}
-	for c := 0; c < k; c++ {
-		if totalCnt[c] == 0 {
-			continue // keep previous center for empty clusters
-		}
-		inv := 1 / float64(totalCnt[c])
-		for j := 0; j < d; j++ {
-			centers[c*d+j] = totalSum[c*d+j] * inv
-		}
-	}
-}
-
 // Assign returns the nearest-center index for each of n tuples under metric
 // (nil = squared Euclidean), on the caller's goroutine. It is the "apply the
 // model" half of the paper's model-application pattern.
 func Assign(data []float64, n, d int, centers []float64, k int, metric Metric) ([]int32, error) {
 	assign := make([]int32, n)
-	if _, err := assignStep(data, n, d, centers, k, []Metric{metric}, assign, 1); err != nil {
+	if metric == nil {
+		assignEuclid(data, d, centers, k, assign, 0, n)
+		return assign, nil
+	}
+	if _, err := assignCustom(data, d, k, metric, distanceBuffers(k), assign, 0, n); err != nil {
 		return nil, err
 	}
 	return assign, nil

@@ -1,9 +1,12 @@
 package analytics
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+
+	"lambdadb/internal/morsel"
 )
 
 // twoBlobs generates n points split between two well-separated clusters.
@@ -60,8 +63,10 @@ func TestKMeansConvergesOnSeparatedBlobs(t *testing.T) {
 	}
 }
 
+// TestKMeansSerialParallelIdentical: the morsels' partial sums merge in
+// morsel order, so the centres are bit-identical at any worker count.
 func TestKMeansSerialParallelIdentical(t *testing.T) {
-	const n, d, k = 2000, 4, 3
+	const n, d, k = 20_000, 4, 3
 	data := twoBlobs(n, d, 2)
 	centers := make([]float64, k*d)
 	copy(centers, data[:k*d])
@@ -74,12 +79,27 @@ func TestKMeansSerialParallelIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range serial.Centers {
-		if math.Abs(serial.Centers[i]-parallel.Centers[i]) > 1e-9 {
+		if serial.Centers[i] != parallel.Centers[i] {
 			t.Fatalf("center[%d]: serial %v != parallel %v", i, serial.Centers[i], parallel.Centers[i])
 		}
 	}
 	if serial.Iterations != parallel.Iterations {
 		t.Errorf("iterations: serial %d != parallel %d", serial.Iterations, parallel.Iterations)
+	}
+}
+
+// TestKMeansMetricPanicContained: a panic in a λ metric on a worker becomes
+// an *morsel.InternalError naming the operator, not a crashed process.
+func TestKMeansMetricPanicContained(t *testing.T) {
+	const n, d, k = 5000, 2, 2
+	data := twoBlobs(n, d, 7)
+	boom := func(int, []float64) (Metric, error) {
+		return func([]float64, [][]float64) error { panic("metric panic") }, nil
+	}
+	_, err := KMeans(data, n, d, []float64{0, 0, 10, 10}, k, KMeansOptions{MaxIter: 3, Workers: 2, Distance: boom})
+	var ie *morsel.InternalError
+	if !errors.As(err, &ie) || ie.Op != "kmeans" {
+		t.Fatalf("want *morsel.InternalError{Op: kmeans}, got %v", err)
 	}
 }
 

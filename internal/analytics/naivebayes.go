@@ -1,10 +1,12 @@
 package analytics
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
-	"sync"
+
+	"lambdadb/internal/morsel"
 )
 
 // NBModel is a trained Gaussian Naive Bayes model (paper Section 6.2):
@@ -26,7 +28,7 @@ type NBModel struct {
 // produce infinite densities.
 const minVariance = 1e-9
 
-// nbPartial is one worker's training state: per class the tuple count and
+// nbPartial is one morsel's training state: per class the tuple count and
 // per-feature sum and sum of squares — exactly the running aggregates the
 // paper's training operator keeps in its per-thread hash tables.
 type nbPartial struct {
@@ -77,11 +79,12 @@ func (p *nbPartial) merge(o *nbPartial, d int) {
 }
 
 // TrainNB trains a Gaussian Naive Bayes classifier on n tuples of d
-// features (row-major) with integer class labels. Workers process disjoint
-// chunks with thread-local running aggregates; the input tuples themselves
-// are consumed and discarded (paper: the operator is a pipeline breaker
-// that does not store tuples).
-func TrainNB(data []float64, n, d int, labels []int64, workers int) (*NBModel, error) {
+// features (row-major) with integer class labels. Each morsel of the kernel
+// grid keeps its own running aggregates, merged in morsel order, so the model
+// is the same at any worker count; ctx is checked before every morsel. The
+// input tuples themselves are consumed and discarded (paper: the operator is
+// a pipeline breaker that does not store tuples).
+func TrainNB(ctx context.Context, data []float64, n, d int, labels []int64, workers int) (*NBModel, error) {
 	if len(data) != n*d {
 		return nil, fmt.Errorf("naive bayes: data length %d != n*d = %d", len(data), n*d)
 	}
@@ -91,38 +94,20 @@ func TrainNB(data []float64, n, d int, labels []int64, workers int) (*NBModel, e
 	if n == 0 {
 		return nil, fmt.Errorf("naive bayes: empty training set")
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n/1024+1 {
-		workers = n/1024 + 1
-	}
 
-	partials := make([]*nbPartial, workers)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	partials := make([]*nbPartial, morsel.Count(n))
+	err := morsel.For(ctx, "naive_bayes_train", workers, len(partials), func(_, m int) error {
+		p := newNBPartial()
+		lo, hi := morsel.Range(m, n)
+		for i := lo; i < hi; i++ {
+			p.update(data[i*d:i*d+d], labels[i], d)
 		}
-		if lo >= hi {
-			partials[w] = newNBPartial()
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			p := newNBPartial()
-			for i := lo; i < hi; i++ {
-				p.update(data[i*d:i*d+d], labels[i], d)
-			}
-			partials[w] = p
-		}(w, lo, hi)
+		partials[m] = p
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-
 	total := partials[0]
 	for _, p := range partials[1:] {
 		total.merge(p, d)
@@ -178,36 +163,4 @@ func (m *NBModel) Predict(row []float64) int64 {
 		}
 	}
 	return bestLabel
-}
-
-// PredictAll classifies n rows in parallel.
-func (m *NBModel) PredictAll(data []float64, n, d int, workers int) []int64 {
-	out := make([]int64, n)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n/1024+1 {
-		workers = n/1024 + 1
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = m.Predict(data[i*d : i*d+d])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
 }

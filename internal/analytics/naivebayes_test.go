@@ -1,8 +1,11 @@
 package analytics
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -23,7 +26,7 @@ func gaussianData(classes []float64, nPerClass, d int, seed int64) (data []float
 func TestTrainNBRecoversParameters(t *testing.T) {
 	const nPer, d = 5000, 3
 	data, labels := gaussianData([]float64{0, 10}, nPer, d, 1)
-	m, err := TrainNB(data, 2*nPer, d, labels, 4)
+	m, err := TrainNB(context.Background(), data, 2*nPer, d, labels, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,50 +52,48 @@ func TestTrainNBRecoversParameters(t *testing.T) {
 func TestNBPredictSeparable(t *testing.T) {
 	const nPer, d = 1000, 2
 	data, labels := gaussianData([]float64{0, 8}, nPer, d, 2)
-	m, err := TrainNB(data, 2*nPer, d, labels, 2)
+	m, err := TrainNB(context.Background(), data, 2*nPer, d, labels, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	test, want := gaussianData([]float64{0, 8}, 200, d, 3)
-	got := m.PredictAll(test, 400, d, 4)
-	errors := 0
-	for i := range got {
-		if got[i] != want[i] {
-			errors++
+	wrong := 0
+	for i := range want {
+		if m.Predict(test[i*d:i*d+d]) != want[i] {
+			wrong++
 		}
 	}
 	// 8 sigma separation: error rate must be essentially zero.
-	if errors > 2 {
-		t.Errorf("misclassified %d of 400", errors)
+	if wrong > 2 {
+		t.Errorf("misclassified %d of 400", wrong)
 	}
 }
 
+// TestNBSerialParallelIdentical: the morsels' partials merge in morsel
+// order, so the model is bit-identical at any worker count.
 func TestNBSerialParallelIdentical(t *testing.T) {
 	const nPer, d = 3000, 4
 	data, labels := gaussianData([]float64{-1, 1, 3}, nPer, d, 4)
-	serial, err := TrainNB(data, 3*nPer, d, labels, 1)
+	serial, err := TrainNB(context.Background(), data, 3*nPer, d, labels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := TrainNB(data, 3*nPer, d, labels, 8)
+	parallel, err := TrainNB(context.Background(), data, 3*nPer, d, labels, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.Labels) != len(parallel.Labels) {
-		t.Fatal("label count differs")
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("models differ:\nserial   %+v\nparallel %+v", serial, parallel)
 	}
-	for c := range serial.Labels {
-		if math.Abs(serial.Priors[c]-parallel.Priors[c]) > 1e-12 {
-			t.Errorf("prior[%d] differs", c)
-		}
-		for j := 0; j < d; j++ {
-			if math.Abs(serial.Means[c][j]-parallel.Means[c][j]) > 1e-9 {
-				t.Errorf("mean[%d][%d]: %v vs %v", c, j, serial.Means[c][j], parallel.Means[c][j])
-			}
-			if math.Abs(serial.Stds[c][j]-parallel.Stds[c][j]) > 1e-9 {
-				t.Errorf("std[%d][%d]: %v vs %v", c, j, serial.Stds[c][j], parallel.Stds[c][j])
-			}
-		}
+}
+
+func TestTrainNBCancelled(t *testing.T) {
+	data, labels := gaussianData([]float64{0, 1}, 2000, 2, 5)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m, err := TrainNB(ctx, data, 4000, 2, labels, 2)
+	if !errors.Is(err, context.Canceled) || m != nil {
+		t.Fatalf("want context.Canceled and no model, got %v, %v", m, err)
 	}
 }
 
@@ -101,7 +102,7 @@ func TestNBConstantFeatureVarianceFloored(t *testing.T) {
 	// still produce finite predictions.
 	data := []float64{1, 0, 1, 0.1, 1, 5, 1, 5.1}
 	labels := []int64{0, 0, 1, 1}
-	m, err := TrainNB(data, 4, 2, labels, 1)
+	m, err := TrainNB(context.Background(), data, 4, 2, labels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestNBPriorsFollowClassImbalance(t *testing.T) {
 	// 3 of label 0, 1 of label 7 (labels need not be contiguous).
 	data := []float64{0, 0, 0, 9}
 	labels := []int64{0, 0, 0, 7}
-	m, err := TrainNB(data, 4, 1, labels, 1)
+	m, err := TrainNB(context.Background(), data, 4, 1, labels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +138,13 @@ func TestNBPriorsFollowClassImbalance(t *testing.T) {
 }
 
 func TestNBValidation(t *testing.T) {
-	if _, err := TrainNB([]float64{1}, 1, 1, nil, 1); err == nil {
+	if _, err := TrainNB(context.Background(), []float64{1}, 1, 1, nil, 1); err == nil {
 		t.Error("label length mismatch should fail")
 	}
-	if _, err := TrainNB([]float64{1, 2}, 1, 1, []int64{0}, 1); err == nil {
+	if _, err := TrainNB(context.Background(), []float64{1, 2}, 1, 1, []int64{0}, 1); err == nil {
 		t.Error("data length mismatch should fail")
 	}
-	if _, err := TrainNB(nil, 0, 1, nil, 1); err == nil {
+	if _, err := TrainNB(context.Background(), nil, 0, 1, nil, 1); err == nil {
 		t.Error("empty training set should fail")
 	}
 }

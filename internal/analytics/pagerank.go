@@ -1,10 +1,11 @@
 package analytics
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"lambdadb/internal/graph"
+	"lambdadb/internal/morsel"
 )
 
 // PageRankOptions configures a PageRank run (paper Sections 6.3 and 8.1.3).
@@ -33,10 +34,12 @@ type PageRankResult struct {
 }
 
 // PageRank computes vertex ranks over a CSR graph using pull-based
-// iterations: each worker computes new ranks for a disjoint vertex range
-// reading only the previous iteration's array, so no per-edge
+// iterations: each morsel of the kernel grid computes new ranks for its
+// vertex range reading only the previous iteration's array, so no per-edge
 // synchronization is needed (paper Section 6.3). Current and previous
-// ranks live in two directly indexed arrays.
+// ranks live in two directly indexed arrays; the morsels' L1 rank changes
+// are summed in morsel order, so the result is the same at any worker
+// count.
 func PageRank(g *graph.CSR, opt PageRankOptions) (*PageRankResult, error) {
 	if g.N == 0 {
 		return &PageRankResult{Converged: true}, nil
@@ -47,14 +50,6 @@ func PageRank(g *graph.CSR, opt PageRankOptions) (*PageRankResult, error) {
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = 100
 	}
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > g.N/1024+1 {
-		workers = g.N/1024 + 1
-	}
-
 	// The kernel pulls over incoming edges; build the transpose once.
 	in := g.Transpose()
 	n := g.N
@@ -90,8 +85,7 @@ func PageRank(g *graph.CSR, opt PageRankOptions) (*PageRankResult, error) {
 		rank[v] = invN
 	}
 
-	chunk := (n + workers - 1) / workers
-	diffs := make([]float64, workers)
+	diffs := make([]float64, morsel.Count(n))
 	res := &PageRankResult{}
 
 	for iter := 0; iter < opt.MaxIter; iter++ {
@@ -112,44 +106,35 @@ func PageRank(g *graph.CSR, opt PageRankOptions) (*PageRankResult, error) {
 			}
 		}
 
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				var diff float64
-				for v := lo; v < hi; v++ {
-					var sum float64
-					if weighted {
-						ws := in.EdgeWeights(v)
-						for i, u := range in.Neighbors(v) {
-							sum += contrib[u] * ws[i]
-						}
-					} else {
-						for _, u := range in.Neighbors(v) {
-							sum += contrib[u]
-						}
+		err := morsel.For(context.TODO(), "pagerank", opt.Workers, len(diffs), func(_, m int) error {
+			lo, hi := morsel.Range(m, n)
+			var diff float64
+			for v := lo; v < hi; v++ {
+				var sum float64
+				if weighted {
+					ws := in.EdgeWeights(v)
+					for i, u := range in.Neighbors(v) {
+						sum += contrib[u] * ws[i]
 					}
-					nv := base + opt.Damping*sum
-					next[v] = nv
-					d := nv - rank[v]
-					if d < 0 {
-						d = -d
+				} else {
+					for _, u := range in.Neighbors(v) {
+						sum += contrib[u]
 					}
-					diff += d
 				}
-				diffs[w] = diff
-			}(w, lo, hi)
+				nv := base + opt.Damping*sum
+				next[v] = nv
+				d := nv - rank[v]
+				if d < 0 {
+					d = -d
+				}
+				diff += d
+			}
+			diffs[m] = diff
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		wg.Wait()
 
 		rank, next = next, rank
 		var total float64

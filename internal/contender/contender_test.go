@@ -1,6 +1,7 @@
 package contender_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -76,7 +77,7 @@ func TestNBTrainAgreesWithOperator(t *testing.T) {
 	const n, d = 5000, 3
 	data := workload.UniformVectors(n, d, 3)
 	labels := workload.UniformLabels(n, 2, 4)
-	ref, err := analytics.TrainNB(data, n, d, labels, 4)
+	ref, err := analytics.TrainNB(context.Background(), data, n, d, labels, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

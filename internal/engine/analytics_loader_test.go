@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,9 +92,13 @@ func TestAnalyticsMixedFeatureTypes(t *testing.T) {
 }
 
 // TestAnalyticsOperatorsSameAtAnyWorkers runs every analytical operator on
-// inputs large enough to split into morsels at Workers 1 and 8: the loaders
-// keep serial scan order, so every result is identical, row for row. The
-// features are small integers, so the kernels' sums are exact in any order.
+// inputs large enough to split into morsels at Workers 1, 2 and 8: the
+// loaders keep serial scan order and the kernels merge their per-morsel
+// partials in morsel order, so every result is identical, row for row, and
+// so is every kernel round (EXPLAIN ANALYZE's per-round lines). The
+// integer-valued tables check the loaders; the real-valued ones (rv,
+// redges) check the kernels' arithmetic, whose sums are not exact in any
+// order.
 func TestAnalyticsOperatorsSameAtAnyWorkers(t *testing.T) {
 	const rows = 60_000
 	dir := t.TempDir()
@@ -117,6 +122,13 @@ func TestAnalyticsOperatorsSameAtAnyWorkers(t *testing.T) {
 		v := i % 5000
 		return fmt.Sprintf("%d,%d,%d", v*1_000_003, ((v*7+i/5000)%5000)*1_000_003, 1+i%4)
 	})
+	r := rand.New(rand.NewSource(36))
+	rv := write("rv.csv", func(i int) string {
+		return fmt.Sprintf("%v,%v,%v,%d", r.Float64(), 10*r.NormFloat64(), r.ExpFloat64(), r.Intn(3))
+	})
+	redges := write("redges.csv", func(i int) string {
+		return fmt.Sprintf("%d,%d,%v", r.Intn(5000), r.Intn(5000), r.Float64())
+	})
 	queries := []string{
 		`SELECT * FROM KMEANS ((SELECT a, b, c FROM pts), (SELECT a, b, c FROM cen), 5)`,
 		`SELECT * FROM KMEANS_ASSIGN ((SELECT a, b, c FROM pts), (SELECT a, b, c FROM cen))`,
@@ -125,9 +137,24 @@ func TestAnalyticsOperatorsSameAtAnyWorkers(t *testing.T) {
 		`SELECT * FROM NAIVE_BAYES_TRAIN ((SELECT a, b, c, label FROM pts))`,
 		`SELECT * FROM NAIVE_BAYES_PREDICT ((SELECT * FROM NAIVE_BAYES_TRAIN ((SELECT a, b, c, label FROM pts))),
 			(SELECT a, b, c FROM pts))`,
+		`SELECT * FROM KMEANS ((SELECT x, y, z FROM rv), (SELECT x, y, z FROM rcen), 100)`,
+		`SELECT * FROM KMEANS ((SELECT x, y, z FROM rv), (SELECT x, y, z FROM rcen),
+			λ(a, b) abs(a.x - b.x) + 0.5 * (a.y - b.y)^2 + abs(a.z - b.z), 100)`,
+		`SELECT * FROM PAGERANK ((SELECT src, dst, w FROM redges), λ(e) e.w * e.w + 0.1, 0.85, 1e-9, 100)`,
+		`SELECT * FROM NAIVE_BAYES_TRAIN ((SELECT x, y, z, label FROM rv))`,
+	}
+	// The per-round lines of an EXPLAIN ANALYZE, without their times.
+	rounds := func(db *DB, q string) []string {
+		var out []string
+		for _, line := range explainAnalyzeLines(t, db, q) {
+			if i := strings.Index(line, "[iter "); i >= 0 {
+				out = append(out, line[i:strings.Index(line, " time=")])
+			}
+		}
+		return out
 	}
 	results := map[int][]string{}
-	for _, workers := range []int{1, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		db := Open(WithWorkers(workers))
 		db.MustExec(`CREATE TABLE pts (a BIGINT, b DOUBLE, c BIGINT, label BIGINT)`)
 		db.MustExec(fmt.Sprintf(`COPY pts FROM '%s'`, pts))
@@ -135,6 +162,12 @@ func TestAnalyticsOperatorsSameAtAnyWorkers(t *testing.T) {
 		db.MustExec(`INSERT INTO cen VALUES (10, 100.0, 5), (50, 500.0, 25), (90, 900.0, 45)`)
 		db.MustExec(`CREATE TABLE edges (src BIGINT, dst BIGINT, w DOUBLE)`)
 		db.MustExec(fmt.Sprintf(`COPY edges FROM '%s'`, edges))
+		db.MustExec(`CREATE TABLE rv (x DOUBLE, y DOUBLE, z DOUBLE, label BIGINT)`)
+		db.MustExec(fmt.Sprintf(`COPY rv FROM '%s'`, rv))
+		db.MustExec(`CREATE TABLE rcen (x DOUBLE, y DOUBLE, z DOUBLE)`)
+		db.MustExec(`INSERT INTO rcen VALUES (0.1, -5.5, 0.3), (0.5, 0.25, 1.7), (0.9, 5.5, 0.9), (0.3, 12.0, 3.1)`)
+		db.MustExec(`CREATE TABLE redges (src BIGINT, dst BIGINT, w DOUBLE)`)
+		db.MustExec(fmt.Sprintf(`COPY redges FROM '%s'`, redges))
 		for _, q := range queries {
 			r, err := db.Query(q)
 			if err != nil {
@@ -143,12 +176,14 @@ func TestAnalyticsOperatorsSameAtAnyWorkers(t *testing.T) {
 			if len(r.Rows) == 0 {
 				t.Fatalf("workers=%d: %s: no rows", workers, q)
 			}
-			results[workers] = append(results[workers], fmt.Sprint(r.Rows))
+			results[workers] = append(results[workers], fmt.Sprint(r.Rows, rounds(db, q)))
 		}
 	}
 	for i, q := range queries {
-		if results[1][i] != results[8][i] {
-			t.Errorf("%s: results differ between Workers 1 and 8", q)
+		for _, workers := range []int{2, 8} {
+			if results[1][i] != results[workers][i] {
+				t.Errorf("%s: results differ between Workers 1 and %d", q, workers)
+			}
 		}
 	}
 }

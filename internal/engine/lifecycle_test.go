@@ -10,6 +10,7 @@ import (
 
 	"lambdadb/internal/exec"
 	"lambdadb/internal/faultinject"
+	"lambdadb/internal/morsel"
 	"lambdadb/internal/types"
 )
 
@@ -160,9 +161,9 @@ func TestInjectedPanicBecomesInternalError(t *testing.T) {
 	db := newTestDB(t)
 	faultinject.Set("exec.scan.batch", func() error { panic("engine-level injected panic") })
 	_, err := db.Query(`SELECT n FROM nums`)
-	var ie *exec.InternalError
+	var ie *morsel.InternalError
 	if !errors.As(err, &ie) {
-		t.Fatalf("want *exec.InternalError, got %v", err)
+		t.Fatalf("want *morsel.InternalError, got %v", err)
 	}
 	faultinject.Reset()
 	if got := queryInts(t, db, `SELECT count(*) FROM nums`); len(got) != 1 || got[0] != 5 {

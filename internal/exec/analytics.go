@@ -8,6 +8,7 @@ import (
 	"lambdadb/internal/analytics"
 	"lambdadb/internal/expr"
 	"lambdadb/internal/graph"
+	"lambdadb/internal/morsel"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/types"
 )
@@ -118,7 +119,7 @@ func loadInput(p plan.Node, ctx *Context, label string, rowBytes int64, prepare 
 // whole input, to copyAt, which copies it into arrays the caller sized to
 // in.rows; the parts copy in parallel.
 func (in *input) copyInto(ctx *Context, copyAt func(b *types.Batch, row int)) error {
-	return runParts(ctx, len(in.parts), func(i int) error {
+	return morsel.For(ctx.goCtx, "parallel-worker", ctx.workers(), len(in.parts), func(_, i int) error {
 		row := in.parts[i].start
 		for _, b := range in.parts[i].batches {
 			copyAt(b, row)
@@ -563,7 +564,7 @@ func newNBTrainOp(n *plan.NaiveBayesTrain) *blockingOp {
 		if m.n == 0 {
 			return nil, fmt.Errorf("naive_bayes_train: empty training set")
 		}
-		model, err := analytics.TrainNB(m.data, m.n, m.d, m.labels, ctx.Workers)
+		model, err := analytics.TrainNB(ctx.goCtx, m.data, m.n, m.d, m.labels, ctx.Workers)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 
 	"lambdadb/internal/expr"
 	"lambdadb/internal/faultinject"
+	"lambdadb/internal/morsel"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/types"
 )
@@ -206,7 +207,7 @@ func (j *joinOp) Open(ctx *Context) error {
 // build materialises the blocking side (morsel-parallel when its pipeline
 // splits) and indexes it.
 func (j *joinOp) build(ctx *Context) (jt *joinTable, held int64, err error) {
-	defer containPanic("join", &err)
+	defer morsel.Contain("join", &err)
 	if err := faultinject.Fire("exec.join.build"); err != nil {
 		return nil, 0, err
 	}

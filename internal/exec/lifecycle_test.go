@@ -12,6 +12,7 @@ import (
 
 	"lambdadb/internal/expr"
 	"lambdadb/internal/faultinject"
+	"lambdadb/internal/morsel"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/storage"
 	"lambdadb/internal/types"
@@ -295,7 +296,7 @@ func TestPanicContainedInWorkerPool(t *testing.T) {
 	ctx := latestContext()
 	ctx.Workers = 8
 	_, err := Run(srt, ctx)
-	var ie *InternalError
+	var ie *morsel.InternalError
 	if !errors.As(err, &ie) {
 		t.Fatalf("want *InternalError from worker pool, got %v", err)
 	}
@@ -407,7 +408,7 @@ func TestScanProducerLifecycle(t *testing.T) {
 				return ctx
 			},
 			func(t *testing.T, label string, err error) {
-				var ie *InternalError
+				var ie *morsel.InternalError
 				if !errors.As(err, &ie) {
 					t.Fatalf("want *InternalError, got %v", err)
 				}
@@ -554,7 +555,7 @@ func TestDriveContractForEverySink(t *testing.T) {
 	}{
 		{"none", func(context.CancelFunc) {}, func(err error) bool { return err == nil }},
 		{"panic", func(context.CancelFunc) { untilPanic.Store(3) },
-			func(err error) bool { return errors.As(err, new(*InternalError)) }},
+			func(err error) bool { return errors.As(err, new(*morsel.InternalError)) }},
 		{"scan-error", func(context.CancelFunc) { faultinject.FailAfter("exec.scan.batch", 3, errInjected) },
 			func(err error) bool { return errors.Is(err, errInjected) }},
 		{"cancel", func(cancel context.CancelFunc) {

@@ -8,6 +8,7 @@ import (
 
 	"lambdadb/internal/expr"
 	"lambdadb/internal/faultinject"
+	"lambdadb/internal/morsel"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/storage"
 	"lambdadb/internal/types"
@@ -354,50 +355,11 @@ func TestContextWorkersClamped(t *testing.T) {
 }
 
 func TestSplitPipelineDegenerate(t *testing.T) {
-	if parts := plan.SplitPipeline(50_000, 1, 8192); parts != nil {
+	if parts := morsel.SplitPipeline(50_000, 1, 8192); parts != nil {
 		t.Errorf("parts=1 must not split, got %d", len(parts))
 	}
-	if parts := plan.SplitPipeline(10_000, 8, 8192); parts != nil {
+	if parts := morsel.SplitPipeline(10_000, 8, 8192); parts != nil {
 		t.Errorf("small input must not split, got %d", len(parts))
-	}
-}
-
-// TestRunPartsPool exercises the bounded worker pool under -race: disjoint
-// result slots, more parts than workers.
-func TestRunPartsPool(t *testing.T) {
-	const n = 1000
-	out := make([]int64, n)
-	err := runParts(&Context{Workers: 8}, n, func(i int) error {
-		out[i] = int64(i) * 2
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		if out[i] != int64(i)*2 {
-			t.Fatalf("slot %d = %d", i, out[i])
-		}
-	}
-}
-
-func TestRunPartsErrorPropagation(t *testing.T) {
-	const n = 50
-	ran := make([]atomic.Bool, n)
-	err := runParts(&Context{Workers: 8}, n, func(i int) error {
-		ran[i].Store(true)
-		if i == 7 || i == 23 {
-			return fmt.Errorf("part %d failed", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "part 7 failed" {
-		t.Fatalf("want lowest-indexed error 'part 7 failed', got %v", err)
-	}
-	for i := range ran {
-		if !ran[i].Load() {
-			t.Errorf("part %d never ran", i)
-		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"lambdadb/internal/catalog"
 	"lambdadb/internal/expr"
 	"lambdadb/internal/faultinject"
+	"lambdadb/internal/morsel"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/types"
 )
@@ -116,7 +117,7 @@ func (s *scanOp) Next() (b *types.Batch, err error) {
 	if err := s.ctx.Err(); err != nil {
 		return nil, err
 	}
-	defer containPanic(s.label, &err)
+	defer morsel.Contain(s.label, &err)
 	if b, _ = s.cur.Next(); b == nil {
 		return nil, nil
 	}

@@ -3,9 +3,9 @@ package exec
 import (
 	"maps"
 	"sync"
-	"sync/atomic"
 
 	"lambdadb/internal/faultinject"
+	"lambdadb/internal/morsel"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/types"
 )
@@ -15,8 +15,9 @@ import (
 //
 // Morsel-style parallelism shared by every blocking operator: a pipeline
 // rooted at a base-table Scan (or a bound working table) runs as row-range
-// morsels of that leaf (partsOf), all of the same plan, on a bounded worker
-// pool (runParts), each pulled to exhaustion into a per-part sink (drive).
+// morsels of that leaf (partsOf), all of the same plan, on the engine's one
+// worker pool (morsel.For), each pulled to exhaustion into a per-part sink
+// (drive).
 // Results are indexed by part, so output order is deterministic regardless
 // of scheduling.
 // ---------------------------------------------------------------------------
@@ -48,65 +49,10 @@ func splitParallel(p plan.Node, parts int, ctx *Context) []part {
 		return nil
 	}
 	var out []part
-	for _, r := range plan.SplitPipeline(rows, parts, minRowsPerWorker) {
+	for _, r := range morsel.SplitPipeline(rows, parts, minRowsPerWorker) {
 		out = append(out, part{node: p, lo: r[0], hi: r[1]})
 	}
 	return out
-}
-
-// runParts executes fn(i) for i in [0, n) on at most ctx.workers()
-// goroutines. It is the parallel executor boundary: each part checks for
-// cancellation before it starts and runs under panic containment, so one
-// worker's panic becomes an *InternalError instead of killing the process.
-// Every part runs (or observes cancellation) regardless of failures
-// elsewhere; the lowest-indexed error is returned so error reporting is
-// deterministic.
-func runParts(ctx *Context, n int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	call := func(i int) (err error) {
-		defer containPanic("parallel-worker", &err)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return fn(i)
-	}
-	workers := ctx.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := call(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = call(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // partsOf returns p's row-range morsels, or all of p as the only part when
@@ -134,12 +80,12 @@ type sink interface {
 // Sinks come back in part order, which for morsels is serial scan order.
 func drive[S sink](ctx *Context, parts []part, fault string, newSink func(op Operator) (S, error)) ([]S, error) {
 	sinks := make([]S, len(parts))
-	err := runParts(ctx, len(parts), func(i int) (err error) {
+	err := morsel.For(ctx.goCtx, "parallel-worker", ctx.workers(), len(parts), func(_, i int) (err error) {
 		op, err := buildWith(parts[i], ctx)
 		if err != nil {
 			return err
 		}
-		defer containPanic(opLabel(op), &err)
+		defer morsel.Contain(opLabel(op), &err)
 		defer func() {
 			if cerr := op.Close(); err == nil {
 				err = cerr
