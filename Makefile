@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check lint vet build test race bench-api bench bench-pair overhead server-smoke crash chaos-repl chaos-cluster bench-wal bench-obs fuzz-smoke bench-prepared loc
+.PHONY: check lint vet build test race examples bench-api bench bench-pair overhead server-smoke crash chaos-repl chaos-cluster bench-wal bench-obs fuzz-smoke bench-prepared loc
 
-## check: everything CI runs except server-smoke — lint, build, full tests, race, telemetry-overhead smoke, benchmark-module API check
-check: lint build test race overhead bench-api
+## check: everything CI runs except server-smoke — lint, build, full tests, race, telemetry-overhead smoke, benchmark-module API check, the examples
+check: lint build test race overhead bench-api examples
 
 ## lint: go vet and gofmt -l (any file it lists fails the target) always; staticcheck when installed (CI pins and installs it; locally it is optional)
 lint: vet
@@ -32,6 +32,12 @@ race:
 ## loc: print the number of non-test Go lines in tracked files outside cmd/lambdabench (the benchmark module) — the code-size figure the docs quote
 loc:
 	@git ls-files '*.go' ':!*_test.go' ':!cmd/lambdabench' | xargs cat | wc -l
+
+## examples: build and run each program under examples/; every one must exit 0 (classify and clustering are the only end-to-end uses of the NAIVE_BAYES_PREDICT and KMEANS SQL surface outside the tests)
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 ## bench-api: vet and test the benchmark module (cmd/lambdabench, its own go.mod, outside ./...) so a refactor that breaks a name it imports fails here, not in the benchmark run (~9 s)
 bench-api:

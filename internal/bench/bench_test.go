@@ -191,7 +191,8 @@ func TestRunAllSystemsSmoke(t *testing.T) {
 // whatever read it — the k-Means step built the two-key join of dists with
 // mind on dists, k times the larger side. With the init plan's estimate
 // carried over, nothing under the step is estimated at 0 rows and that join
-// builds on mind (the join's first child) and streams dists past it.
+// builds on mind (its right child, so build=right) and streams dists past
+// it.
 func TestWorkingTablesAreEstimatedByTheirInit(t *testing.T) {
 	ds, err := PrepareKMeans(KMeansConfig{N: 600, D: 3, K: 4, Iters: 2, Seed: 11})
 	if err != nil {
@@ -217,8 +218,18 @@ func TestWorkingTablesAreEstimatedByTheirInit(t *testing.T) {
 	if join < 0 || join+2 >= len(lines) {
 		t.Fatalf("no join of dists with mind in the plan:\n%s", strings.Join(lines, "\n"))
 	}
-	if build := lines[join+2]; !strings.Contains(lines[join+1], "Shared") || !strings.Contains(build, "Project id, min(dist)") {
-		t.Errorf("the join builds on %s, want mind (Project id, min(dist))", strings.TrimSpace(build))
+	indent := func(line string) int { return len(line) - len(strings.TrimLeft(line, " ")) }
+	var children []int
+	for i := join + 1; i < len(lines) && indent(lines[i]) > indent(lines[join]); i++ {
+		if indent(lines[i]) == indent(lines[join])+2 {
+			children = append(children, i)
+		}
+	}
+	if len(children) != 2 || !strings.Contains(lines[children[1]+1], "Project id, min(dist)") {
+		t.Fatalf("the join's right child is not mind (Project id, min(dist)):\n%s", strings.Join(lines, "\n"))
+	}
+	if !strings.Contains(lines[join], " build=right") {
+		t.Errorf("the join builds on its left child, want mind: %s", strings.TrimSpace(lines[join]))
 	}
 }
 

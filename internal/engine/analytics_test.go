@@ -290,6 +290,28 @@ func TestNaiveBayesErrors(t *testing.T) {
 	}
 }
 
+// TestNaiveBayesModelFeatureOutsideData: a model relation naming a feature
+// the data does not have is an error that names the feature, however large
+// the number, and the engine goes on to the next statement.
+func TestNaiveBayesModelFeatureOutsideData(t *testing.T) {
+	db := nbTestDB(t)
+	predict := `SELECT label FROM NAIVE_BAYES_PREDICT (
+		(SELECT label, feature, prior, mean, stddev FROM model),
+		(SELECT f1, f2 FROM test))`
+	for _, feature := range []string{"100000000000", "-1"} {
+		db.MustExec(`CREATE TABLE model (label BIGINT, feature BIGINT, prior DOUBLE, mean DOUBLE, stddev DOUBLE)`)
+		db.MustExec(`INSERT INTO model SELECT * FROM NAIVE_BAYES_TRAIN ((SELECT f1, f2, label FROM train))`)
+		db.MustExec(`INSERT INTO model VALUES (1, ` + feature + `, 0.5, 1.0, 1.0)`)
+		if _, err := db.Query(predict); err == nil || !strings.Contains(err.Error(), "feature "+feature+" ") {
+			t.Errorf("feature %s: err = %v, want an error naming it", feature, err)
+		}
+		db.MustExec(`DROP TABLE model`)
+		if r, err := db.Query(`SELECT count(*) FROM test`); err != nil || r.Rows[0][0].I != 4 {
+			t.Fatalf("the next statement after feature %s: %v %v", feature, r, err)
+		}
+	}
+}
+
 func TestIterateNewtonConvergence(t *testing.T) {
 	// Numeric fixpoint through ITERATE: Newton iteration for sqrt(2).
 	db := Open()

@@ -590,8 +590,9 @@ func modelToRelation(m *analytics.NBModel) *Materialized {
 	return out
 }
 
-// relationToModel decodes the model relation back into an NBModel.
-func relationToModel(mat *Materialized) (*analytics.NBModel, error) {
+// relationToModel decodes the model relation back into an NBModel over d
+// features, the data's columns: every feature in [0, d) for every label.
+func relationToModel(mat *Materialized, d int) (*analytics.NBModel, error) {
 	type key struct {
 		label   int64
 		feature int64
@@ -599,18 +600,17 @@ func relationToModel(mat *Materialized) (*analytics.NBModel, error) {
 	priors := map[int64]float64{}
 	means := map[key]float64{}
 	stds := map[key]float64{}
-	maxFeature := int64(-1)
 	for _, b := range mat.Batches {
 		n := b.Len()
 		for i := 0; i < n; i++ {
 			label := b.Cols[0].Ints[i]
 			feature := b.Cols[1].Ints[i]
+			if feature < 0 || feature >= int64(d) {
+				return nil, fmt.Errorf("naive_bayes_predict: model feature %d for label %d is outside the data's %d features", feature, label, d)
+			}
 			priors[label] = b.Cols[2].Floats[i]
 			means[key{label, feature}] = b.Cols[3].Floats[i]
 			stds[key{label, feature}] = b.Cols[4].Floats[i]
-			if feature > maxFeature {
-				maxFeature = feature
-			}
 		}
 	}
 	if len(priors) == 0 {
@@ -621,7 +621,6 @@ func relationToModel(mat *Materialized) (*analytics.NBModel, error) {
 		labels = append(labels, l)
 	}
 	slices.Sort(labels)
-	d := int(maxFeature + 1)
 	m := &analytics.NBModel{Labels: labels}
 	for _, l := range labels {
 		m.Priors = append(m.Priors, priors[l])
@@ -650,14 +649,10 @@ func newNBPredictOp(n *plan.NaiveBayesPredict) *blockingOp {
 		if err != nil {
 			return nil, fmt.Errorf("naive_bayes_predict model: %w", err)
 		}
-		model, err := relationToModel(modelMat)
+		d := len(n.Data.Schema())
+		model, err := relationToModel(modelMat, d)
 		if err != nil {
 			return nil, err
-		}
-		d := len(n.Data.Schema())
-		if len(model.Means) > 0 && len(model.Means[0]) != d {
-			return nil, fmt.Errorf("naive_bayes_predict: model has %d features, data has %d",
-				len(model.Means[0]), d)
 		}
 		return applyModel(n.Data, ctx, "naive_bayes_predict", schema, d, func(*scratch) (func([]float64, []int64) error, error) {
 			return func(rows []float64, labels []int64) error {

@@ -384,6 +384,8 @@ func TestJoinPipelineMatchesSerial(t *testing.T) {
 	joins := map[string]*plan.Join{
 		"inner-hash-residual": {Type: plan.InnerJoin, L: scan(r), R: scan(l),
 			EquiLeft: []int{0}, EquiRight: []int{0}, Residual: vLess(3, 1)},
+		"inner-hash-build-right": {Type: plan.InnerJoin, L: scan(l), R: scan(r),
+			EquiLeft: []int{0}, EquiRight: []int{0}, Residual: vLess(1, 3), BuildRight: true},
 		"left-hash-residual-null-keys": {Type: plan.LeftJoin, L: scan(l), R: scan(r),
 			EquiLeft: []int{0}, EquiRight: []int{0}, Residual: vLess(1, 3)},
 		"left-nested-loop": plan.NewJoin(plan.LeftJoin, scan(l), scan(few),

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"slices"
+
 	"lambdadb/internal/catalog"
 	"lambdadb/internal/expr"
 	"lambdadb/internal/types"
@@ -19,15 +21,16 @@ import (
 //  2. Inner/cross join trees of three or more relations are flattened and
 //     re-assembled greedily, smallest estimated input first, preferring
 //     equi-connected relations (avoiding accidental cross products).
-//  3. Hash-join build sides are chosen by estimated cardinality.
+//  3. Hash-join build sides are chosen by estimated cardinality: a join
+//     records the side it builds on (Join.BuildRight).
 //  4. Selective Filter(Scan) pairs are rewritten into IndexScan probes when
 //     a matching secondary index exists and the estimated selectivity
 //     clears the threshold; non-absorbed conjuncts stay in a residual
 //     Filter above.
 //
-// Every rewrite preserves output column order (restoring Projects are
-// inserted where inputs are permuted — name resolution is already
-// complete, so losing qualifiers is fine, exactly as in chooseBuildSide).
+// Every rewrite preserves output column order: the reorder picks an order
+// only, hands every join conjunct to the placement pass, and restores the
+// original column order with a Project where the order permutes it.
 // ---------------------------------------------------------------------------
 
 // indexScanMaxSelectivity gates index-scan selection: probes estimated to
@@ -158,73 +161,66 @@ type joinLeaf struct {
 	off, width int
 }
 
-// joinCond is one conjunct of the flattened join condition, resolved
-// against the original flattened schema.
+// joinCond is what the greedy order needs of one conjunct of the flattened
+// join condition: the leaves it reads and whether it is an equi-join
+// condition between two of them.
 type joinCond struct {
-	pred    expr.Expr
-	leaves  map[int]bool // leaf ids referenced
-	equi    bool         // ColRef = ColRef across two leaves
-	applied bool
+	leaves map[int]bool
+	equi   bool
 }
 
 // tryReorder flattens j and rebuilds it greedily; returns nil when the
 // tree is too small to bother (fewer than three leaves).
 func tryReorder(j *Join) Node {
-	origSchema := j.Schema()
 	var leaves []joinLeaf
-	var preds []expr.Expr
-	flattenJoin(j, 0, &leaves, &preds)
+	var conj []expr.Expr
+	flattenJoin(j, 0, &leaves, &conj)
 	if len(leaves) < 3 {
 		return nil
 	}
+	schema, quals := j.Schema(), j.Quals()
 	// Reorder nested join trees hiding behind flattening boundaries.
 	for i := range leaves {
 		leaves[i].node = reorderJoins(leaves[i].node)
 	}
-	// Attach leaf ids to each conjunct.
-	conds := make([]*joinCond, 0, len(preds))
-	for _, p := range preds {
-		for _, c := range splitConjuncts(p) {
-			conds = append(conds, analyzeCond(c, leaves))
-		}
+	conds := make([]joinCond, len(conj))
+	for i, c := range conj {
+		conds[i] = analyzeCond(c, leaves)
 	}
-	return buildGreedyJoin(leaves, conds, origSchema)
+	return place(buildGreedyJoin(leaves, conds, schema, quals), conj)
 }
 
-// flattenJoin collects the leaves and join predicates of a maximal
-// inner/cross join tree. Predicates are rebased to the flattened schema
+// flattenJoin collects the leaves and the join conjuncts of a maximal
+// inner/cross join tree. Conjuncts are rebased to the flattened schema
 // (column offsets are global). Returns the subtree's column width.
-func flattenJoin(n Node, off int, leaves *[]joinLeaf, preds *[]expr.Expr) int {
+func flattenJoin(n Node, off int, leaves *[]joinLeaf, conj *[]expr.Expr) int {
 	j, ok := n.(*Join)
 	if !ok || j.Type == LeftJoin {
 		w := len(n.Schema())
 		*leaves = append(*leaves, joinLeaf{node: n, off: off, width: w})
 		return w
 	}
-	lw := flattenJoin(j.L, off, leaves, preds)
-	rw := flattenJoin(j.R, off+lw, leaves, preds)
-	if j.On != nil {
-		*preds = append(*preds, shiftColRefs(j.On, off))
-	}
+	lw := flattenJoin(j.L, off, leaves, conj)
+	rw := flattenJoin(j.R, off+lw, leaves, conj)
+	*conj = append(*conj, splitConjuncts(shiftColRefs(j.On, off))...)
 	return lw + rw
 }
 
 // analyzeCond computes the leaf set of a conjunct and whether it is an
 // equi-join condition between two leaves.
-func analyzeCond(c expr.Expr, leaves []joinLeaf) *joinCond {
+func analyzeCond(c expr.Expr, leaves []joinLeaf) joinCond {
 	refs := map[int]bool{}
 	expr.ReferencedColumns(c, refs)
-	ls := map[int]bool{}
+	jc := joinCond{leaves: map[int]bool{}}
 	for col := range refs {
 		for id, lf := range leaves {
 			if col >= lf.off && col < lf.off+lf.width {
-				ls[id] = true
+				jc.leaves[id] = true
 				break
 			}
 		}
 	}
-	jc := &joinCond{pred: c, leaves: ls}
-	if b, ok := c.(*expr.BinOp); ok && b.Op == expr.OpEq && len(ls) == 2 {
+	if b, ok := c.(*expr.BinOp); ok && b.Op == expr.OpEq && len(jc.leaves) == 2 {
 		_, lIsCol := b.L.(*expr.ColRef)
 		_, rIsCol := b.R.(*expr.ColRef)
 		jc.equi = lIsCol && rIsCol
@@ -232,41 +228,32 @@ func analyzeCond(c expr.Expr, leaves []joinLeaf) *joinCond {
 	return jc
 }
 
-// buildGreedyJoin re-assembles the flattened tree left-deep: start from
-// the smallest leaf, repeatedly join the relation giving the smallest
-// estimated intermediate, preferring equi-connected candidates so cross
-// products are a last resort. A restoring Project re-establishes the
-// original column order when the placement permuted it.
-func buildGreedyJoin(leaves []joinLeaf, conds []*joinCond, origSchema types.Schema) Node {
+// buildGreedyJoin picks a left-deep order: start from the smallest leaf,
+// repeatedly join the relation giving the smallest estimated intermediate,
+// preferring equi-connected candidates so cross products are a last resort.
+// It joins the leaves in that order with no condition, for the placement
+// pass to give each join its conjuncts, and restores the original column
+// order (schema, quals) with a Project when the order permuted it.
+func buildGreedyJoin(leaves []joinLeaf, conds []joinCond, schema types.Schema, quals []string) Node {
 	placed := make([]bool, len(leaves))
-	// pos maps original global column index -> position in the current
-	// intermediate's schema.
-	pos := make([]int, len(origSchema))
-	for i := range pos {
-		pos[i] = -1
-	}
-
 	start := 0
 	for i := 1; i < len(leaves); i++ {
 		if leaves[i].node.Card() < leaves[start].node.Card() {
 			start = i
 		}
 	}
-	cur := leaves[start].node
+	// curCard is cur's estimate once placement has given it its conditions;
+	// until then cur is a cross product.
+	cur, curCard := leaves[start].node, leaves[start].node.Card()
 	placed[start] = true
-	curWidth := leaves[start].width
-	for c := 0; c < leaves[start].width; c++ {
-		pos[leaves[start].off+c] = c
-	}
-
-	for n := 1; n < len(leaves); n++ {
-		next, nextEqui := -1, false
-		nextCard := 0.0
+	order := []int{start}
+	for len(order) < len(leaves) {
+		next, nextEqui, nextCard := -1, false, 0.0
 		for j := range leaves {
 			if placed[j] {
 				continue
 			}
-			equi, card := candidateCost(cur.Card(), leaves[j].node.Card(), j, placed, conds)
+			equi, card := candidateCost(curCard, leaves[j].node.Card(), j, placed, conds)
 			better := next < 0 ||
 				(equi && !nextEqui) ||
 				(equi == nextEqui && card < nextCard)
@@ -274,52 +261,34 @@ func buildGreedyJoin(leaves []joinLeaf, conds []*joinCond, origSchema types.Sche
 				next, nextEqui, nextCard = j, equi, card
 			}
 		}
-		lf := leaves[next]
-		// Collect the conjuncts that become applicable at this step and
-		// localize their column references to concat(cur, leaf).
-		var on []expr.Expr
-		for _, c := range conds {
-			if c.applied || !subsetPlaced(c.leaves, placed, next) {
-				continue
-			}
-			c.applied = true
-			on = append(on, localizeCond(c.pred, pos, lf, curWidth))
-		}
-		j := NewJoin(InnerJoin, cur, lf.node, combineConjuncts(on))
-		for c := 0; c < lf.width; c++ {
-			pos[lf.off+c] = curWidth + c
-		}
-		curWidth += lf.width
+		cur, curCard = NewJoin(InnerJoin, cur, leaves[next].node, nil), nextCard
 		placed[next] = true
-		cur = j
+		order = append(order, next)
 	}
-
-	// Restore the original column order if placement permuted it.
-	identity := true
-	for i := range pos {
-		if pos[i] != i {
-			identity = false
-			break
-		}
-	}
-	if identity {
+	if slices.IsSorted(order) {
 		return cur
 	}
-	exprs := make([]expr.Expr, len(origSchema))
-	names := make([]string, len(origSchema))
-	for i := range origSchema {
-		exprs[i] = &expr.ColRef{Name: origSchema[i].Name, Index: pos[i], Typ: origSchema[i].Type}
-		names[i] = origSchema[i].Name
+	exprs := make([]expr.Expr, len(schema))
+	names := make([]string, len(schema))
+	at := 0
+	for _, id := range order {
+		lf := leaves[id]
+		for c := lf.off; c < lf.off+lf.width; c++ {
+			exprs[c] = &expr.ColRef{Table: quals[c], Name: schema[c].Name, Index: at, Typ: schema[c].Type}
+			names[c] = schema[c].Name
+			at++
+		}
 	}
 	return &Project{Child: cur, Exprs: exprs, Names: names}
 }
 
 // candidateCost estimates the cardinality of joining the current
-// intermediate with leaf j, mirroring Join.Card's shapes.
-func candidateCost(curCard, leafCard float64, j int, placed []bool, conds []*joinCond) (equi bool, card float64) {
+// intermediate with leaf j, mirroring Join.Card's shapes: the conjuncts
+// that join j are those it completes.
+func candidateCost(curCard, leafCard float64, j int, placed []bool, conds []joinCond) (equi bool, card float64) {
 	connected := false
 	for _, c := range conds {
-		if c.applied || !subsetPlaced(c.leaves, placed, j) || !c.leaves[j] {
+		if !c.leaves[j] || !subsetPlaced(c.leaves, placed, j) {
 			continue
 		}
 		connected = true
@@ -349,25 +318,6 @@ func subsetPlaced(ls map[int]bool, placed []bool, next int) bool {
 		}
 	}
 	return true
-}
-
-// localizeCond rewrites a conjunct from global flattened indices to the
-// schema of Join{L: cur, R: leaf}: columns already placed keep pos[g],
-// the new leaf's columns land at curWidth + (g - leaf.off).
-func localizeCond(e expr.Expr, pos []int, lf joinLeaf, curWidth int) expr.Expr {
-	return expr.Rewrite(e, func(n expr.Expr) expr.Expr {
-		c, ok := n.(*expr.ColRef)
-		if !ok || c.Index < 0 {
-			return n
-		}
-		cc := *c
-		if c.Index >= lf.off && c.Index < lf.off+lf.width {
-			cc.Index = curWidth + (c.Index - lf.off)
-		} else {
-			cc.Index = pos[c.Index]
-		}
-		return &cc
-	})
 }
 
 // ---------------------------------------------------------------------------

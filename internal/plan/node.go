@@ -274,6 +274,9 @@ type Join struct {
 	EquiLeft  []int     // key column indices in L's schema
 	EquiRight []int     // key column indices in R's schema
 	Residual  expr.Expr // non-equi remainder, may be nil
+	// BuildRight: an inner join with keys builds on R, not L. Only the
+	// optimizer sets it (chooseBuildSide), to build on the smaller input.
+	BuildRight bool
 }
 
 func (j *Join) Schema() types.Schema {
@@ -300,11 +303,13 @@ func (j *Join) Card() float64 {
 func (j *Join) Children() []Node { return []Node{j.L, j.R} }
 
 // BlockingLeft reports which input the executor materialises before the
-// other streams past it: the left of an inner join with keys
-// (chooseBuildSide put the smaller input there), else the right — a
-// left-outer join must probe with its left, and a join without keys streams
-// its left past every row of its right.
-func (j *Join) BlockingLeft() bool { return j.Type == InnerJoin && len(j.EquiLeft) > 0 }
+// other streams past it: the left of an inner join with keys unless
+// BuildRight is set, else the right — a left-outer join must probe with its
+// left, and a join without keys streams its left past every row of its
+// right.
+func (j *Join) BlockingLeft() bool {
+	return j.Type == InnerJoin && len(j.EquiLeft) > 0 && !j.BuildRight
+}
 
 // Sides returns the join's blocking and streaming inputs.
 func (j *Join) Sides() (blocking, streaming Node) {
@@ -314,10 +319,14 @@ func (j *Join) Sides() (blocking, streaming Node) {
 	return j.R, j.L
 }
 func (j *Join) Explain() string {
+	s := j.Type.String()
 	if j.On != nil {
-		return fmt.Sprintf("%s on %s", j.Type, j.On)
+		s += fmt.Sprintf(" on %s", j.On)
 	}
-	return j.Type.String()
+	if j.BuildRight {
+		s += " build=right"
+	}
+	return s
 }
 
 // AggFunc enumerates aggregate functions.

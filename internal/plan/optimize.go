@@ -31,8 +31,7 @@ func Fold(e expr.Expr) expr.Expr {
 // Optimize applies the rule-based optimizer: one placement pass, then Limit
 // over Sort fuses into a top-k sort. Cost-based decisions (join order, build
 // sides, index scans) follow in OptimizeAccess, which BuildSelect runs right
-// after — build-side swaps insert restoring Projects that would otherwise
-// hide join trees from the reordering pass.
+// after.
 func Optimize(n Node) Node {
 	n = place(n, nil)
 	return rewriteTree(n, fuseTopK)
@@ -50,6 +49,9 @@ func Optimize(n Node) Node {
 func place(n Node, conj []expr.Expr) Node {
 	switch t := n.(type) {
 	case *Filter:
+		if t.Sel > 0 && len(conj) == 0 {
+			return t // on its scan since OptimizeAccess estimated it: keep the estimate
+		}
 		return place(t.Child, append(conjuncts(t.Pred), conj...))
 	case *Alias: // renames qualifiers only, never column positions
 		t.Child = place(t.Child, conj)
@@ -182,49 +184,10 @@ func shiftColRefs(e expr.Expr, delta int) expr.Expr {
 	})
 }
 
-// chooseBuildSide swaps hash-join inputs so the smaller side is the build
-// side (the executor builds on the left).
+// chooseBuildSide builds an inner join with keys on its smaller input.
 func chooseBuildSide(n Node) Node {
-	j, ok := n.(*Join)
-	if !ok || j.Type != InnerJoin || len(j.EquiLeft) == 0 {
-		return n
+	if j, ok := n.(*Join); ok && j.Type == InnerJoin && len(j.EquiLeft) > 0 {
+		j.BuildRight = j.L.Card() > j.R.Card()
 	}
-	if j.L.Card() <= j.R.Card() {
-		return n
-	}
-	nl := len(j.L.Schema())
-	nr := len(j.R.Schema())
-	swapped := NewJoin(InnerJoin, j.R, j.L, remapAcrossSwap(j.On, nl, nr))
-	// Restore the original column order on top.
-	schema := j.Schema()
-	exprs := make([]expr.Expr, len(schema))
-	names := make([]string, len(schema))
-	for i := range schema {
-		src := i + nr // original left columns now live after the right's
-		if i >= nl {
-			src = i - nl // original right columns now lead
-		}
-		exprs[i] = &expr.ColRef{Name: schema[i].Name, Index: src, Typ: schema[i].Type}
-		names[i] = schema[i].Name
-	}
-	return &Project{Child: swapped, Exprs: exprs, Names: names}
-}
-
-// remapAcrossSwap rewrites column indices for a swapped join: old left
-// columns [0,nl) move to [nr, nr+nl), old right columns [nl, nl+nr) move to
-// [0, nr).
-func remapAcrossSwap(e expr.Expr, nl, nr int) expr.Expr {
-	return expr.Rewrite(e, func(n expr.Expr) expr.Expr {
-		c, ok := n.(*expr.ColRef)
-		if !ok || c.Index < 0 {
-			return n
-		}
-		cc := *c
-		if c.Index < nl {
-			cc.Index = c.Index + nr
-		} else {
-			cc.Index = c.Index - nl
-		}
-		return &cc
-	})
+	return n
 }

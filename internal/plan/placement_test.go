@@ -19,7 +19,8 @@ import (
 // unoptimized plans' cross products — with an index on a.v and on b.w. Keys
 // k and j are 1 in every row but NULL in every 7th of a and every 11th of b,
 // so a.k joins b.j across NULLs and b.k BIGINT to DOUBLE; v and w run over
-// 0..19.
+// 0..19. A third table s(j BIGINT, z DOUBLE) has 5 rows, j one of 2, 5, 5,
+// 19 and NULL: the smaller input wherever it is joined.
 func placementDB(t *testing.T) *engine.DB {
 	t.Helper()
 	db := engine.Open()
@@ -40,6 +41,8 @@ func placementDB(t *testing.T) *engine.DB {
 	}
 	db.MustExec("INSERT INTO a VALUES " + strings.Join(as, ", "))
 	db.MustExec("INSERT INTO b VALUES " + strings.Join(bs, ", "))
+	db.MustExec("CREATE TABLE s (j BIGINT, z DOUBLE)")
+	db.MustExec("INSERT INTO s VALUES (2, 0.5), (5, 1.5), (5, 2.5), (19, 3.5), (NULL, 4.5)")
 	db.MustExec("CREATE INDEX a_v ON a (v)")
 	db.MustExec("CREATE INDEX b_w ON b (w)")
 	return db
@@ -121,7 +124,7 @@ func TestOneSidedOnConjunctIsPushed(t *testing.T) {
 	db := placementDB(t)
 	q := "SELECT a.v, b.w, b.y FROM a JOIN b ON a.k = b.j AND b.w = 5"
 	tree := plan.ExplainTree(optimized(t, db, q))
-	join, index := strings.Index(tree, "InnerJoin on (a.k = b.j)\n"), strings.Index(tree, "IndexScan b using b_w (w = 5)")
+	join, index := strings.Index(tree, "InnerJoin on (a.k = b.j)"), strings.Index(tree, "IndexScan b using b_w (w = 5)")
 	if join < 0 || index < join {
 		t.Errorf("b.w = 5 is not an index scan below the join:\n%s", tree)
 	}
@@ -190,6 +193,50 @@ func TestFilterReachesTheScanAtAnyNesting(t *testing.T) {
 	}
 }
 
+// TestReorderKeepsFilterEstimates: the join reorder hands its conditions to
+// the placement pass, which passes over the leaves again; a filter on a
+// scan keeps the selectivity the table's statistics gave it, so the build
+// sides are chosen from the data's estimates.
+func TestReorderKeepsFilterEstimates(t *testing.T) {
+	db := placementDB(t)
+	snap := db.Store().Snapshot()
+	stats := statsOf{}
+	for _, name := range []string{"a", "b"} {
+		tbl, err := db.Store().Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats[name] = plan.CollectTableStats(tbl, snap)
+	}
+	b := plan.NewBuilder(db.Store(), snap)
+	b.Stats = stats
+	n, err := b.BuildSelect(parse(t, "SELECT a.x, b.y, s.z FROM a, b, s WHERE a.v = b.w AND b.w = s.j AND a.x > 11 AND b.y = 's1'"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	filters := 0
+	walk(n, func(m plan.Node) {
+		if f, ok := m.(*plan.Filter); ok {
+			if _, onScan := f.Child.(*plan.Scan); onScan {
+				filters++
+				if f.Sel <= 0 {
+					t.Errorf("Filter %s lost its estimate:\n%s", f.Pred, plan.ExplainTree(n))
+				}
+			}
+		}
+	})
+	if filters != 2 {
+		t.Errorf("%d filters on scans, want 2:\n%s", filters, plan.ExplainTree(n))
+	}
+}
+
+type statsOf map[string]*plan.TableStats
+
+func (s statsOf) TableStats(table string) (*plan.TableStats, bool) {
+	ts, ok := s[table]
+	return ts, ok
+}
+
 // placementCorpus is a set of queries whose conjuncts the placement pass
 // moves, or must not move.
 var placementCorpus = []string{
@@ -230,6 +277,16 @@ var placementCorpus = []string{
 	"SELECT * FROM (SELECT v, count(*) AS n FROM a GROUP BY v) g WHERE v < 3",
 	"SELECT * FROM (SELECT DISTINCT v FROM a) d, b WHERE d.v = b.w AND b.w < 3",
 	"WITH c AS (SELECT v, x FROM a WHERE x > 2) SELECT c1.v, c2.x FROM c c1, c c2 WHERE c1.v = c2.v AND c1.v < 2",
+	// the smaller input on the right: the join builds on it
+	"SELECT a.v, a.x, s.z FROM a JOIN s ON a.v = s.j",
+	"SELECT a.v, s.z FROM a JOIN s ON a.v = s.j AND a.x > s.z WHERE s.z < 4",
+	"SELECT s.j, count(*), sum(a.x) FROM a, s WHERE a.k + 1 = s.j OR a.v = s.j GROUP BY s.j",
+	"SELECT a.v, t.j FROM a JOIN (SELECT s.j FROM b, s WHERE b.w = s.j) t ON a.v = t.j",
+	// three and four tables whose greedy order permutes the columns
+	"SELECT a.x, b.y, s.z FROM a, b, s WHERE a.v = b.w AND b.w = s.j",
+	"SELECT * FROM a JOIN b ON a.k = b.j JOIN s ON b.w = s.j WHERE a.v < 6 AND a.x < s.z + 8",
+	"SELECT * FROM a, b, s, a c WHERE a.v = s.j AND b.w = s.j AND c.v = b.w AND c.x < 4 AND a.x + c.x > b.w",
+	"SELECT a.v, c.x, s.z, b.y FROM a, a c, b, s WHERE a.v = c.v AND c.v + 0 = b.w AND s.j = a.v AND b.y <> 's0'",
 }
 
 // TestPlacementKeepsResults: for every query of the corpus, the optimized

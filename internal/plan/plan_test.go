@@ -160,8 +160,8 @@ func TestPushdownSkipsLeftJoin(t *testing.T) {
 
 func TestBuildSideSwap(t *testing.T) {
 	s := testStore(t)
-	// t (100 rows) JOIN u (10 rows): the optimizer must put u on the build
-	// (left) side and restore column order with a projection.
+	// t (100 rows) JOIN u (10 rows): the optimizer must build on u, and
+	// keep the inputs where the query put them.
 	n := buildPlan(t, s, `SELECT t.a, u.v FROM t JOIN u ON t.a = u.a`)
 	var join *Join
 	var walk func(Node)
@@ -177,7 +177,8 @@ func TestBuildSideSwap(t *testing.T) {
 	if join == nil {
 		t.Fatalf("no join:\n%s", ExplainTree(n))
 	}
-	if ls, ok := join.L.(*Scan); !ok || ls.Alias != "u" {
+	build, _ := join.Sides()
+	if bs, ok := build.(*Scan); !ok || bs.Alias != "u" {
 		t.Errorf("build side should be u:\n%s", ExplainTree(n))
 	}
 }
