@@ -169,7 +169,7 @@ func (s *Session) execDelete(ctx context.Context, n *sql.Delete, args []types.Va
 // the WHERE match vector. It is governed like runPlan — statement timeout
 // applied, ctx checked before each cursor batch — so a timed-out or
 // cancelled DML scan stops, the autocommit transaction rolls back, and an
-// explicit one aborts (abortOnError).
+// explicit one aborts (AbortOnError).
 func (s *Session) scanMatching(ctx context.Context, tbl *storage.Table, pred expr.Evaluator,
 	fn func(tx *storage.Txn, b *types.Batch, rowIDs []int, match []bool) error) error {
 	ctx, cancel := s.withStmtTimeout(ctx)

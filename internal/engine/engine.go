@@ -284,14 +284,53 @@ func (db *DB) Workers() int { return db.workers }
 type Result struct {
 	// Columns names the result columns (empty for DML).
 	Columns []string
-	// Types holds the result column types, aligned with Columns. It may be
-	// empty for results not derived from a plan (e.g. EXPLAIN text);
-	// consumers that need types should fall back to inspecting row values.
+	// Types holds the result column types, aligned with Columns.
 	Types []types.Type
-	// Rows holds the result rows (nil for DML).
+	// Batches is the result relation, as the executor materialised it: the
+	// primary form of every result with columns. It is read-only, may alias
+	// storage views, and stays valid after the statement.
+	Batches []*types.Batch
+	// Rows is the embedded adapter: Batches as value rows. The exported
+	// row-returning entry points (Exec, Query, ExecutePrepared) fill it;
+	// ExecColumns and ExecutePreparedColumns leave it nil. Nil for DML.
+	// Every row is a slice of one shared allocation, so a caller that keeps
+	// a few rows of a large result should copy them.
 	Rows [][]types.Value
 	// Affected counts rows touched by DML.
 	Affected int
+}
+
+// rowResult is the result of a statement whose answer the engine builds
+// row by row (EXPLAIN, ANALYZE, CHECKPOINT, PROMOTE): one relation of the
+// given columns holding rows.
+func rowResult(columns []string, colTypes []types.Type, rows [][]types.Value) *Result {
+	schema := make(types.Schema, len(columns))
+	for i, name := range columns {
+		schema[i] = types.ColumnInfo{Name: name, Type: colTypes[i]}
+	}
+	m := &exec.Materialized{Schema: schema}
+	for _, row := range rows {
+		m.AppendRow(row)
+	}
+	return &Result{Columns: columns, Types: colTypes, Batches: m.Batches}
+}
+
+// withRows is the one adapter from a result's batches to its Rows, behind
+// every exported entry point that returns rows.
+func withRows(res *Result, err error) (*Result, error) {
+	if err == nil && res != nil && len(res.Columns) > 0 {
+		res.Rows = (&exec.Materialized{Batches: res.Batches}).Rows()
+	}
+	return res, err
+}
+
+// numRows counts the result's rows from its batches.
+func (r *Result) numRows() int {
+	n := 0
+	for _, b := range r.Batches {
+		n += b.Len()
+	}
+	return n
 }
 
 // String renders the result as an aligned text table.
@@ -367,7 +406,7 @@ func (db *DB) Query(text string) (*Result, error) {
 func (db *DB) QueryContext(ctx context.Context, text string) (*Result, error) {
 	s := db.NewSession()
 	defer s.Close()
-	return s.exec(ctx, text, true)
+	return withRows(s.exec(ctx, text, true))
 }
 
 // MustExec is Exec that panics on error (tests, examples).
@@ -451,11 +490,14 @@ func (s *Session) InTransaction() bool {
 
 var errSessionClosed = fmt.Errorf("session is closed")
 
-// abortOnError enforces the abort-on-error rule: a failed statement rolls
+// AbortOnError enforces the abort-on-error rule: a failed statement rolls
 // back any open explicit transaction rather than leaving it silently open.
 // The returned error notes the rollback so the caller knows the
-// transaction is gone.
-func (s *Session) abortOnError(err error) error {
+// transaction is gone. Every statement error passes through it; the network
+// server also calls it when a statement's result cannot be delivered (one
+// over the frame limit), which fails that statement for the client and its
+// transaction, while the query log keeps what the statement itself did.
+func (s *Session) AbortOnError(err error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.txn == nil {
@@ -476,6 +518,12 @@ func (s *Session) Exec(text string) (*Result, error) {
 // statement failure, or cancellation — aborts an open explicit transaction
 // (see Session).
 func (s *Session) ExecContext(ctx context.Context, text string) (*Result, error) {
+	return withRows(s.ExecColumns(ctx, text))
+}
+
+// ExecColumns is ExecContext without the row adapter: the result carries
+// its Batches and leaves Rows nil. The network server encodes from it.
+func (s *Session) ExecColumns(ctx context.Context, text string) (*Result, error) {
 	return s.exec(ctx, text, false)
 }
 
@@ -488,7 +536,7 @@ func (s *Session) ExecContext(ctx context.Context, text string) (*Result, error)
 func (s *Session) exec(ctx context.Context, text string, selectOnly bool) (*Result, error) {
 	res, err := s.execScript(ctx, text, selectOnly)
 	if err != nil {
-		return nil, s.abortOnError(err)
+		return nil, s.AbortOnError(err)
 	}
 	return res, nil
 }
@@ -654,14 +702,8 @@ func (s *Session) execStatement(ctx context.Context, st *stmt, ast sql.Statement
 		if err != nil {
 			return nil, err
 		}
-		return &Result{
-			Columns: []string{"clock", "segments_removed"},
-			Types:   []types.Type{types.Int64, types.Int64},
-			Rows: [][]types.Value{{
-				types.NewInt(int64(stats.Clock)),
-				types.NewInt(int64(stats.SegmentsRemoved)),
-			}},
-		}, nil
+		return rowResult([]string{"clock", "segments_removed"}, []types.Type{types.Int64, types.Int64},
+			[][]types.Value{{types.NewInt(int64(stats.Clock)), types.NewInt(int64(stats.SegmentsRemoved))}}), nil
 	case *sql.Promote:
 		cc := s.db.clusterCtl
 		if cc == nil {
@@ -671,11 +713,7 @@ func (s *Session) execStatement(ctx context.Context, st *stmt, ast sql.Statement
 		if err != nil {
 			return nil, err
 		}
-		return &Result{
-			Columns: []string{"epoch"},
-			Types:   []types.Type{types.Int64},
-			Rows:    [][]types.Value{{types.NewInt(int64(epoch))}},
-		}, nil
+		return rowResult([]string{"epoch"}, []types.Type{types.Int64}, [][]types.Value{{types.NewInt(int64(epoch))}}), nil
 	case *sql.Follow:
 		cc := s.db.clusterCtl
 		if cc == nil {
@@ -848,7 +886,7 @@ func (s *Session) runSelect(ctx context.Context, st *stmt, tmpl plan.Node, args 
 	for i, c := range mat.Schema {
 		colTypes[i] = c.Type
 	}
-	return &Result{Columns: mat.Schema.Names(), Types: colTypes, Rows: mat.Rows()}, nil
+	return &Result{Columns: mat.Schema.Names(), Types: colTypes, Batches: mat.Batches}, nil
 }
 
 // Explain returns the plan of a SELECT or DML statement as text without

@@ -31,11 +31,11 @@ func (s *Session) execExplain(ctx context.Context, st *stmt, n *sql.Explain) (*R
 		}
 		lines = plain
 	}
-	res := &Result{Columns: []string{"plan"}}
-	for _, line := range lines {
-		res.Rows = append(res.Rows, []types.Value{types.NewString(line)})
+	rows := make([][]types.Value, len(lines))
+	for i, line := range lines {
+		rows[i] = []types.Value{types.NewString(line)}
 	}
-	return res, nil
+	return rowResult([]string{"plan"}, []types.Type{types.String}, rows), nil
 }
 
 // explainLines renders the static plan of a statement, one line per row.
@@ -109,7 +109,7 @@ func (s *Session) explainAnalyze(ctx context.Context, st *stmt, ast sql.Statemen
 			return nil, err
 		}
 	}
-	rows := int64(len(res.Rows)) + int64(res.Affected)
+	rows := int64(res.numRows()) + int64(res.Affected)
 	lines = append(lines,
 		"",
 		fmt.Sprintf("Execution time: %s", dur.Round(time.Microsecond)),

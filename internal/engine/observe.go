@@ -53,7 +53,7 @@ func (s *Session) execLogged(ctx context.Context, st *stmt, text string, kind sq
 	status := telemetry.StatusOf(err)
 	var returned, affected int64
 	if res != nil {
-		returned = int64(len(res.Rows))
+		returned = int64(res.numRows())
 		affected = int64(res.Affected)
 	}
 	errText := ""

@@ -204,9 +204,16 @@ func (s *Session) Prepared() []string {
 // of EXECUTE: the network server's Bind frames route here so repeated
 // executions skip SQL text entirely.
 func (s *Session) ExecutePrepared(ctx context.Context, name string, args []types.Value) (*Result, error) {
+	return withRows(s.ExecutePreparedColumns(ctx, name, args))
+}
+
+// ExecutePreparedColumns is ExecutePrepared without the row adapter: the
+// result carries its Batches and leaves Rows nil. The network server's
+// Bind frames route here.
+func (s *Session) ExecutePreparedColumns(ctx context.Context, name string, args []types.Value) (*Result, error) {
 	res, err := s.executePrepared(ctx, name, args)
 	if err != nil {
-		return nil, s.abortOnError(err)
+		return nil, s.AbortOnError(err)
 	}
 	return res, nil
 }

@@ -94,20 +94,15 @@ func (s *Session) execAnalyze(n *sql.Analyze) (*Result, error) {
 		names = s.db.store.TableNames()
 		sort.Strings(names)
 	}
-	res := &Result{
-		Columns: []string{"table", "rows"},
-		Types:   []types.Type{types.String, types.Int64},
-	}
+	var rows [][]types.Value
 	for _, name := range names {
 		ts, err := s.db.analyzeTable(name, snap)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, []types.Value{
-			types.NewString(name), types.NewInt(ts.RowCount),
-		})
+		rows = append(rows, []types.Value{types.NewString(name), types.NewInt(ts.RowCount)})
 	}
-	return res, nil
+	return rowResult([]string{"table", "rows"}, []types.Type{types.String, types.Int64}, rows), nil
 }
 
 // indexKindFromSQL maps the parsed USING spelling to the storage kind;

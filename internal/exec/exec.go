@@ -164,15 +164,64 @@ func (m *Materialized) AppendRow(row []types.Value) {
 	m.NumRows++
 }
 
-// Rows flattens the result into value rows (client/result use).
+// Rows flattens the result into value rows, the embedded caller's form.
+// The values sit in one slab, filled column by column, and each row is a
+// three-index slice of it, so appending to one row never reaches the next;
+// a caller that keeps a few rows of a large result keeps the whole slab, and
+// should copy them.
 func (m *Materialized) Rows() [][]types.Value {
-	out := make([][]types.Value, 0, m.NumRows)
+	n := 0
 	for _, b := range m.Batches {
-		for i := 0; i < b.Len(); i++ {
-			out = append(out, b.Row(i))
+		n += b.Len()
+	}
+	out := make([][]types.Value, n)
+	if n == 0 {
+		return out
+	}
+	width := len(m.Batches[0].Cols)
+	slab := make([]types.Value, n*width)
+	for r := range out {
+		out[r] = slab[r*width : (r+1)*width : (r+1)*width]
+	}
+	base := 0
+	for _, b := range m.Batches {
+		for j, c := range b.Cols {
+			pivotColumn(slab[base*width+j:], width, c, b.Len())
 		}
+		base += b.Len()
 	}
 	return out
+}
+
+// pivotColumn writes the first n values of c to dst[0], dst[stride], ...:
+// what c.Value(i) returns, one typed loop per column type. The slab is
+// zeroed, and the zero Value is what a non-NULL Unknown cell reads as.
+func pivotColumn(dst []types.Value, stride int, c *types.Column, n int) {
+	switch c.T {
+	case types.Int64:
+		for i, x := range c.Ints[:n] {
+			dst[i*stride] = types.NewInt(x)
+		}
+	case types.Float64:
+		for i, x := range c.Floats[:n] {
+			dst[i*stride] = types.NewFloat(x)
+		}
+	case types.String:
+		for i, x := range c.Strs[:n] {
+			dst[i*stride] = types.NewString(x)
+		}
+	case types.Bool:
+		for i, x := range c.Bools[:n] {
+			dst[i*stride] = types.NewBool(x)
+		}
+	}
+	if c.Nulls != nil {
+		for i, null := range c.Nulls[:n] {
+			if null {
+				dst[i*stride] = types.NewNull(c.T)
+			}
+		}
+	}
 }
 
 // SliceRows returns batches covering rows [lo, hi) of the materialized

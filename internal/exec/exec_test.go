@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -381,5 +382,42 @@ func TestScanRangeRestriction(t *testing.T) {
 	rows := m.Rows()
 	if rows[0][0].I != 100 {
 		t.Errorf("first row = %v", rows[0])
+	}
+}
+
+// TestMaterializedRowsMatchBatchRow: the slab pivot gives every row as
+// Batch.Row does, over every column type, NULLs and an Unknown column, and
+// no row's capacity reaches into the next.
+func TestMaterializedRowsMatchBatchRow(t *testing.T) {
+	schema := types.Schema{
+		{Name: "i", Type: types.Int64}, {Name: "f", Type: types.Float64},
+		{Name: "s", Type: types.String}, {Name: "b", Type: types.Bool},
+		{Name: "u", Type: types.Unknown},
+	}
+	m := &Materialized{Schema: schema}
+	var want [][]types.Value
+	for _, n := range []int{3, 0, types.BatchSize, 5} {
+		b := types.NewBatch(schema)
+		for i := range n {
+			row := []types.Value{types.NewInt(int64(i)), types.NewFloat(float64(i) / 2),
+				types.NewString(fmt.Sprint("s", i)), types.NewBool(i%2 == 0), types.NewNull(types.Unknown)}
+			if i%3 == 0 {
+				row[i%4] = types.NewNull(row[i%4].T)
+			}
+			b.AppendRow(row)
+		}
+		for i := range b.Len() {
+			want = append(want, b.Row(i))
+		}
+		m.Append(b)
+	}
+	got := m.Rows()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Rows() differs from Batch.Row")
+	}
+	for i, row := range got {
+		if cap(row) != len(row) {
+			t.Fatalf("row %d: capacity %d beyond its %d values", i, cap(row), len(row))
+		}
 	}
 }

@@ -20,7 +20,9 @@ import (
 )
 
 // Result is one request's outcome: either a typed result set (Columns,
-// Types, Rows) or an affected-row count.
+// Types, Rows) or an affected-row count. The rows of a result set share one
+// slab of values (wire.DecodeResultSet), so a caller that keeps a few rows
+// of a large result should copy them.
 type Result struct {
 	Columns  []string
 	Types    []types.Type

@@ -351,13 +351,13 @@ func (c *conn) execute(ctx context.Context, typ byte, req []byte) (byte, []byte)
 	var err error
 	switch typ {
 	case wire.Query:
-		res, err = c.sess.ExecContext(ctx, string(body))
+		res, err = c.sess.ExecColumns(ctx, string(body))
 	case wire.Prepare:
 		// Routed through PREPARE text: the statement is parsed once here and
 		// never again on Bind.
 		var name, stmt string
 		if name, stmt, err = wire.DecodePrepare(body); err == nil {
-			res, err = c.sess.ExecContext(ctx, "PREPARE "+name+" AS "+stmt)
+			res, err = c.sess.ExecColumns(ctx, "PREPARE "+name+" AS "+stmt)
 		}
 	case wire.Bind:
 		// The fast path: no SQL text at all — the prepared template's cached
@@ -365,30 +365,36 @@ func (c *conn) execute(ctx context.Context, typ byte, req []byte) (byte, []byte)
 		var name string
 		var args []types.Value
 		if name, args, err = wire.DecodeBind(body); err == nil {
-			res, err = c.sess.ExecutePrepared(ctx, name, args)
+			res, err = c.sess.ExecutePreparedColumns(ctx, name, args)
 		}
 	case wire.Deallocate:
 		if len(body) == 0 {
-			res, err = c.sess.ExecContext(ctx, "DEALLOCATE ALL")
+			res, err = c.sess.ExecColumns(ctx, "DEALLOCATE ALL")
 		} else {
-			res, err = c.sess.ExecContext(ctx, "DEALLOCATE "+string(body))
+			res, err = c.sess.ExecColumns(ctx, "DEALLOCATE "+string(body))
 		}
 	default:
 		err = fmt.Errorf("unsupported request frame %q", typ)
+	}
+	if err == nil && res != nil && len(res.Columns) > 0 {
+		// A result too large for one frame fails here, as the statement
+		// does: an open transaction is rolled back, and the session and the
+		// connection stay.
+		payload, encErr := wire.EncodeBatches(ctx, res.Columns, res.Types, res.Batches, c.srv.db.Workers())
+		if encErr == nil {
+			return wire.Result, payload
+		}
+		err = c.sess.AbortOnError(encErr)
 	}
 	if err != nil {
 		c.srv.log.Warn("statement error", "session", c.id, "trace_id", traceID, "err", err.Error())
 		return wire.Error, wire.AppendTraced(traceID, classifyError(err))
 	}
-	if res == nil || len(res.Columns) == 0 {
-		affected := 0
-		if res != nil {
-			affected = res.Affected
-		}
-		return wire.Affected, strconv.AppendInt(nil, int64(affected), 10)
+	affected := 0
+	if res != nil {
+		affected = res.Affected
 	}
-	rs := &wire.ResultSet{Columns: res.Columns, Types: resultTypes(res), Rows: res.Rows}
-	return wire.Result, wire.EncodeResultSet(rs)
+	return wire.Affected, strconv.AppendInt(nil, int64(affected), 10)
 }
 
 // classifyError renders an error body for the wire, prefixing the
@@ -409,24 +415,6 @@ func classifyError(err error) []byte {
 		return wire.EncodeErrorCode(wire.CodeRetryable, nil, err.Error())
 	}
 	return []byte(err.Error())
-}
-
-// resultTypes returns the column types of a result, falling back to the
-// first row's value types (then VARCHAR) for results that carry none,
-// e.g. EXPLAIN text.
-func resultTypes(res *engine.Result) []types.Type {
-	if len(res.Types) == len(res.Columns) {
-		return res.Types
-	}
-	out := make([]types.Type, len(res.Columns))
-	for i := range out {
-		if len(res.Rows) > 0 && i < len(res.Rows[0]) && res.Rows[0][i].T != types.Unknown {
-			out[i] = res.Rows[0][i].T
-		} else {
-			out[i] = types.String
-		}
-	}
-	return out
 }
 
 // beginStatement marks the connection busy; it reports false when the

@@ -12,15 +12,25 @@
 // values. Value text escapes backslash, tab, newline, and carriage return
 // as '\\', '\t', '\n', '\r', and spells NULL as '\N', so every string value
 // round-trips and the separators stay unambiguous.
+//
+// Two encoders write the same bytes: EncodeResultSet from value rows, and
+// EncodeBatches, which the server uses, straight from a result's column
+// batches. Both ends of a Result frame work in parts on the engine's worker
+// pool (package morsel): EncodeBatches encodes fixed row counts and joins
+// them, DecodeResultSet decodes byte ranges cut at line ends into one slab
+// of values.
 package wire
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
 
+	"lambdadb/internal/morsel"
 	"lambdadb/internal/types"
 )
 
@@ -111,15 +121,7 @@ type ResultSet struct {
 
 // EncodeResultSet renders a result set as a Result payload.
 func EncodeResultSet(rs *ResultSet) []byte {
-	var b []byte
-	for i, name := range rs.Columns {
-		if i > 0 {
-			b = append(b, '\t')
-		}
-		b = appendEscaped(b, name)
-		b = append(b, ':')
-		b = append(b, rs.Types[i].String()...)
-	}
+	b := appendHeader(nil, rs.Columns, rs.Types)
 	for _, row := range rs.Rows {
 		b = append(b, '\n')
 		for i, v := range row {
@@ -132,10 +134,142 @@ func EncodeResultSet(rs *ResultSet) []byte {
 	return b
 }
 
-// DecodeResultSet parses a Result payload.
+// encodePartRows is how many rows EncodeBatches encodes as one part.
+const encodePartRows = 4096
+
+// EncodeBatches renders a relation, its column names, types and batches,
+// as a Result payload: byte for byte what EncodeResultSet writes for the
+// same rows, without building a value per cell. The rows are cut into parts
+// of encodePartRows rows, encoded on the worker pool with workers workers
+// and joined once. A payload over MaxFrame is an error naming its size,
+// returned before the join. Cancelling ctx stops the parts not yet begun.
+func EncodeBatches(ctx context.Context, columns []string, colTypes []types.Type, batches []*types.Batch, workers int) ([]byte, error) {
+	head := appendHeader(nil, columns, colTypes)
+	parts := cutRows(batches, encodePartRows)
+	bufs := make([][]byte, len(parts))
+	if err := morsel.For(ctx, "wire encode", workers, len(parts), func(_, p int) error {
+		bufs[p] = appendRows(make([]byte, 0, partBytes(parts[p], len(columns))), parts[p])
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	total := len(head)
+	for _, buf := range bufs {
+		total += len(buf)
+	}
+	if total > MaxFrame {
+		return nil, fmt.Errorf("wire: the %d-byte result exceeds the %d-byte frame limit", total, MaxFrame)
+	}
+	out := append(make([]byte, 0, total), head...)
+	for _, buf := range bufs {
+		out = append(out, buf...)
+	}
+	return out, nil
+}
+
+// rowSpan is rows [lo, hi) of one batch.
+type rowSpan struct {
+	b      *types.Batch
+	lo, hi int
+}
+
+// cutRows cuts the rows of batches into parts of per rows each, the last
+// one shorter.
+func cutRows(batches []*types.Batch, per int) [][]rowSpan {
+	var parts [][]rowSpan
+	var part []rowSpan
+	room := per
+	for _, b := range batches {
+		for lo, n := 0, b.Len(); lo < n; {
+			hi := min(n, lo+room)
+			part = append(part, rowSpan{b, lo, hi})
+			room -= hi - lo
+			lo = hi
+			if room == 0 {
+				parts, part, room = append(parts, part), nil, per
+			}
+		}
+	}
+	if part != nil {
+		parts = append(parts, part)
+	}
+	return parts
+}
+
+// partBytes guesses the encoded size of a part's rows: 8 bytes a cell.
+func partBytes(spans []rowSpan, width int) int {
+	rows := 0
+	for _, s := range spans {
+		rows += s.hi - s.lo
+	}
+	return rows * width * 8
+}
+
+// appendRows encodes the rows of spans, each line led by its newline.
+func appendRows(b []byte, spans []rowSpan) []byte {
+	for _, s := range spans {
+		for i := s.lo; i < s.hi; i++ {
+			b = append(b, '\n')
+			for j, c := range s.b.Cols {
+				if j > 0 {
+					b = append(b, '\t')
+				}
+				b = appendCell(b, c, i)
+			}
+		}
+	}
+	return b
+}
+
+// appendCell encodes row i of c as appendValue encodes c.Value(i), reading
+// the column's typed slice directly.
+func appendCell(b []byte, c *types.Column, i int) []byte {
+	if c.IsNull(i) {
+		return append(b, nullText...)
+	}
+	switch c.T {
+	case types.Int64:
+		return strconv.AppendInt(b, c.Ints[i], 10)
+	case types.Float64:
+		return strconv.AppendFloat(b, c.Floats[i], 'g', -1, 64)
+	case types.Bool:
+		return strconv.AppendBool(b, c.Bools[i])
+	case types.String:
+		return appendEscaped(b, c.Strs[i])
+	}
+	return appendValue(b, c.Value(i))
+}
+
+// appendHeader writes the header line: escaped name:TYPE fields joined by
+// tabs.
+func appendHeader(b []byte, columns []string, colTypes []types.Type) []byte {
+	for i, name := range columns {
+		if i > 0 {
+			b = append(b, '\t')
+		}
+		b = appendEscaped(b, name)
+		b = append(b, ':')
+		b = append(b, colTypes[i].String()...)
+	}
+	return b
+}
+
+// decodePartBytes is about how many payload bytes DecodeResultSet decodes
+// as one part; parts end at line ends.
+const decodePartBytes = 64 << 10
+
+// DecodeResultSet parses a Result payload. The body is cut at line ends
+// into parts of about decodePartBytes, counted and then decoded on the
+// worker pool into one slab of values: every row shares it, so a caller
+// that keeps a few rows of a large result should copy them. The error is
+// the one a front-to-back decode meets first.
 func DecodeResultSet(payload []byte) (*ResultSet, error) {
-	lines := strings.Split(string(payload), "\n")
-	header := strings.Split(lines[0], "\t")
+	return decodeResultSet(payload, runtime.GOMAXPROCS(0))
+}
+
+func decodeResultSet(payload []byte, workers int) (*ResultSet, error) {
+	head, body, hasBody := strings.Cut(string(payload), "\n")
+	header := strings.Split(head, "\t")
 	rs := &ResultSet{
 		Columns: make([]string, len(header)),
 		Types:   make([]types.Type, len(header)),
@@ -152,23 +286,80 @@ func DecodeResultSet(payload []byte) (*ResultSet, error) {
 		rs.Columns[i] = name
 		rs.Types[i] = typeFromName(h[colon+1:])
 	}
-	rs.Rows = make([][]types.Value, 0, len(lines)-1)
-	for _, line := range lines[1:] {
-		fields := strings.Split(line, "\t")
-		if len(fields) != len(header) {
-			return nil, fmt.Errorf("wire: row has %d fields, header has %d", len(fields), len(header))
+	if !hasBody {
+		rs.Rows = [][]types.Value{}
+		return rs, nil
+	}
+	parts := cutLines(body, decodePartBytes)
+	// Part p holds rows [rowAt[p], rowAt[p+1]) and, when every row has
+	// the header's width, values [valAt[p], valAt[p+1]): one per field, so
+	// the slab is sized by the payload's separators, whatever it claims.
+	rowAt := make([]int, len(parts)+1)
+	valAt := make([]int, len(parts)+1)
+	if err := morsel.For(context.TODO(), "wire decode", workers, len(parts), func(_, p int) error {
+		rows := strings.Count(parts[p], "\n") + 1
+		rowAt[p+1], valAt[p+1] = rows, rows+strings.Count(parts[p], "\t")
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for p := range parts {
+		rowAt[p+1] += rowAt[p]
+		valAt[p+1] += valAt[p]
+	}
+	rs.Rows = make([][]types.Value, rowAt[len(parts)])
+	slab := make([]types.Value, valAt[len(parts)])
+	if err := morsel.For(context.TODO(), "wire decode", workers, len(parts), func(_, p int) error {
+		return rs.decodeRows(parts[p], rs.Rows[rowAt[p]:rowAt[p+1]], slab[valAt[p]:valAt[p+1]])
+	}); err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
+
+// cutLines cuts newline-separated text into parts of whole lines, each
+// about size bytes; the newline at a cut belongs to neither side.
+func cutLines(text string, size int) []string {
+	var parts []string
+	for len(text) > size {
+		i := strings.IndexByte(text[size:], '\n')
+		if i < 0 {
+			break
 		}
-		row := make([]types.Value, len(fields))
-		for i, f := range fields {
-			v, err := decodeValue(f, rs.Types[i])
+		parts = append(parts, text[:size+i])
+		text = text[size+i+1:]
+	}
+	return append(parts, text)
+}
+
+// decodeRows decodes the lines of text into rows, each a three-index slice
+// of slab, so appending to one row never reaches the next.
+func (rs *ResultSet) decodeRows(text string, rows [][]types.Value, slab []types.Value) error {
+	width := len(rs.Types)
+	for r := range rows {
+		line := text
+		if i := strings.IndexByte(text, '\n'); i >= 0 {
+			line, text = text[:i], text[i+1:]
+		}
+		if fields := strings.Count(line, "\t") + 1; fields != width {
+			return fmt.Errorf("wire: row has %d fields, header has %d", fields, width)
+		}
+		row := slab[:width:width]
+		slab = slab[width:]
+		for i := range row {
+			field := line
+			if k := strings.IndexByte(line, '\t'); k >= 0 {
+				field, line = line[:k], line[k+1:]
+			}
+			v, err := decodeValue(field, rs.Types[i])
 			if err != nil {
-				return nil, fmt.Errorf("wire: column %q: %w", rs.Columns[i], err)
+				return fmt.Errorf("wire: column %q: %w", rs.Columns[i], err)
 			}
 			row[i] = v
 		}
-		rs.Rows = append(rs.Rows, row)
+		rows[r] = row
 	}
-	return rs, nil
+	return nil
 }
 
 // typeFromName maps the SQL spelling produced by types.Type.String back to
@@ -187,10 +378,13 @@ func typeFromName(s string) types.Type {
 	return types.Unknown
 }
 
+// nullText spells NULL.
+const nullText = `\N`
+
 // appendValue encodes one value.
 func appendValue(b []byte, v types.Value) []byte {
 	if v.Null {
-		return append(b, '\\', 'N')
+		return append(b, nullText...)
 	}
 	switch v.T {
 	case types.Int64:
@@ -262,7 +456,7 @@ func appendEscaped(b []byte, s string) []byte {
 // unescape reverses appendEscaped; the bare token `\N` decodes as NULL
 // (a literal backslash-N string value arrives as `\\N`).
 func unescape(s string) (text string, isNull bool, err error) {
-	if s == `\N` {
+	if s == nullText {
 		return "", true, nil
 	}
 	if !strings.ContainsRune(s, '\\') {
