@@ -181,6 +181,108 @@ func (a *aggAcc) fold(f plan.AggFunc, ids []int32, arg *types.Column) {
 	}
 }
 
+// foldAll is fold for a key-less aggregate, whose n rows are all group 0:
+// the count grows by the non-NULL rows, and the sums and extremes fold into
+// locals that are stored once, adding in the row order fold adds in, so
+// every sum has the same bits.
+func (a *aggAcc) foldAll(f plan.AggFunc, n int, arg *types.Column) {
+	var nulls []bool
+	if arg != nil && arg.Nulls != nil {
+		nulls = arg.Nulls[:n]
+	}
+	if a.count != nil {
+		k := n
+		for _, null := range nulls {
+			if null {
+				k--
+			}
+		}
+		a.count[0] += int64(k)
+	}
+	switch f {
+	case plan.AggSum, plan.AggAvg:
+		switch arg.T {
+		case types.Int64:
+			a.sumLo[0], a.sumHi[0] = sumInts(arg.Ints[:n], nulls, a.sumLo[0], a.sumHi[0])
+		case types.Float64:
+			a.sumF[0] = sumFloats(arg.Floats[:n], nulls, a.sumF[0])
+		}
+	case plan.AggStddev, plan.AggVariance:
+		switch arg.T {
+		case types.Int64:
+			a.sumF[0], a.sumSq[0] = sumSquares(arg.Ints[:n], nulls, a.sumF[0], a.sumSq[0])
+		case types.Float64:
+			a.sumF[0], a.sumSq[0] = sumSquares(arg.Floats[:n], nulls, a.sumF[0], a.sumSq[0])
+		}
+	case plan.AggMin, plan.AggMax:
+		switch arg.T {
+		case types.Int64:
+			a.extI[0], a.extNull[0] = extremeOf(arg.Ints[:n], nulls, a.extI[0], a.extNull[0], f == plan.AggMax)
+		case types.Float64:
+			a.extF[0], a.extNull[0] = extremeOf(arg.Floats[:n], nulls, a.extF[0], a.extNull[0], f == plan.AggMax)
+		default:
+			for i := range n {
+				if v := arg.Value(i); better(v, a.ext[0], f) {
+					a.ext[0] = v
+				}
+			}
+		}
+	}
+}
+
+// sumFloats adds the non-NULL values to sum in row order.
+func sumFloats(vals []float64, nulls []bool, sum float64) float64 {
+	if nulls == nil {
+		for _, v := range vals {
+			sum += v
+		}
+		return sum
+	}
+	for i, v := range vals {
+		if !nulls[i] {
+			sum += v
+		}
+	}
+	return sum
+}
+
+// sumInts adds the non-NULL values to the 128-bit sum (hi, lo).
+func sumInts(vals []int64, nulls []bool, lo uint64, hi int64) (uint64, int64) {
+	for i, v := range vals {
+		if nulls == nil || !nulls[i] {
+			var carry uint64
+			lo, carry = bits.Add64(lo, uint64(v), 0)
+			hi += v>>63 + int64(carry)
+		}
+	}
+	return lo, hi
+}
+
+// sumSquares is sumFloats plus the sum of squares, in the float domain.
+func sumSquares[T int64 | float64](vals []T, nulls []bool, sum, sumSq float64) (float64, float64) {
+	for i, v := range vals {
+		if nulls == nil || !nulls[i] {
+			f := float64(v)
+			sum += f
+			sumSq += f * f
+		}
+	}
+	return sum, sumSq
+}
+
+// extremeOf is foldExtreme for one group.
+func extremeOf[T int64 | float64](vals []T, nulls []bool, ext T, null, max bool) (T, bool) {
+	for i, v := range vals {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		if null || (max && v > ext) || (!max && v < ext) {
+			ext, null = v, false
+		}
+	}
+	return ext, null
+}
+
 // merge folds another part's partial states into a (parallel aggregation):
 // ids[g] is the group here of o's group g.
 func (a *aggAcc) merge(f plan.AggFunc, o *aggAcc, ids []int32) {
@@ -342,9 +444,9 @@ type aggSink struct {
 	keyCols  []*types.Column
 	argCols  []*types.Column
 	// groups is the number of ids in use: the table's keys, or the one group
-	// of a global aggregate, which exists before any input.
+	// of a key-less aggregate, which exists before any input.
 	groups int
-	ids    []int32 // all zero while there are no keys
+	ids    []int32 // the batch's group ids; a key-less aggregate has none
 }
 
 func newAggSink(n *plan.Aggregate, ctx *Context) (*aggSink, error) {
@@ -404,11 +506,15 @@ func (s *aggSink) consume(b *types.Batch) error {
 			return err
 		}
 	}
+	if len(keyCols) == 0 {
+		for ai := range s.accs {
+			s.accs[ai].foldAll(s.aggs[ai].Func, n, argCols[ai])
+		}
+		return s.scratch.book()
+	}
 	s.ids = sized(s.ids, n)
 	ids := s.ids
-	if len(keyCols) > 0 {
-		s.table.findOrAdd(keyCols, ids)
-	}
+	s.table.findOrAdd(keyCols, ids)
 	if err := s.grow(); err != nil {
 		return err
 	}

@@ -218,3 +218,88 @@ func TestCursorUnderConcurrentCommits(t *testing.T) {
 		checkCursors(t, tbl, s.Snapshot(), []int{n / 3, n - 1})
 	}
 }
+
+// TestStretchSummaryKeptByEveryWriter checks the per-stretch deletion
+// summary that lets a cursor round, and NumRows, admit a stretch without a
+// per-row test, as each writer leaves it: an image restored in pieces that
+// do not fall on stretch edges, with deleted rows at every edge ±1, a
+// wholly deleted stretch and a partial tail stretch; then deletes replayed
+// through the commit step into stretches the image left clean, and a
+// commit's append. At every snapshot each cursor shape — splits off the
+// stretch edges among them — and NumRows must agree with the row-by-row
+// model.
+func TestStretchSummaryKeptByEveryWriter(t *testing.T) {
+	const bs = types.BatchSize
+	const clock = 40
+	n := 6*bs + 123
+	s := NewStore()
+	tbl, err := s.CreateTable("t", testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, def := range []IndexDef{{Name: "t_ord", Table: "t", Column: "id", Kind: OrderedIndex},
+		{Name: "t_hash", Table: "t", Column: "id", Kind: HashIndex}} {
+		if err := s.CreateIndex(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	createdAt, deletedAt := make([]uint64, n), make([]uint64, n)
+	deleteAt := func(i int) { deletedAt[i] = createdAt[i] + uint64(rng.Int63n(int64(clock-createdAt[i]+1))) }
+	for i := range n {
+		createdAt[i] = 1 + uint64(i*30/n)
+	}
+	for e := 0; e <= n; e += bs {
+		for _, i := range []int{e - 1, e, e + 1} {
+			if i >= 0 && i < n {
+				deleteAt(i)
+			}
+		}
+	}
+	for i := 2 * bs; i < 3*bs; i++ { // stretch 2 wholly deleted
+		deleteAt(i)
+	}
+	for i := 6*bs + 50; i < 6*bs+60; i++ { // some of the partial tail
+		deleteAt(i)
+	}
+	for lo := 0; lo < n; lo += 700 {
+		hi := min(lo+700, n)
+		b := types.NewBatch(tbl.Schema())
+		for i := lo; i < hi; i++ {
+			b.AppendRow([]types.Value{types.NewInt(int64(i % keyMod)), types.NewFloat(float64(i))})
+		}
+		if err := tbl.RestoreRows(b, createdAt[lo:hi], deletedAt[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.RestoreClock(clock)
+
+	// Replayed deletes land mid-stretch in stretches 0, 3 and 4, which the
+	// image left with edge deletions only, and at the tail.
+	for ts, rows := range [][]int{{bs / 2}, {3*bs + 7, 4*bs + 500}, {n - 2}} {
+		c := &Change{Kind: ChangeCommit, TS: clock + 1 + uint64(ts)}
+		for _, r := range rows {
+			c.Deletes = append(c.Deletes, CommitDelete{Table: "t", TableID: tbl.ID(), Row: r})
+		}
+		if applied, err := s.Replay(c, 0); err != nil || !applied {
+			t.Fatalf("replay of commit %d: applied %v, err %v", c.TS, applied, err)
+		}
+	}
+	appendPositions(t, s, tbl, bs+5)
+	tx := s.Begin()
+	if err := tx.Delete(tbl, n+bs); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	end := tbl.PhysicalRows()
+	splits := []int{1, bs / 3, bs + 1, 2*bs - 1, 2*bs + 700, 3*bs + 8, n - 1, n + 1, end - 1}
+	for snap := uint64(0); snap <= s.Snapshot(); snap++ {
+		checkCursors(t, tbl, snap, splits)
+		if got, want := tbl.NumRows(snap), len(model(tbl, snap, anyKey)); got != want {
+			t.Fatalf("snapshot %d: NumRows %d, want %d", snap, got, want)
+		}
+	}
+}

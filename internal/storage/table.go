@@ -30,9 +30,14 @@ type Table struct {
 	cols      []*types.Column
 	createdAt []uint64 // commit timestamp that created the row
 	deletedAt []uint64 // commit timestamp that deleted the row; 0 = live
-	liveRows  int      // rows with deletedAt == 0
-	maxTS     uint64   // newest commit timestamp that touched this table
-	indexes   []*tableIndex
+	// minDeleted holds, per stretch of BatchSize physical rows, the smallest
+	// non-zero deletedAt in it (0: no row of the stretch is deleted). A
+	// stretch whose entry is 0 or newer than a snapshot has no deletion the
+	// snapshot sees; appendRows and stamp keep it.
+	minDeleted []uint64
+	liveRows   int    // rows with deletedAt == 0
+	maxTS      uint64 // newest commit timestamp that touched this table
+	indexes    []*tableIndex
 }
 
 // NewTable creates an empty table.
@@ -74,9 +79,16 @@ func (t *Table) NumRows(snapshot uint64) int {
 		return t.liveRows
 	}
 	n := 0
-	for i := range t.createdAt {
-		if t.visibleLocked(i, snapshot) {
-			n++
+	for lo := 0; lo < len(t.createdAt); lo += types.BatchSize {
+		end := min(lo+types.BatchSize, len(t.createdAt))
+		if t.cleanLocked(lo, end, snapshot) {
+			n += end - lo
+			continue
+		}
+		for i := lo; i < end; i++ {
+			if t.visibleLocked(i, snapshot) {
+				n++
+			}
 		}
 	}
 	return n
@@ -90,13 +102,35 @@ func (t *Table) visibleLocked(i int, snapshot uint64) bool {
 	return d == 0 || d > snapshot
 }
 
+// cleanLocked reports whether every row of the non-empty range [lo, end) is
+// visible at snapshot, without a per-row test: createdAt is non-decreasing
+// (see ScanPhysical), so the last row created at or before snapshot means
+// every row was, and no stretch the range touches holds a deletion at or
+// before snapshot. A false answer only means the rows need the per-row test.
+func (t *Table) cleanLocked(lo, end int, snapshot uint64) bool {
+	if t.createdAt[end-1] > snapshot {
+		return false
+	}
+	for s := lo / types.BatchSize; s <= (end-1)/types.BatchSize; s++ {
+		if d := t.minDeleted[s]; d != 0 && d <= snapshot {
+			return false
+		}
+	}
+	return true
+}
+
 // cursor is the one batch builder behind every scan, index probe and
 // checkpoint scan. Each Next takes the read lock once per round: the round
 // picks its rows — ascending physical indexes, at most BatchSize — and they
 // are gathered (or, when they form one contiguous run, viewed without a copy:
 // rows never move once appended) before the lock is released. A table cursor
-// reads one BatchSize stretch of [next, hi) per round; rows appended after
-// the snapshot are invisible at it, so the per-round lock suffices. An index
+// reads BatchSize rows of [next, hi) per round; rows appended after the
+// snapshot are invisible at it, so the per-round lock suffices. A round whose
+// rows are all visible by the table's stretch summary (cleanLocked: its last
+// row created at or before the snapshot, and no stretch it touches holding
+// a deletion at or before it) is admitted whole with no per-row test, and so
+// is viewed; morsel ranges need not fall on stretch edges, so a round may
+// touch two stretches. Any other round tests each row. An index
 // cursor probes on its first Next and then hands out the visible hits
 // BatchSize at a time.
 //
@@ -192,13 +226,25 @@ func (c *cursor) roundLocked() (ids []int, more bool) {
 		c.buf = make([]int, 0, types.BatchSize)
 		c.hi = min(c.hi, len(t.createdAt))
 	}
+	lo, end := c.next, min(c.next+types.BatchSize, c.hi)
+	if lo >= end {
+		return nil, false
+	}
+	c.next = end
+	if c.physical || t.cleanLocked(lo, end, c.snapshot) {
+		ids = c.buf[:end-lo]
+		for j := range ids {
+			ids[j] = lo + j
+		}
+		return ids, end < c.hi
+	}
 	ids = c.buf[:0]
-	for end := min(c.next+types.BatchSize, c.hi); c.next < end; c.next++ {
-		if c.physical || t.visibleLocked(c.next, c.snapshot) {
-			ids = append(ids, c.next)
+	for i := lo; i < end; i++ {
+		if t.visibleLocked(i, c.snapshot) {
+			ids = append(ids, i)
 		}
 	}
-	return ids, c.next < c.hi
+	return ids, end < c.hi
 }
 
 // Scan calls yield with each batch of rows visible at snapshot until the
@@ -280,12 +326,25 @@ func (t *Table) appendRows(b *types.Batch, ts uint64, createdAt, deletedAt []uin
 		if createdAt != nil {
 			c, d = createdAt[i], deletedAt[i]
 		}
+		if len(t.createdAt)%types.BatchSize == 0 {
+			t.minDeleted = append(t.minDeleted, 0)
+		}
 		t.createdAt = append(t.createdAt, c)
 		t.deletedAt = append(t.deletedAt, d)
 		if d == 0 {
 			t.liveRows++
+		} else {
+			t.noteDeletedLocked(len(t.deletedAt)-1, d)
 		}
 		t.maxTS = max(t.maxTS, c, d)
+	}
+}
+
+// noteDeletedLocked folds row i's deletion stamp d into its stretch's
+// summary; the caller holds the write lock.
+func (t *Table) noteDeletedLocked(i int, d uint64) {
+	if m := &t.minDeleted[i/types.BatchSize]; *m == 0 || d < *m {
+		*m = d
 	}
 }
 
@@ -312,6 +371,7 @@ func (t *Table) stamp(i int, ts uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.deletedAt[i] = ts
+	t.noteDeletedLocked(i, ts)
 	t.liveRows--
 	t.maxTS = max(t.maxTS, ts)
 }
