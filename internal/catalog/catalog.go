@@ -11,12 +11,14 @@ import (
 // Cursor hands out a relation's rows one batch per Next, on the caller's
 // goroutine. A cursor does no work before its first Next.
 type Cursor interface {
-	// Next returns the next batch and its rows' physical row ids, or a nil
-	// batch once the cursor is exhausted. Both are valid until the next
-	// call: the batch is borrowed, and a caller that keeps it keeps
-	// types.Retain of it. A cursor over rows without physical positions
-	// returns nil row ids.
-	Next() (*types.Batch, []int)
+	// Next returns the next batch, or nil once the cursor is exhausted. The
+	// batch is borrowed until the next call: a caller that keeps it keeps
+	// types.Retain of it.
+	Next() *types.Batch
+	// RowIDs returns the physical row ids of the last batch's rows, valid
+	// until the next call of Next. A cursor writes them out only when
+	// asked; one over rows without physical positions returns nil.
+	RowIDs() []int
 }
 
 // Relation is a readable stored relation at some snapshot.
@@ -68,14 +70,17 @@ type IndexedRelation interface {
 type Batches []*types.Batch
 
 // Next implements Cursor.
-func (c *Batches) Next() (*types.Batch, []int) {
+func (c *Batches) Next() *types.Batch {
 	if len(*c) == 0 {
-		return nil, nil
+		return nil
 	}
 	b := (*c)[0]
 	*c = (*c)[1:]
-	return b, nil
+	return b
 }
+
+// RowIDs implements Cursor.
+func (c *Batches) RowIDs() []int { return nil }
 
 // Catalog resolves table names to relations.
 type Catalog interface {

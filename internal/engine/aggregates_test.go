@@ -163,3 +163,26 @@ func TestBigintSumIsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupKeyInsideAggregateArgument: an aggregate's argument reads the
+// input row, so a group key inside it is the row's own value, not a
+// reference to the key output — sum(x % y) GROUP BY y is not sum(x % x).
+func TestGroupKeyInsideAggregateArgument(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE t (x BIGINT, y BIGINT)`)
+	db.MustExec(`INSERT INTO t VALUES (7, 2), (9, 4), (10, 5), (11, 3), (13, 2)`)
+	for q, want := range map[string]string{
+		`SELECT y, sum(x % y), sum(x + y) FROM t GROUP BY y ORDER BY y`:         "[[2 2 24] [3 2 14] [4 1 13] [5 0 15]]",
+		`SELECT x + y, max(x + y + 1) FROM t GROUP BY x + y ORDER BY 1`:         "[[9 10] [13 14] [14 15] [15 16]]",
+		`SELECT y, sum(x) FROM t GROUP BY y HAVING max(x % y) > 0 ORDER BY y`:   "[[2 20] [3 11] [4 9]]",
+		`SELECT y * 10, count(x * y) FROM t WHERE y <> 5 GROUP BY y ORDER BY 1`: "[[20 2] [30 1] [40 1]]",
+	} {
+		r, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := fmt.Sprint(r.Rows); got != want {
+			t.Errorf("%s = %s, want %s", q, got, want)
+		}
+	}
+}

@@ -180,7 +180,7 @@ func (s *Session) scanMatching(ctx context.Context, tbl *storage.Table, pred exp
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			b, rowIDs := c.Next()
+			b := c.Next()
 			if b == nil {
 				return nil
 			}
@@ -188,7 +188,7 @@ func (s *Session) scanMatching(ctx context.Context, tbl *storage.Table, pred exp
 			if err != nil {
 				return err
 			}
-			if err := fn(tx, b, rowIDs, match); err != nil {
+			if err := fn(tx, b, c.RowIDs(), match); err != nil {
 				return err
 			}
 		}

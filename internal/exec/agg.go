@@ -181,20 +181,23 @@ func (a *aggAcc) fold(f plan.AggFunc, ids []int32, arg *types.Column) {
 	}
 }
 
-// foldAll is fold for a key-less aggregate, whose n rows are all group 0:
-// the count grows by the non-NULL rows, and the sums and extremes fold into
-// locals that are stored once, adding in the row order fold adds in, so
-// every sum has the same bits.
-func (a *aggAcc) foldAll(f plan.AggFunc, n int, arg *types.Column) {
+// foldAll is fold for a key-less aggregate, whose n rows — the positions
+// sel, or the first n of arg when sel is nil — are all group 0: the count
+// grows by the non-NULL rows, and the sums and extremes fold into locals
+// that are stored once, adding in the row order fold adds in, so every sum
+// has the same bits.
+func (a *aggAcc) foldAll(f plan.AggFunc, n int, sel []int, arg *types.Column) {
 	var nulls []bool
-	if arg != nil && arg.Nulls != nil {
-		nulls = arg.Nulls[:n]
+	if arg != nil {
+		nulls = arg.Nulls
 	}
 	if a.count != nil {
 		k := n
-		for _, null := range nulls {
-			if null {
-				k--
+		if nulls != nil {
+			for j := range n {
+				if nulls[row(sel, j)] {
+					k--
+				}
 			}
 		}
 		a.count[0] += int64(k)
@@ -203,26 +206,26 @@ func (a *aggAcc) foldAll(f plan.AggFunc, n int, arg *types.Column) {
 	case plan.AggSum, plan.AggAvg:
 		switch arg.T {
 		case types.Int64:
-			a.sumLo[0], a.sumHi[0] = sumInts(arg.Ints[:n], nulls, a.sumLo[0], a.sumHi[0])
+			a.sumLo[0], a.sumHi[0] = sumInts(arg.Ints, n, sel, nulls, a.sumLo[0], a.sumHi[0])
 		case types.Float64:
-			a.sumF[0] = sumFloats(arg.Floats[:n], nulls, a.sumF[0])
+			a.sumF[0] = sumFloats(arg.Floats, n, sel, nulls, a.sumF[0])
 		}
 	case plan.AggStddev, plan.AggVariance:
 		switch arg.T {
 		case types.Int64:
-			a.sumF[0], a.sumSq[0] = sumSquares(arg.Ints[:n], nulls, a.sumF[0], a.sumSq[0])
+			a.sumF[0], a.sumSq[0] = sumSquares(arg.Ints, n, sel, nulls, a.sumF[0], a.sumSq[0])
 		case types.Float64:
-			a.sumF[0], a.sumSq[0] = sumSquares(arg.Floats[:n], nulls, a.sumF[0], a.sumSq[0])
+			a.sumF[0], a.sumSq[0] = sumSquares(arg.Floats, n, sel, nulls, a.sumF[0], a.sumSq[0])
 		}
 	case plan.AggMin, plan.AggMax:
 		switch arg.T {
 		case types.Int64:
-			a.extI[0], a.extNull[0] = extremeOf(arg.Ints[:n], nulls, a.extI[0], a.extNull[0], f == plan.AggMax)
+			a.extI[0], a.extNull[0] = extremeOf(arg.Ints, n, sel, nulls, a.extI[0], a.extNull[0], f == plan.AggMax)
 		case types.Float64:
-			a.extF[0], a.extNull[0] = extremeOf(arg.Floats[:n], nulls, a.extF[0], a.extNull[0], f == plan.AggMax)
+			a.extF[0], a.extNull[0] = extremeOf(arg.Floats, n, sel, nulls, a.extF[0], a.extNull[0], f == plan.AggMax)
 		default:
-			for i := range n {
-				if v := arg.Value(i); better(v, a.ext[0], f) {
+			for j := range n {
+				if v := arg.Value(row(sel, j)); better(v, a.ext[0], f) {
 					a.ext[0] = v
 				}
 			}
@@ -230,39 +233,52 @@ func (a *aggAcc) foldAll(f plan.AggFunc, n int, arg *types.Column) {
 	}
 }
 
-// sumFloats adds the non-NULL values to sum in row order.
-func sumFloats(vals []float64, nulls []bool, sum float64) float64 {
-	if nulls == nil {
-		for _, v := range vals {
+// row is the j-th row a fold reads: sel[j], or j when sel is nil.
+func row(sel []int, j int) int {
+	if sel != nil {
+		return sel[j]
+	}
+	return j
+}
+
+// sumFloats adds the non-NULL values of the rows to sum in row order.
+func sumFloats(vals []float64, n int, sel []int, nulls []bool, sum float64) float64 {
+	switch {
+	case sel == nil && nulls == nil:
+		for _, v := range vals[:n] {
 			sum += v
 		}
-		return sum
-	}
-	for i, v := range vals {
-		if !nulls[i] {
-			sum += v
+	case nulls == nil:
+		for _, i := range sel {
+			sum += vals[i]
+		}
+	default:
+		for j := range n {
+			if i := row(sel, j); !nulls[i] {
+				sum += vals[i]
+			}
 		}
 	}
 	return sum
 }
 
-// sumInts adds the non-NULL values to the 128-bit sum (hi, lo).
-func sumInts(vals []int64, nulls []bool, lo uint64, hi int64) (uint64, int64) {
-	for i, v := range vals {
-		if nulls == nil || !nulls[i] {
+// sumInts adds the non-NULL values of the rows to the 128-bit sum (hi, lo).
+func sumInts(vals []int64, n int, sel []int, nulls []bool, lo uint64, hi int64) (uint64, int64) {
+	for j := range n {
+		if i := row(sel, j); nulls == nil || !nulls[i] {
 			var carry uint64
-			lo, carry = bits.Add64(lo, uint64(v), 0)
-			hi += v>>63 + int64(carry)
+			lo, carry = bits.Add64(lo, uint64(vals[i]), 0)
+			hi += vals[i]>>63 + int64(carry)
 		}
 	}
 	return lo, hi
 }
 
 // sumSquares is sumFloats plus the sum of squares, in the float domain.
-func sumSquares[T int64 | float64](vals []T, nulls []bool, sum, sumSq float64) (float64, float64) {
-	for i, v := range vals {
-		if nulls == nil || !nulls[i] {
-			f := float64(v)
+func sumSquares[T int64 | float64](vals []T, n int, sel []int, nulls []bool, sum, sumSq float64) (float64, float64) {
+	for j := range n {
+		if i := row(sel, j); nulls == nil || !nulls[i] {
+			f := float64(vals[i])
 			sum += f
 			sumSq += f * f
 		}
@@ -271,12 +287,13 @@ func sumSquares[T int64 | float64](vals []T, nulls []bool, sum, sumSq float64) (
 }
 
 // extremeOf is foldExtreme for one group.
-func extremeOf[T int64 | float64](vals []T, nulls []bool, ext T, null, max bool) (T, bool) {
-	for i, v := range vals {
+func extremeOf[T int64 | float64](vals []T, n int, sel []int, nulls []bool, ext T, null, max bool) (T, bool) {
+	for j := range n {
+		i := row(sel, j)
 		if nulls != nil && nulls[i] {
 			continue
 		}
-		if null || (max && v > ext) || (!max && v < ext) {
+		if v := vals[i]; null || (max && v > ext) || (!max && v < ext) {
 			ext, null = v, false
 		}
 	}
@@ -384,7 +401,7 @@ func (a *aggAcc) result(spec plan.AggSpec, g int) (types.Value, error) {
 func newAggOp(n *plan.Aggregate) *blockingOp {
 	schema := n.Schema()
 	return &blockingOp{label: "aggregate", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
-		sinks, err := drive(ctx, partsOf(n.Child, ctx), "", func(Operator) (*aggSink, error) {
+		sinks, err := drive(ctx, selecting(partsOf(n.Child, ctx)), "", func(Operator) (*aggSink, error) {
 			return newAggSink(n, ctx)
 		})
 		defer func() {
@@ -433,16 +450,28 @@ func newAggOp(n *plan.Aggregate) *blockingOp {
 }
 
 // aggSink folds one part's batches into a private key table and the
-// accumulator arrays its ids index.
+// accumulator arrays its ids index. It reads selections: a bare-column
+// argument of a key-less aggregate folds through the selection, and the
+// keys and the other arguments are evaluated over the selected rows alone,
+// gathered from just the columns they read.
 type aggSink struct {
 	aggs     []plan.AggSpec
 	keyEvals []expr.Evaluator
-	argEvals []expr.Evaluator // nil entry: count(*)
-	table    *keyTable
-	accs     []aggAcc
-	scratch  scratch // the evaluators' inner nodes
-	keyCols  []*types.Column
-	argCols  []*types.Column
+	argEvals []expr.Evaluator // nil entry: count(*), or a bare column in bare
+	// bare is, per aggregate of a key-less sink, the input column a
+	// bare-column argument folds, -1 for any other.
+	bare  []int
+	table *keyTable
+	accs  []aggAcc
+	// reads lists the input columns the evaluators read, ascending; they
+	// are compiled to find column reads[j] at position j of in, the batch
+	// they are handed, whose columns gathers fills when the input selects.
+	reads   []int
+	in      types.Batch
+	gathers []*types.Buffer
+	scratch scratch // the evaluators' inner nodes and the gathers
+	keyCols []*types.Column
+	argCols []*types.Column
 	// groups is the number of ids in use: the table's keys, or the one group
 	// of a key-less aggregate, which exists before any input.
 	groups int
@@ -450,28 +479,91 @@ type aggSink struct {
 }
 
 func newAggSink(n *plan.Aggregate, ctx *Context) (*aggSink, error) {
-	s := &aggSink{aggs: n.Aggs, accs: make([]aggAcc, len(n.Aggs)),
+	s := &aggSink{aggs: n.Aggs, accs: make([]aggAcc, len(n.Aggs)), bare: make([]int, len(n.Aggs)),
 		keyEvals: make([]expr.Evaluator, len(n.Keys)), argEvals: make([]expr.Evaluator, len(n.Aggs)),
 		keyCols: make([]*types.Column, len(n.Keys)), argCols: make([]*types.Column, len(n.Aggs)),
 		scratch: scratch{ctx: ctx, label: "aggregate"}}
+	var evaluated []expr.Expr
+	for i, g := range n.Aggs {
+		s.bare[i] = -1
+		if ref, ok := g.Arg.(*expr.ColRef); ok && len(n.Keys) == 0 {
+			s.bare[i] = ref.Index
+		} else if g.Arg != nil {
+			evaluated = append(evaluated, g.Arg)
+		}
+	}
+	evaluated = append(evaluated, n.Keys...)
+	remap := s.readColumns(n.Child.Schema(), evaluated)
 	keyTypes := make([]types.Type, len(n.Keys))
 	var err error
 	for i, k := range n.Keys {
 		keyTypes[i] = k.Type()
-		if s.keyEvals[i], err = expr.CompileLent(k, ctx.Args, &s.scratch.Scratch); err != nil {
+		if s.keyEvals[i], err = expr.CompileLent(remap(k), ctx.Args, &s.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}
 	for i, g := range n.Aggs {
-		if g.Arg == nil {
+		if g.Arg == nil || s.bare[i] >= 0 {
 			continue
 		}
-		if s.argEvals[i], err = expr.CompileLent(g.Arg, ctx.Args, &s.scratch.Scratch); err != nil {
+		if s.argEvals[i], err = expr.CompileLent(remap(g.Arg), ctx.Args, &s.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}
 	s.table = newKeyTable(ctx, "aggregate", keyTypes, true)
 	return s, s.grow()
+}
+
+// readColumns sets reads to the columns of schema that exprs read — the
+// first one when they read none, so that their input still has its row
+// count — and returns what rewrites an expression to find them in in.
+func (s *aggSink) readColumns(schema types.Schema, exprs []expr.Expr) func(expr.Expr) expr.Expr {
+	read := map[int]bool{}
+	for _, e := range exprs {
+		expr.ReferencedColumns(e, read)
+	}
+	for c := range schema {
+		if read[c] {
+			s.reads = append(s.reads, c)
+		}
+	}
+	if len(s.reads) == 0 && len(exprs) > 0 && len(schema) > 0 {
+		s.reads = []int{0}
+	}
+	at := make(map[int]int, len(s.reads))
+	s.in.Cols = make([]*types.Column, len(s.reads))
+	for j, c := range s.reads {
+		at[c] = j
+		s.in.Schema = append(s.in.Schema, schema[c])
+		s.gathers = append(s.gathers, s.scratch.Buffer())
+	}
+	return func(e expr.Expr) expr.Expr {
+		return expr.Rewrite(e, func(x expr.Expr) expr.Expr {
+			if ref, ok := x.(*expr.ColRef); ok && ref.Index >= 0 {
+				moved := *ref
+				if j, ok := at[ref.Index]; ok {
+					moved.Index = j
+				} else { // out of range of the input, and so of in
+					moved.Index = len(at) + ref.Index
+				}
+				return &moved
+			}
+			return x
+		})
+	}
+}
+
+// input returns the batch the evaluators read: the columns they read of
+// b's selected rows.
+func (s *aggSink) input(b *types.Batch) *types.Batch {
+	for j, c := range s.reads {
+		if b.Sel == nil {
+			s.in.Cols[j] = b.Cols[c]
+		} else {
+			s.in.Cols[j] = s.gathers[j].Gather(b.Cols[c], b.Sel)
+		}
+	}
+	return &s.in
 }
 
 // grow sizes the accumulators for every id the table has handed out and
@@ -492,23 +584,30 @@ func (s *aggSink) grow() error {
 func (s *aggSink) consume(b *types.Batch) error {
 	var err error
 	n := b.Len()
+	in := s.input(b)
 	keyCols, argCols := s.keyCols, s.argCols
 	for i, ev := range s.keyEvals {
-		if keyCols[i], err = ev(b); err != nil {
+		if keyCols[i], err = ev(in); err != nil {
 			return err
 		}
 	}
 	for i, ev := range s.argEvals {
-		if ev == nil {
-			continue
-		}
-		if argCols[i], err = ev(b); err != nil {
-			return err
+		switch {
+		case s.bare[i] >= 0:
+			argCols[i] = b.Cols[s.bare[i]]
+		case ev != nil:
+			if argCols[i], err = ev(in); err != nil {
+				return err
+			}
 		}
 	}
 	if len(keyCols) == 0 {
 		for ai := range s.accs {
-			s.accs[ai].foldAll(s.aggs[ai].Func, n, argCols[ai])
+			var sel []int
+			if s.bare[ai] >= 0 {
+				sel = b.Sel
+			}
+			s.accs[ai].foldAll(s.aggs[ai].Func, n, sel, argCols[ai])
 		}
 		return s.scratch.book()
 	}

@@ -268,14 +268,27 @@ var buildHook func(part) (Operator, bool)
 type part struct {
 	node   plan.Node
 	lo, hi int
+	// sel says that the part's consumer reads selections (types.Batch.Sel):
+	// a Filter at its top lends its survivors as one instead of gathering
+	// them. Every other consumer is handed dense batches.
+	sel bool
 }
 
 // whole is the part that runs all of p.
 func whole(p plan.Node) part { return part{node: p, hi: -1} }
 
 // of is the part of n, the next stage down p's streaming spine, over p's
-// range: the range travels down the spine to the one leaf.
+// range: the range travels down the spine to the one leaf. Its consumer is
+// p's operator, which reads no selections.
 func (p part) of(n plan.Node) part { return part{node: n, lo: p.lo, hi: p.hi} }
+
+// selecting marks parts as driven into a consumer that reads selections.
+func selecting(parts []part) []part {
+	for i := range parts {
+		parts[i].sel = true
+	}
+	return parts
+}
 
 // Build translates a logical plan into a physical operator tree with
 // telemetry disarmed and no arguments bound.
@@ -305,11 +318,12 @@ func buildWith(p part, ctx *Context) (Operator, error) {
 	case *plan.Values:
 		op = newValuesOp(n)
 	case *plan.Alias:
-		return buildWith(p.of(n.Child), ctx)
+		p.node = n.Child
+		return buildWith(p, ctx)
 	case *plan.Shared:
 		op = newSharedOp(n)
 	case *plan.Filter:
-		op, err = newFilterOp(n, p.of(n.Child), ctx)
+		op, err = newFilterOp(n, p.of(n.Child), ctx, p.sel)
 	case *plan.Project:
 		op, err = newProjectOp(n, p.of(n.Child), ctx)
 	case *plan.Join:
@@ -410,8 +424,7 @@ func (o *blockingOp) Open(ctx *Context) error {
 }
 
 func (o *blockingOp) Next() (*types.Batch, error) {
-	b, _ := o.out.Next()
-	return b, nil
+	return o.out.Next(), nil
 }
 
 func (o *blockingOp) Close() error { return nil }

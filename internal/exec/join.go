@@ -133,7 +133,7 @@ type joinOp struct {
 	keyTypes             []types.Type
 	key                  sharedKey
 	scoped               bool // the blocking side changes from round to round of an enclosing loop
-	residual             expr.Evaluator
+	residual             expr.Selector
 
 	jt *joinTable
 	in Operator // the streaming side
@@ -181,7 +181,7 @@ func newJoinOp(n *plan.Join, p part, ctx *Context) (Operator, error) {
 	j.key = sharedKey{node: j.blocking, keys: fmt.Sprint(j.buildKeys, j.keyTypes)}
 	if n.Residual != nil {
 		var err error
-		if j.residual, err = expr.CompileLent(n.Residual, ctx.Args, &j.scratch.Scratch); err != nil {
+		if j.residual, err = expr.CompileSelect(n.Residual, ctx.Args, &j.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}
@@ -327,11 +327,10 @@ func (j *joinOp) assemble() (*types.Batch, error) {
 	j.out.gatherAt(buildAt, j.jt.rows.Cols, j.buildIdx)
 	out := &j.out.header
 	if j.residual != nil && len(probeIdx) > 0 {
-		c, err := j.residual(out)
-		if err != nil {
+		var err error
+		if j.keep, err = j.residual(out, nil, j.keep); err != nil {
 			return nil, err
 		}
-		j.keep = selected(c, out.Len(), j.keep)
 		for k, i := range j.keep {
 			probeIdx[k] = probeIdx[i]
 		}

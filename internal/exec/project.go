@@ -7,24 +7,28 @@ import (
 )
 
 // filterOp drops rows whose predicate is not true (NULL counts as false).
-// A batch whose rows all pass goes through as it is; the survivors of any
-// other are gathered into the operator's reusable output.
+// A batch whose rows all pass goes through as it is. The survivors of any
+// other are lent as a selection over the batch's columns when the consumer
+// reads selections (part.sel), and gathered into the operator's reusable
+// output otherwise.
 type filterOp struct {
 	node    *plan.Filter
 	child   Operator
-	pred    expr.Evaluator
+	pred    expr.Selector
+	lends   bool
 	scratch scratch
 	out     outBatch
+	lent    types.Batch
 	idx     []int
 }
 
-func newFilterOp(n *plan.Filter, in part, ctx *Context) (Operator, error) {
+func newFilterOp(n *plan.Filter, in part, ctx *Context, lends bool) (Operator, error) {
 	child, err := buildWith(in, ctx)
 	if err != nil {
 		return nil, err
 	}
-	f := &filterOp{node: n, child: child}
-	if f.pred, err = expr.CompileLent(n.Pred, ctx.Args, &f.scratch.Scratch); err != nil {
+	f := &filterOp{node: n, child: child, lends: lends}
+	if f.pred, err = expr.CompileSelect(n.Pred, ctx.Args, &f.scratch.Scratch); err != nil {
 		return nil, err
 	}
 	f.out = newOutBatch(&f.scratch.Scratch, child.Schema())
@@ -49,43 +53,23 @@ func (f *filterOp) Next() (*types.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		c, err := f.pred(b)
-		if err != nil {
+		if f.idx, err = f.pred(b, nil, f.idx); err != nil {
 			return nil, err
 		}
-		f.idx = selected(c, b.Len(), f.idx)
 		switch len(f.idx) {
 		case 0:
 			continue
 		case b.Len():
 		default:
-			b = f.out.gather(b, f.idx)
+			if f.lends {
+				f.lent = types.Batch{Schema: b.Schema, Cols: b.Cols, Sel: f.idx, Reused: true}
+				b = &f.lent
+			} else {
+				b = f.out.gather(b, f.idx)
+			}
 		}
 		return b, f.scratch.book()
 	}
-}
-
-// selected returns the rows of the first n where the predicate result c is
-// true, not false or NULL, in buf: one pass, which reads a NULL bitmap only
-// when c has one.
-func selected(c *types.Column, n int, buf []int) []int {
-	idx, kept := sized(buf, n), 0
-	if c.Nulls == nil {
-		for i, t := range c.Bools[:n] {
-			idx[kept] = i
-			if t {
-				kept++
-			}
-		}
-	} else {
-		for i, t := range c.Bools[:n] {
-			idx[kept] = i
-			if t && !c.Nulls[i] {
-				kept++
-			}
-		}
-	}
-	return idx[:kept]
 }
 
 // outBatch is an operator's reusable output: one Buffer per column, from

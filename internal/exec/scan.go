@@ -118,7 +118,7 @@ func (s *scanOp) Next() (b *types.Batch, err error) {
 		return nil, err
 	}
 	defer morsel.Contain(s.label, &err)
-	if b, _ = s.cur.Next(); b == nil {
+	if b = s.cur.Next(); b == nil {
 		return nil, nil
 	}
 	if s.stored {

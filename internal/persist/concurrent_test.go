@@ -30,8 +30,8 @@ func (w *stallingWriter) Write(p []byte) (int, error) {
 // visible at snap, in physical order.
 func visibleAt(tbl *storage.Table, snap uint64) (ids []int, xs []int64) {
 	c := tbl.Cursor(snap, 0, -1)
-	for b, rowIDs := c.Next(); b != nil; b, rowIDs = c.Next() {
-		ids = append(ids, rowIDs...)
+	for b := c.Next(); b != nil; b = c.Next() {
+		ids = append(ids, c.RowIDs()...)
 		xs = append(xs, b.Cols[0].Ints...)
 	}
 	return ids, xs

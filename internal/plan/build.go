@@ -465,19 +465,15 @@ func (b *Builder) buildAggregate(core *sql.SelectCore, child Node,
 	}
 
 	// Rewrite post-aggregation expressions: aggregate calls become
-	// references to aggregate outputs; group-key expressions become
-	// references to key outputs; any other column reference is an error.
+	// references to aggregate outputs; then group-key expressions outside
+	// them become references to key outputs (an aggregate's argument reads
+	// the input rows, keys included, as they are); any other column
+	// reference is an error.
 	rewrite := func(e expr.Expr) (expr.Expr, error) {
 		var rerr error
 		out := expr.Rewrite(e, func(n expr.Expr) expr.Expr {
 			if rerr != nil {
 				return n
-			}
-			// Group-key match (structural, by string form).
-			for ki, k := range keys {
-				if n.String() == k.String() && n.Type() == k.Type() {
-					return &expr.ColRef{Name: keyNames[ki], Index: ki, Typ: k.Type()}
-				}
 			}
 			if f, ok := n.(*expr.FuncCall); ok && expr.AggregateFuncs[f.Name] {
 				spec, err := aggSpecFor(f)
@@ -500,6 +496,15 @@ func (b *Builder) buildAggregate(core *sql.SelectCore, child Node,
 		if rerr != nil {
 			return nil, rerr
 		}
+		out = expr.Rewrite(out, func(n expr.Expr) expr.Expr {
+			// Group-key match (structural, by string form).
+			for ki, k := range keys {
+				if n.String() == k.String() && n.Type() == k.Type() {
+					return &expr.ColRef{Name: keyNames[ki], Index: ki, Typ: k.Type()}
+				}
+			}
+			return n
+		})
 		// Validate: any remaining ColRef must point into the aggregate's
 		// output (index < len(keys)+len(aggs)); references that survived
 		// with input indices are non-grouped columns.

@@ -197,7 +197,7 @@ func CollectTableStats(rel catalog.Relation, snapshot uint64) *TableStats {
 		accs[i].distinct = map[uint64]struct{}{}
 	}
 	c := rel.Cursor(snapshot, 0, -1)
-	for b, _ := c.Next(); b != nil; b, _ = c.Next() {
+	for b := c.Next(); b != nil; b = c.Next() {
 		n := b.Len()
 		ts.RowCount += int64(n)
 		for j, col := range b.Cols {

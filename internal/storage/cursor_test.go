@@ -58,7 +58,8 @@ func appendPositions(t *testing.T, s *Store, tbl *Table, n int) {
 func drain(t *testing.T, tbl *Table, c catalog.Cursor) []int {
 	t.Helper()
 	var out []int
-	for b, ids := c.Next(); b != nil; b, ids = c.Next() {
+	for b := c.Next(); b != nil; b = c.Next() {
+		ids := c.RowIDs()
 		if n := b.Len(); n == 0 || n > types.BatchSize || len(ids) != n {
 			t.Fatalf("batch of %d rows with %d row ids", n, len(ids))
 		}

@@ -184,8 +184,8 @@ func TestScanWithRowIDs(t *testing.T) {
 	}
 	var ids []int
 	c := tbl.Cursor(s.Snapshot(), 0, -1)
-	for b, rowIDs := c.Next(); b != nil; b, rowIDs = c.Next() {
-		ids = append(ids, rowIDs...)
+	for b := c.Next(); b != nil; b = c.Next() {
+		ids = append(ids, c.RowIDs()...)
 	}
 	if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
 		t.Errorf("row ids = %v, want [0 2]", ids)
@@ -213,7 +213,7 @@ func TestScanRangeMorsels(t *testing.T) {
 	half := tbl.PhysicalRows() / 2
 	for _, r := range [][2]int{{0, half}, {half, tbl.PhysicalRows()}} {
 		c := tbl.Cursor(snap, r[0], r[1])
-		for b, _ := c.Next(); b != nil; b, _ = c.Next() {
+		for b := c.Next(); b != nil; b = c.Next() {
 			count += b.Len()
 		}
 	}

@@ -132,7 +132,8 @@ func (t *Table) cleanLocked(lo, end int, snapshot uint64) bool {
 // is viewed; morsel ranges need not fall on stretch edges, so a round may
 // touch two stretches. Any other round tests each row. An index
 // cursor probes on its first Next and then hands out the visible hits
-// BatchSize at a time.
+// BatchSize at a time. A viewed round is kept as its run of rows, and
+// RowIDs writes out their ids only when a caller asks.
 //
 // A batch from Next is borrowed until the next call: its header, and the
 // columns of a gathered round, are the cursor's, rewritten every round
@@ -143,12 +144,17 @@ type cursor struct {
 	physical bool // admit every row of the range, deleted ones too
 
 	next, hi int   // table cursor: the physical rows [next, hi) not yet read
-	buf      []int // table cursor: the round's row ids, reused across rounds
+	started  bool  // table cursor: the first round has bounded hi
+	buf      []int // the rounds' row ids, when written out
 
 	index  *tableIndex // index cursor
 	probe  catalog.IndexProbe
 	probed bool
 	hits   []int // index cursor: visible hits not yet handed out
+
+	// The last round's rows: ids, or, when ids is nil, the run [lo, end).
+	ids     []int
+	lo, end int
 
 	out  types.Batch    // the header every round is lent in
 	bufs []types.Buffer // a gathered round's columns, made by the first gather
@@ -163,32 +169,60 @@ func (t *Table) Cursor(snapshot uint64, lo, hi int) catalog.Cursor {
 }
 
 // Next implements catalog.Cursor.
-func (c *cursor) Next() (*types.Batch, []int) {
+func (c *cursor) Next() *types.Batch {
 	t := c.t
 	for j := range c.bufs {
 		c.bufs[j].Poison() // the previous round's loan ends here
 	}
 	for {
 		t.mu.RLock()
-		ids, more := c.roundLocked()
-		if n := len(ids); n > 0 {
+		more := c.roundLocked()
+		if c.lo < c.end || len(c.ids) > 0 {
 			b := c.header()
-			run := ids[n-1]-ids[0] == n-1
 			for j, col := range t.cols {
-				if run {
-					b.Cols[j] = col.Slice(ids[0], ids[n-1]+1)
+				if c.ids == nil {
+					b.Cols[j] = col.Slice(c.lo, c.end)
 				} else {
-					b.Cols[j] = c.buffer(j).Gather(col, ids)
+					b.Cols[j] = c.buffer(j).Gather(col, c.ids)
 				}
 			}
 			t.mu.RUnlock()
-			return b, ids
+			return b
 		}
 		t.mu.RUnlock()
 		if !more {
-			return nil, nil
+			return nil
 		}
 	}
+}
+
+// RowIDs implements catalog.Cursor: the physical row ids of the last
+// round, a viewed run's written out on the first call.
+func (c *cursor) RowIDs() []int {
+	if c.ids == nil {
+		c.ids = c.idBuf()
+		for i := c.lo; i < c.end; i++ {
+			c.ids = append(c.ids, i)
+		}
+	}
+	return c.ids
+}
+
+// idBuf returns the cursor's id buffer, emptied; the rounds share it.
+func (c *cursor) idBuf() []int {
+	if c.buf == nil {
+		c.buf = make([]int, 0, types.BatchSize)
+	}
+	return c.buf[:0]
+}
+
+// pick makes ids the round's rows, as a run when they are contiguous.
+func (c *cursor) pick(ids []int) {
+	if n := len(ids); n > 0 && ids[n-1]-ids[0] == n-1 {
+		c.lo, c.end = ids[0], ids[n-1]+1
+		return
+	}
+	c.ids = ids
 }
 
 // header returns the batch header the cursor lends every round in.
@@ -208,43 +242,42 @@ func (c *cursor) buffer(j int) *types.Buffer {
 	return &c.bufs[j]
 }
 
-// roundLocked picks the next round's rows and reports whether another round
-// follows; the caller holds the read lock.
-func (c *cursor) roundLocked() (ids []int, more bool) {
+// roundLocked picks the next round's rows into ids or the run [lo, end) and
+// reports whether another round follows; the caller holds the read lock.
+func (c *cursor) roundLocked() (more bool) {
 	t := c.t
+	c.ids, c.lo, c.end = nil, 0, 0
 	if c.index != nil {
 		if !c.probed {
 			c.hits, c.probed = t.hitsLocked(c.index, c.probe, c.snapshot), true
 		}
 		k := min(len(c.hits), types.BatchSize)
-		ids, c.hits = c.hits[:k], c.hits[k:]
-		return ids, len(c.hits) > 0
+		c.pick(c.hits[:k:k])
+		c.hits = c.hits[k:]
+		return len(c.hits) > 0
 	}
-	if c.buf == nil {
+	if !c.started {
 		// First round: every row created at or before the snapshot is
 		// appended by now, so the range ends at today's tail.
-		c.buf = make([]int, 0, types.BatchSize)
-		c.hi = min(c.hi, len(t.createdAt))
+		c.started, c.hi = true, min(c.hi, len(t.createdAt))
 	}
 	lo, end := c.next, min(c.next+types.BatchSize, c.hi)
 	if lo >= end {
-		return nil, false
+		return false
 	}
 	c.next = end
 	if c.physical || t.cleanLocked(lo, end, c.snapshot) {
-		ids = c.buf[:end-lo]
-		for j := range ids {
-			ids[j] = lo + j
-		}
-		return ids, end < c.hi
+		c.lo, c.end = lo, end
+		return end < c.hi
 	}
-	ids = c.buf[:0]
+	ids := c.idBuf()
 	for i := lo; i < end; i++ {
 		if t.visibleLocked(i, c.snapshot) {
 			ids = append(ids, i)
 		}
 	}
-	return ids, end < c.hi
+	c.pick(ids)
+	return end < c.hi
 }
 
 // Scan calls yield with each batch of rows visible at snapshot until the
@@ -252,7 +285,7 @@ func (c *cursor) roundLocked() (ids []int, more bool) {
 // consume a whole table at once. A batch is borrowed for the call.
 func (t *Table) Scan(snapshot uint64, yield func(*types.Batch) error) error {
 	c := t.Cursor(snapshot, 0, -1)
-	for b, _ := c.Next(); b != nil; b, _ = c.Next() {
+	for b := c.Next(); b != nil; b = c.Next() {
 		if err := yield(b); err != nil {
 			return err
 		}
@@ -275,10 +308,10 @@ func (t *Table) ScanPhysical(clock uint64, yield func(b *types.Batch, createdAt,
 	t.mu.RUnlock()
 	c := &cursor{t: t, snapshot: clock, physical: true, hi: n}
 	var created, deleted []uint64
-	for b, ids := c.Next(); b != nil; b, ids = c.Next() {
+	for b := c.Next(); b != nil; b = c.Next() {
 		created, deleted = created[:0], deleted[:0]
 		t.mu.RLock()
-		for _, i := range ids {
+		for _, i := range c.RowIDs() {
 			d := t.deletedAt[i]
 			if d > clock {
 				d = 0

@@ -11,7 +11,9 @@ import (
 // the producer's next call or its Close. A producer may write each call's
 // result into the same storage. It marks such a column Reused, and a batch
 // whose header it rewrites Reused too. A consumer that keeps a batch past
-// the borrow calls Retain, which copies exactly the reused parts.
+// the borrow calls Retain, which copies exactly the reused parts. A
+// selection (Batch.Sel) is borrowed the same way: it is valid until the
+// producer's next call, and Retain materialises it.
 //
 // In test binaries a producer poisons what it lent before it reuses the
 // storage, and an operator also on Close: floats become NaN, integers
@@ -26,8 +28,12 @@ const PoisonString = "\x00poisoned"
 
 // Retain returns b in a form that outlives the borrow: b itself when none of
 // it is reused storage, else a new header whose Reused columns are copies.
-// Storage views and fresh columns are kept as they are.
+// Storage views and fresh columns are kept as they are. A batch with a
+// selection comes back as fresh columns of its selected rows.
 func Retain(b *Batch) *Batch {
+	if b.Sel != nil {
+		return b.Gather(b.Sel)
+	}
 	reused := b.Reused
 	for _, c := range b.Cols {
 		reused = reused || c.Reused

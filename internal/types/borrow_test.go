@@ -40,3 +40,36 @@ func TestRetainCopiesOnlyReusedStorage(t *testing.T) {
 		t.Error("the scratch counted no bytes for its buffer")
 	}
 }
+
+// TestRetainMaterialisesSelection: a batch with a selection is retained as
+// fresh columns of the selected rows alone, NULLs included, and the source
+// is left as it was.
+func TestRetainMaterialisesSelection(t *testing.T) {
+	ints := &Column{T: Int64, Ints: []int64{10, 11, 12, 13, 14}, Nulls: []bool{false, true, false, false, true}}
+	strs := &Column{T: String, Strs: []string{"a", "b", "c", "d", "e"}, Reused: true}
+	b := &Batch{Schema: Schema{{Name: "i", Type: Int64}, {Name: "s", Type: String}},
+		Cols: []*Column{ints, strs}, Sel: []int{1, 2, 4}, Reused: true}
+	if b.Len() != 3 {
+		t.Fatalf("Len = %d, want the 3 selected rows", b.Len())
+	}
+	kept := Retain(b)
+	if kept.Sel != nil || kept.Reused || kept.Len() != 3 {
+		t.Fatalf("retained batch: selection %v, reused %v, %d rows", kept.Sel, kept.Reused, kept.Len())
+	}
+	for j, c := range kept.Cols {
+		if c == b.Cols[j] || c.Reused {
+			t.Fatalf("column %d is not a fresh copy", j)
+		}
+	}
+	want := [][]Value{{NewNull(Int64), NewString("b")}, {NewInt(12), NewString("c")}, {NewNull(Int64), NewString("e")}}
+	for i, row := range want {
+		for j, v := range row {
+			if got := kept.Cols[j].Value(i); got != v {
+				t.Errorf("row %d column %d = %v, want %v", i, j, got, v)
+			}
+		}
+	}
+	if ints.Len() != 5 || strs.Strs[0] != "a" {
+		t.Error("Retain changed the source columns")
+	}
+}

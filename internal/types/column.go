@@ -327,7 +327,13 @@ func (s Schema) String() string {
 type Batch struct {
 	Schema Schema
 	Cols   []*Column
-	// Reused marks a header — this struct and Cols — that its producer
+	// Sel, when not nil, selects the batch's rows: ascending positions into
+	// Cols, which keep the rows around them. It is borrowed like the batch
+	// (see Retain). Only a consumer that says it reads selections is handed
+	// one. Len and Retain know of it; every other method addresses the
+	// positions of Cols.
+	Sel []int
+	// Reused marks a header — this struct, Cols and Sel — that its producer
 	// rewrites on its next call (see Retain).
 	Reused bool
 }
@@ -344,8 +350,12 @@ func NewBatch(schema Schema) *Batch {
 	return b
 }
 
-// Len returns the number of rows in the batch.
+// Len returns the number of rows in the batch: the selected ones when it
+// has a selection.
 func (b *Batch) Len() int {
+	if b.Sel != nil {
+		return len(b.Sel)
+	}
 	if len(b.Cols) == 0 {
 		return 0
 	}
