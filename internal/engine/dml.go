@@ -46,7 +46,10 @@ func (s *Session) execInsert(ctx context.Context, st *stmt, n *sql.Insert, args 
 		}
 		for k, v := range vals {
 			to := schema[colIdx[k]].Type
-			cv, ok := types.Coerce(v, to)
+			cv, ok, err := types.Coerce(v, to)
+			if err != nil {
+				return err
+			}
 			if !ok {
 				return fmt.Errorf("cannot store %s value in %s column", v.T, to)
 			}

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"math"
 	"math/bits"
 	"unsafe"
@@ -347,8 +346,8 @@ func (a *aggAcc) floatSum(g int) float64 {
 	return float64(a.sumHi[g])*0x1p64 + float64(a.sumLo[g])
 }
 
-// errBigintRange is a BIGINT sum past int64, in PostgreSQL's words.
-var errBigintRange = errors.New("bigint out of range")
+// errBigintRange is a BIGINT sum past int64.
+var errBigintRange = types.ErrBigintRange
 
 // result produces the final value of group g.
 func (a *aggAcc) result(spec plan.AggSpec, g int) (types.Value, error) {

@@ -512,7 +512,7 @@ func loadEdges(n *plan.PageRank, ctx *Context) (*edges, error) {
 		var weight expr.Evaluator
 		if weighted {
 			var err error
-			if weight, err = expr.CompileScratch(n.Lambda.Body, ctx.Args, &s.Scratch); err != nil {
+			if weight, err = expr.CompileLent(n.Lambda.Body, ctx.Args, &s.Scratch); err != nil {
 				return nil, err
 			}
 		}

@@ -104,27 +104,33 @@ func batchBytes(b *types.Batch) int64 {
 	if b == nil {
 		return 0
 	}
-	rows := b.Len()
 	var n int64
 	for _, c := range b.Cols {
-		switch c.T {
-		case types.Int64, types.Float64:
-			n += int64(rows) * 8
-		case types.Bool:
-			n += int64(rows)
-		case types.String:
-			strs := c.Strs
-			if len(strs) > rows {
-				strs = strs[:rows]
-			}
-			n += int64(len(strs)) * 16
-			for _, s := range strs {
-				n += int64(len(s))
-			}
+		n += columnBytes(c, b.Len())
+	}
+	return n
+}
+
+// columnBytes is batchBytes of one column of a batch of rows rows.
+func columnBytes(c *types.Column, rows int) int64 {
+	var n int64
+	switch c.T {
+	case types.Int64, types.Float64:
+		n = int64(rows) * 8
+	case types.Bool:
+		n = int64(rows)
+	case types.String:
+		strs := c.Strs
+		if len(strs) > rows {
+			strs = strs[:rows]
 		}
-		if c.Nulls != nil {
-			n += int64(rows)
+		n = int64(len(strs)) * 16
+		for _, s := range strs {
+			n += int64(len(s))
 		}
+	}
+	if c.Nulls != nil {
+		n += int64(rows)
 	}
 	return n
 }

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"lambdadb/internal/expr"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/types"
@@ -72,6 +74,15 @@ func (f *filterOp) Next() (*types.Batch, error) {
 	}
 }
 
+// writtenBytes counts b, the last output, when the filter gathered it; a
+// batch passed through or lent as a selection is its input's.
+func (f *filterOp) writtenBytes(b *types.Batch) int64 {
+	if b != &f.out.header {
+		return 0
+	}
+	return batchBytes(b)
+}
+
 // outBatch is an operator's reusable output: one Buffer per column, from
 // the operator's scratch, and one header, lent marked Reused and rewritten
 // by the operator's next output. Both are made by the first output.
@@ -112,13 +123,18 @@ func (o *outBatch) gatherAt(at int, cols []*types.Column, idx []int) {
 	}
 }
 
-// projectOp computes output expressions per batch. The output columns are
-// fresh or passed through; only the expressions' inner nodes reuse buffers.
+// projectOp computes output expressions per batch. It lends what it
+// computes: each expression compiles with a lent root (expr.CompileLent), so
+// a computed column is written into a Buffer of the operator's, reused from
+// batch to batch, and the output header is reused too, lent marked Reused. A
+// column reference passes its input column through. A consumer that keeps a
+// batch keeps types.Retain of it, which copies the computed columns.
 type projectOp struct {
 	node    *plan.Project
 	child   Operator
 	evals   []expr.Evaluator
-	schema  types.Schema
+	out     types.Batch
+	in      *types.Batch // the last input, for writtenBytes
 	scratch scratch
 }
 
@@ -127,16 +143,17 @@ func newProjectOp(n *plan.Project, in part, ctx *Context) (Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &projectOp{node: n, child: child, evals: make([]expr.Evaluator, len(n.Exprs)), schema: n.Schema()}
+	p := &projectOp{node: n, child: child, evals: make([]expr.Evaluator, len(n.Exprs)),
+		out: types.Batch{Schema: n.Schema(), Cols: make([]*types.Column, len(n.Exprs)), Reused: true}}
 	for i, e := range n.Exprs {
-		if p.evals[i], err = expr.CompileScratch(e, ctx.Args, &p.scratch.Scratch); err != nil {
+		if p.evals[i], err = expr.CompileLent(e, ctx.Args, &p.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
-func (p *projectOp) Schema() types.Schema { return p.schema }
+func (p *projectOp) Schema() types.Schema { return p.out.Schema }
 
 func (p *projectOp) Open(ctx *Context) error {
 	p.scratch.ctx, p.scratch.label = ctx, "project"
@@ -153,20 +170,23 @@ func (p *projectOp) Next() (*types.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	if b, err = projectBatch(b, p.evals, p.schema); err != nil {
-		return nil, err
-	}
-	return b, p.scratch.book()
-}
-
-func projectBatch(b *types.Batch, evals []expr.Evaluator, schema types.Schema) (*types.Batch, error) {
-	out := &types.Batch{Schema: schema, Cols: make([]*types.Column, len(evals))}
-	for i, ev := range evals {
-		c, err := ev(b)
-		if err != nil {
+	p.in = b
+	for i, ev := range p.evals {
+		if p.out.Cols[i], err = ev(b); err != nil {
 			return nil, err
 		}
-		out.Cols[i] = c
 	}
-	return out, nil
+	return &p.out, p.scratch.book()
+}
+
+// writtenBytes counts the columns of b, the last output, that the
+// projection computed; a column it passed through is its input's.
+func (p *projectOp) writtenBytes(b *types.Batch) int64 {
+	var n int64
+	for _, c := range b.Cols {
+		if !slices.Contains(p.in.Cols, c) {
+			n += columnBytes(c, b.Len())
+		}
+	}
+	return n
 }

@@ -51,7 +51,9 @@ type OpStats struct {
 	// Name is the plan node's Explain label ("Scan lineitem", "HashJoin", …).
 	Name string
 	// RowsOut / Batches / Bytes describe the operator's output: row count,
-	// batch count, and estimated resident bytes of the emitted batches.
+	// batch count, and estimated bytes of the emitted batches' columns the
+	// operator wrote itself — a Filter's lent selection and a Project's
+	// pass-through columns are its input's and count nothing.
 	RowsOut int64
 	Batches int64
 	Bytes   int64
@@ -193,9 +195,20 @@ func (s *statsOp) Next() (*types.Batch, error) {
 	if b != nil {
 		s.rows += int64(b.Len())
 		s.batchN++
-		s.bytes += batchBytes(b)
+		if w, ok := s.inner.(writer); ok {
+			s.bytes += w.writtenBytes(b)
+		} else {
+			s.bytes += batchBytes(b)
+		}
 	}
 	return b, err
+}
+
+// writer is an operator whose output may hold columns it did not write: its
+// input's, passed through or lent under a selection. Its bytes count only
+// the columns it wrote; every other operator's count its whole output.
+type writer interface {
+	writtenBytes(b *types.Batch) int64
 }
 
 func (s *statsOp) Close() error {

@@ -37,9 +37,10 @@ func CompileScratch(e Expr, args []types.Value, s *types.Scratch) (Evaluator, er
 	return compileRoot(e, args, s, false)
 }
 
-// CompileLent is CompileScratch for a caller that reads each result before
-// the next call and keeps nothing of it — a predicate, a key, an aggregate's
-// argument: the root writes into a buffer from s too.
+// CompileLent is CompileScratch with the root writing into a buffer from s
+// too: its result is lent like an operator's output, overwritten by the next
+// call, and a caller that keeps it keeps types.Retain of it. A projection's
+// columns, a predicate, a key and an aggregate's argument compile this way.
 func CompileLent(e Expr, args []types.Value, s *types.Scratch) (Evaluator, error) {
 	return compileRoot(e, args, s, true)
 }
@@ -60,7 +61,10 @@ func Arg(args []types.Value, idx int, to types.Type) (types.Value, error) {
 		return types.Value{}, fmt.Errorf("no argument bound for parameter $%d", idx)
 	}
 	v := args[idx-1]
-	cv, ok := types.Coerce(v, to)
+	cv, ok, err := types.Coerce(v, to)
+	if err != nil {
+		return types.Value{}, fmt.Errorf("parameter $%d: %w", idx, err)
+	}
 	if !ok {
 		return types.Value{}, fmt.Errorf("parameter $%d: cannot bind %s value where %s is expected", idx, v.T, to)
 	}
@@ -252,6 +256,9 @@ func (c *compiler) compileCast(n *Cast, inner bool) (Evaluator, error) {
 	if from == to {
 		return c.compile(n.E, inner)
 	}
+	if from == types.Float64 && to == types.Int64 {
+		return c.compileCastBigint(n.E, inner)
+	}
 	arg, err := c.compile(n.E, true)
 	if err != nil {
 		return nil, err
@@ -266,11 +273,43 @@ func (c *compiler) compileCast(n *Cast, inner bool) (Evaluator, error) {
 	}, nil
 }
 
-// castColumn converts a column. Numeric-to-numeric and boolean-to-integer
+// compileCastBigint compiles CAST(e AS BIGINT) of a DOUBLE e: one typed
+// loop into res that truncates toward zero and keeps e's NULLs. CAST(floor(x)
+// AS BIGINT), the bucketing idiom, floors in the same loop. A row that is
+// not NULL and is NaN, infinite or outside [-2^63, 2^63) fails the cast with
+// types.ErrBigintRange, as BIGINT arithmetic fails, instead of wrapping.
+func (c *compiler) compileCastBigint(e Expr, inner bool) (Evaluator, error) {
+	loop := truncate
+	if f, ok := e.(*FuncCall); ok && f.Name == "floor" {
+		e, loop = f.Args[0], floorTruncate // floor keeps x's NULLs and range
+	}
+	arg, err := c.compile(e, true)
+	if err != nil {
+		return nil, err
+	}
+	res := c.result(inner)
+	return func(b *types.Batch) (*types.Column, error) {
+		in, err := arg(b)
+		if err != nil {
+			return nil, err
+		}
+		n := in.Len()
+		out := res.column(types.Int64, n)
+		if !loop(out.Ints, in.Floats[:n]) && !inBigintRange(in.Floats[:n], in.Nulls) {
+			return nil, types.ErrBigintRange
+		}
+		res.nulls(out, n, in, nil)
+		return out, nil
+	}, nil
+}
+
+// castColumn converts a column. BIGINT-to-DOUBLE and boolean-to-integer
 // casts run as one typed loop into res and keep the source's NULLs (what a
 // NULL row's slot holds is never read); everything else goes value by value
 // through castValue, which defines the conversion for both paths, into a
-// fresh column.
+// fresh column. A compiled DOUBLE-to-BIGINT cast runs its own typed loop
+// instead (compileCastBigint), which adds BIGINT's range to castValue's
+// truncation.
 func castColumn(res result, c *types.Column, to types.Type) (*types.Column, error) {
 	n := c.Len()
 	switch {
@@ -278,13 +317,6 @@ func castColumn(res result, c *types.Column, to types.Type) (*types.Column, erro
 		out := res.column(to, n)
 		for i, v := range c.Ints {
 			out.Floats[i] = float64(v)
-		}
-		res.nulls(out, n, c, nil)
-		return out, nil
-	case c.T == types.Float64 && to == types.Int64:
-		out := res.column(to, n)
-		for i, v := range c.Floats {
-			out.Ints[i] = int64(v)
 		}
 		res.nulls(out, n, c, nil)
 		return out, nil
@@ -314,6 +346,47 @@ func castColumn(res result, c *types.Column, to types.Type) (*types.Column, erro
 	return out, nil
 }
 
+// truncate sets dst[i] to src[i] truncated toward zero and reports whether
+// every src[i] lies strictly inside (-2^63, 2^63), so that the truncation is
+// a BIGINT. The batch has one flag, set without a branch: a biased exponent
+// past 0x43d (|x| >= 2^63, ±Inf and NaN) turns its sign bit on.
+func truncate(dst []int64, src []float64) bool {
+	dst = dst[:len(src)]
+	var over int64
+	for i, x := range src {
+		dst[i] = int64(x)
+		over |= 0x43d - int64(math.Float64bits(x)>>52&0x7ff)
+	}
+	return over >= 0
+}
+
+// floorTruncate is truncate of floor(src[i]).
+func floorTruncate(dst []int64, src []float64) bool {
+	dst = dst[:len(src)]
+	var over int64
+	for i, x := range src {
+		x = math.Floor(x)
+		dst[i] = int64(x)
+		over |= 0x43d - int64(math.Float64bits(x)>>52&0x7ff)
+	}
+	return over >= 0
+}
+
+// inBigintRange is truncate's check row by row, for a batch whose flag is
+// set: every row that is not NULL converts by types.FloatToInt (-2^63
+// itself sets the flag and passes here).
+func inBigintRange(src []float64, nulls []bool) bool {
+	for i, x := range src {
+		if _, ok := types.FloatToInt(x); !ok && !isNull(nulls, i) {
+			return false
+		}
+	}
+	return true
+}
+
+// castValue converts one value. Its DOUBLE to BIGINT is Go's conversion,
+// which wraps outside BIGINT's range; the compiled cast checks the range
+// (compileCastBigint), as types.Coerce does.
 func castValue(v types.Value, to types.Type) (types.Value, error) {
 	switch to {
 	case types.Float64:
@@ -375,12 +448,12 @@ func isNullConst(e Expr) bool {
 	return ok && c.Val.Null
 }
 
-// constPow returns x ^ k as a function of x when the exponent k is a
-// constant that needs no math.Pow, and nil otherwise. x ^ 2 is a multiply —
-// except where the square is subnormal: Pow computes it on the mantissa and
-// scales afterwards, rounding once where x*x rounds twice — x ^ 1 is x, and
-// x ^ 0 is 1 (for NaN too).
-func constPow(k Expr) func(x float64) float64 {
+// constPow returns the loop of x ^ k when the exponent k is a constant
+// that needs no math.Pow, and nil otherwise. x ^ 2 is a multiply — except
+// where the square is subnormal: Pow computes it on the mantissa and scales
+// afterwards, rounding once where x*x rounds twice — x ^ 1 is x, and x ^ 0
+// is 1 (for NaN too).
+func constPow(k Expr) func(dst, src []float64) {
 	if !IsConst(k) {
 		return nil
 	}
@@ -390,16 +463,24 @@ func constPow(k Expr) func(x float64) float64 {
 	}
 	switch v.AsFloat() {
 	case 2:
-		return func(x float64) float64 {
-			if sq := x * x; !(sq < 0x1p-1022) {
-				return sq
+		return func(dst, src []float64) {
+			dst = dst[:len(src)]
+			for i, x := range src {
+				sq := x * x
+				if sq < 0x1p-1022 {
+					sq = math.Pow(x, 2)
+				}
+				dst[i] = sq
 			}
-			return math.Pow(x, 2)
 		}
 	case 1:
-		return func(x float64) float64 { return x }
+		return func(dst, src []float64) { copy(dst, src) }
 	case 0:
-		return func(float64) float64 { return 1 }
+		return func(dst, src []float64) {
+			for i := range src {
+				dst[i] = 1
+			}
+		}
 	}
 	return nil
 }
@@ -507,9 +588,9 @@ func (c *compiler) compileCase(n *Case) (Evaluator, error) {
 	}, nil
 }
 
-// mapFloats applies f to every row of a DOUBLE argument into res; NULLs
-// stay NULL.
-func mapFloats(res result, arg Evaluator, f func(float64) float64) Evaluator {
+// mapFloats runs loop, one typed pass of a DOUBLE function (floatLoop,
+// constPow), over a DOUBLE argument into res; NULLs stay NULL.
+func mapFloats(res result, arg Evaluator, loop func(dst, src []float64)) Evaluator {
 	return func(b *types.Batch) (*types.Column, error) {
 		in, err := arg(b)
 		if err != nil {
@@ -517,9 +598,7 @@ func mapFloats(res result, arg Evaluator, f func(float64) float64) Evaluator {
 		}
 		cnt := in.Len()
 		out := res.column(types.Float64, cnt)
-		for i, x := range in.Floats[:cnt] {
-			out.Floats[i] = f(x)
-		}
+		loop(out.Floats, in.Floats[:cnt])
 		res.nulls(out, cnt, in, nil)
 		return out, nil
 	}
@@ -550,8 +629,8 @@ func (c *compiler) compileFunc(n *FuncCall, inner bool) (Evaluator, error) {
 		args[i] = ev
 	}
 	name, res := n.Name, c.result(inner)
-	if f := scalarFloatFunc(name); f != nil && len(args) == 1 && n.Typ == types.Float64 {
-		return mapFloats(res, args[0], f), nil
+	if loop := floatLoop(name); loop != nil && len(args) == 1 && n.Typ == types.Float64 {
+		return mapFloats(res, args[0], loop), nil
 	}
 	switch name {
 	case "abs", "sign":
@@ -568,7 +647,7 @@ func (c *compiler) compileFunc(n *FuncCall, inner bool) (Evaluator, error) {
 				v := in.Ints[i]
 				if name == "abs" {
 					if v == math.MinInt64 && !in.IsNull(i) {
-						return nil, errBigintRange
+						return nil, types.ErrBigintRange
 					}
 					if v < 0 {
 						v = -v

@@ -151,38 +151,94 @@ func typeAggCall(name string, args []Expr, star bool) (Expr, error) {
 	return &FuncCall{Name: name, Args: args, Typ: t}, nil
 }
 
-// scalarFloatFunc returns the float implementation for 1-arg math funcs.
-func scalarFloatFunc(name string) func(float64) float64 {
+// floatLoop returns the typed loop of a one-argument DOUBLE function, dst[i]
+// = f(src[i]), and nil for any other name. Each loop calls its math function
+// directly, so the compiler inlines it or emits its instruction; a function
+// value called per row would be neither.
+func floatLoop(name string) func(dst, src []float64) {
 	switch name {
 	case "sqrt":
-		return math.Sqrt
-	case "exp":
-		return math.Exp
-	case "ln":
-		return math.Log
-	case "log":
-		return math.Log10
-	case "floor":
-		return math.Floor
-	case "ceil":
-		return math.Ceil
-	case "round":
-		return math.Round
-	case "sin":
-		return math.Sin
-	case "cos":
-		return math.Cos
-	case "abs":
-		return math.Abs
-	case "sign":
-		return func(x float64) float64 {
-			switch {
-			case x > 0:
-				return 1
-			case x < 0:
-				return -1
+		return func(dst, src []float64) {
+			dst = dst[:len(src)]
+			for i, x := range src {
+				dst[i] = math.Sqrt(x)
 			}
-			return 0
+		}
+	case "exp":
+		return func(dst, src []float64) {
+			dst = dst[:len(src)]
+			for i, x := range src {
+				dst[i] = math.Exp(x)
+			}
+		}
+	case "ln":
+		return func(dst, src []float64) {
+			dst = dst[:len(src)]
+			for i, x := range src {
+				dst[i] = math.Log(x)
+			}
+		}
+	case "log":
+		return func(dst, src []float64) {
+			dst = dst[:len(src)]
+			for i, x := range src {
+				dst[i] = math.Log10(x)
+			}
+		}
+	case "floor":
+		return func(dst, src []float64) {
+			dst = dst[:len(src)]
+			for i, x := range src {
+				dst[i] = math.Floor(x)
+			}
+		}
+	case "ceil":
+		return func(dst, src []float64) {
+			dst = dst[:len(src)]
+			for i, x := range src {
+				dst[i] = math.Ceil(x)
+			}
+		}
+	case "round":
+		return func(dst, src []float64) {
+			dst = dst[:len(src)]
+			for i, x := range src {
+				dst[i] = math.Round(x)
+			}
+		}
+	case "sin":
+		return func(dst, src []float64) {
+			dst = dst[:len(src)]
+			for i, x := range src {
+				dst[i] = math.Sin(x)
+			}
+		}
+	case "cos":
+		return func(dst, src []float64) {
+			dst = dst[:len(src)]
+			for i, x := range src {
+				dst[i] = math.Cos(x)
+			}
+		}
+	case "abs":
+		return func(dst, src []float64) {
+			dst = dst[:len(src)]
+			for i, x := range src {
+				dst[i] = math.Abs(x)
+			}
+		}
+	case "sign": // 0 for ±0 and NaN
+		return func(dst, src []float64) {
+			dst = dst[:len(src)]
+			for i, x := range src {
+				s := 0.0
+				if x > 0 {
+					s = 1
+				} else if x < 0 {
+					s = -1
+				}
+				dst[i] = s
+			}
 		}
 	}
 	return nil

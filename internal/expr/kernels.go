@@ -14,11 +14,9 @@ import (
 // column. The operators that call a function per row anyway — DOUBLE % and
 // ^, BIGINT %, || — share one set of shape loops that makes the call.
 
-// The errors of BIGINT arithmetic, worded as PostgreSQL words them.
-var (
-	errBigintRange = errors.New("bigint out of range")
-	errModZero     = errors.New("modulo by zero")
-)
+// errModZero is BIGINT % 0, worded as PostgreSQL words it; a result past
+// BIGINT's range is types.ErrBigintRange.
+var errModZero = errors.New("modulo by zero")
 
 // operand is one input of a binary kernel: a column evaluated per batch,
 // or, when ev is nil, the constant k.
@@ -314,19 +312,19 @@ func checkBigint(op Op, a, b []int64, kb int64, out []int64, nulls []bool) error
 	case op == OpAdd: // x + k has its constant on the right
 		for i, x := range a {
 			if y := out[i] - x; (x^out[i])&(y^out[i]) < 0 && !isNull(nulls, i) {
-				return errBigintRange
+				return types.ErrBigintRange
 			}
 		}
 	case op == OpSub && a != nil:
 		for i, x := range a {
 			if y := x - out[i]; (x^y)&(x^out[i]) < 0 && !isNull(nulls, i) {
-				return errBigintRange
+				return types.ErrBigintRange
 			}
 		}
 	case op == OpSub:
 		for i, y := range b {
 			if x := out[i] + y; (x^y)&(x^out[i]) < 0 && !isNull(nulls, i) {
-				return errBigintRange
+				return types.ErrBigintRange
 			}
 		}
 	case op == OpMul:
@@ -336,7 +334,7 @@ func checkBigint(op Op, a, b []int64, kb int64, out []int64, nulls []bool) error
 				y = b[i]
 			}
 			if x != 0 && (out[i]/x != y || x == -1 && y == math.MinInt64) && !isNull(nulls, i) {
-				return errBigintRange
+				return types.ErrBigintRange
 			}
 		}
 	}

@@ -7,6 +7,7 @@
 package types
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -88,23 +89,43 @@ func (v Value) AsInt() int64 {
 	return v.I
 }
 
+// ErrBigintRange is a value past BIGINT's range, in PostgreSQL's words: a
+// BIGINT sum or product that wrapped, or a DOUBLE converted to BIGINT that
+// is NaN, infinite or outside [-2^63, 2^63).
+var ErrBigintRange = errors.New("bigint out of range")
+
+// FloatToInt is f truncated toward zero, as CAST(f AS BIGINT), storing f in
+// a BIGINT column and binding it to a BIGINT placeholder convert it; ok is
+// false where f is NaN, infinite or outside [-2^63, 2^63).
+func FloatToInt(f float64) (_ int64, ok bool) {
+	if !(f >= -0x1p63 && f < 0x1p63) {
+		return 0, false
+	}
+	return int64(f), true
+}
+
 // Coerce converts v to type to, as storing a value in a column or binding
 // it to a placeholder does: NULL becomes a NULL of type to, numerics widen
-// (or truncate) to the other numeric type, and a value of type to — or any
-// value when to is Unknown — is kept. ok is false for anything else; the
-// caller words the error.
-func Coerce(v Value, to Type) (_ Value, ok bool) {
+// (or truncate, by FloatToInt) to the other numeric type, and a value of
+// type to — or any value when to is Unknown — is kept. A DOUBLE past
+// BIGINT's range fails with ErrBigintRange; ok is false for anything else
+// it cannot convert, and the caller words that error.
+func Coerce(v Value, to Type) (_ Value, ok bool, err error) {
 	switch {
 	case v.Null:
-		return NewNull(to), true
+		return NewNull(to), true, nil
 	case v.T == to || to == Unknown:
-		return v, true
+		return v, true, nil
 	case v.T.IsNumeric() && to == Float64:
-		return NewFloat(v.AsFloat()), true
-	case v.T.IsNumeric() && to == Int64:
-		return NewInt(v.AsInt()), true
+		return NewFloat(v.AsFloat()), true, nil
+	case v.T == Float64 && to == Int64:
+		i, in := FloatToInt(v.F)
+		if !in {
+			return Value{}, true, ErrBigintRange
+		}
+		return NewInt(i), true, nil
 	}
-	return Value{}, false
+	return Value{}, false, nil
 }
 
 // String renders the value as it would appear in query output.
