@@ -57,12 +57,13 @@ bench-obs:
 	$(GO) test ./internal/telemetry/ -run xxx -bench 'BenchmarkHistogram' -benchtime 2s
 	$(GO) test ./internal/obs/ -run xxx -bench 'BenchmarkRenderMetrics' -benchtime 2s
 
-## bench: print the parallel-operator scaling micro-benchmarks, the hash operators' ns/row in both key-table modes (BenchmarkHashAgg int-key and BenchmarkHashJoin build: dense keys, addressed directly; sparse-int-key and build-sparse: hashed), the join as a pipeline stage (BenchmarkJoinPipelineAgg: ns/probe-row and B/op; BenchmarkBroadcastCross: the k-Means n x k shape) the expression kernels (BenchmarkVectorizedFilterAgg: scan_agg's filter under a key-less aggregate, 1M random rows, with the select kernel and the aggregate reading the filter's selection each on and off; BenchmarkProjectArith: scan_agg's GROUP BY key and the k-Means distance, ns/row; BenchmarkGroupByComputedKey: scan_agg's op_b, the GROUP BY over that key, 1M random rows, one worker, ns/row and B/op), the k-Means operator per E9 variant, default metric and each distance λ (BenchmarkLambdaVariants, ns per query), PageRank's CSR build over 400k edges in both relabel modes (BenchmarkCSRBuild dense: ids 0…19999, addressed directly; sparse: the same ids × 1,000,003, through a map; ns/op and B/op), a 100k-row Result frame shaped like lambdabench's kv fetch, column-encoded then decoded (BenchmarkResultFrame, ns/op and allocs/op) and a full table scan, 1M rows × 4 DOUBLE columns, clean and with one deleted row in every stretch (BenchmarkTableScan, ns/row); print-only — the recorded numbers are lambdabench's exec.speedup_workers, exec.agg_ms, exec.join_ms, exec.filter_ms and graph.csr_build_ms (cmd/lambdabench/BASELINE.json)
+## bench: print the parallel-operator scaling micro-benchmarks, the hash operators' ns/row in both key-table modes (BenchmarkHashAgg int-key and BenchmarkHashJoin build: dense keys, addressed directly; sparse-int-key and build-sparse: hashed), the join as a pipeline stage (BenchmarkJoinPipelineAgg: ns/probe-row and B/op; BenchmarkBroadcastCross: the k-Means n x k shape) the expression kernels (BenchmarkVectorizedFilterAgg: scan_agg's filter under a key-less aggregate, 1M random rows, with the select kernel and the aggregate reading the filter's selection each on and off; BenchmarkProjectArith: scan_agg's GROUP BY key and the k-Means distance, ns/row; BenchmarkGroupByComputedKey: scan_agg's op_b, the GROUP BY over that key, 1M random rows, one worker, ns/row and B/op), the k-Means operator per E9 variant, default metric and each distance λ (BenchmarkLambdaVariants, ns per query), PageRank's CSR build over 400k edges in both relabel modes (BenchmarkCSRBuild dense: ids 0…19999, addressed directly; sparse: the same ids × 1,000,003, through a map; ns/op and B/op), a 100k-row Result frame shaped like lambdabench's kv fetch, column-encoded then decoded (BenchmarkResultFrame, ns/op and allocs/op), a full table scan, 1M rows × 4 DOUBLE columns, clean and with one deleted row in every stretch (BenchmarkTableScan, ns/row) and lambdabench's prepared UPDATE over its 200k-row kv table aged by 3,000 updates, a full scan per statement (BenchmarkUpdateScan, ns/op and B/op); print-only — the recorded numbers are lambdabench's exec.speedup_workers, exec.agg_ms, exec.join_ms, exec.filter_ms and graph.csr_build_ms (cmd/lambdabench/BASELINE.json)
 bench:
 	$(GO) test ./internal/exec/ -run xxx -bench 'BenchmarkParallel(Join|Sort|TopK|Agg)Scaling|BenchmarkHash(Agg|Join)|BenchmarkJoinPipelineAgg|BenchmarkBroadcastCross|BenchmarkVectorizedFilterAgg|BenchmarkProjectArith|BenchmarkGroupByComputedKey' -benchtime 3x
 	$(GO) test . -run xxx -bench 'BenchmarkLambdaVariants|BenchmarkCSRBuild' -benchtime 5x
 	$(GO) test ./internal/server/wire/ -run xxx -bench 'BenchmarkResultFrame' -benchtime 10x
 	$(GO) test ./internal/storage/ -run xxx -bench 'BenchmarkTableScan' -benchtime 20x
+	$(GO) test ./internal/engine/ -run xxx -bench 'BenchmarkUpdateScan' -benchtime 300x
 
 ## bench-pair: PAIRS (default 10) alternating runs of revision BASE against the working tree on WORKLOAD (a BENCHMARK.json workload, or all), then lambdabench -compare; e.g. make bench-pair WORKLOAD=scan_agg BASE=HEAD~1
 PAIRS ?= 10

@@ -70,7 +70,7 @@ func (s *Session) execInsert(ctx context.Context, st *stmt, n *sql.Insert, args 
 					return nil, err
 				}
 				if i < len(colIdx) {
-					adoptColumnType(re, schema[colIdx[i]].Type)
+					re = adoptColumnType(re, schema[colIdx[i]].Type)
 				}
 				v, err := expr.EvalConst(re, args)
 				if err != nil {
@@ -113,17 +113,28 @@ func (s *Session) execInsert(ctx context.Context, st *stmt, n *sql.Insert, args 
 	return &Result{Affected: affected}, nil
 }
 
-// adoptColumnType gives a bare untyped $N assigned to a column that
-// column's type, as resolution types the $N of `id = $N` from id.
-func adoptColumnType(e expr.Expr, to types.Type) {
-	if p, ok := e.(*expr.Param); ok && p.Typ == types.Unknown {
-		p.Typ = to
+// adoptColumnType returns e, a value assigned to a column of type to, with
+// that type where e has none: a bare untyped $N takes it, as resolution
+// types the $N of `id = $N` from id, and an untyped NULL becomes a NULL of
+// that type. The statement's own tree is not written.
+func adoptColumnType(e expr.Expr, to types.Type) expr.Expr {
+	switch n := e.(type) {
+	case *expr.Param: // Resolve's copy
+		if n.Typ == types.Unknown {
+			n.Typ = to
+		}
+	case *expr.Const:
+		if n.Val.Null && n.Val.T == types.Unknown {
+			return &expr.Const{Val: types.NewNull(to)}
+		}
 	}
+	return e
 }
 
-// compilePredicate resolves and compiles an optional WHERE clause against a
-// table's schema, its $N bound from args. A nil clause accepts all rows.
-func compilePredicate(where expr.Expr, schema types.Schema, table string, args []types.Value) (expr.Evaluator, error) {
+// compilePredicate resolves an optional WHERE clause against a table's
+// schema and compiles it, its $N bound from args, into the Selector a Filter
+// runs. A nil clause gives a nil Selector, which selects every row.
+func compilePredicate(where expr.Expr, schema types.Schema, table string, args []types.Value) (expr.Selector, error) {
 	if where == nil {
 		return nil, nil
 	}
@@ -135,7 +146,7 @@ func compilePredicate(where expr.Expr, schema types.Schema, table string, args [
 	if pred.Type() != types.Bool {
 		return nil, fmt.Errorf("WHERE must be boolean, got %s", pred.Type())
 	}
-	return expr.Compile(pred, args)
+	return expr.CompileSelect(pred, args, nil)
 }
 
 func (s *Session) execDelete(ctx context.Context, n *sql.Delete, args []types.Value) (*Result, error) {
@@ -143,21 +154,18 @@ func (s *Session) execDelete(ctx context.Context, n *sql.Delete, args []types.Va
 	if err != nil {
 		return nil, err
 	}
-	pred, err := compilePredicate(n.Where, tbl.Schema(), n.Table, args)
+	sel, err := compilePredicate(n.Where, tbl.Schema(), n.Table, args)
 	if err != nil {
 		return nil, err
 	}
 	affected := 0
-	err = s.scanMatching(ctx, tbl, pred, func(tx *storage.Txn, b *types.Batch, rowIDs []int, match []bool) error {
-		for i, m := range match {
-			if !m {
-				continue
-			}
+	err = s.scanMatching(ctx, tbl, sel, func(tx *storage.Txn, _ *types.Batch, rows, rowIDs []int) error {
+		for _, i := range rows {
 			if err := tx.Delete(tbl, rowIDs[i]); err != nil {
 				return err
 			}
-			affected++
 		}
+		affected += len(rows)
 		return nil
 	})
 	if err != nil {
@@ -167,16 +175,18 @@ func (s *Session) execDelete(ctx context.Context, n *sql.Delete, args []types.Va
 }
 
 // scanMatching is the row discovery UPDATE and DELETE share: inside the
-// session's write transaction it scans tbl at the statement snapshot and
-// hands fn each batch with its physical row IDs (valid during the call) and
-// the WHERE match vector. It is governed like runPlan — statement timeout
-// applied, ctx checked before each cursor batch — so a timed-out or
-// cancelled DML scan stops, the autocommit transaction rolls back, and an
-// explicit one aborts (AbortOnError).
-func (s *Session) scanMatching(ctx context.Context, tbl *storage.Table, pred expr.Evaluator,
-	fn func(tx *storage.Txn, b *types.Batch, rowIDs []int, match []bool) error) error {
+// session's write transaction it scans tbl at the statement snapshot,
+// selects each batch's rows with sel (nil: every row), and hands fn each
+// batch that has selected rows, with their positions and the batch's
+// physical row IDs, all valid during the call. It is governed like runPlan —
+// statement timeout applied, ctx checked before each cursor batch — so a
+// timed-out or cancelled DML scan stops, the autocommit transaction rolls
+// back, and an explicit one aborts (AbortOnError).
+func (s *Session) scanMatching(ctx context.Context, tbl *storage.Table, sel expr.Selector,
+	fn func(tx *storage.Txn, b *types.Batch, rows, rowIDs []int) error) error {
 	ctx, cancel := s.withStmtTimeout(ctx)
 	defer cancel()
+	var rows []int
 	return s.write(func(tx *storage.Txn) error {
 		c := tbl.Cursor(s.snapshot(), 0, -1)
 		for {
@@ -187,35 +197,29 @@ func (s *Session) scanMatching(ctx context.Context, tbl *storage.Table, pred exp
 			if b == nil {
 				return nil
 			}
-			match, err := matchRows(b, pred)
-			if err != nil {
-				return err
+			n := b.Len()
+			if cap(rows) < n {
+				rows = make([]int, n)
 			}
-			if err := fn(tx, b, c.RowIDs(), match); err != nil {
+			rows = rows[:n]
+			if sel == nil {
+				for i := range rows {
+					rows[i] = i
+				}
+			} else {
+				var err error
+				if rows, err = sel(b, nil, rows); err != nil {
+					return err
+				}
+			}
+			if len(rows) == 0 {
+				continue
+			}
+			if err := fn(tx, b, rows, c.RowIDs()); err != nil {
 				return err
 			}
 		}
 	})
-}
-
-// matchRows evaluates an optional predicate over a batch.
-func matchRows(b *types.Batch, pred expr.Evaluator) ([]bool, error) {
-	n := b.Len()
-	match := make([]bool, n)
-	if pred == nil {
-		for i := range match {
-			match[i] = true
-		}
-		return match, nil
-	}
-	c, err := pred(b)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		match[i] = !c.IsNull(i) && c.Bools[i]
-	}
-	return match, nil
 }
 
 func (s *Session) execUpdate(ctx context.Context, n *sql.Update, args []types.Value) (*Result, error) {
@@ -224,7 +228,7 @@ func (s *Session) execUpdate(ctx context.Context, n *sql.Update, args []types.Va
 		return nil, err
 	}
 	schema := tbl.Schema()
-	pred, err := compilePredicate(n.Where, schema, n.Table, args)
+	sel, err := compilePredicate(n.Where, schema, n.Table, args)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +246,7 @@ func (s *Session) execUpdate(ctx context.Context, n *sql.Update, args []types.Va
 		if err != nil {
 			return nil, err
 		}
-		adoptColumnType(e, schema[ci].Type)
+		e = adoptColumnType(e, schema[ci].Type)
 		if e.Type() != schema[ci].Type {
 			if !(e.Type().IsNumeric() && schema[ci].Type.IsNumeric()) {
 				return nil, fmt.Errorf("cannot assign %s to column %q (%s)",
@@ -250,43 +254,36 @@ func (s *Session) execUpdate(ctx context.Context, n *sql.Update, args []types.Va
 			}
 			e = &expr.Cast{E: e, To: schema[ci].Type}
 		}
-		ev, err := expr.Compile(e, args)
+		ev, err := expr.Compile(e, args, nil)
 		if err != nil {
 			return nil, err
 		}
 		setCols[i], setEvals[i] = ci, ev
 	}
 
+	// SET runs over the selected rows only, every expression reading the
+	// old row, so a row the WHERE rejected cannot fail the statement.
 	affected := 0
-	err = s.scanMatching(ctx, tbl, pred, func(tx *storage.Txn, b *types.Batch, rowIDs []int, match []bool) error {
-		// Compute replacement values over the whole batch once.
-		newCols := make([]*types.Column, len(setEvals))
+	newCols := make([]*types.Column, len(setEvals))
+	err = s.scanMatching(ctx, tbl, sel, func(tx *storage.Txn, b *types.Batch, rows, rowIDs []int) error {
+		g := b.Gather(rows)
 		for k, ev := range setEvals {
-			c, err := ev(b)
+			c, err := ev(g)
 			if err != nil {
 				return err
 			}
 			newCols[k] = c
 		}
-		inserted := types.NewBatch(schema)
-		for i, m := range match {
-			if !m {
-				continue
-			}
+		for k, ci := range setCols {
+			g.Cols[ci] = newCols[k]
+		}
+		for _, i := range rows {
 			if err := tx.Delete(tbl, rowIDs[i]); err != nil {
 				return err
 			}
-			row := b.Row(i)
-			for k, ci := range setCols {
-				row[ci] = newCols[k].Value(i)
-			}
-			inserted.AppendRow(row)
-			affected++
 		}
-		if inserted.Len() > 0 {
-			return tx.Insert(tbl, inserted)
-		}
-		return nil
+		affected += len(rows)
+		return tx.Insert(tbl, types.Retain(g))
 	})
 	if err != nil {
 		return nil, err

@@ -497,7 +497,7 @@ func newAggSink(n *plan.Aggregate, ctx *Context) (*aggSink, error) {
 	var err error
 	for i, k := range n.Keys {
 		keyTypes[i] = k.Type()
-		if s.keyEvals[i], err = expr.CompileLent(remap(k), ctx.Args, &s.scratch.Scratch); err != nil {
+		if s.keyEvals[i], err = expr.Compile(remap(k), ctx.Args, &s.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}
@@ -505,7 +505,7 @@ func newAggSink(n *plan.Aggregate, ctx *Context) (*aggSink, error) {
 		if g.Arg == nil || s.bare[i] >= 0 {
 			continue
 		}
-		if s.argEvals[i], err = expr.CompileLent(remap(g.Arg), ctx.Args, &s.scratch.Scratch); err != nil {
+		if s.argEvals[i], err = expr.Compile(remap(g.Arg), ctx.Args, &s.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}

@@ -219,7 +219,7 @@ func (m *distance) prepare(centers []float64) (analytics.Metric, error) {
 			}
 			return e
 		})
-		ev, err := expr.CompileLent(plan.Fold(body), m.scratch.ctx.Args, &m.scratch.Scratch)
+		ev, err := expr.Compile(plan.Fold(body), m.scratch.ctx.Args, &m.scratch.Scratch)
 		if err != nil {
 			return nil, fmt.Errorf("%s: distance %s: %w", m.what, m.l, err)
 		}
@@ -439,7 +439,7 @@ func newKMeansAssignOp(n *plan.KMeansAssign) *blockingOp {
 // batches, makes the CSR weighted.
 func newPageRankOp(n *plan.PageRank, ctx *Context) (*blockingOp, error) {
 	if n.Lambda != nil {
-		if _, err := expr.Compile(n.Lambda.Body, ctx.Args); err != nil {
+		if _, err := expr.Compile(n.Lambda.Body, ctx.Args, nil); err != nil {
 			return nil, fmt.Errorf("pagerank: edge weight %s: %w", n.Lambda, err)
 		}
 	}
@@ -512,7 +512,7 @@ func loadEdges(n *plan.PageRank, ctx *Context) (*edges, error) {
 		var weight expr.Evaluator
 		if weighted {
 			var err error
-			if weight, err = expr.CompileLent(n.Lambda.Body, ctx.Args, &s.Scratch); err != nil {
+			if weight, err = expr.Compile(n.Lambda.Body, ctx.Args, &s.Scratch); err != nil {
 				return nil, err
 			}
 		}

@@ -124,11 +124,11 @@ func (o *outBatch) gatherAt(at int, cols []*types.Column, idx []int) {
 }
 
 // projectOp computes output expressions per batch. It lends what it
-// computes: each expression compiles with a lent root (expr.CompileLent), so
-// a computed column is written into a Buffer of the operator's, reused from
-// batch to batch, and the output header is reused too, lent marked Reused. A
-// column reference passes its input column through. A consumer that keeps a
-// batch keeps types.Retain of it, which copies the computed columns.
+// computes: expr.Compile writes a computed column into a Buffer of the
+// operator's, reused from batch to batch, and the output header is reused
+// too, lent marked Reused. A column reference passes its input column
+// through. A consumer that keeps a batch keeps types.Retain of it, which
+// copies the computed columns.
 type projectOp struct {
 	node    *plan.Project
 	child   Operator
@@ -146,7 +146,7 @@ func newProjectOp(n *plan.Project, in part, ctx *Context) (Operator, error) {
 	p := &projectOp{node: n, child: child, evals: make([]expr.Evaluator, len(n.Exprs)),
 		out: types.Batch{Schema: n.Schema(), Cols: make([]*types.Column, len(n.Exprs)), Reused: true}}
 	for i, e := range n.Exprs {
-		if p.evals[i], err = expr.CompileLent(e, ctx.Args, &p.scratch.Scratch); err != nil {
+		if p.evals[i], err = expr.Compile(e, ctx.Args, &p.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}

@@ -68,6 +68,22 @@ func (o Op) String() string { return opNames[o] }
 // IsComparison reports whether o yields a boolean from two operands.
 func (o Op) IsComparison() bool { return o >= OpEq && o <= OpGe }
 
+// Flip is the comparison with its operands swapped: k < x is x > k. = and
+// <> flip to themselves, as does an operator that is not a comparison.
+func (o Op) Flip() Op {
+	switch o {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	}
+	return o
+}
+
 // IsArith reports whether o is an arithmetic operator.
 func (o Op) IsArith() bool { return o >= OpAdd && o <= OpPow }
 

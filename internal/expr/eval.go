@@ -13,44 +13,29 @@ import (
 // evaluator's next call, and a caller that keeps it past that keeps it
 // through types.Retain. It may be an input column (a bare column reference),
 // a Reused buffer or a fresh column; callers never mutate it. An Evaluator
-// owns the buffers of its inner nodes, so it is not safe for concurrent use:
+// owns the buffers of its nodes, so it is not safe for concurrent use:
 // every goroutine compiles its own.
 type Evaluator func(*types.Batch) (*types.Column, error)
 
 // Compile translates a resolved expression tree into a tree of closures.
 // Each closure is specialized to its operand types, so batch evaluation
 // performs no per-row type dispatch — the reproduction's analog of HyPer's
-// compiled query pipelines. The root returns a fresh column, or an input
-// column it passes through. An inner node's only reader is its parent
-// kernel, and a node's inputs are dead once it has run, so each inner node
-// writes into a Buffer of its own, reused from call to call.
+// compiled query pipelines. A node's only reader is its parent kernel, or
+// the caller at the root, and it reads each result before the next call, so
+// every node writes into a Buffer of its own drawn from s and reused from
+// call to call; the owner of s books the buffers and, after s.Rewind, hands
+// them to the evaluator it compiles next. A nil s gives buffers that nothing
+// counts.
 //
 // args binds the $N placeholders of e: each becomes the constant Arg
 // returns for it before anything is compiled, so a bound $N compiles
 // exactly like the literal it stands for. An unbound one fails.
-func Compile(e Expr, args []types.Value) (Evaluator, error) { return CompileScratch(e, args, nil) }
-
-// CompileScratch is Compile with the inner nodes' buffers drawn from s, so
-// that their owner can book them and, after s.Rewind, hand them to the
-// evaluator it compiles next.
-func CompileScratch(e Expr, args []types.Value, s *types.Scratch) (Evaluator, error) {
-	return compileRoot(e, args, s, false)
-}
-
-// CompileLent is CompileScratch with the root writing into a buffer from s
-// too: its result is lent like an operator's output, overwritten by the next
-// call, and a caller that keeps it keeps types.Retain of it. A projection's
-// columns, a predicate, a key and an aggregate's argument compile this way.
-func CompileLent(e Expr, args []types.Value, s *types.Scratch) (Evaluator, error) {
-	return compileRoot(e, args, s, true)
-}
-
-func compileRoot(e Expr, args []types.Value, s *types.Scratch, inner bool) (Evaluator, error) {
+func Compile(e Expr, args []types.Value, s *types.Scratch) (Evaluator, error) {
 	e, err := bind(e, args)
 	if err != nil {
 		return nil, err
 	}
-	return (&compiler{scratch: s}).compile(e, inner)
+	return (&compiler{scratch: s}).compile(e)
 }
 
 // Arg returns the value bound to parameter $idx — args[i] binds $i+1 —
@@ -105,96 +90,15 @@ func hasParam(e Expr) bool {
 	return found
 }
 
-// compiler compiles one tree, drawing inner nodes' buffers from scratch.
+// compiler compiles one tree, drawing its nodes' buffers from scratch.
 type compiler struct{ scratch *types.Scratch }
 
-// result is where a node writes its output: a fresh column per call at the
-// root (buf nil), one Buffer reused across calls at an inner node.
-type result struct{ buf *types.Buffer }
-
-func (c *compiler) result(inner bool) result {
-	if !inner {
-		return result{}
-	}
-	return result{buf: c.scratch.Buffer()}
-}
-
-// column returns the output column for n rows of type t, without NULLs.
-func (r result) column(t types.Type, n int) *types.Column {
-	if r.buf != nil {
-		return r.buf.Reset(t, n)
-	}
-	out := &types.Column{T: t}
-	switch t {
-	case types.Int64:
-		out.Ints = make([]int64, n)
-	case types.Float64:
-		out.Floats = make([]float64, n)
-	case types.String:
-		out.Strs = make([]string, n)
-	case types.Bool:
-		out.Bools = make([]bool, n)
-	default:
-		out.Nulls = make([]bool, n)
-	}
-	return out
-}
-
-// ownNulls gives out, of n rows, a NULL bitmap of its own for the caller to
-// fill.
-func (r result) ownNulls(out *types.Column, n int) []bool {
-	if r.buf != nil {
-		return r.buf.Nulls(n)
-	}
-	out.Nulls = make([]bool, n)
-	return out.Nulls
-}
-
-// nulls sets the NULLs of out, a row-wise result of a and b (b may be nil),
-// to the OR of theirs. When only one has NULLs its bitmap is shared —
-// results are read-only — unless out is fresh and the bitmap reused
-// storage, which a fresh column must not hold; then, as when both have
-// NULLs, the bitmap is written to out's own.
-func (r result) nulls(out *types.Column, n int, a, b *types.Column) {
-	a, b = orNone(a), orNone(b)
-	an, bn := a.Nulls, b.Nulls
-	switch {
-	case an == nil && bn == nil:
-		return
-	case bn == nil && (r.buf != nil || !a.Reused):
-		out.Nulls = an
-		return
-	case an == nil && (r.buf != nil || !b.Reused):
-		out.Nulls = bn
-		return
-	}
-	dst := r.ownNulls(out, n)
-	for i := range dst {
-		dst[i] = isNull(an, i) || isNull(bn, i)
-	}
-}
-
-// orNone is c, or noColumn for nil.
-func orNone(c *types.Column) *types.Column {
-	if c == nil {
-		return &noColumn
-	}
-	return c
-}
-
-// compile compiles e; inner says whether its only reader is a parent
-// kernel. A node that passes a child's output through compiles the child
-// as what it is itself.
-func (c *compiler) compile(e Expr, inner bool) (Evaluator, error) {
+// compile compiles e. A node that passes a child's output through
+// compiles the child in its place.
+func (c *compiler) compile(e Expr) (Evaluator, error) {
 	switch n := e.(type) {
 	case *Const:
-		v := n.Val
-		if !inner {
-			return func(b *types.Batch) (*types.Column, error) {
-				return types.ConstColumn(v, b.Len()), nil
-			}, nil
-		}
-		buf := c.result(true).buf
+		v, buf := n.Val, c.scratch.Buffer()
 		return func(b *types.Batch) (*types.Column, error) {
 			return buf.Const(v, b.Len()), nil
 		}, nil
@@ -212,36 +116,36 @@ func (c *compiler) compile(e Expr, inner bool) (Evaluator, error) {
 		}, nil
 
 	case *Cast:
-		return c.compileCast(n, inner)
+		return c.compileCast(n)
 
 	case *BinOp:
-		return c.compileBinOp(n, inner)
+		return c.compileBinOp(n)
 
 	case *UnOp:
-		return c.compileUnOp(n, inner)
+		return c.compileUnOp(n)
 
 	case *FuncCall:
-		return c.compileFunc(n, inner)
+		return c.compileFunc(n)
 
 	case *Case:
 		return c.compileCase(n)
 
 	case *Like:
-		return c.compileLike(n, inner)
+		return c.compileLike(n)
 
 	case *IsNull:
-		arg, err := c.compile(n.E, true)
+		arg, err := c.compile(n.E)
 		if err != nil {
 			return nil, err
 		}
-		negate, res := n.Negate, c.result(inner)
+		negate, res := n.Negate, c.scratch.Buffer()
 		return func(b *types.Batch) (*types.Column, error) {
 			in, err := arg(b)
 			if err != nil {
 				return nil, err
 			}
 			cnt := in.Len()
-			out := res.column(types.Bool, cnt)
+			out := res.Reset(types.Bool, cnt)
 			for i := range out.Bools {
 				out.Bools[i] = in.IsNull(i) != negate
 			}
@@ -251,19 +155,19 @@ func (c *compiler) compile(e Expr, inner bool) (Evaluator, error) {
 	return nil, fmt.Errorf("cannot compile expression %T", e)
 }
 
-func (c *compiler) compileCast(n *Cast, inner bool) (Evaluator, error) {
+func (c *compiler) compileCast(n *Cast) (Evaluator, error) {
 	from, to := n.E.Type(), n.To
 	if from == to {
-		return c.compile(n.E, inner)
+		return c.compile(n.E)
 	}
 	if from == types.Float64 && to == types.Int64 {
-		return c.compileCastBigint(n.E, inner)
+		return c.compileCastBigint(n.E)
 	}
-	arg, err := c.compile(n.E, true)
+	arg, err := c.compile(n.E)
 	if err != nil {
 		return nil, err
 	}
-	res := c.result(inner)
+	res := c.scratch.Buffer()
 	return func(b *types.Batch) (*types.Column, error) {
 		in, err := arg(b)
 		if err != nil {
@@ -278,27 +182,27 @@ func (c *compiler) compileCast(n *Cast, inner bool) (Evaluator, error) {
 // AS BIGINT), the bucketing idiom, floors in the same loop. A row that is
 // not NULL and is NaN, infinite or outside [-2^63, 2^63) fails the cast with
 // types.ErrBigintRange, as BIGINT arithmetic fails, instead of wrapping.
-func (c *compiler) compileCastBigint(e Expr, inner bool) (Evaluator, error) {
+func (c *compiler) compileCastBigint(e Expr) (Evaluator, error) {
 	loop := truncate
 	if f, ok := e.(*FuncCall); ok && f.Name == "floor" {
 		e, loop = f.Args[0], floorTruncate // floor keeps x's NULLs and range
 	}
-	arg, err := c.compile(e, true)
+	arg, err := c.compile(e)
 	if err != nil {
 		return nil, err
 	}
-	res := c.result(inner)
+	res := c.scratch.Buffer()
 	return func(b *types.Batch) (*types.Column, error) {
 		in, err := arg(b)
 		if err != nil {
 			return nil, err
 		}
 		n := in.Len()
-		out := res.column(types.Int64, n)
+		out := res.Reset(types.Int64, n)
 		if !loop(out.Ints, in.Floats[:n]) && !inBigintRange(in.Floats[:n], in.Nulls) {
 			return nil, types.ErrBigintRange
 		}
-		res.nulls(out, n, in, nil)
+		out.Nulls = in.Nulls
 		return out, nil
 	}, nil
 }
@@ -310,25 +214,25 @@ func (c *compiler) compileCastBigint(e Expr, inner bool) (Evaluator, error) {
 // fresh column. A compiled DOUBLE-to-BIGINT cast runs its own typed loop
 // instead (compileCastBigint), which adds BIGINT's range to castValue's
 // truncation.
-func castColumn(res result, c *types.Column, to types.Type) (*types.Column, error) {
+func castColumn(res *types.Buffer, c *types.Column, to types.Type) (*types.Column, error) {
 	n := c.Len()
 	switch {
 	case c.T == types.Int64 && to == types.Float64:
-		out := res.column(to, n)
+		out := res.Reset(to, n)
 		for i, v := range c.Ints {
 			out.Floats[i] = float64(v)
 		}
-		res.nulls(out, n, c, nil)
+		out.Nulls = c.Nulls
 		return out, nil
 	case c.T == types.Bool && to == types.Int64:
-		out := res.column(to, n)
+		out := res.Reset(to, n)
 		for i, v := range c.Bools {
 			out.Ints[i] = 0
 			if v {
 				out.Ints[i] = 1
 			}
 		}
-		res.nulls(out, n, c, nil)
+		out.Nulls = c.Nulls
 		return out, nil
 	}
 	out := types.NewColumn(to, n)
@@ -413,34 +317,34 @@ func castValue(v types.Value, to types.Type) (types.Value, error) {
 	return types.Value{}, fmt.Errorf("cannot cast %s to %s", v.T, to)
 }
 
-func (c *compiler) compileBinOp(n *BinOp, inner bool) (Evaluator, error) {
+func (c *compiler) compileBinOp(n *BinOp) (Evaluator, error) {
 	op := n.Op
 	switch {
 	case op == OpAnd || op == OpOr:
-		return c.compileLogic(op, n.L, n.R, inner)
+		return c.compileLogic(op, n.L, n.R)
 	case !op.IsComparison() && !op.IsArith() && op != OpConcat:
 		return nil, fmt.Errorf("cannot compile operator %s", op)
 	case isNullConst(n.L) || isNullConst(n.R):
 		// A NULL operand makes every row NULL; it has the other side's type.
-		return c.compile(&Const{Val: types.NewNull(n.Typ)}, inner)
+		return c.compile(&Const{Val: types.NewNull(n.Typ)})
 	case op == OpPow && constPow(n.R) != nil:
-		l, err := c.compile(n.L, true)
+		l, err := c.compile(n.L)
 		if err != nil {
 			return nil, err
 		}
-		return mapFloats(c.result(inner), l, constPow(n.R)), nil
+		return mapFloats(c.scratch.Buffer(), l, constPow(n.R)), nil
 	}
 	if op.IsComparison() && n.L.Type() == types.Bool {
-		return c.compileBinOp(&BinOp{Op: op, L: asBigint(n.L), R: asBigint(n.R), Typ: types.Bool}, inner)
+		return c.compileBinOp(&BinOp{Op: op, L: asBigint(n.L), R: asBigint(n.R), Typ: types.Bool})
 	}
 	lo, ro, err := c.compileOperands(n.L, n.R)
 	if err != nil {
 		return nil, err
 	}
 	if op.IsComparison() {
-		return compileCompare(c.result(inner), op, n.L.Type(), lo, ro)
+		return compileCompare(c.scratch.Buffer(), op, n.L.Type(), lo, ro)
 	}
-	return compileArith(c.result(inner), op, n.Typ, lo, ro)
+	return compileArith(c.scratch.Buffer(), op, n.Typ, lo, ro)
 }
 
 func isNullConst(e Expr) bool {
@@ -485,30 +389,30 @@ func constPow(k Expr) func(dst, src []float64) {
 	return nil
 }
 
-func (c *compiler) compileUnOp(n *UnOp, inner bool) (Evaluator, error) {
+func (c *compiler) compileUnOp(n *UnOp) (Evaluator, error) {
 	if n.Op == OpNeg { // -x is x * -1 exactly, -0 and BIGINT's range included
 		minusOne, _ := castValue(types.NewInt(-1), n.Typ)
-		return c.compileBinOp(&BinOp{Op: OpMul, L: n.E, R: &Const{Val: minusOne}, Typ: n.Typ}, inner)
+		return c.compileBinOp(&BinOp{Op: OpMul, L: n.E, R: &Const{Val: minusOne}, Typ: n.Typ})
 	}
 	if n.Op != OpNot {
 		return nil, fmt.Errorf("cannot compile unary operator %s", n.Op)
 	}
-	arg, err := c.compile(n.E, true)
+	arg, err := c.compile(n.E)
 	if err != nil {
 		return nil, err
 	}
-	res := c.result(inner)
+	res := c.scratch.Buffer()
 	return func(b *types.Batch) (*types.Column, error) {
 		in, err := arg(b)
 		if err != nil {
 			return nil, err
 		}
 		cnt := in.Len()
-		out := res.column(types.Bool, cnt)
+		out := res.Reset(types.Bool, cnt)
 		for i, v := range in.Bools[:cnt] {
 			out.Bools[i] = !v
 		}
-		res.nulls(out, cnt, in, nil)
+		out.Nulls = in.Nulls
 		return out, nil
 	}, nil
 }
@@ -520,17 +424,17 @@ func (c *compiler) compileCase(n *Case) (Evaluator, error) {
 	thens := make([]Evaluator, len(n.Whens))
 	for i, w := range n.Whens {
 		var err error
-		if conds[i], err = c.compile(w.Cond, true); err != nil {
+		if conds[i], err = c.compile(w.Cond); err != nil {
 			return nil, err
 		}
-		if thens[i], err = c.compile(w.Then, true); err != nil {
+		if thens[i], err = c.compile(w.Then); err != nil {
 			return nil, err
 		}
 	}
 	var els Evaluator
 	if n.Else != nil {
 		var err error
-		if els, err = c.compile(n.Else, true); err != nil {
+		if els, err = c.compile(n.Else); err != nil {
 			return nil, err
 		}
 	}
@@ -590,29 +494,29 @@ func (c *compiler) compileCase(n *Case) (Evaluator, error) {
 
 // mapFloats runs loop, one typed pass of a DOUBLE function (floatLoop,
 // constPow), over a DOUBLE argument into res; NULLs stay NULL.
-func mapFloats(res result, arg Evaluator, loop func(dst, src []float64)) Evaluator {
+func mapFloats(res *types.Buffer, arg Evaluator, loop func(dst, src []float64)) Evaluator {
 	return func(b *types.Batch) (*types.Column, error) {
 		in, err := arg(b)
 		if err != nil {
 			return nil, err
 		}
 		cnt := in.Len()
-		out := res.column(types.Float64, cnt)
+		out := res.Reset(types.Float64, cnt)
 		loop(out.Floats, in.Floats[:cnt])
-		res.nulls(out, cnt, in, nil)
+		out.Nulls = in.Nulls
 		return out, nil
 	}
 }
 
-// compileFunc compiles a scalar function call. The numeric functions write
-// into res; least/greatest and the string functions build fresh columns.
-func (c *compiler) compileFunc(n *FuncCall, inner bool) (Evaluator, error) {
+// compileFunc compiles a scalar function call. The numeric and string
+// functions write into res; least/greatest build fresh columns.
+func (c *compiler) compileFunc(n *FuncCall) (Evaluator, error) {
 	if AggregateFuncs[n.Name] {
 		return nil, fmt.Errorf("aggregate %s evaluated outside GROUP BY context", n.Name)
 	}
 	switch last := len(n.Args) - 1; n.Name {
 	case "pow", "power":
-		return c.compileBinOp(&BinOp{Op: OpPow, L: n.Args[0], R: n.Args[1], Typ: types.Float64}, inner)
+		return c.compileBinOp(&BinOp{Op: OpPow, L: n.Args[0], R: n.Args[1], Typ: types.Float64})
 	case "coalesce": // the first argument that is not NULL
 		cs := &Case{Else: castTo(n.Args[last], n.Typ), Typ: n.Typ}
 		for _, a := range n.Args[:last] {
@@ -622,13 +526,13 @@ func (c *compiler) compileFunc(n *FuncCall, inner bool) (Evaluator, error) {
 	}
 	args := make([]Evaluator, len(n.Args))
 	for i, a := range n.Args {
-		ev, err := c.compile(a, true)
+		ev, err := c.compile(a)
 		if err != nil {
 			return nil, err
 		}
 		args[i] = ev
 	}
-	name, res := n.Name, c.result(inner)
+	name, res := n.Name, c.scratch.Buffer()
 	if loop := floatLoop(name); loop != nil && len(args) == 1 && n.Typ == types.Float64 {
 		return mapFloats(res, args[0], loop), nil
 	}
@@ -642,7 +546,7 @@ func (c *compiler) compileFunc(n *FuncCall, inner bool) (Evaluator, error) {
 				return nil, err
 			}
 			cnt := in.Len()
-			out := res.column(types.Int64, cnt)
+			out := res.Reset(types.Int64, cnt)
 			for i := 0; i < cnt; i++ {
 				v := in.Ints[i]
 				if name == "abs" {
@@ -662,7 +566,7 @@ func (c *compiler) compileFunc(n *FuncCall, inner bool) (Evaluator, error) {
 				}
 				out.Ints[i] = v
 			}
-			res.nulls(out, cnt, in, nil)
+			out.Nulls = in.Nulls
 			return out, nil
 		}, nil
 	case "least", "greatest":
@@ -709,12 +613,12 @@ func (c *compiler) compileFunc(n *FuncCall, inner bool) (Evaluator, error) {
 			return out, nil
 		}, nil
 	case "length", "lower", "upper", "substr":
-		return compileStringFunc(name, args)
+		return compileStringFunc(res, name, args)
 	}
 	return nil, fmt.Errorf("unknown function %q", name)
 }
 
-func compileStringFunc(name string, args []Evaluator) (Evaluator, error) {
+func compileStringFunc(res *types.Buffer, name string, args []Evaluator) (Evaluator, error) {
 	cols := make([]*types.Column, len(args))
 	return func(b *types.Batch) (*types.Column, error) {
 		for i, a := range args {
@@ -725,13 +629,12 @@ func compileStringFunc(name string, args []Evaluator) (Evaluator, error) {
 			cols[i] = c
 		}
 		cnt := b.Len()
-		var out *types.Column
+		t := types.String
 		if name == "length" {
-			out = &types.Column{T: types.Int64, Ints: make([]int64, cnt)}
-		} else {
-			out = &types.Column{T: types.String, Strs: make([]string, cnt)}
+			t = types.Int64
 		}
-		result{}.nulls(out, cnt, cols[0], nil)
+		out := res.Reset(t, cnt)
+		out.Nulls = cols[0].Nulls
 		for i := 0; i < cnt; i++ {
 			if cols[0].IsNull(i) {
 				continue
@@ -788,23 +691,23 @@ func toUpper(s string) string {
 	return string(b)
 }
 
-func (c *compiler) compileLike(n *Like, inner bool) (Evaluator, error) {
-	arg, err := c.compile(n.E, true)
+func (c *compiler) compileLike(n *Like) (Evaluator, error) {
+	arg, err := c.compile(n.E)
 	if err != nil {
 		return nil, err
 	}
-	pattern, negate, res := n.Pattern, n.Negate, c.result(inner)
+	pattern, negate, res := n.Pattern, n.Negate, c.scratch.Buffer()
 	return func(b *types.Batch) (*types.Column, error) {
 		in, err := arg(b)
 		if err != nil {
 			return nil, err
 		}
 		cnt := in.Len()
-		out := res.column(types.Bool, cnt)
+		out := res.Reset(types.Bool, cnt)
 		for i := 0; i < cnt; i++ {
 			out.Bools[i] = !in.IsNull(i) && MatchLike(in.Strs[i], pattern) != negate
 		}
-		res.nulls(out, cnt, in, nil)
+		out.Nulls = in.Nulls
 		return out, nil
 	}, nil
 }
@@ -844,7 +747,7 @@ func EvalConst(e Expr, args []types.Value) (types.Value, error) {
 	if c, ok := e.(*Const); ok {
 		return c.Val, nil
 	}
-	ev, err := Compile(e, args)
+	ev, err := Compile(e, args, nil)
 	if err != nil {
 		return types.Value{}, err
 	}

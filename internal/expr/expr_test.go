@@ -36,7 +36,7 @@ func evalOn(t *testing.T, e Expr) *types.Column {
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
-	ev, err := Compile(r, nil)
+	ev, err := Compile(r, nil, nil)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestModByZeroErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Compile(r, nil)
+	ev, err := Compile(r, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestThreeValuedLogic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	andEv, _ := Compile(andE, nil)
+	andEv, _ := Compile(andE, nil, nil)
 	c, err := andEv(b)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestThreeValuedLogic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orEv, _ := Compile(orE, nil)
+	orEv, _ := Compile(orE, nil, nil)
 	c, err = orEv(b)
 	if err != nil {
 		t.Fatal(err)
@@ -207,13 +207,13 @@ func TestIsNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, _ := Compile(e, nil)
+	ev, _ := Compile(e, nil, nil)
 	c, _ := ev(b)
 	if c.Bools[0] || !c.Bools[1] {
 		t.Errorf("IS NULL = %v", c.Bools)
 	}
 	e2, _ := Resolve(&IsNull{E: col("v"), Negate: true}, rc)
-	ev2, _ := Compile(e2, nil)
+	ev2, _ := Compile(e2, nil, nil)
 	c2, _ := ev2(b)
 	if !c2.Bools[0] || c2.Bools[1] {
 		t.Errorf("IS NOT NULL = %v", c2.Bools)
@@ -302,7 +302,7 @@ func TestCoalesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, _ := Compile(e, nil)
+	ev, _ := Compile(e, nil, nil)
 	c, _ := ev(b)
 	if c.Ints[0] != -1 || c.Ints[1] != 7 {
 		t.Errorf("coalesce = %v", c.Ints)
@@ -435,7 +435,7 @@ func TestCompileBindsParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Compile(e, []types.Value{types.NewFloat(2.9)})
+	ev, err := Compile(e, []types.Value{types.NewFloat(2.9)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestCompileBindsParams(t *testing.T) {
 	if p, ok := e.(*BinOp).R.(*Param); !ok || p.Typ != types.Int64 {
 		t.Errorf("compiling wrote the tree: right operand %v", e.(*BinOp).R)
 	}
-	if _, err := Compile(e, nil); err == nil || !strings.Contains(err.Error(), "no argument bound for parameter $1") {
+	if _, err := Compile(e, nil, nil); err == nil || !strings.Contains(err.Error(), "no argument bound for parameter $1") {
 		t.Errorf("unbound $1: err = %v", err)
 	}
 	if _, err := EvalConst(&Param{Idx: 1, Typ: types.Int64}, []types.Value{types.NewString("a")}); err == nil ||

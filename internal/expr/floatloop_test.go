@@ -66,7 +66,7 @@ func TestFloatFuncLoopsMatchMath(t *testing.T) {
 				name    string
 				e       Expr
 				compile func(Expr, []types.Value, *types.Scratch) (Evaluator, error)
-			}{{"root", f.e, CompileScratch}, {"lent root", f.e, CompileLent}, {"inner node", inner, CompileLent}} {
+			}{{"lent root", f.e, Compile}, {"inner node", inner, Compile}} {
 				ev, err := form.compile(form.e, nil, &types.Scratch{})
 				if err != nil {
 					t.Fatalf("%s: %v", form.e, err)

@@ -31,13 +31,13 @@ type operand struct {
 func (c *compiler) compileOperands(l, r Expr) (lo, ro operand, err error) {
 	if k, ok := r.(*Const); ok {
 		ro.k = k.Val
-	} else if ro.ev, err = c.compile(r, true); err != nil {
+	} else if ro.ev, err = c.compile(r); err != nil {
 		return lo, ro, err
 	}
 	if k, ok := l.(*Const); ok && ro.ev != nil {
 		lo.k = k.Val
 	} else {
-		lo.ev, err = c.compile(l, true)
+		lo.ev, err = c.compile(l)
 	}
 	return lo, ro, err
 }
@@ -46,9 +46,11 @@ func (c *compiler) compileOperands(l, r Expr) (lo, ro operand, err error) {
 var noColumn types.Column
 
 // evalOperands evaluates the column operands of a kernel over b and returns
-// the kernel's output column from res, its NULLs set. A constant comes back
-// as noColumn, so a kernel tells the shape by a nil slice.
-func evalOperands(res result, t types.Type, lo, ro operand, b *types.Batch) (l, r, out *types.Column, err error) {
+// the kernel's output column from res, NULL where either operand is: when
+// only one has NULLs its bitmap is shared, as results are read-only. A
+// constant comes back as noColumn, so a kernel tells the shape by a nil
+// slice.
+func evalOperands(res *types.Buffer, t types.Type, lo, ro operand, b *types.Batch) (l, r, out *types.Column, err error) {
 	l, r = &noColumn, &noColumn
 	n := 0
 	if lo.ev != nil {
@@ -63,23 +65,30 @@ func evalOperands(res result, t types.Type, lo, ro operand, b *types.Batch) (l, 
 		}
 		n = r.Len()
 	}
-	out = res.column(t, n)
-	res.nulls(out, n, l, r)
+	out = res.Reset(t, n)
+	switch {
+	case l.Nulls == nil:
+		out.Nulls = r.Nulls
+	case r.Nulls == nil:
+		out.Nulls = l.Nulls
+	default:
+		nulls := res.Nulls(n)
+		for i := range nulls {
+			nulls[i] = l.Nulls[i] || r.Nulls[i]
+		}
+	}
 	return l, r, out, nil
 }
-
-// flipped is the comparison with its operands swapped: k < x is x > k.
-var flipped = map[Op]Op{OpEq: OpEq, OpNe: OpNe, OpLt: OpGt, OpLe: OpGe, OpGt: OpLt, OpGe: OpLe}
 
 // compileCompare compiles a comparison of two operands of type t. A
 // constant on the left moves to the right with the operator flipped, so
 // every type has a column∘column and a column∘constant loop per operator.
-func compileCompare(res result, op Op, t types.Type, lo, ro operand) (Evaluator, error) {
+func compileCompare(res *types.Buffer, op Op, t types.Type, lo, ro operand) (Evaluator, error) {
 	if t != types.Int64 && t != types.Float64 && t != types.String {
 		return nil, fmt.Errorf("cannot compare values of type %s", t)
 	}
 	if lo.ev == nil {
-		lo, ro, op = ro, lo, flipped[op]
+		lo, ro, op = ro, lo, op.Flip()
 	}
 	k := ro.k
 	return func(b *types.Batch) (*types.Column, error) {
@@ -133,7 +142,7 @@ func compare[T int64 | float64 | string](op Op, a, b []T, k T, out []bool) {
 	}
 	b = b[:len(a)]
 	if op == OpGt || op == OpGe {
-		a, b, op = b, a, flipped[op]
+		a, b, op = b, a, op.Flip()
 	}
 	switch op {
 	case OpEq, OpNe:
@@ -163,7 +172,7 @@ func asBigint(e Expr) Expr {
 
 // compileArith compiles an arithmetic operator, or ||, whose operands and
 // result are of type t. A constant on the left of + or * moves to the right.
-func compileArith(res result, op Op, t types.Type, lo, ro operand) (Evaluator, error) {
+func compileArith(res *types.Buffer, op Op, t types.Type, lo, ro operand) (Evaluator, error) {
 	if t == types.Int64 && op != OpAdd && op != OpSub && op != OpMul && op != OpMod {
 		return nil, fmt.Errorf("operator %s cannot yield an integer", op)
 	}
@@ -349,26 +358,26 @@ func isNull(nulls []bool, i int) bool { return nulls != nil && nulls[i] }
 // NULL. Without NULLs that is one pass of && or ||. A constant operand is
 // settled here, as PostgreSQL's planner settles it: !d yields the other
 // operand, d yields d, and NULL is an all-NULL column.
-func (c *compiler) compileLogic(op Op, le, re Expr, inner bool) (Evaluator, error) {
+func (c *compiler) compileLogic(op Op, le, re Expr) (Evaluator, error) {
 	d := op == OpOr
 	if _, ok := le.(*Const); ok {
 		le, re = re, le
 	}
 	if k, ok := re.(*Const); ok && !k.Val.Null {
 		if k.Val.B != d {
-			return c.compile(le, inner)
+			return c.compile(le)
 		}
-		return c.compile(re, inner)
+		return c.compile(re)
 	}
-	l, err := c.compile(le, true)
+	l, err := c.compile(le)
 	if err != nil {
 		return nil, err
 	}
-	r, err := c.compile(re, true)
+	r, err := c.compile(re)
 	if err != nil {
 		return nil, err
 	}
-	res := c.result(inner)
+	res := c.scratch.Buffer()
 	return func(b *types.Batch) (*types.Column, error) {
 		lc, err := l(b)
 		if err != nil {
@@ -379,7 +388,7 @@ func (c *compiler) compileLogic(op Op, le, re Expr, inner bool) (Evaluator, erro
 			return nil, err
 		}
 		n := lc.Len()
-		out := res.column(types.Bool, n)
+		out := res.Reset(types.Bool, n)
 		x, y, ln, rn := lc.Bools[:n], rc.Bools[:n], lc.Nulls, rc.Nulls
 		switch {
 		case ln == nil && rn == nil && d:
@@ -391,7 +400,7 @@ func (c *compiler) compileLogic(op Op, le, re Expr, inner bool) (Evaluator, erro
 				out.Bools[i] = x[i] && y[i]
 			}
 		default:
-			nulls := res.ownNulls(out, n)
+			nulls := res.Nulls(n)
 			for i := range out.Bools {
 				lk, rk := !isNull(ln, i), !isNull(rn, i)
 				switch {

@@ -56,7 +56,7 @@ func TestTypedCastsMatchCastValue(t *testing.T) {
 		{"float-to-string", floats, types.String}, // the generic path, for contrast
 	}
 	for _, tc := range cases {
-		got, err := castColumn(result{}, tc.src, tc.to)
+		got, err := castColumn(&types.Buffer{}, tc.src, tc.to)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -88,7 +88,7 @@ func TestLambdaPowerMatchesSQL(t *testing.T) {
 		Cols: []*types.Column{{T: types.Float64, Floats: xs}}}
 	for _, k := range []float64{0, 1, 2, 3, 0.5} {
 		ev, err := Compile(&BinOp{Op: OpPow, Typ: types.Float64,
-			L: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, R: lit(types.NewFloat(k))}, nil)
+			L: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, R: lit(types.NewFloat(k))}, nil, nil)
 
 		if err != nil {
 			t.Fatal(err)
@@ -127,7 +127,7 @@ func TestLambdaCastMatchesSQL(t *testing.T) {
 		Cols: []*types.Column{{T: types.Float64, Floats: xs}}}
 	x := &ColRef{Table: "p", Name: "x", Index: -1}
 	for _, to := range []types.Type{types.Int64, types.Float64} {
-		ev, err := Compile(&Cast{E: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, To: to}, nil)
+		ev, err := Compile(&Cast{E: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, To: to}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestConstantPowerMatchesPow(t *testing.T) {
 	for _, k := range []float64{2, 1, 0} {
 		for _, exp := range []Expr{lit(types.NewFloat(k)), &Cast{E: lit(types.NewInt(int64(k))), To: types.Float64}} {
 			ev, err := Compile(&BinOp{Op: OpPow, Typ: types.Float64,
-				L: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, R: exp}, nil)
+				L: &ColRef{Name: "x", Index: 0, Typ: types.Float64}, R: exp}, nil, nil)
 
 			if err != nil {
 				t.Fatal(err)
@@ -360,7 +360,7 @@ func TestKernelsMatchBoxedReference(t *testing.T) {
 					want[i], wantErr[i] = refBinary(op, sh[0].val(i), sh[1].val(i))
 					failing = failing || wantErr[i] != nil
 				}
-				ev, err := Compile(e, nil)
+				ev, err := Compile(e, nil, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", e, err)
 				}
@@ -445,7 +445,7 @@ func TestBigintArithmeticOutOfRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := Compile(r, nil)
+		ev, err := Compile(r, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -458,7 +458,7 @@ func TestBigintArithmeticOutOfRange(t *testing.T) {
 	}
 	b := &types.Batch{Schema: types.Schema{{Name: "x", Type: types.Int64}},
 		Cols: []*types.Column{{T: types.Int64, Ints: []int64{math.MaxInt64, 1}, Nulls: []bool{true, false}}}}
-	ev, err := Compile(&BinOp{Op: OpAdd, L: &ColRef{Name: "x", Index: 0, Typ: types.Int64}, R: lit(types.NewInt(1)), Typ: types.Int64}, nil)
+	ev, err := Compile(&BinOp{Op: OpAdd, L: &ColRef{Name: "x", Index: 0, Typ: types.Int64}, R: lit(types.NewInt(1)), Typ: types.Int64}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

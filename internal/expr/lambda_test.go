@@ -25,7 +25,7 @@ func evalLambda(t *testing.T, l *Lambda, b *types.Batch, schemas ...types.Schema
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Compile(bound.Body, nil)
+	ev, err := Compile(bound.Body, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

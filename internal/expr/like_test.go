@@ -60,7 +60,7 @@ func TestLikeInQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Compile(e, nil)
+	ev, err := Compile(e, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestLikeInQuery(t *testing.T) {
 	}
 	// NOT LIKE.
 	ne, _ := Resolve(&Like{E: col("s"), Pattern: "%b%", Negate: true}, testCtx())
-	nev, _ := Compile(ne, nil)
+	nev, _ := Compile(ne, nil, nil)
 	nc, _ := nev(testBatch())
 	if !nc.Bools[0] || nc.Bools[1] {
 		t.Errorf("NOT LIKE = %v", nc.Bools)
@@ -96,7 +96,7 @@ func TestLikeNullPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, _ := Compile(e, nil)
+	ev, _ := Compile(e, nil, nil)
 	c, _ := ev(b)
 	if !c.IsNull(0) {
 		t.Error("NULL LIKE pattern should be NULL")

@@ -7,13 +7,11 @@ import (
 	"lambdadb/internal/types"
 )
 
-// TestReusedBuffersMatchFreshResults evaluates expressions whose inner
-// nodes write into reused buffers over a run of batches of changing length
-// and NULL pattern — each compiled once, as an operator compiles them — and
-// holds every result to a fresh compilation's first call. It also holds a
-// root result, which is fresh, to what it was after the next batch ran
-// through its inner nodes: a fresh column never shares their storage, its
-// NULL bitmap included. With CompileLent the root reuses a buffer too.
+// TestReusedBuffersMatchFreshResults evaluates expressions whose nodes, the
+// root included, write into reused buffers over a run of batches of
+// changing length and NULL pattern — each compiled once, as an operator
+// compiles them — and holds every result to a fresh compilation's first
+// call.
 func TestReusedBuffersMatchFreshResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	f := func(i int) Expr { return &ColRef{Name: "f", Index: i, Typ: types.Float64} }
@@ -58,50 +56,31 @@ func TestReusedBuffersMatchFreshResults(t *testing.T) {
 		return b
 	}
 	for _, e := range exprs {
-		for _, lent := range []bool{false, true} {
-			var s types.Scratch
-			compile := CompileScratch
-			if lent {
-				compile = CompileLent
+		var s types.Scratch
+		ev, err := Compile(e, nil, &s)
+		if err != nil {
+			t.Fatalf("%s: %v", e, err)
+		}
+		for _, n := range []int{700, 1024, 3, 0, 1024, 511} {
+			b := batch(n)
+			fresh, err := Compile(e, nil, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			ev, err := compile(e, nil, &s)
+			want, err := fresh(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ev(b)
 			if err != nil {
 				t.Fatalf("%s: %v", e, err)
 			}
-			var prev *types.Column
-			var prevWant []types.Value
-			for _, n := range []int{700, 1024, 3, 0, 1024, 511} {
-				b := batch(n)
-				fresh, err := Compile(e, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := fresh(b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := ev(b)
-				if err != nil {
-					t.Fatalf("%s: %v", e, err)
-				}
-				if got.Len() != n || want.Len() != n {
-					t.Fatalf("%s: %d rows, fresh %d, want %d", e, got.Len(), want.Len(), n)
-				}
-				for i := range n {
-					if g, w := got.Value(i), want.Value(i); !sameValue(g, w) {
-						t.Fatalf("%s (lent %v), %d rows, row %d: got %v, fresh %v", e, lent, n, i, g, w)
-					}
-				}
-				if !lent && prev != nil {
-					for i, w := range prevWant {
-						if g := prev.Value(i); !sameValue(g, w) {
-							t.Fatalf("%s: the previous fresh result changed at row %d: %v, was %v", e, i, g, w)
-						}
-					}
-				}
-				prev, prevWant = got, nil
-				for i := range n {
-					prevWant = append(prevWant, got.Value(i))
+			if got.Len() != n || want.Len() != n {
+				t.Fatalf("%s: %d rows, fresh %d, want %d", e, got.Len(), want.Len(), n)
+			}
+			for i := range n {
+				if g, w := got.Value(i), want.Value(i); !sameValue(g, w) {
+					t.Fatalf("%s, %d rows, row %d: got %v, fresh %v", e, n, i, g, w)
 				}
 			}
 		}

@@ -20,7 +20,7 @@ type Selector func(b *types.Batch, sel, out []int) ([]int, error)
 // selected. Every other conjunct is evaluated as the whole predicate would
 // evaluate it — over every row of the batch, so it fails where it would —
 // and its true rows are intersected with the selection. s is as for
-// CompileLent.
+// Compile.
 func CompileSelect(e Expr, args []types.Value, s *types.Scratch) (Selector, error) {
 	e, err := bind(e, args)
 	if err != nil {
@@ -33,7 +33,7 @@ func CompileSelect(e Expr, args []types.Value, s *types.Scratch) (Selector, erro
 			steps = append(steps, step)
 			continue
 		}
-		ev, err := c.compile(conj, true)
+		ev, err := c.compile(conj)
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +99,7 @@ func selectKernel(e Expr) Selector {
 	}
 	op, col, k := n.Op, n.L, n.R
 	if _, ok := col.(*ColRef); !ok && !isWidened(col) {
-		op, col, k = flipped[op], n.R, n.L
+		op, col, k = op.Flip(), n.R, n.L
 	}
 	ref, _ := col.(*ColRef)
 	widened := isWidened(col)

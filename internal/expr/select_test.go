@@ -42,7 +42,7 @@ func sparse(rng *rand.Rand, n int) []int {
 // when the evaluator does.
 func checkSelect(t *testing.T, name string, e Expr, args []types.Value, b *types.Batch, sel []int) (ok bool) {
 	t.Helper()
-	ev, err := Compile(e, args)
+	ev, err := Compile(e, args, nil)
 	if err != nil {
 		t.Fatalf("%s: compile: %v", name, err)
 	}

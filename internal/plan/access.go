@@ -116,24 +116,10 @@ func colOpConst(c expr.Expr) (col int, op expr.Op, val types.Value, ok bool) {
 	}
 	if cr, isCol := b.R.(*expr.ColRef); isCol && cr.Index >= 0 {
 		if cn, isConst := b.L.(*expr.Const); isConst && !cn.Val.Null {
-			return cr.Index, flipCmp(b.Op), cn.Val, true
+			return cr.Index, b.Op.Flip(), cn.Val, true
 		}
 	}
 	return 0, 0, types.Value{}, false
-}
-
-func flipCmp(op expr.Op) expr.Op {
-	switch op {
-	case expr.OpLt:
-		return expr.OpGt
-	case expr.OpLe:
-		return expr.OpGe
-	case expr.OpGt:
-		return expr.OpLt
-	case expr.OpGe:
-		return expr.OpLe
-	}
-	return op // Eq is symmetric
 }
 
 // ---------------------------------------------------------------------------
