@@ -452,25 +452,20 @@ func newAggOp(n *plan.Aggregate) *blockingOp {
 // accumulator arrays its ids index. It reads selections: a bare-column
 // argument of a key-less aggregate folds through the selection, and the
 // keys and the other arguments are evaluated over the selected rows alone,
-// gathered from just the columns they read.
+// as every expr.Evaluator reads a selection.
 type aggSink struct {
 	aggs     []plan.AggSpec
 	keyEvals []expr.Evaluator
-	argEvals []expr.Evaluator // nil entry: count(*), or a bare column in bare
+	argEvals []expr.Evaluator // nil entry: count(*), or a bare column in bare or same
 	// bare is, per aggregate of a key-less sink, the input column a
-	// bare-column argument folds, -1 for any other.
-	bare  []int
-	table *keyTable
-	accs  []aggAcc
-	// reads lists the input columns the evaluators read, ascending; they
-	// are compiled to find column reads[j] at position j of in, the batch
-	// they are handed, whose columns gathers fills when the input selects.
-	reads   []int
-	in      types.Batch
-	gathers []*types.Buffer
-	scratch scratch // the evaluators' inner nodes and the gathers
-	keyCols []*types.Column
-	argCols []*types.Column
+	// bare-column argument folds, -1 for any other; same, per aggregate, the
+	// first one of its bare column, whose evaluated column it reuses.
+	bare, same []int
+	table      *keyTable
+	accs       []aggAcc
+	scratch    scratch // the evaluators' buffers
+	keyCols    []*types.Column
+	argCols    []*types.Column
 	// groups is the number of ids in use: the table's keys, or the one group
 	// of a key-less aggregate, which exists before any input.
 	groups int
@@ -478,91 +473,38 @@ type aggSink struct {
 }
 
 func newAggSink(n *plan.Aggregate, ctx *Context) (*aggSink, error) {
-	s := &aggSink{aggs: n.Aggs, accs: make([]aggAcc, len(n.Aggs)), bare: make([]int, len(n.Aggs)),
+	s := &aggSink{aggs: n.Aggs, accs: make([]aggAcc, len(n.Aggs)), bare: make([]int, len(n.Aggs)), same: make([]int, len(n.Aggs)),
 		keyEvals: make([]expr.Evaluator, len(n.Keys)), argEvals: make([]expr.Evaluator, len(n.Aggs)),
 		keyCols: make([]*types.Column, len(n.Keys)), argCols: make([]*types.Column, len(n.Aggs)),
 		scratch: scratch{ctx: ctx, label: "aggregate"}}
-	var evaluated []expr.Expr
-	for i, g := range n.Aggs {
-		s.bare[i] = -1
-		if ref, ok := g.Arg.(*expr.ColRef); ok && len(n.Keys) == 0 {
-			s.bare[i] = ref.Index
-		} else if g.Arg != nil {
-			evaluated = append(evaluated, g.Arg)
-		}
-	}
-	evaluated = append(evaluated, n.Keys...)
-	remap := s.readColumns(n.Child.Schema(), evaluated)
 	keyTypes := make([]types.Type, len(n.Keys))
 	var err error
 	for i, k := range n.Keys {
 		keyTypes[i] = k.Type()
-		if s.keyEvals[i], err = expr.Compile(remap(k), ctx.Args, &s.scratch.Scratch); err != nil {
+		if s.keyEvals[i], err = expr.Compile(k, ctx.Args, &s.scratch.Scratch); err != nil {
 			return nil, err
 		}
 	}
 	for i, g := range n.Aggs {
-		if g.Arg == nil || s.bare[i] >= 0 {
-			continue
+		s.bare[i], s.same[i] = -1, i
+		ref, isRef := g.Arg.(*expr.ColRef)
+		for j := range i {
+			if r, ok := n.Aggs[j].Arg.(*expr.ColRef); ok && isRef && r.Index == ref.Index {
+				s.same[i] = j
+				break
+			}
 		}
-		if s.argEvals[i], err = expr.Compile(remap(g.Arg), ctx.Args, &s.scratch.Scratch); err != nil {
-			return nil, err
+		switch {
+		case isRef && len(n.Keys) == 0:
+			s.bare[i] = ref.Index
+		case g.Arg != nil && s.same[i] == i:
+			if s.argEvals[i], err = expr.Compile(g.Arg, ctx.Args, &s.scratch.Scratch); err != nil {
+				return nil, err
+			}
 		}
 	}
 	s.table = newKeyTable(ctx, "aggregate", keyTypes, true)
 	return s, s.grow()
-}
-
-// readColumns sets reads to the columns of schema that exprs read — the
-// first one when they read none, so that their input still has its row
-// count — and returns what rewrites an expression to find them in in.
-func (s *aggSink) readColumns(schema types.Schema, exprs []expr.Expr) func(expr.Expr) expr.Expr {
-	read := map[int]bool{}
-	for _, e := range exprs {
-		expr.ReferencedColumns(e, read)
-	}
-	for c := range schema {
-		if read[c] {
-			s.reads = append(s.reads, c)
-		}
-	}
-	if len(s.reads) == 0 && len(exprs) > 0 && len(schema) > 0 {
-		s.reads = []int{0}
-	}
-	at := make(map[int]int, len(s.reads))
-	s.in.Cols = make([]*types.Column, len(s.reads))
-	for j, c := range s.reads {
-		at[c] = j
-		s.in.Schema = append(s.in.Schema, schema[c])
-		s.gathers = append(s.gathers, s.scratch.Buffer())
-	}
-	return func(e expr.Expr) expr.Expr {
-		return expr.Rewrite(e, func(x expr.Expr) expr.Expr {
-			if ref, ok := x.(*expr.ColRef); ok && ref.Index >= 0 {
-				moved := *ref
-				if j, ok := at[ref.Index]; ok {
-					moved.Index = j
-				} else { // out of range of the input, and so of in
-					moved.Index = len(at) + ref.Index
-				}
-				return &moved
-			}
-			return x
-		})
-	}
-}
-
-// input returns the batch the evaluators read: the columns they read of
-// b's selected rows.
-func (s *aggSink) input(b *types.Batch) *types.Batch {
-	for j, c := range s.reads {
-		if b.Sel == nil {
-			s.in.Cols[j] = b.Cols[c]
-		} else {
-			s.in.Cols[j] = s.gathers[j].Gather(b.Cols[c], b.Sel)
-		}
-	}
-	return &s.in
 }
 
 // grow sizes the accumulators for every id the table has handed out and
@@ -583,10 +525,9 @@ func (s *aggSink) grow() error {
 func (s *aggSink) consume(b *types.Batch) error {
 	var err error
 	n := b.Len()
-	in := s.input(b)
 	keyCols, argCols := s.keyCols, s.argCols
 	for i, ev := range s.keyEvals {
-		if keyCols[i], err = ev(in); err != nil {
+		if keyCols[i], err = ev(b); err != nil {
 			return err
 		}
 	}
@@ -594,8 +535,10 @@ func (s *aggSink) consume(b *types.Batch) error {
 		switch {
 		case s.bare[i] >= 0:
 			argCols[i] = b.Cols[s.bare[i]]
+		case s.same[i] < i:
+			argCols[i] = argCols[s.same[i]]
 		case ev != nil:
-			if argCols[i], err = ev(in); err != nil {
+			if argCols[i], err = ev(b); err != nil {
 				return err
 			}
 		}

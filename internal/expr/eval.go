@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -8,13 +9,13 @@ import (
 	"lambdadb/internal/types"
 )
 
-// Evaluator computes one column from an input batch. The column is
-// borrowed like a batch from an operator's Next: it is valid until the
-// evaluator's next call, and a caller that keeps it past that keeps it
-// through types.Retain. It may be an input column (a bare column reference),
-// a Reused buffer or a fresh column; callers never mutate it. An Evaluator
-// owns the buffers of its nodes, so it is not safe for concurrent use:
-// every goroutine compiles its own.
+// Evaluator computes one column from an input batch, one row per row the
+// batch selects (Batch.Sel), and computes the selected rows alone. The column
+// is borrowed like a batch from an operator's Next: it is valid until the
+// evaluator's next call, and a caller that keeps it keeps types.Retain of it.
+// It may be an input column or a Reused buffer; callers never mutate it. An
+// Evaluator owns the buffers of its nodes, so it is not safe for concurrent
+// use: every goroutine compiles its own.
 type Evaluator func(*types.Batch) (*types.Column, error)
 
 // Compile translates a resolved expression tree into a tree of closures.
@@ -35,7 +36,7 @@ func Compile(e Expr, args []types.Value, s *types.Scratch) (Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return (&compiler{scratch: s}).compile(e)
+	return (&compiler{scratch: s}).root(e)
 }
 
 // Arg returns the value bound to parameter $idx — args[i] binds $i+1 —
@@ -92,6 +93,54 @@ func hasParam(e Expr) bool {
 
 // compiler compiles one tree, drawing its nodes' buffers from scratch.
 type compiler struct{ scratch *types.Scratch }
+
+// root compiles e as a tree of its own, behind the one place where an
+// Evaluator meets a selection, so that no node below it does.
+func (c *compiler) root(e Expr) (Evaluator, error) {
+	ev, err := c.compile(e)
+	if err != nil {
+		return nil, err
+	}
+	return (&rootEval{tree: ev, e: e, scratch: c.scratch}).eval, nil
+}
+
+// rootEval hands tree a batch without a selection as it is, and of one with
+// a selection the selected rows of the columns e reads, at their positions
+// (so a CASE arm reads the enclosing tree's), gathered into buffers drawn
+// from scratch at the first such batch; column 0, the batch's length, is the
+// first of them when e does not read it, or the batch itself if e reads none.
+type rootEval struct {
+	tree    Evaluator
+	e       Expr
+	scratch *types.Scratch
+	reads   []int // ascending; nil until the first selected batch
+	bufs    []*types.Buffer
+	in      types.Batch
+}
+
+func (r *rootEval) eval(b *types.Batch) (*types.Column, error) {
+	if r.reads == nil && b.Sel != nil {
+		refs := map[int]bool{}
+		ReferencedColumns(r.e, refs)
+		r.reads = make([]int, 0, len(refs))
+		for c := range refs {
+			r.reads, r.bufs = append(r.reads, c), append(r.bufs, r.scratch.Buffer())
+		}
+		slices.Sort(r.reads)
+		r.in.Cols = make([]*types.Column, len(b.Cols))
+	}
+	if b.Sel == nil || len(r.reads) == 0 {
+		return r.tree(b)
+	}
+	for j, c := range r.reads {
+		if c >= len(b.Cols) {
+			return nil, fmt.Errorf("column index %d out of range (batch has %d)", c, len(b.Cols))
+		}
+		r.in.Cols[c] = r.bufs[j].Gather(b.Cols[c], b.Sel)
+	}
+	r.in.Cols[0] = r.in.Cols[r.reads[0]]
+	return r.tree(&r.in)
+}
 
 // compile compiles e. A node that passes a child's output through
 // compiles the child in its place.
@@ -167,14 +216,25 @@ func (c *compiler) compileCast(n *Cast) (Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := c.scratch.Buffer()
+	return strict(c.scratch.Buffer(), to, arg, castRows(from, to)), nil
+}
+
+// strict is a node whose result, of type t, is NULL exactly where its one
+// argument is: fill writes the result's rows from the argument's, and what a
+// NULL row's slot holds is never read.
+func strict(res *types.Buffer, t types.Type, arg Evaluator, fill func(out, in *types.Column) error) Evaluator {
 	return func(b *types.Batch) (*types.Column, error) {
 		in, err := arg(b)
 		if err != nil {
 			return nil, err
 		}
-		return castColumn(res, in, to)
-	}, nil
+		out := res.Reset(t, in.Len())
+		if err := fill(out, in); err != nil {
+			return nil, err
+		}
+		out.Nulls = in.Nulls
+		return out, nil
+	}
 }
 
 // compileCastBigint compiles CAST(e AS BIGINT) of a DOUBLE e: one typed
@@ -191,63 +251,57 @@ func (c *compiler) compileCastBigint(e Expr) (Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := c.scratch.Buffer()
-	return func(b *types.Batch) (*types.Column, error) {
-		in, err := arg(b)
-		if err != nil {
-			return nil, err
+	return strict(c.scratch.Buffer(), types.Int64, arg, func(out, in *types.Column) error {
+		if !loop(out.Ints, in.Floats) && !inBigintRange(in.Floats, in.Nulls) {
+			return types.ErrBigintRange
 		}
-		n := in.Len()
-		out := res.Reset(types.Int64, n)
-		if !loop(out.Ints, in.Floats[:n]) && !inBigintRange(in.Floats[:n], in.Nulls) {
-			return nil, types.ErrBigintRange
-		}
-		out.Nulls = in.Nulls
-		return out, nil
-	}, nil
+		return nil
+	}), nil
 }
 
-// castColumn converts a column. BIGINT-to-DOUBLE and boolean-to-integer
-// casts run as one typed loop into res and keep the source's NULLs (what a
-// NULL row's slot holds is never read); everything else goes value by value
-// through castValue, which defines the conversion for both paths, into a
-// fresh column. A compiled DOUBLE-to-BIGINT cast runs its own typed loop
-// instead (compileCastBigint), which adds BIGINT's range to castValue's
-// truncation.
+// castColumn converts column c into res as a compiled CAST converts it.
 func castColumn(res *types.Buffer, c *types.Column, to types.Type) (*types.Column, error) {
-	n := c.Len()
+	return strict(res, to, func(*types.Batch) (*types.Column, error) { return c, nil }, castRows(c.T, to))(nil)
+}
+
+// castRows is the fill of a cast: BIGINT to DOUBLE and BOOLEAN to BIGINT are
+// typed loops, the rest goes row by row through castValue, which defines
+// both. A compiled DOUBLE-to-BIGINT cast is compileCastBigint's own loop,
+// which adds BIGINT's range to castValue's truncation.
+func castRows(from, to types.Type) func(out, in *types.Column) error {
 	switch {
-	case c.T == types.Int64 && to == types.Float64:
-		out := res.Reset(to, n)
-		for i, v := range c.Ints {
-			out.Floats[i] = float64(v)
+	case from == types.Int64 && to == types.Float64:
+		return func(out, in *types.Column) error {
+			for i, v := range in.Ints {
+				out.Floats[i] = float64(v)
+			}
+			return nil
 		}
-		out.Nulls = c.Nulls
-		return out, nil
-	case c.T == types.Bool && to == types.Int64:
-		out := res.Reset(to, n)
-		for i, v := range c.Bools {
-			out.Ints[i] = 0
-			if v {
-				out.Ints[i] = 1
+	case from == types.Bool && to == types.Int64:
+		return func(out, in *types.Column) error {
+			for i, v := range in.Bools {
+				out.Ints[i] = int64(b2i(v))
+			}
+			return nil
+		}
+	}
+	return func(out, in *types.Column) error {
+		for i := range out.Len() {
+			if in.IsNull(i) {
+				continue
+			}
+			v, err := castValue(in.Value(i), to)
+			if err != nil {
+				return err
+			}
+			if to == types.String {
+				out.Strs[i] = v.S
+			} else { // a DOUBLE to BIGINT: castValue's other conversions have typed loops
+				out.Ints[i] = v.I
 			}
 		}
-		out.Nulls = c.Nulls
-		return out, nil
+		return nil
 	}
-	out := types.NewColumn(to, n)
-	for i := 0; i < n; i++ {
-		if c.IsNull(i) {
-			out.AppendNull()
-			continue
-		}
-		v, err := castValue(c.Value(i), to)
-		if err != nil {
-			return nil, err
-		}
-		out.Append(v)
-	}
-	return out, nil
 }
 
 // truncate sets dst[i] to src[i] truncated toward zero and reports whether
@@ -401,115 +455,123 @@ func (c *compiler) compileUnOp(n *UnOp) (Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := c.scratch.Buffer()
-	return func(b *types.Batch) (*types.Column, error) {
-		in, err := arg(b)
+	return strict(c.scratch.Buffer(), types.Bool, arg, func(out, in *types.Column) error {
+		for i, v := range in.Bools {
+			out.Bools[i] = !v
+		}
+		return nil
+	}), nil
+}
+
+// compileCase compiles CASE. Each WHEN is evaluated over the rows no
+// earlier WHEN took, and each arm over the rows it takes, so an arm fails
+// only on a row it decides; the ELSE, NULL when there is none, is a last
+// WHEN TRUE. A typed scatter writes each arm's rows into res; an arm that
+// takes every row is the result as it is.
+func (c *compiler) compileCase(n *Case) (Evaluator, error) {
+	els := cmp.Or[Expr](n.Else, &Const{Val: types.NewNull(n.Typ)})
+	whens := append(slices.Clip(n.Whens), When{Cond: &Const{Val: types.NewBool(true)}, Then: els})
+	arms := make([]struct{ cond, then Evaluator }, len(whens))
+	for i, w := range whens {
+		var err error
+		if arms[i].cond, err = c.root(w.Cond); err == nil {
+			arms[i].then, err = c.root(w.Then)
+		}
 		if err != nil {
 			return nil, err
 		}
-		cnt := in.Len()
-		out := res.Reset(types.Bool, cnt)
-		for i, v := range in.Bools[:cnt] {
-			out.Bools[i] = !v
+	}
+	t, res := n.Typ, c.scratch.Buffer()
+	var took, rest []int
+	var views [2]types.Batch // the rows an arm takes, and the rows no WHEN took yet
+	return func(b *types.Batch) (*types.Column, error) {
+		rows := b.Len()
+		took, rest = slices.Grow(took[:0], rows), slices.Grow(rest[:0], rows)
+		var out *types.Column
+		var sel, pending []int // nil: every row
+		in := b
+		for _, arm := range arms {
+			cond, err := arm.cond(in)
+			if err != nil {
+				return nil, err
+			}
+			sel, pending = split(cond, pending, took, rest)
+			views[0], views[1] = types.Batch{Cols: b.Cols, Sel: sel}, types.Batch{Cols: b.Cols, Sel: pending}
+			in = &views[1]
+			switch {
+			case len(sel) == rows:
+				return arm.then(b)
+			case len(sel) > 0:
+				col, err := arm.then(&views[0])
+				if err != nil {
+					return nil, err
+				}
+				if out == nil {
+					out = res.Reset(t, rows)
+				}
+				scatter(res, out, col, sel)
+			}
 		}
-		out.Nulls = in.Nulls
-		return out, nil
+		return out, nil // every row is decided, and no arm took them all
 	}, nil
 }
 
-// compileCase compiles CASE, whose result is always a fresh column: it is
-// built a value at a time.
-func (c *compiler) compileCase(n *Case) (Evaluator, error) {
-	conds := make([]Evaluator, len(n.Whens))
-	thens := make([]Evaluator, len(n.Whens))
-	for i, w := range n.Whens {
-		var err error
-		if conds[i], err = c.compile(w.Cond); err != nil {
-			return nil, err
+// split divides the rows sel selects — nil: every row of cond — by cond,
+// which has one row per selected row: those where it is true and not NULL
+// go to took, the others to rest, whose storage sel may share.
+func split(cond *types.Column, sel, took, rest []int) ([]int, []int) {
+	n := cond.Len()
+	took, rest = took[:n], rest[:n]
+	k, m := 0, 0
+	for j, v := range cond.Bools {
+		i := j
+		if sel != nil {
+			i = sel[j]
 		}
-		if thens[i], err = c.compile(w.Then); err != nil {
-			return nil, err
-		}
+		v = v && !isNull(cond.Nulls, j)
+		took[k], rest[m] = i, i
+		k += b2i(v)
+		m += b2i(!v)
 	}
-	var els Evaluator
-	if n.Else != nil {
-		var err error
-		if els, err = c.compile(n.Else); err != nil {
-			return nil, err
-		}
+	return took[:k], rest[:m]
+}
+
+// scatter writes col's rows to the rows idx of out, res's column.
+func scatter(res *types.Buffer, out, col *types.Column, idx []int) {
+	switch out.T {
+	case types.Int64:
+		scatterInto(out.Ints, col.Ints, idx)
+	case types.Float64:
+		scatterInto(out.Floats, col.Floats, idx)
+	case types.String:
+		scatterInto(out.Strs, col.Strs, idx)
+	case types.Bool:
+		scatterInto(out.Bools, col.Bools, idx)
 	}
-	t := n.Typ
-	var decided []int // decided[i] = arm index + 1, 0 = undecided
-	var armCols []*types.Column
-	return func(b *types.Batch) (*types.Column, error) {
-		cnt := b.Len()
-		decided = slices.Grow(decided[:0], cnt)[:cnt]
-		clear(decided)
-		remaining := cnt
-		for a := range conds {
-			if remaining == 0 {
-				break
-			}
-			cc, err := conds[a](b)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < cnt; i++ {
-				if decided[i] == 0 && !cc.IsNull(i) && cc.Bools[i] {
-					decided[i] = a + 1
-					remaining--
-				}
-			}
+	if col.Nulls != nil {
+		if out.Nulls == nil {
+			clear(res.Nulls(out.Len()))
 		}
-		armCols = armCols[:0]
-		for _, th := range thens {
-			c, err := th(b)
-			if err != nil {
-				return nil, err
-			}
-			armCols = append(armCols, c)
-		}
-		var elseCol *types.Column
-		if els != nil {
-			c, err := els(b)
-			if err != nil {
-				return nil, err
-			}
-			elseCol = c
-		}
-		out := types.NewColumn(t, cnt)
-		for i := 0; i < cnt; i++ {
-			switch {
-			case decided[i] > 0:
-				out.Append(armCols[decided[i]-1].Value(i))
-			case elseCol != nil:
-				out.Append(elseCol.Value(i))
-			default:
-				out.AppendNull()
-			}
-		}
-		return out, nil
-	}, nil
+		scatterInto(out.Nulls, col.Nulls, idx)
+	}
+}
+
+func scatterInto[T any](dst, src []T, idx []int) {
+	for j, i := range idx {
+		dst[i] = src[j]
+	}
 }
 
 // mapFloats runs loop, one typed pass of a DOUBLE function (floatLoop,
 // constPow), over a DOUBLE argument into res; NULLs stay NULL.
 func mapFloats(res *types.Buffer, arg Evaluator, loop func(dst, src []float64)) Evaluator {
-	return func(b *types.Batch) (*types.Column, error) {
-		in, err := arg(b)
-		if err != nil {
-			return nil, err
-		}
-		cnt := in.Len()
-		out := res.Reset(types.Float64, cnt)
-		loop(out.Floats, in.Floats[:cnt])
-		out.Nulls = in.Nulls
-		return out, nil
-	}
+	return strict(res, types.Float64, arg, func(out, in *types.Column) error {
+		loop(out.Floats, in.Floats)
+		return nil
+	})
 }
 
-// compileFunc compiles a scalar function call. The numeric and string
-// functions write into res; least/greatest build fresh columns.
+// compileFunc compiles a scalar function call into res.
 func (c *compiler) compileFunc(n *FuncCall) (Evaluator, error) {
 	if AggregateFuncs[n.Name] {
 		return nil, fmt.Errorf("aggregate %s evaluated outside GROUP BY context", n.Name)
@@ -537,21 +599,12 @@ func (c *compiler) compileFunc(n *FuncCall) (Evaluator, error) {
 		return mapFloats(res, args[0], loop), nil
 	}
 	switch name {
-	case "abs", "sign":
-		// Integer-typed abs/sign.
-		arg := args[0]
-		return func(b *types.Batch) (*types.Column, error) {
-			in, err := arg(b)
-			if err != nil {
-				return nil, err
-			}
-			cnt := in.Len()
-			out := res.Reset(types.Int64, cnt)
-			for i := 0; i < cnt; i++ {
-				v := in.Ints[i]
+	case "abs", "sign": // integer-typed
+		return strict(res, types.Int64, args[0], func(out, in *types.Column) error {
+			for i, v := range in.Ints {
 				if name == "abs" {
 					if v == math.MinInt64 && !in.IsNull(i) {
-						return nil, types.ErrBigintRange
+						return types.ErrBigintRange
 					}
 					if v < 0 {
 						v = -v
@@ -566,59 +619,64 @@ func (c *compiler) compileFunc(n *FuncCall) (Evaluator, error) {
 				}
 				out.Ints[i] = v
 			}
-			out.Nulls = in.Nulls
-			return out, nil
-		}, nil
+			return nil
+		}), nil
 	case "least", "greatest":
-		want := -1 // comparison direction
-		if name == "greatest" {
-			want = 1
-		}
-		t := n.Typ
-		cols := make([]*types.Column, len(args))
-		return func(b *types.Batch) (*types.Column, error) {
-			for i, a := range args {
-				c, err := a(b)
-				if err != nil {
-					return nil, err
-				}
-				cols[i] = c
-			}
-			cnt := b.Len()
-			out := types.NewColumn(t, cnt)
-			for i := 0; i < cnt; i++ {
-				var best types.Value
-				haveBest := false
-				null := false
-				for _, c := range cols {
-					if c.IsNull(i) {
-						null = true
-						break
-					}
-					v := c.Value(i)
-					if !haveBest || v.Compare(best) == want {
-						best, haveBest = v, true
-					}
-				}
-				if null {
-					out.AppendNull()
-				} else {
-					bv, err := castValue(best, t)
-					if err != nil {
-						return nil, err
-					}
-					out.Append(bv)
-				}
-			}
-			return out, nil
-		}, nil
+		return compileExtreme(res, n.Typ, name == "greatest", args), nil
 	case "length", "lower", "upper", "substr":
-		return compileStringFunc(res, name, args)
+		return compileStringFunc(res, name, n.Typ, args)
 	}
 	return nil, fmt.Errorf("unknown function %q", name)
 }
 
-func compileStringFunc(res *types.Buffer, name string, args []Evaluator) (Evaluator, error) {
+// compileExtreme compiles least, or greatest, of BIGINT or DOUBLE args as
+// PostgreSQL does: NULL arguments are ignored, so the result is NULL only
+// where every argument is, and NaN is above every number.
+func compileExtreme(res *types.Buffer, t types.Type, greatest bool, args []Evaluator) Evaluator {
+	return func(b *types.Batch) (*types.Column, error) {
+		var out *types.Column
+		for i, a := range args {
+			c, err := a(b)
+			switch {
+			case err != nil:
+				return nil, err
+			case i == 0:
+				out = res.Reset(t, c.Len())
+				copy(out.Ints, c.Ints)
+				copy(out.Floats, c.Floats)
+				if c.Nulls != nil {
+					copy(res.Nulls(c.Len()), c.Nulls)
+				}
+			case t == types.Int64:
+				keepExtreme(out.Ints, c.Ints, out.Nulls, c.Nulls, greatest)
+			default:
+				keepExtreme(out.Floats, c.Floats, out.Nulls, c.Nulls, greatest)
+			}
+		}
+		return out, nil
+	}
+}
+
+// keepExtreme replaces a row of dst (NULL where dnulls is) by src's where
+// that is not NULL and dst's is, or sorts before it (after, for greatest).
+func keepExtreme[T int64 | float64](dst, src []T, dnulls, snulls []bool, greatest bool) {
+	for i, v := range src {
+		switch {
+		case isNull(snulls, i):
+		case isNull(dnulls, i):
+			dst[i], dnulls[i] = v, false
+		case greatest && before(dst[i], v) || !greatest && before(v, dst[i]):
+			dst[i] = v
+		}
+	}
+}
+
+// before reports whether x sorts before y, NaN after every number.
+func before[T int64 | float64](x, y T) bool { return x < y || x == x && y != y }
+
+// compileStringFunc compiles length, lower, upper and substr, which are NULL
+// where any argument is.
+func compileStringFunc(res *types.Buffer, name string, t types.Type, args []Evaluator) (Evaluator, error) {
 	cols := make([]*types.Column, len(args))
 	return func(b *types.Batch) (*types.Column, error) {
 		for i, a := range args {
@@ -628,18 +686,14 @@ func compileStringFunc(res *types.Buffer, name string, args []Evaluator) (Evalua
 			}
 			cols[i] = c
 		}
-		cnt := b.Len()
-		t := types.String
-		if name == "length" {
-			t = types.Int64
+		out := res.Reset(t, cols[0].Len())
+		for _, c := range cols {
+			unionNulls(res, out, c.Nulls)
 		}
-		out := res.Reset(t, cnt)
-		out.Nulls = cols[0].Nulls
-		for i := 0; i < cnt; i++ {
-			if cols[0].IsNull(i) {
+		for i, s := range cols[0].Strs {
+			if out.IsNull(i) {
 				continue
 			}
-			s := cols[0].Strs[i]
 			switch name {
 			case "length":
 				out.Ints[i] = int64(len(s))
@@ -696,20 +750,13 @@ func (c *compiler) compileLike(n *Like) (Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	pattern, negate, res := n.Pattern, n.Negate, c.scratch.Buffer()
-	return func(b *types.Batch) (*types.Column, error) {
-		in, err := arg(b)
-		if err != nil {
-			return nil, err
+	pattern, negate := n.Pattern, n.Negate
+	return strict(c.scratch.Buffer(), types.Bool, arg, func(out, in *types.Column) error {
+		for i, s := range in.Strs {
+			out.Bools[i] = !in.IsNull(i) && MatchLike(s, pattern) != negate
 		}
-		cnt := in.Len()
-		out := res.Reset(types.Bool, cnt)
-		for i := 0; i < cnt; i++ {
-			out.Bools[i] = !in.IsNull(i) && MatchLike(in.Strs[i], pattern) != negate
-		}
-		out.Nulls = in.Nulls
-		return out, nil
-	}, nil
+		return nil
+	}), nil
 }
 
 // MatchLike implements SQL LIKE matching: % matches any byte sequence,

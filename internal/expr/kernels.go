@@ -46,8 +46,7 @@ func (c *compiler) compileOperands(l, r Expr) (lo, ro operand, err error) {
 var noColumn types.Column
 
 // evalOperands evaluates the column operands of a kernel over b and returns
-// the kernel's output column from res, NULL where either operand is: when
-// only one has NULLs its bitmap is shared, as results are read-only. A
+// the kernel's output column from res, NULL where either operand is. A
 // constant comes back as noColumn, so a kernel tells the shape by a nil
 // slice.
 func evalOperands(res *types.Buffer, t types.Type, lo, ro operand, b *types.Batch) (l, r, out *types.Column, err error) {
@@ -66,18 +65,25 @@ func evalOperands(res *types.Buffer, t types.Type, lo, ro operand, b *types.Batc
 		n = r.Len()
 	}
 	out = res.Reset(t, n)
-	switch {
-	case l.Nulls == nil:
-		out.Nulls = r.Nulls
-	case r.Nulls == nil:
-		out.Nulls = l.Nulls
+	unionNulls(res, out, l.Nulls)
+	unionNulls(res, out, r.Nulls)
+	return l, r, out, nil
+}
+
+// unionNulls makes out, res's column, NULL where nulls is too. The first
+// bitmap out takes is shared, as results are read-only; a second is OR-ed
+// with it into res's own.
+func unionNulls(res *types.Buffer, out *types.Column, nulls []bool) {
+	switch prev := out.Nulls; {
+	case nulls == nil:
+	case prev == nil:
+		out.Nulls = nulls
 	default:
-		nulls := res.Nulls(n)
-		for i := range nulls {
-			nulls[i] = l.Nulls[i] || r.Nulls[i]
+		own := res.Nulls(out.Len()) // prev itself, from a second call
+		for i := range own {
+			own[i] = prev[i] || nulls[i]
 		}
 	}
-	return l, r, out, nil
 }
 
 // compileCompare compiles a comparison of two operands of type t. A

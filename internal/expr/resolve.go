@@ -185,10 +185,14 @@ func unifyTypes(a, b types.Type) types.Type {
 	return a
 }
 
-// castTo wraps e in a Cast when its type differs from t.
+// castTo wraps e in a Cast when its type differs from t; a NULL constant
+// becomes a NULL of type t.
 func castTo(e Expr, t types.Type) Expr {
 	if e.Type() == t {
 		return e
+	}
+	if isNullConst(e) {
+		return &Const{Val: types.NewNull(t)}
 	}
 	return &Cast{E: e, To: t}
 }

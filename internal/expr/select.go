@@ -33,7 +33,7 @@ func CompileSelect(e Expr, args []types.Value, s *types.Scratch) (Selector, erro
 			steps = append(steps, step)
 			continue
 		}
-		ev, err := c.compile(conj)
+		ev, err := c.root(conj)
 		if err != nil {
 			return nil, err
 		}
