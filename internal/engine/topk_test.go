@@ -197,3 +197,69 @@ func TestOrderByNaNSortsLast(t *testing.T) {
 		}
 	}
 }
+
+// TestTopKTiesAtTheBound: ORDER BY ... LIMIT k returns the first k rows of
+// the same ORDER BY, whole rows compared bit for bit, at every worker count,
+// when thousands of rows tie with the k-th on the first key. The first key
+// is BIGINT (its extremes, NULL) or DOUBLE (NULL, NaN, -0 and +0, ±Inf), in
+// either direction; the second key, or else scan order, decides among the
+// ties. The parts share one k-th key: against another part's, a tied row is
+// admitted, as it may still win on position.
+func TestTopKTiesAtTheBound(t *testing.T) {
+	const n = 70_000
+	ints := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}
+	floats := []float64{math.Inf(-1), -1.5, math.Copysign(0, -1), 0, 1.5, math.Inf(1), math.NaN()}
+	rng := rand.New(rand.NewSource(47))
+	fill := func(b *types.Batch) {
+		for i := range n {
+			b.Cols[0].AppendInt(int64(i))
+			if rng.Intn(9) == 0 {
+				b.Cols[1].AppendNull()
+			} else {
+				b.Cols[1].AppendInt(ints[rng.Intn(len(ints))])
+			}
+			if rng.Intn(9) == 0 {
+				b.Cols[2].AppendNull()
+			} else {
+				b.Cols[2].AppendFloat(floats[rng.Intn(len(floats))])
+			}
+			b.Cols[3].AppendInt(int64(rng.Intn(50)))
+		}
+	}
+	var orders []string
+	for _, first := range []string{"g", "g DESC", "x", "x DESC"} {
+		orders = append(orders, first, first+", y", first+", y DESC")
+	}
+	want := map[string][][]types.Value{}
+	for _, workers := range []int{1, 2, 8} {
+		db := Open(WithWorkers(workers))
+		db.MustExec(`CREATE TABLE t (id BIGINT, g BIGINT, x DOUBLE, y BIGINT)`)
+		rng.Seed(47)
+		bulkLoad(t, db, "t", fill)
+		for _, order := range orders {
+			q := `SELECT id, g, x, y FROM t ORDER BY ` + order
+			full, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers == 1 {
+				want[order] = full.Rows
+			}
+			for _, k := range []int{1, 7, 100, 4000, 20_000} {
+				limited, err := db.Query(fmt.Sprintf("%s LIMIT %d", q, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(limited.Rows) != k {
+					t.Fatalf("workers=%d ORDER BY %s LIMIT %d: %d rows", workers, order, k, len(limited.Rows))
+				}
+				for i, row := range limited.Rows {
+					if !sameBits(row, full.Rows[i]) || !sameBits(row, want[order][i]) {
+						t.Fatalf("workers=%d ORDER BY %s LIMIT %d: row %d is %v; the full sort's is %v, at Workers=1 %v",
+							workers, order, k, i, row, full.Rows[i], want[order][i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -400,7 +400,7 @@ func (a *aggAcc) result(spec plan.AggSpec, g int) (types.Value, error) {
 func newAggOp(n *plan.Aggregate) *blockingOp {
 	schema := n.Schema()
 	return &blockingOp{label: "aggregate", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
-		sinks, err := drive(ctx, selecting(partsOf(n.Child, ctx)), "", func(Operator) (*aggSink, error) {
+		sinks, err := drive(ctx, selecting(partsOf(n.Child, ctx)), "", func(int, Operator) (*aggSink, error) {
 			return newAggSink(n, ctx)
 		})
 		defer func() {

@@ -95,7 +95,7 @@ type input struct {
 // loadInput is the one loader of the analytical operators: it drives p
 // into one inputSink per part.
 func loadInput(p plan.Node, ctx *Context, label string, rowBytes int64, prepare preparer) (*input, error) {
-	sinks, err := drive(ctx, partsOf(p, ctx), "", func(Operator) (s *inputSink, err error) {
+	sinks, err := drive(ctx, partsOf(p, ctx), "", func(int, Operator) (s *inputSink, err error) {
 		s = &inputSink{ctx: ctx, label: label, rowBytes: rowBytes, scratch: scratch{ctx: ctx, label: label}}
 		s.prepare, err = prepare(&s.scratch)
 		return s, err
@@ -377,7 +377,7 @@ func (s *applySink) consume(b *types.Batch) error {
 // the part's scratch; it is called from several goroutines at once.
 func applyModel(data plan.Node, ctx *Context, label string, schema types.Schema, d int,
 	newPredict func(s *scratch) (func(rows []float64, labels []int64) error, error)) (*Materialized, error) {
-	sinks, err := drive(ctx, partsOf(data, ctx), "", func(Operator) (s *applySink, err error) {
+	sinks, err := drive(ctx, partsOf(data, ctx), "", func(int, Operator) (s *applySink, err error) {
 		s = &applySink{ctx: ctx, label: label, schema: schema, d: d, scratch: scratch{ctx: ctx, label: label}}
 		s.predict, err = newPredict(&s.scratch)
 		return s, err

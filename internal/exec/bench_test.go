@@ -58,7 +58,7 @@ func BenchmarkVectorizedFilterAgg(b *testing.B) {
 				ctx := latestContext()
 				ctx.Workers = 1
 				for range b.N {
-					sinks, err := drive(ctx, parts, "", func(Operator) (*aggSink, error) { return newAggSink(agg, ctx) })
+					sinks, err := drive(ctx, parts, "", func(int, Operator) (*aggSink, error) { return newAggSink(agg, ctx) })
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -250,9 +250,12 @@ func BenchmarkParallelSortScaling(b *testing.B) {
 // bigTable's unique, ascending v DESC, so every row sorts before the current
 // 100th and is admitted; "random" is the shape of scan_agg's top-k statement,
 // four uniform DOUBLE columns ordered by one of them DESC, where almost every
-// row is turned away by one comparison.
+// row is turned away by one comparison; "ties" orders k DESC, v over ten
+// values of k, so the tenth of the rows that tie the 100th on k go through
+// compareRows for v.
 func BenchmarkParallelTopKScaling(b *testing.B) {
 	s, tbl := bigTable(b, 1_000_000, 1000)
+	ts, ties := bigTable(b, 1_000_000, 10)
 	rs := storage.NewStore()
 	pts, err := rs.CreateTable("pts", types.Schema{{Name: "d0", Type: types.Float64}, {Name: "d1", Type: types.Float64},
 		{Name: "d2", Type: types.Float64}, {Name: "d3", Type: types.Float64}})
@@ -281,6 +284,7 @@ func BenchmarkParallelTopKScaling(b *testing.B) {
 	}{
 		{"worst-case", &plan.Sort{Child: plan.NewScan(tbl, "", s.Snapshot()), Keys: []plan.SortKey{{Col: 1, Desc: true}}, TopK: 100}},
 		{"random", &plan.Sort{Child: plan.NewScan(pts, "", rs.Snapshot()), Keys: []plan.SortKey{{Col: 2, Desc: true}}, TopK: 100}},
+		{"ties", &plan.Sort{Child: plan.NewScan(ties, "", ts.Snapshot()), Keys: []plan.SortKey{{Col: 0, Desc: true}, {Col: 1}}, TopK: 100}},
 	} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(tc.name+"/"+benchName(workers), func(b *testing.B) {

@@ -33,7 +33,7 @@ func keptRows(t *testing.T, p plan.Node, workers int, retain bool) [][]types.Val
 	t.Helper()
 	ctx := latestContext()
 	ctx.Workers = workers
-	sinks, err := drive(ctx, partsOf(p, ctx), "", func(Operator) (*keeper, error) {
+	sinks, err := drive(ctx, partsOf(p, ctx), "", func(int, Operator) (*keeper, error) {
 		return &keeper{retain: retain}, nil
 	})
 	if err != nil {

@@ -78,7 +78,7 @@ type sink interface {
 // cancellation before every Next — and closed exactly once, on the worker
 // pool and under its panic containment; one part is simply the serial case.
 // Sinks come back in part order, which for morsels is serial scan order.
-func drive[S sink](ctx *Context, parts []part, fault string, newSink func(op Operator) (S, error)) ([]S, error) {
+func drive[S sink](ctx *Context, parts []part, fault string, newSink func(part int, op Operator) (S, error)) ([]S, error) {
 	sinks := make([]S, len(parts))
 	err := morsel.For(ctx.goCtx, "parallel-worker", ctx.workers(), len(parts), func(_, i int) (err error) {
 		op, err := buildWith(parts[i], ctx)
@@ -94,7 +94,7 @@ func drive[S sink](ctx *Context, parts []part, fault string, newSink func(op Ope
 		if err := op.Open(ctx); err != nil {
 			return err
 		}
-		if sinks[i], err = newSink(op); err != nil {
+		if sinks[i], err = newSink(i, op); err != nil {
 			return err
 		}
 		for {
@@ -136,7 +136,7 @@ func (s *matSink) consume(b *types.Batch) error {
 
 // materialize drives parts into one relation, batches in part order.
 func materialize(parts []part, ctx *Context) (*Materialized, error) {
-	sinks, err := drive(ctx, parts, "", func(op Operator) (*matSink, error) {
+	sinks, err := drive(ctx, parts, "", func(_ int, op Operator) (*matSink, error) {
 		return &matSink{ctx: ctx, label: opLabel(op), mat: Materialized{Schema: op.Schema()}}, nil
 	})
 	if err != nil {

@@ -4,8 +4,11 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sort"
 	"strings"
+	"sync/atomic"
 
+	"lambdadb/internal/expr"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/types"
 )
@@ -14,12 +17,14 @@ import (
 // the input collect their rows on the worker pool — every batch, or under a
 // fused LIMIT only each part's best k rows, so ORDER BY ... LIMIT holds
 // O(parts·k) rows — and one stable sort of their concatenation in part order
-// orders the result, so tied rows keep scan order.
+// orders the result, so tied rows keep scan order. Under a LIMIT the parts
+// share one bound, the tightest k-th row any of them has published.
 func newSortOp(n *plan.Sort) *blockingOp {
 	schema := n.Schema()
 	return &blockingOp{label: "sort", schema: schema, compute: func(ctx *Context) (*Materialized, error) {
-		sinks, err := drive(ctx, partsOf(n.Child, ctx), "exec.sort.run", func(Operator) (*sortSink, error) {
-			return &sortSink{ctx: ctx, keys: n.Keys, k: n.TopK, rows: Materialized{Schema: schema}}, nil
+		bound := &kthRow{}
+		sinks, err := drive(ctx, partsOf(n.Child, ctx), "exec.sort.run", func(part int, _ Operator) (*sortSink, error) {
+			return &sortSink{ctx: ctx, keys: n.Keys, k: n.TopK, part: part, bound: bound, rows: Materialized{Schema: schema}}, nil
 		})
 		if err != nil {
 			return nil, err
@@ -36,19 +41,47 @@ func newSortOp(n *plan.Sort) *blockingOp {
 	}}
 }
 
+// kthRow is the bound a top-k sort's parts share: the last row of the
+// tightest best-k batch any part has published, and that part's index.
+type kthRow struct{ p atomic.Pointer[bestRows] }
+
+type bestRows struct {
+	rows *types.Batch // k rows in key order, never written again
+	part int
+}
+
+// publish makes b the bound unless it sorts after the current one. Of two
+// tied bounds the earlier part's wins, as it turns away more ties (see
+// sortSink.admit).
+func (r *kthRow) publish(keys []plan.SortKey, b *bestRows) {
+	for {
+		cur := r.p.Load()
+		if cur != nil {
+			c := compareRows(keys, b.rows, b.rows.Len()-1, cur.rows, cur.rows.Len()-1)
+			if c > 0 || c == 0 && b.part >= cur.part {
+				return
+			}
+		}
+		if r.p.CompareAndSwap(cur, b) {
+			return
+		}
+	}
+}
+
 // sortSink collects one part's rows. A full sort (k < 0) keeps every batch,
-// charged to the query budget. A top-k sort keeps the part's best k rows so
-// far as one sorted batch, best, at the head of rows, and behind it the rows
-// admitted since: only those that sort strictly before best's last row, so a
-// later row never displaces a tied earlier one. Once rows holds max(k, a
-// batch) rows beyond its first k, one sort of rows makes the next best.
+// charged to the query budget. A top-k sort keeps the rows that admit lets
+// through; once it holds twice k, one sort of them keeps the part's best k,
+// which it publishes as the shared bound. Sorting that soon keeps the bound
+// close behind the best rows seen, for the cost of a sort per k admitted.
 type sortSink struct {
-	ctx  *Context
-	keys []plan.SortKey
-	k    int64
-	rows Materialized
-	best *types.Batch // nil until rows first held k rows
-	keep []int
+	ctx   *Context
+	keys  []plan.SortKey
+	k     int64
+	part  int // the part's index, its place in scan order
+	bound *kthRow
+	rows  Materialized
+	keep  []int
+	away  []int // the rows a DESC select turns away
 }
 
 func (s *sortSink) consume(b *types.Batch) error {
@@ -59,31 +92,99 @@ func (s *sortSink) consume(b *types.Batch) error {
 		}
 	case s.k == 0:
 		return nil
-	case s.best != nil:
-		b = s.admit(b)
+	default:
+		if b = s.admit(b); b == nil {
+			return nil
+		}
 	}
 	s.rows.Append(b)
-	if s.k >= 0 && int64(s.rows.NumRows)-s.k >= max(s.k, types.BatchSize) {
-		s.best = sorted(s.keys, &s.rows, s.k)
+	if s.k >= 0 && int64(s.rows.NumRows)-s.k >= s.k {
+		best := sorted(s.keys, &s.rows, s.k)
 		s.rows = Materialized{Schema: s.rows.Schema}
-		s.rows.Append(s.best)
+		s.rows.Append(best)
+		s.bound.publish(s.keys, &bestRows{rows: best, part: s.part})
 	}
 	return nil
 }
 
-// admit returns the rows of b that sort strictly before best's last row.
+// admit returns the rows of b that may still be among the sort's first k,
+// or nil if there are none: those that sort before the bound's row. A row
+// tied with it is admitted only if the bound comes from a later part, as
+// it may win on position; the k rows behind a bound of its own part or an
+// earlier one precede it in scan order. The first key, when it is BIGINT
+// or DOUBLE and the bound's value in it a number, is a select that leaves
+// only the rows tied on it to compareRows.
 func (s *sortSink) admit(b *types.Batch) *types.Batch {
-	last := s.best.Len() - 1
-	s.keep = s.keep[:0]
-	for i := range b.Len() {
-		if compareRows(s.keys, b, i, s.best, last) < 0 {
-			s.keep = append(s.keep, i)
-		}
-	}
-	if len(s.keep) == b.Len() {
+	bound := s.bound.p.Load()
+	if bound == nil {
 		return b
 	}
-	return b.Gather(s.keep)
+	strict := bound.part <= s.part
+	n, last, first := b.Len(), bound.rows.Len()-1, s.keys[0]
+	before := func(keys []plan.SortKey, i int) bool {
+		c := compareRows(keys, b, i, bound.rows, last)
+		return c < 0 || c == 0 && !strict
+	}
+	col, v := b.Cols[first.Col], bound.rows.Cols[first.Col].Value(last)
+	keep := s.keep[:0]
+	if v.Null || !v.T.IsNumeric() || math.IsNaN(v.F) {
+		for i := range n {
+			if before(s.keys, i) {
+				keep = append(keep, i)
+			}
+		}
+	} else {
+		m := 0
+		keep = s.candidates(col, n, v, first.Desc)
+		for _, i := range keep {
+			tied := !col.IsNull(i) && (col.T == types.Int64 && col.Ints[i] == v.I || col.T == types.Float64 && col.Floats[i] == v.F)
+			if !tied || before(s.keys[1:], i) {
+				keep[m] = i
+				m++
+			}
+		}
+		keep = keep[:m]
+	}
+	s.keep = keep
+	switch len(keep) {
+	case 0:
+		return nil
+	case n:
+		return b
+	}
+	return b.Gather(keep)
+}
+
+// candidates returns, in s.keep, the rows among the first n of col, a
+// BIGINT or DOUBLE column, that sort before the number v or tie with it in
+// compareRows' order. Under ASC they are x <= v, a select, and the NULL
+// rows. Under DESC the select x < v turns away the rows that sort after v,
+// NULL and NaN left out, as IEEE 754 compares, and the candidates are the
+// rows it leaves but NULL, which sorts last. Those are few: the t-th sits
+// at j+t, where j is the first turned-away row with more than t rows left
+// below it, so a binary search finds each.
+func (s *sortSink) candidates(col *types.Column, n int, v types.Value, desc bool) []int {
+	out := slices.Grow(s.keep[:0], n)
+	if !desc {
+		out = expr.SelectCompare(expr.OpLe, col, n, v, nil, out)
+		if col.Nulls != nil {
+			for i, null := range col.Nulls[:n] {
+				if null {
+					out = append(out, i)
+				}
+			}
+		}
+		return out
+	}
+	away := expr.SelectCompare(expr.OpLt, col, n, v, nil, slices.Grow(s.away[:0], n))
+	for t := range n - len(away) {
+		j := sort.Search(len(away), func(j int) bool { return away[j]-j > t })
+		if !col.IsNull(j + t) {
+			out = append(out, j+t)
+		}
+	}
+	s.away = away
+	return out
 }
 
 // sorted concatenates m's batches and returns their rows in key order, the
@@ -110,7 +211,9 @@ func sorted(keys []plan.SortKey, m *Materialized, k int64) *types.Batch {
 
 // compareRows orders row i of a against row j of b, two batches of the
 // sort's schema, by the sort keys: NULL sorts first and NaN after every
-// number, as in PostgreSQL, and a DESC key negates the result.
+// number, and a DESC key negates the result. That is the engine's order,
+// not PostgreSQL's, whose default puts NULL last under ASC and first under
+// DESC; NaN is placed as PostgreSQL places it.
 func compareRows(keys []plan.SortKey, a *types.Batch, i int, b *types.Batch, j int) int {
 	for _, k := range keys {
 		x, y := a.Cols[k.Col], b.Cols[k.Col]

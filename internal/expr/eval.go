@@ -702,23 +702,22 @@ func compileStringFunc(res *types.Buffer, name string, t types.Type, args []Eval
 			case "upper":
 				out.Strs[i] = toUpper(s)
 			case "substr":
-				start := int(cols[1].Ints[i]) - 1 // SQL is 1-based
-				if start < 0 {
-					start = 0
-				}
-				end := len(s)
+				// Positions are 1-based, and [start, end) is clipped to the
+				// string after end is placed, as in PostgreSQL: a start before
+				// the string eats into the length.
+				start, end := cols[1].Ints[i], int64(len(s))+1
 				if len(cols) == 3 {
-					if e := start + int(cols[2].Ints[i]); e < end {
-						end = e
+					n := cols[2].Ints[i]
+					if n < 0 {
+						return nil, fmt.Errorf("negative substring length not allowed")
+					}
+					if start < end-n { // start+n < end, without overflow
+						end = start + n
 					}
 				}
-				if start > len(s) {
-					start = len(s)
-				}
-				if end < start {
-					end = start
-				}
-				out.Strs[i] = s[start:end]
+				start = min(max(start, 1), int64(len(s))+1)
+				end = max(end, start)
+				out.Strs[i] = s[start-1 : end-1]
 			}
 		}
 		return out, nil

@@ -86,8 +86,7 @@ func conjuncts(e Expr, out []Expr) []Expr {
 
 // selectKernel returns the typed select step of a comparison between a
 // BIGINT or DOUBLE column — a BIGINT one widened to DOUBLE included — and a
-// constant, or nil for any other conjunct. A NULL constant selects nothing,
-// as the comparison it stands for is NULL on every row.
+// constant, or nil for any other conjunct.
 func selectKernel(e Expr) Selector {
 	n, ok := e.(*BinOp)
 	if !ok || !n.Op.IsComparison() {
@@ -107,31 +106,39 @@ func selectKernel(e Expr) Selector {
 		ref = col.(*Cast).E.(*ColRef)
 	}
 	v, ok := constOperand(k, t)
-	switch {
-	case ref == nil || !ok || !widened && ref.Typ != t:
+	if ref == nil || !ok || !widened && ref.Typ != t {
 		return nil
-	case v.Null:
-		return func(_ *types.Batch, _, out []int) ([]int, error) { return out[:0], nil }
 	}
 	idx := ref.Index
 	return func(b *types.Batch, sel, out []int) ([]int, error) {
 		if idx < 0 || idx >= len(b.Cols) {
 			return nil, fmt.Errorf("column index %d out of range (batch has %d)", idx, len(b.Cols))
 		}
-		c, n := b.Cols[idx], b.Len()
-		switch {
-		case widened:
-			out = selectCompare(op, c.Ints[:n], v.F, sel, out)
-		case t == types.Int64:
-			out = selectCompare(op, c.Ints[:n], v.I, sel, out)
-		default:
-			out = selectCompare(op, c.Floats[:n], v.F, sel, out)
-		}
-		if c.Nulls != nil {
-			out = dropNulls(out, c.Nulls)
-		}
-		return out, nil
+		return SelectCompare(op, b.Cols[idx], b.Len(), v, sel, out), nil
 	}
+}
+
+// SelectCompare narrows sel (nil: the first n rows) to the rows of c, a
+// BIGINT or DOUBLE column, that are not NULL and whose value x satisfies
+// x op k, writing them to out, which has room for them all. It compares as
+// a filter does: a BIGINT column with a DOUBLE k widened, and by IEEE 754,
+// so a NaN satisfies only <>. A NULL k selects nothing, as the comparison
+// it stands for is NULL on every row.
+func SelectCompare(op Op, c *types.Column, n int, k types.Value, sel, out []int) []int {
+	switch {
+	case k.Null:
+		return out[:0]
+	case c.T == types.Float64:
+		out = selectCompare(op, c.Floats[:n], k.AsFloat(), sel, out)
+	case k.T == types.Float64:
+		out = selectCompare(op, c.Ints[:n], k.F, sel, out)
+	default:
+		out = selectCompare(op, c.Ints[:n], k.I, sel, out)
+	}
+	if c.Nulls != nil {
+		out = dropNulls(out, c.Nulls)
+	}
+	return out
 }
 
 // isWidened reports whether e is a BIGINT column cast to DOUBLE, as the
