@@ -86,7 +86,7 @@ chaos-cluster:
 bench-wal:
 	LAMBDADB_WAL_BENCH=1 $(GO) test ./internal/wal/ -run TestGroupCommitBench -count=1 -v
 
-## fuzz-smoke: 30s of native Go fuzzing per target (go test allows one -fuzz per invocation): each decoder of outside bytes — the SQL front end and its statement splitter, the wire protocol's frame and payload decoders, the replication control payloads, the WAL frame reader, the WAL record decoder, the snapshot-image loader — and three differential checks, a filter's select kernels against the expression evaluator on random columns and constants, a random CASE over a batch and a selection of it against a row-by-row reference, and ORDER BY ... LIMIT k at Workers 1, 2 and 8 against a boxed stable sort of random typed columns heavy with ties, NULL, NaN and ±0
+## fuzz-smoke: 30s of native Go fuzzing per target (go test allows one -fuzz per invocation): each decoder of outside bytes — the SQL front end and its statement splitter, the wire protocol's frame and payload decoders, the replication control payloads, the WAL frame reader, the WAL record decoder, the snapshot-image loader — and three differential checks, a filter's select kernels against the expression evaluator on random columns and constants, a random CASE — its leaves columns, constants and untyped NULLs (never both operands of one operator), its calls coalesce, least, greatest, abs, sign and sqrt — over a batch and a selection of it against a row-by-row reference, and ORDER BY ... LIMIT k at Workers 1, 2 and 8 against a boxed stable sort of random typed columns heavy with ties, NULL, NaN and ±0
 fuzz-smoke:
 	$(GO) test ./internal/expr/ -run xxx -fuzz FuzzSelectMatchesPredicate -fuzztime 30s
 	$(GO) test ./internal/expr/ -run xxx -fuzz FuzzCaseMatchesRowwise -fuzztime 30s

@@ -66,11 +66,11 @@ func (s *Session) execInsert(ctx context.Context, st *stmt, n *sql.Insert, args 
 			vals := make([]types.Value, len(exprRow))
 			for i, e := range exprRow {
 				re, err := expr.Resolve(e, emptyCtx)
+				if err == nil && i < len(colIdx) {
+					re, err = assigned(re, schema[colIdx[i]])
+				}
 				if err != nil {
 					return nil, err
-				}
-				if i < len(colIdx) {
-					re = adoptColumnType(re, schema[colIdx[i]].Type)
 				}
 				v, err := expr.EvalConst(re, args)
 				if err != nil {
@@ -113,22 +113,14 @@ func (s *Session) execInsert(ctx context.Context, st *stmt, n *sql.Insert, args 
 	return &Result{Affected: affected}, nil
 }
 
-// adoptColumnType returns e, a value assigned to a column of type to, with
-// that type where e has none: a bare untyped $N takes it, as resolution
-// types the $N of `id = $N` from id, and an untyped NULL becomes a NULL of
-// that type. The statement's own tree is not written.
-func adoptColumnType(e expr.Expr, to types.Type) expr.Expr {
-	switch n := e.(type) {
-	case *expr.Param: // Resolve's copy
-		if n.Typ == types.Unknown {
-			n.Typ = to
-		}
-	case *expr.Const:
-		if n.Val.Null && n.Val.T == types.Unknown {
-			return &expr.Const{Val: types.NewNull(to)}
-		}
+// assigned returns e, a value that INSERT or SET stores in column col, as
+// col's type: a DOUBLE truncates to a BIGINT column, as types.Coerce stores
+// one, and the rest is expr.As.
+func assigned(e expr.Expr, col types.ColumnInfo) (expr.Expr, error) {
+	if e.Type() == types.Float64 && col.Type == types.Int64 {
+		return &expr.Cast{E: e, To: col.Type}, nil
 	}
-	return e
+	return expr.As(e, col.Type, fmt.Sprintf("value of column %q", col.Name))
 }
 
 // compilePredicate resolves an optional WHERE clause against a table's
@@ -140,11 +132,11 @@ func compilePredicate(where expr.Expr, schema types.Schema, table string, args [
 	}
 	rc := expr.NewResolveCtx(schema, table)
 	pred, err := expr.Resolve(where, rc)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		pred, err = expr.As(pred, types.Bool, "condition")
 	}
-	if pred.Type() != types.Bool {
-		return nil, fmt.Errorf("WHERE must be boolean, got %s", pred.Type())
+	if err != nil {
+		return nil, fmt.Errorf("WHERE: %w", err)
 	}
 	return expr.CompileSelect(pred, args, nil)
 }
@@ -243,16 +235,11 @@ func (s *Session) execUpdate(ctx context.Context, n *sql.Update, args []types.Va
 			return nil, fmt.Errorf("table %q has no column %q", n.Table, a.Column)
 		}
 		e, err := expr.Resolve(a.Value, rc)
+		if err == nil {
+			e, err = assigned(e, schema[ci])
+		}
 		if err != nil {
 			return nil, err
-		}
-		e = adoptColumnType(e, schema[ci].Type)
-		if e.Type() != schema[ci].Type {
-			if !(e.Type().IsNumeric() && schema[ci].Type.IsNumeric()) {
-				return nil, fmt.Errorf("cannot assign %s to column %q (%s)",
-					e.Type(), a.Column, schema[ci].Type)
-			}
-			e = &expr.Cast{E: e, To: schema[ci].Type}
 		}
 		ev, err := expr.Compile(e, args, nil)
 		if err != nil {

@@ -12,7 +12,9 @@ import (
 // lazily, as PostgreSQL defines it: a CASE evaluates its WHENs in order and
 // then only the arm that decides the row, coalesce its arguments up to the
 // first that is not NULL; least and greatest skip NULL arguments and put
-// NaN above every number. Operators are refBinary's.
+// NaN above every number; abs, sign and sqrt are NULL where their argument
+// is (refStrict). Operators are refBinary's, and NULL without a look at the
+// other operand where one is a NULL constant.
 func refEval(e Expr, b *types.Batch, r int) (types.Value, error) {
 	switch n := e.(type) {
 	case *Const:
@@ -36,6 +38,9 @@ func refEval(e Expr, b *types.Batch, r int) (types.Value, error) {
 		}
 		return types.NewInt(x), nil
 	case *BinOp:
+		if n.Op != OpAnd && n.Op != OpOr && (isNullConst(n.L) || isNullConst(n.R)) {
+			return types.NewNull(n.Typ), nil // folded, as PostgreSQL folds a strict operator of a NULL
+		}
 		l, err := refEval(n.L, b, r)
 		if err != nil {
 			return l, err
@@ -60,6 +65,13 @@ func refEval(e Expr, b *types.Batch, r int) (types.Value, error) {
 		}
 		return refEval(n.Else, b, r)
 	case *FuncCall:
+		if f := refStrict[n.Name]; f != nil {
+			v, err := refEval(n.Args[0], b, r)
+			if err != nil || v.Null {
+				return types.NewNull(n.Typ), err
+			}
+			return f(v)
+		}
 		best := types.NewNull(n.Typ)
 		for _, a := range n.Args {
 			v, err := refEval(a, b, r)
@@ -84,6 +96,35 @@ func refEval(e Expr, b *types.Batch, r int) (types.Value, error) {
 	panic("refEval: " + e.String())
 }
 
+// refStrict holds abs, sign and sqrt of a value that is not NULL.
+var refStrict = map[string]func(types.Value) (types.Value, error){
+	"abs": func(v types.Value) (types.Value, error) {
+		switch {
+		case v.T == types.Float64:
+			return types.NewFloat(math.Abs(v.F)), nil
+		case v.I == math.MinInt64:
+			return v, types.ErrBigintRange
+		case v.I < 0:
+			return types.NewInt(-v.I), nil
+		}
+		return v, nil
+	},
+	"sign": func(v types.Value) (types.Value, error) {
+		s := 0 // for ±0 and NaN too
+		switch {
+		case v.AsFloat() > 0:
+			s = 1
+		case v.AsFloat() < 0:
+			s = -1
+		}
+		if v.T == types.Float64 {
+			return types.NewFloat(float64(s)), nil
+		}
+		return types.NewInt(int64(s)), nil
+	},
+	"sqrt": func(v types.Value) (types.Value, error) { return types.NewFloat(math.Sqrt(v.F)), nil },
+}
+
 // refBefore reports whether x sorts before y, NaN after every number.
 func refBefore(x, y types.Value) bool {
 	if x.T == types.Int64 {
@@ -93,15 +134,21 @@ func refBefore(x, y types.Value) bool {
 }
 
 // randNumeric is a random numeric expression over selectSchema of at most
-// depth levels: columns, constants, %, +, *, CAST AS BIGINT, coalesce,
-// least, greatest and CASE.
+// depth levels: columns, constants, untyped NULLs, %, +, *, CAST AS BIGINT,
+// coalesce, least, greatest, abs, sign, sqrt and CASE. An untyped NULL takes
+// the type its position asks for; where every operand of an operator, or
+// every argument of coalesce, would be one, the first is a column instead,
+// as no position gives them a type (oneTyped).
 func randNumeric(rng *rand.Rand, depth int) Expr {
 	if depth == 0 || rng.Intn(4) == 0 {
-		if rng.Intn(3) == 0 {
+		switch rng.Intn(6) {
+		case 0:
+			return lit(types.NewNull(types.Unknown))
+		case 1, 2:
 			t := []types.Type{types.Int64, types.Float64}[rng.Intn(2)]
 			return lit(kernelSpecials[t][rng.Intn(len(kernelSpecials[t]))])
 		}
-		return col(selectSchema[rng.Intn(len(selectSchema))].Name)
+		return randCol(rng)
 	}
 	args := func() []Expr {
 		out := []Expr{randNumeric(rng, depth-1), randNumeric(rng, depth-1)}
@@ -110,29 +157,61 @@ func randNumeric(rng *rand.Rand, depth int) Expr {
 		}
 		return out
 	}
-	switch rng.Intn(5) {
+	switch rng.Intn(6) {
 	case 0:
-		return bin([]Op{OpMod, OpAdd, OpMul}[rng.Intn(3)], randNumeric(rng, depth-1), randNumeric(rng, depth-1))
+		lr := oneTyped(rng, randNumeric(rng, depth-1), randNumeric(rng, depth-1))
+		return bin([]Op{OpMod, OpAdd, OpMul}[rng.Intn(3)], lr[0], lr[1])
 	case 1:
 		return &Cast{E: randNumeric(rng, depth-1), To: types.Int64}
 	case 2:
-		return &FuncCall{Name: []string{"coalesce", "least", "greatest"}[rng.Intn(3)], Args: args()}
+		name := []string{"coalesce", "least", "greatest"}[rng.Intn(3)]
+		if name == "coalesce" {
+			return &FuncCall{Name: name, Args: oneTyped(rng, args()...)}
+		}
+		return &FuncCall{Name: name, Args: args()}
+	case 3:
+		return &FuncCall{Name: []string{"abs", "sign", "sqrt"}[rng.Intn(3)], Args: []Expr{randNumeric(rng, depth-1)}}
 	}
 	return randCase(rng, depth-1)
 }
 
-// randCase is a random CASE of one to three WHENs, with an ELSE or not.
+func randCol(rng *rand.Rand) Expr { return col(selectSchema[rng.Intn(len(selectSchema))].Name) }
+
+// oneTyped returns es, its first a column where every one of es is an
+// untyped NULL.
+func oneTyped(rng *rand.Rand, es ...Expr) []Expr {
+	for _, e := range es {
+		if c, ok := e.(*Const); !ok || c.Val.T != types.Unknown {
+			return es
+		}
+	}
+	es[0] = randCol(rng)
+	return es
+}
+
+// randCase is a random CASE of one to three WHENs, with an ELSE or not, of
+// which some arm is not an untyped NULL.
 func randCase(rng *rand.Rand, depth int) Expr {
 	c := &Case{}
+	var arms []Expr
 	for range 1 + rng.Intn(3) {
 		var cond Expr = &IsNull{E: randNumeric(rng, depth), Negate: rng.Intn(2) == 0}
 		if rng.Intn(3) > 0 {
-			cond = bin([]Op{OpEq, OpNe, OpLt, OpGt}[rng.Intn(4)], randNumeric(rng, depth), randNumeric(rng, depth))
+			lr := oneTyped(rng, randNumeric(rng, depth), randNumeric(rng, depth))
+			cond = bin([]Op{OpEq, OpNe, OpLt, OpGt}[rng.Intn(4)], lr[0], lr[1])
 		}
-		c.Whens = append(c.Whens, When{Cond: cond, Then: randNumeric(rng, depth)})
+		c.Whens = append(c.Whens, When{Cond: cond})
+		arms = append(arms, randNumeric(rng, depth))
 	}
 	if rng.Intn(3) > 0 {
-		c.Else = randNumeric(rng, depth)
+		arms = append(arms, randNumeric(rng, depth))
+	}
+	arms = oneTyped(rng, arms...)
+	for i := range c.Whens {
+		c.Whens[i].Then = arms[i]
+	}
+	if len(arms) > len(c.Whens) {
+		c.Else = arms[len(c.Whens)]
 	}
 	return c
 }

@@ -216,23 +216,29 @@ func (c *compiler) compileCast(n *Cast) (Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return strict(c.scratch.Buffer(), to, arg, castRows(from, to)), nil
+	return strict(c.scratch.Buffer(), to, castRows(from, to), arg), nil
 }
 
-// strict is a node whose result, of type t, is NULL exactly where its one
-// argument is: fill writes the result's rows from the argument's, and what a
-// NULL row's slot holds is never read.
-func strict(res *types.Buffer, t types.Type, arg Evaluator, fill func(out, in *types.Column) error) Evaluator {
+// strict is a node whose result, of type t, is NULL exactly where one of its
+// arguments is: fill writes the result's rows from the arguments', and what
+// a NULL row's slot holds is never read.
+func strict(res *types.Buffer, t types.Type, fill func(out *types.Column, in []*types.Column) error, args ...Evaluator) Evaluator {
+	in := make([]*types.Column, len(args))
 	return func(b *types.Batch) (*types.Column, error) {
-		in, err := arg(b)
-		if err != nil {
-			return nil, err
+		for i, a := range args {
+			c, err := a(b)
+			if err != nil {
+				return nil, err
+			}
+			in[i] = c
 		}
-		out := res.Reset(t, in.Len())
+		out := res.Reset(t, in[0].Len())
+		for _, c := range in {
+			unionNulls(res, out, c.Nulls)
+		}
 		if err := fill(out, in); err != nil {
 			return nil, err
 		}
-		out.Nulls = in.Nulls
 		return out, nil
 	}
 }
@@ -251,46 +257,46 @@ func (c *compiler) compileCastBigint(e Expr) (Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return strict(c.scratch.Buffer(), types.Int64, arg, func(out, in *types.Column) error {
-		if !loop(out.Ints, in.Floats) && !inBigintRange(in.Floats, in.Nulls) {
+	return strict(c.scratch.Buffer(), types.Int64, func(out *types.Column, in []*types.Column) error {
+		if x := in[0]; !loop(out.Ints, x.Floats) && !inBigintRange(x.Floats, x.Nulls) {
 			return types.ErrBigintRange
 		}
 		return nil
-	}), nil
+	}, arg), nil
 }
 
 // castColumn converts column c into res as a compiled CAST converts it.
 func castColumn(res *types.Buffer, c *types.Column, to types.Type) (*types.Column, error) {
-	return strict(res, to, func(*types.Batch) (*types.Column, error) { return c, nil }, castRows(c.T, to))(nil)
+	return strict(res, to, castRows(c.T, to), func(*types.Batch) (*types.Column, error) { return c, nil })(nil)
 }
 
 // castRows is the fill of a cast: BIGINT to DOUBLE and BOOLEAN to BIGINT are
 // typed loops, the rest goes row by row through castValue, which defines
 // both. A compiled DOUBLE-to-BIGINT cast is compileCastBigint's own loop,
 // which adds BIGINT's range to castValue's truncation.
-func castRows(from, to types.Type) func(out, in *types.Column) error {
+func castRows(from, to types.Type) func(out *types.Column, in []*types.Column) error {
 	switch {
 	case from == types.Int64 && to == types.Float64:
-		return func(out, in *types.Column) error {
-			for i, v := range in.Ints {
+		return func(out *types.Column, in []*types.Column) error {
+			for i, v := range in[0].Ints {
 				out.Floats[i] = float64(v)
 			}
 			return nil
 		}
 	case from == types.Bool && to == types.Int64:
-		return func(out, in *types.Column) error {
-			for i, v := range in.Bools {
+		return func(out *types.Column, in []*types.Column) error {
+			for i, v := range in[0].Bools {
 				out.Ints[i] = int64(b2i(v))
 			}
 			return nil
 		}
 	}
-	return func(out, in *types.Column) error {
+	return func(out *types.Column, in []*types.Column) error {
 		for i := range out.Len() {
-			if in.IsNull(i) {
+			if out.IsNull(i) {
 				continue
 			}
-			v, err := castValue(in.Value(i), to)
+			v, err := castValue(in[0].Value(i), to)
 			if err != nil {
 				return err
 			}
@@ -455,12 +461,12 @@ func (c *compiler) compileUnOp(n *UnOp) (Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return strict(c.scratch.Buffer(), types.Bool, arg, func(out, in *types.Column) error {
-		for i, v := range in.Bools {
+	return strict(c.scratch.Buffer(), types.Bool, func(out *types.Column, in []*types.Column) error {
+		for i, v := range in[0].Bools {
 			out.Bools[i] = !v
 		}
 		return nil
-	}), nil
+	}, arg), nil
 }
 
 // compileCase compiles CASE. Each WHEN is evaluated over the rows no
@@ -562,186 +568,13 @@ func scatterInto[T any](dst, src []T, idx []int) {
 	}
 }
 
-// mapFloats runs loop, one typed pass of a DOUBLE function (floatLoop,
-// constPow), over a DOUBLE argument into res; NULLs stay NULL.
+// mapFloats runs loop, one typed pass of a DOUBLE function (a builtin's
+// floats, constPow), over a DOUBLE argument into res; NULLs stay NULL.
 func mapFloats(res *types.Buffer, arg Evaluator, loop func(dst, src []float64)) Evaluator {
-	return strict(res, types.Float64, arg, func(out, in *types.Column) error {
-		loop(out.Floats, in.Floats)
+	return strict(res, types.Float64, func(out *types.Column, in []*types.Column) error {
+		loop(out.Floats, in[0].Floats)
 		return nil
-	})
-}
-
-// compileFunc compiles a scalar function call into res.
-func (c *compiler) compileFunc(n *FuncCall) (Evaluator, error) {
-	if AggregateFuncs[n.Name] {
-		return nil, fmt.Errorf("aggregate %s evaluated outside GROUP BY context", n.Name)
-	}
-	switch last := len(n.Args) - 1; n.Name {
-	case "pow", "power":
-		return c.compileBinOp(&BinOp{Op: OpPow, L: n.Args[0], R: n.Args[1], Typ: types.Float64})
-	case "coalesce": // the first argument that is not NULL
-		cs := &Case{Else: castTo(n.Args[last], n.Typ), Typ: n.Typ}
-		for _, a := range n.Args[:last] {
-			cs.Whens = append(cs.Whens, When{Cond: &IsNull{E: a, Negate: true}, Then: castTo(a, n.Typ)})
-		}
-		return c.compileCase(cs)
-	}
-	args := make([]Evaluator, len(n.Args))
-	for i, a := range n.Args {
-		ev, err := c.compile(a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = ev
-	}
-	name, res := n.Name, c.scratch.Buffer()
-	if loop := floatLoop(name); loop != nil && len(args) == 1 && n.Typ == types.Float64 {
-		return mapFloats(res, args[0], loop), nil
-	}
-	switch name {
-	case "abs", "sign": // integer-typed
-		return strict(res, types.Int64, args[0], func(out, in *types.Column) error {
-			for i, v := range in.Ints {
-				if name == "abs" {
-					if v == math.MinInt64 && !in.IsNull(i) {
-						return types.ErrBigintRange
-					}
-					if v < 0 {
-						v = -v
-					}
-				} else {
-					switch {
-					case v > 0:
-						v = 1
-					case v < 0:
-						v = -1
-					}
-				}
-				out.Ints[i] = v
-			}
-			return nil
-		}), nil
-	case "least", "greatest":
-		return compileExtreme(res, n.Typ, name == "greatest", args), nil
-	case "length", "lower", "upper", "substr":
-		return compileStringFunc(res, name, n.Typ, args)
-	}
-	return nil, fmt.Errorf("unknown function %q", name)
-}
-
-// compileExtreme compiles least, or greatest, of BIGINT or DOUBLE args as
-// PostgreSQL does: NULL arguments are ignored, so the result is NULL only
-// where every argument is, and NaN is above every number.
-func compileExtreme(res *types.Buffer, t types.Type, greatest bool, args []Evaluator) Evaluator {
-	return func(b *types.Batch) (*types.Column, error) {
-		var out *types.Column
-		for i, a := range args {
-			c, err := a(b)
-			switch {
-			case err != nil:
-				return nil, err
-			case i == 0:
-				out = res.Reset(t, c.Len())
-				copy(out.Ints, c.Ints)
-				copy(out.Floats, c.Floats)
-				if c.Nulls != nil {
-					copy(res.Nulls(c.Len()), c.Nulls)
-				}
-			case t == types.Int64:
-				keepExtreme(out.Ints, c.Ints, out.Nulls, c.Nulls, greatest)
-			default:
-				keepExtreme(out.Floats, c.Floats, out.Nulls, c.Nulls, greatest)
-			}
-		}
-		return out, nil
-	}
-}
-
-// keepExtreme replaces a row of dst (NULL where dnulls is) by src's where
-// that is not NULL and dst's is, or sorts before it (after, for greatest).
-func keepExtreme[T int64 | float64](dst, src []T, dnulls, snulls []bool, greatest bool) {
-	for i, v := range src {
-		switch {
-		case isNull(snulls, i):
-		case isNull(dnulls, i):
-			dst[i], dnulls[i] = v, false
-		case greatest && before(dst[i], v) || !greatest && before(v, dst[i]):
-			dst[i] = v
-		}
-	}
-}
-
-// before reports whether x sorts before y, NaN after every number.
-func before[T int64 | float64](x, y T) bool { return x < y || x == x && y != y }
-
-// compileStringFunc compiles length, lower, upper and substr, which are NULL
-// where any argument is.
-func compileStringFunc(res *types.Buffer, name string, t types.Type, args []Evaluator) (Evaluator, error) {
-	cols := make([]*types.Column, len(args))
-	return func(b *types.Batch) (*types.Column, error) {
-		for i, a := range args {
-			c, err := a(b)
-			if err != nil {
-				return nil, err
-			}
-			cols[i] = c
-		}
-		out := res.Reset(t, cols[0].Len())
-		for _, c := range cols {
-			unionNulls(res, out, c.Nulls)
-		}
-		for i, s := range cols[0].Strs {
-			if out.IsNull(i) {
-				continue
-			}
-			switch name {
-			case "length":
-				out.Ints[i] = int64(len(s))
-			case "lower":
-				out.Strs[i] = toLower(s)
-			case "upper":
-				out.Strs[i] = toUpper(s)
-			case "substr":
-				// Positions are 1-based, and [start, end) is clipped to the
-				// string after end is placed, as in PostgreSQL: a start before
-				// the string eats into the length.
-				start, end := cols[1].Ints[i], int64(len(s))+1
-				if len(cols) == 3 {
-					n := cols[2].Ints[i]
-					if n < 0 {
-						return nil, fmt.Errorf("negative substring length not allowed")
-					}
-					if start < end-n { // start+n < end, without overflow
-						end = start + n
-					}
-				}
-				start = min(max(start, 1), int64(len(s))+1)
-				end = max(end, start)
-				out.Strs[i] = s[start-1 : end-1]
-			}
-		}
-		return out, nil
-	}, nil
-}
-
-func toLower(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 32
-		}
-	}
-	return string(b)
-}
-
-func toUpper(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'a' && c <= 'z' {
-			b[i] = c - 32
-		}
-	}
-	return string(b)
+	}, arg)
 }
 
 func (c *compiler) compileLike(n *Like) (Evaluator, error) {
@@ -750,12 +583,12 @@ func (c *compiler) compileLike(n *Like) (Evaluator, error) {
 		return nil, err
 	}
 	pattern, negate := n.Pattern, n.Negate
-	return strict(c.scratch.Buffer(), types.Bool, arg, func(out, in *types.Column) error {
-		for i, s := range in.Strs {
-			out.Bools[i] = !in.IsNull(i) && MatchLike(s, pattern) != negate
+	return strict(c.scratch.Buffer(), types.Bool, func(out *types.Column, in []*types.Column) error {
+		for i, s := range in[0].Strs {
+			out.Bools[i] = !out.IsNull(i) && MatchLike(s, pattern) != negate
 		}
 		return nil
-	}), nil
+	}, arg), nil
 }
 
 // MatchLike implements SQL LIKE matching: % matches any byte sequence,

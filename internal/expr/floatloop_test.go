@@ -36,7 +36,7 @@ func TestFloatFuncLoopsMatchMath(t *testing.T) {
 	}
 	var fns []fn
 	for name, f := range funcs {
-		if floatLoop(name) == nil {
+		if scalarFuncs[name].floats == nil {
 			t.Errorf("%s has no typed loop", name)
 		}
 		fns = append(fns, fn{&FuncCall{Name: name, Args: []Expr{x}, Typ: types.Float64}, f})

@@ -45,8 +45,8 @@ func BindLambda(l *Lambda, schemas []types.Schema) (*Lambda, error) {
 	if bindErr != nil {
 		return nil, bindErr
 	}
-	if !body.Type().IsNumeric() {
-		return nil, fmt.Errorf("lambda %s: result is %s, need a number", l, body.Type())
+	if body, err = As(body, types.Float64, "result"); err != nil {
+		return nil, fmt.Errorf("lambda %s: %w", l, err)
 	}
-	return &Lambda{Params: l.Params, Body: castTo(body, types.Float64)}, nil
+	return &Lambda{Params: l.Params, Body: body}, nil
 }

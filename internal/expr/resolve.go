@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -105,40 +106,36 @@ func Resolve(e Expr, rc *ResolveCtx) (Expr, error) {
 
 	case *Case:
 		out := &Case{Whens: make([]When, len(n.Whens))}
-		var resultType types.Type
+		var arms []Expr
 		for i, w := range n.Whens {
-			cond, err := Resolve(w.Cond, rc)
+			cond, err := resolveAs(w.Cond, rc, types.Bool, "CASE WHEN")
 			if err != nil {
 				return nil, err
-			}
-			if cond.Type() != types.Bool {
-				return nil, fmt.Errorf("CASE WHEN condition must be boolean, got %s", cond.Type())
 			}
 			then, err := Resolve(w.Then, rc)
 			if err != nil {
 				return nil, err
 			}
-			out.Whens[i] = When{cond, then}
-			resultType = unifyTypes(resultType, then.Type())
+			out.Whens[i], arms = When{cond, then}, append(arms, then)
 		}
 		if n.Else != nil {
 			els, err := Resolve(n.Else, rc)
 			if err != nil {
 				return nil, err
 			}
-			out.Else = els
-			resultType = unifyTypes(resultType, els.Type())
+			out.Else, arms = els, append(arms, els)
 		}
-		if resultType == types.Unknown {
-			return nil, fmt.Errorf("cannot infer CASE result type")
-		}
-		out.Typ = resultType
-		// Insert casts so all arms produce the unified type.
-		for i := range out.Whens {
-			out.Whens[i].Then = castTo(out.Whens[i].Then, resultType)
-		}
-		if out.Else != nil {
-			out.Else = castTo(out.Else, resultType)
+		out.Typ = commonType(arms, types.String)
+		for i, arm := range arms {
+			arm, err := As(arm, out.Typ, "CASE result")
+			if err != nil {
+				return nil, err
+			}
+			if i < len(out.Whens) {
+				out.Whens[i].Then = arm
+			} else {
+				out.Else = arm
+			}
 		}
 		return out, nil
 
@@ -157,12 +154,9 @@ func Resolve(e Expr, rc *ResolveCtx) (Expr, error) {
 		return &IsNull{E: inner, Negate: n.Negate}, nil
 
 	case *Like:
-		inner, err := Resolve(n.E, rc)
+		inner, err := resolveAs(n.E, rc, types.String, "LIKE operand")
 		if err != nil {
 			return nil, err
-		}
-		if inner.Type() != types.String {
-			return nil, fmt.Errorf("LIKE requires a string operand, got %s", inner.Type())
 		}
 		return &Like{E: inner, Pattern: n.Pattern, Negate: n.Negate}, nil
 
@@ -171,55 +165,73 @@ func Resolve(e Expr, rc *ResolveCtx) (Expr, error) {
 	}
 }
 
-// unifyTypes picks a common type for two branches, widening numerics.
-func unifyTypes(a, b types.Type) types.Type {
-	if a == types.Unknown {
-		return b
+// As returns e where its position asks for a value of type t — a
+// function's argument, a CASE arm, a condition, a column that SET assigns:
+// an untyped NULL or $N takes t, a BIGINT widens to a DOUBLE t, and e of any
+// other type is an error that names what. e is Resolve's output, whose $N
+// it types in place.
+func As(e Expr, t types.Type, what string) (Expr, error) {
+	e = typed(e, t)
+	if et := e.Type(); et != t && !(et == types.Int64 && t == types.Float64) {
+		return nil, fmt.Errorf("%s must be %s, got %s", what, t, et)
 	}
-	if b == types.Unknown || a == b {
-		return a
-	}
-	if a.IsNumeric() && b.IsNumeric() {
-		return types.Float64
-	}
-	return a
+	return castTo(e, t), nil
 }
 
-// castTo wraps e in a Cast when its type differs from t; a NULL constant
-// becomes a NULL of type t.
-func castTo(e Expr, t types.Type) Expr {
-	if e.Type() == t {
-		return e
+// resolveAs resolves e against rc and returns it As t.
+func resolveAs(e Expr, rc *ResolveCtx, t types.Type, what string) (Expr, error) {
+	r, err := Resolve(e, rc)
+	if err != nil {
+		return nil, err
 	}
-	if isNullConst(e) {
-		return &Const{Val: types.NewNull(t)}
-	}
-	return &Cast{E: e, To: t}
+	return As(r, t, what)
 }
 
-// adoptParamType lets an untyped Param take the type of the expression on
-// the other side of a binary operator, so `id = $1` types $1 from `id`.
-func adoptParamType(a, b Expr) {
-	if p, ok := a.(*Param); ok && p.Typ == types.Unknown && b.Type() != types.Unknown {
-		if _, otherParam := b.(*Param); !otherParam {
-			p.Typ = b.Type()
+// typed returns e with type t where e is an untyped NULL or $N, and e
+// otherwise. A $N is Resolve's copy, so it takes t in place.
+func typed(e Expr, t types.Type) Expr {
+	switch n := e.(type) {
+	case *Const:
+		if n.Val.Null && n.Val.T == types.Unknown {
+			return &Const{Val: types.NewNull(t)}
 		}
-	}
-}
-
-// adoptNullType gives a bare NULL literal the type of the other operand, as
-// adoptParamType does for $n: `x < NULL` compares x with a NULL of x's type.
-func adoptNullType(e, other Expr) Expr {
-	if c, ok := e.(*Const); ok && c.Val.Null && c.Val.T == types.Unknown {
-		return &Const{Val: types.NewNull(other.Type())}
+	case *Param:
+		if n.Typ == types.Unknown {
+			n.Typ = t
+		}
 	}
 	return e
 }
 
+// castTo wraps e in a Cast to t unless e has type t; an untyped NULL or $N
+// takes t.
+func castTo(e Expr, t types.Type) Expr {
+	if e = typed(e, t); e.Type() == t {
+		return e
+	}
+	return &Cast{E: e, To: t}
+}
+
+// commonType is the type that each of es converts to (As): the first one's
+// that has a type, or DOUBLE where two numeric types meet; fallback where
+// none has a type.
+func commonType(es []Expr, fallback types.Type) types.Type {
+	t := types.Unknown
+	for _, e := range es {
+		switch et := e.Type(); {
+		case t == types.Unknown:
+			t = et
+		case t != et && t.IsNumeric() && et.IsNumeric():
+			t = types.Float64
+		}
+	}
+	return cmp.Or(t, fallback)
+}
+
 func typeBinOp(op Op, l, r Expr) (Expr, error) {
-	adoptParamType(l, r)
-	adoptParamType(r, l)
-	l, r = adoptNullType(l, r), adoptNullType(r, l)
+	// An untyped operand, NULL or $N, takes the other operand's type.
+	l = typed(l, r.Type())
+	r = typed(r, l.Type())
 	if p, ok := l.(*Param); ok && p.Typ == types.Unknown {
 		return nil, fmt.Errorf("cannot infer a type for parameter $%d; declare one with PREPARE name (TYPE, ...) AS ...", p.Idx)
 	}
@@ -274,8 +286,9 @@ func typeUnOp(op Op, e Expr) (Expr, error) {
 		}
 		return &UnOp{Op: OpNeg, E: e, Typ: e.Type()}, nil
 	case OpNot:
-		if e.Type() != types.Bool {
-			return nil, fmt.Errorf("NOT requires a boolean operand, got %s", e.Type())
+		e, err := As(e, types.Bool, "NOT operand")
+		if err != nil {
+			return nil, err
 		}
 		return &UnOp{Op: OpNot, E: e, Typ: types.Bool}, nil
 	}

@@ -323,11 +323,11 @@ func (b *Builder) buildCore(core *sql.SelectCore) (Node, error) {
 
 	if core.Where != nil {
 		pred, err := expr.Resolve(core.Where, inputCtx)
+		if err == nil {
+			pred, err = expr.As(pred, types.Bool, "condition")
+		}
 		if err != nil {
 			return nil, fmt.Errorf("WHERE: %w", err)
-		}
-		if pred.Type() != types.Bool {
-			return nil, fmt.Errorf("WHERE must be boolean, got %s", pred.Type())
 		}
 		if expr.IsAggregate(pred) {
 			return nil, fmt.Errorf("aggregates are not allowed in WHERE")
@@ -455,13 +455,12 @@ func (b *Builder) buildAggregate(core *sql.SelectCore, child Node,
 	var having expr.Expr
 	if core.Having != nil {
 		h, err := expr.Resolve(core.Having, ctx)
+		if err == nil {
+			having, err = expr.As(h, types.Bool, "condition")
+		}
 		if err != nil {
 			return nil, fmt.Errorf("HAVING: %w", err)
 		}
-		if h.Type() != types.Bool {
-			return nil, fmt.Errorf("HAVING must be boolean, got %s", h.Type())
-		}
-		having = h
 	}
 
 	// Rewrite post-aggregation expressions: aggregate calls become

@@ -65,11 +65,11 @@ func (b *Builder) buildJoin(j *sql.Join) (Node, error) {
 	}
 	both := &Join{L: l, R: r}
 	on, err := expr.Resolve(j.On, &expr.ResolveCtx{Schema: both.Schema(), Quals: both.Quals()})
+	if err == nil {
+		on, err = expr.As(on, types.Bool, "condition")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("JOIN ON: %w", err)
-	}
-	if on.Type() != types.Bool {
-		return nil, fmt.Errorf("JOIN ON must be boolean, got %s", on.Type())
 	}
 	return NewJoin(typ, l, r, Fold(on)), nil
 }
